@@ -13,7 +13,7 @@ the bench command enforces, so the CLI and the tests share one registry.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 from .frontend import parse_source
@@ -375,9 +375,3 @@ def find_app(key: str) -> Optional[CorpusApp]:
         if low in names:
             return app
     return None
-
-
-def app_with_sizes(app: CorpusApp, overrides: dict[str, int]) -> CorpusApp:
-    merged = dict(app.sizes)
-    merged.update(overrides)
-    return replace(app, sizes=tuple(merged.items()))

@@ -8,26 +8,15 @@ bounded by its buffer capacity.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field, replace
-from typing import Iterable, Mapping, Optional
+from typing import Mapping, Optional
 
 from . import frontend as fe
 from .errors import DspcError
-from .ops import BUILTINS, OPCODE_BY_NAME, SIGNATURES, AttrSpec, OpCode
+from .ops import (OP_DEFS, OPCODE_BY_NAME, OPDEF_BY_BUILTIN, AttrSpec, OpCode,
+                  ShapeMismatch, TensorShape)
 
 ValueId = int
-
-
-@dataclass(frozen=True)
-class TensorShape:
-    """Length of a rank-1 tensor; dynamic shapes bound a run-time length."""
-
-    length: int
-    dynamic: bool = False
-
-    def __str__(self) -> str:
-        return f"tensor<{self.length}{'?' if self.dynamic else ''}>"
 
 
 @dataclass(frozen=True)
@@ -58,7 +47,7 @@ class OpNode:
 
     @property
     def n_results(self) -> int:
-        return SIGNATURES[self.opcode].n_results
+        return OP_DEFS[self.opcode].n_results
 
     @property
     def result_ids(self) -> tuple[ValueId, ...]:
@@ -87,15 +76,6 @@ class DspGraph:
         for v in self.returns:
             counts[v] = counts.get(v, 0) + 1
         return counts
-
-    def shape_of(self, value: ValueId) -> Optional[TensorShape]:
-        op = self.producer_map().get(value)
-        if op is None:
-            return None
-        idx = value - op.id
-        if idx >= len(op.result_shapes):
-            return None
-        return op.result_shapes[idx]
 
 
 class GraphBuildError(DspcError):
@@ -129,13 +109,6 @@ class BadAttribute(GraphBuildError):
     pass
 
 
-class ShapeMismatch(DspcError):
-    def __init__(self, op: OpNode, detail: str):
-        super().__init__(f"%{op.id} {op.opcode.value}: {detail}")
-        self.op = op
-        self.detail = detail
-
-
 class GraphTextError(DspcError):
     def __init__(self, line: int, column: int, message: str):
         super().__init__(f"{line}:{column}: {message}")
@@ -162,12 +135,12 @@ class _Builder:
 
     def emit(self, opcode: OpCode, operands: tuple[ValueId, ...] = (),
              attributes: tuple[Attribute, ...] = ()) -> ValueId:
-        sig = SIGNATURES[opcode]
-        op_id = self.next_id if sig.n_results > 0 else -1
+        n_results = OP_DEFS[opcode].n_results
+        op_id = self.next_id if n_results > 0 else -1
         node = OpNode(id=op_id, opcode=opcode, operands=operands, attributes=attributes,
-                      result_shapes=(None,) * sig.n_results)
+                      result_shapes=(None,) * n_results)
         self.graph.ops.append(node)
-        self.next_id += sig.n_results
+        self.next_id += n_results
         return op_id
 
     def build(self, module: fe.AstModule) -> DspGraph:
@@ -215,10 +188,9 @@ class _Builder:
         raise TypeError(f"not an expression node: {expr!r}")
 
     def call(self, expr: fe.Call) -> ValueId:
-        opcode = BUILTINS.get(expr.callee)
-        if opcode is None:
+        sig = OPDEF_BY_BUILTIN.get(expr.callee)
+        if sig is None:
             raise UnknownBuiltin(expr.span, expr.callee)
-        sig = SIGNATURES[opcode]
         expected = sig.n_operands + len(sig.attrs)
         if len(expr.args) != expected:
             raise ArityMismatch(expr.span, expr.callee, expected, len(expr.args))
@@ -226,7 +198,7 @@ class _Builder:
         attributes = []
         for spec, arg in zip(sig.attrs, expr.args[sig.n_operands:]):
             attributes.append(Attribute(spec.name, self._const_attr(spec, arg, expr.callee)))
-        return self.emit(opcode, operands=operands, attributes=tuple(attributes))
+        return self.emit(sig.opcode, operands=operands, attributes=tuple(attributes))
 
     def _const_attr(self, spec: AttrSpec, arg: fe.AstExpression, callee: str) -> object:
         value = _fold_constant(arg)
@@ -272,83 +244,6 @@ def build_graph(module: fe.AstModule) -> DspGraph:
 # Shape inference
 
 
-def _broadcast(op: OpNode, a: TensorShape, b: TensorShape) -> TensorShape:
-    if a.dynamic or b.dynamic:
-        raise ShapeMismatch(op, "dynamic tensors cannot feed arithmetic ops")
-    if a.length == b.length:
-        return TensorShape(a.length)
-    if a.length == 1:
-        return TensorShape(b.length)
-    if b.length == 1:
-        return TensorShape(a.length)
-    raise ShapeMismatch(op, f"operand lengths {a.length} and {b.length} do not broadcast")
-
-
-def _require_static(op: OpNode, shape: TensorShape, what: str) -> TensorShape:
-    if shape.dynamic:
-        raise ShapeMismatch(op, f"{what} must have a static shape")
-    return shape
-
-
-def _infer_result_shapes(op: OpNode, ins: list[TensorShape]) -> tuple[TensorShape, ...]:
-    oc = op.opcode
-    if oc is OpCode.CONST_TENSOR:
-        return (TensorShape(len(op.attr("values"))),)
-    if oc in (OpCode.DELAY, OpCode.SLIDING_WINDOW_AVG, OpCode.SQUARE, OpCode.GAIN,
-              OpCode.REVERSE, OpCode.THRESHOLD, OpCode.QUANTIZE,
-              OpCode.DFT1D_REAL, OpCode.DFT1D_IMAG,
-              OpCode.DFT1D_REAL_SYMM, OpCode.DFT1D_IMAG_SYMM):
-        return (_require_static(op, ins[0], "operand"),)
-    if oc in (OpCode.FIR_FILTER_RESPONSE, OpCode.FILTER_RES_SYMM_OPT):
-        _require_static(op, ins[1], "coefficients")
-        return (_require_static(op, ins[0], "signal"),)
-    if oc is OpCode.CONV1D_FULL:
-        n = _require_static(op, ins[0], "signal").length
-        l = _require_static(op, ins[1], "kernel").length
-        return (TensorShape(n + l - 1),)
-    if oc is OpCode.FILTER_Y_SYMM_OPT:
-        n = _require_static(op, ins[0], "signal").length
-        return (TensorShape(2 * n - 1),)
-    if oc is OpCode.IDFT1D:
-        a = _require_static(op, ins[0], "real part")
-        b = _require_static(op, ins[1], "imaginary part")
-        if a.length != b.length:
-            raise ShapeMismatch(op, f"real/imag lengths differ: {a.length} vs {b.length}")
-        return (a,)
-    if oc is OpCode.DFT1D_FUSED:
-        s = _require_static(op, ins[0], "operand")
-        return (s, s)
-    if oc in (OpCode.LOW_PASS_FIR_COEFFS, OpCode.HAMMING_WINDOW, OpCode.FILTER_HAMM_OPT):
-        return (TensorShape(int(op.attr("L"))),)
-    if oc in (OpCode.LMS_FILTER, OpCode.LMS_FILTER_GAIN_OPT):
-        a = _require_static(op, ins[0], "input")
-        b = _require_static(op, ins[1], "desired signal")
-        if a.length != b.length:
-            raise ShapeMismatch(op, f"input/desired lengths differ: {a.length} vs {b.length}")
-        return (TensorShape(int(op.attr("M"))),)
-    if oc in (OpCode.ADD, OpCode.SUB, OpCode.MUL, OpCode.DIV):
-        return (_broadcast(op, ins[0], ins[1]),)
-    if oc is OpCode.SUM:
-        _require_static(op, ins[0], "operand")
-        return (TensorShape(1),)
-    if oc is OpCode.RUN_LEN_ENCODING:
-        n = _require_static(op, ins[0], "operand").length
-        return (TensorShape(2 * n, dynamic=True),)
-    if oc is OpCode.UPSAMPLE:
-        n = _require_static(op, ins[0], "operand").length
-        return (TensorShape(n * int(op.attr("k"))),)
-    if oc is OpCode.DOWNSAMPLE:
-        n = _require_static(op, ins[0], "operand").length
-        return (TensorShape(math.ceil(n / int(op.attr("k")))),)
-    if oc in (OpCode.SIN_VEC, OpCode.COS_VEC, OpCode.RANGE_VEC):
-        return (TensorShape(int(op.attr("n"))),)
-    if oc is OpCode.PRINT:
-        return ()
-    if oc is OpCode.INPUT:
-        raise AssertionError("input shapes come from bindings")
-    raise AssertionError(f"no shape rule for {oc.value}")
-
-
 def infer_shapes(graph: DspGraph,
                  input_lengths: Optional[Mapping[str, int]] = None) -> DspGraph:
     """Return a copy of the graph with result shapes resolved.
@@ -360,11 +255,12 @@ def infer_shapes(graph: DspGraph,
     bindings = dict(input_lengths or {})
     shapes: dict[ValueId, Optional[TensorShape]] = {}
     new_ops: list[OpNode] = []
-    input_names = dict(graph.inputs)
     name_by_id = {vid: name for name, vid in graph.inputs}
 
     for op in graph.ops:
-        if op.opcode is OpCode.INPUT:
+        sig = OP_DEFS[op.opcode]
+        ins = [shapes.get(v) for v in op.operands]
+        if sig.shape is None:  # an input: shaped by its binding
             existing = op.result_shapes[0] if op.result_shapes else None
             bound = bindings.get(name_by_id.get(op.id, op.attr("name")))
             if bound is not None:
@@ -374,20 +270,15 @@ def infer_shapes(graph: DspGraph,
                 resolved: Optional[TensorShape] = TensorShape(int(bound))
             else:
                 resolved = existing
-            shaped = (resolved,)
+            shaped: tuple[Optional[TensorShape], ...] = (resolved,)
+        elif sig.n_operands and None in ins:
+            shaped = (None,) * sig.n_results
         else:
-            ins: list[Optional[TensorShape]] = [shapes.get(v) for v in op.operands]
-            if any(s is None for s in ins) and op.opcode is not OpCode.PRINT \
-                    and SIGNATURES[op.opcode].n_operands > 0:
-                shaped = (None,) * SIGNATURES[op.opcode].n_results
-            else:
-                shaped = _infer_result_shapes(op, [s for s in ins if s is not None]
-                                              if op.operands else [])
+            shaped = sig.shape(op, ins)
         new_op = replace(op, result_shapes=shaped)
         new_ops.append(new_op)
         for rid, s in zip(new_op.result_ids, shaped):
             shapes[rid] = s
-    del input_names
     return DspGraph(ops=new_ops, inputs=list(graph.inputs),
                     prints=list(graph.prints), returns=list(graph.returns))
 
@@ -397,17 +288,23 @@ def infer_shapes(graph: DspGraph,
 
 
 def verify_graph(graph: DspGraph) -> list[str]:
-    """Check structural and range invariants; returns violations, never raises."""
+    """Check structural, range and shape invariants; returns violations, never raises.
+
+    One pass in list order.  Where an op has no other violation and all its
+    operand and result shapes are known, its result shapes must equal what
+    its OpDef shape rule derives from the operand shapes.
+    """
     violations: list[str] = []
-    defined: set[ValueId] = set()
+    shapes: dict[ValueId, Optional[TensorShape]] = {}  # every value defined so far
     for op in graph.ops:
-        sig = SIGNATURES.get(op.opcode)
+        sig = OP_DEFS.get(op.opcode)
         label = f"%{op.id} {op.opcode.value}"
         if sig is None:
             violations.append(f"{label}: unknown opcode")
             continue
+        clean = len(violations)
         for v in op.operands:
-            if v not in defined:
+            if v not in shapes:
                 violations.append(f"{label}: operand %{v} not defined before use")
         if len(op.operands) != sig.n_operands:
             violations.append(f"{label}: expects {sig.n_operands} operand(s), "
@@ -434,19 +331,30 @@ def verify_graph(graph: DspGraph) -> list[str]:
                               f"schema says {sig.n_results}")
         if sig.n_results == 0 and op.id != -1:
             violations.append(f"{label}: resultless op must use id -1")
-        for rid in op.result_ids:
-            if sig.n_results and rid in defined:
+        ins = [shapes.get(v) for v in op.operands]
+        for i, rid in enumerate(op.result_ids):
+            if sig.n_results and rid in shapes:
                 violations.append(f"{label}: value %{rid} defined more than once")
-            defined.add(rid)
-        violations.extend(_check_shapes(graph, op))
+            shapes[rid] = op.result_shapes[i] if i < len(op.result_shapes) else None
+        if len(violations) == clean and sig.shape is not None \
+                and None not in ins and None not in op.result_shapes:
+            try:
+                expected = sig.shape(op, ins)
+            except ShapeMismatch as exc:
+                violations.append(str(exc))
+                continue
+            if tuple(op.result_shapes) != expected:
+                violations.append(f"{label}: result shapes "
+                                  f"{tuple(map(str, op.result_shapes))} "
+                                  f"inconsistent, expected {tuple(map(str, expected))}")
     for name, vid in graph.inputs:
-        if vid not in defined:
+        if vid not in shapes:
             violations.append(f"input {name!r} refers to undefined value %{vid}")
     for vid in graph.prints:
-        if vid not in defined:
+        if vid not in shapes:
             violations.append(f"print refers to undefined value %{vid}")
     for vid in graph.returns:
-        if vid not in defined:
+        if vid not in shapes:
             violations.append(f"return refers to undefined value %{vid}")
     return violations
 
@@ -461,32 +369,6 @@ def _attr_type_ok(spec: AttrSpec, value: object) -> bool:
     if spec.kind == "str":
         return isinstance(value, str)
     return False
-
-
-def _check_shapes(graph: DspGraph, op: OpNode) -> list[str]:
-    """Re-derive result shapes where operand shapes are known and compare."""
-    if op.opcode in (OpCode.INPUT, OpCode.PRINT):
-        return []
-    producer = graph.producer_map()
-    ins: list[Optional[TensorShape]] = []
-    for v in op.operands:
-        p = producer.get(v)
-        ins.append(None if p is None else p.result_shapes[v - p.id]
-                   if v - p.id < len(p.result_shapes) else None)
-    if any(s is None for s in ins):
-        return []
-    if any(s is None for s in op.result_shapes):
-        return []
-    try:
-        expected = _infer_result_shapes(op, [s for s in ins if s is not None])
-    except ShapeMismatch as exc:
-        return [str(exc)]
-    except Exception:
-        return []
-    if tuple(op.result_shapes) != expected:
-        return [f"%{op.id} {op.opcode.value}: result shapes {tuple(map(str, op.result_shapes))} "
-                f"inconsistent, expected {tuple(map(str, expected))}"]
-    return []
 
 
 # --------------------------------------------------------------------------
@@ -670,7 +552,7 @@ def parse_graph_text(text: str) -> DspGraph:
         opcode = OPCODE_BY_NAME.get(name)
         if opcode is None or opcode is OpCode.PRINT:
             raise sc.error(f"unknown opcode {name!r}")
-        sig = SIGNATURES[opcode]
+        sig = OP_DEFS[opcode]
         if len(ids) != sig.n_results:
             raise sc.error(f"{name} defines {sig.n_results} result(s), line has {len(ids)}")
         if ids != [first + i for i in range(len(ids))]:

@@ -18,10 +18,11 @@ from typing import Callable, Optional
 
 from .errors import DspcError
 from .kernels import Tensor
-from .loop_ir import (BinaryArith, CheckFinite, ConstF, DynAppend, For, IfCmp,
-                      IndexF, IndexProdF, IntrinsicCall, Load, LoopProgram,
-                      Operand, Select, SelectGuard, SetTemp, Stmt, Store,
-                      TempRef, validate_program)
+from .loop_ir import (ARITH_SYMBOLS, CMP_SYMBOLS, BinaryArith, CheckFinite,
+                      ConstF, DynAppend, For, IfCmp, IndexF, IndexProdF,
+                      IntrinsicCall, Load, LoopProgram, Operand, Select,
+                      SelectGuard, SetTemp, Stmt, Store, TempRef,
+                      validate_program)
 
 
 class LoopRuntimeError(DspcError):
@@ -70,8 +71,6 @@ class ExecCounters:
         }
 
 
-_ARITH = {"add": "+", "sub": "-", "mul": "*", "div": "/"}
-_CMP = {"eq": "==", "ne": "!=", "lt": "<", "le": "<=", "gt": ">", "ge": ">="}
 _COST_OF_ARITH = {"add": "c_ad", "sub": "c_ad", "mul": "c_mu", "div": "c_mu"}
 
 
@@ -138,7 +137,7 @@ class _Compiler:
                     lines.append(f"{pad}    raise _DivZero("
                                  f"f'division by zero{at}')")
                 lines.append(f"{pad}{stmt.target} = {lhs} "
-                             f"{_ARITH[stmt.op]} {rhs}")
+                             f"{ARITH_SYMBOLS[stmt.op]} {rhs}")
                 _merge(cost, {_COST_OF_ARITH[stmt.op]: 1})
             elif isinstance(stmt, IntrinsicCall):
                 a = self._operand(stmt.arg)
@@ -161,7 +160,7 @@ class _Compiler:
             elif isinstance(stmt, Select):
                 lines.append(
                     f"{pad}{stmt.target} = {self._operand(stmt.if_true)} "
-                    f"if {self._operand(stmt.lhs)} {_CMP[stmt.cmp]} "
+                    f"if {self._operand(stmt.lhs)} {CMP_SYMBOLS[stmt.cmp]} "
                     f"{self._operand(stmt.rhs)} "
                     f"else {self._operand(stmt.if_false)}")
             elif isinstance(stmt, SelectGuard):
@@ -174,7 +173,7 @@ class _Compiler:
                                               loop_stack))
             elif isinstance(stmt, IfCmp):
                 lines.append(f"{pad}if {self._operand(stmt.lhs)} "
-                             f"{_CMP[stmt.cmp]} {self._operand(stmt.rhs)}:")
+                             f"{CMP_SYMBOLS[stmt.cmp]} {self._operand(stmt.rhs)}:")
                 lines.extend(self._branch(stmt.body, depth + 1, loop_stack))
                 if stmt.orelse:
                     lines.append(f"{pad}else:")

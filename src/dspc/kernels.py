@@ -10,10 +10,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Iterable, Optional, Sequence
 
 from .errors import DspcError
-from .graph import DspGraph, OpNode, ValueId
+from .graph import DspGraph, ValueId
 from .ops import OpCode
 
 
@@ -79,10 +80,9 @@ def k_delay(x: Tensor, k: int) -> Tensor:
     return tensor(xs[n - k] if n - k >= 0 else 0.0 for n in range(len(xs)))
 
 
-def k_fir_response(x: Tensor, h: Tensor) -> Tensor:
-    """y[n] = sum_i h[i] * x[n-i], same length as x (missing samples are zero)."""
+def _convolve(x: Tensor, h: Tensor, n_out: int) -> Tensor:
+    """y[n] = sum_i h[i] * x[n-i] for n < n_out (missing samples are zero)."""
     xs, hs = x.values, h.values
-    n_out = len(xs)
     out = []
     for n in range(n_out):
         acc = 0.0
@@ -93,17 +93,14 @@ def k_fir_response(x: Tensor, h: Tensor) -> Tensor:
     return tensor(out)
 
 
+def k_fir_response(x: Tensor, h: Tensor) -> Tensor:
+    """FIR response, same length as x."""
+    return _convolve(x, h, len(x))
+
+
 def k_conv1d_full(x: Tensor, h: Tensor) -> Tensor:
     """Full linear convolution, length N + L - 1."""
-    xs, hs = x.values, h.values
-    out = []
-    for n in range(len(xs) + len(hs) - 1):
-        acc = 0.0
-        for i in range(len(hs)):
-            if 0 <= n - i < len(xs):
-                acc += hs[i] * xs[n - i]
-        out.append(acc)
-    return tensor(out)
+    return _convolve(x, h, len(x) + len(h) - 1)
 
 
 def k_sliding_window_avg(x: Tensor, window: int) -> Tensor:
@@ -133,32 +130,40 @@ def _two_pi_over(n: int) -> float:
     return 2.0 * math.pi / n
 
 
-def k_dft_real(x: Tensor) -> Tensor:
-    """X_real[k] = sum_n x[n] * cos(2*pi*k*n/N)."""
+def _dft(x: Tensor, real: bool = True, imag: bool = True,
+         half: bool = False) -> tuple[Tensor, Tensor]:
+    """X_real[k] = sum_n x[n]*cos(2*pi*k*n/N), X_imag[k] = -sum_n x[n]*sin(...).
+
+    Only the requested parts are accumulated (the other stays zero).  With
+    ``half``, bins k <= N/2 are computed and mirrored by conjugate symmetry:
+    X_real[N-k] = X_real[k], X_imag[N-k] = -X_imag[k].
+    """
     xs = x.values
     n_len = len(xs)
     c = _two_pi_over(n_len)
-    out = []
-    for k in range(n_len):
-        acc = 0.0
+    re, im = [0.0] * n_len, [0.0] * n_len
+    for k in range(n_len // 2 + 1 if half else n_len):
+        acc_r = acc_i = 0.0
         for n in range(n_len):
-            acc += xs[n] * math.cos(c * (k * n))
-        out.append(acc)
-    return tensor(out)
+            ang = c * (k * n)
+            if real:
+                acc_r += xs[n] * math.cos(ang)
+            if imag:
+                acc_i -= xs[n] * math.sin(ang)
+        re[k], im[k] = acc_r, acc_i
+        if half and 1 <= k and n_len - k != k:
+            re[n_len - k], im[n_len - k] = acc_r, -acc_i
+    return tensor(re), tensor(im)
+
+
+def k_dft_real(x: Tensor) -> Tensor:
+    """X_real[k] = sum_n x[n] * cos(2*pi*k*n/N)."""
+    return _dft(x, imag=False)[0]
 
 
 def k_dft_imag(x: Tensor) -> Tensor:
     """X_imag[k] = -sum_n x[n] * sin(2*pi*k*n/N)."""
-    xs = x.values
-    n_len = len(xs)
-    c = _two_pi_over(n_len)
-    out = []
-    for k in range(n_len):
-        acc = 0.0
-        for n in range(n_len):
-            acc -= xs[n] * math.sin(c * (k * n))
-        out.append(acc)
-    return tensor(out)
+    return _dft(x, real=False)[1]
 
 
 def k_idft(xr: Tensor, xi: Tensor) -> Tensor:
@@ -434,143 +439,81 @@ def k_filter_y_symm(x: Tensor) -> Tensor:
 
 def k_dft_real_symm(x: Tensor) -> Tensor:
     """Real DFT of an even signal: compute k <= N/2, mirror X[N-k] = X[k]."""
-    xs = x.values
-    n_len = len(xs)
-    c = _two_pi_over(n_len)
-    out = [0.0] * n_len
-    for k in range(n_len // 2 + 1):
-        acc = 0.0
-        for n in range(n_len):
-            acc += xs[n] * math.cos(c * (k * n))
-        out[k] = acc
-        if 1 <= k and n_len - k != k:
-            out[n_len - k] = acc
-    return tensor(out)
+    return _dft(x, imag=False, half=True)[0]
 
 
 def k_dft_imag_symm(x: Tensor) -> Tensor:
     """Imag DFT with conjugate symmetry: X[N-k] = -X[k]."""
-    xs = x.values
-    n_len = len(xs)
-    c = _two_pi_over(n_len)
-    out = [0.0] * n_len
-    for k in range(n_len // 2 + 1):
-        acc = 0.0
-        for n in range(n_len):
-            acc -= xs[n] * math.sin(c * (k * n))
-        out[k] = acc
-        if 1 <= k and n_len - k != k:
-            out[n_len - k] = -acc
-    return tensor(out)
+    return _dft(x, real=False, half=True)[1]
 
 
 def k_dft_fused(x: Tensor) -> tuple[Tensor, Tensor]:
     """Real and imaginary DFT accumulated in a single pass over (k, n)."""
-    xs = x.values
-    n_len = len(xs)
-    c = _two_pi_over(n_len)
-    re, im = [], []
-    for k in range(n_len):
-        acc_r = 0.0
-        acc_i = 0.0
-        for n in range(n_len):
-            ang = c * (k * n)
-            v = xs[n]
-            acc_r += v * math.cos(ang)
-            acc_i -= v * math.sin(ang)
-        re.append(acc_r)
-        im.append(acc_i)
-    return tensor(re), tensor(im)
+    return _dft(x)
 
 
 # --------------------------------------------------------------------------
 # Graph evaluation
 
 
+# The kernel of each opcode, called with the operand tensors and then the
+# attribute values in schema order.  Inputs are bound by eval_graph and
+# print computes nothing.
+KERNELS = {
+    OpCode.CONST_TENSOR: tensor,
+    OpCode.DELAY: k_delay,
+    OpCode.FIR_FILTER_RESPONSE: k_fir_response,
+    OpCode.CONV1D_FULL: k_conv1d_full,
+    OpCode.SLIDING_WINDOW_AVG: k_sliding_window_avg,
+    OpCode.DFT1D_REAL: k_dft_real,
+    OpCode.DFT1D_IMAG: k_dft_imag,
+    OpCode.IDFT1D: k_idft,
+    OpCode.LOW_PASS_FIR_COEFFS: k_lowpass_fir_coeffs,
+    OpCode.HAMMING_WINDOW: k_hamming,
+    OpCode.LMS_FILTER: k_lms_filter,
+    OpCode.ADD: partial(k_elementwise, "add"),
+    OpCode.SUB: partial(k_elementwise, "sub"),
+    OpCode.MUL: partial(k_elementwise, "mul"),
+    OpCode.DIV: partial(k_elementwise, "div"),
+    OpCode.SQUARE: partial(k_elementwise, "square"),
+    OpCode.GAIN: lambda x, g: k_elementwise("gain", x, g=g),
+    OpCode.REVERSE: k_reverse,
+    OpCode.SUM: k_sum,
+    OpCode.THRESHOLD: k_threshold,
+    OpCode.QUANTIZE: k_quantize,
+    OpCode.RUN_LEN_ENCODING: k_rle,
+    OpCode.UPSAMPLE: k_upsample,
+    OpCode.DOWNSAMPLE: k_downsample,
+    OpCode.SIN_VEC: k_sin_vec,
+    OpCode.COS_VEC: k_cos_vec,
+    OpCode.RANGE_VEC: k_range_vec,
+    OpCode.FILTER_HAMM_OPT: k_filter_hamm_opt,
+    OpCode.FILTER_RES_SYMM_OPT: k_filter_res_symm,
+    OpCode.FILTER_Y_SYMM_OPT: k_filter_y_symm,
+    OpCode.DFT1D_REAL_SYMM: k_dft_real_symm,
+    OpCode.DFT1D_IMAG_SYMM: k_dft_imag_symm,
+    OpCode.DFT1D_FUSED: k_dft_fused,
+    OpCode.LMS_FILTER_GAIN_OPT: k_lms_filter_gain,
+}
+
+
 def eval_graph(graph: DspGraph, inputs: Optional[dict[str, Tensor]] = None
                ) -> dict[ValueId, Tensor]:
     """Evaluate every op with the reference kernels; returns value -> Tensor."""
     inputs = inputs or {}
-    values: dict[ValueId, Tensor] = {}
-    for op in graph.ops:
-        results = _eval_op(op, [values[v] for v in op.operands], inputs)
-        for rid, t in zip(op.result_ids, results):
-            values[rid] = t
-    return values
 
-
-def _eval_op(op: OpNode, args: list[Tensor], inputs: dict[str, Tensor]) -> tuple[Tensor, ...]:
-    oc = op.opcode
-    if oc is OpCode.INPUT:
-        name = str(op.attr("name"))
+    def bound_input(name: str) -> Tensor:
         if name not in inputs:
             raise KernelError(f"unbound input {name!r}")
-        return (inputs[name],)
-    if oc is OpCode.CONST_TENSOR:
-        return (tensor(op.attr("values")),)
-    if oc is OpCode.DELAY:
-        return (k_delay(args[0], int(op.attr("k"))),)
-    if oc is OpCode.FIR_FILTER_RESPONSE:
-        return (k_fir_response(args[0], args[1]),)
-    if oc is OpCode.CONV1D_FULL:
-        return (k_conv1d_full(args[0], args[1]),)
-    if oc is OpCode.SLIDING_WINDOW_AVG:
-        return (k_sliding_window_avg(args[0], int(op.attr("window"))),)
-    if oc is OpCode.DFT1D_REAL:
-        return (k_dft_real(args[0]),)
-    if oc is OpCode.DFT1D_IMAG:
-        return (k_dft_imag(args[0]),)
-    if oc is OpCode.IDFT1D:
-        return (k_idft(args[0], args[1]),)
-    if oc is OpCode.LOW_PASS_FIR_COEFFS:
-        return (k_lowpass_fir_coeffs(int(op.attr("L")), float(op.attr("wc"))),)
-    if oc is OpCode.HAMMING_WINDOW:
-        return (k_hamming(int(op.attr("L"))),)
-    if oc is OpCode.LMS_FILTER:
-        return (k_lms_filter(args[0], args[1], float(op.attr("mu")), int(op.attr("M"))),)
-    if oc in (OpCode.ADD, OpCode.SUB, OpCode.MUL, OpCode.DIV):
-        return (k_elementwise(oc.value, args[0], args[1]),)
-    if oc is OpCode.SQUARE:
-        return (k_elementwise("square", args[0]),)
-    if oc is OpCode.GAIN:
-        return (k_elementwise("gain", args[0], g=float(op.attr("g"))),)
-    if oc is OpCode.REVERSE:
-        return (k_reverse(args[0]),)
-    if oc is OpCode.SUM:
-        return (k_sum(args[0]),)
-    if oc is OpCode.THRESHOLD:
-        return (k_threshold(args[0], float(op.attr("t"))),)
-    if oc is OpCode.QUANTIZE:
-        return (k_quantize(args[0], int(op.attr("levels")),
-                           float(op.attr("min")), float(op.attr("max"))),)
-    if oc is OpCode.RUN_LEN_ENCODING:
-        return (k_rle(args[0]),)
-    if oc is OpCode.UPSAMPLE:
-        return (k_upsample(args[0], int(op.attr("k"))),)
-    if oc is OpCode.DOWNSAMPLE:
-        return (k_downsample(args[0], int(op.attr("k"))),)
-    if oc is OpCode.SIN_VEC:
-        return (k_sin_vec(int(op.attr("n")), float(op.attr("f")), float(op.attr("fs"))),)
-    if oc is OpCode.COS_VEC:
-        return (k_cos_vec(int(op.attr("n")), float(op.attr("f")), float(op.attr("fs"))),)
-    if oc is OpCode.RANGE_VEC:
-        return (k_range_vec(float(op.attr("start")), float(op.attr("step")),
-                            int(op.attr("n"))),)
-    if oc is OpCode.PRINT:
-        return ()
-    if oc is OpCode.FILTER_HAMM_OPT:
-        return (k_filter_hamm_opt(int(op.attr("L")), float(op.attr("wc"))),)
-    if oc is OpCode.FILTER_RES_SYMM_OPT:
-        return (k_filter_res_symm(args[0], args[1]),)
-    if oc is OpCode.FILTER_Y_SYMM_OPT:
-        return (k_filter_y_symm(args[0]),)
-    if oc is OpCode.DFT1D_REAL_SYMM:
-        return (k_dft_real_symm(args[0]),)
-    if oc is OpCode.DFT1D_IMAG_SYMM:
-        return (k_dft_imag_symm(args[0]),)
-    if oc is OpCode.DFT1D_FUSED:
-        return k_dft_fused(args[0])
-    if oc is OpCode.LMS_FILTER_GAIN_OPT:
-        return (k_lms_filter_gain(args[0], args[1], float(op.attr("mu")),
-                                  int(op.attr("M")), float(op.attr("g"))),)
-    raise KernelError(f"no kernel for opcode {oc.value}")
+        return inputs[name]
+
+    kernels = {**KERNELS, OpCode.INPUT: bound_input}
+    values: dict[ValueId, Tensor] = {}
+    for op in graph.ops:
+        if not op.n_results:
+            continue
+        kernel = kernels[op.opcode]
+        out = kernel(*(values[v] for v in op.operands), *(a.value for a in op.attributes))
+        for rid, t in zip(op.result_ids, out if isinstance(out, tuple) else (out,)):
+            values[rid] = t
+    return values

@@ -240,7 +240,9 @@ class LoopProgram:
 # Text form ------------------------------------------------------------------
 
 
-_CMP_TEXT = {"eq": "==", "ne": "!=", "lt": "<", "le": "<=", "gt": ">", "ge": ">="}
+# Python spelling of BinaryArith ops and of comparisons; shared with codegen.
+ARITH_SYMBOLS = {"add": "+", "sub": "-", "mul": "*", "div": "/"}
+CMP_SYMBOLS = {"eq": "==", "ne": "!=", "lt": "<", "le": "<=", "gt": ">", "ge": ">="}
 
 
 def _operand_text(v: Operand) -> str:
@@ -269,8 +271,7 @@ def _stmt_lines(stmt: Stmt, indent: int) -> list[str]:
     if isinstance(stmt, Store):
         return [f"{pad}store {stmt.buffer}[{stmt.index}] = {_operand_text(stmt.source)}"]
     if isinstance(stmt, BinaryArith):
-        sym = {"add": "+", "sub": "-", "mul": "*", "div": "/"}[stmt.op]
-        return [f"{pad}{stmt.target} = {_operand_text(stmt.lhs)} {sym} "
+        return [f"{pad}{stmt.target} = {_operand_text(stmt.lhs)} {ARITH_SYMBOLS[stmt.op]} "
                 f"{_operand_text(stmt.rhs)}"]
     if isinstance(stmt, IntrinsicCall):
         return [f"{pad}{stmt.target} = {stmt.fn}({_operand_text(stmt.arg)})"]
@@ -286,7 +287,7 @@ def _stmt_lines(stmt: Stmt, indent: int) -> list[str]:
                 lines.extend(_stmt_lines(s, indent + 1))
         return lines
     if isinstance(stmt, IfCmp):
-        lines = [f"{pad}if {_operand_text(stmt.lhs)} {_CMP_TEXT[stmt.cmp]} "
+        lines = [f"{pad}if {_operand_text(stmt.lhs)} {CMP_SYMBOLS[stmt.cmp]} "
                  f"{_operand_text(stmt.rhs)}:"]
         for s in stmt.body:
             lines.extend(_stmt_lines(s, indent + 1))
@@ -297,7 +298,7 @@ def _stmt_lines(stmt: Stmt, indent: int) -> list[str]:
         return lines
     if isinstance(stmt, Select):
         return [f"{pad}{stmt.target} = {_operand_text(stmt.if_true)} if "
-                f"{_operand_text(stmt.lhs)} {_CMP_TEXT[stmt.cmp]} "
+                f"{_operand_text(stmt.lhs)} {CMP_SYMBOLS[stmt.cmp]} "
                 f"{_operand_text(stmt.rhs)} else {_operand_text(stmt.if_false)}"]
     if isinstance(stmt, DynAppend):
         return [f"{pad}append {stmt.buffer} <- {_operand_text(stmt.value)}"]

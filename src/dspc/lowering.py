@@ -17,6 +17,7 @@ allows.  Cost-model conventions baked in here:
 from __future__ import annotations
 
 import math
+from functools import partial
 from typing import Optional
 
 from .errors import DspcError
@@ -119,7 +120,7 @@ class _Lowerer:
         if oc is OpCode.PRINT:
             return
         self.declare(op)
-        emitter = _EMITTERS.get(oc)
+        emitter = EMITTERS.get(oc)
         if emitter is None:
             raise LoweringUnsupported(f"no emitter for opcode {oc.value}")
         emitter(self, op)
@@ -150,7 +151,7 @@ def _e_delay(lw: _Lowerer, op: OpNode) -> None:
     lw.body.append(For(i, 0, _lit(n), 1, body, tag="delay"))
 
 
-def _fir_nest(lw: _Lowerer, op: OpNode, n_out: int) -> None:
+def _e_fir(lw: _Lowerer, op: OpNode) -> None:
     """Shared shape of firFilterResponse / conv1d: taps loaded every step."""
     x, h = lw.buf(op.operands[0]), lw.buf(op.operands[1])
     n_x = lw.operand_len(op, 0)
@@ -168,15 +169,7 @@ def _fir_nest(lw: _Lowerer, op: OpNode, n_out: int) -> None:
         For(i_i, 0, _lit(n_h), 1, inner, tag=f"{tag}.inner"),
         Store(out, _af(n_i), TempRef(acc)),
     ]
-    lw.body.append(For(n_i, 0, _lit(n_out), 1, body, tag=f"{tag}.outer"))
-
-
-def _e_fir_response(lw: _Lowerer, op: OpNode) -> None:
-    _fir_nest(lw, op, lw.length(op.id))
-
-
-def _e_conv_full(lw: _Lowerer, op: OpNode) -> None:
-    _fir_nest(lw, op, lw.length(op.id))
+    lw.body.append(For(n_i, 0, _lit(lw.length(op.id)), 1, body, tag=f"{tag}.outer"))
 
 
 def _e_sliding_avg(lw: _Lowerer, op: OpNode) -> None:
@@ -199,8 +192,8 @@ def _e_sliding_avg(lw: _Lowerer, op: OpNode) -> None:
     lw.body.append(For(n_i, 0, _lit(n), 1, body, tag="sliding_window_avg.outer"))
 
 
-def _dft_nest(lw: _Lowerer, op: OpNode, *, trig: str, sign: str,
-              half: bool) -> None:
+def _e_dft(lw: _Lowerer, op: OpNode, *, trig: str, sign: str,
+           half: bool) -> None:
     """One real or imaginary DFT accumulator, optionally mirrored."""
     n = lw.operand_len(op, 0)
     x, out = lw.buf(op.operands[0]), lw.buf(op.id)
@@ -231,22 +224,6 @@ def _dft_nest(lw: _Lowerer, op: OpNode, *, trig: str, sign: str,
                       Store(out, _af(k_i, -1, n), TempRef(tn))]
         body.append(SelectGuard(_af(k_i), 1, _lit((n + 1) // 2), body=mirror))
     lw.body.append(For(k_i, 0, _lit(outer_n), 1, body, tag=f"{tag}.outer"))
-
-
-def _e_dft_real(lw: _Lowerer, op: OpNode) -> None:
-    _dft_nest(lw, op, trig="cos", sign="add", half=False)
-
-
-def _e_dft_imag(lw: _Lowerer, op: OpNode) -> None:
-    _dft_nest(lw, op, trig="sin", sign="sub", half=False)
-
-
-def _e_dft_real_symm(lw: _Lowerer, op: OpNode) -> None:
-    _dft_nest(lw, op, trig="cos", sign="add", half=True)
-
-
-def _e_dft_imag_symm(lw: _Lowerer, op: OpNode) -> None:
-    _dft_nest(lw, op, trig="sin", sign="sub", half=True)
 
 
 def _e_idft(lw: _Lowerer, op: OpNode) -> None:
@@ -433,7 +410,11 @@ def _e_filter_y_symm(lw: _Lowerer, op: OpNode) -> None:
     lw.body.append(For(n_i, 0, _lit(n), 1, body, tag="filter_y_symm_opt.outer"))
 
 
-def _lms_nest(lw: _Lowerer, op: OpNode, step: float, tag: str) -> None:
+def _e_lms(lw: _Lowerer, op: OpNode) -> None:
+    """LMS adaptation; the gain-fused form scales the step by its gain g."""
+    attrs = {a.name: a.value for a in op.attributes}
+    step = float(attrs["mu"]) * float(attrs.get("g", 1.0))
+    tag = op.opcode.value
     x, d = lw.buf(op.operands[0]), lw.buf(op.operands[1])
     n = lw.operand_len(op, 0)
     m = int(op.attr("M"))
@@ -466,15 +447,6 @@ def _lms_nest(lw: _Lowerer, op: OpNode, step: float, tag: str) -> None:
     ]
     lw.body.append(For(n_i, 0, _lit(n), 1, body, tag=f"{tag}.outer"))
     lw.body.append(CheckFinite(w))
-
-
-def _e_lms(lw: _Lowerer, op: OpNode) -> None:
-    _lms_nest(lw, op, float(op.attr("mu")), "lms_filter")
-
-
-def _e_lms_gain(lw: _Lowerer, op: OpNode) -> None:
-    step = float(op.attr("mu")) * float(op.attr("g"))
-    _lms_nest(lw, op, step, "lms_filter_gain_opt")
 
 
 def _e_binary(lw: _Lowerer, op: OpNode) -> None:
@@ -603,7 +575,7 @@ def _e_downsample(lw: _Lowerer, op: OpNode) -> None:
                  lambda i, tx: [Store(out, _af(i), TempRef(tx))])
 
 
-def _osc_loop(lw: _Lowerer, op: OpNode, trig: str) -> None:
+def _e_osc(lw: _Lowerer, op: OpNode, trig: str) -> None:
     n = int(op.attr("n"))
     c = 2.0 * math.pi * float(op.attr("f")) / float(op.attr("fs"))
     out = lw.buf(op.id)
@@ -614,14 +586,6 @@ def _osc_loop(lw: _Lowerer, op: OpNode, trig: str) -> None:
         IntrinsicCall(ts, trig, TempRef(ta)),
         Store(out, _af(i), TempRef(ts)),
     ], tag=op.opcode.value))
-
-
-def _e_sin_vec(lw: _Lowerer, op: OpNode) -> None:
-    _osc_loop(lw, op, "sin")
-
-
-def _e_cos_vec(lw: _Lowerer, op: OpNode) -> None:
-    _osc_loop(lw, op, "cos")
 
 
 def _e_range_vec(lw: _Lowerer, op: OpNode) -> None:
@@ -638,15 +602,16 @@ def _e_range_vec(lw: _Lowerer, op: OpNode) -> None:
     ], tag="range_vec"))
 
 
-_EMITTERS = {
+# The loop-nest emitter of each opcode; print lowers to nothing.
+EMITTERS = {
     OpCode.INPUT: _e_input,
     OpCode.CONST_TENSOR: _e_const,
     OpCode.DELAY: _e_delay,
-    OpCode.FIR_FILTER_RESPONSE: _e_fir_response,
-    OpCode.CONV1D_FULL: _e_conv_full,
+    OpCode.FIR_FILTER_RESPONSE: _e_fir,
+    OpCode.CONV1D_FULL: _e_fir,
     OpCode.SLIDING_WINDOW_AVG: _e_sliding_avg,
-    OpCode.DFT1D_REAL: _e_dft_real,
-    OpCode.DFT1D_IMAG: _e_dft_imag,
+    OpCode.DFT1D_REAL: partial(_e_dft, trig="cos", sign="add", half=False),
+    OpCode.DFT1D_IMAG: partial(_e_dft, trig="sin", sign="sub", half=False),
     OpCode.IDFT1D: _e_idft,
     OpCode.LOW_PASS_FIR_COEFFS: _e_lowpass,
     OpCode.HAMMING_WINDOW: _e_hamming,
@@ -664,16 +629,16 @@ _EMITTERS = {
     OpCode.RUN_LEN_ENCODING: _e_rle,
     OpCode.UPSAMPLE: _e_upsample,
     OpCode.DOWNSAMPLE: _e_downsample,
-    OpCode.SIN_VEC: _e_sin_vec,
-    OpCode.COS_VEC: _e_cos_vec,
+    OpCode.SIN_VEC: partial(_e_osc, trig="sin"),
+    OpCode.COS_VEC: partial(_e_osc, trig="cos"),
     OpCode.RANGE_VEC: _e_range_vec,
     OpCode.FILTER_HAMM_OPT: _e_filter_hamm_opt,
     OpCode.FILTER_RES_SYMM_OPT: _e_filter_res_symm,
     OpCode.FILTER_Y_SYMM_OPT: _e_filter_y_symm,
-    OpCode.DFT1D_REAL_SYMM: _e_dft_real_symm,
-    OpCode.DFT1D_IMAG_SYMM: _e_dft_imag_symm,
+    OpCode.DFT1D_REAL_SYMM: partial(_e_dft, trig="cos", sign="add", half=True),
+    OpCode.DFT1D_IMAG_SYMM: partial(_e_dft, trig="sin", sign="sub", half=True),
     OpCode.DFT1D_FUSED: _e_dft_fused,
-    OpCode.LMS_FILTER_GAIN_OPT: _e_lms_gain,
+    OpCode.LMS_FILTER_GAIN_OPT: _e_lms,
 }
 
 

@@ -1,9 +1,12 @@
-"""The DSP opcode set and per-opcode signatures.
+"""The DSP opcode set: one ``OpDef`` record per opcode.
 
-Each signature fixes the operand count, the attribute schema (names, types,
-and legal ranges), and the number of SSA results.  The same table drives the
-graph builder, the verifier, the textual round-trip, and the lowering
-coverage check.
+An ``OpDef`` holds everything the graph layer knows about an opcode: its
+source-language spelling (if any), operand count, attribute schema (names,
+types and legal ranges), result count, cross-attribute check and shape rule.
+The graph builder, shape inference, the verifier, the textual round trip and
+the rewriter all read this one record.  The two other per-opcode facts live
+in one table each, next to the code they call: the reference kernel
+(``kernels.KERNELS``) and the loop-nest emitter (``lowering.EMITTERS``).
 """
 
 from __future__ import annotations
@@ -11,7 +14,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Optional
+from typing import TYPE_CHECKING, Callable, Optional, Sequence
+
+from .errors import DspcError
 
 
 class OpCode(Enum):
@@ -55,6 +60,24 @@ class OpCode(Enum):
 
 
 @dataclass(frozen=True)
+class TensorShape:
+    """Length of a rank-1 tensor; dynamic shapes bound a run-time length."""
+
+    length: int
+    dynamic: bool = False
+
+    def __str__(self) -> str:
+        return f"tensor<{self.length}{'?' if self.dynamic else ''}>"
+
+
+class ShapeMismatch(DspcError):
+    def __init__(self, op: "OpNode", detail: str):
+        super().__init__(f"%{op.id} {op.opcode.value}: {detail}")
+        self.op = op
+        self.detail = detail
+
+
+@dataclass(frozen=True)
 class AttrSpec:
     name: str
     kind: str  # "int" | "float" | "float_list" | "str"
@@ -65,11 +88,20 @@ class AttrSpec:
         return self.check is None or bool(self.check(value))
 
 
+if TYPE_CHECKING:  # a runtime alias would pin TensorShape in typing's caches
+    from .graph import OpNode
+
+    # Result shapes of an op from its static operand shapes; raises ShapeMismatch.
+    ShapeRule = Callable[[OpNode, Sequence[TensorShape]], tuple[TensorShape, ...]]
+
+
 @dataclass(frozen=True)
-class OpSignature:
+class OpDef:
     opcode: OpCode
+    builtin: Optional[str]  # source-language spelling; None if not callable
     n_operands: int
-    attrs: tuple[AttrSpec, ...] = ()
+    attrs: tuple[AttrSpec, ...]
+    shape: Optional[ShapeRule]  # None only for inputs, shaped by bindings
     n_results: int = 1
     cross_check: Optional[Callable[[dict], Optional[str]]] = None
 
@@ -80,125 +112,159 @@ class OpSignature:
         raise KeyError(name)
 
 
+# -- attribute schemas ------------------------------------------------------
+
+
 def _quantize_bounds(attrs: dict) -> Optional[str]:
     if attrs["min"] >= attrs["max"]:
         return f"quantize requires min < max, got min={attrs['min']} max={attrs['max']}"
     return None
 
 
-_INT_NONNEG = AttrSpec("k", "int", lambda v: v >= 0, "k >= 0")
+def _at_least(name: str, low: int) -> AttrSpec:
+    return AttrSpec(name, "int", lambda v: v >= low, f"{name} >= {low}")
+
+
 _CUTOFF = AttrSpec("wc", "float", lambda v: 0.0 < v < math.pi, "0 < wc < pi")
+_MU = AttrSpec("mu", "float", lambda v: v > 0.0, "mu > 0")
+_OSC = (_at_least("n", 1), AttrSpec("f", "float"),
+        AttrSpec("fs", "float", lambda v: v > 0.0, "fs > 0"))
 
-SIGNATURES: dict[OpCode, OpSignature] = {
-    OpCode.INPUT: OpSignature(OpCode.INPUT, 0, (AttrSpec("name", "str"),)),
-    OpCode.CONST_TENSOR: OpSignature(
-        OpCode.CONST_TENSOR, 0,
-        (AttrSpec("values", "float_list", lambda v: len(v) >= 1, "at least one element"),)),
-    OpCode.DELAY: OpSignature(OpCode.DELAY, 1, (_INT_NONNEG,)),
-    OpCode.FIR_FILTER_RESPONSE: OpSignature(OpCode.FIR_FILTER_RESPONSE, 2),
-    OpCode.CONV1D_FULL: OpSignature(OpCode.CONV1D_FULL, 2),
-    OpCode.SLIDING_WINDOW_AVG: OpSignature(
-        OpCode.SLIDING_WINDOW_AVG, 1,
-        (AttrSpec("window", "int", lambda v: v >= 1, "window >= 1"),)),
-    OpCode.DFT1D_REAL: OpSignature(OpCode.DFT1D_REAL, 1),
-    OpCode.DFT1D_IMAG: OpSignature(OpCode.DFT1D_IMAG, 1),
-    OpCode.IDFT1D: OpSignature(OpCode.IDFT1D, 2),
-    OpCode.LOW_PASS_FIR_COEFFS: OpSignature(
-        OpCode.LOW_PASS_FIR_COEFFS, 0,
-        (AttrSpec("L", "int", lambda v: v >= 1, "L >= 1"), _CUTOFF)),
-    OpCode.HAMMING_WINDOW: OpSignature(
-        OpCode.HAMMING_WINDOW, 0,
-        (AttrSpec("L", "int", lambda v: v >= 2, "L >= 2"),)),
-    OpCode.LMS_FILTER: OpSignature(
-        OpCode.LMS_FILTER, 2,
-        (AttrSpec("mu", "float", lambda v: v > 0.0, "mu > 0"),
-         AttrSpec("M", "int", lambda v: v >= 1, "M >= 1"))),
-    OpCode.ADD: OpSignature(OpCode.ADD, 2),
-    OpCode.SUB: OpSignature(OpCode.SUB, 2),
-    OpCode.MUL: OpSignature(OpCode.MUL, 2),
-    OpCode.DIV: OpSignature(OpCode.DIV, 2),
-    OpCode.SQUARE: OpSignature(OpCode.SQUARE, 1),
-    OpCode.GAIN: OpSignature(OpCode.GAIN, 1, (AttrSpec("g", "float"),)),
-    OpCode.REVERSE: OpSignature(OpCode.REVERSE, 1),
-    OpCode.SUM: OpSignature(OpCode.SUM, 1),
-    OpCode.THRESHOLD: OpSignature(
-        OpCode.THRESHOLD, 1,
-        (AttrSpec("t", "float", lambda v: v >= 0.0, "t >= 0"),)),
-    OpCode.QUANTIZE: OpSignature(
-        OpCode.QUANTIZE, 1,
-        (AttrSpec("levels", "int", lambda v: v >= 2, "levels >= 2"),
-         AttrSpec("min", "float"), AttrSpec("max", "float")),
-        cross_check=_quantize_bounds),
-    OpCode.RUN_LEN_ENCODING: OpSignature(OpCode.RUN_LEN_ENCODING, 1),
-    OpCode.UPSAMPLE: OpSignature(
-        OpCode.UPSAMPLE, 1, (AttrSpec("k", "int", lambda v: v >= 1, "k >= 1"),)),
-    OpCode.DOWNSAMPLE: OpSignature(
-        OpCode.DOWNSAMPLE, 1, (AttrSpec("k", "int", lambda v: v >= 1, "k >= 1"),)),
-    OpCode.SIN_VEC: OpSignature(
-        OpCode.SIN_VEC, 0,
-        (AttrSpec("n", "int", lambda v: v >= 1, "n >= 1"),
-         AttrSpec("f", "float"),
-         AttrSpec("fs", "float", lambda v: v > 0.0, "fs > 0"))),
-    OpCode.COS_VEC: OpSignature(
-        OpCode.COS_VEC, 0,
-        (AttrSpec("n", "int", lambda v: v >= 1, "n >= 1"),
-         AttrSpec("f", "float"),
-         AttrSpec("fs", "float", lambda v: v > 0.0, "fs > 0"))),
-    OpCode.RANGE_VEC: OpSignature(
-        OpCode.RANGE_VEC, 0,
-        (AttrSpec("start", "float"), AttrSpec("step", "float"),
-         AttrSpec("n", "int", lambda v: v >= 1, "n >= 1"))),
-    OpCode.PRINT: OpSignature(OpCode.PRINT, 1, n_results=0),
-    OpCode.FILTER_HAMM_OPT: OpSignature(
-        OpCode.FILTER_HAMM_OPT, 0,
-        (AttrSpec("L", "int", lambda v: v >= 2, "L >= 2"), _CUTOFF)),
-    OpCode.FILTER_RES_SYMM_OPT: OpSignature(OpCode.FILTER_RES_SYMM_OPT, 2),
-    OpCode.FILTER_Y_SYMM_OPT: OpSignature(OpCode.FILTER_Y_SYMM_OPT, 1),
-    OpCode.DFT1D_REAL_SYMM: OpSignature(OpCode.DFT1D_REAL_SYMM, 1),
-    OpCode.DFT1D_IMAG_SYMM: OpSignature(OpCode.DFT1D_IMAG_SYMM, 1),
-    OpCode.DFT1D_FUSED: OpSignature(OpCode.DFT1D_FUSED, 1, n_results=2),
-    OpCode.LMS_FILTER_GAIN_OPT: OpSignature(
-        OpCode.LMS_FILTER_GAIN_OPT, 2,
-        (AttrSpec("mu", "float", lambda v: v > 0.0, "mu > 0"),
-         AttrSpec("M", "int", lambda v: v >= 1, "M >= 1"),
-         AttrSpec("g", "float"))),
-}
 
-# Opcodes only the rewriter may introduce; the builder never emits these.
-REWRITER_ONLY = frozenset({
-    OpCode.FILTER_HAMM_OPT,
-    OpCode.FILTER_RES_SYMM_OPT,
-    OpCode.FILTER_Y_SYMM_OPT,
-    OpCode.DFT1D_REAL_SYMM,
-    OpCode.DFT1D_IMAG_SYMM,
-    OpCode.DFT1D_FUSED,
-    OpCode.LMS_FILTER_GAIN_OPT,
-})
+# -- shape rules ------------------------------------------------------------
 
-# Source-language spelling of each callable builtin.
-BUILTINS: dict[str, OpCode] = {
-    "delay": OpCode.DELAY,
-    "firFilterResponse": OpCode.FIR_FILTER_RESPONSE,
-    "conv1d": OpCode.CONV1D_FULL,
-    "slidingWindowAvg": OpCode.SLIDING_WINDOW_AVG,
-    "dft1dreal": OpCode.DFT1D_REAL,
-    "dft1dimg": OpCode.DFT1D_IMAG,
-    "idft1d": OpCode.IDFT1D,
-    "lowPassFIRFilter": OpCode.LOW_PASS_FIR_COEFFS,
-    "hammingWindow": OpCode.HAMMING_WINDOW,
-    "lmsFilter": OpCode.LMS_FILTER,
-    "gain": OpCode.GAIN,
-    "reverse": OpCode.REVERSE,
-    "square": OpCode.SQUARE,
-    "sum": OpCode.SUM,
-    "threshold": OpCode.THRESHOLD,
-    "quantize": OpCode.QUANTIZE,
-    "runLenEncoding": OpCode.RUN_LEN_ENCODING,
-    "upsample": OpCode.UPSAMPLE,
-    "downsample": OpCode.DOWNSAMPLE,
-    "sinVec": OpCode.SIN_VEC,
-    "cosVec": OpCode.COS_VEC,
-    "rangeVec": OpCode.RANGE_VEC,
-}
 
+def _static(op: "OpNode", shape: TensorShape, what: str = "operand") -> TensorShape:
+    if shape.dynamic:
+        raise ShapeMismatch(op, f"{what} must have a static shape")
+    return shape
+
+
+def _same(op, ins):
+    return (_static(op, ins[0]),)
+
+
+def _filter(op, ins):
+    _static(op, ins[1], "coefficients")
+    return (_static(op, ins[0], "signal"),)
+
+
+def _conv_full(op, ins):
+    n = _static(op, ins[0], "signal").length
+    return (TensorShape(n + _static(op, ins[1], "kernel").length - 1),)
+
+
+def _autocorr(op, ins):
+    return (TensorShape(2 * _static(op, ins[0], "signal").length - 1),)
+
+
+def _paired(what_a: str, what_b: str, pair: str) -> ShapeRule:
+    """Two static operands of equal length; the result is shaped like them."""
+    def rule(op, ins):
+        a, b = _static(op, ins[0], what_a), _static(op, ins[1], what_b)
+        if a.length != b.length:
+            raise ShapeMismatch(op, f"{pair} lengths differ: {a.length} vs {b.length}")
+        return (a,)
+    return rule
+
+
+_idft = _paired("real part", "imaginary part", "real/imag")
+_lms_operands = _paired("input", "desired signal", "input/desired")
+
+
+def _lms(op, ins):
+    _lms_operands(op, ins)
+    return (TensorShape(op.attr("M")),)
+
+
+def _length_attr(name: str) -> ShapeRule:
+    return lambda op, ins: (TensorShape(op.attr(name)),)
+
+
+def _broadcast(op, ins):
+    a, b = ins
+    if a.dynamic or b.dynamic:
+        raise ShapeMismatch(op, "dynamic tensors cannot feed arithmetic ops")
+    if a.length == b.length:
+        return (TensorShape(a.length),)
+    if a.length == 1:
+        return (TensorShape(b.length),)
+    if b.length == 1:
+        return (TensorShape(a.length),)
+    raise ShapeMismatch(op, f"operand lengths {a.length} and {b.length} do not broadcast")
+
+
+def _sum(op, ins):
+    _static(op, ins[0])
+    return (TensorShape(1),)
+
+
+def _rle(op, ins):
+    return (TensorShape(2 * _static(op, ins[0]).length, dynamic=True),)
+
+
+def _upsample(op, ins):
+    return (TensorShape(_static(op, ins[0]).length * op.attr("k")),)
+
+
+def _downsample(op, ins):
+    return (TensorShape(math.ceil(_static(op, ins[0]).length / op.attr("k"))),)
+
+
+def _fused(op, ins):
+    s = _static(op, ins[0])
+    return (s, s)
+
+
+_L2 = (_at_least("L", 2),)
+
+OP_DEFS: dict[OpCode, OpDef] = {d.opcode: d for d in (
+    OpDef(OpCode.INPUT, None, 0, (AttrSpec("name", "str"),), None),
+    OpDef(OpCode.CONST_TENSOR, None, 0,
+          (AttrSpec("values", "float_list", lambda v: len(v) >= 1, "at least one element"),),
+          lambda op, ins: (TensorShape(len(op.attr("values"))),)),
+    OpDef(OpCode.DELAY, "delay", 1, (_at_least("k", 0),), _same),
+    OpDef(OpCode.FIR_FILTER_RESPONSE, "firFilterResponse", 2, (), _filter),
+    OpDef(OpCode.CONV1D_FULL, "conv1d", 2, (), _conv_full),
+    OpDef(OpCode.SLIDING_WINDOW_AVG, "slidingWindowAvg", 1, (_at_least("window", 1),), _same),
+    OpDef(OpCode.DFT1D_REAL, "dft1dreal", 1, (), _same),
+    OpDef(OpCode.DFT1D_IMAG, "dft1dimg", 1, (), _same),
+    OpDef(OpCode.IDFT1D, "idft1d", 2, (), _idft),
+    OpDef(OpCode.LOW_PASS_FIR_COEFFS, "lowPassFIRFilter", 0, (_at_least("L", 1), _CUTOFF),
+          _length_attr("L")),
+    OpDef(OpCode.HAMMING_WINDOW, "hammingWindow", 0, _L2, _length_attr("L")),
+    OpDef(OpCode.LMS_FILTER, "lmsFilter", 2, (_MU, _at_least("M", 1)), _lms),
+    OpDef(OpCode.ADD, None, 2, (), _broadcast),
+    OpDef(OpCode.SUB, None, 2, (), _broadcast),
+    OpDef(OpCode.MUL, None, 2, (), _broadcast),
+    OpDef(OpCode.DIV, None, 2, (), _broadcast),
+    OpDef(OpCode.SQUARE, "square", 1, (), _same),
+    OpDef(OpCode.GAIN, "gain", 1, (AttrSpec("g", "float"),), _same),
+    OpDef(OpCode.REVERSE, "reverse", 1, (), _same),
+    OpDef(OpCode.SUM, "sum", 1, (), _sum),
+    OpDef(OpCode.THRESHOLD, "threshold", 1,
+          (AttrSpec("t", "float", lambda v: v >= 0.0, "t >= 0"),), _same),
+    OpDef(OpCode.QUANTIZE, "quantize", 1,
+          (_at_least("levels", 2), AttrSpec("min", "float"), AttrSpec("max", "float")),
+          _same, cross_check=_quantize_bounds),
+    OpDef(OpCode.RUN_LEN_ENCODING, "runLenEncoding", 1, (), _rle),
+    OpDef(OpCode.UPSAMPLE, "upsample", 1, (_at_least("k", 1),), _upsample),
+    OpDef(OpCode.DOWNSAMPLE, "downsample", 1, (_at_least("k", 1),), _downsample),
+    OpDef(OpCode.SIN_VEC, "sinVec", 0, _OSC, _length_attr("n")),
+    OpDef(OpCode.COS_VEC, "cosVec", 0, _OSC, _length_attr("n")),
+    OpDef(OpCode.RANGE_VEC, "rangeVec", 0,
+          (AttrSpec("start", "float"), AttrSpec("step", "float"), _at_least("n", 1)),
+          _length_attr("n")),
+    OpDef(OpCode.PRINT, None, 1, (), lambda op, ins: (), n_results=0),
+    OpDef(OpCode.FILTER_HAMM_OPT, None, 0, _L2 + (_CUTOFF,), _length_attr("L")),
+    OpDef(OpCode.FILTER_RES_SYMM_OPT, None, 2, (), _filter),
+    OpDef(OpCode.FILTER_Y_SYMM_OPT, None, 1, (), _autocorr),
+    OpDef(OpCode.DFT1D_REAL_SYMM, None, 1, (), _same),
+    OpDef(OpCode.DFT1D_IMAG_SYMM, None, 1, (), _same),
+    OpDef(OpCode.DFT1D_FUSED, None, 1, (), _fused, n_results=2),
+    OpDef(OpCode.LMS_FILTER_GAIN_OPT, None, 2,
+          (_MU, _at_least("M", 1), AttrSpec("g", "float")), _lms),
+)}
+
+OPDEF_BY_BUILTIN: dict[str, OpDef] = {d.builtin: d for d in OP_DEFS.values() if d.builtin}
 OPCODE_BY_NAME: dict[str, OpCode] = {op.value: op for op in OpCode}

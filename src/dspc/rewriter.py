@@ -15,9 +15,9 @@ from enum import Enum
 from typing import Iterable, Optional, Sequence
 
 from .errors import DspcError
-from .graph import (Attribute, DspGraph, OpNode, TensorShape, ValueId,
-                    eliminate_dead_ops, infer_shapes, renumber, verify_graph)
-from .ops import SIGNATURES, OpCode
+from .graph import (Attribute, DspGraph, OpNode, ValueId, eliminate_dead_ops,
+                    infer_shapes, verify_graph)
+from .ops import OP_DEFS, OpCode
 
 
 class PatternId(Enum):
@@ -112,6 +112,14 @@ class _Ctx:
         return shape.length
 
 
+def replace_site(ctx: _Ctx, site: OpNode, target: tuple, *new_ops: _NewOp) -> _Rewrite:
+    """Replace the single op `site` by `new_ops`; its result is rewired to
+    `target`, a `_Rewrite.result_map` target."""
+    at = ctx.pos(site)
+    return _Rewrite(remove=frozenset([at]), new_ops=new_ops, at=at,
+                    result_map=((site.id, target),))
+
+
 # --------------------------------------------------------------------------
 # Pattern matchers.  Each takes the context and a site op; returns a rewrite
 # description or None.
@@ -132,8 +140,7 @@ def pat_symmetric_filter(ctx: _Ctx, site: OpNode) -> Optional[_Rewrite]:
         return None
     new = _NewOp(OpCode.FILTER_HAMM_OPT,
                  attributes=(Attribute("L", a.attr("L")), Attribute("wc", a.attr("wc"))))
-    return _Rewrite(remove=frozenset([ctx.pos(site)]), new_ops=(new,), at=ctx.pos(site),
-                    result_map=((site.id, ("new", 0, 0)),))
+    return replace_site(ctx, site, ("new", 0, 0), new)
 
 
 def pat_symmetric_filter_response(ctx: _Ctx, site: OpNode) -> Optional[_Rewrite]:
@@ -144,8 +151,7 @@ def pat_symmetric_filter_response(ctx: _Ctx, site: OpNode) -> Optional[_Rewrite]
     if h is None or h.opcode is not OpCode.FILTER_HAMM_OPT:
         return None
     new = _NewOp(OpCode.FILTER_RES_SYMM_OPT, operands=site.operands)
-    return _Rewrite(remove=frozenset([ctx.pos(site)]), new_ops=(new,), at=ctx.pos(site),
-                    result_map=((site.id, ("new", 0, 0)),))
+    return replace_site(ctx, site, ("new", 0, 0), new)
 
 
 def pat_filter_y_symm(ctx: _Ctx, site: OpNode) -> Optional[_Rewrite]:
@@ -162,8 +168,7 @@ def pat_filter_y_symm(ctx: _Ctx, site: OpNode) -> Optional[_Rewrite]:
     if x is None:
         return None
     new = _NewOp(OpCode.FILTER_Y_SYMM_OPT, operands=(x,))
-    return _Rewrite(remove=frozenset([ctx.pos(site)]), new_ops=(new,), at=ctx.pos(site),
-                    result_map=((site.id, ("new", 0, 0)),))
+    return replace_site(ctx, site, ("new", 0, 0), new)
 
 
 def pat_dft_conj_symm(ctx: _Ctx, site: OpNode) -> Optional[_Rewrite]:
@@ -176,8 +181,7 @@ def pat_dft_conj_symm(ctx: _Ctx, site: OpNode) -> Optional[_Rewrite]:
     target = (OpCode.DFT1D_REAL_SYMM if site.opcode is OpCode.DFT1D_REAL
               else OpCode.DFT1D_IMAG_SYMM)
     new = _NewOp(target, operands=site.operands)
-    return _Rewrite(remove=frozenset([ctx.pos(site)]), new_ops=(new,), at=ctx.pos(site),
-                    result_map=((site.id, ("new", 0, 0)),))
+    return replace_site(ctx, site, ("new", 0, 0), new)
 
 
 def pat_parseval(ctx: _Ctx, site: OpNode) -> Optional[_Rewrite]:
@@ -216,10 +220,8 @@ def pat_parseval(ctx: _Ctx, site: OpNode) -> Optional[_Rewrite]:
     if n is None or float(values[0]) != float(n):
         return None
     new_square = _NewOp(OpCode.SQUARE, operands=(x,))
-    new_sum = _NewOp(OpCode.SUM, operands=(("new", 0, 0),))  # placeholder, fixed below
-    remove = frozenset([ctx.pos(site)])
-    return _Rewrite(remove=remove, new_ops=(new_square, new_sum), at=ctx.pos(site),
-                    result_map=((site.id, ("new", 1, 0)),))
+    new_sum = _NewOp(OpCode.SUM, operands=(("new", 0, 0),))
+    return replace_site(ctx, site, ("new", 1, 0), new_square, new_sum)
 
 
 def _dft_pair_source(ctx: _Ctx, v_re: ValueId, v_im: ValueId) -> Optional[ValueId]:
@@ -292,8 +294,7 @@ def pat_identity_dft_idft(ctx: _Ctx, site: OpNode) -> Optional[_Rewrite]:
         x = pr.operands[0]
     if x is None:
         return None
-    return _Rewrite(remove=frozenset([ctx.pos(site)]), new_ops=(), at=ctx.pos(site),
-                    result_map=((site.id, ("old", x)),))
+    return replace_site(ctx, site, ("old", x))
 
 
 def pat_identity_up_down(ctx: _Ctx, site: OpNode) -> Optional[_Rewrite]:
@@ -305,8 +306,7 @@ def pat_identity_up_down(ctx: _Ctx, site: OpNode) -> Optional[_Rewrite]:
         return None
     if site.attr("k") != up.attr("k"):
         return None
-    return _Rewrite(remove=frozenset([ctx.pos(site)]), new_ops=(), at=ctx.pos(site),
-                    result_map=((site.id, ("old", up.operands[0])),))
+    return replace_site(ctx, site, ("old", up.operands[0]))
 
 
 _MATCHERS = {
@@ -330,7 +330,7 @@ def _apply_rewrite(graph: DspGraph, rw: _Rewrite) -> DspGraph:
     new_result_ids: list[tuple[ValueId, ...]] = []
     cursor = temp_base
     for spec in rw.new_ops:
-        n_results = SIGNATURES[spec.opcode].n_results
+        n_results = OP_DEFS[spec.opcode].n_results
         operands = tuple(new_result_ids[v[1]][v[2]] if isinstance(v, tuple) else v
                          for v in spec.operands)
         node = OpNode(id=cursor, opcode=spec.opcode, operands=operands,
@@ -354,14 +354,13 @@ def _apply_rewrite(graph: DspGraph, rw: _Rewrite) -> DspGraph:
         out_ops.append(replace(op, operands=tuple(subst.get(v, v) for v in op.operands)))
     if rw.at >= len(graph.ops):
         out_ops.extend(resolved)
-    def _sub(v: ValueId) -> ValueId:
-        return subst.get(v, v)
-    return renumber(DspGraph(
+    # Ids stay sparse here; eliminate_dead_ops renumbers right after.
+    return DspGraph(
         ops=out_ops,
-        inputs=[(n, _sub(v)) for n, v in graph.inputs],
-        prints=[_sub(v) for v in graph.prints],
-        returns=[_sub(v) for v in graph.returns],
-    ))
+        inputs=[(n, subst.get(v, v)) for n, v in graph.inputs],
+        prints=[subst.get(v, v) for v in graph.prints],
+        returns=[subst.get(v, v) for v in graph.returns],
+    )
 
 
 def apply_dsp_patterns(graph: DspGraph,

@@ -6,7 +6,9 @@ from dspc.graph import (ArityMismatch, BadAttribute, GraphTextError,
                         build_graph, eliminate_dead_ops, graph_to_text,
                         infer_shapes, parse_graph_text, renumber,
                         verify_graph)
-from dspc.ops import OpCode
+from dspc.kernels import KERNELS
+from dspc.lowering import EMITTERS
+from dspc.ops import OP_DEFS, OpCode
 
 
 def compile_graph(source, lengths=None):
@@ -163,6 +165,34 @@ def test_verify_operand_out_of_range():
         "%1 = square(%7) : tensor<8>\n"
         "print(%1)\n"))
     assert any("not defined before use" in v for v in violations)
+
+
+@pytest.mark.parametrize("text, violation", [
+    ("%0 = input() {name=x} : tensor<8>\n"
+     "%1 = input() {name=h} : tensor<3>\n"
+     "%2 = conv1d_full(%0, %1) : tensor<8>\n",
+     "%2 conv1d_full: result shapes ('tensor<8>',) inconsistent, "
+     "expected ('tensor<10>',)"),
+    ("%0 = input() {name=x} : tensor<8>\n"
+     "%1, %2 = dft1d_fused(%0) : tensor<8>, tensor<4>\n",
+     "%1 dft1d_fused: result shapes ('tensor<8>', 'tensor<4>') inconsistent, "
+     "expected ('tensor<8>', 'tensor<8>')"),
+    ("%0 = input() {name=x} : tensor<8>\n"
+     "%1, %2 = dft1d_fused(%0) : tensor<8>, tensor<8>\n"
+     "%3 = square(%2) : tensor<5>\n",
+     "%3 square: result shapes ('tensor<5>',) inconsistent, "
+     "expected ('tensor<8>',)"),
+], ids=["conv1d_full", "dft1d_fused", "square_of_second_result"])
+def test_verify_result_shapes(text, violation):
+    assert verify_graph(parse_graph_text(text)) == [violation]
+
+
+def test_every_opcode_has_one_def_kernel_and_emitter():
+    assert set(OP_DEFS) == set(OpCode)
+    assert all(d.opcode is oc for oc, d in OP_DEFS.items())
+    # eval_graph binds inputs itself; print computes nothing and lowers to no loop
+    assert set(KERNELS) | {OpCode.INPUT, OpCode.PRINT} == set(OpCode)
+    assert set(EMITTERS) | {OpCode.PRINT} == set(OpCode)
 
 
 # --------------------------------------------------------------------------
