@@ -20,11 +20,15 @@ The grammar:
              | IDENT "(" [expr {"," expr}] ")" | "(" expr ")"
 
 Numbers are decimal integers or decimal floats; there is no scientific
-notation and no unary minus.  Comments run from ``#`` to end of line.
+notation and no unary minus, and a number too large for a float is a parse
+error.  An expression nests at most ``MAX_EXPR_DEPTH`` levels deep: every
+operator, call and pair of parentheses adds a level.  Comments run from
+``#`` to end of line.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from decimal import Decimal
 from enum import Enum
@@ -33,6 +37,11 @@ from typing import Optional, Union
 from .errors import DspcError
 
 KEYWORDS = ("def", "main", "var", "print", "return")
+
+# Deepest expression the parser accepts; keeps every recursive walk of the
+# tree (parser, graph builder, constant folding, printing) far from Python's
+# recursion limit.
+MAX_EXPR_DEPTH = 256
 
 _PUNCT_CHARS = "()[]{},;="
 _OP_CHARS = "+-*/"
@@ -246,6 +255,10 @@ class _Parser:
     def __init__(self, tokens: list[Token]):
         self.tokens = tokens
         self.pos = 0
+        # Open parentheses and calls: each is a level above what it holds, so
+        # too many break the limit before the parser recurses any deeper.
+        self.open = 0
+        self.depths: dict[int, int] = {}  # id(node) -> depth; leaves are 1
 
     @property
     def cur(self) -> Token:
@@ -272,6 +285,25 @@ class _Parser:
         if tok is None:
             raise self.error(what or (repr(text) if text else kind.value))
         return tok
+
+    def number(self, tok: Token) -> float:
+        value = float(tok.text)
+        if not math.isfinite(value):
+            raise ParseError(tok.span, "a number that fits a float",
+                             f"a {len(tok.text)}-digit literal")
+        return value
+
+    def deeper(self, node: AstExpression, *parts: AstExpression) -> AstExpression:
+        """Record `node` as one level above its deepest part."""
+        depth = 1 + max((self.depths.get(id(p), 1) for p in parts), default=0)
+        self.check_depth(depth, node.span)
+        self.depths[id(node)] = depth
+        return node
+
+    def check_depth(self, depth: int, span: SourceSpan) -> None:
+        if depth > MAX_EXPR_DEPTH:
+            raise ParseError(span, f"an expression at most {MAX_EXPR_DEPTH} levels deep",
+                             "a deeper one")
 
     # module := funcdef+
     def module(self) -> AstModule:
@@ -356,7 +388,7 @@ class _Parser:
         while self.cur.kind is TokenKind.OP and self.cur.text in "+-":
             op = self.advance()
             rhs = self.term()
-            lhs = BinaryOp(op.text, lhs, rhs, span=op.span)
+            lhs = self.deeper(BinaryOp(op.text, lhs, rhs, span=op.span), lhs, rhs)
         return lhs
 
     # term := unary {("*"|"/") unary}
@@ -365,12 +397,12 @@ class _Parser:
         while self.cur.kind is TokenKind.OP and self.cur.text in "*/":
             op = self.advance()
             rhs = self.unary()
-            lhs = BinaryOp(op.text, lhs, rhs, span=op.span)
+            lhs = self.deeper(BinaryOp(op.text, lhs, rhs, span=op.span), lhs, rhs)
         return lhs
 
     def unary(self) -> AstExpression:
         if tok := self.accept(TokenKind.NUMBER):
-            return NumberLiteral(float(tok.text), span=tok.span)
+            return NumberLiteral(self.number(tok), span=tok.span)
         if tok := self.accept(TokenKind.PUNCT, "["):
             values = [self._number_element()]
             while not self.accept(TokenKind.PUNCT, "]"):
@@ -378,11 +410,16 @@ class _Parser:
                 values.append(self._number_element())
             return TensorLiteral(tuple(values), span=tok.span)
         if tok := self.accept(TokenKind.PUNCT, "("):
+            self.open += 1
+            self.check_depth(self.open, tok.span)
             expr = self.expression()
             self.expect(TokenKind.PUNCT, ")")
-            return expr
+            self.open -= 1
+            return self.deeper(expr, expr)
         if tok := self.accept(TokenKind.IDENT):
             if self.accept(TokenKind.PUNCT, "("):
+                self.open += 1
+                self.check_depth(self.open, tok.span)
                 args: list[AstExpression] = []
                 if not self.accept(TokenKind.PUNCT, ")"):
                     while True:
@@ -390,13 +427,13 @@ class _Parser:
                         if self.accept(TokenKind.PUNCT, ")"):
                             break
                         self.expect(TokenKind.PUNCT, ",")
-                return Call(tok.text, tuple(args), span=tok.span)
+                self.open -= 1
+                return self.deeper(Call(tok.text, tuple(args), span=tok.span), *args)
             return VariableRef(tok.text, span=tok.span)
         raise self.error("an expression")
 
     def _number_element(self) -> float:
-        tok = self.expect(TokenKind.NUMBER, what="a number")
-        return float(tok.text)
+        return self.number(self.expect(TokenKind.NUMBER, what="a number"))
 
 
 def parse_module(tokens: list[Token]) -> AstModule:

@@ -8,6 +8,7 @@ bounded by its buffer capacity.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from typing import Mapping, Optional
 
@@ -206,7 +207,7 @@ class _Builder:
             raise BadAttribute(arg.span,
                                f"{callee} attribute {spec.name!r} must be a constant number")
         if spec.kind == "int":
-            if value != int(value):
+            if not math.isfinite(value) or value != int(value):
                 raise BadAttribute(arg.span,
                                    f"{callee} attribute {spec.name!r} must be an integer, "
                                    f"got {value}")
@@ -271,10 +272,8 @@ def infer_shapes(graph: DspGraph,
             else:
                 resolved = existing
             shaped: tuple[Optional[TensorShape], ...] = (resolved,)
-        elif sig.n_operands and None in ins:
-            shaped = (None,) * sig.n_results
         else:
-            shaped = sig.shape(op, ins)
+            shaped = sig.result_shapes(op, ins)
         new_op = replace(op, result_shapes=shaped)
         new_ops.append(new_op)
         for rid, s in zip(new_op.result_ids, shaped):
@@ -319,6 +318,9 @@ def verify_graph(graph: DspGraph) -> list[str]:
                 values[spec.name] = a.value
                 if not _attr_type_ok(spec, a.value):
                     violations.append(f"{label}: attribute {spec.name!r} has wrong type")
+                elif not _attr_finite(spec, a.value):
+                    violations.append(f"{label}: attribute {spec.name}={a.value!r} "
+                                      "is not finite")
                 elif not spec.ok(a.value):
                     violations.append(f"{label}: attribute {spec.name}={a.value!r} "
                                       f"violates {spec.legal}")
@@ -369,6 +371,14 @@ def _attr_type_ok(spec: AttrSpec, value: object) -> bool:
     if spec.kind == "str":
         return isinstance(value, str)
     return False
+
+
+def _attr_finite(spec: AttrSpec, value) -> bool:
+    if spec.kind == "float":
+        return math.isfinite(value)
+    if spec.kind == "float_list":
+        return all(map(math.isfinite, value))
+    return True
 
 
 # --------------------------------------------------------------------------

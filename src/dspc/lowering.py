@@ -192,38 +192,45 @@ def _e_sliding_avg(lw: _Lowerer, op: OpNode) -> None:
     lw.body.append(For(n_i, 0, _lit(n), 1, body, tag="sliding_window_avg.outer"))
 
 
-def _e_dft(lw: _Lowerer, op: OpNode, *, trig: str, sign: str,
-           half: bool) -> None:
-    """One real or imaginary DFT accumulator, optionally mirrored."""
+def _e_dft(lw: _Lowerer, op: OpNode, *, real: bool = True, imag: bool = True,
+           half: bool = False) -> None:
+    """Real and/or imaginary DFT accumulated in one nest, optionally mirrored.
+
+    Each enabled part stores into the op's next result.  With ``half`` (one
+    part only) bins k <= N/2 are computed and mirrored by conjugate symmetry.
+    """
     n = lw.operand_len(op, 0)
-    x, out = lw.buf(op.operands[0]), lw.buf(op.id)
+    x = lw.buf(op.operands[0])
     tag = op.opcode.value
     c1 = 2.0 * math.pi / n
     k_i, n_i = f"i{op.id}", f"j{op.id}"
-    acc, tx, ang, tc, tm = lw.t(), lw.t(), lw.t(), lw.t(), lw.t()
+    parts = [(trig, sign) for on, trig, sign in ((real, "cos", "add"), (imag, "sin", "sub"))
+             if on]
+    accs = [lw.t() for _ in parts]
+    tx, ang = lw.t(), lw.t()
     inner: list[Stmt] = [
         Load(tx, x, _af(n_i)),
         BinaryArith(ang, "mul", ConstF(c1), IndexProdF(k_i, n_i)),
-        IntrinsicCall(tc, trig, TempRef(ang)),
-        BinaryArith(tm, "mul", TempRef(tx), TempRef(tc)),
-        BinaryArith(acc, sign, TempRef(acc), TempRef(tm)),
     ]
-    outer_n = n // 2 + 1 if half else n
-    body: list[Stmt] = [
-        SetTemp(acc, ConstF(0.0)),
-        For(n_i, 0, _lit(n), 1, inner, tag=f"{tag}.inner"),
-        Store(out, _af(k_i), TempRef(acc)),
-    ]
+    for acc, (trig, sign) in zip(accs, parts):
+        tc, tm = lw.t(), lw.t()
+        inner += [IntrinsicCall(tc, trig, TempRef(ang)),
+                  BinaryArith(tm, "mul", TempRef(tx), TempRef(tc)),
+                  BinaryArith(acc, sign, TempRef(acc), TempRef(tm))]
+    body: list[Stmt] = [SetTemp(acc, ConstF(0.0)) for acc in accs]
+    body.append(For(n_i, 0, _lit(n), 1, inner, tag=f"{tag}.inner"))
+    body += [Store(lw.buf(rid), _af(k_i), TempRef(acc)) for rid, acc in zip(op.result_ids, accs)]
     if half:
+        out, acc = lw.buf(op.id), accs[0]
         mirror: list[Stmt]
-        if sign == "add":  # real part: X[N-k] = X[k]
+        if real:  # real part: X[N-k] = X[k]
             mirror = [Store(out, _af(k_i, -1, n), TempRef(acc))]
         else:  # imaginary part: X[N-k] = -X[k]
             tn = lw.t()
             mirror = [BinaryArith(tn, "sub", ConstF(0.0), TempRef(acc)),
                       Store(out, _af(k_i, -1, n), TempRef(tn))]
         body.append(SelectGuard(_af(k_i), 1, _lit((n + 1) // 2), body=mirror))
-    lw.body.append(For(k_i, 0, _lit(outer_n), 1, body, tag=f"{tag}.outer"))
+    lw.body.append(For(k_i, 0, _lit(n // 2 + 1 if half else n), 1, body, tag=f"{tag}.outer"))
 
 
 def _e_idft(lw: _Lowerer, op: OpNode) -> None:
@@ -251,33 +258,6 @@ def _e_idft(lw: _Lowerer, op: OpNode) -> None:
         Store(out, _af(n_i), TempRef(tq)),
     ]
     lw.body.append(For(n_i, 0, _lit(n), 1, body, tag="idft1d.outer"))
-
-
-def _e_dft_fused(lw: _Lowerer, op: OpNode) -> None:
-    n = lw.operand_len(op, 0)
-    x = lw.buf(op.operands[0])
-    out_r, out_i = lw.buf(op.result_ids[0]), lw.buf(op.result_ids[1])
-    c1 = 2.0 * math.pi / n
-    k_i, n_i = f"i{op.id}", f"j{op.id}"
-    ar, ai, tx, ang, tc, tmr, ts, tmi = (lw.t() for _ in range(8))
-    inner: list[Stmt] = [
-        Load(tx, x, _af(n_i)),
-        BinaryArith(ang, "mul", ConstF(c1), IndexProdF(k_i, n_i)),
-        IntrinsicCall(tc, "cos", TempRef(ang)),
-        BinaryArith(tmr, "mul", TempRef(tx), TempRef(tc)),
-        BinaryArith(ar, "add", TempRef(ar), TempRef(tmr)),
-        IntrinsicCall(ts, "sin", TempRef(ang)),
-        BinaryArith(tmi, "mul", TempRef(tx), TempRef(ts)),
-        BinaryArith(ai, "sub", TempRef(ai), TempRef(tmi)),
-    ]
-    body: list[Stmt] = [
-        SetTemp(ar, ConstF(0.0)),
-        SetTemp(ai, ConstF(0.0)),
-        For(n_i, 0, _lit(n), 1, inner, tag="dft1d_fused.inner"),
-        Store(out_r, _af(k_i), TempRef(ar)),
-        Store(out_i, _af(k_i), TempRef(ai)),
-    ]
-    lw.body.append(For(k_i, 0, _lit(n), 1, body, tag="dft1d_fused.outer"))
 
 
 def _lowpass_tap(lw: _Lowerer, n_i: str, L: int, wc: float, lp: str
@@ -610,8 +590,8 @@ EMITTERS = {
     OpCode.FIR_FILTER_RESPONSE: _e_fir,
     OpCode.CONV1D_FULL: _e_fir,
     OpCode.SLIDING_WINDOW_AVG: _e_sliding_avg,
-    OpCode.DFT1D_REAL: partial(_e_dft, trig="cos", sign="add", half=False),
-    OpCode.DFT1D_IMAG: partial(_e_dft, trig="sin", sign="sub", half=False),
+    OpCode.DFT1D_REAL: partial(_e_dft, imag=False),
+    OpCode.DFT1D_IMAG: partial(_e_dft, real=False),
     OpCode.IDFT1D: _e_idft,
     OpCode.LOW_PASS_FIR_COEFFS: _e_lowpass,
     OpCode.HAMMING_WINDOW: _e_hamming,
@@ -635,9 +615,9 @@ EMITTERS = {
     OpCode.FILTER_HAMM_OPT: _e_filter_hamm_opt,
     OpCode.FILTER_RES_SYMM_OPT: _e_filter_res_symm,
     OpCode.FILTER_Y_SYMM_OPT: _e_filter_y_symm,
-    OpCode.DFT1D_REAL_SYMM: partial(_e_dft, trig="cos", sign="add", half=True),
-    OpCode.DFT1D_IMAG_SYMM: partial(_e_dft, trig="sin", sign="sub", half=True),
-    OpCode.DFT1D_FUSED: _e_dft_fused,
+    OpCode.DFT1D_REAL_SYMM: partial(_e_dft, imag=False, half=True),
+    OpCode.DFT1D_IMAG_SYMM: partial(_e_dft, real=False, half=True),
+    OpCode.DFT1D_FUSED: _e_dft,
     OpCode.LMS_FILTER_GAIN_OPT: _e_lms,
 }
 

@@ -111,6 +111,13 @@ class OpDef:
                 return spec
         raise KeyError(name)
 
+    def result_shapes(self, op: "OpNode", ins: Sequence[Optional[TensorShape]]
+                      ) -> tuple[Optional[TensorShape], ...]:
+        """The shape rule's result shapes; all unknown if an operand shape is."""
+        if None in ins:
+            return (None,) * self.n_results
+        return self.shape(op, ins)
+
 
 # -- attribute schemas ------------------------------------------------------
 

@@ -1,9 +1,10 @@
 """Graph rewrites that exploit filter/transform structure.
 
 Each pattern matches a small chain of ops by value identity (same SSA value,
-not merely an equal-looking subtree), replaces it with a cheaper dedicated
-op, and leaves dead producers to the cleanup pass.  The driver applies the
-patterns in a fixed priority order, greedily, until a full sweep makes no
+not merely an equal-looking subtree), builds the cheaper replacement ops and
+names the old values they stand for.  The driver splices the new ops in,
+rewires the uses and leaves dead producers to the cleanup pass.  It applies
+the patterns in a fixed priority order, greedily, until a full sweep makes no
 change; dead ops are pruned after every application so later patterns never
 fire on unused values.
 """
@@ -12,12 +13,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Optional
 
 from .errors import DspcError
 from .graph import (Attribute, DspGraph, OpNode, ValueId, eliminate_dead_ops,
-                    infer_shapes, verify_graph)
-from .ops import OP_DEFS, OpCode
+                    verify_graph)
+from .ops import OP_DEFS, OpCode, TensorShape
 
 
 class PatternId(Enum):
@@ -63,34 +64,25 @@ class RewriteStats:
 
 
 @dataclass(frozen=True)
-class _NewOp:
-    opcode: OpCode
-    operands: tuple[ValueId, ...] = ()
-    attributes: tuple[Attribute, ...] = ()
-
-
-@dataclass(frozen=True)
 class _Rewrite:
-    """Replace `remove` (list indices) with `new_ops` spliced in at `at`.
+    """Insert `new_ops` before op index `at` and make every use of a key of
+    `subst` read its value instead."""
 
-    `result_map` rewires old result values: each maps either to ("new", op
-    index within new_ops, result index) or to ("old", existing ValueId).
-    """
-
-    remove: frozenset[int]
-    new_ops: tuple[_NewOp, ...]
     at: int
-    result_map: tuple[tuple[ValueId, tuple], ...]
+    new_ops: tuple[OpNode, ...]
+    subst: dict[ValueId, ValueId]
 
 
 class _Ctx:
-    """Per-sweep lookup tables shared by the matchers."""
+    """Per-sweep lookup tables shared by the matchers, and their op factory."""
 
     def __init__(self, graph: DspGraph):
         self.graph = graph
         self.producer = graph.producer_map()
         self.uses = graph.use_counts()
         self.index_of = {id(op): i for i, op in enumerate(graph.ops)}
+        self.next_id = max((op.id + op.n_results for op in graph.ops if op.n_results),
+                           default=0)
 
     def prod(self, value: ValueId) -> Optional[OpNode]:
         return self.producer.get(value)
@@ -102,27 +94,36 @@ class _Ctx:
     def pos(self, op: OpNode) -> int:
         return self.index_of[id(op)]
 
-    def shape_len(self, value: ValueId) -> Optional[int]:
+    def shape(self, value: ValueId) -> Optional[TensorShape]:
         op = self.prod(value)
-        if op is None:
-            return None
-        shape = op.result_shapes[value - op.id]
+        return None if op is None else op.result_shapes[value - op.id]
+
+    def shape_len(self, value: ValueId) -> Optional[int]:
+        shape = self.shape(value)
         if shape is None or shape.dynamic:
             return None
         return shape.length
 
+    def new(self, opcode: OpCode, operands: tuple[ValueId, ...] = (),
+            attributes: tuple[Attribute, ...] = ()) -> OpNode:
+        """A new op with ids above every id in the graph, shaped by its OpDef."""
+        sig = OP_DEFS[opcode]
+        op = OpNode(id=self.next_id, opcode=opcode, operands=operands, attributes=attributes)
+        op = replace(op, result_shapes=sig.result_shapes(op, [self.shape(v) for v in operands]))
+        self.next_id += sig.n_results
+        for rid in op.result_ids:
+            self.producer[rid] = op
+        return op
 
-def replace_site(ctx: _Ctx, site: OpNode, target: tuple, *new_ops: _NewOp) -> _Rewrite:
-    """Replace the single op `site` by `new_ops`; its result is rewired to
-    `target`, a `_Rewrite.result_map` target."""
-    at = ctx.pos(site)
-    return _Rewrite(remove=frozenset([at]), new_ops=new_ops, at=at,
-                    result_map=((site.id, target),))
+
+def replace_site(ctx: _Ctx, site: OpNode, value: ValueId, *new_ops: OpNode) -> _Rewrite:
+    """Replace the single op `site` by `new_ops`; uses of its result read `value`."""
+    return _Rewrite(at=ctx.pos(site), new_ops=new_ops, subst={site.id: value})
 
 
 # --------------------------------------------------------------------------
-# Pattern matchers.  Each takes the context and a site op; returns a rewrite
-# description or None.
+# Pattern matchers.  Each takes the context and a site op; on a match it
+# builds its new ops with `ctx.new` and returns the splice, else None.
 
 
 def pat_symmetric_filter(ctx: _Ctx, site: OpNode) -> Optional[_Rewrite]:
@@ -138,9 +139,9 @@ def pat_symmetric_filter(ctx: _Ctx, site: OpNode) -> Optional[_Rewrite]:
         return None
     if a.attr("L") != b.attr("L"):
         return None
-    new = _NewOp(OpCode.FILTER_HAMM_OPT,
-                 attributes=(Attribute("L", a.attr("L")), Attribute("wc", a.attr("wc"))))
-    return replace_site(ctx, site, ("new", 0, 0), new)
+    new = ctx.new(OpCode.FILTER_HAMM_OPT,
+                  attributes=(Attribute("L", a.attr("L")), Attribute("wc", a.attr("wc"))))
+    return replace_site(ctx, site, new.id, new)
 
 
 def pat_symmetric_filter_response(ctx: _Ctx, site: OpNode) -> Optional[_Rewrite]:
@@ -150,8 +151,8 @@ def pat_symmetric_filter_response(ctx: _Ctx, site: OpNode) -> Optional[_Rewrite]
     h = ctx.prod(site.operands[1])
     if h is None or h.opcode is not OpCode.FILTER_HAMM_OPT:
         return None
-    new = _NewOp(OpCode.FILTER_RES_SYMM_OPT, operands=site.operands)
-    return replace_site(ctx, site, ("new", 0, 0), new)
+    new = ctx.new(OpCode.FILTER_RES_SYMM_OPT, site.operands)
+    return replace_site(ctx, site, new.id, new)
 
 
 def pat_filter_y_symm(ctx: _Ctx, site: OpNode) -> Optional[_Rewrite]:
@@ -167,8 +168,8 @@ def pat_filter_y_symm(ctx: _Ctx, site: OpNode) -> Optional[_Rewrite]:
         x = b
     if x is None:
         return None
-    new = _NewOp(OpCode.FILTER_Y_SYMM_OPT, operands=(x,))
-    return replace_site(ctx, site, ("new", 0, 0), new)
+    new = ctx.new(OpCode.FILTER_Y_SYMM_OPT, (x,))
+    return replace_site(ctx, site, new.id, new)
 
 
 def pat_dft_conj_symm(ctx: _Ctx, site: OpNode) -> Optional[_Rewrite]:
@@ -180,8 +181,8 @@ def pat_dft_conj_symm(ctx: _Ctx, site: OpNode) -> Optional[_Rewrite]:
         return None
     target = (OpCode.DFT1D_REAL_SYMM if site.opcode is OpCode.DFT1D_REAL
               else OpCode.DFT1D_IMAG_SYMM)
-    new = _NewOp(target, operands=site.operands)
-    return replace_site(ctx, site, ("new", 0, 0), new)
+    new = ctx.new(target, site.operands)
+    return replace_site(ctx, site, new.id, new)
 
 
 def pat_parseval(ctx: _Ctx, site: OpNode) -> Optional[_Rewrite]:
@@ -212,33 +213,33 @@ def pat_parseval(ctx: _Ctx, site: OpNode) -> Optional[_Rewrite]:
         return None
     if not all(ctx.single_use(v) for v in add_op.operands):
         return None
-    sq_a, sq_b = squares  # type: ignore[misc]
-    x = _dft_pair_source(ctx, sq_a.operands[0], sq_b.operands[0])
+    a, b = (s.operands[0] for s in squares)  # type: ignore[union-attr]
+    if not (ctx.single_use(a) and ctx.single_use(b)):
+        return None
+    x = _dft_source(ctx, a, b)
+    if x is None:
+        x = _dft_source(ctx, b, a)
     if x is None:
         return None
     n = ctx.shape_len(x)
     if n is None or float(values[0]) != float(n):
         return None
-    new_square = _NewOp(OpCode.SQUARE, operands=(x,))
-    new_sum = _NewOp(OpCode.SUM, operands=(("new", 0, 0),))
-    return replace_site(ctx, site, ("new", 1, 0), new_square, new_sum)
+    square = ctx.new(OpCode.SQUARE, (x,))
+    total_of_squares = ctx.new(OpCode.SUM, (square.id,))
+    return replace_site(ctx, site, total_of_squares.id, square, total_of_squares)
 
 
-def _dft_pair_source(ctx: _Ctx, v_re: ValueId, v_im: ValueId) -> Optional[ValueId]:
-    """If (v_re, v_im) are the real/imag DFT of one value (in either order),
-    each feeding only its square, return that value."""
-    for a, b in ((v_re, v_im), (v_im, v_re)):
-        pa, pb = ctx.prod(a), ctx.prod(b)
-        if pa is None or pb is None:
-            continue
-        if not (ctx.single_use(a) and ctx.single_use(b)):
-            continue
-        if pa.opcode is OpCode.DFT1D_REAL and pb.opcode is OpCode.DFT1D_IMAG \
-                and pa.operands == pb.operands:
-            return pa.operands[0]
-        if pa.opcode is pb.opcode is OpCode.DFT1D_FUSED and pa is pb \
-                and a == pa.id and b == pa.id + 1:
-            return pa.operands[0]
+def _dft_source(ctx: _Ctx, re: ValueId, im: ValueId) -> Optional[ValueId]:
+    """The x whose real and imaginary DFT are `re` and `im`, in that order,
+    from two separate transforms or one fused one; None if there is none."""
+    pr, pi = ctx.prod(re), ctx.prod(im)
+    if pr is None or pi is None:
+        return None
+    if pr.opcode is OpCode.DFT1D_REAL and pi.opcode is OpCode.DFT1D_IMAG \
+            and pr.operands == pi.operands:
+        return pr.operands[0]
+    if pr is pi and pr.opcode is OpCode.DFT1D_FUSED and (re, im) == (pr.id, pr.id + 1):
+        return pr.operands[0]
     return None
 
 
@@ -253,11 +254,9 @@ def pat_dft_fusion(ctx: _Ctx, site: OpNode) -> Optional[_Rewrite]:
             break
     if partner is None:
         return None
-    new = _NewOp(OpCode.DFT1D_FUSED, operands=site.operands)
-    at = min(ctx.pos(site), ctx.pos(partner))
-    return _Rewrite(remove=frozenset([ctx.pos(site), ctx.pos(partner)]), new_ops=(new,),
-                    at=at,
-                    result_map=((partner.id, ("new", 0, 0)), (site.id, ("new", 0, 1))))
+    new = ctx.new(OpCode.DFT1D_FUSED, site.operands)
+    return _Rewrite(at=min(ctx.pos(site), ctx.pos(partner)), new_ops=(new,),
+                    subst={partner.id: new.id, site.id: new.id + 1})
 
 
 def pat_lms_gain_fusion(ctx: _Ctx, site: OpNode) -> Optional[_Rewrite]:
@@ -269,32 +268,20 @@ def pat_lms_gain_fusion(ctx: _Ctx, site: OpNode) -> Optional[_Rewrite]:
         return None
     if not ctx.single_use(site.operands[0]):
         return None
-    new = _NewOp(OpCode.LMS_FILTER_GAIN_OPT, operands=lms.operands,
-                 attributes=(Attribute("mu", lms.attr("mu")), Attribute("M", lms.attr("M")),
-                             Attribute("g", site.attr("g"))))
-    return _Rewrite(remove=frozenset([ctx.pos(site), ctx.pos(lms)]), new_ops=(new,),
-                    at=ctx.pos(lms),
-                    result_map=((site.id, ("new", 0, 0)),))
+    new = ctx.new(OpCode.LMS_FILTER_GAIN_OPT, lms.operands,
+                  (Attribute("mu", lms.attr("mu")), Attribute("M", lms.attr("M")),
+                   Attribute("g", site.attr("g"))))
+    return _Rewrite(at=ctx.pos(lms), new_ops=(new,), subst={site.id: new.id})
 
 
 def pat_identity_dft_idft(ctx: _Ctx, site: OpNode) -> Optional[_Rewrite]:
     """idft1d applied to the DFT of x is the identity: all uses read x."""
     if site.opcode is not OpCode.IDFT1D:
         return None
-    re, im = site.operands
-    pr, pi = ctx.prod(re), ctx.prod(im)
-    if pr is None or pi is None:
-        return None
-    x: Optional[ValueId] = None
-    if pr.opcode is OpCode.DFT1D_REAL and pi.opcode is OpCode.DFT1D_IMAG \
-            and pr.operands == pi.operands:
-        x = pr.operands[0]
-    elif pr.opcode is pi.opcode is OpCode.DFT1D_FUSED and pr is pi \
-            and re == pr.id and im == pr.id + 1:
-        x = pr.operands[0]
+    x = _dft_source(ctx, *site.operands)
     if x is None:
         return None
-    return replace_site(ctx, site, ("old", x))
+    return replace_site(ctx, site, x)
 
 
 def pat_identity_up_down(ctx: _Ctx, site: OpNode) -> Optional[_Rewrite]:
@@ -306,7 +293,7 @@ def pat_identity_up_down(ctx: _Ctx, site: OpNode) -> Optional[_Rewrite]:
         return None
     if site.attr("k") != up.attr("k"):
         return None
-    return replace_site(ctx, site, ("old", up.operands[0]))
+    return replace_site(ctx, site, up.operands[0])
 
 
 _MATCHERS = {
@@ -323,44 +310,17 @@ _MATCHERS = {
 
 
 def _apply_rewrite(graph: DspGraph, rw: _Rewrite) -> DspGraph:
-    # Materialize the new ops with temporary ids beyond the current range;
-    # operands written as ("new", op_idx, res_idx) refer to earlier new ops.
-    temp_base = max((op.id + op.n_results for op in graph.ops if op.n_results), default=0)
-    resolved: list[OpNode] = []
-    new_result_ids: list[tuple[ValueId, ...]] = []
-    cursor = temp_base
-    for spec in rw.new_ops:
-        n_results = OP_DEFS[spec.opcode].n_results
-        operands = tuple(new_result_ids[v[1]][v[2]] if isinstance(v, tuple) else v
-                         for v in spec.operands)
-        node = OpNode(id=cursor, opcode=spec.opcode, operands=operands,
-                      attributes=spec.attributes, result_shapes=(None,) * n_results)
-        resolved.append(node)
-        new_result_ids.append(node.result_ids)
-        cursor += n_results
-    # Build the substitution for rewired results.
-    subst: dict[ValueId, ValueId] = {}
-    for old_id, target in rw.result_map:
-        if target[0] == "new":
-            subst[old_id] = new_result_ids[target[1]][target[2]]
-        else:
-            subst[old_id] = target[1]
-    out_ops: list[OpNode] = []
-    for idx, op in enumerate(graph.ops):
-        if idx == rw.at:
-            out_ops.extend(resolved)
-        if idx in rw.remove:
-            continue
-        out_ops.append(replace(op, operands=tuple(subst.get(v, v) for v in op.operands)))
-    if rw.at >= len(graph.ops):
-        out_ops.extend(resolved)
-    # Ids stay sparse here; eliminate_dead_ops renumbers right after.
-    return DspGraph(
-        ops=out_ops,
-        inputs=[(n, subst.get(v, v)) for n, v in graph.inputs],
-        prints=[subst.get(v, v) for v in graph.prints],
-        returns=[subst.get(v, v) for v in graph.returns],
-    )
+    """Splice: rewire uses through `rw.subst`, then insert `rw.new_ops` at `rw.at`.
+
+    Replaced ops stay in place; once unused they fall to eliminate_dead_ops,
+    which the driver runs next and which also renumbers the sparse ids.
+    """
+    get = rw.subst.get
+    ops = [replace(op, operands=tuple(get(v, v) for v in op.operands)) for op in graph.ops]
+    ops[rw.at:rw.at] = rw.new_ops
+    return DspGraph(ops=ops, inputs=[(n, get(v, v)) for n, v in graph.inputs],
+                    prints=[get(v, v) for v in graph.prints],
+                    returns=[get(v, v) for v in graph.returns])
 
 
 def apply_dsp_patterns(graph: DspGraph,
@@ -368,10 +328,14 @@ def apply_dsp_patterns(graph: DspGraph,
                        ) -> tuple[DspGraph, RewriteStats]:
     """Greedy fixpoint rewriting in pattern-priority order.
 
-    Patterns are tried in declaration order; within a pattern, ops are
-    scanned in topological order and the first match is applied.  After each
-    application the graph is rebuilt, re-inferred, re-verified, and dead ops
-    are pruned; scanning then restarts from the first pattern.
+    Takes a shape-inferred graph.  Patterns are tried in declaration order;
+    within a pattern, ops are scanned in topological order and the first
+    match is applied.  Each application splices in the match's new ops,
+    prunes the ops left dead and re-verifies the graph; scanning then
+    restarts from the first pattern.  Only new ops are shaped (from their
+    operands), so a rewrite that would change the shape of a rewired value
+    fails verification, and a graph never passed through ``infer_shapes``
+    keeps its unknown shapes.
     """
     wanted = list(PatternId) if enabled is None else \
         [pid for pid in PatternId if pid in set(enabled)]
@@ -379,32 +343,19 @@ def apply_dsp_patterns(graph: DspGraph,
                          ops_before=len(graph.ops))
     current = graph
     sweep_limit = len(graph.ops) + 8
-    sweeps = 0
-    while True:
-        sweeps += 1
-        if sweeps > sweep_limit:
-            raise NonTermination(sweeps)
+    for _ in range(sweep_limit):
         ctx = _Ctx(current)
-        rewrite = None
-        hit_pid = None
-        for pid in wanted:
-            matcher = _MATCHERS[pid]
-            for op in current.ops:
-                rewrite = matcher(ctx, op)
-                if rewrite is not None:
-                    hit_pid = pid
-                    break
-            if rewrite is not None:
-                break
-        if rewrite is None:
+        hit = next(((pid, rw) for pid in wanted for op in current.ops
+                    if (rw := _MATCHERS[pid](ctx, op)) is not None), None)
+        if hit is None:
             break
-        current = _apply_rewrite(current, rewrite)
-        current = eliminate_dead_ops(current)
-        current = infer_shapes(current)
+        pid, rewrite = hit
+        current = eliminate_dead_ops(_apply_rewrite(current, rewrite))
         problems = verify_graph(current)
         if problems:
-            raise RewriteError(
-                f"pattern {hit_pid.value} produced an invalid graph: {problems[0]}")
-        stats.applications[hit_pid] = stats.applications.get(hit_pid, 0) + 1
+            raise RewriteError(f"pattern {pid.value} produced an invalid graph: {problems[0]}")
+        stats.applications[pid] += 1
+    else:
+        raise NonTermination(sweep_limit + 1)
     stats.ops_after = len(current.ops)
     return current, stats

@@ -149,6 +149,24 @@ def test_verify_error_exit_3(capsys, tmp_path):
     assert "k >= 0" in err
 
 
+def test_non_finite_literal_exit_2(capsys, tmp_path):
+    src = tmp_path / "huge.dsp"
+    src.write_text("def main() { print([" + "9" * 400 + "]); }\n")
+    code, _, err = run_cli(capsys, "build", "--emit=ast", str(src))
+    assert code == 2
+    assert "fits a float" in err
+
+
+@pytest.mark.parametrize("argv", [("run", "--synth", "x=2,1"), ("build", "--emit=dsp")])
+def test_non_finite_attribute_exit_3(capsys, tmp_path, argv):
+    big = "9" * 200  # each factor is finite, their folded product is not
+    src = tmp_path / "overflow.dsp"
+    src.write_text(f"def main(x) {{ print(gain(x, {big} * {big})); }}\n")
+    code, out, err = run_cli(capsys, argv[0], str(src), *argv[1:])
+    assert code == 3
+    assert "g=inf is not finite" in err and "inf" not in out
+
+
 def test_runtime_error_exit_4(capsys, tmp_path):
     src = tmp_path / "dz.dsp"
     src.write_text("def main(x) { print(x / sum(x - x)); }\n")

@@ -1,8 +1,10 @@
 import pytest
 
-from dspc.frontend import (DuplicateMain, LexError, ParseError, Token,
-                           TokenKind, ast_to_text, format_number,
-                           parse_source, tokenize)
+from dspc.corpus import compile_source
+from dspc.frontend import (MAX_EXPR_DEPTH, DuplicateMain, LexError,
+                           ParseError, Token, TokenKind, ast_to_text,
+                           format_number, parse_source, tokenize)
+from dspc.lowering import lower_graph
 
 SMALL = """
 def main(x) {
@@ -158,3 +160,42 @@ def test_format_number(value, expected):
 def test_token_repr_is_compact():
     tok = Token(TokenKind.IDENT, "gain", tokenize("gain")[0].span)
     assert "gain" in repr(tok)
+
+
+@pytest.mark.parametrize("expr", ["9" * 400, "[1, " + "9" * 400 + "]"],
+                         ids=["number", "tensor_element"])
+def test_literal_overflowing_a_float_is_a_parse_error(expr):
+    with pytest.raises(ParseError) as exc:
+        parse_source(f"def main() {{ print({expr}); }}")
+    assert "fits a float" in str(exc.value)
+
+
+# Each builds an expression `levels` levels above the leaf x: every operator,
+# call and parenthesis pair adds one.
+def nested_parens(levels):
+    return "(" * levels + "x" + ")" * levels
+
+
+def chain(levels):
+    return " + ".join(["x"] * (levels + 1))
+
+
+def nested_calls(levels):
+    return "gain(" * levels + "x" + ", 1.0)" * levels
+
+
+@pytest.mark.parametrize("expr", [nested_parens(400), chain(1999)],
+                         ids=["parens_400", "chain_2000"])
+def test_expression_deeper_than_limit_is_a_parse_error(expr):
+    with pytest.raises(ParseError) as exc:
+        parse_source(f"def main(x) {{ print({expr}); }}")
+    assert f"at most {MAX_EXPR_DEPTH} levels deep" in str(exc.value)
+
+
+@pytest.mark.parametrize("make", [nested_parens, chain, nested_calls],
+                         ids=["parens", "chain", "calls"])
+def test_expression_depth_limit_is_exact(make):
+    source = "def main(x) {{ print({}); }}"
+    lower_graph(compile_source(source.format(make(MAX_EXPR_DEPTH - 1)), {"x": 4}))
+    with pytest.raises(ParseError):
+        parse_source(source.format(make(MAX_EXPR_DEPTH)))

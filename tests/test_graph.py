@@ -187,6 +187,16 @@ def test_verify_result_shapes(text, violation):
     assert verify_graph(parse_graph_text(text)) == [violation]
 
 
+@pytest.mark.parametrize("line", [
+    "%1 = gain(%0) {g=1e999} : tensor<2>",
+    "%1 = const_tensor() {values=[1, -1e999]} : tensor<2>",
+], ids=["float", "float_list"])
+def test_verify_rejects_non_finite_attribute(line):
+    violations = verify_graph(parse_graph_text(
+        "%0 = input() {name=x} : tensor<2>\n" + line + "\nprint(%1)\n"))
+    assert len(violations) == 1 and "is not finite" in violations[0]
+
+
 def test_every_opcode_has_one_def_kernel_and_emitter():
     assert set(OP_DEFS) == set(OpCode)
     assert all(d.opcode is oc for oc, d in OP_DEFS.items())

@@ -3,10 +3,11 @@ import random
 import pytest
 
 from dspc.frontend import parse_source
-from dspc.graph import build_graph, infer_shapes, verify_graph
+from dspc.graph import build_graph, graph_to_text, infer_shapes, verify_graph
 from dspc.kernels import eval_graph, tensor
 from dspc.ops import OpCode
-from dspc.rewriter import PatternId, apply_dsp_patterns
+from dspc import rewriter
+from dspc.rewriter import PatternId, RewriteError, apply_dsp_patterns
 
 
 def compile_graph(source, lengths=None):
@@ -331,3 +332,112 @@ def test_enabled_fusion_without_parseval():
                         enabled={PatternId.DFT_FUSION})
     assert stats.fired == {PatternId.DFT_FUSION}
     assert OpCode.DFT1D_FUSED in opcodes(g2)
+
+
+# Golden rewrites: where the new ops land and how the result is numbered.
+SPLICE_GOLDEN = {
+    # the fused op lands at the earlier of the two transforms
+    "fusion_real_first": ("""
+def main(x) {
+  var re = dft1dreal(x);
+  var g = gain(x, 2.0);
+  var im = dft1dimg(x);
+  print(re);
+  print(g);
+  print(im);
+}
+""", {"x": 8}, """\
+%0 = input() {name=x} : tensor<8>
+%1, %2 = dft1d_fused(%0) : tensor<8>, tensor<8>
+%3 = gain(%0) {g=2.0} : tensor<8>
+print(%1)
+print(%3)
+print(%2)
+"""),
+    "fusion_imag_first": ("""
+def main(x) {
+  var im = dft1dimg(x);
+  var g = gain(x, 2.0);
+  var re = dft1dreal(x);
+  print(re);
+  print(g);
+  print(im);
+}
+""", {"x": 8}, """\
+%0 = input() {name=x} : tensor<8>
+%1, %2 = dft1d_fused(%0) : tensor<8>, tensor<8>
+%3 = gain(%0) {g=2.0} : tensor<8>
+print(%1)
+print(%3)
+print(%2)
+"""),
+    # the fused LMS lands where the LMS was, not where the gain was
+    "lms_gain": ("""
+def main(x, d) {
+  var w = lmsFilter(x, d, 0.01, 4);
+  var s = sum(x);
+  print(gain(w, 2.0));
+  print(s);
+}
+""", {"x": 32, "d": 32}, """\
+%0 = input() {name=x} : tensor<32>
+%1 = input() {name=d} : tensor<32>
+%2 = lms_filter_gain_opt(%0, %1) {mu=0.01, M=4, g=2.0} : tensor<4>
+%3 = sum(%0) : tensor<1>
+print(%2)
+print(%3)
+"""),
+    # both new ops, in order, where the division was
+    "parseval": ("""
+def main(x) {
+  var re = dft1dreal(x);
+  var im = dft1dimg(x);
+  var energy = sum(square(re) + square(im)) / 16;
+  print(gain(x, 2.0));
+  print(energy);
+}
+""", {"x": 16}, """\
+%0 = input() {name=x} : tensor<16>
+%1 = square(%0) : tensor<16>
+%2 = sum(%1) : tensor<1>
+%3 = gain(%0) {g=2.0} : tensor<16>
+print(%3)
+print(%2)
+"""),
+    # an unbound input leaves the response unshaped; the taps are shaped
+    "filter_unbound": ("""
+def main(x) {
+  var h = lowPassFIRFilter(5, 1.1) * hammingWindow(5);
+  print(firFilterResponse(x, h));
+}
+""", None, """\
+%0 = input() {name=x} : tensor<?>
+%1 = filter_hamm_opt() {L=5, wc=1.1} : tensor<5>
+%2 = filter_res_symm_opt(%0, %1) : tensor<?>
+print(%2)
+"""),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SPLICE_GOLDEN))
+def test_rewrite_splice_golden(case):
+    source, lengths, expected = SPLICE_GOLDEN[case]
+    g2, _ = rewrite(source, lengths)
+    assert graph_to_text(g2) == expected
+
+
+def test_rewrite_that_reshapes_a_rewired_value_fails_verification(monkeypatch):
+    # an unsound up/down identity that ignores the factors: the gain would
+    # read a 10-sample value where its result says 15
+    def any_factor(ctx, site):
+        up = ctx.prod(site.operands[0]) if site.opcode is OpCode.DOWNSAMPLE else None
+        if up is None or up.opcode is not OpCode.UPSAMPLE:
+            return None
+        return rewriter.replace_site(ctx, site, up.operands[0])
+
+    monkeypatch.setitem(rewriter._MATCHERS, PatternId.IDENTITY_UP_DOWN, any_factor)
+    with pytest.raises(RewriteError) as exc:
+        rewrite("def main(x) { print(gain(downsample(upsample(x, 3), 2), 2.0)); }",
+                {"x": 10})
+    assert "pattern C3b produced an invalid graph" in str(exc.value)
+    assert "inconsistent" in str(exc.value)
