@@ -43,7 +43,11 @@ def compile_source(source: str,
 
 def max_relative_deviation(a: Sequence[Tensor], b: Sequence[Tensor],
                            abs_floor: float = 1e-12) -> float:
-    """Worst relative elementwise difference; length mismatches are inf."""
+    """Worst relative elementwise difference.
+
+    Equal values (the same infinity, NaN and NaN) score 0; a length mismatch
+    or any other pair with a non-finite member scores inf.
+    """
     worst = 0.0
     if len(a) != len(b):
         return math.inf
@@ -52,6 +56,10 @@ def max_relative_deviation(a: Sequence[Tensor], b: Sequence[Tensor],
         if len(va) != len(vb):
             return math.inf
         for x, y in zip(va, vb):
+            if x == y or (math.isnan(x) and math.isnan(y)):
+                continue
+            if not (math.isfinite(x) and math.isfinite(y)):
+                return math.inf
             d = abs(x - y)
             if d <= abs_floor:
                 continue

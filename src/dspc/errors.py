@@ -1,7 +1,7 @@
 """Shared exception hierarchy.
 
-Every error the pipeline can raise derives from DspcError so the CLI can map
-failures onto its exit codes without enumerating modules.
+Every error the pipeline can raise derives from DspcError.  The mapping of
+error classes onto the CLI's exit codes lives in `cli.main`.
 """
 
 from __future__ import annotations

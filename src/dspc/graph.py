@@ -445,10 +445,6 @@ class _LineScanner:
         while self.pos < len(self.text) and self.text[self.pos] in " \t":
             self.pos += 1
 
-    def peek(self) -> str:
-        self.skip_ws()
-        return self.text[self.pos] if self.pos < len(self.text) else ""
-
     def take(self, literal: str) -> bool:
         self.skip_ws()
         if self.text.startswith(literal, self.pos):

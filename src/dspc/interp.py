@@ -4,9 +4,10 @@ A program is translated once into a plain Python function (cached on the
 program object) and exec'd.  Operation counters follow the cost model the
 backend was lowered against: loads/stores per buffer access, multiplies
 (including divides), adds (including subtracts), trig calls, and loop
-iterations split by tag.  Counter increments are hoisted out of loops with
-static trip counts, so the totals are exact but nearly free; only work
-behind data-dependent or boundary branches is metered inline.
+iterations split by tag.  Loop bounds are static ints, so every loop's
+counter increments are hoisted out of it, scaled by its trip count: the
+totals are exact but nearly free.  Only the bodies of branches (boundary
+guards, data-dependent comparisons) are metered inline.
 """
 
 from __future__ import annotations
@@ -165,7 +166,7 @@ class _Compiler:
                     f"else {self._operand(stmt.if_false)}")
             elif isinstance(stmt, SelectGuard):
                 lines.append(f"{pad}if {stmt.lower} <= {stmt.expr.source()} "
-                             f"< {stmt.upper.source()}:")
+                             f"< {stmt.upper}:")
                 lines.extend(self._branch(stmt.body, depth + 1, loop_stack))
                 if stmt.orelse:
                     lines.append(f"{pad}else:")
@@ -197,27 +198,11 @@ class _Compiler:
             elif isinstance(stmt, For):
                 body_lines, body_cost = self._block(
                     stmt.body, depth + 1, loop_stack + [stmt.index])
-                it_cost = {"c_it": 1}
-                if stmt.tag:
-                    it_cost[self._tag_counter(stmt.tag)] = 1
-                if stmt.upper.is_const:
-                    trip = max(0, -(-(stmt.upper.const - stmt.lower)
-                                    // stmt.step))
-                    _merge(cost, body_cost, trip)
-                    _merge(cost, it_cost, trip)
-                    head = (f"{pad}for {stmt.index} in range({stmt.lower}, "
-                            f"{stmt.upper.const}"
-                            + (f", {stmt.step}" if stmt.step != 1 else "")
-                            + "):")
-                else:
-                    body_lines = (self._flush(
-                        {**it_cost, **body_cost}, "    " * (depth + 1))
-                        + body_lines)
-                    head = (f"{pad}for {stmt.index} in range({stmt.lower}, "
-                            f"{stmt.upper.source()}"
-                            + (f", {stmt.step}" if stmt.step != 1 else "")
-                            + "):")
-                lines.append(head)
+                trip = max(0, stmt.upper - stmt.lower)
+                _merge(cost, body_cost, trip)
+                _merge(cost, {"c_it": 1, self._tag_counter(stmt.tag): 1}, trip)
+                lines.append(f"{pad}for {stmt.index} in range({stmt.lower}, "
+                             f"{stmt.upper}):")
                 lines.extend(body_lines or [f"{pad}    pass"])
             else:
                 raise LoopRuntimeError(f"unknown statement {stmt!r}")

@@ -1,10 +1,11 @@
 """Loop-level IR: counted loops over flat float buffers with affine indexing.
 
-Index arithmetic is exact integer arithmetic over loop variables and is not
-metered; the float data path (loads, stores, multiplies, adds, trig calls)
-is what the execution counters measure.  All static accesses are bounds-
-checked at build time; a negative or overflowing index is only legal inside
-a SelectGuard that establishes its range.
+Loop and guard bounds are static ints, so every loop has a trip count known
+at build time.  Index arithmetic is exact integer arithmetic over loop
+variables and is not metered; the float data path (loads, stores,
+multiplies, adds, trig calls) is what the execution counters measure.  All
+static accesses are bounds-checked at build time; a negative or overflowing
+index is only legal inside a SelectGuard that establishes its range.
 """
 
 from __future__ import annotations
@@ -47,19 +48,8 @@ class AffineExpr:
         terms = tuple(sorted((n, c) for n, c in coeffs.items() if c != 0))
         return AffineExpr(const=self.const + other.const, terms=terms)
 
-    def minus(self, other: "AffineExpr") -> "AffineExpr":
-        return self.plus(other.scaled(-1))
-
-    def scaled(self, k: int) -> "AffineExpr":
-        return AffineExpr(const=self.const * k,
-                          terms=tuple((n, c * k) for n, c in self.terms))
-
     def shifted(self, k: int) -> "AffineExpr":
         return AffineExpr(const=self.const + k, terms=self.terms)
-
-    @property
-    def is_const(self) -> bool:
-        return not self.terms
 
     def source(self) -> str:
         """Render as a Python/int expression string."""
@@ -122,12 +112,13 @@ Operand = Union[TempRef, ConstF, IndexF, IndexProdF]
 
 @dataclass
 class For:
+    """``for index in [lower, upper)``; its iterations are counted under `tag`."""
+
     index: str
     lower: int
-    upper: AffineExpr
-    step: int
+    upper: int
     body: list["Stmt"]
-    tag: Optional[str] = None
+    tag: str
 
 
 @dataclass
@@ -171,7 +162,7 @@ class SelectGuard:
 
     expr: AffineExpr
     lower: int
-    upper: AffineExpr
+    upper: int
     body: list["Stmt"]
     orelse: list["Stmt"] = field(default_factory=list)
 
@@ -260,9 +251,7 @@ def _operand_text(v: Operand) -> str:
 def _stmt_lines(stmt: Stmt, indent: int) -> list[str]:
     pad = "  " * indent
     if isinstance(stmt, For):
-        tag = f" tag={stmt.tag}" if stmt.tag else ""
-        step = f" step {stmt.step}" if stmt.step != 1 else ""
-        lines = [f"{pad}for {stmt.index} in [{stmt.lower}, {stmt.upper}){step}{tag}:"]
+        lines = [f"{pad}for {stmt.index} in [{stmt.lower}, {stmt.upper}) tag={stmt.tag}:"]
         for s in stmt.body:
             lines.extend(_stmt_lines(s, indent + 1))
         return lines
@@ -357,13 +346,10 @@ def validate_program(program: LoopProgram) -> None:
                     guards: dict[AffineExpr, tuple[int, int]]) -> None:
         for stmt in stmts:
             if isinstance(stmt, For):
-                if stmt.step < 1:
-                    raise LoopIrError(f"loop over {stmt.index} has step {stmt.step}")
-                up_lo, up_hi = _interval(stmt.upper, ranges)
-                if up_hi <= stmt.lower:
-                    continue  # provably empty loop, body never executes
+                if stmt.upper <= stmt.lower:
+                    continue  # empty loop, body never executes
                 sub = dict(ranges)
-                sub[stmt.index] = (stmt.lower, up_hi - 1)
+                sub[stmt.index] = (stmt.lower, stmt.upper - 1)
                 check_block(stmt.body, sub, guards)
             elif isinstance(stmt, (Load, Store)):
                 if stmt.buffer not in caps:
@@ -379,22 +365,21 @@ def validate_program(program: LoopProgram) -> None:
                         f"index {stmt.index} spans [{lo}, {hi}] outside "
                         f"[0, {caps[stmt.buffer]})")
             elif isinstance(stmt, SelectGuard):
-                _up_lo, up_hi = _interval(stmt.upper, ranges)
                 if (stmt.expr.const == 0 and len(stmt.expr.terms) == 1
                         and stmt.expr.terms[0][1] == 1):
                     # Guard on a bare loop index: narrow that index's range
                     # so any expression over it (e.g. a mirrored store at
                     # N-1-k) inherits the constraint.
                     name = stmt.expr.terms[0][0]
-                    lo, hi = ranges.get(name, (stmt.lower, up_hi - 1))
-                    narrowed = (max(lo, stmt.lower), min(hi, up_hi - 1))
+                    lo, hi = ranges.get(name, (stmt.lower, stmt.upper - 1))
+                    narrowed = (max(lo, stmt.lower), min(hi, stmt.upper - 1))
                     if narrowed[0] <= narrowed[1]:
                         sub_r = dict(ranges)
                         sub_r[name] = narrowed
                         check_block(stmt.body, sub_r, guards)
                 else:
                     sub = dict(guards)
-                    sub[stmt.expr] = (stmt.lower, up_hi - 1)
+                    sub[stmt.expr] = (stmt.lower, stmt.upper - 1)
                     check_block(stmt.body, ranges, sub)
                 check_block(stmt.orelse, ranges, guards)
             elif isinstance(stmt, IfCmp):

@@ -41,13 +41,8 @@ def _af(index: str, coeff: int = 1, const: int = 0) -> AffineExpr:
     return AffineExpr.of(index, coeff, const)
 
 
-def _lit(v: int) -> AffineExpr:
-    return AffineExpr.lit(v)
-
-
 class _Lowerer:
-    def __init__(self, graph: DspGraph):
-        self.graph = graph
+    def __init__(self):
         self.buffers: list[BufferDecl] = []
         self.body: list[Stmt] = []
         self.inputs: list[tuple[str, str]] = []
@@ -91,15 +86,20 @@ class _Lowerer:
 
     # -- shared loop shapes --------------------------------------------------
 
-    def copy_loop(self, op: OpNode, src_index_of, n: int, tag: str,
-                  transform) -> None:
+    def loop(self, op: OpNode, index: str, n: int, body: list[Stmt],
+             part: str = "", lower: int = 0) -> For:
+        """``for index in [lower, n)``, tagged ``<opcode>`` or ``<opcode>.<part>``."""
+        tag = f"{op.opcode.value}.{part}" if part else op.opcode.value
+        return For(index, lower, n, body, tag=tag)
+
+    def copy_loop(self, op: OpNode, src_index_of, n: int, transform) -> None:
         """``for i in [0, n): out[i] = f(load src[src_index_of(i)])``."""
         i = f"i{op.id}"
         tv = self.t()
         body: list[Stmt] = [Load(tv, self.buf(op.operands[0]),
                                  src_index_of(i))]
         body.extend(transform(i, tv))
-        self.body.append(For(i, 0, _lit(n), 1, body, tag=tag))
+        self.body.append(self.loop(op, i, n, body))
 
     def guarded_mac(self, n_idx: str, i_idx: str, x_buf: str, x_len: int,
                     tap: str, acc: str, offset: int = 0,
@@ -107,7 +107,7 @@ class _Lowerer:
         """Guarded ``acc += tap * x[n + i_coeff*i + offset]``."""
         at = _af(n_idx).plus(_af(i_idx, i_coeff)).shifted(offset)
         tx, tm = self.t(), self.t()
-        return SelectGuard(at, 0, _lit(x_len), body=[
+        return SelectGuard(at, 0, x_len, body=[
             Load(tx, x_buf, at),
             BinaryArith(tm, "mul", TempRef(tap), TempRef(tx)),
             BinaryArith(acc, "add", TempRef(acc), TempRef(tm)),
@@ -145,10 +145,10 @@ def _e_delay(lw: _Lowerer, op: OpNode) -> None:
         body: list[Stmt] = [Load(tv, x, _af(i)), Store(out, _af(i), TempRef(tv))]
     else:
         at = _af(i, const=-k)
-        body = [SelectGuard(at, 0, _lit(n),
+        body = [SelectGuard(at, 0, n,
                             body=[Load(tv, x, at), Store(out, _af(i), TempRef(tv))],
                             orelse=[Store(out, _af(i), ConstF(0.0))])]
-    lw.body.append(For(i, 0, _lit(n), 1, body, tag="delay"))
+    lw.body.append(lw.loop(op, i, n, body))
 
 
 def _e_fir(lw: _Lowerer, op: OpNode) -> None:
@@ -157,7 +157,6 @@ def _e_fir(lw: _Lowerer, op: OpNode) -> None:
     n_x = lw.operand_len(op, 0)
     n_h = lw.operand_len(op, 1)
     out = lw.buf(op.id)
-    tag = op.opcode.value
     n_i, i_i = f"i{op.id}", f"j{op.id}"
     acc, th = lw.t(), lw.t()
     inner: list[Stmt] = [
@@ -166,10 +165,10 @@ def _e_fir(lw: _Lowerer, op: OpNode) -> None:
     ]
     body: list[Stmt] = [
         SetTemp(acc, ConstF(0.0)),
-        For(i_i, 0, _lit(n_h), 1, inner, tag=f"{tag}.inner"),
+        lw.loop(op, i_i, n_h, inner, "inner"),
         Store(out, _af(n_i), TempRef(acc)),
     ]
-    lw.body.append(For(n_i, 0, _lit(lw.length(op.id)), 1, body, tag=f"{tag}.outer"))
+    lw.body.append(lw.loop(op, n_i, lw.length(op.id), body, "outer"))
 
 
 def _e_sliding_avg(lw: _Lowerer, op: OpNode) -> None:
@@ -179,17 +178,17 @@ def _e_sliding_avg(lw: _Lowerer, op: OpNode) -> None:
     n_i, i_i = f"i{op.id}", f"j{op.id}"
     acc, tx, tq = lw.t(), lw.t(), lw.t()
     at = _af(n_i).plus(_af(i_i, -1))
-    inner: list[Stmt] = [SelectGuard(at, 0, _lit(n), body=[
+    inner: list[Stmt] = [SelectGuard(at, 0, n, body=[
         Load(tx, x, at),
         BinaryArith(acc, "add", TempRef(acc), TempRef(tx)),
     ])]
     body: list[Stmt] = [
         SetTemp(acc, ConstF(0.0)),
-        For(i_i, 0, _lit(w), 1, inner, tag="sliding_window_avg.inner"),
+        lw.loop(op, i_i, w, inner, "inner"),
         BinaryArith(tq, "div", TempRef(acc), ConstF(float(w))),
         Store(out, _af(n_i), TempRef(tq)),
     ]
-    lw.body.append(For(n_i, 0, _lit(n), 1, body, tag="sliding_window_avg.outer"))
+    lw.body.append(lw.loop(op, n_i, n, body, "outer"))
 
 
 def _e_dft(lw: _Lowerer, op: OpNode, *, real: bool = True, imag: bool = True,
@@ -201,7 +200,6 @@ def _e_dft(lw: _Lowerer, op: OpNode, *, real: bool = True, imag: bool = True,
     """
     n = lw.operand_len(op, 0)
     x = lw.buf(op.operands[0])
-    tag = op.opcode.value
     c1 = 2.0 * math.pi / n
     k_i, n_i = f"i{op.id}", f"j{op.id}"
     parts = [(trig, sign) for on, trig, sign in ((real, "cos", "add"), (imag, "sin", "sub"))
@@ -218,7 +216,7 @@ def _e_dft(lw: _Lowerer, op: OpNode, *, real: bool = True, imag: bool = True,
                   BinaryArith(tm, "mul", TempRef(tx), TempRef(tc)),
                   BinaryArith(acc, sign, TempRef(acc), TempRef(tm))]
     body: list[Stmt] = [SetTemp(acc, ConstF(0.0)) for acc in accs]
-    body.append(For(n_i, 0, _lit(n), 1, inner, tag=f"{tag}.inner"))
+    body.append(lw.loop(op, n_i, n, inner, "inner"))
     body += [Store(lw.buf(rid), _af(k_i), TempRef(acc)) for rid, acc in zip(op.result_ids, accs)]
     if half:
         out, acc = lw.buf(op.id), accs[0]
@@ -229,8 +227,8 @@ def _e_dft(lw: _Lowerer, op: OpNode, *, real: bool = True, imag: bool = True,
             tn = lw.t()
             mirror = [BinaryArith(tn, "sub", ConstF(0.0), TempRef(acc)),
                       Store(out, _af(k_i, -1, n), TempRef(tn))]
-        body.append(SelectGuard(_af(k_i), 1, _lit((n + 1) // 2), body=mirror))
-    lw.body.append(For(k_i, 0, _lit(n // 2 + 1 if half else n), 1, body, tag=f"{tag}.outer"))
+        body.append(SelectGuard(_af(k_i), 1, (n + 1) // 2, body=mirror))
+    lw.body.append(lw.loop(op, k_i, n // 2 + 1 if half else n, body, "outer"))
 
 
 def _e_idft(lw: _Lowerer, op: OpNode) -> None:
@@ -253,11 +251,11 @@ def _e_idft(lw: _Lowerer, op: OpNode) -> None:
     ]
     body: list[Stmt] = [
         SetTemp(acc, ConstF(0.0)),
-        For(k_i, 0, _lit(n), 1, inner, tag="idft1d.inner"),
+        lw.loop(op, k_i, n, inner, "inner"),
         BinaryArith(tq, "div", TempRef(acc), ConstF(float(n))),
         Store(out, _af(n_i), TempRef(tq)),
     ]
-    lw.body.append(For(n_i, 0, _lit(n), 1, body, tag="idft1d.outer"))
+    lw.body.append(lw.loop(op, n_i, n, body, "outer"))
 
 
 def _lowpass_tap(lw: _Lowerer, n_i: str, L: int, wc: float, lp: str
@@ -274,7 +272,7 @@ def _lowpass_tap(lw: _Lowerer, n_i: str, L: int, wc: float, lp: str
     ]
     if L % 2 == 1:
         midi = (L - 1) // 2
-        return [SelectGuard(_af(n_i), midi, _lit(midi + 1),
+        return [SelectGuard(_af(n_i), midi, midi + 1,
                             body=[SetTemp(lp, ConstF(scale))], orelse=calc)]
     return calc
 
@@ -299,7 +297,7 @@ def _e_lowpass(lw: _Lowerer, op: OpNode) -> None:
     lp = lw.t()
     body = _lowpass_tap(lw, n_i, L, wc, lp)
     body.append(Store(out, _af(n_i), TempRef(lp)))
-    lw.body.append(For(n_i, 0, _lit(L), 1, body, tag="low_pass_fir_coeffs"))
+    lw.body.append(lw.loop(op, n_i, L, body))
 
 
 def _e_hamming(lw: _Lowerer, op: OpNode) -> None:
@@ -309,7 +307,7 @@ def _e_hamming(lw: _Lowerer, op: OpNode) -> None:
     hw = lw.t()
     body = _hamming_tap(lw, n_i, L, hw)
     body.append(Store(out, _af(n_i), TempRef(hw)))
-    lw.body.append(For(n_i, 0, _lit(L), 1, body, tag="hamming_window"))
+    lw.body.append(lw.loop(op, n_i, L, body))
 
 
 def _e_filter_hamm_opt(lw: _Lowerer, op: OpNode) -> None:
@@ -323,10 +321,10 @@ def _e_filter_hamm_opt(lw: _Lowerer, op: OpNode) -> None:
     body.append(BinaryArith(hv, "mul", TempRef(lp), TempRef(hw)))
     body.append(Store(out, _af(n_i), TempRef(hv)))
     # mirrored tap; the middle of an odd-length window is stored once
-    body.append(SelectGuard(_af(n_i), 0, _lit(L // 2),
+    body.append(SelectGuard(_af(n_i), 0, L // 2,
                             body=[Store(out, _af(n_i, -1, L - 1), TempRef(hv))]))
     half = (L + 1) // 2
-    lw.body.append(For(n_i, 0, _lit(half), 1, body, tag="filter_hamm_opt"))
+    lw.body.append(lw.loop(op, n_i, half, body))
 
 
 def _e_filter_res_symm(lw: _Lowerer, op: OpNode) -> None:
@@ -342,11 +340,11 @@ def _e_filter_res_symm(lw: _Lowerer, op: OpNode) -> None:
     inner: list[Stmt] = [
         Load(th, h, _af(i_i)),
         SetTemp(tp, ConstF(0.0)),
-        SelectGuard(at_lo, 0, _lit(n_x), body=[
+        SelectGuard(at_lo, 0, n_x, body=[
             Load(tx1, x, at_lo),
             BinaryArith(tp, "add", TempRef(tp), TempRef(tx1)),
         ]),
-        SelectGuard(at_hi, 0, _lit(n_x), body=[
+        SelectGuard(at_hi, 0, n_x, body=[
             Load(tx2, x, at_hi),
             BinaryArith(tp, "add", TempRef(tp), TempRef(tx2)),
         ]),
@@ -355,17 +353,16 @@ def _e_filter_res_symm(lw: _Lowerer, op: OpNode) -> None:
     ]
     body: list[Stmt] = [
         SetTemp(acc, ConstF(0.0)),
-        For(i_i, 0, _lit(L // 2), 1, inner, tag="filter_res_symm_opt.inner"),
+        lw.loop(op, i_i, L // 2, inner, "inner"),
     ]
     if L % 2 == 1:
         midi = (L - 1) // 2
         th2 = lw.t()
-        body.append(Load(th2, h, _lit(midi)))
+        body.append(Load(th2, h, AffineExpr.lit(midi)))
         body.append(lw.guarded_mac(n_i, i_i, x, n_x, th2, acc,
                                    offset=-midi, i_coeff=0))
     body.append(Store(out, _af(n_i), TempRef(acc)))
-    lw.body.append(For(n_i, 0, _lit(lw.length(op.id)), 1, body,
-                       tag="filter_res_symm_opt.outer"))
+    lw.body.append(lw.loop(op, n_i, lw.length(op.id), body, "outer"))
 
 
 def _e_filter_y_symm(lw: _Lowerer, op: OpNode) -> None:
@@ -381,20 +378,19 @@ def _e_filter_y_symm(lw: _Lowerer, op: OpNode) -> None:
     ]
     body: list[Stmt] = [
         SetTemp(acc, ConstF(0.0)),
-        For(i_i, 0, _lit(n), 1, inner, tag="filter_y_symm_opt.inner"),
+        lw.loop(op, i_i, n, inner, "inner"),
         Store(out, _af(n_i), TempRef(acc)),
         # palindrome: y[Nout-1-n] = y[n], middle stored once
-        SelectGuard(_af(n_i), 0, _lit(n - 1),
+        SelectGuard(_af(n_i), 0, n - 1,
                     body=[Store(out, _af(n_i, -1, n_out - 1), TempRef(acc))]),
     ]
-    lw.body.append(For(n_i, 0, _lit(n), 1, body, tag="filter_y_symm_opt.outer"))
+    lw.body.append(lw.loop(op, n_i, n, body, "outer"))
 
 
 def _e_lms(lw: _Lowerer, op: OpNode) -> None:
     """LMS adaptation; the gain-fused form scales the step by its gain g."""
     attrs = {a.name: a.value for a in op.attributes}
     step = float(attrs["mu"]) * float(attrs.get("g", 1.0))
-    tag = op.opcode.value
     x, d = lw.buf(op.operands[0]), lw.buf(op.operands[1])
     n = lw.operand_len(op, 0)
     m = int(op.attr("M"))
@@ -402,7 +398,7 @@ def _e_lms(lw: _Lowerer, op: OpNode) -> None:
     n_i, i_i = f"i{op.id}", f"j{op.id}"
     y, tw, tx1, tm1 = lw.t(), lw.t(), lw.t(), lw.t()
     at = _af(n_i).plus(_af(i_i, -1))
-    dot: list[Stmt] = [SelectGuard(at, 0, _lit(n), body=[
+    dot: list[Stmt] = [SelectGuard(at, 0, n, body=[
         Load(tw, w, _af(i_i)),
         Load(tx1, x, at),
         BinaryArith(tm1, "mul", TempRef(tw), TempRef(tx1)),
@@ -410,7 +406,7 @@ def _e_lms(lw: _Lowerer, op: OpNode) -> None:
     ])]
     td, e, t = lw.t(), lw.t(), lw.t()
     tx2, tu, tw2, tw3 = lw.t(), lw.t(), lw.t(), lw.t()
-    upd: list[Stmt] = [SelectGuard(at, 0, _lit(n), body=[
+    upd: list[Stmt] = [SelectGuard(at, 0, n, body=[
         Load(tx2, x, at),
         BinaryArith(tu, "mul", TempRef(t), TempRef(tx2)),
         Load(tw2, w, _af(i_i)),
@@ -419,13 +415,13 @@ def _e_lms(lw: _Lowerer, op: OpNode) -> None:
     ])]
     body: list[Stmt] = [
         SetTemp(y, ConstF(0.0)),
-        For(i_i, 0, _lit(m), 1, dot, tag=f"{tag}.dot"),
+        lw.loop(op, i_i, m, dot, "dot"),
         Load(td, d, _af(n_i)),
         BinaryArith(e, "sub", TempRef(td), TempRef(y)),
         BinaryArith(t, "mul", ConstF(step), TempRef(e)),
-        For(i_i, 0, _lit(m), 1, upd, tag=f"{tag}.update"),
+        lw.loop(op, i_i, m, upd, "update"),
     ]
-    lw.body.append(For(n_i, 0, _lit(n), 1, body, tag=f"{tag}.outer"))
+    lw.body.append(lw.loop(op, n_i, n, body, "outer"))
     lw.body.append(CheckFinite(w))
 
 
@@ -435,8 +431,8 @@ def _e_binary(lw: _Lowerer, op: OpNode) -> None:
     a, b = lw.buf(op.operands[0]), lw.buf(op.operands[1])
     out = lw.buf(op.id)
     i = f"i{op.id}"
-    ia = _af(i) if na != 1 else _lit(0)
-    ib = _af(i) if nb != 1 else _lit(0)
+    ia = _af(i) if na != 1 else AffineExpr.lit(0)
+    ib = _af(i) if nb != 1 else AffineExpr.lit(0)
     ta, tb, tv = lw.t(), lw.t(), lw.t()
     body: list[Stmt] = [
         Load(ta, a, ia),
@@ -444,13 +440,13 @@ def _e_binary(lw: _Lowerer, op: OpNode) -> None:
         BinaryArith(tv, op.opcode.value, TempRef(ta), TempRef(tb)),
         Store(out, _af(i), TempRef(tv)),
     ]
-    lw.body.append(For(i, 0, _lit(n), 1, body, tag=op.opcode.value))
+    lw.body.append(lw.loop(op, i, n, body))
 
 
 def _e_square(lw: _Lowerer, op: OpNode) -> None:
     out = lw.buf(op.id)
     tv = lw.t()
-    lw.copy_loop(op, lambda i: _af(i), lw.length(op.id), "square",
+    lw.copy_loop(op, lambda i: _af(i), lw.length(op.id),
                  lambda i, tx: [BinaryArith(tv, "mul", TempRef(tx), TempRef(tx)),
                                 Store(out, _af(i), TempRef(tv))])
 
@@ -459,7 +455,7 @@ def _e_gain(lw: _Lowerer, op: OpNode) -> None:
     g = float(op.attr("g"))
     out = lw.buf(op.id)
     tv = lw.t()
-    lw.copy_loop(op, lambda i: _af(i), lw.length(op.id), "gain",
+    lw.copy_loop(op, lambda i: _af(i), lw.length(op.id),
                  lambda i, tx: [BinaryArith(tv, "mul", ConstF(g), TempRef(tx)),
                                 Store(out, _af(i), TempRef(tv))])
 
@@ -467,7 +463,7 @@ def _e_gain(lw: _Lowerer, op: OpNode) -> None:
 def _e_reverse(lw: _Lowerer, op: OpNode) -> None:
     n = lw.length(op.id)
     out = lw.buf(op.id)
-    lw.copy_loop(op, lambda i: _af(i, -1, n - 1), n, "reverse",
+    lw.copy_loop(op, lambda i: _af(i, -1, n - 1), n,
                  lambda i, tx: [Store(out, _af(i), TempRef(tx))])
 
 
@@ -477,18 +473,18 @@ def _e_sum(lw: _Lowerer, op: OpNode) -> None:
     i = f"i{op.id}"
     acc, tx = lw.t(), lw.t()
     lw.body.append(SetTemp(acc, ConstF(0.0)))
-    lw.body.append(For(i, 0, _lit(n), 1, [
+    lw.body.append(lw.loop(op, i, n, [
         Load(tx, x, _af(i)),
         BinaryArith(acc, "add", TempRef(acc), TempRef(tx)),
-    ], tag="sum"))
-    lw.body.append(Store(out, _lit(0), TempRef(acc)))
+    ]))
+    lw.body.append(Store(out, AffineExpr.lit(0), TempRef(acc)))
 
 
 def _e_threshold(lw: _Lowerer, op: OpNode) -> None:
     t = float(op.attr("t"))
     out = lw.buf(op.id)
     ta, ts = lw.t(), lw.t()
-    lw.copy_loop(op, lambda i: _af(i), lw.length(op.id), "threshold",
+    lw.copy_loop(op, lambda i: _af(i), lw.length(op.id),
                  lambda i, tv: [
                      IntrinsicCall(ta, "abs", TempRef(tv)),
                      Select(ts, "ge", TempRef(ta), ConstF(t),
@@ -504,7 +500,7 @@ def _e_quantize(lw: _Lowerer, op: OpNode) -> None:
     step = (hi - lo) / (levels - 1)
     out = lw.buf(op.id)
     tc1, tc2, tq1, tq, tr1, tr, tm, ty = (lw.t() for _ in range(8))
-    lw.copy_loop(op, lambda i: _af(i), lw.length(op.id), "quantize",
+    lw.copy_loop(op, lambda i: _af(i), lw.length(op.id),
                  lambda i, tv: [
                      Select(tc1, "lt", TempRef(tv), ConstF(lo),
                             ConstF(lo), TempRef(tv)),
@@ -525,9 +521,9 @@ def _e_rle(lw: _Lowerer, op: OpNode) -> None:
     x, out = lw.buf(op.operands[0]), lw.buf(op.id)
     i = f"i{op.id}"
     rv, rl, tv = lw.t(), lw.t(), lw.t()
-    lw.body.append(Load(rv, x, _lit(0)))
+    lw.body.append(Load(rv, x, AffineExpr.lit(0)))
     lw.body.append(SetTemp(rl, ConstF(1.0)))
-    lw.body.append(For(i, 1, _lit(n), 1, [
+    lw.body.append(lw.loop(op, i, n, [
         Load(tv, x, _af(i)),
         IfCmp("eq", TempRef(tv), TempRef(rv),
               body=[BinaryArith(rl, "add", TempRef(rl), ConstF(1.0))],
@@ -535,7 +531,7 @@ def _e_rle(lw: _Lowerer, op: OpNode) -> None:
                       DynAppend(out, TempRef(rl)),
                       SetTemp(rv, TempRef(tv)),
                       SetTemp(rl, ConstF(1.0))]),
-    ], tag="run_len_encoding"))
+    ], lower=1))
     lw.body.append(DynAppend(out, TempRef(rv)))
     lw.body.append(DynAppend(out, TempRef(rl)))
 
@@ -544,14 +540,14 @@ def _e_upsample(lw: _Lowerer, op: OpNode) -> None:
     k = int(op.attr("k"))
     n = lw.operand_len(op, 0)
     out = lw.buf(op.id)
-    lw.copy_loop(op, lambda i: _af(i), n, "upsample",
+    lw.copy_loop(op, lambda i: _af(i), n,
                  lambda i, tx: [Store(out, _af(i, k), TempRef(tx))])
 
 
 def _e_downsample(lw: _Lowerer, op: OpNode) -> None:
     k = int(op.attr("k"))
     out = lw.buf(op.id)
-    lw.copy_loop(op, lambda i: _af(i, k), lw.length(op.id), "downsample",
+    lw.copy_loop(op, lambda i: _af(i, k), lw.length(op.id),
                  lambda i, tx: [Store(out, _af(i), TempRef(tx))])
 
 
@@ -561,11 +557,11 @@ def _e_osc(lw: _Lowerer, op: OpNode, trig: str) -> None:
     out = lw.buf(op.id)
     i = f"i{op.id}"
     ta, ts = lw.t(), lw.t()
-    lw.body.append(For(i, 0, _lit(n), 1, [
+    lw.body.append(lw.loop(op, i, n, [
         BinaryArith(ta, "mul", ConstF(c), IndexF(_af(i))),
         IntrinsicCall(ts, trig, TempRef(ta)),
         Store(out, _af(i), TempRef(ts)),
-    ], tag=op.opcode.value))
+    ]))
 
 
 def _e_range_vec(lw: _Lowerer, op: OpNode) -> None:
@@ -575,11 +571,11 @@ def _e_range_vec(lw: _Lowerer, op: OpNode) -> None:
     out = lw.buf(op.id)
     i = f"i{op.id}"
     tm, tv = lw.t(), lw.t()
-    lw.body.append(For(i, 0, _lit(n), 1, [
+    lw.body.append(lw.loop(op, i, n, [
         BinaryArith(tm, "mul", ConstF(step), IndexF(_af(i))),
         BinaryArith(tv, "add", ConstF(start), TempRef(tm)),
         Store(out, _af(i), TempRef(tv)),
-    ], tag="range_vec"))
+    ]))
 
 
 # The loop-nest emitter of each opcode; print lowers to nothing.
@@ -624,7 +620,7 @@ EMITTERS = {
 
 def lower_graph(graph: DspGraph) -> LoopProgram:
     """Lower every op to loop nests; bounds are validated statically."""
-    lw = _Lowerer(graph)
+    lw = _Lowerer()
     for op in graph.ops:
         lw.emit(op)
     program = LoopProgram(

@@ -214,6 +214,15 @@ def test_bench_failing_check_exits_5(capsys):
     assert "FAIL" in out
 
 
+def test_bench_overflow_disagreement_exits_5(capsys):
+    # the unoptimized route prints inf, the rewritten one a finite value
+    fixture = str(FIXTURES / "overflow_energy.dsp")
+    code, out, _ = run_cli(capsys, "bench", fixture, "--synth", "x=64,3")
+    assert code == 5
+    assert "max relative deviation: inf" in out
+    assert "FAIL  output deviation" in out
+
+
 def test_bench_unknown_target(capsys):
     code, _, err = run_cli(capsys, "bench", "app99")
     assert code == 1

@@ -86,6 +86,25 @@ def test_deviation_length_mismatch_is_infinite():
     assert corpus.max_relative_deviation(a, b) == math.inf
 
 
+INF, NAN = math.inf, math.nan
+
+
+@pytest.mark.parametrize("x,y,want", [
+    (INF, INF, 0.0), (-INF, -INF, 0.0), (NAN, NAN, 0.0),
+    (NAN, 1.0, INF), (1.0, NAN, INF), (INF, 1.0, INF), (1.0, -INF, INF),
+    (INF, -INF, INF), (NAN, INF, INF),
+])
+def test_deviation_non_finite(x, y, want):
+    # a non-finite value scores 0 only against an equal one, even when a
+    # finite pair before it deviates
+    a, b = [tensor([100.0, x])], [tensor([100.0 + 1e-7, y])]
+    dev = corpus.max_relative_deviation(a, b)
+    if want == 0.0:
+        assert dev == pytest.approx(1e-9, rel=1e-2)
+    else:
+        assert dev == INF
+
+
 # --------------------------------------------------------------------------
 # synthetic input generator
 

@@ -3,15 +3,17 @@ and trip/operation counts must match loop-bound arithmetic.
 """
 
 import random
+from pathlib import Path
 
 import pytest
 
 from dspc.frontend import parse_source
 from dspc.graph import build_graph, infer_shapes
-from dspc.interp import evaluate_loop_ir
+from dspc.interp import compiled_source, evaluate_loop_ir
 from dspc.kernels import eval_graph, tensor
-from dspc.loop_ir import (AffineExpr, BufferDecl, For, LoopProgram, OutOfBounds,
-                          Store, ConstF, loop_to_text, validate_program)
+from dspc.loop_ir import (AffineExpr, BufferDecl, For, IfCmp, LoopProgram,
+                          OutOfBounds, SelectGuard, Store, ConstF, loop_to_text,
+                          validate_program)
 from dspc.lowering import lower_graph
 from dspc.rewriter import apply_dsp_patterns
 
@@ -201,11 +203,25 @@ def test_loads_by_buffer_tracks_taps():
     assert c.loads_by_buffer[h_buf] == 12
 
 
+GOLDEN = Path(__file__).resolve().parent / "fixtures" / "golden_lowering"
+
+
+def test_golden_loop_text_and_generated_source():
+    # pins the exact loop IR and generated Python for a nonzero lower bound,
+    # IfCmp/DynAppend, a guard with an else branch, a run-time division
+    # guard and CheckFinite
+    g = compile_graph(GOLDEN.with_suffix(".dsp").read_text(), {"x": 3, "d": 3})
+    program = lower_graph(g)
+    assert loop_to_text(program) == GOLDEN.with_suffix(".loop").read_text()
+    assert (compiled_source(program) + "\n"
+            == GOLDEN.with_suffix(".py.txt").read_text())
+
+
 def test_validator_rejects_static_out_of_bounds():
     i = AffineExpr.of("i")
     prog = LoopProgram(
         buffers=[BufferDecl("y", 4)],
-        body=[For("i", 0, AffineExpr.lit(5), 1,
+        body=[For("i", 0, 5,
                   [Store("y", i, ConstF(0.0))], "bad")],
         inputs=[], outputs=[], returns=[])
     with pytest.raises(OutOfBounds):
@@ -221,3 +237,48 @@ def test_validator_accepts_lowered_corpus():
         lower_graph(g)  # validates internally
         g2, _ = apply_dsp_patterns(g)
         lower_graph(g2)
+
+
+def _loop_tags(stmts):
+    for s in stmts:
+        if isinstance(s, For):
+            yield s.tag
+            yield from _loop_tags(s.body)
+        elif isinstance(s, (SelectGuard, IfCmp)):
+            yield from _loop_tags(s.body)
+            yield from _loop_tags(s.orelse)
+
+
+# the full-coverage program of acceptance test 10
+FULL_COVERAGE = """
+def main(x) {
+  var lagged = delay(x, 2);
+  var smooth = slidingWindowAvg(lagged, 3);
+  var packed = runLenEncoding(quantize(threshold(x, 0.5), 8, 0 - 1, 1));
+  var resampled = downsample(upsample(smooth, 2), 2);
+  var back = idft1d(dft1dreal(x), dft1dimg(x));
+  var tones = sinVec(12, 2, 12.0) + cosVec(12, 3, 12.0) + rangeVec(0, 1, 12);
+  print(packed);
+  print(resampled - back / 2.0);
+  print(tones);
+  return sum(reverse(x));
+}
+"""
+
+
+def test_loop_tags_name_an_opcode_of_the_graph():
+    # a tag is `v` or `v.<part>`, v the opcode value of an op in the graph
+    from dspc import corpus
+    graphs = [corpus.compile_source(FULL_COVERAGE, {"x": 12})]
+    for app in corpus.APPS:
+        sizes = app.default_sizes()
+        graphs.append(corpus.compile_source(app.source(sizes),
+                                            app.input_lengths(sizes)))
+    graphs += [apply_dsp_patterns(g)[0] for g in graphs]
+    for g in graphs:
+        values = {op.opcode.value for op in g.ops}
+        tags = list(_loop_tags(lower_graph(g).body))
+        assert tags
+        for tag in tags:
+            base, dot, part = tag.partition(".")
+            assert base in values and bool(dot) == bool(part), tag
