@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 from typing import Optional, Sequence
@@ -20,8 +21,8 @@ from .errors import UsageError
 from .frontend import FrontendError, ast_to_text, parse_source, tokenize
 from .graph import (DspGraph, GraphBuildError, GraphTextError, ShapeMismatch,
                     VerificationFailed, graph_to_text)
-from .interp import (ExecCounters, LoopRuntimeError, counters_report,
-                     evaluate_loop_ir, report_table)
+from .interp import (ExecCounters, LoopRuntimeError, NonFinite,
+                     counters_report, evaluate_loop_ir, report_table)
 from .kernels import KernelError, Tensor, eval_graph, tensor
 from .loop_ir import LoopIrError, loop_to_text
 from .lowering import LoweringUnsupported, lower_graph
@@ -215,6 +216,9 @@ def cmd_run(args) -> int:
         graph, _stats = apply_dsp_patterns(graph, enabled)
     program = lower_graph(graph)
     outputs, counters = evaluate_loop_ir(program, bindings)
+    for vid, _buf in program.outputs:
+        if not all(map(math.isfinite, outputs[vid].values)):
+            raise NonFinite(f"non-finite value in printed %{vid}")
     for vid, _buf in program.outputs:
         t = outputs[vid]
         if args.print_index is not None:

@@ -4,16 +4,18 @@ A program is translated once into a plain Python function (cached on the
 program object) and exec'd.  Operation counters follow the cost model the
 backend was lowered against: loads/stores per buffer access, multiplies
 (including divides), adds (including subtracts), trig calls, and loop
-iterations split by tag.  Loop bounds are static ints, so every loop's
-counter increments are hoisted out of it, scaled by its trip count: the
-totals are exact but nearly free.  Only the bodies of branches (boundary
-guards, data-dependent comparisons) are metered inline.
+iterations split by tag.  Loop bounds are static ints, so the cost of one
+run of any block is known at codegen time.  The generated code counts only
+how often each branch body (a boundary guard or a data-dependent
+comparison) ran, with one `+=` per run; the totals are the static cost plus
+each branch body's runs times its cost.
 """
 
 from __future__ import annotations
 
 import math
 import time
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -72,34 +74,26 @@ class ExecCounters:
         }
 
 
-_COST_OF_ARITH = {"add": "c_ad", "sub": "c_ad", "mul": "c_mu", "div": "c_mu"}
-
-
-def _merge(into: dict[str, int], cost: dict[str, int], times: int = 1) -> None:
-    for k, v in cost.items():
-        into[k] = into.get(k, 0) + v * times
+_COST_OF_ARITH = {"add": "adds", "sub": "adds", "mul": "mults",
+                  "div": "mults"}
 
 
 class _Compiler:
+    """Translates a loop program into one Python function, `_run`.
+
+    A block's cost per run is static: a Counter keyed by the `ExecCounters`
+    fields `stores`, `mults`, `adds` and `trig_calls`, plus ("tag", t) per
+    iteration of a loop tagged t and ("load", b) per load from buffer b.  A
+    loop adds its body's cost and one count of its tag, times its trip count.
+    A branch body or else arm runs a data-dependent number of times, so it is
+    not part of its enclosing block's cost: if its own cost is non-zero it
+    gets a run counter `b_<k>`, bumped once at its end, and its cost is kept
+    in `branch_costs[k]`.  `_run` returns the run counters.
+    """
+
     def __init__(self, program: LoopProgram):
         self.program = program
-        self.tags: list[str] = []
-        self.tag_slot: dict[str, int] = {}
-        self.load_bufs: list[str] = []
-        self.buf_slot: dict[str, int] = {}
-        self.dyn = [b.name for b in program.buffers if b.dynamic]
-
-    def _tag_counter(self, tag: str) -> str:
-        if tag not in self.tag_slot:
-            self.tag_slot[tag] = len(self.tags)
-            self.tags.append(tag)
-        return f"ct_{self.tag_slot[tag]}"
-
-    def _buf_counter(self, name: str) -> str:
-        if name not in self.buf_slot:
-            self.buf_slot[name] = len(self.load_bufs)
-            self.load_bufs.append(name)
-        return f"cb_{self.buf_slot[name]}"
+        self.branch_costs: list[Counter] = []
 
     def _operand(self, v: Operand) -> str:
         if isinstance(v, TempRef):
@@ -112,23 +106,20 @@ class _Compiler:
             return f"({v.a}*{v.b})"
         raise TypeError(f"not an operand: {v!r}")
 
-    def _flush(self, cost: dict[str, int], pad: str) -> list[str]:
-        return [f"{pad}{k} += {v}" for k, v in sorted(cost.items()) if v]
-
     def _block(self, stmts: list[Stmt], depth: int,
-               loop_stack: list[str]) -> tuple[list[str], dict[str, int]]:
+               loop_stack: list[str]) -> tuple[list[str], Counter]:
         pad = "    " * depth
         lines: list[str] = []
-        cost: dict[str, int] = {}
+        cost: Counter = Counter()
         for stmt in stmts:
             if isinstance(stmt, Load):
                 lines.append(f"{pad}{stmt.target} = "
                              f"{stmt.buffer}[{stmt.index.source()}]")
-                _merge(cost, {"c_ld": 1, self._buf_counter(stmt.buffer): 1})
+                cost["load", stmt.buffer] += 1
             elif isinstance(stmt, Store):
                 lines.append(f"{pad}{stmt.buffer}[{stmt.index.source()}] = "
                              f"{self._operand(stmt.source)}")
-                _merge(cost, {"c_st": 1})
+                cost["stores"] += 1
             elif isinstance(stmt, BinaryArith):
                 lhs, rhs = self._operand(stmt.lhs), self._operand(stmt.rhs)
                 if stmt.op == "div" and not isinstance(stmt.rhs, ConstF):
@@ -139,16 +130,16 @@ class _Compiler:
                                  f"f'division by zero{at}')")
                 lines.append(f"{pad}{stmt.target} = {lhs} "
                              f"{ARITH_SYMBOLS[stmt.op]} {rhs}")
-                _merge(cost, {_COST_OF_ARITH[stmt.op]: 1})
+                cost[_COST_OF_ARITH[stmt.op]] += 1
             elif isinstance(stmt, IntrinsicCall):
                 a = self._operand(stmt.arg)
                 if stmt.fn in ("sin", "cos"):
                     lines.append(f"{pad}{stmt.target} = _{stmt.fn}({a})")
-                    _merge(cost, {"c_tr": 1})
+                    cost["trig_calls"] += 1
                 elif stmt.fn == "sinc_eval":
                     lines.append(f"{pad}{stmt.target} = "
                                  f"_sin({a}) / {a} if {a} != 0.0 else 1.0")
-                    _merge(cost, {"c_tr": 1, "c_mu": 1})
+                    cost.update(trig_calls=1, mults=1)
                 elif stmt.fn == "abs":
                     lines.append(f"{pad}{stmt.target} = abs({a})")
                 elif stmt.fn == "floor":
@@ -164,17 +155,14 @@ class _Compiler:
                     f"if {self._operand(stmt.lhs)} {CMP_SYMBOLS[stmt.cmp]} "
                     f"{self._operand(stmt.rhs)} "
                     f"else {self._operand(stmt.if_false)}")
-            elif isinstance(stmt, SelectGuard):
-                lines.append(f"{pad}if {stmt.lower} <= {stmt.expr.source()} "
-                             f"< {stmt.upper}:")
-                lines.extend(self._branch(stmt.body, depth + 1, loop_stack))
-                if stmt.orelse:
-                    lines.append(f"{pad}else:")
-                    lines.extend(self._branch(stmt.orelse, depth + 1,
-                                              loop_stack))
-            elif isinstance(stmt, IfCmp):
-                lines.append(f"{pad}if {self._operand(stmt.lhs)} "
-                             f"{CMP_SYMBOLS[stmt.cmp]} {self._operand(stmt.rhs)}:")
+            elif isinstance(stmt, (SelectGuard, IfCmp)):
+                if isinstance(stmt, SelectGuard):
+                    lines.append(f"{pad}if {stmt.lower} <= "
+                                 f"{stmt.expr.source()} < {stmt.upper}:")
+                else:
+                    lines.append(f"{pad}if {self._operand(stmt.lhs)} "
+                                 f"{CMP_SYMBOLS[stmt.cmp]} "
+                                 f"{self._operand(stmt.rhs)}:")
                 lines.extend(self._branch(stmt.body, depth + 1, loop_stack))
                 if stmt.orelse:
                     lines.append(f"{pad}else:")
@@ -189,7 +177,7 @@ class _Compiler:
                 lines.append(f"{pad}{stmt.buffer}[{cur}] = "
                              f"{self._operand(stmt.value)}")
                 lines.append(f"{pad}{cur} += 1")
-                lines.append(f"{pad}c_st += 1")
+                cost["stores"] += 1
             elif isinstance(stmt, CheckFinite):
                 lines.append(f"{pad}for _v in {stmt.buffer}:")
                 lines.append(f"{pad}    if not _isfinite(_v):")
@@ -198,9 +186,9 @@ class _Compiler:
             elif isinstance(stmt, For):
                 body_lines, body_cost = self._block(
                     stmt.body, depth + 1, loop_stack + [stmt.index])
+                body_cost["tag", stmt.tag] += 1
                 trip = max(0, stmt.upper - stmt.lower)
-                _merge(cost, body_cost, trip)
-                _merge(cost, {"c_it": 1, self._tag_counter(stmt.tag): 1}, trip)
+                cost.update({k: v * trip for k, v in body_cost.items()})
                 lines.append(f"{pad}for {stmt.index} in range({stmt.lower}, "
                              f"{stmt.upper}):")
                 lines.extend(body_lines or [f"{pad}    pass"])
@@ -210,36 +198,24 @@ class _Compiler:
 
     def _branch(self, stmts: list[Stmt], depth: int,
                 loop_stack: list[str]) -> list[str]:
-        """Branch bodies carry their own inline counter updates."""
         lines, cost = self._block(stmts, depth, loop_stack)
-        out = lines + self._flush(cost, "    " * depth)
-        return out or [f"{'    ' * depth}pass"]
+        if any(cost.values()):
+            lines.append(f"{'    ' * depth}b_{len(self.branch_costs)} += 1")
+            self.branch_costs.append(cost)
+        return lines or [f"{'    ' * depth}pass"]
 
-    def build(self) -> Callable:
-        body, cost = self._block(self.program.body, 1, [])
+    def build(self) -> tuple[Callable, Counter, list[Counter]]:
+        body, static_cost = self._block(self.program.body, 1, [])
+        runs = [f"b_{k}" for k in range(len(self.branch_costs))]
+        dyn = [b.name for b in self.program.buffers if b.dynamic]
         lines = ["def _run(_bufs, _cursors):"]
-        for b in self.program.buffers:
-            lines.append(f"    {b.name} = _bufs[{b.name!r}]")
-        for name in ("c_it", "c_ld", "c_st", "c_mu", "c_ad", "c_tr"):
-            lines.append(f"    {name} = 0")
-        for name in self.dyn:
-            lines.append(f"    n_{name} = 0")
-        lines.extend(body)
-        lines.extend(self._flush(cost, "    "))
-        for name in self.dyn:
-            lines.append(f"    _cursors[{name!r}] = n_{name}")
-        tags = ", ".join(f"ct_{i}" for i in range(len(self.tags)))
-        bufs = ", ".join(f"cb_{i}" for i in range(len(self.load_bufs)))
-        lines.append(f"    return (c_it, c_ld, c_st, c_mu, c_ad, c_tr, "
-                     f"({tags}{',' if len(self.tags) == 1 else ''}), "
-                     f"({bufs}{',' if len(self.load_bufs) == 1 else ''}))")
-        # Counter locals referenced before the loops that bump them must
-        # exist even when a tag's loop is empty; they are all initialised
-        # to zero here.
-        for i in range(len(self.tags)):
-            lines.insert(1, f"    ct_{i} = 0")
-        for i in range(len(self.load_bufs)):
-            lines.insert(1, f"    cb_{i} = 0")
+        lines += [f"    {b.name} = _bufs[{b.name!r}]"
+                  for b in self.program.buffers]
+        lines += [f"    {name} = 0" for name in runs]
+        lines += [f"    n_{name} = 0" for name in dyn]
+        lines += body
+        lines += [f"    _cursors[{name!r}] = n_{name}" for name in dyn]
+        lines.append(f"    return [{', '.join(runs)}]")
         src = "\n".join(lines)
         ns = {
             "_sin": math.sin,
@@ -253,23 +229,20 @@ class _Compiler:
         exec(compile(src, "<loop-program>", "exec"), ns)
         fn = ns["_run"]
         fn._source = src  # kept around for debugging
-        return fn
+        return fn, static_cost, self.branch_costs
 
 
-def _ensure_compiled(program: LoopProgram):
-    fn = getattr(program, "_compiled_fn", None)
-    if fn is None:
+def _ensure_compiled(program: LoopProgram
+                     ) -> tuple[Callable, Counter, list[Counter]]:
+    compiled = getattr(program, "_compiled", None)
+    if compiled is None:
         validate_program(program)
-        compiler = _Compiler(program)
-        fn = compiler.build()
-        program._compiled_fn = fn
-        program._counter_names = (list(compiler.tags),
-                                  list(compiler.load_bufs))
-    return fn
+        compiled = program._compiled = _Compiler(program).build()
+    return compiled
 
 
 def compiled_source(program: LoopProgram) -> str:
-    return _ensure_compiled(program)._source
+    return _ensure_compiled(program)[0]._source
 
 
 def evaluate_loop_ir(program: LoopProgram,
@@ -277,8 +250,7 @@ def evaluate_loop_ir(program: LoopProgram,
                      ) -> tuple[dict[int, Tensor], ExecCounters]:
     """Run a loop program; returns printed/returned tensors and counters."""
     inputs = inputs or {}
-    fn = _ensure_compiled(program)
-    tag_names, buf_names = program._counter_names
+    fn, static_cost, branch_costs = _ensure_compiled(program)
 
     bufs: dict[str, list[float]] = {}
     for b in program.buffers:
@@ -295,15 +267,22 @@ def evaluate_loop_ir(program: LoopProgram,
 
     cursors: dict[str, int] = {}
     t0 = time.perf_counter_ns()
-    (c_it, c_ld, c_st, c_mu, c_ad, c_tr, tags, load_counts) = fn(bufs, cursors)
+    runs = fn(bufs, cursors)
     wall = time.perf_counter_ns() - t0
 
+    total = Counter(static_cost)
+    for n, cost in zip(runs, branch_costs):
+        total.update({k: v * n for k, v in cost.items()})
+    by_kind: dict[str, dict[str, int]] = {"tag": {}, "load": {}}
+    for key, v in total.items():
+        if isinstance(key, tuple) and v:
+            by_kind[key[0]][key[1]] = v
     counters = ExecCounters(
-        loop_iterations=c_it, loads=c_ld, stores=c_st, mults=c_mu,
-        adds=c_ad, trig_calls=c_tr, wall_time_ns=wall,
-        loop_iters_by_tag={n: v for n, v in zip(tag_names, tags) if v},
-        loads_by_buffer={n: v for n, v in zip(buf_names, load_counts) if v},
-    )
+        loop_iterations=sum(by_kind["tag"].values()),
+        loads=sum(by_kind["load"].values()), stores=total["stores"],
+        mults=total["mults"], adds=total["adds"],
+        trig_calls=total["trig_calls"], wall_time_ns=wall,
+        loop_iters_by_tag=by_kind["tag"], loads_by_buffer=by_kind["load"])
 
     outputs: dict[int, Tensor] = {}
     for vid, bname in list(program.outputs) + list(program.returns):

@@ -65,7 +65,7 @@ class _Lowerer:
     def declare(self, op: OpNode) -> None:
         """Register result buffers (and lengths) for an op."""
         for rid, shape in zip(op.result_ids, op.result_shapes):
-            if shape.length is None:
+            if shape is None:
                 raise LoweringUnsupported(
                     f"op %{op.id} ({op.opcode.value}) has an unresolved "
                     "shape; bind all inputs before lowering")

@@ -175,6 +175,27 @@ def test_runtime_error_exit_4(capsys, tmp_path):
     assert "division by zero" in err
 
 
+def test_run_non_finite_output_exit_4(capsys):
+    # the unoptimized route overflows to inf; the rewritten one stays finite
+    fixture = str(FIXTURES / "overflow_energy.dsp")
+    code, out, err = run_cli(capsys, "run", fixture, "--opt=none",
+                             "--synth", "x=64,3")
+    assert code == 4
+    assert "non-finite value in printed" in err and out == ""
+    code, out, _ = run_cli(capsys, "run", fixture, "--opt=dsp",
+                           "--synth", "x=64,3")
+    assert code == 0
+    assert out.startswith("%") and "inf" not in out and "nan" not in out
+
+
+def test_lowering_unbound_input_exit_3(capsys):
+    code, _, err = run_cli(capsys, "build", str(APPS / "hearing_aid.dsp"),
+                           "--emit=loop")
+    assert code == 3
+    assert "bind all inputs before lowering" in err
+    assert "Traceback" not in err
+
+
 def test_bench_app_by_alias(capsys):
     code, out, _ = run_cli(capsys, "bench", "app5")
     assert code == 0

@@ -1,7 +1,10 @@
+import json
 import random
+from pathlib import Path
 
 import pytest
 
+from dspc import corpus
 from dspc.frontend import parse_source
 from dspc.graph import build_graph, infer_shapes
 from dspc.interp import (InputMismatch, LoopDivisionByZero, NonFinite,
@@ -91,8 +94,8 @@ def test_compiled_source_is_cached_and_readable():
 
 
 def test_counter_hoisting_matches_naive_count():
-    # iteration/arith counters must reflect the virtual trip counts even
-    # though the compiled code hoists increments out of static loops
+    # loop costs are static (body cost times trip count, summed at codegen
+    # time); the compiled code only counts runs of guarded branch bodies
     rng = random.Random(3)
     p = program_for("def main(x) { print(conv1d(x, [1, 2, 3])); }", {"x": 10})
     _, c = evaluate_loop_ir(p, {"x": rand(rng, 10)})
@@ -132,3 +135,36 @@ def test_report_table_renders_rows():
     lines = table.splitlines()
     assert lines[0].split() == ["counter", "before", "after", "ratio"]
     assert any(row.startswith("mults") for row in lines)
+
+
+FIXTURES = Path(__file__).resolve().parent / "fixtures"
+
+
+def _counts(program, inputs):
+    """Every counter but wall time."""
+    _, c = evaluate_loop_ir(program, inputs)
+    d = c.as_dict()
+    del d["wall_time_ns"]
+    return d
+
+
+def test_golden_counters():
+    # every counter of every corpus app on both routes (default sizes, the
+    # app's own seed) and of the lowering golden, which takes both arms of
+    # its IfCmp and its delay guard
+    got = {}
+    for app in corpus.APPS:
+        sizes = app.default_sizes()
+        g = corpus.compile_source(app.source(sizes), app.input_lengths(sizes))
+        inputs = app.synth_inputs(sizes, app.base_seed)
+        got[f"{app.name}/none"] = _counts(lower_graph(g), inputs)
+        got[f"{app.name}/dsp"] = _counts(lower_graph(apply_dsp_patterns(g)[0]),
+                                         inputs)
+    got["golden_lowering"] = _counts(
+        program_for((FIXTURES / "golden_lowering.dsp").read_text(),
+                    {"x": 3, "d": 3}),
+        {"x": tensor([1.0, 1.0, 2.0]), "d": tensor([1.0, 2.0, 2.0])})
+    want = json.loads((FIXTURES / "golden_counters.json").read_text())
+    assert list(got) == list(want)
+    for key in want:
+        assert got[key] == want[key], key
