@@ -164,6 +164,12 @@ def _require_bound(graph: DspGraph, bindings: dict[str, Tensor]) -> None:
             + "; bind with --input NAME=FILE.json or --synth NAME=N,SEED")
 
 
+def _require_finite(program, outputs: dict[int, Tensor]) -> None:
+    for vid, _buf in program.outputs:
+        if not all(map(math.isfinite, outputs[vid].values)):
+            raise NonFinite(f"non-finite value in printed %{vid}")
+
+
 def _format_tensor(t: Tensor) -> str:
     return "[" + ", ".join(repr(v) for v in t.values) + "]"
 
@@ -216,9 +222,7 @@ def cmd_run(args) -> int:
         graph, _stats = apply_dsp_patterns(graph, enabled)
     program = lower_graph(graph)
     outputs, counters = evaluate_loop_ir(program, bindings)
-    for vid, _buf in program.outputs:
-        if not all(map(math.isfinite, outputs[vid].values)):
-            raise NonFinite(f"non-finite value in printed %{vid}")
+    _require_finite(program, outputs)
     for vid, _buf in program.outputs:
         t = outputs[vid]
         if args.print_index is not None:
@@ -333,7 +337,11 @@ def cmd_bench(args) -> int:
                        for n, ok, d in results],
         }
         Path(args.json).write_text(json.dumps(doc, indent=2) + "\n")
-    return EXIT_BENCH if failed else EXIT_OK
+    if failed:
+        return EXIT_BENCH
+    _require_finite(prog_none, outs_none)
+    _require_finite(prog_dsp, outs_dsp)
+    return EXIT_OK
 
 
 # --------------------------------------------------------------------------

@@ -8,7 +8,8 @@ iterations split by tag.  Loop bounds are static ints, so the cost of one
 run of any block is known at codegen time.  The generated code counts only
 how often each branch body (a boundary guard or a data-dependent
 comparison) ran, with one `+=` per run; the totals are the static cost plus
-each branch body's runs times its cost.
+each branch body's runs times its cost.  The generated function takes the
+buffers as a list in declaration order.
 """
 
 from __future__ import annotations
@@ -88,7 +89,10 @@ class _Compiler:
     A branch body or else arm runs a data-dependent number of times, so it is
     not part of its enclosing block's cost: if its own cost is non-zero it
     gets a run counter `b_<k>`, bumped once at its end, and its cost is kept
-    in `branch_costs[k]`.  `_run` returns the run counters.
+    in `branch_costs[k]`.  `_run(_bufs, _cursors)` unpacks the buffer list
+    in one statement, zeroes the run counters and append cursors in one
+    chained assignment, stores each dynamic buffer's final cursor in
+    `_cursors` and returns the run counters.
     """
 
     def __init__(self, program: LoopProgram):
@@ -208,11 +212,13 @@ class _Compiler:
         body, static_cost = self._block(self.program.body, 1, [])
         runs = [f"b_{k}" for k in range(len(self.branch_costs))]
         dyn = [b.name for b in self.program.buffers if b.dynamic]
+        zeroed = runs + [f"n_{name}" for name in dyn]
         lines = ["def _run(_bufs, _cursors):"]
-        lines += [f"    {b.name} = _bufs[{b.name!r}]"
-                  for b in self.program.buffers]
-        lines += [f"    {name} = 0" for name in runs]
-        lines += [f"    n_{name} = 0" for name in dyn]
+        if self.program.buffers:
+            names = ", ".join(b.name for b in self.program.buffers)
+            lines.append(f"    {names}, = _bufs")
+        if zeroed:
+            lines.append(f"    {' = '.join(zeroed)} = 0")
         lines += body
         lines += [f"    _cursors[{name!r}] = n_{name}" for name in dyn]
         lines.append(f"    return [{', '.join(runs)}]")
@@ -252,9 +258,9 @@ def evaluate_loop_ir(program: LoopProgram,
     inputs = inputs or {}
     fn, static_cost, branch_costs = _ensure_compiled(program)
 
-    bufs: dict[str, list[float]] = {}
-    for b in program.buffers:
-        bufs[b.name] = list(b.init) if b.init is not None else [0.0] * b.capacity
+    slot = {b.name: k for k, b in enumerate(program.buffers)}
+    bufs = [list(b.init) if b.init is not None else [0.0] * b.capacity
+            for b in program.buffers]
     for name, bname in program.inputs:
         if name not in inputs:
             raise InputMismatch(f"input {name!r} is not bound")
@@ -263,7 +269,7 @@ def evaluate_loop_ir(program: LoopProgram,
         if len(t) != cap:
             raise InputMismatch(
                 f"input {name!r} expects {cap} samples, got {len(t)}")
-        bufs[bname] = list(t.values)
+        bufs[slot[bname]] = list(t.values)
 
     cursors: dict[str, int] = {}
     t0 = time.perf_counter_ns()
@@ -289,9 +295,9 @@ def evaluate_loop_ir(program: LoopProgram,
         decl = program.buffer(bname)
         if decl.dynamic:
             n = cursors.get(bname, 0)
-            outputs[vid] = Tensor(tuple(bufs[bname]), logical_length=n)
+            outputs[vid] = Tensor(tuple(bufs[slot[bname]]), logical_length=n)
         else:
-            outputs[vid] = Tensor(tuple(bufs[bname]))
+            outputs[vid] = Tensor(tuple(bufs[slot[bname]]))
     return outputs, counters
 
 

@@ -244,6 +244,17 @@ def test_bench_overflow_disagreement_exits_5(capsys):
     assert "FAIL  output deviation" in out
 
 
+def test_bench_agreeing_non_finite_output_exits_4(capsys, tmp_path):
+    # both routes overflow to inf and agree, so every bench check passes
+    src = tmp_path / "overflow.dsp"
+    src.write_text("def main(x) { print(square(gain(x, 1" + "0" * 200
+                   + "))); }\n")
+    code, out, err = run_cli(capsys, "bench", str(src), "--synth", "x=8,1")
+    assert code == 4
+    assert "FAIL" not in out
+    assert "non-finite value in printed" in err
+
+
 def test_bench_unknown_target(capsys):
     code, _, err = run_cli(capsys, "bench", "app99")
     assert code == 1

@@ -3,6 +3,7 @@ and trip/operation counts must match loop-bound arithmetic.
 """
 
 import random
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -14,7 +15,7 @@ from dspc.kernels import eval_graph, tensor
 from dspc.loop_ir import (AffineExpr, BufferDecl, For, IfCmp, LoopProgram,
                           OutOfBounds, SelectGuard, Store, ConstF, loop_to_text,
                           validate_program)
-from dspc.lowering import lower_graph
+from dspc.lowering import _Lowerer, lower_graph, split_guarded_nest
 from dspc.rewriter import apply_dsp_patterns
 
 
@@ -282,3 +283,176 @@ def test_loop_tags_name_an_opcode_of_the_graph():
         for tag in tags:
             base, dot, part = tag.partition(".")
             assert base in values and bool(dot) == bool(part), tag
+
+
+# --------------------------------------------------------------------------
+# index-set splitting of guarded nests
+
+
+def _unsplit(g):
+    """The program as the emitters build it, before any nest is split."""
+    lw = _Lowerer()
+    for op in g.ops:
+        lw.emit(op)
+    return LoopProgram(buffers=lw.buffers, body=lw.body, inputs=lw.inputs,
+                       outputs=[(vid, lw.buf(vid)) for vid in g.prints],
+                       returns=[(vid, lw.buf(vid)) for vid in g.returns])
+
+
+def _guards_over(index, stmts):
+    """SelectGuards anywhere in `stmts` whose expression uses `index`."""
+    for s in stmts:
+        if isinstance(s, SelectGuard) and any(n == index for n, _ in s.expr.terms):
+            yield s
+        for sub in (getattr(s, "body", ()), getattr(s, "orelse", ())):
+            yield from _guards_over(index, sub)
+
+
+def _pieces(body, index):
+    """(lower, upper, guarded) of each top-level loop over `index`."""
+    return [(s.lower, s.upper, any(_guards_over(s.index, s.body)))
+            for s in body if isinstance(s, For) and s.index == index]
+
+
+def _outer_index(g, opcode_value):
+    op = next(op for op in g.ops if op.opcode.value == opcode_value)
+    return f"i{op.id}"
+
+
+SYMM = "firFilterResponse(x, lowPassFIRFilter(%d, 1.2) * hammingWindow(%d))"
+
+# (id, source, lengths, opt, opcode of the nest, its expected pieces); the
+# interior of FIR, sliding average and LMS is [taps-1, N), of conv1d
+# [taps-1, N) out of N+taps-1, of the symmetric FIR [L-1, N) and of the
+# autocorrelation [N-1, N)
+SPLIT_CASES = [
+    ("fir_empty_taps_longer", "firFilterResponse(x, h)", {"x": 5, "h": 7},
+     False, "fir_filter_response", [(0, 5, True)]),
+    ("fir_one_step", "firFilterResponse(x, h)", {"x": 8, "h": 8},
+     False, "fir_filter_response", [(0, 8, True)]),
+    ("fir_exactly_half", "firFilterResponse(x, h)", {"x": 8, "h": 5},
+     False, "fir_filter_response", [(0, 4, True), (4, 8, False)]),
+    ("fir_whole_one_tap", "firFilterResponse(x, h)", {"x": 8, "h": 1},
+     False, "fir_filter_response", [(0, 8, False)]),
+    ("conv_empty_taps_longer", "conv1d(x, h)", {"x": 3, "h": 6},
+     False, "conv1d_full", [(0, 8, True)]),
+    ("conv_one_step", "conv1d(x, h)", {"x": 6, "h": 6},
+     False, "conv1d_full", [(0, 11, True)]),
+    ("conv_exactly_half", "conv1d(x, h)", {"x": 6, "h": 3},
+     False, "conv1d_full", [(0, 2, True), (2, 6, False), (6, 8, True)]),
+    ("conv_whole_one_tap", "conv1d(x, h)", {"x": 7, "h": 1},
+     False, "conv1d_full", [(0, 7, False)]),
+    ("symm_empty_taps_longer", SYMM % (9, 9), {"x": 4},
+     True, "filter_res_symm_opt", [(0, 4, True)]),
+    ("symm_one_step", SYMM % (6, 6), {"x": 6},
+     True, "filter_res_symm_opt", [(0, 6, True)]),
+    ("symm_exactly_half_odd", SYMM % (5, 5), {"x": 8},
+     True, "filter_res_symm_opt", [(0, 4, True), (4, 8, False)]),
+    ("symm_all_but_one_two_taps", SYMM % (2, 2), {"x": 9},
+     True, "filter_res_symm_opt", [(0, 1, True), (1, 9, False)]),
+    ("sliding_empty_window_longer", "slidingWindowAvg(x, 9)", {"x": 6},
+     False, "sliding_window_avg", [(0, 6, True)]),
+    ("sliding_one_step", "slidingWindowAvg(x, 7)", {"x": 7},
+     False, "sliding_window_avg", [(0, 7, True)]),
+    ("sliding_exactly_half", "slidingWindowAvg(x, 4)", {"x": 6},
+     False, "sliding_window_avg", [(0, 3, True), (3, 6, False)]),
+    ("sliding_whole", "slidingWindowAvg(x, 1)", {"x": 6},
+     False, "sliding_window_avg", [(0, 6, False)]),
+    ("lms_empty_order_longer", "lmsFilter(x, d, 0.05, 9)", {"x": 6, "d": 6},
+     False, "lms_filter", [(0, 6, True)]),
+    ("lms_one_step", "lmsFilter(x, d, 0.05, 6)", {"x": 6, "d": 6},
+     False, "lms_filter", [(0, 6, True)]),
+    ("lms_exactly_half", "lmsFilter(x, d, 0.05, 5)", {"x": 8, "d": 8},
+     False, "lms_filter", [(0, 4, True), (4, 8, False)]),
+    ("lms_whole", "lmsFilter(x, d, 0.05, 1)", {"x": 6, "d": 6},
+     False, "lms_filter", [(0, 6, False)]),
+    ("lms_gain_exactly_half", "gain(lmsFilter(x, d, 0.05, 3), 2.0)",
+     {"x": 6, "d": 6}, True, "lms_filter_gain_opt",
+     [(0, 2, True), (2, 6, False)]),
+    # the autocorrelation's palindrome store is guarded on the outer index
+    # alone; a split interior must keep it where it does not hold
+    ("autocorr_one_step", "conv1d(x, reverse(x))", {"x": 5},
+     True, "filter_y_symm_opt", [(0, 5, True)]),
+    ("autocorr_half_keeps_mirror_guard", "conv1d(x, reverse(x))", {"x": 2},
+     True, "filter_y_symm_opt", [(0, 1, True), (1, 2, True)]),
+]
+
+
+def _case_source(expr, lengths):
+    return f"def main({', '.join(lengths)}) {{ print({expr}); }}"
+
+
+@pytest.mark.parametrize("name,expr,lengths,opt,opcode,pieces", SPLIT_CASES,
+                         ids=[c[0] for c in SPLIT_CASES])
+def test_split_matches_unsplit_nest(name, expr, lengths, opt, opcode, pieces):
+    rng = random.Random(name)
+    g = compile_graph(_case_source(expr, lengths), lengths, opt=opt)
+    split, unsplit = lower_graph(g), _unsplit(g)
+    validate_program(split)
+    assert _pieces(split.body, _outer_index(g, opcode)) == pieces
+    inputs = {k: rand(rng, n) for k, n in lengths.items()}
+    runs = [evaluate_loop_ir(p, inputs) for p in (split, unsplit)]
+    assert runs[0][0] == runs[1][0]  # bit-identical outputs
+    got, want = (counters.as_dict() for _, counters in runs)
+    del got["wall_time_ns"], want["wall_time_ns"]
+    assert got == want
+
+
+def _interiors(programs):
+    """(program, interior piece) for every split nest of `programs`."""
+    for program in programs:
+        for stmt in program.body:
+            if isinstance(stmt, For):
+                for piece in split_guarded_nest(stmt):
+                    if piece is not stmt and not any(
+                            _guards_over(piece.index, piece.body)):
+                        yield program, piece
+
+
+def test_widened_interior_fails_validation():
+    # the guard-free interior is exactly as wide as the bounds proof allows
+    from dspc import corpus
+    programs = []
+    for _name, expr, lengths, opt, _op, _pieces in SPLIT_CASES:
+        programs.append(_unsplit(compile_graph(_case_source(expr, lengths),
+                                               lengths, opt=opt)))
+    for name in ("LowPassFiltering", "HearingAid", "AudioEqualizer"):
+        app = corpus.find_app(name)
+        sizes = app.default_sizes()
+        g = corpus.compile_source(app.source(sizes), app.input_lengths(sizes))
+        programs += [_unsplit(g), _unsplit(apply_dsp_patterns(g)[0])]
+    checked = 0
+    for program, interior in _interiors(programs):
+        for wider in (replace(interior, lower=interior.lower - 1),
+                      replace(interior, upper=interior.upper + 1)):
+            with pytest.raises(OutOfBounds):
+                validate_program(replace(program, body=[wider]))
+        validate_program(replace(program, body=[interior]))
+        checked += 1
+    assert checked >= 20
+
+
+@pytest.mark.parametrize("app_name", ["LowPassFiltering", "AudioEqualizer",
+                                      "HearingAid", "SpectralAnalysis"])
+@pytest.mark.parametrize("opt", [False, True], ids=["none", "dsp"])
+def test_guarded_corpus_nests_are_split(app_name, opt):
+    from dspc import corpus
+    app = corpus.find_app(app_name)
+    sizes = app.default_sizes()
+    g = corpus.compile_source(app.source(sizes), app.input_lengths(sizes))
+    if opt:
+        g, _ = apply_dsp_patterns(g)
+    unsplit, body = _unsplit(g).body, lower_graph(g).body
+    guarded = [s for s in unsplit if isinstance(s, For) and any(
+        _guards_over(s.index, [t for t in s.body if isinstance(t, For)]))]
+    assert guarded
+    if app_name == "SpectralAnalysis":
+        # full convolutions have a one-step interior and stay whole
+        assert body == unsplit
+        return
+    for nest in guarded:
+        pieces = _pieces(body, nest.index)
+        assert len(pieces) > 1, nest.tag
+        assert [p[2] for p in pieces].count(False) == 1, nest.tag
+        assert pieces[0][0] == nest.lower and pieces[-1][1] == nest.upper
+        assert all(p[1] == q[0] for p, q in zip(pieces, pieces[1:]))
