@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Mapping, Optional
+from typing import Iterable, Mapping, Optional
 
 from . import frontend as fe
 from .errors import DspcError
@@ -51,8 +51,8 @@ class OpNode:
         return OP_DEFS[self.opcode].n_results
 
     @property
-    def result_ids(self) -> tuple[ValueId, ...]:
-        return tuple(self.id + i for i in range(self.n_results))
+    def result_ids(self) -> range:
+        return range(self.id, self.id + self.n_results)
 
 
 @dataclass
@@ -289,66 +289,12 @@ def infer_shapes(graph: DspGraph,
 def verify_graph(graph: DspGraph) -> list[str]:
     """Check structural, range and shape invariants; returns violations, never raises.
 
-    One pass in list order.  Where an op has no other violation and all its
-    operand and result shapes are known, its result shapes must equal what
-    its OpDef shape rule derives from the operand shapes.
+    One pass in list order, applying `check_op` to every op.
     """
     violations: list[str] = []
     shapes: dict[ValueId, Optional[TensorShape]] = {}  # every value defined so far
     for op in graph.ops:
-        sig = OP_DEFS.get(op.opcode)
-        label = f"%{op.id} {op.opcode.value}"
-        if sig is None:
-            violations.append(f"{label}: unknown opcode")
-            continue
-        clean = len(violations)
-        for v in op.operands:
-            if v not in shapes:
-                violations.append(f"{label}: operand %{v} not defined before use")
-        if len(op.operands) != sig.n_operands:
-            violations.append(f"{label}: expects {sig.n_operands} operand(s), "
-                              f"has {len(op.operands)}")
-        attr_names = [a.name for a in op.attributes]
-        spec_names = [s.name for s in sig.attrs]
-        if attr_names != spec_names:
-            violations.append(f"{label}: attributes {attr_names} != schema {spec_names}")
-        else:
-            values: dict[str, object] = {}
-            for spec, a in zip(sig.attrs, op.attributes):
-                values[spec.name] = a.value
-                if not _attr_type_ok(spec, a.value):
-                    violations.append(f"{label}: attribute {spec.name!r} has wrong type")
-                elif not _attr_finite(spec, a.value):
-                    violations.append(f"{label}: attribute {spec.name}={a.value!r} "
-                                      "is not finite")
-                elif not spec.ok(a.value):
-                    violations.append(f"{label}: attribute {spec.name}={a.value!r} "
-                                      f"violates {spec.legal}")
-            if sig.cross_check is not None and len(values) == len(sig.attrs):
-                msg = sig.cross_check(values)
-                if msg:
-                    violations.append(f"{label}: {msg}")
-        if len(op.result_shapes) != sig.n_results:
-            violations.append(f"{label}: has {len(op.result_shapes)} result shape slot(s), "
-                              f"schema says {sig.n_results}")
-        if sig.n_results == 0 and op.id != -1:
-            violations.append(f"{label}: resultless op must use id -1")
-        ins = [shapes.get(v) for v in op.operands]
-        for i, rid in enumerate(op.result_ids):
-            if sig.n_results and rid in shapes:
-                violations.append(f"{label}: value %{rid} defined more than once")
-            shapes[rid] = op.result_shapes[i] if i < len(op.result_shapes) else None
-        if len(violations) == clean and sig.shape is not None \
-                and None not in ins and None not in op.result_shapes:
-            try:
-                expected = sig.shape(op, ins)
-            except ShapeMismatch as exc:
-                violations.append(str(exc))
-                continue
-            if tuple(op.result_shapes) != expected:
-                violations.append(f"{label}: result shapes "
-                                  f"{tuple(map(str, op.result_shapes))} "
-                                  f"inconsistent, expected {tuple(map(str, expected))}")
+        violations += check_op(op, shapes)
     for name, vid in graph.inputs:
         if vid not in shapes:
             violations.append(f"input {name!r} refers to undefined value %{vid}")
@@ -358,6 +304,68 @@ def verify_graph(graph: DspGraph) -> list[str]:
     for vid in graph.returns:
         if vid not in shapes:
             violations.append(f"return refers to undefined value %{vid}")
+    return violations
+
+
+def check_op(op: OpNode, shapes: dict[ValueId, Optional[TensorShape]]) -> list[str]:
+    """The violations of one op, given the shapes of the values defined before
+    it; the op's results are then added to `shapes`.
+
+    Where the op has no other violation and all its operand and result shapes
+    are known, its result shapes must equal what its OpDef shape rule derives
+    from the operand shapes.
+    """
+    sig = OP_DEFS.get(op.opcode)
+    label = f"%{op.id} {op.opcode.value}"
+    if sig is None:
+        return [f"{label}: unknown opcode"]
+    violations: list[str] = []
+    for v in op.operands:
+        if v not in shapes:
+            violations.append(f"{label}: operand %{v} not defined before use")
+    if len(op.operands) != sig.n_operands:
+        violations.append(f"{label}: expects {sig.n_operands} operand(s), "
+                          f"has {len(op.operands)}")
+    attr_names = [a.name for a in op.attributes]
+    spec_names = [s.name for s in sig.attrs]
+    if attr_names != spec_names:
+        violations.append(f"{label}: attributes {attr_names} != schema {spec_names}")
+    else:
+        values: dict[str, object] = {}
+        for spec, a in zip(sig.attrs, op.attributes):
+            values[spec.name] = a.value
+            if not _attr_type_ok(spec, a.value):
+                violations.append(f"{label}: attribute {spec.name!r} has wrong type")
+            elif not _attr_finite(spec, a.value):
+                violations.append(f"{label}: attribute {spec.name}={a.value!r} "
+                                  "is not finite")
+            elif not spec.ok(a.value):
+                violations.append(f"{label}: attribute {spec.name}={a.value!r} "
+                                  f"violates {spec.legal}")
+        if sig.cross_check is not None and len(values) == len(sig.attrs):
+            msg = sig.cross_check(values)
+            if msg:
+                violations.append(f"{label}: {msg}")
+    if len(op.result_shapes) != sig.n_results:
+        violations.append(f"{label}: has {len(op.result_shapes)} result shape slot(s), "
+                          f"schema says {sig.n_results}")
+    if sig.n_results == 0 and op.id != -1:
+        violations.append(f"{label}: resultless op must use id -1")
+    ins = [shapes.get(v) for v in op.operands]
+    for i, rid in enumerate(op.result_ids):
+        if sig.n_results and rid in shapes:
+            violations.append(f"{label}: value %{rid} defined more than once")
+        shapes[rid] = op.result_shapes[i] if i < len(op.result_shapes) else None
+    if not violations and sig.shape is not None \
+            and None not in ins and None not in op.result_shapes:
+        try:
+            expected = sig.shape(op, ins)
+        except ShapeMismatch as exc:
+            return [str(exc)]
+        if tuple(op.result_shapes) != expected:
+            violations.append(f"{label}: result shapes "
+                              f"{tuple(map(str, op.result_shapes))} "
+                              f"inconsistent, expected {tuple(map(str, expected))}")
     return violations
 
 
@@ -633,28 +641,35 @@ def renumber(graph: DspGraph) -> DspGraph:
     )
 
 
+def dead_ops(producer: Mapping[ValueId, OpNode], uses: dict[ValueId, int],
+             values: Iterable[ValueId]) -> dict[int, OpNode]:
+    """The ops left dead once `values` may have lost their last use, by `id()`.
+
+    An op other than an input dies when none of its results is used; its
+    operands then lose a use in `uses` (updated in place) and the check
+    cascades to their producers.  Prints have no result and never die.  With
+    every value as a candidate this prunes all that prints and returns do
+    not reach.
+    """
+    dead: dict[int, OpNode] = {}
+    work = list(values)
+    while work:
+        op = producer.get(work.pop())
+        if op is None or id(op) in dead or op.opcode is OpCode.INPUT \
+                or any(uses.get(r, 0) for r in op.result_ids):
+            continue
+        dead[id(op)] = op
+        for v in op.operands:
+            uses[v] -= 1
+        work += op.operands
+    return dead
+
+
 def eliminate_dead_ops(graph: DspGraph) -> DspGraph:
     """Drop ops whose results are unused; prints, returns, and inputs stay."""
     producer = graph.producer_map()
-    live: set[ValueId] = set()
-    work: list[ValueId] = list(graph.prints) + list(graph.returns)
-    keep_ops: set[int] = set()
-    for idx, op in enumerate(graph.ops):
-        if op.opcode in (OpCode.PRINT, OpCode.INPUT):
-            keep_ops.add(idx)
-            work.extend(op.operands)
-    while work:
-        v = work.pop()
-        if v in live:
-            continue
-        live.add(v)
-        p = producer.get(v)
-        if p is not None:
-            work.extend(p.operands)
-    new_ops = []
-    for idx, op in enumerate(graph.ops):
-        if idx in keep_ops or any(r in live for r in op.result_ids):
-            new_ops.append(op)
-    pruned = DspGraph(ops=new_ops, inputs=list(graph.inputs),
-                      prints=list(graph.prints), returns=list(graph.returns))
+    dead = dead_ops(producer, graph.use_counts(), producer)
+    pruned = DspGraph(ops=[op for op in graph.ops if id(op) not in dead],
+                      inputs=list(graph.inputs), prints=list(graph.prints),
+                      returns=list(graph.returns))
     return renumber(pruned)

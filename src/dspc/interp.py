@@ -242,7 +242,8 @@ def _ensure_compiled(program: LoopProgram
                      ) -> tuple[Callable, Counter, list[Counter]]:
     compiled = getattr(program, "_compiled", None)
     if compiled is None:
-        validate_program(program)
+        if not getattr(program, "_validated", False):
+            validate_program(program)
         compiled = program._compiled = _Compiler(program).build()
     return compiled
 

@@ -338,7 +338,8 @@ def validate_program(program: LoopProgram) -> None:
     """Prove every static buffer access in bounds; raises OutOfBounds.
 
     Accesses under a SelectGuard whose guarded expression matches the access
-    index are checked against the guard's range instead.
+    index are checked against the guard's range instead.  A pass is recorded
+    on the program (``_validated``), so compiling it does not check it again.
     """
     caps = {b.name: b.capacity for b in program.buffers}
 
@@ -390,3 +391,4 @@ def validate_program(program: LoopProgram) -> None:
                     raise OutOfBounds(stmt.buffer, "unknown buffer")
 
     check_block(program.body, {}, {})
+    program._validated = True  # type: ignore[attr-defined]

@@ -2,11 +2,14 @@
 
 Each pattern matches a small chain of ops by value identity (same SSA value,
 not merely an equal-looking subtree), builds the cheaper replacement ops and
-names the old values they stand for.  The driver splices the new ops in,
-rewires the uses and leaves dead producers to the cleanup pass.  It applies
-the patterns in a fixed priority order, greedily, until a full sweep makes no
-change; dead ops are pruned after every application so later patterns never
-fire on unused values.
+names the old values they stand for.  The driver applies the patterns in a
+fixed priority order, greedily, until a full sweep makes no change.  It keeps
+one working graph with its producer and use-count tables for the whole call
+and updates them in place: a splice inserts the new ops, rebuilds only the
+ops that read a replaced value, prunes the ops left dead (so later patterns
+never fire on unused values) and checks the ops it touched.  Ids are made
+dense and the whole graph is verified once, at the fixpoint; matchers compare
+ids only relatively, so the sparse ids in between change no match.
 """
 
 from __future__ import annotations
@@ -16,8 +19,8 @@ from enum import Enum
 from typing import Iterable, Optional
 
 from .errors import DspcError
-from .graph import (Attribute, DspGraph, OpNode, ValueId, eliminate_dead_ops,
-                    verify_graph)
+from .graph import (Attribute, DspGraph, OpNode, ValueId, check_op, dead_ops,
+                    renumber, verify_graph)
 from .ops import OP_DEFS, OpCode, TensorShape
 
 
@@ -74,7 +77,8 @@ class _Rewrite:
 
 
 class _Ctx:
-    """Per-sweep lookup tables shared by the matchers, and their op factory."""
+    """The graph being rewritten with its lookup tables, kept current in place
+    across applications, and the matchers' op factory."""
 
     def __init__(self, graph: DspGraph):
         self.graph = graph
@@ -114,6 +118,39 @@ class _Ctx:
         for rid in op.result_ids:
             self.producer[rid] = op
         return op
+
+    def splice(self, rw: _Rewrite, prune_all: bool) -> list[str]:
+        """Apply `rw` in place and prune the ops it left dead (every dead op
+        if `prune_all`); returns the violations of the new and rewired ops."""
+        g, subst, get = self.graph, rw.subst, rw.subst.get
+        touched, replaced = list(rw.new_ops), subst.keys()
+        for i, op in enumerate(g.ops):
+            if not replaced.isdisjoint(op.operands):
+                g.ops[i] = op = replace(op, operands=tuple(get(v, v) for v in op.operands))
+                touched.append(op)
+                self.producer.update(dict.fromkeys(op.result_ids, op))
+        g.ops[rw.at:rw.at] = rw.new_ops
+        g.inputs[:] = [(n, get(v, v)) for n, v in g.inputs]
+        g.prints[:] = [get(v, v) for v in g.prints]
+        g.returns[:] = [get(v, v) for v in g.returns]
+        moved = {old: self.uses.pop(old, 0) for old in subst}  # a target may be a key too
+        for old, n in moved.items():
+            self.uses[subst[old]] = self.uses.get(subst[old], 0) + n
+        for v in (v for op in rw.new_ops for v in op.operands):
+            self.uses[v] = self.uses.get(v, 0) + 1
+        dead = dead_ops(self.producer, self.uses, list(self.producer) if prune_all else
+                        [*subst, *(r for op in rw.new_ops for r in op.result_ids)])
+        if dead:
+            g.ops[:] = [op for op in g.ops if id(op) not in dead]
+            for r in (r for op in dead.values() for r in op.result_ids):
+                del self.producer[r]
+        self.index_of = {id(op): i for i, op in enumerate(g.ops)}
+        problems: list[str] = []
+        for op in (op for op in touched if id(op) not in dead):
+            at = self.pos(op)
+            problems += check_op(op, {v: self.shape(v) for v in op.operands
+                                      if v in self.producer and self.pos(self.producer[v]) < at})
+        return problems
 
 
 def replace_site(ctx: _Ctx, site: OpNode, value: ValueId, *new_ops: OpNode) -> _Rewrite:
@@ -309,20 +346,6 @@ _MATCHERS = {
 }
 
 
-def _apply_rewrite(graph: DspGraph, rw: _Rewrite) -> DspGraph:
-    """Splice: rewire uses through `rw.subst`, then insert `rw.new_ops` at `rw.at`.
-
-    Replaced ops stay in place; once unused they fall to eliminate_dead_ops,
-    which the driver runs next and which also renumbers the sparse ids.
-    """
-    get = rw.subst.get
-    ops = [replace(op, operands=tuple(get(v, v) for v in op.operands)) for op in graph.ops]
-    ops[rw.at:rw.at] = rw.new_ops
-    return DspGraph(ops=ops, inputs=[(n, get(v, v)) for n, v in graph.inputs],
-                    prints=[get(v, v) for v in graph.prints],
-                    returns=[get(v, v) for v in graph.returns])
-
-
 def apply_dsp_patterns(graph: DspGraph,
                        enabled: Optional[Iterable[PatternId]] = None
                        ) -> tuple[DspGraph, RewriteStats]:
@@ -330,32 +353,46 @@ def apply_dsp_patterns(graph: DspGraph,
 
     Takes a shape-inferred graph.  Patterns are tried in declaration order;
     within a pattern, ops are scanned in topological order and the first
-    match is applied.  Each application splices in the match's new ops,
-    prunes the ops left dead and re-verifies the graph; scanning then
-    restarts from the first pattern.  Only new ops are shaped (from their
-    operands), so a rewrite that would change the shape of a rewired value
-    fails verification, and a graph never passed through ``infer_shapes``
-    keeps its unknown shapes.
+    match is applied, then scanning restarts from the first pattern.  (A
+    per-op worklist would change which pattern wins: on an energy chain it
+    fuses the transforms before Parseval can match.)  Each application
+    splices the match's new ops into one working copy of the graph, rewires
+    only the ops that read a replaced value, prunes the ops left dead (all of
+    them at the first application, so the first scan sees the graph as
+    given, then a cascade from the values that lost their last use) and
+    checks the new and rewired ops with `check_op`.  At the fixpoint the ids
+    are renumbered and the whole graph is verified once.  Only new ops are
+    shaped (from their operands), so a rewrite that would change the shape of
+    a rewired value fails the check, and a graph never passed through
+    ``infer_shapes`` keeps its unknown shapes.  With no application the
+    input graph is returned as is.
     """
     wanted = list(PatternId) if enabled is None else \
         [pid for pid in PatternId if pid in set(enabled)]
     stats = RewriteStats(applications={pid: 0 for pid in wanted},
                          ops_before=len(graph.ops))
-    current = graph
+    ctx = _Ctx(DspGraph(list(graph.ops), list(graph.inputs), list(graph.prints),
+                        list(graph.returns)))
+    matchers = [(pid, _MATCHERS[pid]) for pid in wanted]
     sweep_limit = len(graph.ops) + 8
     for _ in range(sweep_limit):
-        ctx = _Ctx(current)
-        hit = next(((pid, rw) for pid in wanted for op in current.ops
-                    if (rw := _MATCHERS[pid](ctx, op)) is not None), None)
+        hit = next(((pid, rw) for pid, match in matchers for op in ctx.graph.ops
+                    if (rw := match(ctx, op)) is not None), None)
         if hit is None:
             break
         pid, rewrite = hit
-        current = eliminate_dead_ops(_apply_rewrite(current, rewrite))
-        problems = verify_graph(current)
+        problems = ctx.splice(rewrite, prune_all=not stats.total_applications())
         if problems:
             raise RewriteError(f"pattern {pid.value} produced an invalid graph: {problems[0]}")
         stats.applications[pid] += 1
     else:
         raise NonTermination(sweep_limit + 1)
+    current = graph
+    if stats.total_applications():
+        current = renumber(ctx.graph)
+        problems = verify_graph(current)
+        if problems:
+            fired = ", ".join(pid.value for pid, n in stats.applications.items() if n)
+            raise RewriteError(f"patterns {fired} produced an invalid graph: {problems[0]}")
     stats.ops_after = len(current.ops)
     return current, stats

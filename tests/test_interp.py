@@ -11,6 +11,8 @@ from dspc.interp import (InputMismatch, LoopDivisionByZero, NonFinite,
                          compiled_source, counters_report, evaluate_loop_ir,
                          report_table)
 from dspc.kernels import tensor
+from dspc.loop_ir import (AffineExpr, BufferDecl, ConstF, For, LoopProgram,
+                          OutOfBounds, Store)
 from dspc.lowering import lower_graph
 from dspc.rewriter import apply_dsp_patterns
 
@@ -91,6 +93,34 @@ def test_compiled_source_is_cached_and_readable():
     assert src1 is src2  # cached on the program object
     assert "def _run" in src1
     evaluate_loop_ir(p, {"x": tensor([1, 2, 3, 4])})  # reuses the cache
+
+
+def test_program_is_validated_once_before_its_first_compile(monkeypatch):
+    from dspc import interp, loop_ir, lowering
+    checked = []
+
+    def counted(program):
+        checked.append(id(program))
+        loop_ir.validate_program(program)
+
+    monkeypatch.setattr(lowering, "validate_program", counted)
+    monkeypatch.setattr(interp, "validate_program", counted)
+    p = program_for("def main(x) { print(gain(x, 2.0)); }", {"x": 4})
+    evaluate_loop_ir(p, {"x": tensor([1, 2, 3, 4])})
+    assert checked == [id(p)]  # by lower_graph; compiling does not re-check
+
+    def store_loop(n):
+        return LoopProgram(buffers=[BufferDecl("y", 4)], inputs=[], outputs=[],
+                           body=[For("i", 0, n, [Store("y", AffineExpr.of("i"),
+                                                       ConstF(0.0))], "fill")])
+
+    good, bad = store_loop(4), store_loop(5)  # built by hand: never validated
+    compiled_source(good)
+    compiled_source(good)
+    assert checked == [id(p), id(good)]
+    with pytest.raises(OutOfBounds):
+        compiled_source(bad)
+    assert checked == [id(p), id(good), id(bad)]
 
 
 def test_counter_hoisting_matches_naive_count():

@@ -1,9 +1,12 @@
 import random
+from dataclasses import replace
 
 import pytest
 
+from dspc import corpus
 from dspc.frontend import parse_source
-from dspc.graph import build_graph, graph_to_text, infer_shapes, verify_graph
+from dspc.graph import (DspGraph, build_graph, eliminate_dead_ops, graph_to_text,
+                        infer_shapes, verify_graph)
 from dspc.kernels import eval_graph, tensor
 from dspc.ops import OpCode
 from dspc import rewriter
@@ -441,3 +444,134 @@ def test_rewrite_that_reshapes_a_rewired_value_fails_verification(monkeypatch):
                 {"x": 10})
     assert "pattern C3b produced an invalid graph" in str(exc.value)
     assert "inconsistent" in str(exc.value)
+
+
+# --------------------------------------------------------------------------
+# The in-place driver against the per-application reference
+
+
+def reference_rewrite(graph, enabled=None):
+    """The driver with whole-graph work per application: rebuild every op,
+    prune and renumber with eliminate_dead_ops, verify the whole graph."""
+    wanted = [pid for pid in PatternId if enabled is None or pid in enabled]
+    applications = {pid: 0 for pid in wanted}
+    current = graph
+    while True:
+        ctx = rewriter._Ctx(current)
+        hit = next(((pid, rw) for pid in wanted for op in current.ops
+                    if (rw := rewriter._MATCHERS[pid](ctx, op)) is not None), None)
+        if hit is None:
+            return current, applications
+        pid, rw = hit
+        get = rw.subst.get
+        ops = [replace(op, operands=tuple(get(v, v) for v in op.operands)) for op in current.ops]
+        ops[rw.at:rw.at] = rw.new_ops
+        current = eliminate_dead_ops(DspGraph(
+            ops, [(n, get(v, v)) for n, v in current.inputs],
+            [get(v, v) for v in current.prints], [get(v, v) for v in current.returns]))
+        assert verify_graph(current) == []
+        applications[pid] += 1
+
+
+# the full-coverage program of acceptance test 10
+FULL_COVERAGE = """
+def main(x) {
+  var lagged = delay(x, 2);
+  var smooth = slidingWindowAvg(lagged, 3);
+  var packed = runLenEncoding(quantize(threshold(x, 0.5), 8, 0 - 1, 1));
+  var resampled = downsample(upsample(smooth, 2), 2);
+  var back = idft1d(dft1dreal(x), dft1dimg(x));
+  var tones = sinVec(12, 2, 12.0) + cosVec(12, 3, 12.0) + rangeVec(0, 1, 12);
+  print(packed);
+  print(resampled - back / 2.0);
+  print(tones);
+  return sum(reverse(x));
+}
+"""
+
+# a dead stage the first application prunes, and stages whose rewrites
+# feed each other: 1 then 2, 3 then 4 twice, 6 then C3a
+CHAINED = """
+def main(x) {
+  var unused = sum(square(x));
+  var auto = conv1d(x, reverse(x));
+  var h = lowPassFIRFilter(7, 1.1) * hammingWindow(7);
+  var back = idft1d(dft1dreal(x), dft1dimg(x));
+  print(firFilterResponse(back, h));
+  print(dft1dreal(auto));
+  print(dft1dimg(auto));
+  print(downsample(upsample(x, 2), 2));
+}
+"""
+
+ENABLED_SUBSETS = {
+    "all": None,
+    "none": set(),
+    "5+6": {PatternId.PARSEVAL, PatternId.DFT_FUSION},
+    "6": {PatternId.DFT_FUSION},
+    "3+4": {PatternId.FILTER_Y_SYMM, PatternId.DFT_CONJ_SYMM},
+    "1+C3a+C3b": {PatternId.SYMMETRIC_FILTER, PatternId.IDENTITY_DFT_IDFT,
+                  PatternId.IDENTITY_UP_DOWN},
+}
+
+
+def _reference_cases():
+    for app in corpus.APPS:
+        sizes = app.default_sizes()
+        yield app.name, app.source(sizes), app.input_lengths(sizes)
+    yield "full_coverage", FULL_COVERAGE, {"x": 12}
+    yield "chained", CHAINED, {"x": 9}
+    yield "energy", ENERGY % 16, {"x": 16}
+    for case, (source, lengths, _) in sorted(SPLICE_GOLDEN.items()):
+        yield case, source, lengths
+
+
+@pytest.mark.parametrize("subset", sorted(ENABLED_SUBSETS))
+@pytest.mark.parametrize("case", list(_reference_cases()), ids=lambda c: c[0])
+def test_driver_matches_reference(case, subset):
+    _, source, lengths = case
+    enabled = ENABLED_SUBSETS[subset]
+    g = compile_graph(source, lengths)
+    want, applications = reference_rewrite(g, enabled)
+    got, stats = apply_dsp_patterns(g, enabled)
+    assert graph_to_text(got) == graph_to_text(want)
+    assert stats.applications == applications
+    assert (stats.ops_before, stats.ops_after) == (len(g.ops), len(want.ops))
+
+
+def test_priority_scan_fires_parseval_before_fusion():
+    # a per-op worklist would reach the transforms first and fuse them
+    _, stats = rewrite(ENERGY % 16, {"x": 16})
+    assert {pid: n for pid, n in stats.applications.items() if n} == {PatternId.PARSEVAL: 1}
+    assert stats.applications[PatternId.DFT_FUSION] == 0
+
+
+def test_dead_op_pruned_once_a_pattern_fires():
+    src = "def main(x) { var unused = sum(square(x)); print(%s); }"
+    fired, stats = rewrite(src % "downsample(upsample(x, 2), 2)", {"x": 8})
+    assert stats.total_applications() == 1
+    assert opcodes(fired) == [OpCode.INPUT, OpCode.PRINT]
+
+    g = compile_graph(src % "gain(x, 2.0)", {"x": 8})
+    kept, stats = apply_dsp_patterns(g)
+    assert stats.total_applications() == 0
+    assert kept is g and OpCode.SQUARE in opcodes(kept)
+
+
+def test_whole_graph_passes_run_once_per_call(monkeypatch):
+    calls = {"verify_graph": 0, "renumber": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(rewriter, name, counted(name, getattr(rewriter, name)))
+    _, stats = rewrite(CHAINED, {"x": 9})
+    assert stats.total_applications() >= 5
+    assert calls == {"verify_graph": 1, "renumber": 1}
+    _, stats = rewrite("def main(x) { print(gain(x, 2.0)); }", {"x": 8})
+    assert stats.total_applications() == 0
+    assert calls == {"verify_graph": 1, "renumber": 1}
