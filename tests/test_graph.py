@@ -229,6 +229,14 @@ def test_graph_text_round_trip():
     assert graph_to_text(g2) == text
 
 
+def test_return_as_last_statement_prints_last_and_round_trips():
+    g = compile_graph(ROUND_TRIP, {"x": 16, "d": 16})
+    text = graph_to_text(g)
+    assert text.splitlines()[-1] == f"return %{g.returns[0]}"
+    assert graph_to_text(parse_graph_text(text)) == text
+    assert parse_graph_text(text).returns == g.returns
+
+
 def test_graph_text_format():
     g = compile_graph("def main() { print([1, 2]); }")
     text = graph_to_text(g)

@@ -1,5 +1,7 @@
 import random
+import re
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -252,6 +254,47 @@ def main(x, d) {
 }
 """, {"x": 32, "d": 32})
     assert OpCode.LMS_FILTER_GAIN_OPT not in opcodes(g2)
+
+
+ESCAPES = ("print(%s);", "return %s;")
+
+
+@pytest.mark.parametrize("escape", ESCAPES, ids=["print", "return"])
+@pytest.mark.parametrize("name", ["s", "t", "a", "b", "re", "im"])
+def test_pattern5_rejects_an_escaping_intermediate(name, escape):
+    # a second use of any intermediate keeps the whole chain alive
+    src = """
+def main(x) {
+  var re = dft1dreal(x);
+  var im = dft1dimg(x);
+  var a = square(re);
+  var b = square(im);
+  var t = a + b;
+  var s = sum(t);
+  print(s / 16);
+  %s
+}
+""" % (escape % name)
+    _, stats = rewrite(src, {"x": 16})
+    assert stats.applications[PatternId.PARSEVAL] == 0
+
+
+def test_pattern7_rejects_returned_lms_result():
+    g2, stats = rewrite("""
+def main(x, d) {
+  var w = lmsFilter(x, d, 0.01, 4);
+  print(gain(w, 2.0));
+  return w;
+}
+""", {"x": 32, "d": 32})
+    assert stats.applications[PatternId.LMS_GAIN_FUSION] == 0
+    assert OpCode.LMS_FILTER_GAIN_OPT not in opcodes(g2)
+
+
+def test_rewrite_rewires_a_returned_value():
+    g2, stats = rewrite("def main(x) { return downsample(upsample(x, 2), 2); }", {"x": 8})
+    assert stats.fired == {PatternId.IDENTITY_UP_DOWN}
+    assert opcodes(g2)[0] is OpCode.INPUT and g2.returns == [g2.ops[0].id]
 
 
 def test_identity_dft_idft_removed():
@@ -575,3 +618,34 @@ def test_whole_graph_passes_run_once_per_call(monkeypatch):
     _, stats = rewrite("def main(x) { print(gain(x, 2.0)); }", {"x": 8})
     assert stats.total_applications() == 0
     assert calls == {"verify_graph": 1, "renumber": 1}
+
+
+# --------------------------------------------------------------------------
+# Golden graph text of every corpus app before and after rewriting, and of
+# the full-coverage and chained programs with all patterns and with none
+
+GOLDEN_GRAPHS = Path(__file__).resolve().parent / "fixtures" / "golden_graphs.txt"
+
+
+def golden_graphs():
+    out = {}
+    for app in corpus.APPS:
+        sizes = app.default_sizes()
+        g = compile_graph(app.source(sizes), app.input_lengths(sizes))
+        out[f"{app.name}/before"] = graph_to_text(g)
+        out[f"{app.name}/after"] = graph_to_text(apply_dsp_patterns(g)[0])
+    for name, source, lengths in (("full_coverage", FULL_COVERAGE, {"x": 12}),
+                                  ("chained", CHAINED, {"x": 9})):
+        g = compile_graph(source, lengths)
+        for subset, enabled in (("all", None), ("none", set())):
+            out[f"{name}/{subset}"] = graph_to_text(apply_dsp_patterns(g, enabled)[0])
+    return out
+
+
+def test_golden_graphs():
+    parts = re.split(r"^## (\S+)\n", GOLDEN_GRAPHS.read_text(), flags=re.M)[1:]
+    want = dict(zip(parts[::2], parts[1::2]))
+    got = golden_graphs()
+    assert list(got) == list(want)
+    for key in want:
+        assert got[key] == want[key], key
