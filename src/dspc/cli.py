@@ -100,8 +100,8 @@ def _parse_patterns(spec: Optional[str]) -> Optional[set[PatternId]]:
         if not code:
             continue
         try:
-            ids.add(PatternId.from_code(code))
-        except KeyError:
+            ids.add(PatternId(code))
+        except ValueError:
             raise UsageError(f"unknown pattern id {code!r}") from None
     if not ids:
         raise UsageError("--patterns given but empty")

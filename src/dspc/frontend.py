@@ -135,13 +135,13 @@ def tokenize(source: str) -> list[Token]:
             col += j - i
             i = j
             continue
-        if ch.isdigit():
+        if ch.isdecimal():
             j = i
-            while j < n and source[j].isdigit():
+            while j < n and source[j].isdecimal():
                 j += 1
-            if j < n and source[j] == "." and j + 1 < n and source[j + 1].isdigit():
+            if j < n and source[j] == "." and j + 1 < n and source[j + 1].isdecimal():
                 j += 1
-                while j < n and source[j].isdigit():
+                while j < n and source[j].isdecimal():
                     j += 1
             tokens.append(Token(TokenKind.NUMBER, source[i:j], SourceSpan(line, start_col, j - i)))
             col += j - i

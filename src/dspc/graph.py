@@ -1,9 +1,10 @@
 """SSA graph of DSP operations.
 
 Ops live in a topologically ordered list; every value is defined exactly once
-and referenced only by later ops.  Shapes are static one-dimensional lengths,
-except run-length encoding whose result carries a dynamic logical length
-bounded by its buffer capacity.
+and referenced only by later ops.  The list is the whole graph: the inputs,
+prints and returns are ops too (the last two resultless).  Shapes are static
+one-dimensional lengths, except run-length encoding whose result carries a
+dynamic logical length bounded by its buffer capacity.
 """
 
 from __future__ import annotations
@@ -30,8 +31,8 @@ class Attribute:
 class OpNode:
     """One operation; ``id`` is the ValueId of its first result.
 
-    Print produces no result and uses id -1.  Dft1DFused is the only opcode
-    with two results; its second result is addressed as ``id + 1``.
+    Print and return produce no result and use id -1.  Dft1DFused is the
+    only opcode with two results; its second result is addressed as ``id + 1``.
     """
 
     id: ValueId
@@ -57,10 +58,21 @@ class OpNode:
 
 @dataclass
 class DspGraph:
+    """The ops of ``main`` in list order; its interface is read off them."""
+
     ops: list[OpNode] = field(default_factory=list)
-    inputs: list[tuple[str, ValueId]] = field(default_factory=list)
-    prints: list[ValueId] = field(default_factory=list)
-    returns: list[ValueId] = field(default_factory=list)
+
+    @property
+    def inputs(self) -> list[tuple[str, ValueId]]:
+        return [(op.attr("name"), op.id) for op in self.ops if op.opcode is OpCode.INPUT]
+
+    @property
+    def prints(self) -> list[ValueId]:
+        return [op.operands[0] for op in self.ops if op.opcode is OpCode.PRINT]
+
+    @property
+    def returns(self) -> list[ValueId]:
+        return [op.operands[0] for op in self.ops if op.opcode is OpCode.RETURN]
 
     def producer_map(self) -> dict[ValueId, OpNode]:
         out: dict[ValueId, OpNode] = {}
@@ -74,8 +86,6 @@ class DspGraph:
         for op in self.ops:
             for v in op.operands:
                 counts[v] = counts.get(v, 0) + 1
-        for v in self.returns:
-            counts[v] = counts.get(v, 0) + 1
         return counts
 
 
@@ -147,9 +157,7 @@ class _Builder:
     def build(self, module: fe.AstModule) -> DspGraph:
         main = module.main
         for param in main.params:
-            vid = self.emit(OpCode.INPUT, attributes=(Attribute("name", param),))
-            self.env[param] = vid
-            self.graph.inputs.append((param, vid))
+            self.env[param] = self.emit(OpCode.INPUT, attributes=(Attribute("name", param),))
         for stmt in main.body:
             self.statement(stmt)
         return self.graph
@@ -158,12 +166,10 @@ class _Builder:
         if isinstance(stmt, fe.VarDecl):
             self.env[stmt.name] = self.expression(stmt.initializer)
         elif isinstance(stmt, fe.PrintStmt):
-            value = self.expression(stmt.expr)
-            self.emit(OpCode.PRINT, operands=(value,))
-            self.graph.prints.append(value)
+            self.emit(OpCode.PRINT, operands=(self.expression(stmt.expr),))
         elif isinstance(stmt, fe.ReturnStmt):
             if stmt.expr is not None:
-                self.graph.returns.append(self.expression(stmt.expr))
+                self.emit(OpCode.RETURN, operands=(self.expression(stmt.expr),))
         elif isinstance(stmt, fe.ExprStmt):
             self.expression(stmt.expr)
         else:
@@ -256,14 +262,13 @@ def infer_shapes(graph: DspGraph,
     bindings = dict(input_lengths or {})
     shapes: dict[ValueId, Optional[TensorShape]] = {}
     new_ops: list[OpNode] = []
-    name_by_id = {vid: name for name, vid in graph.inputs}
 
     for op in graph.ops:
         sig = OP_DEFS[op.opcode]
         ins = [shapes.get(v) for v in op.operands]
         if sig.shape is None:  # an input: shaped by its binding
             existing = op.result_shapes[0] if op.result_shapes else None
-            bound = bindings.get(name_by_id.get(op.id, op.attr("name")))
+            bound = bindings.get(op.attr("name"))
             if bound is not None:
                 if existing is not None and existing.length != bound:
                     raise ShapeMismatch(op, f"input bound to length {bound} but already "
@@ -278,8 +283,7 @@ def infer_shapes(graph: DspGraph,
         new_ops.append(new_op)
         for rid, s in zip(new_op.result_ids, shaped):
             shapes[rid] = s
-    return DspGraph(ops=new_ops, inputs=list(graph.inputs),
-                    prints=list(graph.prints), returns=list(graph.returns))
+    return DspGraph(new_ops)
 
 
 # --------------------------------------------------------------------------
@@ -295,15 +299,6 @@ def verify_graph(graph: DspGraph) -> list[str]:
     shapes: dict[ValueId, Optional[TensorShape]] = {}  # every value defined so far
     for op in graph.ops:
         violations += check_op(op, shapes)
-    for name, vid in graph.inputs:
-        if vid not in shapes:
-            violations.append(f"input {name!r} refers to undefined value %{vid}")
-    for vid in graph.prints:
-        if vid not in shapes:
-            violations.append(f"print refers to undefined value %{vid}")
-    for vid in graph.returns:
-        if vid not in shapes:
-            violations.append(f"return refers to undefined value %{vid}")
     return violations
 
 
@@ -427,6 +422,9 @@ def graph_to_text(graph: DspGraph) -> str:
         if op.opcode is OpCode.PRINT:
             lines.append(f"print({args})")
             continue
+        if op.opcode is OpCode.RETURN:
+            lines.append(f"return {args}")
+            continue
         heads = ", ".join(f"%{r}" for r in op.result_ids)
         text = f"{heads} = {op.opcode.value}({args})"
         if op.attributes:
@@ -435,8 +433,6 @@ def graph_to_text(graph: DspGraph) -> str:
         shapes = ", ".join(_format_shape(s) for s in op.result_shapes)
         text += f" : {shapes}"
         lines.append(text)
-    for vid in graph.returns:
-        lines.append(f"return %{vid}")
     return "\n".join(lines) + "\n"
 
 
@@ -477,7 +473,7 @@ class _LineScanner:
     def value_id(self) -> ValueId:
         self.expect("%")
         start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
+        while self.pos < len(self.text) and self.text[self.pos].isdecimal():
             self.pos += 1
         if self.pos == start:
             raise self.error("expected a value id")
@@ -488,7 +484,7 @@ class _LineScanner:
         start = self.pos
         if self.pos < len(self.text) and self.text[self.pos] in "+-":
             self.pos += 1
-        while self.pos < len(self.text) and (self.text[self.pos].isdigit()
+        while self.pos < len(self.text) and (self.text[self.pos].isdecimal()
                                              or self.text[self.pos] in ".eE+-"):
             if self.text[self.pos] in "+-" and self.text[self.pos - 1] not in "eE":
                 break
@@ -529,7 +525,7 @@ def _parse_shape(scanner: _LineScanner) -> Optional[TensorShape]:
     if scanner.take("?>"):
         return None
     start = scanner.pos
-    while scanner.pos < len(scanner.text) and scanner.text[scanner.pos].isdigit():
+    while scanner.pos < len(scanner.text) and scanner.text[scanner.pos].isdecimal():
         scanner.pos += 1
     if scanner.pos == start:
         raise scanner.error("expected a tensor length")
@@ -550,12 +546,10 @@ def parse_graph_text(text: str) -> DspGraph:
         if sc.take("print("):
             vid = sc.value_id()
             sc.expect(")")
-            graph.ops.append(OpNode(id=-1, opcode=OpCode.PRINT, operands=(vid,),
-                                    result_shapes=()))
-            graph.prints.append(vid)
+            graph.ops.append(OpNode(id=-1, opcode=OpCode.PRINT, operands=(vid,)))
             continue
         if sc.take("return"):
-            graph.returns.append(sc.value_id())
+            graph.ops.append(OpNode(id=-1, opcode=OpCode.RETURN, operands=(sc.value_id(),)))
             continue
         first = sc.value_id()
         ids = [first]
@@ -564,7 +558,7 @@ def parse_graph_text(text: str) -> DspGraph:
         sc.expect("=")
         name = sc.ident()
         opcode = OPCODE_BY_NAME.get(name)
-        if opcode is None or opcode is OpCode.PRINT:
+        if opcode is None or not OP_DEFS[opcode].n_results:
             raise sc.error(f"unknown opcode {name!r}")
         sig = OP_DEFS[opcode]
         if len(ids) != sig.n_results:
@@ -606,11 +600,8 @@ def parse_graph_text(text: str) -> DspGraph:
         if not sc.at_end():
             raise sc.error("trailing text after op")
         attributes = tuple(Attribute(s.name, raw_attrs[s.name]) for s in sig.attrs)
-        node = OpNode(id=first, opcode=opcode, operands=tuple(operands),
-                      attributes=attributes, result_shapes=tuple(shapes))
-        graph.ops.append(node)
-        if opcode is OpCode.INPUT:
-            graph.inputs.append((str(node.attr("name")), node.id))
+        graph.ops.append(OpNode(id=first, opcode=opcode, operands=tuple(operands),
+                                attributes=attributes, result_shapes=tuple(shapes)))
     return graph
 
 
@@ -631,14 +622,8 @@ def renumber(graph: DspGraph) -> DspGraph:
         for i, rid in enumerate(op.result_ids):
             mapping[rid] = next_id + i
         next_id += op.n_results
-    new_ops = [replace(op, id=new_id, operands=tuple(mapping[v] for v in op.operands))
-               for op, new_id in staged]
-    return DspGraph(
-        ops=new_ops,
-        inputs=[(name, mapping[v]) for name, v in graph.inputs],
-        prints=[mapping[v] for v in graph.prints],
-        returns=[mapping[v] for v in graph.returns],
-    )
+    return DspGraph([replace(op, id=new_id, operands=tuple(mapping[v] for v in op.operands))
+                     for op, new_id in staged])
 
 
 def dead_ops(producer: Mapping[ValueId, OpNode], uses: dict[ValueId, int],
@@ -647,7 +632,8 @@ def dead_ops(producer: Mapping[ValueId, OpNode], uses: dict[ValueId, int],
 
     An op other than an input dies when none of its results is used; its
     operands then lose a use in `uses` (updated in place) and the check
-    cascades to their producers.  Prints have no result and never die.  With
+    cascades to their producers.  Prints and returns have no result and
+    never die, and their operands are counted uses like any other.  With
     every value as a candidate this prunes all that prints and returns do
     not reach.
     """
@@ -669,7 +655,4 @@ def eliminate_dead_ops(graph: DspGraph) -> DspGraph:
     """Drop ops whose results are unused; prints, returns, and inputs stay."""
     producer = graph.producer_map()
     dead = dead_ops(producer, graph.use_counts(), producer)
-    pruned = DspGraph(ops=[op for op in graph.ops if id(op) not in dead],
-                      inputs=list(graph.inputs), prints=list(graph.prints),
-                      returns=list(graph.returns))
-    return renumber(pruned)
+    return renumber(DspGraph([op for op in graph.ops if id(op) not in dead]))

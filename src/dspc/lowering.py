@@ -120,7 +120,7 @@ class _Lowerer:
 
     def emit(self, op: OpNode) -> None:
         oc = op.opcode
-        if oc is OpCode.PRINT:
+        if oc is OpCode.PRINT or oc is OpCode.RETURN:
             return
         self.declare(op)
         emitter = EMITTERS.get(oc)

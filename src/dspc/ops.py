@@ -20,6 +20,8 @@ from .errors import DspcError
 
 
 class OpCode(Enum):
+    __hash__ = object.__hash__  # members are singletons compared by identity
+
     INPUT = "input"
     CONST_TENSOR = "const_tensor"
     DELAY = "delay"
@@ -49,6 +51,7 @@ class OpCode(Enum):
     COS_VEC = "cos_vec"
     RANGE_VEC = "range_vec"
     PRINT = "print"
+    RETURN = "return"
     # Created only by the rewriter, never by the graph builder.
     FILTER_HAMM_OPT = "filter_hamm_opt"
     FILTER_RES_SYMM_OPT = "filter_res_symm_opt"
@@ -263,6 +266,7 @@ OP_DEFS: dict[OpCode, OpDef] = {d.opcode: d for d in (
           (AttrSpec("start", "float"), AttrSpec("step", "float"), _at_least("n", 1)),
           _length_attr("n")),
     OpDef(OpCode.PRINT, None, 1, (), lambda op, ins: (), n_results=0),
+    OpDef(OpCode.RETURN, None, 1, (), lambda op, ins: (), n_results=0),
     OpDef(OpCode.FILTER_HAMM_OPT, None, 0, _L2 + (_CUTOFF,), _length_attr("L")),
     OpDef(OpCode.FILTER_RES_SYMM_OPT, None, 2, (), _filter),
     OpDef(OpCode.FILTER_Y_SYMM_OPT, None, 1, (), _autocorr),

@@ -2,14 +2,17 @@
 
 Each pattern matches a small chain of ops by value identity (same SSA value,
 not merely an equal-looking subtree), builds the cheaper replacement ops and
-names the old values they stand for.  The driver applies the patterns in a
-fixed priority order, greedily, until a full sweep makes no change.  It keeps
-one working graph with its producer and use-count tables for the whole call
-and updates them in place: a splice inserts the new ops, rebuilds only the
-ops that read a replaced value, prunes the ops left dead (so later patterns
-never fire on unused values) and checks the ops it touched.  Ids are made
-dense and the whole graph is verified once, at the fixpoint; matchers compare
-ids only relatively, so the sparse ids in between change no match.
+names the old values they stand for.  `_MATCHERS` registers each `PatternId`
+as ``(matcher, root opcodes)``; the driver tries a matcher only on ops whose
+opcode is a root, and applies the patterns in a fixed priority order,
+greedily, until a full sweep makes no change.  It keeps one working graph
+with its producer and use-count tables for the whole call and updates them in
+place: a splice inserts the new ops, rebuilds only the ops that read a
+replaced value, prunes the ops left dead (so later patterns never fire on
+unused values) and checks the ops it touched.  Ids are made dense and the
+whole graph is verified once, at the fixpoint; matchers compare ids only
+relatively, so the sparse ids in between change no match.  Pattern ids are
+looked up by code with ``PatternId(code)``.
 """
 
 from __future__ import annotations
@@ -34,13 +37,6 @@ class PatternId(Enum):
     LMS_GAIN_FUSION = "7"
     IDENTITY_DFT_IDFT = "C3a"
     IDENTITY_UP_DOWN = "C3b"
-
-    @classmethod
-    def from_code(cls, code: str) -> "PatternId":
-        for pid in cls:
-            if pid.value == code:
-                return pid
-        raise KeyError(code)
 
 
 class RewriteError(DspcError):
@@ -92,8 +88,7 @@ class _Ctx:
         return self.producer.get(value)
 
     def single_use(self, value: ValueId) -> bool:
-        return self.uses.get(value, 0) == 1 and value not in self.graph.prints \
-            and value not in self.graph.returns
+        return self.uses.get(value, 0) == 1
 
     def pos(self, op: OpNode) -> int:
         return self.index_of[id(op)]
@@ -130,9 +125,6 @@ class _Ctx:
                 touched.append(op)
                 self.producer.update(dict.fromkeys(op.result_ids, op))
         g.ops[rw.at:rw.at] = rw.new_ops
-        g.inputs[:] = [(n, get(v, v)) for n, v in g.inputs]
-        g.prints[:] = [get(v, v) for v in g.prints]
-        g.returns[:] = [get(v, v) for v in g.returns]
         moved = {old: self.uses.pop(old, 0) for old in subst}  # a target may be a key too
         for old, n in moved.items():
             self.uses[subst[old]] = self.uses.get(subst[old], 0) + n
@@ -159,14 +151,13 @@ def replace_site(ctx: _Ctx, site: OpNode, value: ValueId, *new_ops: OpNode) -> _
 
 
 # --------------------------------------------------------------------------
-# Pattern matchers.  Each takes the context and a site op; on a match it
-# builds its new ops with `ctx.new` and returns the splice, else None.
+# Pattern matchers.  Each takes the context and a site op whose opcode is one
+# of the pattern's roots in `_MATCHERS` (so it does not test it); on a match
+# it builds its new ops with `ctx.new` and returns the splice, else None.
 
 
 def pat_symmetric_filter(ctx: _Ctx, site: OpNode) -> Optional[_Rewrite]:
     """Mul(low-pass taps, Hamming window) with matching L -> FilterHammOpt."""
-    if site.opcode is not OpCode.MUL:
-        return None
     a, b = (ctx.prod(v) for v in site.operands)
     if a is None or b is None:
         return None
@@ -183,8 +174,6 @@ def pat_symmetric_filter(ctx: _Ctx, site: OpNode) -> Optional[_Rewrite]:
 
 def pat_symmetric_filter_response(ctx: _Ctx, site: OpNode) -> Optional[_Rewrite]:
     """FirFilterResponse with coefficients known symmetric -> paired-tap form."""
-    if site.opcode is not OpCode.FIR_FILTER_RESPONSE:
-        return None
     h = ctx.prod(site.operands[1])
     if h is None or h.opcode is not OpCode.FILTER_HAMM_OPT:
         return None
@@ -194,8 +183,6 @@ def pat_symmetric_filter_response(ctx: _Ctx, site: OpNode) -> Optional[_Rewrite]
 
 def pat_filter_y_symm(ctx: _Ctx, site: OpNode) -> Optional[_Rewrite]:
     """conv1d(x, reverse(x)) (either operand order) -> half-computed output."""
-    if site.opcode is not OpCode.CONV1D_FULL:
-        return None
     a, b = site.operands
     pa, pb = ctx.prod(a), ctx.prod(b)
     x: Optional[ValueId] = None
@@ -211,8 +198,6 @@ def pat_filter_y_symm(ctx: _Ctx, site: OpNode) -> Optional[_Rewrite]:
 
 def pat_dft_conj_symm(ctx: _Ctx, site: OpNode) -> Optional[_Rewrite]:
     """DFT of a provably even signal computes half the bins and mirrors."""
-    if site.opcode not in (OpCode.DFT1D_REAL, OpCode.DFT1D_IMAG):
-        return None
     src = ctx.prod(site.operands[0])
     if src is None or src.opcode is not OpCode.FILTER_Y_SYMM_OPT:
         return None
@@ -229,8 +214,6 @@ def pat_parseval(ctx: _Ctx, site: OpNode) -> Optional[_Rewrite]:
     equal to the (static) length of x; matches both the separate real/imag
     transforms and the fused one.
     """
-    if site.opcode is not OpCode.DIV:
-        return None
     total, divisor = site.operands
     const = ctx.prod(divisor)
     if const is None or const.opcode is not OpCode.CONST_TENSOR:
@@ -268,12 +251,14 @@ def pat_parseval(ctx: _Ctx, site: OpNode) -> Optional[_Rewrite]:
 
 def _dft_source(ctx: _Ctx, re: ValueId, im: ValueId) -> Optional[ValueId]:
     """The x whose real and imaginary DFT are `re` and `im`, in that order,
-    from two separate transforms or one fused one; None if there is none."""
+    from two separate transforms (or the mirrored pair pattern 4 makes of
+    them, which holds every bin) or one fused one; None if there is none."""
     pr, pi = ctx.prod(re), ctx.prod(im)
     if pr is None or pi is None:
         return None
-    if pr.opcode is OpCode.DFT1D_REAL and pi.opcode is OpCode.DFT1D_IMAG \
-            and pr.operands == pi.operands:
+    if pr.operands == pi.operands and (pr.opcode, pi.opcode) in (
+            (OpCode.DFT1D_REAL, OpCode.DFT1D_IMAG),
+            (OpCode.DFT1D_REAL_SYMM, OpCode.DFT1D_IMAG_SYMM)):
         return pr.operands[0]
     if pr is pi and pr.opcode is OpCode.DFT1D_FUSED and (re, im) == (pr.id, pr.id + 1):
         return pr.operands[0]
@@ -282,8 +267,6 @@ def _dft_source(ctx: _Ctx, re: ValueId, im: ValueId) -> Optional[ValueId]:
 
 def pat_dft_fusion(ctx: _Ctx, site: OpNode) -> Optional[_Rewrite]:
     """Separate real and imaginary DFTs of one value fuse into a single pass."""
-    if site.opcode is not OpCode.DFT1D_IMAG:
-        return None
     partner = None
     for op in ctx.graph.ops:
         if op.opcode is OpCode.DFT1D_REAL and op.operands == site.operands:
@@ -298,8 +281,6 @@ def pat_dft_fusion(ctx: _Ctx, site: OpNode) -> Optional[_Rewrite]:
 
 def pat_lms_gain_fusion(ctx: _Ctx, site: OpNode) -> Optional[_Rewrite]:
     """Gain applied to a single-use LMS weight vector folds into the update."""
-    if site.opcode is not OpCode.GAIN:
-        return None
     lms = ctx.prod(site.operands[0])
     if lms is None or lms.opcode is not OpCode.LMS_FILTER:
         return None
@@ -313,8 +294,6 @@ def pat_lms_gain_fusion(ctx: _Ctx, site: OpNode) -> Optional[_Rewrite]:
 
 def pat_identity_dft_idft(ctx: _Ctx, site: OpNode) -> Optional[_Rewrite]:
     """idft1d applied to the DFT of x is the identity: all uses read x."""
-    if site.opcode is not OpCode.IDFT1D:
-        return None
     x = _dft_source(ctx, *site.operands)
     if x is None:
         return None
@@ -323,8 +302,6 @@ def pat_identity_dft_idft(ctx: _Ctx, site: OpNode) -> Optional[_Rewrite]:
 
 def pat_identity_up_down(ctx: _Ctx, site: OpNode) -> Optional[_Rewrite]:
     """downsample(upsample(x, k), k) with the same k passes x through."""
-    if site.opcode is not OpCode.DOWNSAMPLE:
-        return None
     up = ctx.prod(site.operands[0])
     if up is None or up.opcode is not OpCode.UPSAMPLE:
         return None
@@ -333,16 +310,18 @@ def pat_identity_up_down(ctx: _Ctx, site: OpNode) -> Optional[_Rewrite]:
     return replace_site(ctx, site, up.operands[0])
 
 
+# Each pattern's matcher and the opcodes of the sites it is tried on.
 _MATCHERS = {
-    PatternId.SYMMETRIC_FILTER: pat_symmetric_filter,
-    PatternId.SYMMETRIC_FILTER_RESPONSE: pat_symmetric_filter_response,
-    PatternId.FILTER_Y_SYMM: pat_filter_y_symm,
-    PatternId.DFT_CONJ_SYMM: pat_dft_conj_symm,
-    PatternId.PARSEVAL: pat_parseval,
-    PatternId.DFT_FUSION: pat_dft_fusion,
-    PatternId.LMS_GAIN_FUSION: pat_lms_gain_fusion,
-    PatternId.IDENTITY_DFT_IDFT: pat_identity_dft_idft,
-    PatternId.IDENTITY_UP_DOWN: pat_identity_up_down,
+    PatternId.SYMMETRIC_FILTER: (pat_symmetric_filter, {OpCode.MUL}),
+    PatternId.SYMMETRIC_FILTER_RESPONSE: (pat_symmetric_filter_response,
+                                          {OpCode.FIR_FILTER_RESPONSE}),
+    PatternId.FILTER_Y_SYMM: (pat_filter_y_symm, {OpCode.CONV1D_FULL}),
+    PatternId.DFT_CONJ_SYMM: (pat_dft_conj_symm, {OpCode.DFT1D_REAL, OpCode.DFT1D_IMAG}),
+    PatternId.PARSEVAL: (pat_parseval, {OpCode.DIV}),
+    PatternId.DFT_FUSION: (pat_dft_fusion, {OpCode.DFT1D_IMAG}),
+    PatternId.LMS_GAIN_FUSION: (pat_lms_gain_fusion, {OpCode.GAIN}),
+    PatternId.IDENTITY_DFT_IDFT: (pat_identity_dft_idft, {OpCode.IDFT1D}),
+    PatternId.IDENTITY_UP_DOWN: (pat_identity_up_down, {OpCode.DOWNSAMPLE}),
 }
 
 
@@ -352,8 +331,8 @@ def apply_dsp_patterns(graph: DspGraph,
     """Greedy fixpoint rewriting in pattern-priority order.
 
     Takes a shape-inferred graph.  Patterns are tried in declaration order;
-    within a pattern, ops are scanned in topological order and the first
-    match is applied, then scanning restarts from the first pattern.  (A
+    within a pattern, its root ops are scanned in topological order and the
+    first match is applied, then scanning restarts from the first pattern.  (A
     per-op worklist would change which pattern wins: on an energy chain it
     fuses the transforms before Parseval can match.)  Each application
     splices the match's new ops into one working copy of the graph, rewires
@@ -371,13 +350,12 @@ def apply_dsp_patterns(graph: DspGraph,
         [pid for pid in PatternId if pid in set(enabled)]
     stats = RewriteStats(applications={pid: 0 for pid in wanted},
                          ops_before=len(graph.ops))
-    ctx = _Ctx(DspGraph(list(graph.ops), list(graph.inputs), list(graph.prints),
-                        list(graph.returns)))
-    matchers = [(pid, _MATCHERS[pid]) for pid in wanted]
+    ctx = _Ctx(DspGraph(list(graph.ops)))
+    matchers = [(pid, *_MATCHERS[pid]) for pid in wanted]
     sweep_limit = len(graph.ops) + 8
     for _ in range(sweep_limit):
-        hit = next(((pid, rw) for pid, match in matchers for op in ctx.graph.ops
-                    if (rw := match(ctx, op)) is not None), None)
+        hit = next(((pid, rw) for pid, match, roots in matchers for op in ctx.graph.ops
+                    if op.opcode in roots and (rw := match(ctx, op)) is not None), None)
         if hit is None:
             break
         pid, rewrite = hit

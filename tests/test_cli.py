@@ -157,6 +157,15 @@ def test_non_finite_literal_exit_2(capsys, tmp_path):
     assert "fits a float" in err
 
 
+def test_superscript_digit_exit_2(capsys, tmp_path):
+    # str.isdigit() accepts "\u00b2" but float() does not
+    src = tmp_path / "sup.dsp"
+    src.write_text("def main(x) { print(gain(x, \u00b2)); }\n")
+    code, _, err = run_cli(capsys, "run", str(src), "--synth", "x=4,1")
+    assert code == 2
+    assert "unexpected character" in err
+
+
 @pytest.mark.parametrize("argv", [("run", "--synth", "x=2,1"), ("build", "--emit=dsp")])
 def test_non_finite_attribute_exit_3(capsys, tmp_path, argv):
     big = "9" * 200  # each factor is finite, their folded product is not
@@ -253,6 +262,19 @@ def test_bench_agreeing_non_finite_output_exits_4(capsys, tmp_path):
     assert code == 4
     assert "FAIL" not in out
     assert "non-finite value in printed" in err
+
+
+@pytest.mark.parametrize("printed, fired", [
+    ("idft1d(dft1dreal(a), dft1dimg(a))", "['3', '4', 'C3a']"),
+    ("sum(square(dft1dreal(a)) + square(dft1dimg(a))) / 15", "['3', '4', '5']"),
+], ids=["identity", "parseval"])
+def test_bench_transforms_of_an_autocorrelation(capsys, tmp_path, printed, fired):
+    src = tmp_path / "auto.dsp"
+    src.write_text("def main(x) { var a = conv1d(x, reverse(x)); print(%s); }\n" % printed)
+    code, out, _ = run_cli(capsys, "bench", str(src), "--synth", "x=8,1")
+    assert code == 0
+    assert f"fired patterns: {fired}" in out
+    assert "FAIL" not in out
 
 
 def test_bench_unknown_target(capsys):

@@ -200,9 +200,10 @@ def test_verify_rejects_non_finite_attribute(line):
 def test_every_opcode_has_one_def_kernel_and_emitter():
     assert set(OP_DEFS) == set(OpCode)
     assert all(d.opcode is oc for oc, d in OP_DEFS.items())
-    # eval_graph binds inputs itself; print computes nothing and lowers to no loop
-    assert set(KERNELS) | {OpCode.INPUT, OpCode.PRINT} == set(OpCode)
-    assert set(EMITTERS) | {OpCode.PRINT} == set(OpCode)
+    # eval_graph binds inputs itself; print and return compute nothing and
+    # lower to no loop
+    assert set(KERNELS) | {OpCode.INPUT, OpCode.PRINT, OpCode.RETURN} == set(OpCode)
+    assert set(EMITTERS) | {OpCode.PRINT, OpCode.RETURN} == set(OpCode)
 
 
 # --------------------------------------------------------------------------
@@ -237,6 +238,15 @@ def test_return_as_last_statement_prints_last_and_round_trips():
     assert parse_graph_text(text).returns == g.returns
 
 
+def test_return_prints_at_its_position():
+    g = compile_graph("def main(x) { var y = square(x); return y; print(gain(y, 2.0)); }",
+                      {"x": 4})
+    text = graph_to_text(g)
+    assert text.splitlines()[2:] == ["return %1", "%2 = gain(%1) {g=2.0} : tensor<4>",
+                                     "print(%2)"]
+    assert graph_to_text(parse_graph_text(text)) == text
+
+
 def test_graph_text_format():
     g = compile_graph("def main() { print([1, 2]); }")
     text = graph_to_text(g)
@@ -247,6 +257,14 @@ def test_graph_text_format():
 def test_graph_text_parse_error_reports_line():
     with pytest.raises(GraphTextError) as exc:
         parse_graph_text("%0 = input() {name=x} : tensor<8>\n%1 = bogus()\n")
+    assert exc.value.line == 2
+
+
+@pytest.mark.parametrize("line", ["%1 = square(%\u00b2) : tensor<4>",
+                                  "%1 = square(%0) : tensor<\u00b2>"])
+def test_graph_text_rejects_non_decimal_digits(line):
+    with pytest.raises(GraphTextError) as exc:
+        parse_graph_text("%0 = input() {name=x} : tensor<4>\n" + line + "\n")
     assert exc.value.line == 2
 
 

@@ -326,6 +326,33 @@ def main(x) {
     assert g2.prints[1] == 0  # second print reads the input directly
 
 
+AUTOCORR_IDFT = """
+def main(x) {
+  var a = conv1d(x, reverse(x));
+  print(idft1d(dft1dreal(a), dft1dimg(a)));
+}
+"""
+
+AUTOCORR_ENERGY = """
+def main(x) {
+  var a = conv1d(x, reverse(x));
+  print(sum(square(dft1dreal(a)) + square(dft1dimg(a))) / 15);
+}
+"""
+
+
+@pytest.mark.parametrize("source, fired", [
+    (AUTOCORR_IDFT, {"3": 1, "4": 2, "C3a": 1}),
+    (AUTOCORR_ENERGY, {"3": 1, "4": 2, "5": 1}),
+], ids=["identity", "parseval"])
+def test_transform_pair_mirrored_by_pattern4_is_a_full_dft(source, fired):
+    # pattern 4 turns the pair into dft1d_real_symm/dft1d_imag_symm first
+    g2, stats = rewrite(source, {"x": 8})
+    assert {pid.value: n for pid, n in stats.applications.items() if n} == fired
+    assert OpCode.DFT1D_REAL_SYMM not in opcodes(g2)
+    assert_equivalent(source, {"x": 8}, {"x": rand(random.Random(8), 8)})
+
+
 def test_identity_updown_removed():
     g2, stats = rewrite("""
 def main(x) {
@@ -481,7 +508,8 @@ def test_rewrite_that_reshapes_a_rewired_value_fails_verification(monkeypatch):
             return None
         return rewriter.replace_site(ctx, site, up.operands[0])
 
-    monkeypatch.setitem(rewriter._MATCHERS, PatternId.IDENTITY_UP_DOWN, any_factor)
+    monkeypatch.setitem(rewriter._MATCHERS, PatternId.IDENTITY_UP_DOWN,
+                        (any_factor, {OpCode.DOWNSAMPLE}))
     with pytest.raises(RewriteError) as exc:
         rewrite("def main(x) { print(gain(downsample(upsample(x, 3), 2), 2.0)); }",
                 {"x": 10})
@@ -502,16 +530,15 @@ def reference_rewrite(graph, enabled=None):
     while True:
         ctx = rewriter._Ctx(current)
         hit = next(((pid, rw) for pid in wanted for op in current.ops
-                    if (rw := rewriter._MATCHERS[pid](ctx, op)) is not None), None)
+                    if op.opcode in rewriter._MATCHERS[pid][1]
+                    and (rw := rewriter._MATCHERS[pid][0](ctx, op)) is not None), None)
         if hit is None:
             return current, applications
         pid, rw = hit
         get = rw.subst.get
         ops = [replace(op, operands=tuple(get(v, v) for v in op.operands)) for op in current.ops]
         ops[rw.at:rw.at] = rw.new_ops
-        current = eliminate_dead_ops(DspGraph(
-            ops, [(n, get(v, v)) for n, v in current.inputs],
-            [get(v, v) for v in current.prints], [get(v, v) for v in current.returns]))
+        current = eliminate_dead_ops(DspGraph(ops))
         assert verify_graph(current) == []
         applications[pid] += 1
 
