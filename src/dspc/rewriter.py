@@ -310,7 +310,6 @@ def pat_identity_up_down(ctx: _Ctx, site: OpNode) -> Optional[_Rewrite]:
     return replace_site(ctx, site, up.operands[0])
 
 
-# Each pattern's matcher and the opcodes of the sites it is tried on.
 _MATCHERS = {
     PatternId.SYMMETRIC_FILTER: (pat_symmetric_filter, {OpCode.MUL}),
     PatternId.SYMMETRIC_FILTER_RESPONSE: (pat_symmetric_filter_response,

@@ -167,6 +167,12 @@ def test_verify_operand_out_of_range():
     assert any("not defined before use" in v for v in violations)
 
 
+@pytest.mark.parametrize("line, opcode", [("print(%7)", "print"), ("return %7", "return")])
+def test_verify_undefined_print_or_return_operand(line, opcode):
+    violations = verify_graph(parse_graph_text("%0 = input() {name=x} : tensor<8>\n" + line))
+    assert violations == [f"%-1 {opcode}: operand %7 not defined before use"]
+
+
 @pytest.mark.parametrize("text, violation", [
     ("%0 = input() {name=x} : tensor<8>\n"
      "%1 = input() {name=h} : tensor<3>\n"
