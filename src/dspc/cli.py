@@ -21,10 +21,10 @@ from .errors import UsageError
 from .frontend import FrontendError, ast_to_text, parse_source, tokenize
 from .graph import (DspGraph, GraphBuildError, GraphTextError, ShapeMismatch,
                     VerificationFailed, graph_to_text)
-from .interp import (ExecCounters, LoopRuntimeError, NonFinite,
+from .interp import (LoopRuntimeError, NonFinite, compiled_source,
                      counters_report, evaluate_loop_ir, report_table)
 from .kernels import KernelError, Tensor, eval_graph, tensor
-from .loop_ir import LoopIrError, loop_to_text
+from .loop_ir import LoopIrError
 from .lowering import LoweringUnsupported, lower_graph
 from .rewriter import PatternId, RewriteError, apply_dsp_patterns
 from .synth import noise
@@ -108,6 +108,14 @@ def _parse_patterns(spec: Optional[str]) -> Optional[set[PatternId]]:
     return ids
 
 
+def _route_patterns(args) -> Optional[set[PatternId]]:
+    """The patterns `--patterns` enables on the `--opt=dsp` route."""
+    enabled = _parse_patterns(args.patterns)
+    if enabled is not None and args.opt != "dsp":
+        raise UsageError("--patterns requires --opt=dsp")
+    return enabled
+
+
 def _parse_synth(item: str) -> tuple[str, int, int]:
     name, eq, rest = item.partition("=")
     if not eq or not name:
@@ -180,9 +188,7 @@ def _format_tensor(t: Tensor) -> str:
 
 def cmd_build(args) -> int:
     source = _read_source(args.source)
-    enabled = _parse_patterns(args.patterns)
-    if enabled is not None and args.opt != "dsp":
-        raise UsageError("--patterns requires --opt=dsp")
+    enabled = _route_patterns(args)
     if args.emit == "dsp-opt" and args.opt != "dsp":
         raise UsageError("--emit=dsp-opt requires --opt=dsp")
 
@@ -205,16 +211,13 @@ def cmd_build(args) -> int:
     if args.emit == "dsp-opt":
         print(graph_to_text(graph), end="")
         return EXIT_OK
-    program = lower_graph(graph)
-    print(loop_to_text(program), end="")
+    print(compiled_source(lower_graph(graph)))
     return EXIT_OK
 
 
 def cmd_run(args) -> int:
     source = _read_source(args.source)
-    enabled = _parse_patterns(args.patterns)
-    if enabled is not None and args.opt != "dsp":
-        raise UsageError("--patterns requires --opt=dsp")
+    enabled = _route_patterns(args)
     bindings = _parse_bindings(args.input, args.synth)
     graph = _compile(source, bindings)
     _require_bound(graph, bindings)

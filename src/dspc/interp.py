@@ -1,15 +1,19 @@
 """Instrumented execution of loop programs.
 
-A program is translated once into a plain Python function (cached on the
-program object) and exec'd.  Operation counters follow the cost model the
-backend was lowered against: loads/stores per buffer access, multiplies
-(including divides), adds (including subtracts), trig calls, and loop
-iterations split by tag.  Loop bounds are static ints, so the cost of one
-run of any block is known at codegen time.  The generated code counts only
-how often each branch body (a boundary guard or a data-dependent
-comparison) ran, with one `+=` per run; the totals are the static cost plus
-each branch body's runs times its cost.  The generated function takes the
-buffers as a list in declaration order.
+A program is bounds-checked (`validate_program`) and translated into a plain
+Python function once, at its first compile; the function is cached on the
+program object and exec'd.  The generated source (`compiled_source`) is the
+program's text form: it opens with one comment line per buffer (capacity,
+`dyn`, bound input, up to 8 initial values) and per printed or returned
+value, and each loop's tag is a comment on its `for` line.  Operation
+counters follow the cost model the backend was lowered against: loads/stores
+per buffer access, multiplies (including divides), adds (including
+subtracts), trig calls, and loop iterations split by tag.  Loop bounds are
+static ints, so the cost of one run of any block is known at codegen time.
+The generated code counts only how often each branch body (a boundary guard
+or a data-dependent comparison) ran, with one `+=` per run; the totals are
+the static cost plus each branch body's runs times its cost.  The generated
+function takes the buffers as a list in declaration order.
 """
 
 from __future__ import annotations
@@ -22,11 +26,10 @@ from typing import Callable, Optional
 
 from .errors import DspcError
 from .kernels import Tensor
-from .loop_ir import (ARITH_SYMBOLS, CMP_SYMBOLS, BinaryArith, CheckFinite,
-                      ConstF, DynAppend, For, IfCmp, IndexF, IndexProdF,
-                      IntrinsicCall, Load, LoopProgram, Operand, Select,
-                      SelectGuard, SetTemp, Stmt, Store, TempRef,
-                      validate_program)
+from .loop_ir import (BinaryArith, CheckFinite, ConstF, DynAppend, For, IfCmp,
+                      IndexF, IndexProdF, IntrinsicCall, Load, LoopProgram,
+                      Operand, Select, SelectGuard, SetTemp, Stmt, Store,
+                      TempRef, validate_program)
 
 
 class LoopRuntimeError(DspcError):
@@ -75,6 +78,9 @@ class ExecCounters:
         }
 
 
+# Python spelling of BinaryArith ops and of comparisons.
+ARITH_SYMBOLS = {"add": "+", "sub": "-", "mul": "*", "div": "/"}
+CMP_SYMBOLS = {"eq": "==", "ne": "!=", "lt": "<", "le": "<=", "gt": ">", "ge": ">="}
 _COST_OF_ARITH = {"add": "adds", "sub": "adds", "mul": "mults",
                   "div": "mults"}
 
@@ -92,7 +98,8 @@ class _Compiler:
     in `branch_costs[k]`.  `_run(_bufs, _cursors)` unpacks the buffer list
     in one statement, zeroes the run counters and append cursors in one
     chained assignment, stores each dynamic buffer's final cursor in
-    `_cursors` and returns the run counters.
+    `_cursors` and returns the run counters.  The comment lines before it
+    declare the buffers and the printed and returned values.
     """
 
     def __init__(self, program: LoopProgram):
@@ -194,7 +201,7 @@ class _Compiler:
                 trip = max(0, stmt.upper - stmt.lower)
                 cost.update({k: v * trip for k, v in body_cost.items()})
                 lines.append(f"{pad}for {stmt.index} in range({stmt.lower}, "
-                             f"{stmt.upper}):")
+                             f"{stmt.upper}):  # {stmt.tag}")
                 lines.extend(body_lines or [f"{pad}    pass"])
             else:
                 raise LoopRuntimeError(f"unknown statement {stmt!r}")
@@ -208,12 +215,30 @@ class _Compiler:
             self.branch_costs.append(cost)
         return lines or [f"{'    ' * depth}pass"]
 
+    def _header(self) -> list[str]:
+        program = self.program
+        bound = {buf: name for name, buf in program.inputs}
+        lines = []
+        for b in program.buffers:
+            decl = f"# buffer {b.name}[{b.capacity}]"
+            if b.dynamic:
+                decl += " dyn"
+            if b.name in bound:
+                decl += f" input {bound[b.name]}"
+            if b.init is not None:
+                preview = ", ".join(repr(v) for v in b.init[:8])
+                decl += f" = [{preview}{', ...' if len(b.init) > 8 else ''}]"
+            lines.append(decl)
+        lines += [f"# print %{vid} ({buf})" for vid, buf in program.outputs]
+        lines += [f"# return %{vid} ({buf})" for vid, buf in program.returns]
+        return lines
+
     def build(self) -> tuple[Callable, Counter, list[Counter]]:
         body, static_cost = self._block(self.program.body, 1, [])
         runs = [f"b_{k}" for k in range(len(self.branch_costs))]
         dyn = [b.name for b in self.program.buffers if b.dynamic]
         zeroed = runs + [f"n_{name}" for name in dyn]
-        lines = ["def _run(_bufs, _cursors):"]
+        lines = self._header() + ["def _run(_bufs, _cursors):"]
         if self.program.buffers:
             names = ", ".join(b.name for b in self.program.buffers)
             lines.append(f"    {names}, = _bufs")
@@ -234,7 +259,7 @@ class _Compiler:
         }
         exec(compile(src, "<loop-program>", "exec"), ns)
         fn = ns["_run"]
-        fn._source = src  # kept around for debugging
+        fn._source = src
         return fn, static_cost, self.branch_costs
 
 
@@ -242,13 +267,13 @@ def _ensure_compiled(program: LoopProgram
                      ) -> tuple[Callable, Counter, list[Counter]]:
     compiled = getattr(program, "_compiled", None)
     if compiled is None:
-        if not getattr(program, "_validated", False):
-            validate_program(program)
+        validate_program(program)
         compiled = program._compiled = _Compiler(program).build()
     return compiled
 
 
 def compiled_source(program: LoopProgram) -> str:
+    """The generated Python of a program: its text form, compiled if need be."""
     return _ensure_compiled(program)[0]._source
 
 

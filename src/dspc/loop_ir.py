@@ -4,8 +4,10 @@ Loop and guard bounds are static ints, so every loop has a trip count known
 at build time.  Index arithmetic is exact integer arithmetic over loop
 variables and is not metered; the float data path (loads, stores,
 multiplies, adds, trig calls) is what the execution counters measure.  All
-static accesses are bounds-checked at build time; a negative or overflowing
-index is only legal inside a SelectGuard that establishes its range.
+static accesses are bounds-checked by `validate_program` before a program is
+first compiled; a negative or overflowing index is only legal inside a
+SelectGuard that establishes its range.  A program's text form is its
+generated Python, `interp.compiled_source`.
 """
 
 from __future__ import annotations
@@ -228,98 +230,6 @@ class LoopProgram:
         raise KeyError(name)
 
 
-# Text form ------------------------------------------------------------------
-
-
-# Python spelling of BinaryArith ops and of comparisons; shared with codegen.
-ARITH_SYMBOLS = {"add": "+", "sub": "-", "mul": "*", "div": "/"}
-CMP_SYMBOLS = {"eq": "==", "ne": "!=", "lt": "<", "le": "<=", "gt": ">", "ge": ">="}
-
-
-def _operand_text(v: Operand) -> str:
-    if isinstance(v, TempRef):
-        return v.name
-    if isinstance(v, ConstF):
-        return repr(v.value)
-    if isinstance(v, IndexF):
-        return f"float({v.expr})"
-    if isinstance(v, IndexProdF):
-        return f"float({v.a}*{v.b})"
-    raise TypeError(f"not an operand: {v!r}")
-
-
-def _stmt_lines(stmt: Stmt, indent: int) -> list[str]:
-    pad = "  " * indent
-    if isinstance(stmt, For):
-        lines = [f"{pad}for {stmt.index} in [{stmt.lower}, {stmt.upper}) tag={stmt.tag}:"]
-        for s in stmt.body:
-            lines.extend(_stmt_lines(s, indent + 1))
-        return lines
-    if isinstance(stmt, Load):
-        return [f"{pad}{stmt.target} = load {stmt.buffer}[{stmt.index}]"]
-    if isinstance(stmt, Store):
-        return [f"{pad}store {stmt.buffer}[{stmt.index}] = {_operand_text(stmt.source)}"]
-    if isinstance(stmt, BinaryArith):
-        return [f"{pad}{stmt.target} = {_operand_text(stmt.lhs)} {ARITH_SYMBOLS[stmt.op]} "
-                f"{_operand_text(stmt.rhs)}"]
-    if isinstance(stmt, IntrinsicCall):
-        return [f"{pad}{stmt.target} = {stmt.fn}({_operand_text(stmt.arg)})"]
-    if isinstance(stmt, SetTemp):
-        return [f"{pad}{stmt.target} = {_operand_text(stmt.source)}"]
-    if isinstance(stmt, SelectGuard):
-        lines = [f"{pad}if {stmt.lower} <= {stmt.expr} < {stmt.upper}:"]
-        for s in stmt.body:
-            lines.extend(_stmt_lines(s, indent + 1))
-        if stmt.orelse:
-            lines.append(f"{pad}else:")
-            for s in stmt.orelse:
-                lines.extend(_stmt_lines(s, indent + 1))
-        return lines
-    if isinstance(stmt, IfCmp):
-        lines = [f"{pad}if {_operand_text(stmt.lhs)} {CMP_SYMBOLS[stmt.cmp]} "
-                 f"{_operand_text(stmt.rhs)}:"]
-        for s in stmt.body:
-            lines.extend(_stmt_lines(s, indent + 1))
-        if stmt.orelse:
-            lines.append(f"{pad}else:")
-            for s in stmt.orelse:
-                lines.extend(_stmt_lines(s, indent + 1))
-        return lines
-    if isinstance(stmt, Select):
-        return [f"{pad}{stmt.target} = {_operand_text(stmt.if_true)} if "
-                f"{_operand_text(stmt.lhs)} {CMP_SYMBOLS[stmt.cmp]} "
-                f"{_operand_text(stmt.rhs)} else {_operand_text(stmt.if_false)}"]
-    if isinstance(stmt, DynAppend):
-        return [f"{pad}append {stmt.buffer} <- {_operand_text(stmt.value)}"]
-    if isinstance(stmt, CheckFinite):
-        return [f"{pad}check_finite {stmt.buffer}"]
-    raise TypeError(f"not a statement: {stmt!r}")
-
-
-def loop_to_text(program: LoopProgram) -> str:
-    lines: list[str] = []
-    for b in program.buffers:
-        decl = f"buffer {b.name}[{b.capacity}]"
-        if b.dynamic:
-            decl += " dyn"
-        bound = {buf: name for name, buf in program.inputs}
-        if b.name in bound:
-            decl += f" input {bound[b.name]}"
-        if b.init is not None:
-            preview = ", ".join(repr(v) for v in b.init[:8])
-            if len(b.init) > 8:
-                preview += ", ..."
-            decl += f" = [{preview}]"
-        lines.append(decl)
-    for stmt in program.body:
-        lines.extend(_stmt_lines(stmt, 0))
-    for vid, buf in program.outputs:
-        lines.append(f"print %{vid} ({buf})")
-    for vid, buf in program.returns:
-        lines.append(f"return %{vid} ({buf})")
-    return "\n".join(lines) + "\n"
-
-
 # Static validation ----------------------------------------------------------
 
 
@@ -338,8 +248,8 @@ def validate_program(program: LoopProgram) -> None:
     """Prove every static buffer access in bounds; raises OutOfBounds.
 
     Accesses under a SelectGuard whose guarded expression matches the access
-    index are checked against the guard's range instead.  A pass is recorded
-    on the program (``_validated``), so compiling it does not check it again.
+    index are checked against the guard's range instead.  `interp` runs this
+    once per program, before its first compile.
     """
     caps = {b.name: b.capacity for b in program.buffers}
 
@@ -391,4 +301,3 @@ def validate_program(program: LoopProgram) -> None:
                     raise OutOfBounds(stmt.buffer, "unknown buffer")
 
     check_block(program.body, {}, {})
-    program._validated = True  # type: ignore[attr-defined]

@@ -28,7 +28,7 @@ from .graph import DspGraph, OpNode
 from .loop_ir import (AffineExpr, BinaryArith, BufferDecl, CheckFinite,
                       ConstF, DynAppend, For, IfCmp, IndexF, IndexProdF,
                       IntrinsicCall, Load, LoopProgram, Select, SelectGuard,
-                      SetTemp, Stmt, Store, TempRef, validate_program)
+                      SetTemp, Stmt, Store, TempRef)
 from .ops import OpCode
 
 
@@ -716,20 +716,18 @@ def split_guarded_nest(loop: For) -> list[For]:
 
 
 def lower_graph(graph: DspGraph) -> LoopProgram:
-    """Lower every op to loop nests, split their guard-free interiors off and
-    validate all bounds statically."""
+    """Lower every op to loop nests and split their guard-free interiors off;
+    `interp` checks the bounds once, before the program's first compile."""
     lw = _Lowerer()
     for op in graph.ops:
         lw.emit(op)
     body = [piece for stmt in lw.body
             for piece in (split_guarded_nest(stmt) if isinstance(stmt, For)
                           else [stmt])]
-    program = LoopProgram(
+    return LoopProgram(
         buffers=lw.buffers,
         body=body,
         inputs=lw.inputs,
         outputs=[(vid, lw.buf(vid)) for vid in graph.prints],
         returns=[(vid, lw.buf(vid)) for vid in graph.returns],
     )
-    validate_program(program)
-    return program

@@ -116,8 +116,10 @@ class OpDef:
 
     def result_shapes(self, op: "OpNode", ins: Sequence[Optional[TensorShape]]
                       ) -> tuple[Optional[TensorShape], ...]:
-        """The shape rule's result shapes; all unknown if an operand shape is."""
-        if None in ins:
+        """The shape rule's result shapes; all unknown if an operand shape is
+        or an attribute fails its AttrSpec (the verifier reports it)."""
+        if None in ins or not all(spec.ok(a.value)
+                                  for spec, a in zip(self.attrs, op.attributes)):
             return (None,) * self.n_results
         return self.shape(op, ins)
 

@@ -4,6 +4,10 @@ from pathlib import Path
 import pytest
 
 from dspc.cli import main
+from dspc.corpus import compile_source
+from dspc.interp import compiled_source
+from dspc.lowering import lower_graph
+from dspc.rewriter import apply_dsp_patterns
 
 APPS = Path(__file__).resolve().parents[1] / "src" / "dspc" / "apps"
 FIXTURES = Path(__file__).resolve().parent / "fixtures"
@@ -52,6 +56,15 @@ def test_build_emit_loop(capsys):
     code, out, _ = run_cli(capsys, "build", FILTER_DESIGN, "--emit=loop")
     assert code == 0
     assert "buffer" in out and "for " in out
+
+
+def test_build_emit_loop_prints_the_generated_source(capsys):
+    code, out, _ = run_cli(capsys, "build", FILTER_DESIGN, "--emit=loop",
+                           "--opt=dsp")
+    assert code == 0
+    graph, _ = apply_dsp_patterns(
+        compile_source(Path(FILTER_DESIGN).read_text(), None))
+    assert out == compiled_source(lower_graph(graph)) + "\n"
 
 
 def test_emit_dsp_opt_requires_opt_flag(capsys):
@@ -164,6 +177,15 @@ def test_superscript_digit_exit_2(capsys, tmp_path):
     code, _, err = run_cli(capsys, "run", str(src), "--synth", "x=4,1")
     assert code == 2
     assert "unexpected character" in err
+
+
+def test_out_of_range_factor_with_bound_shapes_exit_3(capsys, tmp_path):
+    # shape inference must not divide by k before the verifier checks k >= 1
+    src = tmp_path / "down0.dsp"
+    src.write_text("def main(x) { print(downsample(x, 0)); }\n")
+    code, out, err = run_cli(capsys, "run", str(src), "--synth", "x=4,1")
+    assert code == 3 and out == ""
+    assert "attribute k=0 violates k >= 1" in err
 
 
 @pytest.mark.parametrize("argv", [("run", "--synth", "x=2,1"), ("build", "--emit=dsp")])

@@ -98,23 +98,27 @@ def test_compiled_source_is_cached_and_readable():
 def test_program_is_validated_once_before_its_first_compile(monkeypatch):
     from dspc import interp, loop_ir, lowering
     checked = []
+    validate = loop_ir.validate_program
 
     def counted(program):
         checked.append(id(program))
-        loop_ir.validate_program(program)
+        validate(program)
 
-    monkeypatch.setattr(lowering, "validate_program", counted)
+    monkeypatch.setattr(loop_ir, "validate_program", counted)
     monkeypatch.setattr(interp, "validate_program", counted)
+    assert not hasattr(lowering, "validate_program")
     p = program_for("def main(x) { print(gain(x, 2.0)); }", {"x": 4})
+    assert checked == []  # lower_graph validates nothing
     evaluate_loop_ir(p, {"x": tensor([1, 2, 3, 4])})
-    assert checked == [id(p)]  # by lower_graph; compiling does not re-check
+    compiled_source(p)
+    assert checked == [id(p)]  # once, at the first compile
 
     def store_loop(n):
         return LoopProgram(buffers=[BufferDecl("y", 4)], inputs=[], outputs=[],
                            body=[For("i", 0, n, [Store("y", AffineExpr.of("i"),
                                                        ConstF(0.0))], "fill")])
 
-    good, bad = store_loop(4), store_loop(5)  # built by hand: never validated
+    good, bad = store_loop(4), store_loop(5)  # built by hand
     compiled_source(good)
     compiled_source(good)
     assert checked == [id(p), id(good)]

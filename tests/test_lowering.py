@@ -13,7 +13,7 @@ from dspc.graph import build_graph, infer_shapes
 from dspc.interp import compiled_source, evaluate_loop_ir
 from dspc.kernels import eval_graph, tensor
 from dspc.loop_ir import (AffineExpr, BufferDecl, For, IfCmp, LoopProgram,
-                          OutOfBounds, SelectGuard, Store, ConstF, loop_to_text,
+                          OutOfBounds, SelectGuard, Store, ConstF,
                           validate_program)
 from dspc.lowering import _Lowerer, lower_graph, split_guarded_nest
 from dspc.rewriter import apply_dsp_patterns
@@ -184,14 +184,6 @@ def test_const_print_counts_small():
 # structural checks
 
 
-def test_loop_text_mentions_buffers_and_tags():
-    g = compile_graph("def main(x) { print(dft1dreal(x)); }", {"x": 8})
-    text = loop_to_text(lower_graph(g))
-    assert "buffer" in text
-    assert "for " in text
-    assert "dft1d_real" in text
-
-
 def test_loads_by_buffer_tracks_taps():
     rng = random.Random(5)
     src = "def main(x) { print(firFilterResponse(x, [0.5, 0.5])); }"
@@ -208,14 +200,32 @@ GOLDEN = Path(__file__).resolve().parent / "fixtures" / "golden_lowering"
 
 
 def test_golden_loop_text_and_generated_source():
-    # pins the exact loop IR and generated Python for a nonzero lower bound,
-    # IfCmp/DynAppend, a guard with an else branch, a run-time division
-    # guard and CheckFinite
+    # pins the generated Python, the loop program's text form, for buffer,
+    # print and loop-tag comments, a nonzero lower bound, IfCmp/DynAppend, a
+    # guard with an else branch, a run-time division guard and CheckFinite
     g = compile_graph(GOLDEN.with_suffix(".dsp").read_text(), {"x": 3, "d": 3})
     program = lower_graph(g)
-    assert loop_to_text(program) == GOLDEN.with_suffix(".loop").read_text()
     assert (compiled_source(program) + "\n"
             == GOLDEN.with_suffix(".py.txt").read_text())
+
+
+@pytest.mark.parametrize("opt", [False, True], ids=["none", "dsp"])
+@pytest.mark.parametrize("name", ["LowPassFiltering", "AudioEqualizer"])
+def test_every_counted_tag_is_a_for_line_comment(name, opt):
+    from dspc import corpus
+    app = corpus.find_app(name)
+    sizes = app.default_sizes()
+    g = corpus.compile_source(app.source(sizes), app.input_lengths(sizes))
+    if opt:
+        g, _ = apply_dsp_patterns(g)
+    program = lower_graph(g)
+    _, c = evaluate_loop_ir(program, app.synth_inputs(sizes, 1))
+    for_tags = [line.rsplit("  # ", 1)[1]
+                for line in compiled_source(program).splitlines()
+                if " in range(" in line]
+    assert set(c.loop_iters_by_tag) <= set(for_tags)
+    # a split nest: its guarded prologue and guard-free interior share a tag
+    assert any(for_tags.count(tag) >= 2 for tag in c.loop_iters_by_tag)
 
 
 def test_validator_rejects_static_out_of_bounds():
