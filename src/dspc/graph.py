@@ -22,29 +22,25 @@ ValueId = int
 
 
 @dataclass(frozen=True)
-class Attribute:
-    name: str
-    value: object  # int | float | str | tuple[float, ...]
-
-
-@dataclass(frozen=True)
 class OpNode:
     """One operation; ``id`` is the ValueId of its first result.
 
     Print and return produce no result and use id -1.  Dft1DFused is the
     only opcode with two results; its second result is addressed as ``id + 1``.
+    ``attributes`` holds values (int, float, str or a tuple of floats) in the
+    order of the opcode's ``OpDef.attrs``, which names them.
     """
 
     id: ValueId
     opcode: OpCode
     operands: tuple[ValueId, ...] = ()
-    attributes: tuple[Attribute, ...] = ()
+    attributes: tuple[object, ...] = ()
     result_shapes: tuple[Optional[TensorShape], ...] = ()
 
     def attr(self, name: str) -> object:
-        for a in self.attributes:
-            if a.name == name:
-                return a.value
+        for spec, value in zip(OP_DEFS[self.opcode].attrs, self.attributes):
+            if spec.name == name:
+                return value
         raise KeyError(f"{self.opcode.value} has no attribute {name!r}")
 
     @property
@@ -145,7 +141,7 @@ class _Builder:
         self.env: dict[str, ValueId] = {}
 
     def emit(self, opcode: OpCode, operands: tuple[ValueId, ...] = (),
-             attributes: tuple[Attribute, ...] = ()) -> ValueId:
+             attributes: tuple[object, ...] = ()) -> ValueId:
         n_results = OP_DEFS[opcode].n_results
         op_id = self.next_id if n_results > 0 else -1
         node = OpNode(id=op_id, opcode=opcode, operands=operands, attributes=attributes,
@@ -157,7 +153,7 @@ class _Builder:
     def build(self, module: fe.AstModule) -> DspGraph:
         main = module.main
         for param in main.params:
-            self.env[param] = self.emit(OpCode.INPUT, attributes=(Attribute("name", param),))
+            self.env[param] = self.emit(OpCode.INPUT, attributes=(param,))
         for stmt in main.body:
             self.statement(stmt)
         return self.graph
@@ -177,11 +173,9 @@ class _Builder:
 
     def expression(self, expr: fe.AstExpression) -> ValueId:
         if isinstance(expr, fe.NumberLiteral):
-            return self.emit(OpCode.CONST_TENSOR,
-                             attributes=(Attribute("values", (expr.value,)),))
+            return self.emit(OpCode.CONST_TENSOR, attributes=((expr.value,),))
         if isinstance(expr, fe.TensorLiteral):
-            return self.emit(OpCode.CONST_TENSOR,
-                             attributes=(Attribute("values", tuple(expr.values)),))
+            return self.emit(OpCode.CONST_TENSOR, attributes=(tuple(expr.values),))
         if isinstance(expr, fe.VariableRef):
             if expr.name not in self.env:
                 raise UndefinedVariable(expr.span, expr.name)
@@ -202,10 +196,9 @@ class _Builder:
         if len(expr.args) != expected:
             raise ArityMismatch(expr.span, expr.callee, expected, len(expr.args))
         operands = tuple(self.expression(a) for a in expr.args[:sig.n_operands])
-        attributes = []
-        for spec, arg in zip(sig.attrs, expr.args[sig.n_operands:]):
-            attributes.append(Attribute(spec.name, self._const_attr(spec, arg, expr.callee)))
-        return self.emit(sig.opcode, operands=operands, attributes=tuple(attributes))
+        attributes = tuple(self._const_attr(spec, arg, expr.callee)
+                           for spec, arg in zip(sig.attrs, expr.args[sig.n_operands:]))
+        return self.emit(sig.opcode, operands=operands, attributes=attributes)
 
     def _const_attr(self, spec: AttrSpec, arg: fe.AstExpression, callee: str) -> object:
         value = _fold_constant(arg)
@@ -321,24 +314,21 @@ def check_op(op: OpNode, shapes: dict[ValueId, Optional[TensorShape]]) -> list[s
     if len(op.operands) != sig.n_operands:
         violations.append(f"{label}: expects {sig.n_operands} operand(s), "
                           f"has {len(op.operands)}")
-    attr_names = [a.name for a in op.attributes]
-    spec_names = [s.name for s in sig.attrs]
-    if attr_names != spec_names:
-        violations.append(f"{label}: attributes {attr_names} != schema {spec_names}")
+    if len(op.attributes) != len(sig.attrs):
+        violations.append(f"{label}: has {len(op.attributes)} attribute(s), "
+                          f"schema says {len(sig.attrs)}")
     else:
-        values: dict[str, object] = {}
-        for spec, a in zip(sig.attrs, op.attributes):
-            values[spec.name] = a.value
-            if not _attr_type_ok(spec, a.value):
+        for spec, value in zip(sig.attrs, op.attributes):
+            if not _attr_type_ok(spec, value):
                 violations.append(f"{label}: attribute {spec.name!r} has wrong type")
-            elif not _attr_finite(spec, a.value):
-                violations.append(f"{label}: attribute {spec.name}={a.value!r} "
+            elif not _attr_finite(spec, value):
+                violations.append(f"{label}: attribute {spec.name}={value!r} "
                                   "is not finite")
-            elif not spec.ok(a.value):
-                violations.append(f"{label}: attribute {spec.name}={a.value!r} "
+            elif not spec.ok(value):
+                violations.append(f"{label}: attribute {spec.name}={value!r} "
                                   f"violates {spec.legal}")
-        if sig.cross_check is not None and len(values) == len(sig.attrs):
-            msg = sig.cross_check(values)
+        if sig.cross_check is not None:
+            msg = sig.cross_check({s.name: v for s, v in zip(sig.attrs, op.attributes)})
             if msg:
                 violations.append(f"{label}: {msg}")
     if len(op.result_shapes) != sig.n_results:
@@ -428,7 +418,8 @@ def graph_to_text(graph: DspGraph) -> str:
         heads = ", ".join(f"%{r}" for r in op.result_ids)
         text = f"{heads} = {op.opcode.value}({args})"
         if op.attributes:
-            attrs = ", ".join(f"{a.name}={_format_attr_value(a.value)}" for a in op.attributes)
+            attrs = ", ".join(f"{spec.name}={_format_attr_value(value)}" for spec, value
+                              in zip(OP_DEFS[op.opcode].attrs, op.attributes))
             text += f" {{{attrs}}}"
         shapes = ", ".join(_format_shape(s) for s in op.result_shapes)
         text += f" : {shapes}"
@@ -577,10 +568,9 @@ def parse_graph_text(text: str) -> DspGraph:
             while True:
                 attr_name = sc.ident()
                 sc.expect("=")
-                try:
-                    spec = sig.attr_spec(attr_name)
-                except KeyError:
-                    raise sc.error(f"{name} has no attribute {attr_name!r}") from None
+                spec = next((s for s in sig.attrs if s.name == attr_name), None)
+                if spec is None:
+                    raise sc.error(f"{name} has no attribute {attr_name!r}")
                 raw_attrs[attr_name] = _parse_attr_value(sc, spec)
                 if sc.take("}"):
                     break
@@ -599,7 +589,7 @@ def parse_graph_text(text: str) -> DspGraph:
             raise sc.error(f"{name} needs {sig.n_results} shape(s), line has {len(shapes)}")
         if not sc.at_end():
             raise sc.error("trailing text after op")
-        attributes = tuple(Attribute(s.name, raw_attrs[s.name]) for s in sig.attrs)
+        attributes = tuple(raw_attrs[s.name] for s in sig.attrs)
         graph.ops.append(OpNode(id=first, opcode=opcode, operands=tuple(operands),
                                 attributes=attributes, result_shapes=tuple(shapes)))
     return graph

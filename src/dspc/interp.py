@@ -109,8 +109,8 @@ class _Compiler:
     def _operand(self, v: Operand) -> str:
         if isinstance(v, TempRef):
             return v.name
-        if isinstance(v, ConstF):
-            return repr(v.value)
+        if isinstance(v, ConstF):  # a folded constant may have overflowed
+            return repr(v.value) if math.isfinite(v.value) else f"float('{v.value}')"
         if isinstance(v, IndexF):
             return f"({v.expr.source()})"
         if isinstance(v, IndexProdF):
@@ -317,13 +317,9 @@ def evaluate_loop_ir(program: LoopProgram,
         loop_iters_by_tag=by_kind["tag"], loads_by_buffer=by_kind["load"])
 
     outputs: dict[int, Tensor] = {}
-    for vid, bname in list(program.outputs) + list(program.returns):
-        decl = program.buffer(bname)
-        if decl.dynamic:
-            n = cursors.get(bname, 0)
-            outputs[vid] = Tensor(tuple(bufs[slot[bname]]), logical_length=n)
-        else:
-            outputs[vid] = Tensor(tuple(bufs[slot[bname]]))
+    for vid, bname in program.outputs + program.returns:
+        buf = bufs[slot[bname]]  # a dynamic buffer is trimmed to its cursor
+        outputs[vid] = Tensor(tuple(buf[:cursors[bname]] if bname in cursors else buf))
     return outputs, counters
 
 

@@ -3,15 +3,18 @@
 These are direct transcriptions of the defining recurrences, evaluated with
 plain Python floats.  Reductions accumulate strictly left to right; nothing
 here is vectorized or reassociated, so the functions double as the oracle
-for the loop-level backend.
+for the loop-level backend.  Attribute values come from a verified graph,
+so no kernel checks their ranges; a kernel raises only on its data: division
+by zero, divergence, or unequal operand lengths (which the verifier cannot
+see while input shapes are unknown).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
-from typing import Iterable, Optional, Sequence
+from operator import add, mul, sub, truediv
+from typing import Iterable, Optional
 
 from .errors import DspcError
 from .graph import DspGraph, ValueId
@@ -20,21 +23,12 @@ from .ops import OpCode
 
 @dataclass(frozen=True)
 class Tensor:
-    """Rank-1 float tensor; ``logical_length`` trims trailing capacity padding."""
+    """Rank-1 float tensor."""
 
-    data: tuple[float, ...]
-    logical_length: Optional[int] = None
-
-    def __post_init__(self) -> None:
-        if self.logical_length is None:
-            object.__setattr__(self, "logical_length", len(self.data))
-
-    @property
-    def values(self) -> tuple[float, ...]:
-        return self.data[: self.logical_length]
+    values: tuple[float, ...]
 
     def __len__(self) -> int:
-        return int(self.logical_length)  # type: ignore[arg-type]
+        return len(self.values)
 
 
 def tensor(values: Iterable[float]) -> Tensor:
@@ -57,10 +51,6 @@ class Diverged(KernelError):
         self.step = step
 
 
-class AttributeRange(KernelError):
-    pass
-
-
 def _sinc(z: float) -> float:
     """Unnormalized sinc: sin(z)/z with sinc(0) = 1."""
     if z == 0.0:
@@ -74,8 +64,6 @@ def _sinc(z: float) -> float:
 
 def k_delay(x: Tensor, k: int) -> Tensor:
     """y[n] = x[n-k], zero for n < k."""
-    if k < 0:
-        raise AttributeRange(f"delay needs k >= 0, got {k}")
     xs = x.values
     return tensor(xs[n - k] if n - k >= 0 else 0.0 for n in range(len(xs)))
 
@@ -105,8 +93,6 @@ def k_conv1d_full(x: Tensor, h: Tensor) -> Tensor:
 
 def k_sliding_window_avg(x: Tensor, window: int) -> Tensor:
     """Trailing-window mean: y[n] = mean of the up-to-`window` samples ending at n."""
-    if window < 1:
-        raise AttributeRange(f"slidingWindowAvg needs window >= 1, got {window}")
     xs = x.values
     out = []
     for n in range(len(xs)):
@@ -170,7 +156,7 @@ def k_idft(xr: Tensor, xi: Tensor) -> Tensor:
     """x[n] = (1/N) * sum_k [Xr[k]*cos(2*pi*k*n/N) - Xi[k]*sin(2*pi*k*n/N)]."""
     rs, is_ = xr.values, xi.values
     if len(rs) != len(is_):
-        raise AttributeRange("idft real/imag lengths differ")
+        raise KernelError("idft real/imag lengths differ")
     n_len = len(rs)
     c = _two_pi_over(n_len)
     out = []
@@ -189,10 +175,6 @@ def k_idft(xr: Tensor, xi: Tensor) -> Tensor:
 
 def k_lowpass_fir_coeffs(L: int, wc: float) -> Tensor:
     """Ideal low-pass taps: (wc/pi)*sinc(wc*(n - (L-1)/2)), midpoint wc/pi."""
-    if L < 1:
-        raise AttributeRange(f"lowPassFIRFilter needs L >= 1, got {L}")
-    if not 0.0 < wc < math.pi:
-        raise AttributeRange(f"cutoff must satisfy 0 < wc < pi, got {wc}")
     mid = (L - 1) / 2.0
     out = []
     for n in range(L):
@@ -205,8 +187,6 @@ def k_lowpass_fir_coeffs(L: int, wc: float) -> Tensor:
 
 def k_hamming(L: int) -> Tensor:
     """ham[n] = 0.54 - 0.46*cos(2*pi*n/(L-1))."""
-    if L < 2:
-        raise AttributeRange(f"hammingWindow needs L >= 2, got {L}")
     c = 2.0 * math.pi / (L - 1)
     return tensor(0.54 - 0.46 * math.cos(c * n) for n in range(L))
 
@@ -230,13 +210,9 @@ def k_lms_filter_gain(x: Tensor, d: Tensor, mu: float, M: int, g: float) -> Tens
 
 
 def _lms(x: Tensor, d: Tensor, mu: float, M: int, g: Optional[float]) -> Tensor:
-    if M < 1:
-        raise AttributeRange(f"lmsFilter needs M >= 1, got {M}")
-    if mu <= 0.0:
-        raise AttributeRange(f"lmsFilter needs mu > 0, got {mu}")
     xs, ds = x.values, d.values
     if len(xs) != len(ds):
-        raise AttributeRange("lmsFilter input/desired lengths differ")
+        raise KernelError("lmsFilter input/desired lengths differ")
     step = mu if g is None else mu * g
     w = [0.0] * M
     for n in range(len(xs)):
@@ -259,42 +235,24 @@ def _lms(x: Tensor, d: Tensor, mu: float, M: int, g: Optional[float]) -> Tensor:
 # Elementwise / reductions
 
 
-def _broadcast_pair(a: Sequence[float], b: Sequence[float]) -> tuple[list[float], list[float]]:
-    if len(a) == len(b):
-        return list(a), list(b)
-    if len(a) == 1:
-        return [a[0]] * len(b), list(b)
-    if len(b) == 1:
-        return list(a), [b[0]] * len(a)
-    raise AttributeRange(f"elementwise lengths {len(a)} and {len(b)} do not broadcast")
+def _operands(a: Tensor, b: Tensor) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """The values of a binary op's operands, a length-1 operand broadcast."""
+    xs, ys = a.values, b.values
+    if len(xs) != len(ys):
+        if len(xs) == 1:
+            xs *= len(ys)
+        elif len(ys) == 1:
+            ys *= len(xs)
+        else:
+            raise KernelError(f"elementwise lengths {len(xs)} and {len(ys)} do not broadcast")
+    return xs, ys
 
 
-def k_elementwise(op: str, a: Tensor, b: Optional[Tensor] = None, *,
-                  g: Optional[float] = None) -> Tensor:
-    """add/sub/mul/div (with scalar broadcast), square, gain, reverse."""
-    if op == "square":
-        return tensor(v * v for v in a.values)
-    if op == "gain":
-        assert g is not None
-        return tensor(g * v for v in a.values)
-    if op == "reverse":
-        return k_reverse(a)
-    assert b is not None
-    xs, ys = _broadcast_pair(a.values, b.values)
-    if op == "add":
-        return tensor(p + q for p, q in zip(xs, ys))
-    if op == "sub":
-        return tensor(p - q for p, q in zip(xs, ys))
-    if op == "mul":
-        return tensor(p * q for p, q in zip(xs, ys))
-    if op == "div":
-        out = []
-        for i, (p, q) in enumerate(zip(xs, ys)):
-            if q == 0.0:
-                raise DivisionByZero(i)
-            out.append(p / q)
-        return tensor(out)
-    raise AttributeRange(f"unknown elementwise op {op!r}")
+def k_div(a: Tensor, b: Tensor) -> Tensor:
+    xs, ys = _operands(a, b)
+    if 0.0 in ys:
+        raise DivisionByZero(ys.index(0.0))
+    return tensor(map(truediv, xs, ys))
 
 
 def k_sum(x: Tensor) -> Tensor:
@@ -306,8 +264,6 @@ def k_sum(x: Tensor) -> Tensor:
 
 def k_threshold(x: Tensor, t: float) -> Tensor:
     """Keep samples with |x| >= t, zero the rest."""
-    if t < 0.0:
-        raise AttributeRange(f"threshold needs t >= 0, got {t}")
     return tensor(v if abs(v) >= t else 0.0 for v in x.values)
 
 
@@ -317,10 +273,6 @@ def k_quantize(x: Tensor, levels: int, lo: float, hi: float) -> Tensor:
     step = (hi-lo)/(levels-1); values are clamped, snapped to the nearest
     level (ties round half away from zero), and mapped back.
     """
-    if levels < 2:
-        raise AttributeRange(f"quantize needs levels >= 2, got {levels}")
-    if lo >= hi:
-        raise AttributeRange(f"quantize needs min < max, got {lo} >= {hi}")
     step = (hi - lo) / (levels - 1)
     out = []
     for v in x.values:
@@ -332,7 +284,7 @@ def k_quantize(x: Tensor, levels: int, lo: float, hi: float) -> Tensor:
 
 
 def k_rle(x: Tensor) -> Tensor:
-    """Flattened (value, run) pairs; logical length is twice the run count."""
+    """Flattened (value, run) pairs, twice as many values as runs."""
     xs = x.values
     pairs: list[float] = []
     run_val = xs[0]
@@ -350,8 +302,6 @@ def k_rle(x: Tensor) -> Tensor:
 
 def k_upsample(x: Tensor, k: int) -> Tensor:
     """Insert k-1 zeros after each sample; length N*k."""
-    if k < 1:
-        raise AttributeRange(f"upsample needs k >= 1, got {k}")
     out = [0.0] * (len(x.values) * k)
     for n, v in enumerate(x.values):
         out[n * k] = v
@@ -360,8 +310,6 @@ def k_upsample(x: Tensor, k: int) -> Tensor:
 
 def k_downsample(x: Tensor, k: int) -> Tensor:
     """Keep every k-th sample starting at 0; length ceil(N/k)."""
-    if k < 1:
-        raise AttributeRange(f"downsample needs k >= 1, got {k}")
     return tensor(x.values[::k])
 
 
@@ -471,12 +419,12 @@ KERNELS = {
     OpCode.LOW_PASS_FIR_COEFFS: k_lowpass_fir_coeffs,
     OpCode.HAMMING_WINDOW: k_hamming,
     OpCode.LMS_FILTER: k_lms_filter,
-    OpCode.ADD: partial(k_elementwise, "add"),
-    OpCode.SUB: partial(k_elementwise, "sub"),
-    OpCode.MUL: partial(k_elementwise, "mul"),
-    OpCode.DIV: partial(k_elementwise, "div"),
-    OpCode.SQUARE: partial(k_elementwise, "square"),
-    OpCode.GAIN: lambda x, g: k_elementwise("gain", x, g=g),
+    OpCode.ADD: lambda a, b: tensor(map(add, *_operands(a, b))),
+    OpCode.SUB: lambda a, b: tensor(map(sub, *_operands(a, b))),
+    OpCode.MUL: lambda a, b: tensor(map(mul, *_operands(a, b))),
+    OpCode.DIV: k_div,
+    OpCode.SQUARE: lambda x: tensor(v * v for v in x.values),
+    OpCode.GAIN: lambda x, g: tensor(g * v for v in x.values),
     OpCode.REVERSE: k_reverse,
     OpCode.SUM: k_sum,
     OpCode.THRESHOLD: k_threshold,
@@ -499,7 +447,8 @@ KERNELS = {
 
 def eval_graph(graph: DspGraph, inputs: Optional[dict[str, Tensor]] = None
                ) -> dict[ValueId, Tensor]:
-    """Evaluate every op with the reference kernels; returns value -> Tensor."""
+    """Evaluate every op of a verified graph (see `verify_graph`) with the
+    reference kernels, which check no attribute; returns value -> Tensor."""
     inputs = inputs or {}
 
     def bound_input(name: str) -> Tensor:
@@ -513,7 +462,7 @@ def eval_graph(graph: DspGraph, inputs: Optional[dict[str, Tensor]] = None
         if not op.n_results:
             continue
         kernel = kernels[op.opcode]
-        out = kernel(*(values[v] for v in op.operands), *(a.value for a in op.attributes))
+        out = kernel(*(values[v] for v in op.operands), *op.attributes)
         for rid, t in zip(op.result_ids, out if isinstance(out, tuple) else (out,)):
             values[rid] = t
     return values

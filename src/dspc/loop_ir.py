@@ -233,7 +233,10 @@ class LoopProgram:
 # Static validation ----------------------------------------------------------
 
 
-def _interval(expr: AffineExpr, ranges: dict[str, tuple[int, int]]) -> tuple[int, int]:
+def affine_interval(expr: AffineExpr, ranges: dict[str, tuple[int, int]]
+                    ) -> tuple[int, int]:
+    """The inclusive range of `expr` with each index in its inclusive range
+    in `ranges`; raises LoopIrError on an index that has none."""
     lo = hi = expr.const
     for name, coeff in expr.terms:
         if name not in ranges:
@@ -269,7 +272,7 @@ def validate_program(program: LoopProgram) -> None:
                 if bound is not None:
                     lo, hi = bound
                 else:
-                    lo, hi = _interval(stmt.index, ranges)
+                    lo, hi = affine_interval(stmt.index, ranges)
                 if lo < 0 or hi >= caps[stmt.buffer]:
                     raise OutOfBounds(
                         stmt.buffer,

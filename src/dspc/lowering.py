@@ -28,7 +28,7 @@ from .graph import DspGraph, OpNode
 from .loop_ir import (AffineExpr, BinaryArith, BufferDecl, CheckFinite,
                       ConstF, DynAppend, For, IfCmp, IndexF, IndexProdF,
                       IntrinsicCall, Load, LoopProgram, Select, SelectGuard,
-                      SetTemp, Stmt, Store, TempRef)
+                      SetTemp, Stmt, Store, TempRef, affine_interval)
 from .ops import OpCode
 
 
@@ -392,8 +392,8 @@ def _e_filter_y_symm(lw: _Lowerer, op: OpNode) -> None:
 
 def _e_lms(lw: _Lowerer, op: OpNode) -> None:
     """LMS adaptation; the gain-fused form scales the step by its gain g."""
-    attrs = {a.name: a.value for a in op.attributes}
-    step = float(attrs["mu"]) * float(attrs.get("g", 1.0))
+    g = op.attr("g") if op.opcode is OpCode.LMS_FILTER_GAIN_OPT else 1.0
+    step = float(op.attr("mu")) * float(g)
     x, d = lw.buf(op.operands[0]), lw.buf(op.operands[1])
     n = lw.operand_len(op, 0)
     m = int(op.attr("M"))
@@ -630,22 +630,14 @@ def _holds_for(guard: SelectGuard, index: str,
     """The half-open range of `index` over which `guard` holds for every value
     of the inner indices, or None unless its expression has coefficient +-1
     on `index` and no index but `index` and the inner ones."""
-    coeff = 0
-    lo = hi = guard.expr.const  # range of the expression minus its index term
-    for name, c in guard.expr.terms:
-        if name == index:
-            coeff = c
-        elif name in inner:
-            a, b = inner[name]
-            lo += min(c * a, c * b)
-            hi += max(c * a, c * b)
-        else:
-            return None
+    coeff = dict(guard.expr.terms).get(index)
+    if coeff not in (1, -1) or any(n != index and n not in inner for n, _ in guard.expr.terms):
+        return None
+    # the range of the expression without its `index` term
+    lo, hi = affine_interval(guard.expr, {**inner, index: (0, 0)})
     if coeff == 1:
         return guard.lower - lo, guard.upper - hi
-    if coeff == -1:
-        return hi - guard.upper + 1, lo - guard.lower + 1
-    return None
+    return hi - guard.upper + 1, lo - guard.lower + 1
 
 
 def _inner_guard_ranges(stmts: list[Stmt], index: str,

@@ -3,10 +3,13 @@
 An ``OpDef`` holds everything the graph layer knows about an opcode: its
 source-language spelling (if any), operand count, attribute schema (names,
 types and legal ranges), result count, cross-attribute check and shape rule.
-The graph builder, shape inference, the verifier, the textual round trip and
-the rewriter all read this one record.  The two other per-opcode facts live
-in one table each, next to the code they call: the reference kernel
-(``kernels.KERNELS``) and the loop-nest emitter (``lowering.EMITTERS``).
+It is the only record of an attribute's name and legal range: an op stores
+just its attribute values, in schema order, and ``graph.check_op`` is the one
+place that enforces the ranges.  The graph builder, shape inference, the
+verifier, the textual round trip and the rewriter all read this one record.
+The two other per-opcode facts live in one table each, next to the code they
+call: the reference kernel (``kernels.KERNELS``) and the loop-nest emitter
+(``lowering.EMITTERS``); both take a verified graph and check no attribute.
 """
 
 from __future__ import annotations
@@ -108,18 +111,11 @@ class OpDef:
     n_results: int = 1
     cross_check: Optional[Callable[[dict], Optional[str]]] = None
 
-    def attr_spec(self, name: str) -> AttrSpec:
-        for spec in self.attrs:
-            if spec.name == name:
-                return spec
-        raise KeyError(name)
-
     def result_shapes(self, op: "OpNode", ins: Sequence[Optional[TensorShape]]
                       ) -> tuple[Optional[TensorShape], ...]:
         """The shape rule's result shapes; all unknown if an operand shape is
         or an attribute fails its AttrSpec (the verifier reports it)."""
-        if None in ins or not all(spec.ok(a.value)
-                                  for spec, a in zip(self.attrs, op.attributes)):
+        if None in ins or not all(map(AttrSpec.ok, self.attrs, op.attributes)):
             return (None,) * self.n_results
         return self.shape(op, ins)
 
@@ -135,6 +131,15 @@ def _quantize_bounds(attrs: dict) -> Optional[str]:
 
 def _at_least(name: str, low: int) -> AttrSpec:
     return AttrSpec(name, "int", lambda v: v >= low, f"{name} >= {low}")
+
+
+def _finite_phase(attrs: dict) -> Optional[str]:
+    """sin and cos raise on an infinite phase; the largest is 2*pi*f/fs*(n-1).
+    A non-finite f or an fs <= 0 is left to its AttrSpec."""
+    n, f, fs = attrs["n"], attrs["f"], attrs["fs"]
+    if fs > 0.0 and math.isfinite(f) and not math.isfinite(2.0 * math.pi * f / fs * (n - 1)):
+        return f"phase 2*pi*f/fs*(n-1) is not finite for n={n} f={f} fs={fs}"
+    return None
 
 
 _CUTOFF = AttrSpec("wc", "float", lambda v: 0.0 < v < math.pi, "0 < wc < pi")
@@ -262,8 +267,8 @@ OP_DEFS: dict[OpCode, OpDef] = {d.opcode: d for d in (
     OpDef(OpCode.RUN_LEN_ENCODING, "runLenEncoding", 1, (), _rle),
     OpDef(OpCode.UPSAMPLE, "upsample", 1, (_at_least("k", 1),), _upsample),
     OpDef(OpCode.DOWNSAMPLE, "downsample", 1, (_at_least("k", 1),), _downsample),
-    OpDef(OpCode.SIN_VEC, "sinVec", 0, _OSC, _length_attr("n")),
-    OpDef(OpCode.COS_VEC, "cosVec", 0, _OSC, _length_attr("n")),
+    OpDef(OpCode.SIN_VEC, "sinVec", 0, _OSC, _length_attr("n"), cross_check=_finite_phase),
+    OpDef(OpCode.COS_VEC, "cosVec", 0, _OSC, _length_attr("n"), cross_check=_finite_phase),
     OpDef(OpCode.RANGE_VEC, "rangeVec", 0,
           (AttrSpec("start", "float"), AttrSpec("step", "float"), _at_least("n", 1)),
           _length_attr("n")),

@@ -22,8 +22,8 @@ from enum import Enum
 from typing import Iterable, Optional
 
 from .errors import DspcError
-from .graph import (Attribute, DspGraph, OpNode, ValueId, check_op, dead_ops,
-                    renumber, verify_graph)
+from .graph import (DspGraph, OpNode, ValueId, check_op, dead_ops, renumber,
+                    verify_graph)
 from .ops import OP_DEFS, OpCode, TensorShape
 
 
@@ -104,7 +104,7 @@ class _Ctx:
         return shape.length
 
     def new(self, opcode: OpCode, operands: tuple[ValueId, ...] = (),
-            attributes: tuple[Attribute, ...] = ()) -> OpNode:
+            attributes: tuple[object, ...] = ()) -> OpNode:
         """A new op with ids above every id in the graph, shaped by its OpDef."""
         sig = OP_DEFS[opcode]
         op = OpNode(id=self.next_id, opcode=opcode, operands=operands, attributes=attributes)
@@ -167,8 +167,7 @@ def pat_symmetric_filter(ctx: _Ctx, site: OpNode) -> Optional[_Rewrite]:
         return None
     if a.attr("L") != b.attr("L"):
         return None
-    new = ctx.new(OpCode.FILTER_HAMM_OPT,
-                  attributes=(Attribute("L", a.attr("L")), Attribute("wc", a.attr("wc"))))
+    new = ctx.new(OpCode.FILTER_HAMM_OPT, attributes=a.attributes)  # (L, wc)
     return replace_site(ctx, site, new.id, new)
 
 
@@ -287,8 +286,7 @@ def pat_lms_gain_fusion(ctx: _Ctx, site: OpNode) -> Optional[_Rewrite]:
     if not ctx.single_use(site.operands[0]):
         return None
     new = ctx.new(OpCode.LMS_FILTER_GAIN_OPT, lms.operands,
-                  (Attribute("mu", lms.attr("mu")), Attribute("M", lms.attr("M")),
-                   Attribute("g", site.attr("g"))))
+                  lms.attributes + site.attributes)  # (mu, M) + (g,)
     return _Rewrite(at=ctx.pos(lms), new_ops=(new,), subst={site.id: new.id})
 
 

@@ -198,6 +198,31 @@ def test_non_finite_attribute_exit_3(capsys, tmp_path, argv):
     assert "g=inf is not finite" in err and "inf" not in out
 
 
+_B, _M = "1" + "0" * 300, "1" + "0" * 308  # 1e300 and 1e308 as plain literals
+
+
+@pytest.mark.parametrize("source, argv, code, message", [
+    # the quantizer step (max - min) / (levels - 1) overflows
+    (f"def main(x) {{ print(quantize(x, 2, 0 - {_M}, {_M})); }}",
+     ("--synth", "x=4,1"), 4, "non-finite value in printed"),
+    # pattern 7 folds the step mu * g, which overflows; unfolded it diverges
+    (f"def main(x, d) {{ print(gain(lmsFilter(x, d, {_B}, 2), {_B})); }}",
+     ("--opt=dsp", "--synth", "x=4,1", "--synth", "d=4,2"), 4, "non-finite value in"),
+    (f"def main(x, d) {{ print(gain(lmsFilter(x, d, {_B}, 2), {_B})); }}",
+     ("--opt=none", "--synth", "x=4,1", "--synth", "d=4,2"), 4, "non-finite value in"),
+    # the phase step 2*pi*f/fs overflows, and sin(inf) has no value
+    (f"def main() {{ print(sinVec(4, {_B}, 0.000000000000000000001)); }}",
+     (), 3, "phase 2*pi*f/fs*(n-1) is not finite"),
+], ids=["quantize_step", "lms_gain_step_dsp", "lms_gain_step_none", "sin_vec_phase"])
+def test_overflowing_folded_constant_exits_cleanly(capsys, tmp_path, source, argv, code,
+                                                   message):
+    src = tmp_path / "overflow.dsp"
+    src.write_text(source + "\n")
+    got, out, err = run_cli(capsys, "run", str(src), *argv)
+    assert (got, out) == (code, "")
+    assert message in err
+
+
 def test_runtime_error_exit_4(capsys, tmp_path):
     src = tmp_path / "dz.dsp"
     src.write_text("def main(x) { print(x / sum(x - x)); }\n")

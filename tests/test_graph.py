@@ -1,14 +1,16 @@
+import itertools
+
 import pytest
 
 from dspc.frontend import parse_source
-from dspc.graph import (ArityMismatch, BadAttribute, GraphTextError,
-                        ShapeMismatch, UndefinedVariable, UnknownBuiltin,
+from dspc.graph import (ArityMismatch, BadAttribute, DspGraph, GraphTextError,
+                        OpNode, ShapeMismatch, UndefinedVariable, UnknownBuiltin,
                         build_graph, eliminate_dead_ops, graph_to_text,
                         infer_shapes, parse_graph_text, renumber,
                         verify_graph)
 from dspc.kernels import KERNELS
 from dspc.lowering import EMITTERS
-from dspc.ops import OP_DEFS, OpCode
+from dspc.ops import OP_DEFS, OpCode, TensorShape
 
 
 def compile_graph(source, lengths=None):
@@ -50,7 +52,7 @@ def test_attr_constant_folding():
     g = compile_graph(
         "def main(x) { print(quantize(x, 16, 0 - 16, 16)); }", {"x": 4})
     q = next(op for op in g.ops if op.opcode is OpCode.QUANTIZE)
-    values = {a.name: a.value for a in q.attributes}
+    values = {name: q.attr(name) for name in ("levels", "min", "max")}
     assert values == {"levels": 16, "min": -16.0, "max": 16.0}
 
 
@@ -157,6 +159,61 @@ def test_verify_attr_range():
         "%1 = delay(%0) {k=-1} : tensor<8>\n"
         "print(%1)\n"))
     assert any("k >= 0" in v for v in violations)
+
+
+# Attribute values tried by the schema-driven range tests, per AttrSpec kind.
+_CANDIDATES = {"int": (8, 2, 1, 0, -1),
+               "float": (0.5, 1.0, 3.0, 0.0, -1.0, 1e300, 1e-300),
+               "float_list": ((1.0,), ()), "str": ("x",)}
+
+
+def _verify_op(sig, values):
+    """Violations of one op of `sig` with attribute `values`, its operands
+    inputs of length 8 and its result shapes unknown."""
+    ins = [OpNode(i, OpCode.INPUT, attributes=(f"x{i}",), result_shapes=(TensorShape(8),))
+           for i in range(sig.n_operands)]
+    op = OpNode(sig.n_operands if sig.n_results else -1, sig.opcode,
+                tuple(range(sig.n_operands)), tuple(values), (None,) * sig.n_results)
+    return verify_graph(DspGraph(ins + [op])), f"%{op.id} {sig.opcode.value}"
+
+
+def _in_range(sig):
+    """Every combination of in-range candidates, as attribute value lists."""
+    return itertools.product(*([v for v in _CANDIDATES[spec.kind] if spec.ok(v)]
+                               for spec in sig.attrs))
+
+
+def _valid(sig):
+    return next(list(vs) for vs in _in_range(sig)
+                if sig.cross_check is None or sig.cross_check(
+                    {spec.name: v for spec, v in zip(sig.attrs, vs)}) is None)
+
+
+@pytest.mark.parametrize("sig, slot", [
+    pytest.param(sig, i, id=f"{sig.opcode.value}.{spec.name}")
+    for sig in OP_DEFS.values() for i, spec in enumerate(sig.attrs) if spec.check])
+def test_verifier_reports_each_out_of_range_attribute(sig, slot):
+    # generated from the schema: check_op is the only range check, so every
+    # checked attribute of every opcode must be rejected there
+    spec = sig.attrs[slot]
+    values = _valid(sig)
+    assert _verify_op(sig, values)[0] == []
+    values[slot] = next(v for v in _CANDIDATES[spec.kind] if not spec.ok(v))
+    violations, label = _verify_op(sig, values)
+    assert f"{label}: attribute {spec.name}={values[slot]!r} violates {spec.legal}" \
+        in violations
+
+
+@pytest.mark.parametrize("sig", [sig for sig in OP_DEFS.values() if sig.cross_check],
+                         ids=lambda sig: sig.opcode.value)
+def test_verifier_reports_each_cross_attribute_violation(sig):
+    for values in _in_range(sig):
+        msg = sig.cross_check({spec.name: v for spec, v in zip(sig.attrs, values)})
+        if msg:
+            violations, label = _verify_op(sig, values)
+            assert f"{label}: {msg}" in violations
+            return
+    pytest.fail(f"no candidate values violate the cross-check of {sig.opcode.value}")
 
 
 def test_verify_operand_out_of_range():

@@ -83,7 +83,7 @@ def test_rle_append_respects_capacity():
     p = program_for("def main(x) { print(runLenEncoding(x)); }", {"x": 6})
     out, _ = evaluate_loop_ir(p, {"x": tensor([1, 2, 1, 2, 1, 2])})
     t = out[next(iter(out))]
-    assert t.logical_length == 12
+    assert len(t) == 12
 
 
 def test_compiled_source_is_cached_and_readable():

@@ -40,7 +40,7 @@ def assert_equivalent(source, lengths, inputs, rel=1e-9):
     out2 = eval_graph(g2, inputs)
     for v1, v2 in zip(g.prints, g2.prints):
         a, b = out1[v1], out2[v2]
-        assert a.logical_length == b.logical_length
+        assert len(a) == len(b)
         for x, y in zip(a.values, b.values):
             assert x == pytest.approx(y, rel=rel, abs=1e-12)
 
@@ -234,8 +234,7 @@ def main(x, d) {
     assert OpCode.LMS_FILTER_GAIN_OPT in opcodes(g2)
     fused = next(op for op in g2.ops
                  if op.opcode is OpCode.LMS_FILTER_GAIN_OPT)
-    attrs = {a.name: a.value for a in fused.attributes}
-    assert attrs["g"] == 2.0 and attrs["M"] == 4
+    assert fused.attr("g") == 2.0 and fused.attr("M") == 4
 
 
 def test_pattern7_rejects_const_operand():
