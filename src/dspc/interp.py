@@ -2,7 +2,10 @@
 
 A program is bounds-checked (`validate_program`) and translated into a plain
 Python function once, at its first compile; the function is cached on the
-program object and exec'd.  The generated source (`compiled_source`) is the
+program object and exec'd.  Each statement becomes one Python statement and
+its expression trees one Python expression each, parenthesised only where
+the tree's association needs it, so the generated code runs no statement
+per load or multiply.  The generated source (`compiled_source`) is the
 program's text form: it opens with one comment line per buffer (capacity,
 `dyn`, bound input, up to 8 initial values) and per printed or returned
 value, and each loop's tag is a comment on its `for` line.  Operation
@@ -26,10 +29,10 @@ from typing import Callable, Optional
 
 from .errors import DspcError
 from .kernels import Tensor
-from .loop_ir import (BinaryArith, CheckFinite, ConstF, DynAppend, For, IfCmp,
-                      IndexF, IndexProdF, IntrinsicCall, Load, LoopProgram,
-                      Operand, Select, SelectGuard, SetTemp, Stmt, Store,
-                      TempRef, validate_program)
+from .loop_ir import (LEAVES, Arith, Assign, Call, CheckFinite, ConstF,
+                      DynAppend, Expr, For, IfCmp, IndexF, IndexProdF, Load,
+                      LoopIrError, LoopProgram, Select, SelectGuard, Stmt,
+                      Store, TempRef, validate_program)
 
 
 class LoopRuntimeError(DspcError):
@@ -49,6 +52,10 @@ class CapacityExceeded(LoopRuntimeError):
 
 
 class InputMismatch(LoopRuntimeError):
+    pass
+
+
+class BufferTooLarge(LoopRuntimeError):
     pass
 
 
@@ -78,11 +85,12 @@ class ExecCounters:
         }
 
 
-# Python spelling of BinaryArith ops and of comparisons.
+# Python spelling, binding strength and cost of Arith ops; comparisons.
 ARITH_SYMBOLS = {"add": "+", "sub": "-", "mul": "*", "div": "/"}
-CMP_SYMBOLS = {"eq": "==", "ne": "!=", "lt": "<", "le": "<=", "gt": ">", "ge": ">="}
+_PRECEDENCE = {"add": 1, "sub": 1, "mul": 2, "div": 2}
 _COST_OF_ARITH = {"add": "adds", "sub": "adds", "mul": "mults",
                   "div": "mults"}
+CMP_SYMBOLS = {"eq": "==", "ne": "!=", "lt": "<", "le": "<=", "gt": ">", "ge": ">="}
 
 
 class _Compiler:
@@ -90,7 +98,8 @@ class _Compiler:
 
     A block's cost per run is static: a Counter keyed by the `ExecCounters`
     fields `stores`, `mults`, `adds` and `trig_calls`, plus ("tag", t) per
-    iteration of a loop tagged t and ("load", b) per load from buffer b.  A
+    iteration of a loop tagged t and ("load", b) per load from buffer b.
+    The walk that renders an expression tree also adds up its cost.  A
     loop adds its body's cost and one count of its tag, times its trip count.
     A branch body or else arm runs a data-dependent number of times, so it is
     not part of its enclosing block's cost: if its own cost is non-zero it
@@ -106,74 +115,94 @@ class _Compiler:
         self.program = program
         self.branch_costs: list[Counter] = []
 
-    def _operand(self, v: Operand) -> str:
-        if isinstance(v, TempRef):
-            return v.name
-        if isinstance(v, ConstF):  # a folded constant may have overflowed
-            return repr(v.value) if math.isfinite(v.value) else f"float('{v.value}')"
-        if isinstance(v, IndexF):
-            return f"({v.expr.source()})"
-        if isinstance(v, IndexProdF):
-            return f"({v.a}*{v.b})"
-        raise TypeError(f"not an operand: {v!r}")
+    def _expr(self, e: Expr, cost: Counter, divisors: list[str],
+              prec: int = 0) -> str:
+        """Python for tree `e` in a context binding at least `prec` (0: the
+        whole right side, 1: `+`/`-` or a comparison operand, 2: `*`/`/`,
+        plus one on a right operand, since Arith is left-associative and
+        float arithmetic does not reassociate); adds `e`'s cost to `cost`
+        and each run-time-checked divisor to `divisors`."""
+        if isinstance(e, TempRef):
+            return e.name
+        if isinstance(e, ConstF):  # a folded constant may have overflowed
+            return repr(e.value) if math.isfinite(e.value) else f"float('{e.value}')"
+        if isinstance(e, IndexF):
+            return f"({e.expr.source()})"
+        if isinstance(e, IndexProdF):
+            return f"({e.a}*{e.b})"
+        if isinstance(e, Load):
+            cost["load", e.buffer] += 1
+            return f"{e.buffer}[{e.index.source()}]"
+        if isinstance(e, Arith):
+            p = _PRECEDENCE[e.op]
+            lhs = self._expr(e.lhs, cost, divisors, p)
+            rhs = self._expr(e.rhs, cost, divisors, p + 1)
+            if e.op == "div" and not isinstance(e.rhs, ConstF):
+                if not isinstance(e.rhs, LEAVES):  # the check reads it again
+                    raise LoopIrError(f"checked divisor is not a leaf: {e!r}")
+                divisors.append(rhs)
+            cost[_COST_OF_ARITH[e.op]] += 1
+            text = f"{lhs} {ARITH_SYMBOLS[e.op]} {rhs}"
+            return f"({text})" if p < prec else text
+        if isinstance(e, Call):
+            a = self._expr(e.arg, cost, divisors)
+            if e.fn in ("sin", "cos"):
+                cost["trig_calls"] += 1
+                return f"_{e.fn}({a})"
+            if e.fn == "sinc_eval":
+                if not isinstance(e.arg, LEAVES):  # read three times
+                    raise LoopIrError(f"sinc_eval argument is not a leaf: {e!r}")
+                cost.update(trig_calls=1, mults=1)
+                text = f"_sin({a}) / {a} if {a} != 0.0 else 1.0"
+                return f"({text})" if prec else text
+            if e.fn == "abs":
+                return f"abs({a})"
+            if e.fn == "floor":
+                return f"_floor({a})"
+            raise LoopRuntimeError(f"unknown intrinsic {e.fn}")
+        raise TypeError(f"not an expression: {e!r}")
 
     def _block(self, stmts: list[Stmt], depth: int,
                loop_stack: list[str]) -> tuple[list[str], Counter]:
         pad = "    " * depth
         lines: list[str] = []
         cost: Counter = Counter()
+        divisors: list[str] = []
+        at = f" at element {{{loop_stack[-1]}}}" if loop_stack else ""
+
+        def ex(e: Expr, prec: int = 0) -> str:
+            return self._expr(e, cost, divisors, prec)
+
+        def emit(line: str) -> None:
+            """`line`, after a zero check of each divisor it reads."""
+            for d in divisors:
+                lines.append(f"{pad}if {d} == 0.0:")
+                lines.append(f"{pad}    raise _DivZero(f'division by zero{at}')")
+            divisors.clear()
+            lines.append(pad + line)
+
         for stmt in stmts:
-            if isinstance(stmt, Load):
-                lines.append(f"{pad}{stmt.target} = "
-                             f"{stmt.buffer}[{stmt.index.source()}]")
-                cost["load", stmt.buffer] += 1
+            if isinstance(stmt, Assign):
+                emit(f"{stmt.target.name} = {ex(stmt.value)}")
             elif isinstance(stmt, Store):
-                lines.append(f"{pad}{stmt.buffer}[{stmt.index.source()}] = "
-                             f"{self._operand(stmt.source)}")
+                emit(f"{stmt.buffer}[{stmt.index.source()}] = "
+                     f"{ex(stmt.source)}")
                 cost["stores"] += 1
-            elif isinstance(stmt, BinaryArith):
-                lhs, rhs = self._operand(stmt.lhs), self._operand(stmt.rhs)
-                if stmt.op == "div" and not isinstance(stmt.rhs, ConstF):
-                    at = (f" at element {{{loop_stack[-1]}}}"
-                          if loop_stack else "")
-                    lines.append(f"{pad}if {rhs} == 0.0:")
-                    lines.append(f"{pad}    raise _DivZero("
-                                 f"f'division by zero{at}')")
-                lines.append(f"{pad}{stmt.target} = {lhs} "
-                             f"{ARITH_SYMBOLS[stmt.op]} {rhs}")
-                cost[_COST_OF_ARITH[stmt.op]] += 1
-            elif isinstance(stmt, IntrinsicCall):
-                a = self._operand(stmt.arg)
-                if stmt.fn in ("sin", "cos"):
-                    lines.append(f"{pad}{stmt.target} = _{stmt.fn}({a})")
-                    cost["trig_calls"] += 1
-                elif stmt.fn == "sinc_eval":
-                    lines.append(f"{pad}{stmt.target} = "
-                                 f"_sin({a}) / {a} if {a} != 0.0 else 1.0")
-                    cost.update(trig_calls=1, mults=1)
-                elif stmt.fn == "abs":
-                    lines.append(f"{pad}{stmt.target} = abs({a})")
-                elif stmt.fn == "floor":
-                    lines.append(f"{pad}{stmt.target} = _floor({a})")
-                else:
-                    raise LoopRuntimeError(f"unknown intrinsic {stmt.fn}")
-            elif isinstance(stmt, SetTemp):
-                lines.append(f"{pad}{stmt.target} = "
-                             f"{self._operand(stmt.source)}")
             elif isinstance(stmt, Select):
-                lines.append(
-                    f"{pad}{stmt.target} = {self._operand(stmt.if_true)} "
-                    f"if {self._operand(stmt.lhs)} {CMP_SYMBOLS[stmt.cmp]} "
-                    f"{self._operand(stmt.rhs)} "
-                    f"else {self._operand(stmt.if_false)}")
+                arms: Counter = Counter()
+                t, f = (self._expr(v, arms, divisors, 1)
+                        for v in (stmt.if_true, stmt.if_false))
+                if arms:
+                    raise LoopIrError(f"metered work in a select arm: {stmt!r}")
+                emit(f"{stmt.target.name} = {t} if {ex(stmt.lhs, 1)} "
+                     f"{CMP_SYMBOLS[stmt.cmp]} {ex(stmt.rhs, 1)} else {f}")
             elif isinstance(stmt, (SelectGuard, IfCmp)):
                 if isinstance(stmt, SelectGuard):
-                    lines.append(f"{pad}if {stmt.lower} <= "
-                                 f"{stmt.expr.source()} < {stmt.upper}:")
+                    emit(f"if {stmt.lower} <= {stmt.expr.source()} "
+                         f"< {stmt.upper}:")
                 else:
-                    lines.append(f"{pad}if {self._operand(stmt.lhs)} "
-                                 f"{CMP_SYMBOLS[stmt.cmp]} "
-                                 f"{self._operand(stmt.rhs)}:")
+                    emit(f"if {ex(stmt.lhs, 1)} {CMP_SYMBOLS[stmt.cmp]} "
+                         f"{ex(stmt.rhs, 1)}:")
                 lines.extend(self._branch(stmt.body, depth + 1, loop_stack))
                 if stmt.orelse:
                     lines.append(f"{pad}else:")
@@ -185,8 +214,7 @@ class _Compiler:
                 lines.append(f"{pad}if {cur} >= {cap}:")
                 lines.append(f"{pad}    raise _Capacity("
                              f"'buffer {stmt.buffer} exceeded capacity {cap}')")
-                lines.append(f"{pad}{stmt.buffer}[{cur}] = "
-                             f"{self._operand(stmt.value)}")
+                emit(f"{stmt.buffer}[{cur}] = {ex(stmt.value)}")
                 lines.append(f"{pad}{cur} += 1")
                 cost["stores"] += 1
             elif isinstance(stmt, CheckFinite):
@@ -285,8 +313,14 @@ def evaluate_loop_ir(program: LoopProgram,
     fn, static_cost, branch_costs = _ensure_compiled(program)
 
     slot = {b.name: k for k, b in enumerate(program.buffers)}
-    bufs = [list(b.init) if b.init is not None else [0.0] * b.capacity
-            for b in program.buffers]
+    bufs = []
+    for b in program.buffers:
+        try:
+            bufs.append(list(b.init) if b.init is not None
+                        else [0.0] * b.capacity)
+        except (OverflowError, MemoryError):
+            raise BufferTooLarge(f"buffer {b.name} of capacity {b.capacity} "
+                                 "cannot be allocated") from None
     for name, bname in program.inputs:
         if name not in inputs:
             raise InputMismatch(f"input {name!r} is not bound")

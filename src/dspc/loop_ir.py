@@ -3,17 +3,23 @@
 Loop and guard bounds are static ints, so every loop has a trip count known
 at build time.  Index arithmetic is exact integer arithmetic over loop
 variables and is not metered; the float data path (loads, stores,
-multiplies, adds, trig calls) is what the execution counters measure.  All
-static accesses are bounds-checked by `validate_program` before a program is
-first compiled; a negative or overflowing index is only legal inside a
-SelectGuard that establishes its range.  A program's text form is its
-generated Python, `interp.compiled_source`.
+multiplies, adds, trig calls) is what the execution counters measure.
+
+A float operand is an expression tree (`Expr`): temporaries, constants and
+index values at the leaves, buffer loads, binary arithmetic and intrinsic
+calls above them.  A statement evaluates its trees in the association they
+are built with; `Assign` keeps a tree's value in a temporary, and `Store`,
+`Select`, `IfCmp` and `DynAppend` read trees directly.  All static accesses,
+loads inside trees included, are bounds-checked by `validate_program` before
+a program is first compiled; a negative or overflowing index is only legal
+inside a SelectGuard that establishes its range.  A program's text form is
+its generated Python, `interp.compiled_source`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Union
+from typing import Iterable, Iterator, Optional, Union
 
 from .errors import DspcError
 
@@ -74,28 +80,48 @@ class AffineExpr:
         return self.source()
 
 
-# Float-valued operands ------------------------------------------------------
+# Expressions ----------------------------------------------------------------
+# A float-valued operand is an expression tree: temporaries, constants and
+# index values at the leaves; buffer loads, binary arithmetic and intrinsic
+# calls inside.  `a + b`, `a - b`, `a * b` and `a / b` on nodes build an
+# `Arith` tree with the association of the Python expression; a plain number
+# on either side becomes a `ConstF`.
+
+
+def _arith(op: str, swap: bool = False):
+    def build(self, other):
+        if not isinstance(other, _ArithOps):
+            other = ConstF(float(other))
+        return Arith(op, other, self) if swap else Arith(op, self, other)
+    return build
+
+
+class _ArithOps:
+    __add__, __radd__ = _arith("add"), _arith("add", swap=True)
+    __sub__, __rsub__ = _arith("sub"), _arith("sub", swap=True)
+    __mul__, __rmul__ = _arith("mul"), _arith("mul", swap=True)
+    __truediv__ = _arith("div")
 
 
 @dataclass(frozen=True)
-class TempRef:
+class TempRef(_ArithOps):
     name: str
 
 
 @dataclass(frozen=True)
-class ConstF:
+class ConstF(_ArithOps):
     value: float
 
 
 @dataclass(frozen=True)
-class IndexF:
+class IndexF(_ArithOps):
     """The value of an affine index expression used as float data."""
 
     expr: AffineExpr
 
 
 @dataclass(frozen=True)
-class IndexProdF:
+class IndexProdF(_ArithOps):
     """Product of two loop indices as float data (exact below 2**53).
 
     Transform lowerings need k*n for the phase angle; the product itself is
@@ -106,7 +132,38 @@ class IndexProdF:
     b: str
 
 
-Operand = Union[TempRef, ConstF, IndexF, IndexProdF]
+@dataclass(frozen=True)
+class Load(_ArithOps):
+    buffer: str
+    index: AffineExpr
+
+
+@dataclass(frozen=True)
+class Arith(_ArithOps):
+    op: str  # add | sub | mul | div
+    lhs: "Expr"
+    rhs: "Expr"
+
+
+@dataclass(frozen=True)
+class Call(_ArithOps):
+    fn: str  # sin | cos | sinc_eval | abs | floor
+    arg: "Expr"
+
+
+LEAVES = (TempRef, ConstF, IndexF, IndexProdF)
+Expr = Union[TempRef, ConstF, IndexF, IndexProdF, Load, Arith, Call]
+
+
+def loads_in(e: Expr) -> Iterator[Load]:
+    """Every buffer load in a tree."""
+    if isinstance(e, Load):
+        yield e
+    elif isinstance(e, Arith):
+        yield from loads_in(e.lhs)
+        yield from loads_in(e.rhs)
+    elif isinstance(e, Call):
+        yield from loads_in(e.arg)
 
 
 # Statements -----------------------------------------------------------------
@@ -124,38 +181,16 @@ class For:
 
 
 @dataclass
-class Load:
-    target: str
-    buffer: str
-    index: AffineExpr
+class Assign:
+    target: TempRef
+    value: Expr
 
 
 @dataclass
 class Store:
     buffer: str
     index: AffineExpr
-    source: Operand
-
-
-@dataclass
-class BinaryArith:
-    target: str
-    op: str  # add | sub | mul | div
-    lhs: Operand
-    rhs: Operand
-
-
-@dataclass
-class IntrinsicCall:
-    target: str
-    fn: str  # sin | cos | sinc_eval | abs | floor
-    arg: Operand
-
-
-@dataclass
-class SetTemp:
-    target: str
-    source: Operand
+    source: Expr
 
 
 @dataclass
@@ -174,28 +209,29 @@ class IfCmp:
     """Data-dependent branch on a float comparison."""
 
     cmp: str  # eq | ne | lt | le | gt | ge
-    lhs: Operand
-    rhs: Operand
+    lhs: Expr
+    rhs: Expr
     body: list["Stmt"]
     orelse: list["Stmt"] = field(default_factory=list)
 
 
 @dataclass
 class Select:
-    """target = if_true if (lhs cmp rhs) else if_false."""
+    """target = if_true if (lhs cmp rhs) else if_false; only the comparison
+    may do metered work, since the arm taken is data-dependent."""
 
-    target: str
+    target: TempRef
     cmp: str
-    lhs: Operand
-    rhs: Operand
-    if_true: Operand
-    if_false: Operand
+    lhs: Expr
+    rhs: Expr
+    if_true: Expr
+    if_false: Expr
 
 
 @dataclass
 class DynAppend:
     buffer: str
-    value: Operand
+    value: Expr
 
 
 @dataclass
@@ -203,8 +239,21 @@ class CheckFinite:
     buffer: str
 
 
-Stmt = Union[For, Load, Store, BinaryArith, IntrinsicCall, SetTemp, SelectGuard,
-             IfCmp, Select, DynAppend, CheckFinite]
+Stmt = Union[For, Assign, Store, SelectGuard, IfCmp, Select, DynAppend,
+             CheckFinite]
+
+
+def operands(stmt: Stmt) -> tuple[Expr, ...]:
+    """The expression trees a statement evaluates (not its branch bodies)."""
+    if isinstance(stmt, (Assign, DynAppend)):
+        return (stmt.value,)
+    if isinstance(stmt, Store):
+        return (stmt.source,)
+    if isinstance(stmt, Select):
+        return (stmt.lhs, stmt.rhs, stmt.if_true, stmt.if_false)
+    if isinstance(stmt, IfCmp):
+        return (stmt.lhs, stmt.rhs)
+    return ()
 
 
 @dataclass(frozen=True)
@@ -259,25 +308,23 @@ def validate_program(program: LoopProgram) -> None:
     def check_block(stmts: Iterable[Stmt], ranges: dict[str, tuple[int, int]],
                     guards: dict[AffineExpr, tuple[int, int]]) -> None:
         for stmt in stmts:
+            if isinstance(stmt, DynAppend) and stmt.buffer not in caps:
+                raise OutOfBounds(stmt.buffer, "unknown buffer")
+            accesses = [load for e in operands(stmt) for load in loads_in(e)]
+            for a in accesses + ([stmt] if isinstance(stmt, Store) else []):
+                if a.buffer not in caps:
+                    raise OutOfBounds(a.buffer, "unknown buffer")
+                lo, hi = guards.get(a.index) or affine_interval(a.index, ranges)
+                if lo < 0 or hi >= caps[a.buffer]:
+                    raise OutOfBounds(
+                        a.buffer, f"index {a.index} spans [{lo}, {hi}] "
+                        f"outside [0, {caps[a.buffer]})")
             if isinstance(stmt, For):
                 if stmt.upper <= stmt.lower:
                     continue  # empty loop, body never executes
                 sub = dict(ranges)
                 sub[stmt.index] = (stmt.lower, stmt.upper - 1)
                 check_block(stmt.body, sub, guards)
-            elif isinstance(stmt, (Load, Store)):
-                if stmt.buffer not in caps:
-                    raise OutOfBounds(stmt.buffer, "unknown buffer")
-                bound = guards.get(stmt.index)
-                if bound is not None:
-                    lo, hi = bound
-                else:
-                    lo, hi = affine_interval(stmt.index, ranges)
-                if lo < 0 or hi >= caps[stmt.buffer]:
-                    raise OutOfBounds(
-                        stmt.buffer,
-                        f"index {stmt.index} spans [{lo}, {hi}] outside "
-                        f"[0, {caps[stmt.buffer]})")
             elif isinstance(stmt, SelectGuard):
                 if (stmt.expr.const == 0 and len(stmt.expr.terms) == 1
                         and stmt.expr.terms[0][1] == 1):
@@ -299,8 +346,5 @@ def validate_program(program: LoopProgram) -> None:
             elif isinstance(stmt, IfCmp):
                 check_block(stmt.body, ranges, guards)
                 check_block(stmt.orelse, ranges, guards)
-            elif isinstance(stmt, DynAppend):
-                if stmt.buffer not in caps:
-                    raise OutOfBounds(stmt.buffer, "unknown buffer")
 
     check_block(program.body, {}, {})

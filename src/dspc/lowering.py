@@ -3,7 +3,11 @@
 Each opcode gets a dedicated emitter that transcribes its defining recurrence
 into loads, stores and scalar arithmetic, preserving the reference kernels'
 accumulation order so both routes agree to the last bit wherever rounding
-allows.  Cost-model conventions baked in here:
+allows.  An emitter builds each statement's operand as one expression tree,
+e.g. ``acc = acc + th * x[n - j]``, and names a value in a temporary only
+where it must: a value read twice, a loop-carried accumulator, a value that
+crosses a guard boundary, and a non-constant divisor (the run-time zero
+check reads it first).  Cost-model conventions baked in here:
 
 * filter taps are loaded unconditionally in the inner loop; only the signal
   load and the accumulate sit behind the boundary guard, and only outside a
@@ -25,10 +29,10 @@ from typing import Optional
 
 from .errors import DspcError
 from .graph import DspGraph, OpNode
-from .loop_ir import (AffineExpr, BinaryArith, BufferDecl, CheckFinite,
-                      ConstF, DynAppend, For, IfCmp, IndexF, IndexProdF,
-                      IntrinsicCall, Load, LoopProgram, Select, SelectGuard,
-                      SetTemp, Stmt, Store, TempRef, affine_interval)
+from .loop_ir import (AffineExpr, Arith, Assign, BufferDecl, Call, CheckFinite,
+                      ConstF, DynAppend, Expr, For, IfCmp, IndexF, IndexProdF,
+                      Load, LoopProgram, Select, SelectGuard, Stmt, Store,
+                      TempRef, affine_interval)
 from .ops import OpCode
 
 
@@ -55,9 +59,9 @@ class _Lowerer:
 
     # -- small helpers ------------------------------------------------------
 
-    def t(self) -> str:
+    def t(self) -> TempRef:
         self._temp_seq += 1
-        return f"t{self._temp_seq}"
+        return TempRef(f"t{self._temp_seq}")
 
     def buf(self, vid: int) -> str:
         return f"v{vid}"
@@ -96,25 +100,19 @@ class _Lowerer:
         return For(index, lower, n, body, tag=tag)
 
     def copy_loop(self, op: OpNode, src_index_of, n: int, transform) -> None:
-        """``for i in [0, n): out[i] = f(load src[src_index_of(i)])``."""
+        """``for i in [0, n)``: the statements `transform(i, x)` builds from
+        the load ``x = src[src_index_of(i)]``."""
         i = f"i{op.id}"
-        tv = self.t()
-        body: list[Stmt] = [Load(tv, self.buf(op.operands[0]),
-                                 src_index_of(i))]
-        body.extend(transform(i, tv))
-        self.body.append(self.loop(op, i, n, body))
+        x = Load(self.buf(op.operands[0]), src_index_of(i))
+        self.body.append(self.loop(op, i, n, transform(i, x)))
 
     def guarded_mac(self, n_idx: str, i_idx: str, x_buf: str, x_len: int,
-                    tap: str, acc: str, offset: int = 0,
+                    tap: Expr, acc: TempRef, offset: int = 0,
                     i_coeff: int = -1) -> Stmt:
-        """Guarded ``acc += tap * x[n + i_coeff*i + offset]``."""
+        """Guarded ``acc = acc + tap * x[n + i_coeff*i + offset]``."""
         at = _af(n_idx).plus(_af(i_idx, i_coeff)).shifted(offset)
-        tx, tm = self.t(), self.t()
-        return SelectGuard(at, 0, x_len, body=[
-            Load(tx, x_buf, at),
-            BinaryArith(tm, "mul", TempRef(tap), TempRef(tx)),
-            BinaryArith(acc, "add", TempRef(acc), TempRef(tm)),
-        ])
+        return SelectGuard(at, 0, x_len,
+                           body=[Assign(acc, acc + tap * Load(x_buf, at))])
 
     # -- emitters ------------------------------------------------------------
 
@@ -143,13 +141,10 @@ def _e_delay(lw: _Lowerer, op: OpNode) -> None:
     x = lw.buf(op.operands[0])
     out = lw.buf(op.id)
     i = f"i{op.id}"
-    tv = lw.t()
-    if k == 0:
-        body: list[Stmt] = [Load(tv, x, _af(i)), Store(out, _af(i), TempRef(tv))]
-    else:
-        at = _af(i, const=-k)
-        body = [SelectGuard(at, 0, n,
-                            body=[Load(tv, x, at), Store(out, _af(i), TempRef(tv))],
+    at = _af(i, const=-k)
+    body: list[Stmt] = [Store(out, _af(i), Load(x, at))]
+    if k:
+        body = [SelectGuard(at, 0, n, body=body,
                             orelse=[Store(out, _af(i), ConstF(0.0))])]
     lw.body.append(lw.loop(op, i, n, body))
 
@@ -163,13 +158,13 @@ def _e_fir(lw: _Lowerer, op: OpNode) -> None:
     n_i, i_i = f"i{op.id}", f"j{op.id}"
     acc, th = lw.t(), lw.t()
     inner: list[Stmt] = [
-        Load(th, h, _af(i_i)),
+        Assign(th, Load(h, _af(i_i))),
         lw.guarded_mac(n_i, i_i, x, n_x, th, acc),
     ]
     body: list[Stmt] = [
-        SetTemp(acc, ConstF(0.0)),
+        Assign(acc, ConstF(0.0)),
         lw.loop(op, i_i, n_h, inner, "inner"),
-        Store(out, _af(n_i), TempRef(acc)),
+        Store(out, _af(n_i), acc),
     ]
     lw.body.append(lw.loop(op, n_i, lw.length(op.id), body, "outer"))
 
@@ -179,17 +174,14 @@ def _e_sliding_avg(lw: _Lowerer, op: OpNode) -> None:
     w = int(op.attr("window"))
     x, out = lw.buf(op.operands[0]), lw.buf(op.id)
     n_i, i_i = f"i{op.id}", f"j{op.id}"
-    acc, tx, tq = lw.t(), lw.t(), lw.t()
+    acc = lw.t()
     at = _af(n_i).plus(_af(i_i, -1))
-    inner: list[Stmt] = [SelectGuard(at, 0, n, body=[
-        Load(tx, x, at),
-        BinaryArith(acc, "add", TempRef(acc), TempRef(tx)),
-    ])]
+    inner: list[Stmt] = [
+        SelectGuard(at, 0, n, body=[Assign(acc, acc + Load(x, at))])]
     body: list[Stmt] = [
-        SetTemp(acc, ConstF(0.0)),
+        Assign(acc, ConstF(0.0)),
         lw.loop(op, i_i, w, inner, "inner"),
-        BinaryArith(tq, "div", TempRef(acc), ConstF(float(w))),
-        Store(out, _af(n_i), TempRef(tq)),
+        Store(out, _af(n_i), acc / float(w)),
     ]
     lw.body.append(lw.loop(op, n_i, n, body, "outer"))
 
@@ -208,29 +200,23 @@ def _e_dft(lw: _Lowerer, op: OpNode, *, real: bool = True, imag: bool = True,
     parts = [(trig, sign) for on, trig, sign in ((real, "cos", "add"), (imag, "sin", "sub"))
              if on]
     accs = [lw.t() for _ in parts]
-    tx, ang = lw.t(), lw.t()
-    inner: list[Stmt] = [
-        Load(tx, x, _af(n_i)),
-        BinaryArith(ang, "mul", ConstF(c1), IndexProdF(k_i, n_i)),
-    ]
+    xn: Expr = Load(x, _af(n_i))
+    ang: Expr = c1 * IndexProdF(k_i, n_i)
+    inner: list[Stmt] = []
+    if len(parts) > 1:  # both parts read the sample and the angle
+        tx, ta = lw.t(), lw.t()
+        inner += [Assign(tx, xn), Assign(ta, ang)]
+        xn, ang = tx, ta
     for acc, (trig, sign) in zip(accs, parts):
-        tc, tm = lw.t(), lw.t()
-        inner += [IntrinsicCall(tc, trig, TempRef(ang)),
-                  BinaryArith(tm, "mul", TempRef(tx), TempRef(tc)),
-                  BinaryArith(acc, sign, TempRef(acc), TempRef(tm))]
-    body: list[Stmt] = [SetTemp(acc, ConstF(0.0)) for acc in accs]
+        inner.append(Assign(acc, Arith(sign, acc, xn * Call(trig, ang))))
+    body: list[Stmt] = [Assign(acc, ConstF(0.0)) for acc in accs]
     body.append(lw.loop(op, n_i, n, inner, "inner"))
-    body += [Store(lw.buf(rid), _af(k_i), TempRef(acc)) for rid, acc in zip(op.result_ids, accs)]
+    body += [Store(lw.buf(rid), _af(k_i), acc) for rid, acc in zip(op.result_ids, accs)]
     if half:
-        out, acc = lw.buf(op.id), accs[0]
-        mirror: list[Stmt]
-        if real:  # real part: X[N-k] = X[k]
-            mirror = [Store(out, _af(k_i, -1, n), TempRef(acc))]
-        else:  # imaginary part: X[N-k] = -X[k]
-            tn = lw.t()
-            mirror = [BinaryArith(tn, "sub", ConstF(0.0), TempRef(acc)),
-                      Store(out, _af(k_i, -1, n), TempRef(tn))]
-        body.append(SelectGuard(_af(k_i), 1, (n + 1) // 2, body=mirror))
+        # real part: X[N-k] = X[k]; imaginary part: X[N-k] = -X[k]
+        acc = accs[0]
+        body.append(SelectGuard(_af(k_i), 1, (n + 1) // 2, body=[
+            Store(lw.buf(op.id), _af(k_i, -1, n), acc if real else 0.0 - acc)]))
     lw.body.append(lw.loop(op, k_i, n // 2 + 1 if half else n, body, "outer"))
 
 
@@ -240,92 +226,69 @@ def _e_idft(lw: _Lowerer, op: OpNode) -> None:
     out = lw.buf(op.id)
     c1 = 2.0 * math.pi / n
     n_i, k_i = f"i{op.id}", f"j{op.id}"
-    acc, tr, ang, tc, tm1, ti, ts, tm2, tq = (lw.t() for _ in range(9))
+    acc, ang = lw.t(), lw.t()
     inner: list[Stmt] = [
-        Load(tr, xr, _af(k_i)),
-        BinaryArith(ang, "mul", ConstF(c1), IndexProdF(n_i, k_i)),
-        IntrinsicCall(tc, "cos", TempRef(ang)),
-        BinaryArith(tm1, "mul", TempRef(tr), TempRef(tc)),
-        BinaryArith(acc, "add", TempRef(acc), TempRef(tm1)),
-        Load(ti, xi, _af(k_i)),
-        IntrinsicCall(ts, "sin", TempRef(ang)),
-        BinaryArith(tm2, "mul", TempRef(ti), TempRef(ts)),
-        BinaryArith(acc, "sub", TempRef(acc), TempRef(tm2)),
+        Assign(ang, c1 * IndexProdF(n_i, k_i)),
+        Assign(acc, acc + Load(xr, _af(k_i)) * Call("cos", ang)
+               - Load(xi, _af(k_i)) * Call("sin", ang)),
     ]
     body: list[Stmt] = [
-        SetTemp(acc, ConstF(0.0)),
+        Assign(acc, ConstF(0.0)),
         lw.loop(op, k_i, n, inner, "inner"),
-        BinaryArith(tq, "div", TempRef(acc), ConstF(float(n))),
-        Store(out, _af(n_i), TempRef(tq)),
+        Store(out, _af(n_i), acc / float(n)),
     ]
     lw.body.append(lw.loop(op, n_i, n, body, "outer"))
 
 
-def _lowpass_tap(lw: _Lowerer, n_i: str, L: int, wc: float, lp: str
+def _lowpass_tap(lw: _Lowerer, n_i: str, L: int, wc: float, lp: TempRef
                  ) -> list[Stmt]:
     """lp = (wc/pi) * sinc(wc * (n - (L-1)/2)), midpoint guarded when L odd."""
     scale = wc / math.pi
-    mid = (L - 1) / 2.0
-    td, z, s = lw.t(), lw.t(), lw.t()
+    z = lw.t()  # sinc_eval reads its argument three times
     calc: list[Stmt] = [
-        BinaryArith(td, "sub", IndexF(_af(n_i)), ConstF(mid)),
-        BinaryArith(z, "mul", ConstF(wc), TempRef(td)),
-        IntrinsicCall(s, "sinc_eval", TempRef(z)),
-        BinaryArith(lp, "mul", ConstF(scale), TempRef(s)),
+        Assign(z, wc * (IndexF(_af(n_i)) - (L - 1) / 2.0)),
+        Assign(lp, scale * Call("sinc_eval", z)),
     ]
     if L % 2 == 1:
         midi = (L - 1) // 2
         return [SelectGuard(_af(n_i), midi, midi + 1,
-                            body=[SetTemp(lp, ConstF(scale))], orelse=calc)]
+                            body=[Assign(lp, ConstF(scale))], orelse=calc)]
     return calc
 
 
-def _hamming_tap(lw: _Lowerer, n_i: str, L: int, hw: str) -> list[Stmt]:
-    """hw = 0.54 - 0.46 * cos(2*pi*n/(L-1))."""
+def _hamming_tap(n_i: str, L: int) -> Expr:
+    """0.54 - 0.46 * cos(2*pi*n/(L-1))."""
     c2 = 2.0 * math.pi / (L - 1)
-    ta, tc, tm = lw.t(), lw.t(), lw.t()
-    return [
-        BinaryArith(ta, "mul", ConstF(c2), IndexF(_af(n_i))),
-        IntrinsicCall(tc, "cos", TempRef(ta)),
-        BinaryArith(tm, "mul", ConstF(0.46), TempRef(tc)),
-        BinaryArith(hw, "sub", ConstF(0.54), TempRef(tm)),
-    ]
+    return 0.54 - 0.46 * Call("cos", c2 * IndexF(_af(n_i)))
 
 
 def _e_lowpass(lw: _Lowerer, op: OpNode) -> None:
     L = int(op.attr("L"))
-    wc = float(op.attr("wc"))
-    out = lw.buf(op.id)
     n_i = f"i{op.id}"
     lp = lw.t()
-    body = _lowpass_tap(lw, n_i, L, wc, lp)
-    body.append(Store(out, _af(n_i), TempRef(lp)))
+    body = _lowpass_tap(lw, n_i, L, float(op.attr("wc")), lp)
+    body.append(Store(lw.buf(op.id), _af(n_i), lp))
     lw.body.append(lw.loop(op, n_i, L, body))
 
 
 def _e_hamming(lw: _Lowerer, op: OpNode) -> None:
     L = int(op.attr("L"))
-    out = lw.buf(op.id)
     n_i = f"i{op.id}"
-    hw = lw.t()
-    body = _hamming_tap(lw, n_i, L, hw)
-    body.append(Store(out, _af(n_i), TempRef(hw)))
-    lw.body.append(lw.loop(op, n_i, L, body))
+    lw.body.append(lw.loop(op, n_i, L, [
+        Store(lw.buf(op.id), _af(n_i), _hamming_tap(n_i, L))]))
 
 
 def _e_filter_hamm_opt(lw: _Lowerer, op: OpNode) -> None:
     L = int(op.attr("L"))
-    wc = float(op.attr("wc"))
     out = lw.buf(op.id)
     n_i = f"i{op.id}"
-    lp, hw, hv = lw.t(), lw.t(), lw.t()
-    body = _lowpass_tap(lw, n_i, L, wc, lp)
-    body.extend(_hamming_tap(lw, n_i, L, hw))
-    body.append(BinaryArith(hv, "mul", TempRef(lp), TempRef(hw)))
-    body.append(Store(out, _af(n_i), TempRef(hv)))
+    lp, hv = lw.t(), lw.t()
+    body = _lowpass_tap(lw, n_i, L, float(op.attr("wc")), lp)
+    body.append(Assign(hv, lp * _hamming_tap(n_i, L)))
+    body.append(Store(out, _af(n_i), hv))
     # mirrored tap; the middle of an odd-length window is stored once
     body.append(SelectGuard(_af(n_i), 0, L // 2,
-                            body=[Store(out, _af(n_i, -1, L - 1), TempRef(hv))]))
+                            body=[Store(out, _af(n_i, -1, L - 1), hv)]))
     half = (L + 1) // 2
     lw.body.append(lw.loop(op, n_i, half, body))
 
@@ -336,35 +299,26 @@ def _e_filter_res_symm(lw: _Lowerer, op: OpNode) -> None:
     L = lw.operand_len(op, 1)
     out = lw.buf(op.id)
     n_i, i_i = f"i{op.id}", f"j{op.id}"
-    acc, th, tp, tm = lw.t(), lw.t(), lw.t(), lw.t()
+    acc, tp = lw.t(), lw.t()
     at_lo = _af(n_i).plus(_af(i_i, -1))                    # n - i
     at_hi = _af(n_i).plus(_af(i_i, 1)).shifted(-(L - 1))   # n - (L-1-i)
-    tx1, tx2 = lw.t(), lw.t()
     inner: list[Stmt] = [
-        Load(th, h, _af(i_i)),
-        SetTemp(tp, ConstF(0.0)),
-        SelectGuard(at_lo, 0, n_x, body=[
-            Load(tx1, x, at_lo),
-            BinaryArith(tp, "add", TempRef(tp), TempRef(tx1)),
-        ]),
-        SelectGuard(at_hi, 0, n_x, body=[
-            Load(tx2, x, at_hi),
-            BinaryArith(tp, "add", TempRef(tp), TempRef(tx2)),
-        ]),
-        BinaryArith(tm, "mul", TempRef(th), TempRef(tp)),
-        BinaryArith(acc, "add", TempRef(acc), TempRef(tm)),
+        Assign(tp, ConstF(0.0)),
+        SelectGuard(at_lo, 0, n_x, body=[Assign(tp, tp + Load(x, at_lo))]),
+        SelectGuard(at_hi, 0, n_x, body=[Assign(tp, tp + Load(x, at_hi))]),
+        Assign(acc, acc + Load(h, _af(i_i)) * tp),
     ]
     body: list[Stmt] = [
-        SetTemp(acc, ConstF(0.0)),
+        Assign(acc, ConstF(0.0)),
         lw.loop(op, i_i, L // 2, inner, "inner"),
     ]
     if L % 2 == 1:
         midi = (L - 1) // 2
-        th2 = lw.t()
-        body.append(Load(th2, h, AffineExpr.lit(midi)))
-        body.append(lw.guarded_mac(n_i, i_i, x, n_x, th2, acc,
+        th = lw.t()  # loaded whether or not the guard holds
+        body.append(Assign(th, Load(h, AffineExpr.lit(midi))))
+        body.append(lw.guarded_mac(n_i, i_i, x, n_x, th, acc,
                                    offset=-midi, i_coeff=0))
-    body.append(Store(out, _af(n_i), TempRef(acc)))
+    body.append(Store(out, _af(n_i), acc))
     lw.body.append(lw.loop(op, n_i, lw.length(op.id), body, "outer"))
 
 
@@ -376,16 +330,16 @@ def _e_filter_y_symm(lw: _Lowerer, op: OpNode) -> None:
     n_i, i_i = f"i{op.id}", f"j{op.id}"
     acc, th = lw.t(), lw.t()
     inner: list[Stmt] = [
-        Load(th, x, _af(i_i, -1, n - 1)),  # reversed tap x[N-1-i]
+        Assign(th, Load(x, _af(i_i, -1, n - 1))),  # reversed tap x[N-1-i]
         lw.guarded_mac(n_i, i_i, x, n, th, acc),
     ]
     body: list[Stmt] = [
-        SetTemp(acc, ConstF(0.0)),
+        Assign(acc, ConstF(0.0)),
         lw.loop(op, i_i, n, inner, "inner"),
-        Store(out, _af(n_i), TempRef(acc)),
+        Store(out, _af(n_i), acc),
         # palindrome: y[Nout-1-n] = y[n], middle stored once
         SelectGuard(_af(n_i), 0, n - 1,
-                    body=[Store(out, _af(n_i, -1, n_out - 1), TempRef(acc))]),
+                    body=[Store(out, _af(n_i, -1, n_out - 1), acc)]),
     ]
     lw.body.append(lw.loop(op, n_i, n, body, "outer"))
 
@@ -399,30 +353,16 @@ def _e_lms(lw: _Lowerer, op: OpNode) -> None:
     m = int(op.attr("M"))
     w = lw.buf(op.id)  # weights accumulate in the result buffer
     n_i, i_i = f"i{op.id}", f"j{op.id}"
-    y, tw, tx1, tm1 = lw.t(), lw.t(), lw.t(), lw.t()
+    y, t = lw.t(), lw.t()
     at = _af(n_i).plus(_af(i_i, -1))
-    dot: list[Stmt] = [SelectGuard(at, 0, n, body=[
-        Load(tw, w, _af(i_i)),
-        Load(tx1, x, at),
-        BinaryArith(tm1, "mul", TempRef(tw), TempRef(tx1)),
-        BinaryArith(y, "add", TempRef(y), TempRef(tm1)),
-    ])]
-    td, e, t = lw.t(), lw.t(), lw.t()
-    tx2, tu, tw2, tw3 = lw.t(), lw.t(), lw.t(), lw.t()
-    upd: list[Stmt] = [SelectGuard(at, 0, n, body=[
-        Load(tx2, x, at),
-        BinaryArith(tu, "mul", TempRef(t), TempRef(tx2)),
-        Load(tw2, w, _af(i_i)),
-        BinaryArith(tw3, "add", TempRef(tw2), TempRef(tu)),
-        Store(w, _af(i_i), TempRef(tw3)),
-    ])]
+    wi, xi = Load(w, _af(i_i)), Load(x, at)
     body: list[Stmt] = [
-        SetTemp(y, ConstF(0.0)),
-        lw.loop(op, i_i, m, dot, "dot"),
-        Load(td, d, _af(n_i)),
-        BinaryArith(e, "sub", TempRef(td), TempRef(y)),
-        BinaryArith(t, "mul", ConstF(step), TempRef(e)),
-        lw.loop(op, i_i, m, upd, "update"),
+        Assign(y, ConstF(0.0)),
+        lw.loop(op, i_i, m, [SelectGuard(at, 0, n, body=[
+            Assign(y, y + wi * xi)])], "dot"),
+        Assign(t, step * (Load(d, _af(n_i)) - y)),
+        lw.loop(op, i_i, m, [SelectGuard(at, 0, n, body=[
+            Store(w, _af(i_i), wi + t * xi)])], "update"),
     ]
     lw.body.append(lw.loop(op, n_i, n, body, "outer"))
     lw.body.append(CheckFinite(w))
@@ -431,18 +371,15 @@ def _e_lms(lw: _Lowerer, op: OpNode) -> None:
 def _e_binary(lw: _Lowerer, op: OpNode) -> None:
     n = lw.length(op.id)
     na, nb = lw.operand_len(op, 0), lw.operand_len(op, 1)
-    a, b = lw.buf(op.operands[0]), lw.buf(op.operands[1])
-    out = lw.buf(op.id)
     i = f"i{op.id}"
-    ia = _af(i) if na != 1 else AffineExpr.lit(0)
-    ib = _af(i) if nb != 1 else AffineExpr.lit(0)
-    ta, tb, tv = lw.t(), lw.t(), lw.t()
-    body: list[Stmt] = [
-        Load(ta, a, ia),
-        Load(tb, b, ib),
-        BinaryArith(tv, op.opcode.value, TempRef(ta), TempRef(tb)),
-        Store(out, _af(i), TempRef(tv)),
-    ]
+    a = Load(lw.buf(op.operands[0]), _af(i) if na != 1 else AffineExpr.lit(0))
+    b: Expr = Load(lw.buf(op.operands[1]), _af(i) if nb != 1 else AffineExpr.lit(0))
+    body: list[Stmt] = []
+    if op.opcode is OpCode.DIV:  # the zero check reads the divisor first
+        tb = lw.t()
+        body.append(Assign(tb, b))
+        b = tb
+    body.append(Store(lw.buf(op.id), _af(i), Arith(op.opcode.value, a, b)))
     lw.body.append(lw.loop(op, i, n, body))
 
 
@@ -450,49 +387,43 @@ def _e_square(lw: _Lowerer, op: OpNode) -> None:
     out = lw.buf(op.id)
     tv = lw.t()
     lw.copy_loop(op, lambda i: _af(i), lw.length(op.id),
-                 lambda i, tx: [BinaryArith(tv, "mul", TempRef(tx), TempRef(tx)),
-                                Store(out, _af(i), TempRef(tv))])
+                 lambda i, x: [Assign(tv, x), Store(out, _af(i), tv * tv)])
 
 
 def _e_gain(lw: _Lowerer, op: OpNode) -> None:
     g = float(op.attr("g"))
     out = lw.buf(op.id)
-    tv = lw.t()
     lw.copy_loop(op, lambda i: _af(i), lw.length(op.id),
-                 lambda i, tx: [BinaryArith(tv, "mul", ConstF(g), TempRef(tx)),
-                                Store(out, _af(i), TempRef(tv))])
+                 lambda i, x: [Store(out, _af(i), g * x)])
 
 
 def _e_reverse(lw: _Lowerer, op: OpNode) -> None:
     n = lw.length(op.id)
     out = lw.buf(op.id)
     lw.copy_loop(op, lambda i: _af(i, -1, n - 1), n,
-                 lambda i, tx: [Store(out, _af(i), TempRef(tx))])
+                 lambda i, x: [Store(out, _af(i), x)])
 
 
 def _e_sum(lw: _Lowerer, op: OpNode) -> None:
     n = lw.operand_len(op, 0)
     x, out = lw.buf(op.operands[0]), lw.buf(op.id)
     i = f"i{op.id}"
-    acc, tx = lw.t(), lw.t()
-    lw.body.append(SetTemp(acc, ConstF(0.0)))
-    lw.body.append(lw.loop(op, i, n, [
-        Load(tx, x, _af(i)),
-        BinaryArith(acc, "add", TempRef(acc), TempRef(tx)),
-    ]))
-    lw.body.append(Store(out, AffineExpr.lit(0), TempRef(acc)))
+    acc = lw.t()
+    lw.body.append(Assign(acc, ConstF(0.0)))
+    lw.body.append(lw.loop(op, i, n, [Assign(acc, acc + Load(x, _af(i)))]))
+    lw.body.append(Store(out, AffineExpr.lit(0), acc))
 
 
 def _e_threshold(lw: _Lowerer, op: OpNode) -> None:
     t = float(op.attr("t"))
     out = lw.buf(op.id)
-    ta, ts = lw.t(), lw.t()
+    tv, ts = lw.t(), lw.t()
     lw.copy_loop(op, lambda i: _af(i), lw.length(op.id),
-                 lambda i, tv: [
-                     IntrinsicCall(ta, "abs", TempRef(tv)),
-                     Select(ts, "ge", TempRef(ta), ConstF(t),
-                            TempRef(tv), ConstF(0.0)),
-                     Store(out, _af(i), TempRef(ts)),
+                 lambda i, x: [
+                     Assign(tv, x),
+                     Select(ts, "ge", Call("abs", tv), ConstF(t),
+                            tv, ConstF(0.0)),
+                     Store(out, _af(i), ts),
                  ])
 
 
@@ -502,20 +433,14 @@ def _e_quantize(lw: _Lowerer, op: OpNode) -> None:
     hi = float(op.attr("max"))
     step = (hi - lo) / (levels - 1)
     out = lw.buf(op.id)
-    tc1, tc2, tq1, tq, tr1, tr, tm, ty = (lw.t() for _ in range(8))
+    tv, tc1, tc2 = lw.t(), lw.t(), lw.t()
     lw.copy_loop(op, lambda i: _af(i), lw.length(op.id),
-                 lambda i, tv: [
-                     Select(tc1, "lt", TempRef(tv), ConstF(lo),
-                            ConstF(lo), TempRef(tv)),
-                     Select(tc2, "gt", TempRef(tc1), ConstF(hi),
-                            ConstF(hi), TempRef(tc1)),
-                     BinaryArith(tq1, "sub", TempRef(tc2), ConstF(lo)),
-                     BinaryArith(tq, "div", TempRef(tq1), ConstF(step)),
-                     BinaryArith(tr1, "add", TempRef(tq), ConstF(0.5)),
-                     IntrinsicCall(tr, "floor", TempRef(tr1)),
-                     BinaryArith(tm, "mul", TempRef(tr), ConstF(step)),
-                     BinaryArith(ty, "add", ConstF(lo), TempRef(tm)),
-                     Store(out, _af(i), TempRef(ty)),
+                 lambda i, x: [
+                     Assign(tv, x),
+                     Select(tc1, "lt", tv, ConstF(lo), ConstF(lo), tv),
+                     Select(tc2, "gt", tc1, ConstF(hi), ConstF(hi), tc1),
+                     Store(out, _af(i),
+                           lo + Call("floor", (tc2 - lo) / step + 0.5) * step),
                  ])
 
 
@@ -524,19 +449,19 @@ def _e_rle(lw: _Lowerer, op: OpNode) -> None:
     x, out = lw.buf(op.operands[0]), lw.buf(op.id)
     i = f"i{op.id}"
     rv, rl, tv = lw.t(), lw.t(), lw.t()
-    lw.body.append(Load(rv, x, AffineExpr.lit(0)))
-    lw.body.append(SetTemp(rl, ConstF(1.0)))
+    lw.body.append(Assign(rv, Load(x, AffineExpr.lit(0))))
+    lw.body.append(Assign(rl, ConstF(1.0)))
     lw.body.append(lw.loop(op, i, n, [
-        Load(tv, x, _af(i)),
-        IfCmp("eq", TempRef(tv), TempRef(rv),
-              body=[BinaryArith(rl, "add", TempRef(rl), ConstF(1.0))],
-              orelse=[DynAppend(out, TempRef(rv)),
-                      DynAppend(out, TempRef(rl)),
-                      SetTemp(rv, TempRef(tv)),
-                      SetTemp(rl, ConstF(1.0))]),
+        Assign(tv, Load(x, _af(i))),
+        IfCmp("eq", tv, rv,
+              body=[Assign(rl, rl + 1.0)],
+              orelse=[DynAppend(out, rv),
+                      DynAppend(out, rl),
+                      Assign(rv, tv),
+                      Assign(rl, ConstF(1.0))]),
     ], lower=1))
-    lw.body.append(DynAppend(out, TempRef(rv)))
-    lw.body.append(DynAppend(out, TempRef(rl)))
+    lw.body.append(DynAppend(out, rv))
+    lw.body.append(DynAppend(out, rl))
 
 
 def _e_upsample(lw: _Lowerer, op: OpNode) -> None:
@@ -544,41 +469,31 @@ def _e_upsample(lw: _Lowerer, op: OpNode) -> None:
     n = lw.operand_len(op, 0)
     out = lw.buf(op.id)
     lw.copy_loop(op, lambda i: _af(i), n,
-                 lambda i, tx: [Store(out, _af(i, k), TempRef(tx))])
+                 lambda i, x: [Store(out, _af(i, k), x)])
 
 
 def _e_downsample(lw: _Lowerer, op: OpNode) -> None:
     k = int(op.attr("k"))
     out = lw.buf(op.id)
     lw.copy_loop(op, lambda i: _af(i, k), lw.length(op.id),
-                 lambda i, tx: [Store(out, _af(i), TempRef(tx))])
+                 lambda i, x: [Store(out, _af(i), x)])
 
 
 def _e_osc(lw: _Lowerer, op: OpNode, trig: str) -> None:
     n = int(op.attr("n"))
     c = 2.0 * math.pi * float(op.attr("f")) / float(op.attr("fs"))
-    out = lw.buf(op.id)
     i = f"i{op.id}"
-    ta, ts = lw.t(), lw.t()
     lw.body.append(lw.loop(op, i, n, [
-        BinaryArith(ta, "mul", ConstF(c), IndexF(_af(i))),
-        IntrinsicCall(ts, trig, TempRef(ta)),
-        Store(out, _af(i), TempRef(ts)),
-    ]))
+        Store(lw.buf(op.id), _af(i), Call(trig, c * IndexF(_af(i))))]))
 
 
 def _e_range_vec(lw: _Lowerer, op: OpNode) -> None:
     n = int(op.attr("n"))
     start = float(op.attr("start"))
     step = float(op.attr("step"))
-    out = lw.buf(op.id)
     i = f"i{op.id}"
-    tm, tv = lw.t(), lw.t()
     lw.body.append(lw.loop(op, i, n, [
-        BinaryArith(tm, "mul", ConstF(step), IndexF(_af(i))),
-        BinaryArith(tv, "add", ConstF(start), TempRef(tm)),
-        Store(out, _af(i), TempRef(tv)),
-    ]))
+        Store(lw.buf(op.id), _af(i), start + step * IndexF(_af(i)))]))
 
 
 # The loop-nest emitter of each opcode; print lowers to nothing.

@@ -231,6 +231,15 @@ def test_runtime_error_exit_4(capsys, tmp_path):
     assert "division by zero" in err
 
 
+def test_unallocatable_buffer_exit_4(capsys, tmp_path):
+    # the length is 4e20 slots, past the index range, so nothing is allocated
+    src = tmp_path / "huge.dsp"
+    src.write_text("def main(x) { print(upsample(x, 100000000000000000000)); }\n")
+    code, out, err = run_cli(capsys, "run", str(src), "--synth", "x=4,1")
+    assert (code, out) == (4, "")
+    assert "buffer v1 of capacity 400000000000000000000 cannot be allocated" in err
+
+
 def test_run_non_finite_output_exit_4(capsys):
     # the unoptimized route overflows to inf; the rewritten one stays finite
     fixture = str(FIXTURES / "overflow_energy.dsp")

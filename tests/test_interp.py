@@ -1,4 +1,6 @@
+import hashlib
 import json
+import math
 import random
 from pathlib import Path
 
@@ -11,8 +13,9 @@ from dspc.interp import (InputMismatch, LoopDivisionByZero, NonFinite,
                          compiled_source, counters_report, evaluate_loop_ir,
                          report_table)
 from dspc.kernels import tensor
-from dspc.loop_ir import (AffineExpr, BufferDecl, ConstF, For, LoopProgram,
-                          OutOfBounds, Store)
+from dspc.loop_ir import (AffineExpr, BufferDecl, Call, ConstF, For,
+                          IndexF, Load, LoopIrError, LoopProgram, OutOfBounds,
+                          Select, Store, TempRef)
 from dspc.lowering import lower_graph
 from dspc.rewriter import apply_dsp_patterns
 
@@ -139,6 +142,44 @@ def test_counter_hoisting_matches_naive_count():
     assert c.loads_by_buffer  # per-buffer map populated
 
 
+def _tree_program(value, *stmts):
+    i = AffineExpr.of("i")
+    return LoopProgram(buffers=[BufferDecl("x", 3), BufferDecl("y", 3)],
+                       body=[For("i", 0, 3, [*stmts, Store("y", i, value)],
+                                 "tree")],
+                       inputs=[("x", "x")], outputs=[(1, "y")])
+
+
+def test_nested_tree_cost_is_counted_once_per_node():
+    i = AffineExpr.of("i")
+    xi = Load("x", i)
+    # per trip: 2 loads, 3 multiplies (one in sinc_eval), 2 adds, 3 trig calls
+    value = (Call("sin", xi * 2.0) + xi * Call("cos", IndexF(i))
+             - Call("sinc_eval", IndexF(i)))
+    xs = [0.25, -0.5, 0.75]
+    out, c = evaluate_loop_ir(_tree_program(value), {"x": tensor(xs)})
+    assert c.loads_by_buffer == {"x": 6}
+    assert (c.loads, c.stores, c.mults, c.adds, c.trig_calls,
+            c.loop_iterations) == (6, 3, 9, 6, 9, 3)
+    want = [math.sin(v * 2.0) + v * math.cos(k)
+            - (math.sin(k) / k if k != 0.0 else 1.0)
+            for k, v in enumerate(xs)]
+    assert out[1].values == tuple(want)
+
+
+@pytest.mark.parametrize("value,stmts", [
+    # a checked divisor and a sinc argument are read more than once
+    (ConstF(1.0) / Load("x", AffineExpr.of("i")), ()),
+    (Call("sinc_eval", Load("x", AffineExpr.of("i"))), ()),
+    # the arm a select takes is data-dependent, so it may not be metered
+    (TempRef("s"), (Select(TempRef("s"), "gt", ConstF(0.0), ConstF(1.0),
+                           Load("x", AffineExpr.of("i")), ConstF(0.0)),)),
+], ids=["divisor", "sinc_arg", "select_arm"])
+def test_tree_read_more_than_once_must_be_a_leaf(value, stmts):
+    with pytest.raises(LoopIrError):
+        compiled_source(_tree_program(value, *stmts))
+
+
 def test_counters_report_identical_runs():
     p = program_for("def main(x) { print(square(x)); }", {"x": 8})
     rng = random.Random(5)
@@ -202,3 +243,28 @@ def test_golden_counters():
     assert list(got) == list(want)
     for key in want:
         assert got[key] == want[key], key
+
+
+def _output_digests():
+    """sha256 of the `float.hex` of every printed value, per corpus app,
+    route and input seed 1-3, at default sizes."""
+    got = {}
+    for app in corpus.APPS:
+        sizes = app.default_sizes()
+        g = corpus.compile_source(app.source(sizes), app.input_lengths(sizes))
+        for route, graph in (("none", g), ("dsp", apply_dsp_patterns(g)[0])):
+            program = lower_graph(graph)
+            for seed in (1, 2, 3):
+                outs, _ = evaluate_loop_ir(program, app.synth_inputs(sizes, seed))
+                text = "\n".join(" ".join(v.hex() for v in outs[vid].values)
+                                 for vid, _buf in program.outputs)
+                got[f"{app.name}/{route}/{seed}"] = hashlib.sha256(
+                    text.encode()).hexdigest()
+    return got
+
+
+def test_golden_outputs_are_bit_identical():
+    # pins every printed bit, so a codegen change that reorders or
+    # reassociates float arithmetic shows here even where counters agree
+    want = json.loads((FIXTURES / "golden_outputs.json").read_text())
+    assert _output_digests() == want

@@ -12,8 +12,8 @@ from dspc.frontend import parse_source
 from dspc.graph import build_graph, infer_shapes
 from dspc.interp import compiled_source, evaluate_loop_ir
 from dspc.kernels import eval_graph, tensor
-from dspc.loop_ir import (AffineExpr, BufferDecl, For, IfCmp, LoopProgram,
-                          OutOfBounds, SelectGuard, Store, ConstF,
+from dspc.loop_ir import (AffineExpr, BufferDecl, For, IfCmp, Load,
+                          LoopProgram, OutOfBounds, SelectGuard, Store, ConstF,
                           validate_program)
 from dspc.lowering import _Lowerer, lower_graph, split_guarded_nest
 from dspc.rewriter import apply_dsp_patterns
@@ -237,6 +237,23 @@ def test_validator_rejects_static_out_of_bounds():
         inputs=[], outputs=[], returns=[])
     with pytest.raises(OutOfBounds):
         validate_program(prog)
+
+
+def _nested_load_program(guarded):
+    # y[i] = 2.0 * (1.0 + x[i + 1]): the load sits two levels deep and
+    # reads one past the end of x on the last trip
+    i = AffineExpr.of("i")
+    store = Store("y", i, 2.0 * (1.0 + Load("x", i.shifted(1))))
+    body = [SelectGuard(i.shifted(1), 0, 4, [store])] if guarded else [store]
+    return LoopProgram(buffers=[BufferDecl("x", 4), BufferDecl("y", 4)],
+                       body=[For("i", 0, 4, body, "nested")],
+                       inputs=[], outputs=[])
+
+
+def test_validator_checks_loads_inside_trees():
+    with pytest.raises(OutOfBounds):
+        validate_program(_nested_load_program(guarded=False))
+    validate_program(_nested_load_program(guarded=True))
 
 
 def test_validator_accepts_lowered_corpus():
