@@ -146,7 +146,7 @@ def _parse_bindings(input_items: Sequence[str],
         except json.JSONDecodeError as exc:
             raise UsageError(f"{path}: not valid JSON ({exc})") from None
         if (not isinstance(values, list) or not values
-                or not all(isinstance(v, (int, float)) for v in values)):
+                or not all(type(v) in (int, float) for v in values)):  # not bool
             raise UsageError(f"{path}: expected a non-empty JSON number array")
         if name in bindings:
             raise UsageError(f"input {name!r} bound twice")

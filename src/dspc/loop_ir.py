@@ -13,7 +13,7 @@ are built with; `Assign` keeps a tree's value in a temporary, and `Store`,
 loads inside trees included, are bounds-checked by `validate_program` before
 a program is first compiled; a negative or overflowing index is only legal
 inside a SelectGuard that establishes its range.  A program's text form is
-its generated Python, `interp.compiled_source`.
+its generated Python, `interp.compiled_source`: a function per unit, a call per op.
 """
 
 from __future__ import annotations
@@ -59,18 +59,16 @@ class AffineExpr:
     def shifted(self, k: int) -> "AffineExpr":
         return AffineExpr(const=self.const + k, terms=self.terms)
 
-    def source(self) -> str:
-        """Render as a Python/int expression string."""
+    def source(self, name=str, lit=str) -> str:
+        """Render as a Python/int expression string, spelling each index with
+        `name` and each literal (a nonzero offset, a coefficient not +-1) with `lit`."""
         parts: list[str] = []
-        for name, coeff in self.terms:
-            if coeff == 1:
-                parts.append(name)
-            elif coeff == -1:
-                parts.append(f"-{name}")
-            else:
-                parts.append(f"{coeff}*{name}")
+        for index, coeff in self.terms:
+            i = name(index)
+            parts.append(i if coeff == 1 else f"-{i}" if coeff == -1
+                         else f"{lit(coeff)}*{i}")
         if self.const or not parts:
-            parts.append(str(self.const))
+            parts.append(lit(self.const))
         out = parts[0]
         for p in parts[1:]:
             out += f" - {p[1:]}" if p.startswith("-") else f" + {p}"
@@ -271,6 +269,9 @@ class LoopProgram:
     inputs: list[tuple[str, str]]  # (source-level input name, buffer name)
     outputs: list[tuple[int, str]]  # (ValueId printed, buffer name), in print order
     returns: list[tuple[int, str]] = field(default_factory=list)
+    # (label, start, stop): body[start:stop] is one op's unit, labelled
+    # "%<id> <opcode>"; with none, the whole body is one unit
+    units: list[tuple[str, int, int]] = field(default_factory=list)
 
     def buffer(self, name: str) -> BufferDecl:
         for b in self.buffers:

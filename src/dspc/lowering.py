@@ -623,18 +623,25 @@ def split_guarded_nest(loop: For) -> list[For]:
 
 
 def lower_graph(graph: DspGraph) -> LoopProgram:
-    """Lower every op to loop nests and split their guard-free interiors off;
-    `interp` checks the bounds once, before the program's first compile."""
+    """Lower every op to loop nests, one unit per op, and split their guard-free
+    interiors off; `interp` checks the bounds before the first compile."""
     lw = _Lowerer()
+    body: list[Stmt] = []
+    units: list[tuple[str, int, int]] = []
     for op in graph.ops:
+        lw.body = []
         lw.emit(op)
-    body = [piece for stmt in lw.body
-            for piece in (split_guarded_nest(stmt) if isinstance(stmt, For)
-                          else [stmt])]
+        if lw.body:
+            start = len(body)
+            body += [piece for stmt in lw.body
+                     for piece in (split_guarded_nest(stmt)
+                                   if isinstance(stmt, For) else [stmt])]
+            units.append((f"%{op.id} {op.opcode.value}", start, len(body)))
     return LoopProgram(
         buffers=lw.buffers,
         body=body,
         inputs=lw.inputs,
         outputs=[(vid, lw.buf(vid)) for vid in graph.prints],
         returns=[(vid, lw.buf(vid)) for vid in graph.returns],
+        units=units,
     )

@@ -135,6 +135,19 @@ def test_run_rejects_bad_json(capsys, tmp_path):
     assert code == 1
 
 
+@pytest.mark.parametrize("values", ["[true, 2]", "[1.0, false]"])
+def test_run_rejects_boolean_json_input(capsys, tmp_path, values):
+    # JSON booleans are Python ints; a number array must hold no booleans
+    data = tmp_path / "x.json"
+    data.write_text(values)
+    src = tmp_path / "p.dsp"
+    src.write_text("def main(x) { print(x); }\n")
+    code, out, err = run_cli(capsys, "run", str(src), "--input", f"x={data}")
+    assert code == 1
+    assert "expected a non-empty JSON number array" in err
+    assert out == ""
+
+
 def test_unbound_input_is_usage_error(capsys):
     code, _, err = run_cli(capsys, "run", ENERGY)
     assert code == 1

@@ -130,6 +130,78 @@ def test_program_is_validated_once_before_its_first_compile(monkeypatch):
     assert checked == [id(p), id(good), id(bad)]
 
 
+def _corpus_programs(sizes_of=lambda app: app.default_sizes(), apps=None):
+    """The lowered programs of corpus apps on both routes."""
+    programs = []
+    for app in apps or corpus.APPS:
+        sizes = sizes_of(app)
+        g = corpus.compile_source(app.source(sizes), app.input_lengths(sizes))
+        programs += [lower_graph(g), lower_graph(apply_dsp_patterns(g)[0])]
+    return programs
+
+
+def _unit_code(program):
+    compiled_source(program)
+    return [unit[0].__code__ for unit in program._compiled[0]]
+
+
+def test_unit_code_is_shared_across_sizes():
+    # literals are parameters, so LowPassFiltering at two sizes runs the
+    # same code objects, unit for unit, on each route
+    app = corpus.find_app("LowPassFiltering")
+    big, small = (_corpus_programs(lambda app: {**app.default_sizes(), "N": n},
+                                   [app]) for n in (4096, 512))
+    for p, q in zip(big, small):
+        assert p.units and [s for s, *_ in p.units] == [s for s, *_ in q.units]
+        assert all(a is b for a, b in zip(_unit_code(p), _unit_code(q), strict=True))
+
+
+def test_recompiling_the_corpus_compiles_nothing(monkeypatch):
+    from dspc import interp
+    for p in _corpus_programs():
+        compiled_source(p)
+    shapes = list(interp.UNIT_CODE)
+    compiled = []
+
+    def counted(*args):
+        compiled.append(args[0])
+        return compile(*args)
+
+    monkeypatch.setattr(interp, "compile", counted, raising=False)
+    for p in _corpus_programs():
+        compiled_source(p)
+    assert compiled == [] and list(interp.UNIT_CODE) == shapes
+    # a new shape (its loop tag is new) is compiled once, through `compile`
+    i, tag = AffineExpr.of("i"), f"new_shape_{len(shapes)}"
+    for _ in range(2):
+        compiled_source(LoopProgram(
+            buffers=[BufferDecl("y", 2)], inputs=[], outputs=[],
+            body=[For("i", 0, 2, [Store("y", i, ConstF(1.0))], tag)]))
+    assert len(compiled) == 1 and len(interp.UNIT_CODE) == len(shapes) + 1
+
+
+def test_hand_built_program_is_one_unit():
+    # no op spans: the whole body is one unit, and its one call line has no
+    # label; a non-finite literal is written so that it reads back
+    i = AffineExpr.of("i")
+    p = LoopProgram(
+        buffers=[BufferDecl("x", 3), BufferDecl("y", 3), BufferDecl("z", 1)],
+        body=[For("i", 0, 3, [Store("y", i, Load("x", i) + float("-inf"))],
+                  "fill"),
+              Store("z", AffineExpr.lit(0), Load("x", AffineExpr.lit(2)))],
+        inputs=[("x", "x")], outputs=[(1, "y"), (2, "z")])
+    assert p.units == []
+    out, c = evaluate_loop_ir(p, {"x": tensor([1.0, 2.0, 3.0])})
+    assert out[1].values == (-math.inf,) * 3 and out[2].values == (3.0,)
+    assert (c.loads, c.stores, c.adds, c.loop_iterations) == (4, 4, 3, 3)
+    assert compiled_source(p).splitlines()[-5:] == [
+        "def _run0(b0, b1, b2, c0, c1, c2, c3, c4):",
+        "    for i0 in range(c0, c1):  # fill",
+        "        b0[i0] = b1[i0] + c2",
+        "    b2[c3] = b1[c4]",
+        "_run0(y, x, z, 0, 3, float('-inf'), 0, 2)"]
+
+
 def test_counter_hoisting_matches_naive_count():
     # loop costs are static (body cost times trip count, summed at codegen
     # time); the compiled code only counts runs of guarded branch bodies

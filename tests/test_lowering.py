@@ -228,6 +228,26 @@ def test_every_counted_tag_is_a_for_line_comment(name, opt):
     assert any(for_tags.count(tag) >= 2 for tag in c.loop_iters_by_tag)
 
 
+def test_each_op_has_one_call_line_labelled_with_its_id():
+    # AudioEqualizer's three FIR ops share one loop tag but are three calls
+    # of the one unit function their common shape compiles to
+    from dspc import corpus
+    app = corpus.find_app("AudioEqualizer")
+    sizes = app.default_sizes()
+    g = corpus.compile_source(app.source(sizes), app.input_lengths(sizes))
+    program = lower_graph(g)
+    lines = compiled_source(program).splitlines()
+    calls = [line for line in lines if line.endswith(" fir_filter_response")]
+    assert len(calls) == 3
+    assert len({line.rsplit("  # ", 1)[1] for line in calls}) == 3
+    assert [line.split()[-2] for line in calls] == [
+        f"%{op.id}" for op in g.ops if op.opcode.value == "fir_filter_response"]
+    (called,) = {line.split("(", 1)[0] for line in calls}
+    assert sum(line.startswith(f"def {called}(") for line in lines) == 1
+    assert len(program.units) == len(
+        [line for line in lines if line.startswith("_run")])
+
+
 def test_validator_rejects_static_out_of_bounds():
     i = AffineExpr.of("i")
     prog = LoopProgram(
