@@ -32,7 +32,7 @@ import math
 from dataclasses import dataclass, field
 from decimal import Decimal
 from enum import Enum
-from typing import Optional, Union
+from typing import NamedTuple, Optional, Union
 
 from .errors import DspcError
 
@@ -47,8 +47,17 @@ _PUNCT_CHARS = "()[]{},;="
 _OP_CHARS = "+-*/"
 
 
-@dataclass(frozen=True)
-class SourceSpan:
+def _same_type_eq(a, b) -> bool:
+    """Equality of light records: equal fields and the same record type, as
+    for a frozen dataclass (a plain tuple is no span)."""
+    return type(a) is type(b) and tuple.__eq__(a, b)
+
+
+def _same_type_ne(a, b) -> bool:
+    return not _same_type_eq(a, b)
+
+
+class SourceSpan(NamedTuple):
     """1-based line/column position plus length in source characters."""
 
     line: int
@@ -57,6 +66,8 @@ class SourceSpan:
 
     def __str__(self) -> str:
         return f"{self.line}:{self.column}"
+
+    __eq__, __ne__, __hash__ = _same_type_eq, _same_type_ne, tuple.__hash__
 
 
 class TokenKind(Enum):
@@ -68,14 +79,15 @@ class TokenKind(Enum):
     EOF = "eof"
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: TokenKind
     text: str
     span: SourceSpan
 
     def __repr__(self) -> str:  # compact, useful in pytest diffs
         return f"Token({self.kind.value} {self.text!r} @{self.span})"
+
+    __eq__, __ne__, __hash__ = _same_type_eq, _same_type_ne, tuple.__hash__
 
 
 class FrontendError(DspcError):

@@ -1,13 +1,17 @@
 """Instrumented execution of loop programs.
 
-A program is bounds-checked (`validate_program`) once, at its first compile,
-and each unit (the statements of one op; a hand-built program is one unit)
-becomes a plain Python function.  Each statement becomes one Python statement
-and its expression trees one Python expression each, parenthesised only where
-the tree's association needs it.  A unit renders with local names and every
-literal lifted to a parameter, so units that differ only in names, sizes and
-constants share one text, a shape: `UNIT_CODE` compiles each shape once per
-process, and each use binds its literals as the defaults of a new function.
+A program is compiled at its first use: `validate_program` bounds-checks each
+unit (the statements of one op; a hand-built program is one unit) not yet
+checked, and each unit not yet rendered becomes a plain Python function.  A
+unit is shared by every program with an equal op (`lowering.op_unit`), so it
+is checked and rendered once, and its render products sit on the unit.  Each
+statement becomes one Python statement and its expression trees one Python
+expression each, parenthesised only where the tree's association needs it.  A
+unit renders with local names and every literal lifted to a parameter, so
+units that differ only in names, sizes and constants share one text, a shape:
+`UNIT_CODE` compiles each shape once per process.  Linking a program binds
+each call's unit to the program's buffers: a new function with the unit's
+literals as its defaults, its error messages naming the program's buffers.
 The text form (`compiled_source`) has one comment line per buffer and per
 printed or returned value, each distinct unit once, with loop tags as comments
 on its `for` lines, and one call line per op.  Operation counters follow the
@@ -17,7 +21,8 @@ loop iterations split by tag.  Loop bounds are static ints, so the cost of one
 run of any block is known at codegen time.  The generated code counts only
 how often each branch body (a boundary guard or a data-dependent comparison)
 ran, with one `+=` per run; the totals are the static cost plus each branch
-body's runs times its cost.
+body's runs times its cost, kept per program as integer vectors, so a run
+only adds integers.
 """
 
 from __future__ import annotations
@@ -28,14 +33,14 @@ import time
 from collections import Counter
 from dataclasses import dataclass, field
 from types import CodeType, FunctionType
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .errors import DspcError
 from .kernels import Tensor
 from .loop_ir import (LEAVES, AffineExpr, Arith, Assign, Call, CheckFinite, ConstF,
                       DynAppend, Expr, For, IfCmp, IndexF, IndexProdF, Load,
                       LoopIrError, LoopProgram, Select, SelectGuard, Stmt,
-                      Store, TempRef, validate_program)
+                      Store, TempRef, Unit, validate_program)
 
 
 class LoopRuntimeError(DspcError):
@@ -104,27 +109,47 @@ _NS = {"_sin": math.sin, "_cos": math.cos, "_floor": math.floor,
        "_NonFinite": NonFinite, "_Capacity": CapacityExceeded}
 
 
+class _Rendered(NamedTuple):
+    """A unit's render products, made at its first use and kept on the unit."""
+
+    text: str  # the function `_run`, interned
+    code: CodeType
+    literals: tuple  # values of c0, c1, ...; a message names its buffer `{}`
+    messages: tuple[tuple[int, int], ...]  # (literal, unit buffer it names)
+    params: tuple[int, ...]  # the unit buffer of each b<k>
+    appends: tuple[int, ...]  # the unit buffer of each returned cursor
+    static: tuple  # (key, cost) of one run of the unit; a load's key names a unit buffer
+    branches: tuple[tuple, ...]  # (key, cost) of one run of each counted branch body
+
+
 class _Compiler:
-    """Translates each unit of a loop program into one Python function.
+    """Translates one unit into one Python function.
 
     A block's cost per run is static: a Counter keyed by the `ExecCounters`
     fields `stores`, `mults`, `adds` and `trig_calls`, plus ("tag", t) per
-    iteration of a loop tagged t and ("load", b) per load from buffer b.
-    The walk that renders an expression tree also adds up its cost.  A
-    loop adds its body's cost and one count of its tag, times its trip count.
-    A branch body or else arm runs a data-dependent number of times, so it is
-    not part of its enclosing block's cost: if its own cost is non-zero it
-    gets a run counter `r<k>`, bumped once at its end, and its cost is kept
-    in `branch_costs`, in program order.  A unit renders with local names:
-    buffers `b<k>` (its positional parameters, in order of first use),
+    iteration of a loop tagged t and ("load", j) per load from the unit's
+    j-th buffer.  The walk that renders an expression tree also adds up its
+    cost.  A loop adds its body's cost and one count of its tag, times its
+    trip count.  A branch body or else arm runs a data-dependent number of
+    times, so it is not part of its enclosing block's cost: if its own cost
+    is non-zero it gets a run counter `r<k>`, bumped once at its end, and its
+    cost is kept in `branches`, in program order.  A unit renders with local
+    names: buffers `b<k>` (its positional parameters, in order of first use),
     temporaries `t<k>`, loop indices `i<k>`, and each literal a parameter
     `c<k>`.  It zeroes its append cursors and run counters in one chained
     assignment and returns them, in that order.  An op appends only to its
     own result, so each unit's cursors start at 0.
     """
 
-    def __init__(self, program: LoopProgram):
-        self.program = program
+    def __init__(self, unit: Unit):
+        self.unit = unit
+        self.index = {b.name: j for j, b in enumerate(unit.buffers)}
+        self.names: dict[str, dict[str, str]] = {"b": {}, "t": {}, "i": {}}
+        # cursor name per appended buffer, literal values, run counter names
+        self.cursors: dict[str, str] = {}
+        self.lits: list = []
+        self.runs: list[str] = []
+        self.messages: list[tuple[int, int]] = []
         self.branch_costs: list[Counter] = []
 
     def _name(self, kind: str, name: str) -> str:
@@ -138,6 +163,12 @@ class _Compiler:
     def _lit(self, value) -> str:
         self.lits.append(value)
         return f"c{len(self.lits) - 1}"
+
+    def _message(self, template: str, buffer: str) -> str:
+        """A literal error message naming `buffer` where `template` has `{}`;
+        each call fills in its own buffer name."""
+        self.messages.append((len(self.lits), self.index[buffer]))
+        return self._lit(template)
 
     def _affine(self, a: AffineExpr) -> str:
         return a.source(lambda index: self._name("i", index), self._lit)
@@ -158,7 +189,7 @@ class _Compiler:
         if isinstance(e, IndexProdF):
             return f"({self._name('i', e.a)}*{self._name('i', e.b)})"
         if isinstance(e, Load):
-            cost["load", e.buffer] += 1
+            cost["load", self.index[e.buffer]] += 1
             return f"{self._name('b', e.buffer)}[{self._affine(e.index)}]"
         if isinstance(e, Arith):
             p = _PRECEDENCE[e.op]
@@ -237,20 +268,21 @@ class _Compiler:
                     lines.extend(self._branch(stmt.orelse, depth + 1,
                                               loop_stack))
             elif isinstance(stmt, DynAppend):
-                cap = self.program.buffer(stmt.buffer).capacity
+                cap = self.unit.buffers[self.index[stmt.buffer]].capacity
                 buf = self._name("b", stmt.buffer)
                 cur = self.cursors.setdefault(stmt.buffer, f"n_{buf}")
-                message = f"buffer {stmt.buffer} exceeded capacity {cap}"
                 lines.append(f"{pad}if {cur} >= {self._lit(cap)}:")
-                lines.append(f"{pad}    raise _Capacity({self._lit(message)})")
+                message = self._message(f"buffer {{}} exceeded capacity {cap}",
+                                        stmt.buffer)
+                lines.append(f"{pad}    raise _Capacity({message})")
                 emit(f"{buf}[{cur}] = {ex(stmt.value)}")
                 lines.append(f"{pad}{cur} += 1")
                 cost["stores"] += 1
             elif isinstance(stmt, CheckFinite):
-                message = f"non-finite value in {stmt.buffer}"
                 lines.append(f"{pad}for _v in {self._name('b', stmt.buffer)}:")
                 lines.append(f"{pad}    if not _isfinite(_v):")
-                lines.append(f"{pad}        raise _NonFinite({self._lit(message)})")
+                message = self._message("non-finite value in {}", stmt.buffer)
+                lines.append(f"{pad}        raise _NonFinite({message})")
             elif isinstance(stmt, For):
                 i = self._name("i", stmt.index)
                 lines.append(f"{pad}for {i} in range({self._lit(stmt.lower)}, "
@@ -274,45 +306,91 @@ class _Compiler:
             self.branch_costs.append(cost)
         return lines or [f"{'    ' * depth}pass"]
 
-    def _unit(self, stmts: list[Stmt]) -> tuple[str, Counter]:
-        """The text of one unit's function, `_run`, interned so that the units
-        of many programs share it, and its static cost."""
-        self.names: dict[str, dict[str, str]] = {"b": {}, "t": {}, "i": {}}
-        # cursor name per appended buffer, literal values, run counter names
-        self.cursors, self.lits, self.runs = {}, [], []
-        body, cost = self._block(stmts, 1, [])
+    def render(self) -> _Rendered:
+        """The unit's function `_run`, its text interned so that the units of
+        many ops share it and its code compiled once per text (`UNIT_CODE`)."""
+        body, cost = self._block(self.unit.body, 1, [])
         params = [*self.names["b"].values(), *(f"c{k}" for k in range(len(self.lits)))]
         zeroed = [*self.cursors.values(), *self.runs]
         if zeroed:
             body = [f"    {' = '.join(zeroed)} = 0", *body,
                     f"    return [{', '.join(zeroed)}]"]
-        return sys.intern("\n".join([f"def _run({', '.join(params)}):", *body])), cost
-
-    def build(self) -> tuple:
-        """Per unit, in order, (function, buffer slots, appended buffers, text,
-        label); the static cost; the branch costs."""
-        program = self.program
-        spans = program.units or ([("", 0, len(program.body))] if program.body else [])
-        slot = {b.name: k for k, b in enumerate(program.buffers)}
-        static_cost: Counter = Counter()
-        units = []
-        for label, start, stop in spans:
-            text, cost = self._unit(program.body[start:stop])
-            static_cost.update(cost)
-            code = UNIT_CODE.get(text)
-            if code is None:  # the function's code is the module's first constant
-                code = UNIT_CODE[text] = compile(text, "<loop-unit>", "exec").co_consts[0]
-            units.append((FunctionType(code, _NS, "_run", tuple(self.lits)),
-                          tuple([slot[b] for b in self.names["b"]]),
-                          tuple(self.cursors), text, label))
-        return units, static_cost, self.branch_costs
+        text = sys.intern("\n".join([f"def _run({', '.join(params)}):", *body]))
+        code = UNIT_CODE.get(text)
+        if code is None:  # the function's code is the module's first constant
+            code = UNIT_CODE[text] = compile(text, "<loop-unit>", "exec").co_consts[0]
+        return _Rendered(text, code, tuple(self.lits), tuple(self.messages),
+                         tuple(map(self.index.get, self.names["b"])),
+                         tuple(map(self.index.get, self.cursors)),
+                         tuple(cost.items()),
+                         tuple(tuple(c.items()) for c in self.branch_costs))
 
 
-def _ensure_compiled(program: LoopProgram) -> tuple:
+def _rendered(unit: Unit) -> _Rendered:
+    rendered = getattr(unit, "_rendered", None)
+    if rendered is None:
+        rendered = unit._rendered = _Compiler(unit).render()
+    return rendered
+
+
+# The counters every program reports, at the head of its counter vector.
+_FIELDS = ("stores", "mults", "adds", "trig_calls")
+
+
+class _Linked(NamedTuple):
+    """A program's calls and its costs, split once into integer vectors."""
+
+    # per call, in order: (function, buffer slots, appended buffers, text, label)
+    calls: list[tuple[FunctionType, tuple[int, ...], tuple[str, ...], str, str]]
+    static: list[int]  # cost of one run per counter: _FIELDS, then tags and loads
+    branches: list[tuple[tuple[int, int], ...]]  # (counter, cost) per run counter
+    tags: list[tuple[str, int]]  # (loop tag, counter)
+    loads: list[tuple[str, int]]  # (buffer, counter)
+
+
+def _link(program: LoopProgram) -> _Linked:
+    """Bind each call's unit to the program's buffers: its function, with the
+    call's buffer names in its messages, and its costs under program keys."""
+    slot = {b.name: k for k, b in enumerate(program.buffers)}
+    counter = {key: k for k, key in enumerate(_FIELDS)}
+    static = [0] * len(_FIELDS)
+
+    def at(key, names: tuple[str, ...]) -> int:
+        if isinstance(key, tuple) and key[0] == "load":
+            key = ("load", names[key[1]])
+        k = counter.get(key)
+        if k is None:
+            k = counter[key] = len(static)
+            static.append(0)
+        return k
+
+    calls, bound = [], []
+    for label, unit, names in program.unit_calls:
+        r = _rendered(unit)
+        literals = list(r.literals)
+        for k, j in r.messages:
+            literals[k] = literals[k].format(names[j])
+        calls.append((FunctionType(r.code, _NS, "_run", tuple(literals)),
+                      tuple([slot[names[j]] for j in r.params]),
+                      tuple([names[j] for j in r.appends]), r.text, label))
+        bound.append((r, names))
+    for r, names in bound:  # static keys first, as they sum in this order
+        for key, v in r.static:
+            static[at(key, names)] += v
+    branches = [tuple([(at(key, names), v) for key, v in cost])
+                for r, names in bound for cost in r.branches]
+    by_kind: dict[str, list[tuple[str, int]]] = {"tag": [], "load": []}
+    for key, k in counter.items():
+        if isinstance(key, tuple):
+            by_kind[key[0]].append((key[1], k))
+    return _Linked(calls, static, branches, by_kind["tag"], by_kind["load"])
+
+
+def _ensure_compiled(program: LoopProgram) -> _Linked:
     compiled = getattr(program, "_compiled", None)
     if compiled is None:
         validate_program(program)
-        compiled = program._compiled = _Compiler(program).build()
+        compiled = program._compiled = _link(program)
     return compiled
 
 
@@ -326,7 +404,7 @@ def compiled_source(program: LoopProgram) -> str:
     distinct unit is named `_run<k>`."""
     source = getattr(program, "_source", None)
     if source is None:
-        units = _ensure_compiled(program)[0]
+        calls = _ensure_compiled(program).calls
         bound = {buf: name for name, buf in program.inputs}
         lines = []
         for b in program.buffers:
@@ -340,13 +418,13 @@ def compiled_source(program: LoopProgram) -> str:
         lines += [f"# print %{vid} ({buf})" for vid, buf in program.outputs]
         lines += [f"# return %{vid} ({buf})" for vid, buf in program.returns]
         names: dict[str, str] = {}
-        for *_, text, _label in units:
+        for *_, text, _label in calls:
             if text not in names:
                 names[text] = f"_run{len(names)}"
                 lines.append(f"def {names[text]}{text.removeprefix('def _run')}")
-        for fn, slots, _, text, label in units:  # the literals are the defaults
+        for fn, slots, _, text, label in calls:  # the literals are the defaults
             args = ", ".join([*(program.buffers[k].name for k in slots),
-                              *map(_literal, fn.__defaults__)])
+                              *map(_literal, fn.__defaults__ or ())])
             lines.append(f"{names[text]}({args})" + (f"  # {label}" if label else ""))
         source = program._source = "\n".join(lines)
     return source
@@ -357,7 +435,7 @@ def evaluate_loop_ir(program: LoopProgram,
                      ) -> tuple[dict[int, Tensor], ExecCounters]:
     """Run a loop program; returns printed/returned tensors and counters."""
     inputs = inputs or {}
-    units, static_cost, branch_costs = _ensure_compiled(program)
+    linked = _ensure_compiled(program)
 
     slot = {b.name: k for k, b in enumerate(program.buffers)}
     bufs = []
@@ -372,7 +450,7 @@ def evaluate_loop_ir(program: LoopProgram,
         if name not in inputs:
             raise InputMismatch(f"input {name!r} is not bound")
         t = inputs[name]
-        cap = program.buffer(bname).capacity
+        cap = program.buffers[slot[bname]].capacity
         if len(t) != cap:
             raise InputMismatch(
                 f"input {name!r} expects {cap} samples, got {len(t)}")
@@ -381,26 +459,25 @@ def evaluate_loop_ir(program: LoopProgram,
     cursors = {b.name: 0 for b in program.buffers if b.dynamic}
     runs: list[int] = []
     t0 = time.perf_counter_ns()
-    for fn, slots, dyn, _, _ in units:
+    for fn, slots, dyn, _, _ in linked.calls:
         got = fn(*[bufs[k] for k in slots])
         if got:
             cursors.update(zip(dyn, got))
             runs += got[len(dyn):]
     wall = time.perf_counter_ns() - t0
 
-    total = Counter(static_cost)
-    for n, cost in zip(runs, branch_costs):
-        total.update({k: v * n for k, v in cost.items()})
-    by_kind: dict[str, dict[str, int]] = {"tag": {}, "load": {}}
-    for key, v in total.items():
-        if isinstance(key, tuple) and v:
-            by_kind[key[0]][key[1]] = v
+    total = linked.static.copy()
+    for n, cost in zip(runs, linked.branches):
+        if n:
+            for k, v in cost:
+                total[k] += v * n
+    by_tag = {tag: total[k] for tag, k in linked.tags if total[k]}
+    by_load = {buf: total[k] for buf, k in linked.loads if total[k]}
+    stores, mults, adds, trig_calls = total[:len(_FIELDS)]
     counters = ExecCounters(
-        loop_iterations=sum(by_kind["tag"].values()),
-        loads=sum(by_kind["load"].values()), stores=total["stores"],
-        mults=total["mults"], adds=total["adds"],
-        trig_calls=total["trig_calls"], wall_time_ns=wall,
-        loop_iters_by_tag=by_kind["tag"], loads_by_buffer=by_kind["load"])
+        loop_iterations=sum(by_tag.values()), loads=sum(by_load.values()),
+        stores=stores, mults=mults, adds=adds, trig_calls=trig_calls,
+        wall_time_ns=wall, loop_iters_by_tag=by_tag, loads_by_buffer=by_load)
 
     outputs: dict[int, Tensor] = {}
     for vid, bname in program.outputs + program.returns:

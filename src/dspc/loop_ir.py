@@ -12,13 +12,22 @@ are built with; `Assign` keeps a tree's value in a temporary, and `Store`,
 `Select`, `IfCmp` and `DynAppend` read trees directly.  All static accesses,
 loads inside trees included, are bounds-checked by `validate_program` before
 a program is first compiled; a negative or overflowing index is only legal
-inside a SelectGuard that establishes its range.  A program's text form is
-its generated Python, `interp.compiled_source`: a function per unit, a call per op.
+inside a SelectGuard that establishes its range.
+
+A program is its buffers and one call per op, `(label, unit, buffer names)`.
+A `Unit` is an op's statements over its own buffers, named as the op's
+canonical copy names them (operands ``v0..v<k-1>``, results from ``v<k>``);
+a call binds them, in order, to program buffers.  Units are shared: programs
+with an equal op hold the same unit object, which is bounds-checked once.  A
+hand-built program (a body and no calls) is one unit over all its buffers.
+A program's text form is its generated Python, `interp.compiled_source`: a
+function per distinct unit, a call per op.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Iterator, Optional, Union
 
 from .errors import DspcError
@@ -34,7 +43,7 @@ class OutOfBounds(LoopIrError):
         self.buffer = buffer
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AffineExpr:
     """const + sum(coeff * index) evaluated in exact integer arithmetic."""
 
@@ -95,30 +104,31 @@ def _arith(op: str, swap: bool = False):
 
 
 class _ArithOps:
+    __slots__ = ()
     __add__, __radd__ = _arith("add"), _arith("add", swap=True)
     __sub__, __rsub__ = _arith("sub"), _arith("sub", swap=True)
     __mul__, __rmul__ = _arith("mul"), _arith("mul", swap=True)
     __truediv__ = _arith("div")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TempRef(_ArithOps):
     name: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ConstF(_ArithOps):
     value: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class IndexF(_ArithOps):
     """The value of an affine index expression used as float data."""
 
     expr: AffineExpr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class IndexProdF(_ArithOps):
     """Product of two loop indices as float data (exact below 2**53).
 
@@ -130,20 +140,20 @@ class IndexProdF(_ArithOps):
     b: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Load(_ArithOps):
     buffer: str
     index: AffineExpr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Arith(_ArithOps):
     op: str  # add | sub | mul | div
     lhs: "Expr"
     rhs: "Expr"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Call(_ArithOps):
     fn: str  # sin | cos | sinc_eval | abs | floor
     arg: "Expr"
@@ -167,7 +177,7 @@ def loads_in(e: Expr) -> Iterator[Load]:
 # Statements -----------------------------------------------------------------
 
 
-@dataclass
+@dataclass(slots=True)
 class For:
     """``for index in [lower, upper)``; its iterations are counted under `tag`."""
 
@@ -178,20 +188,20 @@ class For:
     tag: str
 
 
-@dataclass
+@dataclass(slots=True)
 class Assign:
     target: TempRef
     value: Expr
 
 
-@dataclass
+@dataclass(slots=True)
 class Store:
     buffer: str
     index: AffineExpr
     source: Expr
 
 
-@dataclass
+@dataclass(slots=True)
 class SelectGuard:
     """Boundary guard: run `body` when lower <= expr < upper, else `orelse`."""
 
@@ -202,7 +212,7 @@ class SelectGuard:
     orelse: list["Stmt"] = field(default_factory=list)
 
 
-@dataclass
+@dataclass(slots=True)
 class IfCmp:
     """Data-dependent branch on a float comparison."""
 
@@ -213,7 +223,7 @@ class IfCmp:
     orelse: list["Stmt"] = field(default_factory=list)
 
 
-@dataclass
+@dataclass(slots=True)
 class Select:
     """target = if_true if (lhs cmp rhs) else if_false; only the comparison
     may do metered work, since the arm taken is data-dependent."""
@@ -226,13 +236,13 @@ class Select:
     if_false: Expr
 
 
-@dataclass
+@dataclass(slots=True)
 class DynAppend:
     buffer: str
     value: Expr
 
 
-@dataclass
+@dataclass(slots=True)
 class CheckFinite:
     buffer: str
 
@@ -254,7 +264,7 @@ def operands(stmt: Stmt) -> tuple[Expr, ...]:
     return ()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BufferDecl:
     name: str
     capacity: int
@@ -262,22 +272,38 @@ class BufferDecl:
     dynamic: bool = False  # filled by DynAppend; logical length is the cursor
 
 
+@dataclass(eq=False)
+class Unit:
+    """The statements of one op over `buffers`, its parameters in call order;
+    `checked` once `validate_program` has proved its accesses in bounds.
+    Programs share units (and their statements), so none may be changed."""
+
+    buffers: tuple[BufferDecl, ...]
+    body: list[Stmt]
+    checked: bool = field(default=False, init=False, repr=False)
+
+
+# (label "%<id> <opcode>", unit, the program buffer bound to each unit buffer)
+UnitCall = tuple[str, Unit, tuple[str, ...]]
+
+
 @dataclass
 class LoopProgram:
     buffers: list[BufferDecl]
-    body: list[Stmt]
+    body: list[Stmt]  # with calls, their units' statements in order
     inputs: list[tuple[str, str]]  # (source-level input name, buffer name)
     outputs: list[tuple[int, str]]  # (ValueId printed, buffer name), in print order
     returns: list[tuple[int, str]] = field(default_factory=list)
-    # (label, start, stop): body[start:stop] is one op's unit, labelled
-    # "%<id> <opcode>"; with none, the whole body is one unit
-    units: list[tuple[str, int, int]] = field(default_factory=list)
+    calls: list[UnitCall] = field(default_factory=list)
 
-    def buffer(self, name: str) -> BufferDecl:
-        for b in self.buffers:
-            if b.name == name:
-                return b
-        raise KeyError(name)
+    @cached_property
+    def unit_calls(self) -> list[UnitCall]:
+        """The calls; a hand-built program (no calls) is one unlabelled call of
+        its body over all its buffers."""
+        if self.calls or not self.body:
+            return self.calls
+        return [("", Unit(tuple(self.buffers), self.body),
+                 tuple(b.name for b in self.buffers))]
 
 
 # Static validation ----------------------------------------------------------
@@ -298,13 +324,22 @@ def affine_interval(expr: AffineExpr, ranges: dict[str, tuple[int, int]]
 
 
 def validate_program(program: LoopProgram) -> None:
-    """Prove every static buffer access in bounds; raises OutOfBounds.
+    """Prove every static buffer access of each unit not yet checked in
+    bounds; raises OutOfBounds.  `interp` runs this once per program, before
+    its first compile, so a unit shared by many programs is checked once."""
+    for _, unit, _ in program.unit_calls:
+        if not unit.checked:
+            validate_unit(unit)
+
+
+def validate_unit(unit: Unit) -> None:
+    """Prove every static buffer access of `unit` in bounds against the
+    capacities of its buffers; raises OutOfBounds.
 
     Accesses under a SelectGuard whose guarded expression matches the access
-    index are checked against the guard's range instead.  `interp` runs this
-    once per program, before its first compile.
+    index are checked against the guard's range instead.
     """
-    caps = {b.name: b.capacity for b in program.buffers}
+    caps = {b.name: b.capacity for b in unit.buffers}
 
     def check_block(stmts: Iterable[Stmt], ranges: dict[str, tuple[int, int]],
                     guards: dict[AffineExpr, tuple[int, int]]) -> None:
@@ -348,4 +383,5 @@ def validate_program(program: LoopProgram) -> None:
                 check_block(stmt.body, ranges, guards)
                 check_block(stmt.orelse, ranges, guards)
 
-    check_block(program.body, {}, {})
+    check_block(unit.body, {}, {})
+    unit.checked = True

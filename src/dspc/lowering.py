@@ -19,12 +19,18 @@ check reads it first).  Cost-model conventions baked in here:
 * mirrored producers (symmetric taps, conjugate-symmetric spectra) compute
   the first half and store each value twice, skipping the middle duplicate,
 * index arithmetic, comparisons, ``abs`` and ``floor`` are free.
+
+An op's unit depends only on its opcode, its attributes and the shapes of
+its operands, so `lower_graph` lowers each distinct op once: `op_unit`
+lowers the op's canonical copy (its k distinct operands ``v0..v<k-1>``, its
+results from ``v<k>``) and keeps the unit in a bounded memo, and a program
+calls the unit with its own buffer names.
 """
 
 from __future__ import annotations
 
 import math
-from functools import partial
+from functools import lru_cache, partial
 from typing import Optional
 
 from .errors import DspcError
@@ -32,8 +38,8 @@ from .graph import DspGraph, OpNode
 from .loop_ir import (AffineExpr, Arith, Assign, BufferDecl, Call, CheckFinite,
                       ConstF, DynAppend, Expr, For, IfCmp, IndexF, IndexProdF,
                       Load, LoopProgram, Select, SelectGuard, Stmt, Store,
-                      TempRef, affine_interval)
-from .ops import OpCode
+                      TempRef, Unit, UnitCall, affine_interval)
+from .ops import OP_DEFS, OpCode, TensorShape
 
 
 class LoweringUnsupported(DspcError):
@@ -54,8 +60,7 @@ class _Lowerer:
         self.body: list[Stmt] = []
         self.inputs: list[tuple[str, str]] = []
         self._temp_seq = 0
-        self._lengths: dict[int, int] = {}
-        self._dynamic: dict[int, bool] = {}
+        self.shapes: dict[int, TensorShape] = {}
 
     # -- small helpers ------------------------------------------------------
 
@@ -67,10 +72,10 @@ class _Lowerer:
         return f"v{vid}"
 
     def length(self, vid: int) -> int:
-        return self._lengths[vid]
+        return self.shapes[vid].length
 
     def declare(self, op: OpNode) -> None:
-        """Register result buffers (and lengths) for an op."""
+        """Register result buffers (and shapes) for an op."""
         for rid, shape in zip(op.result_ids, op.result_shapes):
             if shape is None:
                 raise LoweringUnsupported(
@@ -81,15 +86,10 @@ class _Lowerer:
                 init = tuple(float(v) for v in op.attr("values"))
             self.buffers.append(BufferDecl(self.buf(rid), shape.length,
                                            init=init, dynamic=shape.dynamic))
-            self._lengths[rid] = shape.length
-            self._dynamic[rid] = shape.dynamic
+            self.shapes[rid] = shape
 
     def operand_len(self, op: OpNode, slot: int) -> int:
-        vid = op.operands[slot]
-        if self._dynamic.get(vid):
-            raise LoweringUnsupported(
-                f"op %{op.id} ({op.opcode.value}) consumes a dynamic tensor")
-        return self._lengths[vid]
+        return self.length(op.operands[slot])
 
     # -- shared loop shapes --------------------------------------------------
 
@@ -622,26 +622,60 @@ def split_guarded_nest(loop: For) -> list[For]:
     return [p for p in pieces if p.upper > p.lower]
 
 
-def lower_graph(graph: DspGraph) -> LoopProgram:
-    """Lower every op to loop nests, one unit per op, and split their guard-free
-    interiors off; `interp` checks the bounds before the first compile."""
+# Distinct ops whose units `op_unit` keeps, least recently used first out;
+# an entry holds an op's statements and render products, about 4 KB.
+UNIT_MEMO_SIZE = 256
+
+
+@lru_cache(maxsize=UNIT_MEMO_SIZE)
+def op_unit(opcode: OpCode, attributes: tuple, spelled: tuple[str, ...],
+            operands: tuple[int, ...], shapes: tuple[TensorShape, ...]) -> Unit:
+    """The unit of every op with this opcode, these attributes (`spelled` is
+    their reprs, which tell 0.0 from -0.0 and 1 from 1.0 where `==` does not)
+    and these operands: `operands` numbers each operand by the first slot that
+    reads the same value, and `shapes` holds the shape of each distinct
+    operand, then of each result.  Lowers the op's canonical copy, whose
+    operands are inputs, and splits its guard-free interiors off."""
+    k = len(shapes) - OP_DEFS[opcode].n_results
     lw = _Lowerer()
-    body: list[Stmt] = []
-    units: list[tuple[str, int, int]] = []
+    for vid, shape in enumerate(shapes[:k]):
+        lw.declare(OpNode(vid, OpCode.INPUT, result_shapes=(shape,)))
+    lw.emit(OpNode(k, opcode, operands, attributes, shapes[k:]))
+    return Unit(tuple(lw.buffers),
+                [piece for stmt in lw.body for piece in
+                 (split_guarded_nest(stmt) if isinstance(stmt, For) else [stmt])])
+
+
+def lower_graph(graph: DspGraph) -> LoopProgram:
+    """Lower every op to loop nests: declare its result buffers and call its
+    unit (`op_unit`) on them; `interp` checks the bounds before the first
+    compile."""
+    lw = _Lowerer()
+    calls: list[UnitCall] = []
     for op in graph.ops:
-        lw.body = []
-        lw.emit(op)
-        if lw.body:
-            start = len(body)
-            body += [piece for stmt in lw.body
-                     for piece in (split_guarded_nest(stmt)
-                                   if isinstance(stmt, For) else [stmt])]
-            units.append((f"%{op.id} {op.opcode.value}", start, len(body)))
+        oc = op.opcode
+        if oc is OpCode.PRINT or oc is OpCode.RETURN:
+            continue
+        lw.declare(op)
+        if oc is OpCode.INPUT or oc is OpCode.CONST_TENSOR:
+            EMITTERS[oc](lw, op)  # data only: no statements
+            continue
+        distinct = list(dict.fromkeys(op.operands))
+        shapes = [lw.shapes[vid] for vid in distinct]
+        if any(shape.dynamic for shape in shapes):
+            raise LoweringUnsupported(
+                f"op %{op.id} ({oc.value}) consumes a dynamic tensor")
+        unit = op_unit(oc, op.attributes, tuple(map(repr, op.attributes)),
+                       tuple(map(distinct.index, op.operands)),
+                       (*shapes, *op.result_shapes))
+        if unit.body:
+            calls.append((f"%{op.id} {oc.value}", unit,
+                          tuple(map(lw.buf, (*distinct, *op.result_ids)))))
     return LoopProgram(
         buffers=lw.buffers,
-        body=body,
+        body=[stmt for _, unit, _ in calls for stmt in unit.body],
         inputs=lw.inputs,
         outputs=[(vid, lw.buf(vid)) for vid in graph.prints],
         returns=[(vid, lw.buf(vid)) for vid in graph.returns],
-        units=units,
+        calls=calls,
     )

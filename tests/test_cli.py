@@ -349,3 +349,20 @@ def test_bench_transforms_of_an_autocorrelation(capsys, tmp_path, printed, fired
 def test_bench_unknown_target(capsys):
     code, _, err = run_cli(capsys, "bench", "app99")
     assert code == 1
+
+
+def test_signed_zero_gains_print_their_own_signs(capsys, tmp_path):
+    # 0.0 == -0.0, yet a gain by -0.0 flips every sign: compiled in one
+    # process, in either order, each program prints its own signs
+    from dspc.lowering import op_unit
+    x = tmp_path / "x.json"
+    x.write_text("[-1.0, 1.0, 2.0, -3.0]")
+    printed = {"0.0": "%1 = [-0.0, 0.0, 0.0, -0.0]\n",
+               "0.0 * (0 - 1)": "%1 = [0.0, -0.0, -0.0, 0.0]\n"}
+    for order in (list(printed), list(printed)[::-1]):
+        op_unit.cache_clear()
+        for g in order:
+            src = tmp_path / "gain.dsp"
+            src.write_text(f"def main(x) {{ print(gain(x, {g})); }}")
+            assert run_cli(capsys, "run", str(src), "--input", f"x={x}") == (
+                0, printed[g], "")

@@ -9,13 +9,13 @@ import pytest
 from dspc import corpus
 from dspc.frontend import parse_source
 from dspc.graph import build_graph, infer_shapes
-from dspc.interp import (InputMismatch, LoopDivisionByZero, NonFinite,
-                         compiled_source, counters_report, evaluate_loop_ir,
-                         report_table)
+from dspc.interp import (CapacityExceeded, InputMismatch, LoopDivisionByZero,
+                         NonFinite, compiled_source, counters_report,
+                         evaluate_loop_ir, report_table)
 from dspc.kernels import tensor
-from dspc.loop_ir import (AffineExpr, BufferDecl, Call, ConstF, For,
+from dspc.loop_ir import (AffineExpr, BufferDecl, Call, ConstF, DynAppend, For,
                           IndexF, Load, LoopIrError, LoopProgram, OutOfBounds,
-                          Select, Store, TempRef)
+                          Select, Store, TempRef, Unit)
 from dspc.lowering import lower_graph
 from dspc.rewriter import apply_dsp_patterns
 
@@ -152,7 +152,7 @@ def test_unit_code_is_shared_across_sizes():
     big, small = (_corpus_programs(lambda app: {**app.default_sizes(), "N": n},
                                    [app]) for n in (4096, 512))
     for p, q in zip(big, small):
-        assert p.units and [s for s, *_ in p.units] == [s for s, *_ in q.units]
+        assert p.calls and [s for s, *_ in p.calls] == [s for s, *_ in q.calls]
         assert all(a is b for a, b in zip(_unit_code(p), _unit_code(q), strict=True))
 
 
@@ -180,6 +180,72 @@ def test_recompiling_the_corpus_compiles_nothing(monkeypatch):
     assert len(compiled) == 1 and len(interp.UNIT_CODE) == len(shapes) + 1
 
 
+def test_recompiling_the_corpus_lowers_validates_and_renders_nothing(monkeypatch):
+    from dspc import interp, loop_ir, lowering
+    for p in _corpus_programs():
+        compiled_source(p)
+    work = []
+
+    def counted(name, fn):
+        def wrapper(*args):
+            work.append(name)
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(lowering._Lowerer, "emit",
+                        counted("lower", lowering._Lowerer.emit))
+    monkeypatch.setattr(loop_ir, "validate_unit",
+                        counted("validate", loop_ir.validate_unit))
+    monkeypatch.setattr(interp._Compiler, "render",
+                        counted("render", interp._Compiler.render))
+    misses = lowering.op_unit.cache_info().misses
+    programs = _corpus_programs()
+    for p in programs:
+        compiled_source(p)
+    assert work == [] and lowering.op_unit.cache_info().misses == misses
+    assert sum(len(p.calls) for p in programs) == 86
+    # a new op is lowered, validated and rendered once
+    lowering.op_unit.cache_clear()
+    for _ in range(2):
+        compiled_source(program_for("def main(x) { print(gain(x, 2.25)); }",
+                                    {"x": 5}))
+    assert work == ["lower", "validate", "render"]
+
+
+def _runaway_append(capacity):
+    """A unit that appends one value more than its buffer holds."""
+    return [For("i", 0, capacity + 1, [DynAppend("v0", ConstF(1.0))], "fill")]
+
+
+def test_capacity_message_names_the_program_buffer():
+    # the unit's buffer is v0; its call binds it to the program's v7
+    unit = Unit((BufferDecl("v0", 512, dynamic=True),), _runaway_append(512))
+    v7 = BufferDecl("v7", 512, dynamic=True)
+    called = LoopProgram(buffers=[v7], body=unit.body, inputs=[], outputs=[(7, "v7")],
+                         calls=[("%7 run_len_encoding", unit, ("v7",))])
+    hand_built = LoopProgram(buffers=[v7], inputs=[], outputs=[(7, "v7")],
+                             body=[For("i", 0, 513, [DynAppend("v7", ConstF(1.0))],
+                                       "fill")])
+    for p in (called, hand_built):
+        with pytest.raises(CapacityExceeded) as exc:
+            evaluate_loop_ir(p)
+        assert str(exc.value) == "buffer v7 exceeded capacity 512"
+
+
+def test_non_finite_message_names_each_program_buffer():
+    # one LMS unit, called as %2 and as %3: each call names its own buffer
+    lms = "lmsFilter(x, d, 100000.0, 8)"
+    p = program_for(f"def main(x, d) {{ print({lms}); }}", {"x": 256, "d": 256})
+    q = program_for(f"def main(x, d) {{ print(x + d); print({lms}); }}",
+                    {"x": 256, "d": 256})
+    assert p.calls[0][1] is q.calls[1][1]
+    x = rand(random.Random(9), 256)
+    for program, buf in ((p, "v2"), (q, "v3")):
+        with pytest.raises(NonFinite) as exc:
+            evaluate_loop_ir(program, {"x": x, "d": x})
+        assert str(exc.value) == f"non-finite value in {buf}"
+
+
 def test_hand_built_program_is_one_unit():
     # no op spans: the whole body is one unit, and its one call line has no
     # label; a non-finite literal is written so that it reads back
@@ -190,8 +256,10 @@ def test_hand_built_program_is_one_unit():
                   "fill"),
               Store("z", AffineExpr.lit(0), Load("x", AffineExpr.lit(2)))],
         inputs=[("x", "x")], outputs=[(1, "y"), (2, "z")])
-    assert p.units == []
+    assert p.calls == []
     out, c = evaluate_loop_ir(p, {"x": tensor([1.0, 2.0, 3.0])})
+    (label, unit, names), = p.unit_calls
+    assert (label, names, unit.body, unit.checked) == ("", ("x", "y", "z"), p.body, True)
     assert out[1].values == (-math.inf,) * 3 and out[2].values == (3.0,)
     assert (c.loads, c.stores, c.adds, c.loop_iterations) == (4, 4, 3, 3)
     assert compiled_source(p).splitlines()[-5:] == [

@@ -15,7 +15,8 @@ from dspc.kernels import eval_graph, tensor
 from dspc.loop_ir import (AffineExpr, BufferDecl, For, IfCmp, Load,
                           LoopProgram, OutOfBounds, SelectGuard, Store, ConstF,
                           validate_program)
-from dspc.lowering import _Lowerer, lower_graph, split_guarded_nest
+from dspc.lowering import (UNIT_MEMO_SIZE, _Lowerer, lower_graph, op_unit,
+                           split_guarded_nest)
 from dspc.rewriter import apply_dsp_patterns
 
 
@@ -244,7 +245,7 @@ def test_each_op_has_one_call_line_labelled_with_its_id():
         f"%{op.id}" for op in g.ops if op.opcode.value == "fir_filter_response"]
     (called,) = {line.split("(", 1)[0] for line in calls}
     assert sum(line.startswith(f"def {called}(") for line in lines) == 1
-    assert len(program.units) == len(
+    assert len(program.calls) == len(
         [line for line in lines if line.startswith("_run")])
 
 
@@ -362,9 +363,11 @@ def _pieces(body, index):
             for s in body if isinstance(s, For) and s.index == index]
 
 
-def _outer_index(g, opcode_value):
-    op = next(op for op in g.ops if op.opcode.value == opcode_value)
-    return f"i{op.id}"
+def _call_pieces(program, op):
+    """`_pieces` of the nest of `op`, looked up through its call: a unit names
+    its indices as the op's canonical copy does."""
+    (unit,) = [u for label, u, _ in program.calls if label.split()[0] == f"%{op.id}"]
+    return _pieces(unit.body, next(s.index for s in unit.body if isinstance(s, For)))
 
 
 SYMM = "firFilterResponse(x, lowPassFIRFilter(%d, 1.2) * hammingWindow(%d))"
@@ -437,7 +440,8 @@ def test_split_matches_unsplit_nest(name, expr, lengths, opt, opcode, pieces):
     g = compile_graph(_case_source(expr, lengths), lengths, opt=opt)
     split, unsplit = lower_graph(g), _unsplit(g)
     validate_program(split)
-    assert _pieces(split.body, _outer_index(g, opcode)) == pieces
+    op = next(op for op in g.ops if op.opcode.value == opcode)
+    assert _call_pieces(split, op) == pieces
     inputs = {k: rand(rng, n) for k, n in lengths.items()}
     runs = [evaluate_loop_ir(p, inputs) for p in (split, unsplit)]
     assert runs[0][0] == runs[1][0]  # bit-identical outputs
@@ -490,17 +494,72 @@ def test_guarded_corpus_nests_are_split(app_name, opt):
     g = corpus.compile_source(app.source(sizes), app.input_lengths(sizes))
     if opt:
         g, _ = apply_dsp_patterns(g)
-    unsplit, body = _unsplit(g).body, lower_graph(g).body
+    unsplit, program = _unsplit(g).body, lower_graph(g)
     guarded = [s for s in unsplit if isinstance(s, For) and any(
         _guards_over(s.index, [t for t in s.body if isinstance(t, For)]))]
     assert guarded
     if app_name == "SpectralAnalysis":
         # full convolutions have a one-step interior and stay whole
-        assert body == unsplit
+        assert [p for s in unsplit for p in (
+            split_guarded_nest(s) if isinstance(s, For) else [s])] == unsplit
+        assert len(program.body) == len(unsplit)
         return
+    op_of = {f"i{op.id}": op for op in g.ops}  # an emitter's outer index
     for nest in guarded:
-        pieces = _pieces(body, nest.index)
+        pieces = _call_pieces(program, op_of[nest.index])
         assert len(pieces) > 1, nest.tag
         assert [p[2] for p in pieces].count(False) == 1, nest.tag
         assert pieces[0][0] == nest.lower and pieces[-1][1] == nest.upper
         assert all(p[1] == q[0] for p, q in zip(pieces, pieces[1:]))
+
+
+# --------------------------------------------------------------------------
+# one unit per distinct op
+
+
+def _calls(expr, lengths):
+    return lower_graph(compile_graph(_case_source(expr, lengths), lengths)).calls
+
+
+def test_equal_ops_share_one_unit():
+    # the same gain is %1 over (v0, v1) in one program and %3 over (v1, v3)
+    # in the other: one unit, two bindings
+    a = _calls("gain(x, 2.0)", {"x": 8})
+    b = lower_graph(compile_graph(
+        "def main(x, y) { print(x + y); print(gain(y, 2.0)); }",
+        {"x": 8, "y": 8})).calls
+    assert a[0][1] is b[1][1]
+    assert [(label, names) for label, _, names in (a[0], b[1])] == [
+        ("%1 gain", ("v0", "v1")), ("%3 gain", ("v1", "v3"))]
+    # another attribute value or operand shape is another op
+    assert _calls("gain(x, 3.0)", {"x": 8})[0][1] is not a[0][1]
+    assert _calls("gain(x, 2.0)", {"x": 9})[0][1] is not a[0][1]
+    # an operand read twice is one unit buffer, so `x + x` is not `x + y`
+    xx, xy = _calls("x + x", {"x": 4, "y": 4}), _calls("x + y", {"x": 4, "y": 4})
+    assert [len(u.buffers) for _, u, _ in xx + xy] == [2, 3]
+    assert xx[0][2] == ("v0", "v2")
+
+
+def test_evicted_ops_relower_to_the_same_program():
+    g = compile_graph(FULL_COVERAGE, {"x": 12})
+    inputs = {"x": rand(random.Random(4), 12)}
+
+    def compiled():
+        p = lower_graph(g)
+        out, counters = evaluate_loop_ir(p, inputs)
+        d = counters.as_dict()
+        del d["wall_time_ns"]
+        return p, compiled_source(p), out, d
+
+    op_unit.cache_clear()
+    first = compiled()
+    hits = op_unit.cache_info().hits  # the two adds of `tones` are one op
+    assert hits == 1
+    # more distinct ops than the memo holds push every unit of `first` out
+    for k in range(UNIT_MEMO_SIZE):
+        lower_graph(compile_graph(_case_source(f"gain(x, {k}.5)", {"x": 2}), {"x": 2}))
+    again = compiled()
+    assert op_unit.cache_info().hits == 2 * hits
+    assert all(a[1] is not b[1] for a, b in zip(first[0].calls, again[0].calls,
+                                                strict=True))
+    assert again[1:] == first[1:]
