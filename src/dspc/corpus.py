@@ -203,10 +203,8 @@ def _response_tap_buffer(graph: DspGraph, opcodes) -> Optional[str]:
 
 
 def _check_deviation(ctx: BenchContext) -> CheckResult:
-    against = ("fused-recursion oracle" if ctx.app.oracle == "kernel-oracle"
-               else "unoptimized run")
     ok = ctx.deviation <= 1e-9
-    return (f"output deviation vs {against} <= 1e-9", ok,
+    return ("output deviation vs unoptimized run <= 1e-9", ok,
             f"max relative deviation {ctx.deviation:.3e}")
 
 
@@ -307,7 +305,6 @@ class CorpusApp:
     inputs: tuple[InputPlan, ...]
     expected_patterns: frozenset[str]
     checks: tuple[Callable[[BenchContext], CheckResult], ...]
-    oracle: str = "none-vs-dsp"  # kernel-oracle: fused LMS changes semantics
     base_seed: int = 0
 
     def default_sizes(self) -> dict[str, int]:
@@ -365,7 +362,7 @@ APPS: tuple[CorpusApp, ...] = (
         template=_t_hearing_aid, sizes=(("N", 1024), ("M", 16)),
         inputs=(InputPlan("x", "N"), InputPlan("d", "N", seed_offset=1)),
         expected_patterns=frozenset({"7"}),
-        checks=_COMMON, oracle="kernel-oracle", base_seed=1600),
+        checks=_COMMON, base_seed=1600),
     CorpusApp(
         name="AudioEqualizer", alias="app7", filename="audio_equalizer.dsp",
         template=_t_audio_equalizer, sizes=(("N", 1024), ("L", 101)),

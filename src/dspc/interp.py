@@ -1,10 +1,10 @@
 """Instrumented execution of loop programs.
 
 A program is compiled at its first use: `validate_program` bounds-checks each
-unit (the statements of one op; a hand-built program is one unit) not yet
-checked, and each unit not yet rendered becomes a plain Python function.  A
-unit is shared by every program with an equal op (`lowering.op_unit`), so it
-is checked and rendered once, and its render products sit on the unit.  Each
+unit (the statements of one op) not yet checked, and each unit not yet
+rendered becomes a plain Python function.  A unit is shared by every
+program with an equal op (`lowering.op_unit`), so it is checked and
+rendered once, and its render products sit on the unit.  Each
 statement becomes one Python statement and its expression trees one Python
 expression each, parenthesised only where the tree's association needs it.  A
 unit renders with local names and every literal lifted to a parameter, so
@@ -365,7 +365,7 @@ def _link(program: LoopProgram) -> _Linked:
         return k
 
     calls, bound = [], []
-    for label, unit, names in program.unit_calls:
+    for label, unit, names in program.calls:
         r = _rendered(unit)
         literals = list(r.literals)
         for k, j in r.messages:

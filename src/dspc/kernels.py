@@ -201,19 +201,9 @@ def k_lms_filter(x: Tensor, d: Tensor, mu: float, M: int) -> Tensor:
     Per sample n: y = w . x_window, e = d[n] - y, w += mu * e * x_window.
     Missing samples (n - i < 0) read as zero.
     """
-    return _lms(x, d, mu, M, None)
-
-
-def k_lms_filter_gain(x: Tensor, d: Tensor, mu: float, M: int, g: float) -> Tensor:
-    """LMS with the gain folded into the update: w += (mu*g) * e * x_window."""
-    return _lms(x, d, mu, M, g)
-
-
-def _lms(x: Tensor, d: Tensor, mu: float, M: int, g: Optional[float]) -> Tensor:
     xs, ds = x.values, d.values
     if len(xs) != len(ds):
         raise KernelError("lmsFilter input/desired lengths differ")
-    step = mu if g is None else mu * g
     w = [0.0] * M
     for n in range(len(xs)):
         y = 0.0
@@ -221,7 +211,7 @@ def _lms(x: Tensor, d: Tensor, mu: float, M: int, g: Optional[float]) -> Tensor:
             if n - i >= 0:
                 y += w[i] * xs[n - i]
         e = ds[n] - y
-        t = step * e
+        t = mu * e
         for i in range(M):
             if n - i >= 0:
                 w[i] += t * xs[n - i]
@@ -229,6 +219,12 @@ def _lms(x: Tensor, d: Tensor, mu: float, M: int, g: Optional[float]) -> Tensor:
             if not math.isfinite(v):
                 raise Diverged(n)
     return tensor(w)
+
+
+def k_lms_filter_gain(x: Tensor, d: Tensor, mu: float, M: int, g: float) -> Tensor:
+    """The gain-fused LMS: exactly ``gain(lmsFilter(x, d, mu, M), g)``, the
+    final weights scaled by g."""
+    return tensor(g * v for v in k_lms_filter(x, d, mu, M).values)
 
 
 # --------------------------------------------------------------------------

@@ -18,8 +18,7 @@ A program is its buffers and one call per op, `(label, unit, buffer names)`.
 A `Unit` is an op's statements over its own buffers, named as the op's
 canonical copy names them (operands ``v0..v<k-1>``, results from ``v<k>``);
 a call binds them, in order, to program buffers.  Units are shared: programs
-with an equal op hold the same unit object, which is bounds-checked once.  A
-hand-built program (a body and no calls) is one unit over all its buffers.
+with an equal op hold the same unit object, which is bounds-checked once.
 A program's text form is its generated Python, `interp.compiled_source`: a
 function per distinct unit, a call per op.
 """
@@ -27,7 +26,6 @@ function per distinct unit, a call per op.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Iterable, Iterator, Optional, Union
 
 from .errors import DspcError
@@ -290,20 +288,16 @@ UnitCall = tuple[str, Unit, tuple[str, ...]]
 @dataclass
 class LoopProgram:
     buffers: list[BufferDecl]
-    body: list[Stmt]  # with calls, their units' statements in order
     inputs: list[tuple[str, str]]  # (source-level input name, buffer name)
     outputs: list[tuple[int, str]]  # (ValueId printed, buffer name), in print order
     returns: list[tuple[int, str]] = field(default_factory=list)
     calls: list[UnitCall] = field(default_factory=list)
 
-    @cached_property
-    def unit_calls(self) -> list[UnitCall]:
-        """The calls; a hand-built program (no calls) is one unlabelled call of
-        its body over all its buffers."""
-        if self.calls or not self.body:
-            return self.calls
-        return [("", Unit(tuple(self.buffers), self.body),
-                 tuple(b.name for b in self.buffers))]
+    @property
+    def body(self) -> list[Stmt]:
+        """The statements of every call's unit, in call order (the statement
+        count `perfbench/run.py` reports reads them)."""
+        return [stmt for _, unit, _ in self.calls for stmt in unit.body]
 
 
 # Static validation ----------------------------------------------------------
@@ -327,7 +321,7 @@ def validate_program(program: LoopProgram) -> None:
     """Prove every static buffer access of each unit not yet checked in
     bounds; raises OutOfBounds.  `interp` runs this once per program, before
     its first compile, so a unit shared by many programs is checked once."""
-    for _, unit, _ in program.unit_calls:
+    for _, unit, _ in program.calls:
         if not unit.checked:
             validate_unit(unit)
 

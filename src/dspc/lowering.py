@@ -345,9 +345,10 @@ def _e_filter_y_symm(lw: _Lowerer, op: OpNode) -> None:
 
 
 def _e_lms(lw: _Lowerer, op: OpNode) -> None:
-    """LMS adaptation; the gain-fused form scales the step by its gain g."""
-    g = op.attr("g") if op.opcode is OpCode.LMS_FILTER_GAIN_OPT else 1.0
-    step = float(op.attr("mu")) * float(g)
+    """LMS adaptation with step mu.  The gain-fused form is exactly
+    ``gain(lmsFilter(...), g)``: after the divergence check it scales the
+    final weights in place, ``w[j] = g * w[j]``, at the gain's cost."""
+    mu = float(op.attr("mu"))
     x, d = lw.buf(op.operands[0]), lw.buf(op.operands[1])
     n = lw.operand_len(op, 0)
     m = int(op.attr("M"))
@@ -360,12 +361,15 @@ def _e_lms(lw: _Lowerer, op: OpNode) -> None:
         Assign(y, ConstF(0.0)),
         lw.loop(op, i_i, m, [SelectGuard(at, 0, n, body=[
             Assign(y, y + wi * xi)])], "dot"),
-        Assign(t, step * (Load(d, _af(n_i)) - y)),
+        Assign(t, mu * (Load(d, _af(n_i)) - y)),
         lw.loop(op, i_i, m, [SelectGuard(at, 0, n, body=[
             Store(w, _af(i_i), wi + t * xi)])], "update"),
     ]
     lw.body.append(lw.loop(op, n_i, n, body, "outer"))
     lw.body.append(CheckFinite(w))
+    if op.opcode is OpCode.LMS_FILTER_GAIN_OPT:
+        g = float(op.attr("g"))
+        lw.body.append(lw.loop(op, i_i, m, [Store(w, _af(i_i), g * wi)], "scale"))
 
 
 def _e_binary(lw: _Lowerer, op: OpNode) -> None:
@@ -673,7 +677,6 @@ def lower_graph(graph: DspGraph) -> LoopProgram:
                           tuple(map(lw.buf, (*distinct, *op.result_ids)))))
     return LoopProgram(
         buffers=lw.buffers,
-        body=[stmt for _, unit, _ in calls for stmt in unit.body],
         inputs=lw.inputs,
         outputs=[(vid, lw.buf(vid)) for vid in graph.prints],
         returns=[(vid, lw.buf(vid)) for vid in graph.returns],

@@ -279,7 +279,8 @@ def pat_dft_fusion(ctx: _Ctx, site: OpNode) -> Optional[_Rewrite]:
 
 
 def pat_lms_gain_fusion(ctx: _Ctx, site: OpNode) -> Optional[_Rewrite]:
-    """Gain applied to a single-use LMS weight vector folds into the update."""
+    """Gain applied to a single-use LMS weight vector fuses into the LMS op,
+    which scales its final weights in place."""
     lms = ctx.prod(site.operands[0])
     if lms is None or lms.opcode is not OpCode.LMS_FILTER:
         return None

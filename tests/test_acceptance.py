@@ -80,10 +80,7 @@ def test_01_equivalence_twenty_seeds(pipelines, say):
             inputs = rec.app.synth_inputs(rec.sizes,
                                           rec.app.base_seed + 7919 * s)
             got, _ = loop_outputs(rec.p_dsp, inputs)
-            if rec.app.oracle == "kernel-oracle":
-                ref = kernel_outputs(rec.g_dsp, inputs)
-            else:
-                ref, _ = loop_outputs(rec.p_none, inputs)
+            ref, _ = loop_outputs(rec.p_none, inputs)
             dev = corpus.max_relative_deviation(got, ref, ABS_FLOOR)
             worst = max(worst, dev)
     elapsed = time.perf_counter() - started

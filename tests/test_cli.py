@@ -218,7 +218,8 @@ _B, _M = "1" + "0" * 300, "1" + "0" * 308  # 1e300 and 1e308 as plain literals
     # the quantizer step (max - min) / (levels - 1) overflows
     (f"def main(x) {{ print(quantize(x, 2, 0 - {_M}, {_M})); }}",
      ("--synth", "x=4,1"), 4, "non-finite value in printed"),
-    # pattern 7 folds the step mu * g, which overflows; unfolded it diverges
+    # the step mu = 1e300 makes the LMS weights diverge on both routes, inside
+    # the LMS itself and before any gain scales them
     (f"def main(x, d) {{ print(gain(lmsFilter(x, d, {_B}, 2), {_B})); }}",
      ("--opt=dsp", "--synth", "x=4,1", "--synth", "d=4,2"), 4, "non-finite value in"),
     (f"def main(x, d) {{ print(gain(lmsFilter(x, d, {_B}, 2), {_B})); }}",

@@ -31,6 +31,13 @@ def rand(rng, n):
     return tensor([rng.uniform(-1, 1) for _ in range(n)])
 
 
+def one_unit(buffers, body, **fields):
+    """A hand-built program: one unlabelled call of `body` over `buffers`."""
+    names = tuple(b.name for b in buffers)
+    return LoopProgram(buffers=buffers, calls=[("", Unit(tuple(buffers), body), names)],
+                       **fields)
+
+
 def test_counters_are_deterministic_modulo_wall_time():
     rng = random.Random(1)
     p = program_for("def main(x) { print(dft1dreal(x)); }", {"x": 12})
@@ -117,9 +124,10 @@ def test_program_is_validated_once_before_its_first_compile(monkeypatch):
     assert checked == [id(p)]  # once, at the first compile
 
     def store_loop(n):
-        return LoopProgram(buffers=[BufferDecl("y", 4)], inputs=[], outputs=[],
-                           body=[For("i", 0, n, [Store("y", AffineExpr.of("i"),
-                                                       ConstF(0.0))], "fill")])
+        return one_unit([BufferDecl("y", 4)],
+                        [For("i", 0, n, [Store("y", AffineExpr.of("i"), ConstF(0.0))],
+                             "fill")],
+                        inputs=[], outputs=[])
 
     good, bad = store_loop(4), store_loop(5)  # built by hand
     compiled_source(good)
@@ -174,9 +182,9 @@ def test_recompiling_the_corpus_compiles_nothing(monkeypatch):
     # a new shape (its loop tag is new) is compiled once, through `compile`
     i, tag = AffineExpr.of("i"), f"new_shape_{len(shapes)}"
     for _ in range(2):
-        compiled_source(LoopProgram(
-            buffers=[BufferDecl("y", 2)], inputs=[], outputs=[],
-            body=[For("i", 0, 2, [Store("y", i, ConstF(1.0))], tag)]))
+        compiled_source(one_unit(
+            [BufferDecl("y", 2)], [For("i", 0, 2, [Store("y", i, ConstF(1.0))], tag)],
+            inputs=[], outputs=[]))
     assert len(compiled) == 1 and len(interp.UNIT_CODE) == len(shapes) + 1
 
 
@@ -221,11 +229,10 @@ def test_capacity_message_names_the_program_buffer():
     # the unit's buffer is v0; its call binds it to the program's v7
     unit = Unit((BufferDecl("v0", 512, dynamic=True),), _runaway_append(512))
     v7 = BufferDecl("v7", 512, dynamic=True)
-    called = LoopProgram(buffers=[v7], body=unit.body, inputs=[], outputs=[(7, "v7")],
+    called = LoopProgram(buffers=[v7], inputs=[], outputs=[(7, "v7")],
                          calls=[("%7 run_len_encoding", unit, ("v7",))])
-    hand_built = LoopProgram(buffers=[v7], inputs=[], outputs=[(7, "v7")],
-                             body=[For("i", 0, 513, [DynAppend("v7", ConstF(1.0))],
-                                       "fill")])
+    hand_built = one_unit([v7], [For("i", 0, 513, [DynAppend("v7", ConstF(1.0))],
+                                     "fill")], inputs=[], outputs=[(7, "v7")])
     for p in (called, hand_built):
         with pytest.raises(CapacityExceeded) as exc:
             evaluate_loop_ir(p)
@@ -247,19 +254,17 @@ def test_non_finite_message_names_each_program_buffer():
 
 
 def test_hand_built_program_is_one_unit():
-    # no op spans: the whole body is one unit, and its one call line has no
-    # label; a non-finite literal is written so that it reads back
+    # one unlabelled call over every buffer: its call line has no label; a
+    # non-finite literal is written so that it reads back
     i = AffineExpr.of("i")
-    p = LoopProgram(
-        buffers=[BufferDecl("x", 3), BufferDecl("y", 3), BufferDecl("z", 1)],
-        body=[For("i", 0, 3, [Store("y", i, Load("x", i) + float("-inf"))],
-                  "fill"),
-              Store("z", AffineExpr.lit(0), Load("x", AffineExpr.lit(2)))],
+    p = one_unit(
+        [BufferDecl("x", 3), BufferDecl("y", 3), BufferDecl("z", 1)],
+        [For("i", 0, 3, [Store("y", i, Load("x", i) + float("-inf"))], "fill"),
+         Store("z", AffineExpr.lit(0), Load("x", AffineExpr.lit(2)))],
         inputs=[("x", "x")], outputs=[(1, "y"), (2, "z")])
-    assert p.calls == []
     out, c = evaluate_loop_ir(p, {"x": tensor([1.0, 2.0, 3.0])})
-    (label, unit, names), = p.unit_calls
-    assert (label, names, unit.body, unit.checked) == ("", ("x", "y", "z"), p.body, True)
+    (label, unit, names), = p.calls
+    assert (label, names, unit.checked) == ("", ("x", "y", "z"), True)
     assert out[1].values == (-math.inf,) * 3 and out[2].values == (3.0,)
     assert (c.loads, c.stores, c.adds, c.loop_iterations) == (4, 4, 3, 3)
     assert compiled_source(p).splitlines()[-5:] == [
@@ -284,10 +289,9 @@ def test_counter_hoisting_matches_naive_count():
 
 def _tree_program(value, *stmts):
     i = AffineExpr.of("i")
-    return LoopProgram(buffers=[BufferDecl("x", 3), BufferDecl("y", 3)],
-                       body=[For("i", 0, 3, [*stmts, Store("y", i, value)],
-                                 "tree")],
-                       inputs=[("x", "x")], outputs=[(1, "y")])
+    return one_unit([BufferDecl("x", 3), BufferDecl("y", 3)],
+                    [For("i", 0, 3, [*stmts, Store("y", i, value)], "tree")],
+                    inputs=[("x", "x")], outputs=[(1, "y")])
 
 
 def test_nested_tree_cost_is_counted_once_per_node():

@@ -123,12 +123,14 @@ def test_lms_two_step_recursion():
     assert y.values == (0.75,)
 
 
-def test_lms_gain_fused_matches_plain_at_unit_gain():
+def test_lms_gain_fused_is_gain_of_plain():
+    # the fused op computes gain(lmsFilter(...), g) to the last bit
     rng = random.Random(3)
     x, d = rand_signal(rng, 40), rand_signal(rng, 40)
     plain = K.k_lms_filter(x, d, 0.05, 4)
-    fused = K.k_lms_filter_gain(x, d, 0.05, 4, 1.0)
-    assert list(fused.values) == approx(list(plain.values), abs_tol=0.0)
+    for g in (0.5, 2.0, -1.0):
+        fused = K.k_lms_filter_gain(x, d, 0.05, 4, g)
+        assert fused.values == tuple(g * v for v in plain.values)
 
 
 def test_lms_diverges_on_huge_step():

@@ -14,7 +14,7 @@ from dspc.interp import compiled_source, evaluate_loop_ir
 from dspc.kernels import eval_graph, tensor
 from dspc.loop_ir import (AffineExpr, BufferDecl, For, IfCmp, Load,
                           LoopProgram, OutOfBounds, SelectGuard, Store, ConstF,
-                          validate_program)
+                          Unit, validate_program)
 from dspc.lowering import (UNIT_MEMO_SIZE, _Lowerer, lower_graph, op_unit,
                            split_guarded_nest)
 from dspc.rewriter import apply_dsp_patterns
@@ -29,6 +29,18 @@ def compile_graph(source, lengths=None, opt=False):
 
 def rand(rng, n):
     return tensor([rng.uniform(-1, 1) for _ in range(n)])
+
+
+def one_unit(buffers, body, **fields):
+    """A hand-built program: one unlabelled call of `body` over `buffers`."""
+    names = tuple(b.name for b in buffers)
+    return LoopProgram(buffers=buffers, calls=[("", Unit(tuple(buffers), body), names)],
+                       **fields)
+
+
+def statements(program):
+    """The statements of every call's unit, in call order."""
+    return [stmt for _, unit, _ in program.calls for stmt in unit.body]
 
 
 def run_both(source, lengths, inputs, opt=False):
@@ -142,6 +154,27 @@ def main(x, d) {
     assert_matches_kernels(source, {"x": 40, "d": 40}, inputs, opt=True)
 
 
+def test_hearing_aid_dsp_route_matches_none_route():
+    # pattern 7 fuses the gain into the LMS op, which scales its final
+    # weights in place: the same values and counter totals, one buffer fewer
+    from dspc import corpus
+    app = corpus.find_app("HearingAid")
+    sizes = app.default_sizes()
+    g = corpus.compile_source(app.source(sizes), app.input_lengths(sizes))
+    g_dsp, stats = apply_dsp_patterns(g)
+    assert {pid.value for pid in stats.fired} == {"7"}
+    programs = lower_graph(g), lower_graph(g_dsp)
+    for seed in range(3):
+        inputs = app.synth_inputs(sizes, app.base_seed + seed)
+        (out_none, c_none), (out_dsp, c_dsp) = (
+            evaluate_loop_ir(p, inputs) for p in programs)
+        assert ([out_dsp[vid] for vid, _ in programs[1].outputs]
+                == [out_none[vid] for vid, _ in programs[0].outputs])
+        totals = [(c.loop_iterations, c.loads, c.stores, c.mults, c.adds,
+                   c.trig_calls) for c in (c_none, c_dsp)]
+        assert totals[0] == totals[1]
+
+
 # --------------------------------------------------------------------------
 # pinned trip counts
 
@@ -192,7 +225,7 @@ def test_loads_by_buffer_tracks_taps():
     program = lower_graph(g)
     _, c = evaluate_loop_ir(program, {"x": rand(rng, 6)})
     # h is loaded unconditionally on every inner trip: 6 outputs x 2 taps
-    h_buf = program.body and next(
+    h_buf = program.calls and next(
         b.name for b in program.buffers if b.init is not None)
     assert c.loads_by_buffer[h_buf] == 12
 
@@ -251,11 +284,9 @@ def test_each_op_has_one_call_line_labelled_with_its_id():
 
 def test_validator_rejects_static_out_of_bounds():
     i = AffineExpr.of("i")
-    prog = LoopProgram(
-        buffers=[BufferDecl("y", 4)],
-        body=[For("i", 0, 5,
-                  [Store("y", i, ConstF(0.0))], "bad")],
-        inputs=[], outputs=[], returns=[])
+    prog = one_unit([BufferDecl("y", 4)],
+                    [For("i", 0, 5, [Store("y", i, ConstF(0.0))], "bad")],
+                    inputs=[], outputs=[], returns=[])
     with pytest.raises(OutOfBounds):
         validate_program(prog)
 
@@ -266,9 +297,8 @@ def _nested_load_program(guarded):
     i = AffineExpr.of("i")
     store = Store("y", i, 2.0 * (1.0 + Load("x", i.shifted(1))))
     body = [SelectGuard(i.shifted(1), 0, 4, [store])] if guarded else [store]
-    return LoopProgram(buffers=[BufferDecl("x", 4), BufferDecl("y", 4)],
-                       body=[For("i", 0, 4, body, "nested")],
-                       inputs=[], outputs=[])
+    return one_unit([BufferDecl("x", 4), BufferDecl("y", 4)],
+                    [For("i", 0, 4, body, "nested")], inputs=[], outputs=[])
 
 
 def test_validator_checks_loads_inside_trees():
@@ -327,7 +357,7 @@ def test_loop_tags_name_an_opcode_of_the_graph():
     graphs += [apply_dsp_patterns(g)[0] for g in graphs]
     for g in graphs:
         values = {op.opcode.value for op in g.ops}
-        tags = list(_loop_tags(lower_graph(g).body))
+        tags = list(_loop_tags(statements(lower_graph(g))))
         assert tags
         for tag in tags:
             base, dot, part = tag.partition(".")
@@ -343,9 +373,9 @@ def _unsplit(g):
     lw = _Lowerer()
     for op in g.ops:
         lw.emit(op)
-    return LoopProgram(buffers=lw.buffers, body=lw.body, inputs=lw.inputs,
-                       outputs=[(vid, lw.buf(vid)) for vid in g.prints],
-                       returns=[(vid, lw.buf(vid)) for vid in g.returns])
+    return one_unit(lw.buffers, lw.body, inputs=lw.inputs,
+                    outputs=[(vid, lw.buf(vid)) for vid in g.prints],
+                    returns=[(vid, lw.buf(vid)) for vid in g.returns])
 
 
 def _guards_over(index, stmts):
@@ -453,7 +483,7 @@ def test_split_matches_unsplit_nest(name, expr, lengths, opt, opcode, pieces):
 def _interiors(programs):
     """(program, interior piece) for every split nest of `programs`."""
     for program in programs:
-        for stmt in program.body:
+        for stmt in statements(program):
             if isinstance(stmt, For):
                 for piece in split_guarded_nest(stmt):
                     if piece is not stmt and not any(
@@ -478,8 +508,9 @@ def test_widened_interior_fails_validation():
         for wider in (replace(interior, lower=interior.lower - 1),
                       replace(interior, upper=interior.upper + 1)):
             with pytest.raises(OutOfBounds):
-                validate_program(replace(program, body=[wider]))
-        validate_program(replace(program, body=[interior]))
+                validate_program(one_unit(program.buffers, [wider],
+                                          inputs=[], outputs=[]))
+        validate_program(one_unit(program.buffers, [interior], inputs=[], outputs=[]))
         checked += 1
     assert checked >= 20
 
@@ -494,7 +525,7 @@ def test_guarded_corpus_nests_are_split(app_name, opt):
     g = corpus.compile_source(app.source(sizes), app.input_lengths(sizes))
     if opt:
         g, _ = apply_dsp_patterns(g)
-    unsplit, program = _unsplit(g).body, lower_graph(g)
+    unsplit, program = statements(_unsplit(g)), lower_graph(g)
     guarded = [s for s in unsplit if isinstance(s, For) and any(
         _guards_over(s.index, [t for t in s.body if isinstance(t, For)]))]
     assert guarded
@@ -502,7 +533,7 @@ def test_guarded_corpus_nests_are_split(app_name, opt):
         # full convolutions have a one-step interior and stay whole
         assert [p for s in unsplit for p in (
             split_guarded_nest(s) if isinstance(s, For) else [s])] == unsplit
-        assert len(program.body) == len(unsplit)
+        assert len(statements(program)) == len(unsplit)
         return
     op_of = {f"i{op.id}": op for op in g.ops}  # an emitter's outer index
     for nest in guarded:

@@ -225,16 +225,15 @@ def main(x, z) {
 
 
 def test_pattern7_gain_of_lms():
-    g2, stats = rewrite("""
-def main(x, d) {
-  var w = lmsFilter(x, d, 0.01, 4);
-  print(gain(w, 2.0));
-}
-""", {"x": 32, "d": 32})
+    src = "def main(x, d) { print(gain(lmsFilter(x, d, 0.01, 4), 2.0)); }"
+    g2, stats = rewrite(src, {"x": 32, "d": 32})
     assert OpCode.LMS_FILTER_GAIN_OPT in opcodes(g2)
     fused = next(op for op in g2.ops
                  if op.opcode is OpCode.LMS_FILTER_GAIN_OPT)
     assert fused.attr("g") == 2.0 and fused.attr("M") == 4
+    rng = random.Random(70)
+    assert_equivalent(src, {"x": 32, "d": 32},
+                      {"x": rand(rng, 32), "d": rand(rng, 32)})
 
 
 def test_pattern7_rejects_const_operand():
@@ -243,8 +242,8 @@ def test_pattern7_rejects_const_operand():
 
 
 def test_pattern7_rejects_shared_lms_result():
-    # the weights escape through a second print, so folding the gain into
-    # the recursion would change an observable value
+    # the weights escape through a second print, so the fused op, which
+    # scales them in place, would change an observable value
     g2, stats = rewrite("""
 def main(x, d) {
   var w = lmsFilter(x, d, 0.01, 4);
