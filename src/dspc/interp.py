@@ -1,10 +1,10 @@
 """Instrumented execution of loop programs.
 
-A program is compiled at its first use: `validate_program` bounds-checks each
-unit (the statements of one op) not yet checked, and each unit not yet
-rendered becomes a plain Python function.  A unit is shared by every
-program with an equal op (`lowering.op_unit`), so it is checked and
-rendered once, and its render products sit on the unit.  Each
+A program is compiled at its first use: each unit (the statements of one op)
+not yet rendered becomes a plain Python function, in one walk that also
+proves each of its buffer accesses in bounds, so no unit runs unchecked.  A
+unit is shared by every program with an equal op (`lowering.op_unit`), so it
+is checked and rendered once, and its render products sit on the unit.  Each
 statement becomes one Python statement and its expression trees one Python
 expression each, parenthesised only where the tree's association needs it.  A
 unit renders with local names and every literal lifted to a parameter, so
@@ -37,10 +37,10 @@ from typing import NamedTuple, Optional
 
 from .errors import DspcError
 from .kernels import Tensor
-from .loop_ir import (LEAVES, AffineExpr, Arith, Assign, Call, CheckFinite, ConstF,
-                      DynAppend, Expr, For, IfCmp, IndexF, IndexProdF, Load,
-                      LoopIrError, LoopProgram, Select, SelectGuard, Stmt,
-                      Store, TempRef, Unit, validate_program)
+from .loop_ir import (LEAVES, AffineExpr, Arith, Assign, Call, CheckFinite, Cond,
+                      ConstF, DynAppend, Expr, For, IfCmp, IndexF, IndexProdF,
+                      Load, LoopIrError, LoopProgram, OutOfBounds, SelectGuard,
+                      Stmt, Store, TempRef, Unit, affine_interval)
 
 
 class LoopRuntimeError(DspcError):
@@ -122,8 +122,31 @@ class _Rendered(NamedTuple):
     branches: tuple[tuple, ...]  # (key, cost) of one run of each counted branch body
 
 
+def _guarded(guard: SelectGuard, known: Optional[dict]) -> Optional[dict]:
+    """`known` (see `_Compiler`) in `guard`'s body.  A guard on a bare loop
+    index narrows its range, so any expression over it (e.g. a mirrored
+    store at N-1-k) inherits the constraint, and an empty narrowed range
+    means the body never runs.  Another guard gives its expression its range."""
+    expr, lo, hi = guard.expr, guard.lower, guard.upper - 1
+    if known is None:
+        return None
+    if not expr.const and [c for _, c in expr.terms] == [1]:
+        name = expr.terms[0][0]
+        a, b = known.get(name, (lo, hi))
+        lo, hi = max(a, lo), min(b, hi)
+        return {**known, name: (lo, hi)} if lo <= hi else None
+    return {**known, expr: (lo, hi)}
+
+
 class _Compiler:
-    """Translates one unit into one Python function.
+    """Checks one unit and translates it into one Python function.
+
+    The walk that renders a buffer access proves it in bounds.  It carries
+    `known`: the inclusive range of each enclosing loop index (by name) and
+    of each guarded index expression (by AffineExpr, from `_guarded`); an
+    access's index, over those ranges, must stay inside its buffer.  Code
+    that never runs, such as an empty loop's body, has `known` None and is
+    rendered but not checked.
 
     A block's cost per run is static: a Counter keyed by the `ExecCounters`
     fields `stores`, `mults`, `adds` and `trig_calls`, plus ("tag", t) per
@@ -164,22 +187,44 @@ class _Compiler:
         self.lits.append(value)
         return f"c{len(self.lits) - 1}"
 
-    def _message(self, template: str, buffer: str) -> str:
-        """A literal error message naming `buffer` where `template` has `{}`;
-        each call fills in its own buffer name."""
-        self.messages.append((len(self.lits), self.index[buffer]))
+    def _buffer(self, buffer: str) -> tuple[str, int]:
+        """The local name and unit slot of `buffer`; raises OutOfBounds on a
+        buffer the unit does not have."""
+        j = self.index.get(buffer)
+        if j is None:
+            raise OutOfBounds(buffer, "unknown buffer")
+        return self._name("b", buffer), j
+
+    def _message(self, template: str, j: int) -> str:
+        """A literal error message naming the unit's j-th buffer where
+        `template` has `{}`; each call fills in its own buffer name."""
+        self.messages.append((len(self.lits), j))
         return self._lit(template)
+
+    def _access(self, buffer: str, index: AffineExpr,
+                known: Optional[dict]) -> tuple[str, int]:
+        """Python for `buffer[index]` and the buffer's unit slot, the access
+        proved in bounds where `known` holds; raises OutOfBounds."""
+        b, j = self._buffer(buffer)
+        if known is not None:
+            lo, hi = known.get(index) or affine_interval(index, known)
+            cap = self.unit.buffers[j].capacity
+            if lo < 0 or hi >= cap:
+                raise OutOfBounds(buffer, f"index {index} spans [{lo}, {hi}] "
+                                  f"outside [0, {cap})")
+        return f"{b}[{self._affine(index)}]", j
 
     def _affine(self, a: AffineExpr) -> str:
         return a.source(lambda index: self._name("i", index), self._lit)
 
-    def _expr(self, e: Expr, cost: Counter, divisors: list[str],
+    def _expr(self, e: Expr, cost: Counter, divisors: list[str], known: Optional[dict],
               prec: int = 0) -> str:
         """Python for tree `e` in a context binding at least `prec` (0: the
-        whole right side, 1: `+`/`-` or a comparison operand, 2: `*`/`/`,
-        plus one on a right operand, since Arith is left-associative and
-        float arithmetic does not reassociate); adds `e`'s cost to `cost`
-        and each run-time-checked divisor to `divisors`."""
+        whole right side, 1: `+`/`-`, a comparison operand or a conditional's
+        arm, 2: `*`/`/`, plus one on a right operand, since Arith is
+        left-associative and float arithmetic does not reassociate); checks
+        its loads where `known` holds, adds `e`'s cost to `cost` and each
+        run-time-checked divisor to `divisors`."""
         if isinstance(e, TempRef):
             return self._name("t", e.name)
         if isinstance(e, ConstF):
@@ -189,12 +234,13 @@ class _Compiler:
         if isinstance(e, IndexProdF):
             return f"({self._name('i', e.a)}*{self._name('i', e.b)})"
         if isinstance(e, Load):
-            cost["load", self.index[e.buffer]] += 1
-            return f"{self._name('b', e.buffer)}[{self._affine(e.index)}]"
+            text, j = self._access(e.buffer, e.index, known)
+            cost["load", j] += 1
+            return text
         if isinstance(e, Arith):
             p = _PRECEDENCE[e.op]
-            lhs = self._expr(e.lhs, cost, divisors, p)
-            rhs = self._expr(e.rhs, cost, divisors, p + 1)
+            lhs = self._expr(e.lhs, cost, divisors, known, p)
+            rhs = self._expr(e.rhs, cost, divisors, known, p + 1)
             if e.op == "div" and not isinstance(e.rhs, ConstF):
                 if not isinstance(e.rhs, LEAVES):  # the check reads it again
                     raise LoopIrError(f"checked divisor is not a leaf: {e!r}")
@@ -202,8 +248,17 @@ class _Compiler:
             cost[_COST_OF_ARITH[e.op]] += 1
             text = f"{lhs} {ARITH_SYMBOLS[e.op]} {rhs}"
             return f"({text})" if p < prec else text
+        if isinstance(e, Cond):
+            arms: Counter = Counter()
+            t, f = (self._expr(v, arms, divisors, known, 1)
+                    for v in (e.if_true, e.if_false))
+            if arms:
+                raise LoopIrError(f"metered work in a conditional arm: {e!r}")
+            lhs, rhs = (self._expr(v, cost, divisors, known, 1) for v in (e.lhs, e.rhs))
+            text = f"{t} if {lhs} {CMP_SYMBOLS[e.cmp]} {rhs} else {f}"
+            return f"({text})" if prec else text
         if isinstance(e, Call):
-            a = self._expr(e.arg, cost, divisors)
+            a = self._expr(e.arg, cost, divisors, known)
             if e.fn in ("sin", "cos"):
                 cost["trig_calls"] += 1
                 return f"_{e.fn}({a})"
@@ -220,8 +275,8 @@ class _Compiler:
             raise LoopRuntimeError(f"unknown intrinsic {e.fn}")
         raise TypeError(f"not an expression: {e!r}")
 
-    def _block(self, stmts: list[Stmt], depth: int,
-               loop_stack: list[str]) -> tuple[list[str], Counter]:
+    def _block(self, stmts: list[Stmt], depth: int, loop_stack: list[str],
+               known: Optional[dict]) -> tuple[list[str], Counter]:
         pad = "    " * depth
         lines: list[str] = []
         cost: Counter = Counter()
@@ -229,7 +284,7 @@ class _Compiler:
         at = f" at element {{{loop_stack[-1]}}}" if loop_stack else ""
 
         def ex(e: Expr, prec: int = 0) -> str:
-            return self._expr(e, cost, divisors, prec)
+            return self._expr(e, cost, divisors, known, prec)
 
         def emit(line: str) -> None:
             """`line`, after a zero check of each divisor it reads."""
@@ -243,18 +298,9 @@ class _Compiler:
             if isinstance(stmt, Assign):
                 emit(f"{self._name('t', stmt.target.name)} = {ex(stmt.value)}")
             elif isinstance(stmt, Store):
-                emit(f"{self._name('b', stmt.buffer)}"
-                     f"[{self._affine(stmt.index)}] = {ex(stmt.source)}")
+                emit(f"{self._access(stmt.buffer, stmt.index, known)[0]} = "
+                     f"{ex(stmt.source)}")
                 cost["stores"] += 1
-            elif isinstance(stmt, Select):
-                arms: Counter = Counter()
-                t, f = (self._expr(v, arms, divisors, 1)
-                        for v in (stmt.if_true, stmt.if_false))
-                if arms:
-                    raise LoopIrError(f"metered work in a select arm: {stmt!r}")
-                emit(f"{self._name('t', stmt.target.name)} = {t} if "
-                     f"{ex(stmt.lhs, 1)} {CMP_SYMBOLS[stmt.cmp]} "
-                     f"{ex(stmt.rhs, 1)} else {f}")
             elif isinstance(stmt, (SelectGuard, IfCmp)):
                 if isinstance(stmt, SelectGuard):
                     emit(f"if {self._lit(stmt.lower)} <= {self._affine(stmt.expr)}"
@@ -262,44 +308,46 @@ class _Compiler:
                 else:
                     emit(f"if {ex(stmt.lhs, 1)} {CMP_SYMBOLS[stmt.cmp]} "
                          f"{ex(stmt.rhs, 1)}:")
-                lines.extend(self._branch(stmt.body, depth + 1, loop_stack))
+                inside = _guarded(stmt, known) if isinstance(stmt, SelectGuard) else known
+                lines.extend(self._branch(stmt.body, depth + 1, loop_stack, inside))
                 if stmt.orelse:
                     lines.append(f"{pad}else:")
-                    lines.extend(self._branch(stmt.orelse, depth + 1,
-                                              loop_stack))
+                    lines.extend(self._branch(stmt.orelse, depth + 1, loop_stack, known))
             elif isinstance(stmt, DynAppend):
-                cap = self.unit.buffers[self.index[stmt.buffer]].capacity
-                buf = self._name("b", stmt.buffer)
+                buf, j = self._buffer(stmt.buffer)
+                cap = self.unit.buffers[j].capacity
                 cur = self.cursors.setdefault(stmt.buffer, f"n_{buf}")
                 lines.append(f"{pad}if {cur} >= {self._lit(cap)}:")
-                message = self._message(f"buffer {{}} exceeded capacity {cap}",
-                                        stmt.buffer)
+                message = self._message(f"buffer {{}} exceeded capacity {cap}", j)
                 lines.append(f"{pad}    raise _Capacity({message})")
                 emit(f"{buf}[{cur}] = {ex(stmt.value)}")
                 lines.append(f"{pad}{cur} += 1")
                 cost["stores"] += 1
             elif isinstance(stmt, CheckFinite):
-                lines.append(f"{pad}for _v in {self._name('b', stmt.buffer)}:")
+                buf, j = self._buffer(stmt.buffer)
+                lines.append(f"{pad}for _v in {buf}:")
                 lines.append(f"{pad}    if not _isfinite(_v):")
-                message = self._message("non-finite value in {}", stmt.buffer)
+                message = self._message("non-finite value in {}", j)
                 lines.append(f"{pad}        raise _NonFinite({message})")
             elif isinstance(stmt, For):
                 i = self._name("i", stmt.index)
                 lines.append(f"{pad}for {i} in range({self._lit(stmt.lower)}, "
                              f"{self._lit(stmt.upper)}):  # {stmt.tag}")
-                body_lines, body_cost = self._block(
-                    stmt.body, depth + 1, loop_stack + [i])
-                body_cost["tag", stmt.tag] += 1
                 trip = max(0, stmt.upper - stmt.lower)
+                inside = (None if known is None or not trip else
+                          {**known, stmt.index: (stmt.lower, stmt.upper - 1)})
+                body_lines, body_cost = self._block(
+                    stmt.body, depth + 1, loop_stack + [i], inside)
+                body_cost["tag", stmt.tag] += 1
                 cost.update({k: v * trip for k, v in body_cost.items()})
                 lines.extend(body_lines or [f"{pad}    pass"])
             else:
                 raise LoopRuntimeError(f"unknown statement {stmt!r}")
         return lines, cost
 
-    def _branch(self, stmts: list[Stmt], depth: int,
-                loop_stack: list[str]) -> list[str]:
-        lines, cost = self._block(stmts, depth, loop_stack)
+    def _branch(self, stmts: list[Stmt], depth: int, loop_stack: list[str],
+                known: Optional[dict]) -> list[str]:
+        lines, cost = self._block(stmts, depth, loop_stack, known)
         if any(cost.values()):
             self.runs.append(f"r{len(self.runs)}")
             lines.append(f"{'    ' * depth}{self.runs[-1]} += 1")
@@ -307,9 +355,10 @@ class _Compiler:
         return lines or [f"{'    ' * depth}pass"]
 
     def render(self) -> _Rendered:
-        """The unit's function `_run`, its text interned so that the units of
-        many ops share it and its code compiled once per text (`UNIT_CODE`)."""
-        body, cost = self._block(self.unit.body, 1, [])
+        """The unit's function `_run`, its accesses proved in bounds before its
+        text is interned, so that the units of many ops share it, and its code
+        compiled once per text (`UNIT_CODE`)."""
+        body, cost = self._block(self.unit.body, 1, [], {})
         params = [*self.names["b"].values(), *(f"c{k}" for k in range(len(self.lits)))]
         zeroed = [*self.cursors.values(), *self.runs]
         if zeroed:
@@ -389,7 +438,6 @@ def _link(program: LoopProgram) -> _Linked:
 def _ensure_compiled(program: LoopProgram) -> _Linked:
     compiled = getattr(program, "_compiled", None)
     if compiled is None:
-        validate_program(program)
         compiled = program._compiled = _link(program)
     return compiled
 

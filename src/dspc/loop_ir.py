@@ -7,26 +7,27 @@ multiplies, adds, trig calls) is what the execution counters measure.
 
 A float operand is an expression tree (`Expr`): temporaries, constants and
 index values at the leaves, buffer loads, binary arithmetic and intrinsic
-calls above them.  A statement evaluates its trees in the association they
-are built with; `Assign` keeps a tree's value in a temporary, and `Store`,
-`Select`, `IfCmp` and `DynAppend` read trees directly.  All static accesses,
-loads inside trees included, are bounds-checked by `validate_program` before
-a program is first compiled; a negative or overflowing index is only legal
-inside a SelectGuard that establishes its range.
+calls and conditionals above them.  A statement evaluates its trees in the
+association they are built with; `Assign` keeps a tree's value in a
+temporary, and `Store`, `IfCmp` and `DynAppend` read trees directly.  Every
+static access, loads inside trees included, is proved in bounds by the walk
+that renders its unit (`interp`), before the unit is first compiled; a
+negative or overflowing index is only legal inside a SelectGuard that
+establishes its range.
 
 A program is its buffers and one call per op, `(label, unit, buffer names)`.
 A `Unit` is an op's statements over its own buffers, named as the op's
 canonical copy names them (operands ``v0..v<k-1>``, results from ``v<k>``);
 a call binds them, in order, to program buffers.  Units are shared: programs
-with an equal op hold the same unit object, which is bounds-checked once.
-A program's text form is its generated Python, `interp.compiled_source`: a
+with an equal op hold the same unit object, checked and rendered once.  A
+program's text form is its generated Python, `interp.compiled_source`: a
 function per distinct unit, a call per op.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Optional, Union
+from typing import Optional, Union
 
 from .errors import DspcError
 
@@ -87,10 +88,10 @@ class AffineExpr:
 
 # Expressions ----------------------------------------------------------------
 # A float-valued operand is an expression tree: temporaries, constants and
-# index values at the leaves; buffer loads, binary arithmetic and intrinsic
-# calls inside.  `a + b`, `a - b`, `a * b` and `a / b` on nodes build an
-# `Arith` tree with the association of the Python expression; a plain number
-# on either side becomes a `ConstF`.
+# index values at the leaves; buffer loads, binary arithmetic, intrinsic
+# calls and conditionals inside.  `a + b`, `a - b`, `a * b` and `a / b` on
+# nodes build an `Arith` tree with the association of the Python expression;
+# a plain number on either side becomes a `ConstF`.
 
 
 def _arith(op: str, swap: bool = False):
@@ -157,19 +158,20 @@ class Call(_ArithOps):
     arg: "Expr"
 
 
+@dataclass(frozen=True, slots=True)
+class Cond(_ArithOps):
+    """`if_true` if (lhs cmp rhs) else `if_false`; only the comparison may do
+    metered work, since the arm taken is data-dependent."""
+
+    cmp: str  # eq | ne | lt | le | gt | ge
+    lhs: "Expr"
+    rhs: "Expr"
+    if_true: "Expr"
+    if_false: "Expr"
+
+
 LEAVES = (TempRef, ConstF, IndexF, IndexProdF)
-Expr = Union[TempRef, ConstF, IndexF, IndexProdF, Load, Arith, Call]
-
-
-def loads_in(e: Expr) -> Iterator[Load]:
-    """Every buffer load in a tree."""
-    if isinstance(e, Load):
-        yield e
-    elif isinstance(e, Arith):
-        yield from loads_in(e.lhs)
-        yield from loads_in(e.rhs)
-    elif isinstance(e, Call):
-        yield from loads_in(e.arg)
+Expr = Union[TempRef, ConstF, IndexF, IndexProdF, Load, Arith, Call, Cond]
 
 
 # Statements -----------------------------------------------------------------
@@ -222,19 +224,6 @@ class IfCmp:
 
 
 @dataclass(slots=True)
-class Select:
-    """target = if_true if (lhs cmp rhs) else if_false; only the comparison
-    may do metered work, since the arm taken is data-dependent."""
-
-    target: TempRef
-    cmp: str
-    lhs: Expr
-    rhs: Expr
-    if_true: Expr
-    if_false: Expr
-
-
-@dataclass(slots=True)
 class DynAppend:
     buffer: str
     value: Expr
@@ -245,21 +234,7 @@ class CheckFinite:
     buffer: str
 
 
-Stmt = Union[For, Assign, Store, SelectGuard, IfCmp, Select, DynAppend,
-             CheckFinite]
-
-
-def operands(stmt: Stmt) -> tuple[Expr, ...]:
-    """The expression trees a statement evaluates (not its branch bodies)."""
-    if isinstance(stmt, (Assign, DynAppend)):
-        return (stmt.value,)
-    if isinstance(stmt, Store):
-        return (stmt.source,)
-    if isinstance(stmt, Select):
-        return (stmt.lhs, stmt.rhs, stmt.if_true, stmt.if_false)
-    if isinstance(stmt, IfCmp):
-        return (stmt.lhs, stmt.rhs)
-    return ()
+Stmt = Union[For, Assign, Store, SelectGuard, IfCmp, DynAppend, CheckFinite]
 
 
 @dataclass(frozen=True, slots=True)
@@ -272,13 +247,11 @@ class BufferDecl:
 
 @dataclass(eq=False)
 class Unit:
-    """The statements of one op over `buffers`, its parameters in call order;
-    `checked` once `validate_program` has proved its accesses in bounds.
+    """The statements of one op over `buffers`, its parameters in call order.
     Programs share units (and their statements), so none may be changed."""
 
     buffers: tuple[BufferDecl, ...]
     body: list[Stmt]
-    checked: bool = field(default=False, init=False, repr=False)
 
 
 # (label "%<id> <opcode>", unit, the program buffer bound to each unit buffer)
@@ -300,7 +273,7 @@ class LoopProgram:
         return [stmt for _, unit, _ in self.calls for stmt in unit.body]
 
 
-# Static validation ----------------------------------------------------------
+# Index ranges ---------------------------------------------------------------
 
 
 def affine_interval(expr: AffineExpr, ranges: dict[str, tuple[int, int]]
@@ -315,67 +288,3 @@ def affine_interval(expr: AffineExpr, ranges: dict[str, tuple[int, int]]
         lo += min(coeff * a, coeff * b)
         hi += max(coeff * a, coeff * b)
     return lo, hi
-
-
-def validate_program(program: LoopProgram) -> None:
-    """Prove every static buffer access of each unit not yet checked in
-    bounds; raises OutOfBounds.  `interp` runs this once per program, before
-    its first compile, so a unit shared by many programs is checked once."""
-    for _, unit, _ in program.calls:
-        if not unit.checked:
-            validate_unit(unit)
-
-
-def validate_unit(unit: Unit) -> None:
-    """Prove every static buffer access of `unit` in bounds against the
-    capacities of its buffers; raises OutOfBounds.
-
-    Accesses under a SelectGuard whose guarded expression matches the access
-    index are checked against the guard's range instead.
-    """
-    caps = {b.name: b.capacity for b in unit.buffers}
-
-    def check_block(stmts: Iterable[Stmt], ranges: dict[str, tuple[int, int]],
-                    guards: dict[AffineExpr, tuple[int, int]]) -> None:
-        for stmt in stmts:
-            if isinstance(stmt, DynAppend) and stmt.buffer not in caps:
-                raise OutOfBounds(stmt.buffer, "unknown buffer")
-            accesses = [load for e in operands(stmt) for load in loads_in(e)]
-            for a in accesses + ([stmt] if isinstance(stmt, Store) else []):
-                if a.buffer not in caps:
-                    raise OutOfBounds(a.buffer, "unknown buffer")
-                lo, hi = guards.get(a.index) or affine_interval(a.index, ranges)
-                if lo < 0 or hi >= caps[a.buffer]:
-                    raise OutOfBounds(
-                        a.buffer, f"index {a.index} spans [{lo}, {hi}] "
-                        f"outside [0, {caps[a.buffer]})")
-            if isinstance(stmt, For):
-                if stmt.upper <= stmt.lower:
-                    continue  # empty loop, body never executes
-                sub = dict(ranges)
-                sub[stmt.index] = (stmt.lower, stmt.upper - 1)
-                check_block(stmt.body, sub, guards)
-            elif isinstance(stmt, SelectGuard):
-                if (stmt.expr.const == 0 and len(stmt.expr.terms) == 1
-                        and stmt.expr.terms[0][1] == 1):
-                    # Guard on a bare loop index: narrow that index's range
-                    # so any expression over it (e.g. a mirrored store at
-                    # N-1-k) inherits the constraint.
-                    name = stmt.expr.terms[0][0]
-                    lo, hi = ranges.get(name, (stmt.lower, stmt.upper - 1))
-                    narrowed = (max(lo, stmt.lower), min(hi, stmt.upper - 1))
-                    if narrowed[0] <= narrowed[1]:
-                        sub_r = dict(ranges)
-                        sub_r[name] = narrowed
-                        check_block(stmt.body, sub_r, guards)
-                else:
-                    sub = dict(guards)
-                    sub[stmt.expr] = (stmt.lower, stmt.upper - 1)
-                    check_block(stmt.body, ranges, sub)
-                check_block(stmt.orelse, ranges, guards)
-            elif isinstance(stmt, IfCmp):
-                check_block(stmt.body, ranges, guards)
-                check_block(stmt.orelse, ranges, guards)
-
-    check_block(unit.body, {}, {})
-    unit.checked = True

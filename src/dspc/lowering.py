@@ -36,8 +36,8 @@ from typing import Optional
 from .errors import DspcError
 from .graph import DspGraph, OpNode
 from .loop_ir import (AffineExpr, Arith, Assign, BufferDecl, Call, CheckFinite,
-                      ConstF, DynAppend, Expr, For, IfCmp, IndexF, IndexProdF,
-                      Load, LoopProgram, Select, SelectGuard, Stmt, Store,
+                      Cond, ConstF, DynAppend, Expr, For, IfCmp, IndexF,
+                      IndexProdF, Load, LoopProgram, SelectGuard, Stmt, Store,
                       TempRef, Unit, UnitCall, affine_interval)
 from .ops import OP_DEFS, OpCode, TensorShape
 
@@ -421,13 +421,12 @@ def _e_sum(lw: _Lowerer, op: OpNode) -> None:
 def _e_threshold(lw: _Lowerer, op: OpNode) -> None:
     t = float(op.attr("t"))
     out = lw.buf(op.id)
-    tv, ts = lw.t(), lw.t()
+    tv = lw.t()
     lw.copy_loop(op, lambda i: _af(i), lw.length(op.id),
                  lambda i, x: [
                      Assign(tv, x),
-                     Select(ts, "ge", Call("abs", tv), ConstF(t),
-                            tv, ConstF(0.0)),
-                     Store(out, _af(i), ts),
+                     Store(out, _af(i),
+                           Cond("ge", Call("abs", tv), ConstF(t), tv, ConstF(0.0))),
                  ])
 
 
@@ -437,14 +436,14 @@ def _e_quantize(lw: _Lowerer, op: OpNode) -> None:
     hi = float(op.attr("max"))
     step = (hi - lo) / (levels - 1)
     out = lw.buf(op.id)
-    tv, tc1, tc2 = lw.t(), lw.t(), lw.t()
+    tv, tc = lw.t(), lw.t()  # tc: the lower clamp, read twice by the upper
+    clamped = Cond("gt", tc, ConstF(hi), ConstF(hi), tc)
     lw.copy_loop(op, lambda i: _af(i), lw.length(op.id),
                  lambda i, x: [
                      Assign(tv, x),
-                     Select(tc1, "lt", tv, ConstF(lo), ConstF(lo), tv),
-                     Select(tc2, "gt", tc1, ConstF(hi), ConstF(hi), tc1),
+                     Assign(tc, Cond("lt", tv, ConstF(lo), ConstF(lo), tv)),
                      Store(out, _af(i),
-                           lo + Call("floor", (tc2 - lo) / step + 0.5) * step),
+                           lo + Call("floor", (clamped - lo) / step + 0.5) * step),
                  ])
 
 
@@ -612,7 +611,7 @@ def split_guarded_nest(loop: For) -> list[For]:
     empty pieces are dropped.  Guards under a data-dependent `IfCmp` are
     left alone.  Tags, trip sums, the order of operations and so every
     counter and output are those of the unsplit loop; the interior's
-    unguarded accesses are proved in bounds by `validate_program`.
+    unguarded accesses are proved in bounds when `interp` renders the unit.
     """
     ranges = _inner_guard_ranges(loop.body, loop.index, {}, [])
     a = max([loop.lower] + [lo for lo, _ in ranges])
@@ -652,8 +651,8 @@ def op_unit(opcode: OpCode, attributes: tuple, spelled: tuple[str, ...],
 
 def lower_graph(graph: DspGraph) -> LoopProgram:
     """Lower every op to loop nests: declare its result buffers and call its
-    unit (`op_unit`) on them; `interp` checks the bounds before the first
-    compile."""
+    unit (`op_unit`) on them; `interp` checks each unit's bounds as it first
+    renders it."""
     lw = _Lowerer()
     calls: list[UnitCall] = []
     for op in graph.ops:

@@ -13,9 +13,9 @@ from dspc.interp import (CapacityExceeded, InputMismatch, LoopDivisionByZero,
                          NonFinite, compiled_source, counters_report,
                          evaluate_loop_ir, report_table)
 from dspc.kernels import tensor
-from dspc.loop_ir import (AffineExpr, BufferDecl, Call, ConstF, DynAppend, For,
-                          IndexF, Load, LoopIrError, LoopProgram, OutOfBounds,
-                          Select, Store, TempRef, Unit)
+from dspc.loop_ir import (AffineExpr, BufferDecl, Call, CheckFinite, Cond, ConstF,
+                          DynAppend, For, IndexF, Load, LoopIrError, LoopProgram,
+                          OutOfBounds, Store, TempRef, Unit)
 from dspc.lowering import lower_graph
 from dspc.rewriter import apply_dsp_patterns
 
@@ -105,37 +105,103 @@ def test_compiled_source_is_cached_and_readable():
     evaluate_loop_ir(p, {"x": tensor([1, 2, 3, 4])})  # reuses the cache
 
 
+def _count_renders(monkeypatch):
+    """The units `_Compiler.render` checks and renders, in order."""
+    from dspc import interp
+    rendered = []
+    render = interp._Compiler.render
+
+    def counted(compiler):
+        rendered.append(compiler.unit)
+        return render(compiler)
+
+    monkeypatch.setattr(interp._Compiler, "render", counted)
+    return rendered
+
+
+def _store_loop(n, tag="fill"):
+    """A hand-built program storing y[i] for i in [0, n); y holds 4."""
+    return one_unit([BufferDecl("y", 4)],
+                    [For("i", 0, n, [Store("y", AffineExpr.of("i"), ConstF(0.0))], tag)],
+                    inputs=[], outputs=[])
+
+
+_Y_SPANS_0_4 = r"^buffer 'y': index i spans \[0, 4\] outside \[0, 4\)$"
+
+
 def test_program_is_validated_once_before_its_first_compile(monkeypatch):
-    from dspc import interp, loop_ir, lowering
-    checked = []
-    validate = loop_ir.validate_program
-
-    def counted(program):
-        checked.append(id(program))
-        validate(program)
-
-    monkeypatch.setattr(loop_ir, "validate_program", counted)
-    monkeypatch.setattr(interp, "validate_program", counted)
-    assert not hasattr(lowering, "validate_program")
-    p = program_for("def main(x) { print(gain(x, 2.0)); }", {"x": 4})
-    assert checked == []  # lower_graph validates nothing
+    # the walk that renders a unit checks it: lower_graph checks nothing,
+    # the first compile checks each distinct unit once, a recompile nothing
+    from dspc import lowering
+    lowering.op_unit.cache_clear()
+    checked = _count_renders(monkeypatch)
+    source = "def main(x) { print(gain(x, 2.0)); print(square(gain(x, 2.0))); }"
+    p = program_for(source, {"x": 4})
+    assert checked == []
     evaluate_loop_ir(p, {"x": tensor([1, 2, 3, 4])})
     compiled_source(p)
-    assert checked == [id(p)]  # once, at the first compile
+    units = list(dict.fromkeys(unit for _, unit, _ in p.calls))
+    assert len(units) == 2 < len(p.calls) and checked == units
+    compiled_source(program_for(source, {"x": 4}))
+    assert checked == units
 
-    def store_loop(n):
-        return one_unit([BufferDecl("y", 4)],
-                        [For("i", 0, n, [Store("y", AffineExpr.of("i"), ConstF(0.0))],
-                             "fill")],
-                        inputs=[], outputs=[])
-
-    good, bad = store_loop(4), store_loop(5)  # built by hand
+    good, bad = _store_loop(4), _store_loop(5)  # built by hand, one text
     compiled_source(good)
     compiled_source(good)
-    assert checked == [id(p), id(good)]
-    with pytest.raises(OutOfBounds):
-        compiled_source(bad)
-    assert checked == [id(p), id(good), id(bad)]
+    assert checked[2:] == [good.calls[0][1]]
+    with pytest.raises(OutOfBounds, match=_Y_SPANS_0_4):
+        compiled_source(bad)  # its text is compiled already; it is checked
+    assert checked[2:] == [good.calls[0][1], bad.calls[0][1]]
+
+
+def test_out_of_bounds_unit_is_never_compiled(monkeypatch):
+    from dspc import interp
+    compiled = []
+
+    def counted(*args):
+        compiled.append(args[0])
+        return compile(*args)
+
+    monkeypatch.setattr(interp, "compile", counted, raising=False)
+    shapes = dict(interp.UNIT_CODE)
+    bad = _store_loop(5, tag=f"never_compiled_{len(shapes)}")
+    for _ in range(2):  # nothing is kept, so the second compile raises again
+        with pytest.raises(OutOfBounds, match=_Y_SPANS_0_4):
+            compiled_source(bad)
+    assert compiled == [] and interp.UNIT_CODE == shapes
+    assert not hasattr(bad.calls[0][1], "_rendered")
+
+
+_NOPE = AffineExpr.lit(0)
+
+
+@pytest.mark.parametrize("stmt", [
+    Store("y", _NOPE, Load("nope", _NOPE)),
+    Store("nope", _NOPE, ConstF(1.0)),
+    DynAppend("nope", ConstF(1.0)),
+    CheckFinite("nope"),
+    # code that never runs is not bounds-checked, but its buffers must exist
+    For("i", 0, 0, [Store("nope", AffineExpr.of("i"), ConstF(1.0))], "never"),
+], ids=["load", "store", "append", "check_finite", "empty_loop"])
+def test_unknown_buffer_is_out_of_bounds(stmt):
+    p = one_unit([BufferDecl("y", 1)], [stmt], inputs=[], outputs=[])
+    with pytest.raises(OutOfBounds, match="^buffer 'nope': unknown buffer$"):
+        compiled_source(p)
+
+
+def test_conditionals_are_stored_without_a_temporary():
+    # threshold stores its conditional; quantize keeps the lower clamp, read
+    # twice, and parenthesises the upper one as an operand
+    p = program_for("def main(x) { print(threshold(x, 0.5)); "
+                    "print(quantize(x, 4, 0.0, 3.0)); }", {"x": 4})
+    lines = compiled_source(p).splitlines()
+    assert "        b1[i0] = t0 if abs(t0) >= c3 else c2" in lines
+    assert ("        b1[i0] = c4 + _floor(((c5 if t1 > c6 else t1) - c7) / c8 + c9)"
+            " * c10") in lines
+    out, c = evaluate_loop_ir(p, {"x": tensor([0.25, -0.75, 2.5, 5.0])})
+    assert [t.values for t in out.values()] == [
+        (0.0, -0.75, 2.5, 5.0), (0.0, 0.0, 3.0, 3.0)]
+    assert (c.loads, c.stores, c.mults, c.adds) == (8, 8, 8, 12)
 
 
 def _corpus_programs(sizes_of=lambda app: app.default_sizes(), apps=None):
@@ -189,7 +255,8 @@ def test_recompiling_the_corpus_compiles_nothing(monkeypatch):
 
 
 def test_recompiling_the_corpus_lowers_validates_and_renders_nothing(monkeypatch):
-    from dspc import interp, loop_ir, lowering
+    # a unit is checked in the walk that renders it, so `render` counts both
+    from dspc import interp, lowering
     for p in _corpus_programs():
         compiled_source(p)
     work = []
@@ -202,8 +269,6 @@ def test_recompiling_the_corpus_lowers_validates_and_renders_nothing(monkeypatch
 
     monkeypatch.setattr(lowering._Lowerer, "emit",
                         counted("lower", lowering._Lowerer.emit))
-    monkeypatch.setattr(loop_ir, "validate_unit",
-                        counted("validate", loop_ir.validate_unit))
     monkeypatch.setattr(interp._Compiler, "render",
                         counted("render", interp._Compiler.render))
     misses = lowering.op_unit.cache_info().misses
@@ -212,12 +277,12 @@ def test_recompiling_the_corpus_lowers_validates_and_renders_nothing(monkeypatch
         compiled_source(p)
     assert work == [] and lowering.op_unit.cache_info().misses == misses
     assert sum(len(p.calls) for p in programs) == 86
-    # a new op is lowered, validated and rendered once
+    # a new op is lowered, then checked and rendered, once
     lowering.op_unit.cache_clear()
     for _ in range(2):
         compiled_source(program_for("def main(x) { print(gain(x, 2.25)); }",
                                     {"x": 5}))
-    assert work == ["lower", "validate", "render"]
+    assert work == ["lower", "render"]
 
 
 def _runaway_append(capacity):
@@ -253,9 +318,11 @@ def test_non_finite_message_names_each_program_buffer():
         assert str(exc.value) == f"non-finite value in {buf}"
 
 
-def test_hand_built_program_is_one_unit():
-    # one unlabelled call over every buffer: its call line has no label; a
-    # non-finite literal is written so that it reads back
+def test_hand_built_program_is_one_unit(monkeypatch):
+    # one unlabelled call over every buffer, checked and rendered once: its
+    # call line has no label; a non-finite literal is written so that it
+    # reads back
+    checked = _count_renders(monkeypatch)
     i = AffineExpr.of("i")
     p = one_unit(
         [BufferDecl("x", 3), BufferDecl("y", 3), BufferDecl("z", 1)],
@@ -264,7 +331,7 @@ def test_hand_built_program_is_one_unit():
         inputs=[("x", "x")], outputs=[(1, "y"), (2, "z")])
     out, c = evaluate_loop_ir(p, {"x": tensor([1.0, 2.0, 3.0])})
     (label, unit, names), = p.calls
-    assert (label, names, unit.checked) == ("", ("x", "y", "z"), True)
+    assert (label, names, checked) == ("", ("x", "y", "z"), [unit])
     assert out[1].values == (-math.inf,) * 3 and out[2].values == (3.0,)
     assert (c.loads, c.stores, c.adds, c.loop_iterations) == (4, 4, 3, 3)
     assert compiled_source(p).splitlines()[-5:] == [
@@ -273,6 +340,7 @@ def test_hand_built_program_is_one_unit():
         "        b0[i0] = b1[i0] + c2",
         "    b2[c3] = b1[c4]",
         "_run0(y, x, z, 0, 3, float('-inf'), 0, 2)"]
+    assert checked == [unit]
 
 
 def test_counter_hoisting_matches_naive_count():
@@ -315,10 +383,10 @@ def test_nested_tree_cost_is_counted_once_per_node():
     # a checked divisor and a sinc argument are read more than once
     (ConstF(1.0) / Load("x", AffineExpr.of("i")), ()),
     (Call("sinc_eval", Load("x", AffineExpr.of("i"))), ()),
-    # the arm a select takes is data-dependent, so it may not be metered
-    (TempRef("s"), (Select(TempRef("s"), "gt", ConstF(0.0), ConstF(1.0),
-                           Load("x", AffineExpr.of("i")), ConstF(0.0)),)),
-], ids=["divisor", "sinc_arg", "select_arm"])
+    # the arm a conditional takes is data-dependent, so it may not be metered
+    (Cond("gt", ConstF(0.0), ConstF(1.0), Load("x", AffineExpr.of("i")),
+          ConstF(0.0)), ()),
+], ids=["divisor", "sinc_arg", "cond_arm"])
 def test_tree_read_more_than_once_must_be_a_leaf(value, stmts):
     with pytest.raises(LoopIrError):
         compiled_source(_tree_program(value, *stmts))

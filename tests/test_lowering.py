@@ -14,7 +14,7 @@ from dspc.interp import compiled_source, evaluate_loop_ir
 from dspc.kernels import eval_graph, tensor
 from dspc.loop_ir import (AffineExpr, BufferDecl, For, IfCmp, Load,
                           LoopProgram, OutOfBounds, SelectGuard, Store, ConstF,
-                          Unit, validate_program)
+                          Unit)
 from dspc.lowering import (UNIT_MEMO_SIZE, _Lowerer, lower_graph, op_unit,
                            split_guarded_nest)
 from dspc.rewriter import apply_dsp_patterns
@@ -287,8 +287,9 @@ def test_validator_rejects_static_out_of_bounds():
     prog = one_unit([BufferDecl("y", 4)],
                     [For("i", 0, 5, [Store("y", i, ConstF(0.0))], "bad")],
                     inputs=[], outputs=[], returns=[])
-    with pytest.raises(OutOfBounds):
-        validate_program(prog)
+    with pytest.raises(OutOfBounds, match=r"^buffer 'y': index i spans \[0, 4\] "
+                       r"outside \[0, 4\)$"):
+        compiled_source(prog)
 
 
 def _nested_load_program(guarded):
@@ -302,9 +303,10 @@ def _nested_load_program(guarded):
 
 
 def test_validator_checks_loads_inside_trees():
-    with pytest.raises(OutOfBounds):
-        validate_program(_nested_load_program(guarded=False))
-    validate_program(_nested_load_program(guarded=True))
+    with pytest.raises(OutOfBounds, match=r"^buffer 'x': index i \+ 1 spans "
+                       r"\[1, 4\] outside \[0, 4\)$"):
+        compiled_source(_nested_load_program(guarded=False))
+    compiled_source(_nested_load_program(guarded=True))
 
 
 def test_validator_accepts_lowered_corpus():
@@ -314,9 +316,9 @@ def test_validator_accepts_lowered_corpus():
     for app in corpus.APPS:
         sizes = dict((k, min(v, 32)) for k, v in app.sizes)
         g = corpus.compile_source(app.source(sizes), app.input_lengths(sizes))
-        validate_program(lower_graph(g))
+        compiled_source(lower_graph(g))
         g2, _ = apply_dsp_patterns(g)
-        validate_program(lower_graph(g2))
+        compiled_source(lower_graph(g2))
 
 
 def _loop_tags(stmts):
@@ -469,7 +471,7 @@ def test_split_matches_unsplit_nest(name, expr, lengths, opt, opcode, pieces):
     rng = random.Random(name)
     g = compile_graph(_case_source(expr, lengths), lengths, opt=opt)
     split, unsplit = lower_graph(g), _unsplit(g)
-    validate_program(split)
+    compiled_source(split)
     op = next(op for op in g.ops if op.opcode.value == opcode)
     assert _call_pieces(split, op) == pieces
     inputs = {k: rand(rng, n) for k, n in lengths.items()}
@@ -508,9 +510,9 @@ def test_widened_interior_fails_validation():
         for wider in (replace(interior, lower=interior.lower - 1),
                       replace(interior, upper=interior.upper + 1)):
             with pytest.raises(OutOfBounds):
-                validate_program(one_unit(program.buffers, [wider],
+                compiled_source(one_unit(program.buffers, [wider],
                                           inputs=[], outputs=[]))
-        validate_program(one_unit(program.buffers, [interior], inputs=[], outputs=[]))
+        compiled_source(one_unit(program.buffers, [interior], inputs=[], outputs=[]))
         checked += 1
     assert checked >= 20
 
