@@ -8,7 +8,7 @@ trips.  The `dspc` console script exposes build/run/bench commands.
 
 from .errors import DspcError, UsageError
 from .frontend import parse_source, tokenize
-from .graph import build_graph, graph_to_text, infer_shapes, parse_graph_text, verify_graph
+from .graph import build_graph, graph_to_text, infer_shapes, verify_graph
 from .interp import evaluate_loop_ir
 from .kernels import Tensor, eval_graph, tensor
 from .lowering import lower_graph
@@ -29,7 +29,6 @@ __all__ = [
     "graph_to_text",
     "infer_shapes",
     "lower_graph",
-    "parse_graph_text",
     "parse_source",
     "tensor",
     "tokenize",

@@ -19,8 +19,8 @@ from .corpus import (BenchContext, CorpusApp, InputPlan, compile_source,
                      max_relative_deviation)
 from .errors import UsageError
 from .frontend import FrontendError, ast_to_text, parse_source, tokenize
-from .graph import (DspGraph, GraphBuildError, GraphTextError, ShapeMismatch,
-                    VerificationFailed, graph_to_text)
+from .graph import (DspGraph, GraphBuildError, ShapeMismatch, VerificationFailed,
+                    graph_to_text)
 from .interp import (LoopRuntimeError, NonFinite, compiled_source,
                      counters_report, evaluate_loop_ir, report_table)
 from .kernels import Tensor, tensor
@@ -150,7 +150,10 @@ def _parse_bindings(input_items: Sequence[str],
             raise UsageError(f"{path}: expected a non-empty JSON number array")
         if name in bindings:
             raise UsageError(f"input {name!r} bound twice")
-        bindings[name] = tensor(values)
+        try:
+            bindings[name] = tensor(values)
+        except OverflowError:
+            raise UsageError(f"{path}: an integer is too large for a float") from None
     for item in synth_items:
         name, n, seed = _parse_synth(item)
         if name in bindings:
@@ -360,9 +363,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except FrontendError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except (GraphBuildError, ShapeMismatch, GraphTextError,
-            VerificationFailed, RewriteError, LoopIrError,
-            LoweringUnsupported) as exc:
+    except (GraphBuildError, ShapeMismatch, VerificationFailed,
+            RewriteError, LoopIrError, LoweringUnsupported) as exc:
         print(f"verify error: {exc}", file=sys.stderr)
         return EXIT_VERIFY
     except LoopRuntimeError as exc:

@@ -15,8 +15,7 @@ from typing import Iterable, Mapping, Optional
 
 from . import frontend as fe
 from .errors import DspcError
-from .ops import (OP_DEFS, OPCODE_BY_NAME, OPDEF_BY_BUILTIN, AttrSpec, OpCode,
-                  ShapeMismatch, TensorShape)
+from .ops import OP_DEFS, OPDEF_BY_BUILTIN, AttrSpec, OpCode, ShapeMismatch, TensorShape
 
 ValueId = int
 
@@ -114,13 +113,6 @@ class UndefinedVariable(GraphBuildError):
 
 class BadAttribute(GraphBuildError):
     pass
-
-
-class GraphTextError(DspcError):
-    def __init__(self, line: int, column: int, message: str):
-        super().__init__(f"{line}:{column}: {message}")
-        self.line = line
-        self.column = column
 
 
 class VerificationFailed(DspcError):
@@ -425,174 +417,6 @@ def graph_to_text(graph: DspGraph) -> str:
         text += f" : {shapes}"
         lines.append(text)
     return "\n".join(lines) + "\n"
-
-
-class _LineScanner:
-    def __init__(self, text: str, line_no: int):
-        self.text = text
-        self.pos = 0
-        self.line_no = line_no
-
-    def error(self, message: str) -> GraphTextError:
-        return GraphTextError(self.line_no, self.pos + 1, message)
-
-    def skip_ws(self) -> None:
-        while self.pos < len(self.text) and self.text[self.pos] in " \t":
-            self.pos += 1
-
-    def take(self, literal: str) -> bool:
-        self.skip_ws()
-        if self.text.startswith(literal, self.pos):
-            self.pos += len(literal)
-            return True
-        return False
-
-    def expect(self, literal: str) -> None:
-        if not self.take(literal):
-            raise self.error(f"expected {literal!r}")
-
-    def ident(self) -> str:
-        self.skip_ws()
-        start = self.pos
-        while self.pos < len(self.text) and (self.text[self.pos].isalnum()
-                                             or self.text[self.pos] == "_"):
-            self.pos += 1
-        if self.pos == start:
-            raise self.error("expected an identifier")
-        return self.text[start:self.pos]
-
-    def value_id(self) -> ValueId:
-        self.expect("%")
-        start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdecimal():
-            self.pos += 1
-        if self.pos == start:
-            raise self.error("expected a value id")
-        return int(self.text[start:self.pos])
-
-    def number(self) -> float:
-        self.skip_ws()
-        start = self.pos
-        if self.pos < len(self.text) and self.text[self.pos] in "+-":
-            self.pos += 1
-        while self.pos < len(self.text) and (self.text[self.pos].isdecimal()
-                                             or self.text[self.pos] in ".eE+-"):
-            if self.text[self.pos] in "+-" and self.text[self.pos - 1] not in "eE":
-                break
-            self.pos += 1
-        token = self.text[start:self.pos]
-        try:
-            return float(token)
-        except ValueError:
-            raise self.error(f"bad number {token!r}") from None
-
-    def at_end(self) -> bool:
-        self.skip_ws()
-        return self.pos >= len(self.text)
-
-
-def _parse_attr_value(scanner: _LineScanner, spec: AttrSpec) -> object:
-    if spec.kind == "int":
-        v = scanner.number()
-        if v != int(v):
-            raise scanner.error(f"attribute {spec.name!r} must be an integer")
-        return int(v)
-    if spec.kind == "float":
-        return float(scanner.number())
-    if spec.kind == "float_list":
-        scanner.expect("[")
-        values = [scanner.number()]
-        while scanner.take(","):
-            values.append(scanner.number())
-        scanner.expect("]")
-        return tuple(float(v) for v in values)
-    if spec.kind == "str":
-        return scanner.ident()
-    raise AssertionError(spec.kind)
-
-
-def _parse_shape(scanner: _LineScanner) -> Optional[TensorShape]:
-    scanner.expect("tensor<")
-    if scanner.take("?>"):
-        return None
-    start = scanner.pos
-    while scanner.pos < len(scanner.text) and scanner.text[scanner.pos].isdecimal():
-        scanner.pos += 1
-    if scanner.pos == start:
-        raise scanner.error("expected a tensor length")
-    length = int(scanner.text[start:scanner.pos])
-    dynamic = scanner.take("?")
-    scanner.expect(">")
-    return TensorShape(length, dynamic=dynamic)
-
-
-def parse_graph_text(text: str) -> DspGraph:
-    """Parse the output of graph_to_text back into a DspGraph."""
-    graph = DspGraph()
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].rstrip()
-        if not line.strip():
-            continue
-        sc = _LineScanner(line, line_no)
-        if sc.take("print("):
-            vid = sc.value_id()
-            sc.expect(")")
-            graph.ops.append(OpNode(id=-1, opcode=OpCode.PRINT, operands=(vid,)))
-            continue
-        if sc.take("return"):
-            graph.ops.append(OpNode(id=-1, opcode=OpCode.RETURN, operands=(sc.value_id(),)))
-            continue
-        first = sc.value_id()
-        ids = [first]
-        while sc.take(","):
-            ids.append(sc.value_id())
-        sc.expect("=")
-        name = sc.ident()
-        opcode = OPCODE_BY_NAME.get(name)
-        if opcode is None or not OP_DEFS[opcode].n_results:
-            raise sc.error(f"unknown opcode {name!r}")
-        sig = OP_DEFS[opcode]
-        if len(ids) != sig.n_results:
-            raise sc.error(f"{name} defines {sig.n_results} result(s), line has {len(ids)}")
-        if ids != [first + i for i in range(len(ids))]:
-            raise sc.error("multi-result ids must be consecutive")
-        sc.expect("(")
-        operands: list[ValueId] = []
-        if not sc.take(")"):
-            operands.append(sc.value_id())
-            while sc.take(","):
-                operands.append(sc.value_id())
-            sc.expect(")")
-        raw_attrs: dict[str, object] = {}
-        if sc.take("{"):
-            while True:
-                attr_name = sc.ident()
-                sc.expect("=")
-                spec = next((s for s in sig.attrs if s.name == attr_name), None)
-                if spec is None:
-                    raise sc.error(f"{name} has no attribute {attr_name!r}")
-                raw_attrs[attr_name] = _parse_attr_value(sc, spec)
-                if sc.take("}"):
-                    break
-                sc.expect(",")
-        missing = [s.name for s in sig.attrs if s.name not in raw_attrs]
-        if missing:
-            raise sc.error(f"{name} missing attribute(s) {missing}")
-        shapes: list[Optional[TensorShape]] = []
-        if sc.take(":"):
-            shapes.append(_parse_shape(sc))
-            while sc.take(","):
-                shapes.append(_parse_shape(sc))
-        else:
-            shapes = [None] * sig.n_results
-        if len(shapes) != sig.n_results:
-            raise sc.error(f"{name} needs {sig.n_results} shape(s), line has {len(shapes)}")
-        if not sc.at_end():
-            raise sc.error("trailing text after op")
-        attributes = tuple(raw_attrs[s.name] for s in sig.attrs)
-        graph.ops.append(OpNode(id=first, opcode=opcode, operands=tuple(operands),
-                                attributes=attributes, result_shapes=tuple(shapes)))
-    return graph
 
 
 # --------------------------------------------------------------------------

@@ -123,16 +123,18 @@ class _Rendered(NamedTuple):
 
 
 def _guarded(guard: SelectGuard, known: Optional[dict]) -> Optional[dict]:
-    """`known` (see `_Compiler`) in `guard`'s body.  A guard on a bare loop
-    index narrows its range, so any expression over it (e.g. a mirrored
-    store at N-1-k) inherits the constraint, and an empty narrowed range
-    means the body never runs.  Another guard gives its expression its range."""
+    """`known` (see `_Compiler`) in `guard`'s body, once rendering the guard
+    has checked that each of its indices has an enclosing loop.  A guard on a
+    bare loop index narrows its range, so any expression over it (e.g. a
+    mirrored store at N-1-k) inherits the constraint, and an empty narrowed
+    range means the body never runs.  Another guard gives its expression its
+    range."""
     expr, lo, hi = guard.expr, guard.lower, guard.upper - 1
     if known is None:
         return None
     if not expr.const and [c for _, c in expr.terms] == [1]:
         name = expr.terms[0][0]
-        a, b = known.get(name, (lo, hi))
+        a, b = known[name]
         lo, hi = max(a, lo), min(b, hi)
         return {**known, name: (lo, hi)} if lo <= hi else None
     return {**known, expr: (lo, hi)}
@@ -144,7 +146,8 @@ class _Compiler:
     The walk that renders a buffer access proves it in bounds.  It carries
     `known`: the inclusive range of each enclosing loop index (by name) and
     of each guarded index expression (by AffineExpr, from `_guarded`); an
-    access's index, over those ranges, must stay inside its buffer.  Code
+    access's index, over those ranges, must stay inside its buffer, and each
+    index the unit reads must have an enclosing loop.  Code
     that never runs, such as an empty loop's body, has `known` None and is
     rendered but not checked.
 
@@ -212,10 +215,17 @@ class _Compiler:
             if lo < 0 or hi >= cap:
                 raise OutOfBounds(buffer, f"index {index} spans [{lo}, {hi}] "
                                   f"outside [0, {cap})")
-        return f"{b}[{self._affine(index)}]", j
+        return f"{b}[{self._affine(index, known)}]", j
 
-    def _affine(self, a: AffineExpr) -> str:
-        return a.source(lambda index: self._name("i", index), self._lit)
+    def _index(self, name: str, known: Optional[dict]) -> str:
+        """The local name of loop index `name`, bound by an enclosing loop
+        where `known` holds; raises LoopIrError."""
+        if known is not None and name not in known:
+            raise LoopIrError(f"index {name!r} used outside its loop")
+        return self._name("i", name)
+
+    def _affine(self, a: AffineExpr, known: Optional[dict]) -> str:
+        return a.source(lambda index: self._index(index, known), self._lit)
 
     def _expr(self, e: Expr, cost: Counter, divisors: list[str], known: Optional[dict],
               prec: int = 0) -> str:
@@ -230,9 +240,9 @@ class _Compiler:
         if isinstance(e, ConstF):
             return self._lit(e.value)
         if isinstance(e, IndexF):
-            return f"({self._affine(e.expr)})"
+            return f"({self._affine(e.expr, known)})"
         if isinstance(e, IndexProdF):
-            return f"({self._name('i', e.a)}*{self._name('i', e.b)})"
+            return f"({self._index(e.a, known)}*{self._index(e.b, known)})"
         if isinstance(e, Load):
             text, j = self._access(e.buffer, e.index, known)
             cost["load", j] += 1
@@ -272,8 +282,8 @@ class _Compiler:
                 return f"abs({a})"
             if e.fn == "floor":
                 return f"_floor({a})"
-            raise LoopRuntimeError(f"unknown intrinsic {e.fn}")
-        raise TypeError(f"not an expression: {e!r}")
+            raise LoopIrError(f"unknown intrinsic {e.fn}")
+        raise LoopIrError(f"unknown expression {e!r}")
 
     def _block(self, stmts: list[Stmt], depth: int, loop_stack: list[str],
                known: Optional[dict]) -> tuple[list[str], Counter]:
@@ -303,7 +313,7 @@ class _Compiler:
                 cost["stores"] += 1
             elif isinstance(stmt, (SelectGuard, IfCmp)):
                 if isinstance(stmt, SelectGuard):
-                    emit(f"if {self._lit(stmt.lower)} <= {self._affine(stmt.expr)}"
+                    emit(f"if {self._lit(stmt.lower)} <= {self._affine(stmt.expr, known)}"
                          f" < {self._lit(stmt.upper)}:")
                 else:
                     emit(f"if {ex(stmt.lhs, 1)} {CMP_SYMBOLS[stmt.cmp]} "
@@ -342,7 +352,7 @@ class _Compiler:
                 cost.update({k: v * trip for k, v in body_cost.items()})
                 lines.extend(body_lines or [f"{pad}    pass"])
             else:
-                raise LoopRuntimeError(f"unknown statement {stmt!r}")
+                raise LoopIrError(f"unknown statement {stmt!r}")
         return lines, cost
 
     def _branch(self, stmts: list[Stmt], depth: int, loop_stack: list[str],

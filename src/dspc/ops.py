@@ -6,10 +6,11 @@ types and legal ranges), result count, cross-attribute check and shape rule.
 It is the only record of an attribute's name and legal range: an op stores
 just its attribute values, in schema order, and ``graph.check_op`` is the one
 place that enforces the ranges.  The graph builder, shape inference, the
-verifier, the textual round trip and the rewriter all read this one record.
-The two other per-opcode facts live in one table each, next to the code they
-call: the reference kernel (``kernels.KERNELS``) and the loop-nest emitter
-(``lowering.EMITTERS``); both take a verified graph and check no attribute.
+verifier, the text form (``graph.graph_to_text``) and the rewriter all read
+this one record.  The two other per-opcode facts live in one table each,
+next to the code they call: the reference kernel (``kernels.KERNELS``) and
+the loop-nest emitter (``lowering.EMITTERS``); both take a verified graph and
+check no attribute.
 """
 
 from __future__ import annotations
@@ -285,4 +286,3 @@ OP_DEFS: dict[OpCode, OpDef] = {d.opcode: d for d in (
 )}
 
 OPDEF_BY_BUILTIN: dict[str, OpDef] = {d.builtin: d for d in OP_DEFS.values() if d.builtin}
-OPCODE_BY_NAME: dict[str, OpCode] = {op.value: op for op in OpCode}

@@ -21,6 +21,11 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def test_every_public_name_resolves():
+    import dspc
+    assert dspc.__all__ and all(hasattr(dspc, name) for name in dspc.__all__)
+
+
 def test_build_emit_tokens(capsys):
     code, out, _ = run_cli(capsys, "build", FILTER_DESIGN, "--emit=tokens")
     assert code == 0
@@ -145,6 +150,17 @@ def test_run_rejects_boolean_json_input(capsys, tmp_path, values):
     code, out, err = run_cli(capsys, "run", str(src), "--input", f"x={data}")
     assert code == 1
     assert "expected a non-empty JSON number array" in err
+    assert out == ""
+
+
+def test_run_rejects_json_integer_too_large_for_a_float(capsys, tmp_path):
+    data = tmp_path / "big.json"
+    data.write_text(f"[{'9' * 400}, 1]")
+    src = tmp_path / "p.dsp"
+    src.write_text("def main(x) { print(x); }\n")
+    code, out, err = run_cli(capsys, "run", str(src), "--input", f"x={data}")
+    assert code == 1
+    assert err == f"usage error: {data}: an integer is too large for a float\n"
     assert out == ""
 
 

@@ -14,8 +14,8 @@ from dspc.interp import (CapacityExceeded, InputMismatch, LoopDivisionByZero,
                          evaluate_loop_ir, report_table)
 from dspc.kernels import tensor
 from dspc.loop_ir import (AffineExpr, BufferDecl, Call, CheckFinite, Cond, ConstF,
-                          DynAppend, For, IndexF, Load, LoopIrError, LoopProgram,
-                          OutOfBounds, Store, TempRef, Unit)
+                          DynAppend, For, IndexF, IndexProdF, Load, LoopIrError,
+                          LoopProgram, OutOfBounds, SelectGuard, Store, TempRef, Unit)
 from dspc.lowering import lower_graph
 from dspc.rewriter import apply_dsp_patterns
 
@@ -186,6 +186,33 @@ _NOPE = AffineExpr.lit(0)
 def test_unknown_buffer_is_out_of_bounds(stmt):
     p = one_unit([BufferDecl("y", 1)], [stmt], inputs=[], outputs=[])
     with pytest.raises(OutOfBounds, match="^buffer 'nope': unknown buffer$"):
+        compiled_source(p)
+
+
+_STORE_0 = Store("y", _NOPE, ConstF(1.0))
+
+
+@pytest.mark.parametrize("stmt", [
+    SelectGuard(AffineExpr.of("k"), 0, 4, [_STORE_0]),
+    SelectGuard(AffineExpr.of("k", 2), 0, 4, [_STORE_0]),
+    For("i", 0, 1, [Store("y", AffineExpr.of("i"), IndexF(AffineExpr.of("k")))], "f"),
+    For("i", 0, 1, [Store("y", AffineExpr.of("i"), IndexProdF("i", "k"))], "f"),
+], ids=["guard_bare", "guard_expr", "index_value", "index_product"])
+def test_index_without_a_loop_is_rejected_before_it_runs(stmt):
+    # `k` has no enclosing loop; the generated code would raise NameError
+    p = one_unit([BufferDecl("y", 1)], [stmt], inputs=[], outputs=[])
+    with pytest.raises(LoopIrError, match="^index 'k' used outside its loop$"):
+        compiled_source(p)
+
+
+@pytest.mark.parametrize("stmt", [
+    Store("y", _NOPE, Call("tanh", ConstF(1.0))),
+    ConstF(1.0),
+    Store("y", _NOPE, "t0"),
+], ids=["intrinsic", "statement", "expression"])
+def test_unknown_ir_node_is_a_static_fault(stmt):
+    p = one_unit([BufferDecl("y", 1)], [stmt], inputs=[], outputs=[])
+    with pytest.raises(LoopIrError, match="^unknown (intrinsic|statement|expression) "):
         compiled_source(p)
 
 

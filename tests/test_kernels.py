@@ -251,8 +251,10 @@ def test_dft_fused_matches_unfused():
 
 
 def test_eval_graph_const_print():
-    from dspc.graph import parse_graph_text
-    g = parse_graph_text("%0 = const_tensor() {values=[1, 2, 3]} : tensor<3>\nprint(%0)\n")
+    from dspc.frontend import parse_source
+    from dspc.graph import build_graph, infer_shapes
+    g = infer_shapes(build_graph(parse_source("def main() { print([1, 2, 3]); }")))
+    assert g.prints == [0]
     out = K.eval_graph(g, {})
     assert out[0].values == (1.0, 2.0, 3.0)
 
