@@ -243,6 +243,29 @@ def test_golden_loop_text_and_generated_source():
             == GOLDEN.with_suffix(".py.txt").read_text())
 
 
+GOLDEN_CORPUS = GOLDEN.with_name("golden_corpus_loop.py.txt")
+
+
+def corpus_loop_text():
+    """The generated Python of every corpus app at default sizes on both
+    routes, one `## <app>/<route>` section each."""
+    from dspc import corpus
+    sections = []
+    for app in corpus.APPS:
+        sizes = app.default_sizes()
+        g = corpus.compile_source(app.source(sizes), app.input_lengths(sizes))
+        for route, graph in (("none", g), ("dsp", apply_dsp_patterns(g)[0])):
+            sections.append(f"## {app.name}/{route}\n"
+                            f"{compiled_source(lower_graph(graph))}\n")
+    return "".join(sections)
+
+
+def test_golden_corpus_loop_text():
+    # pins the loop text of all 14 corpus programs: every split, every
+    # guard kept or dropped, every literal
+    assert corpus_loop_text() == GOLDEN_CORPUS.read_text()
+
+
 @pytest.mark.parametrize("opt", [False, True], ids=["none", "dsp"])
 @pytest.mark.parametrize("name", ["LowPassFiltering", "AudioEqualizer"])
 def test_every_counted_tag_is_a_for_line_comment(name, opt):
