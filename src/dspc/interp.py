@@ -2,7 +2,10 @@
 
 A program is compiled at its first use: each unit (the statements of one op)
 not yet rendered becomes a plain Python function, in one walk that also
-proves each of its buffer accesses in bounds, so no unit runs unchecked.  A
+proves each of its buffer accesses in bounds, so no unit runs unchecked.  The
+same walk decides every boundary guard: it cuts each outermost loop nest into
+a guarded prologue, a guard-free interior and a guarded epilogue (index-set
+splitting), and renders a guard it proves true as its bare body.  A
 unit is shared by every program with an equal op (`lowering.op_unit`), so it
 is checked and rendered once, and its render products sit on the unit.  Each
 statement becomes one Python statement and its expression trees one Python
@@ -40,7 +43,7 @@ from .kernels import Tensor
 from .loop_ir import (LEAVES, AffineExpr, Arith, Assign, Call, CheckFinite, Cond,
                       ConstF, DynAppend, Expr, For, IfCmp, IndexF, IndexProdF,
                       Load, LoopIrError, LoopProgram, OutOfBounds, SelectGuard,
-                      Stmt, Store, TempRef, Unit, affine_interval)
+                      Stmt, Store, TempRef, Unit)
 
 
 class LoopRuntimeError(DspcError):
@@ -122,6 +125,65 @@ class _Rendered(NamedTuple):
     branches: tuple[tuple, ...]  # (key, cost) of one run of each counted branch body
 
 
+def affine_interval(expr: AffineExpr, ranges: dict) -> tuple[int, int]:
+    """The inclusive range of `expr`: its own in `ranges` (a guarded
+    expression's), else over the inclusive range of each of its indices in
+    `ranges`; raises LoopIrError on an index that has none."""
+    if expr in ranges:
+        return ranges[expr]
+    lo = hi = expr.const
+    for name, coeff in expr.terms:
+        if name not in ranges:
+            raise LoopIrError(f"index {name!r} used outside its loop")
+        a, b = ranges[name]
+        lo += min(coeff * a, coeff * b)
+        hi += max(coeff * a, coeff * b)
+    return lo, hi
+
+
+def _pieces(loop: For) -> list[tuple[int, int]]:
+    """Index-set splitting of an outermost loop: the bounds of its guarded
+    prologue, guard-free interior and guarded epilogue, empty ones dropped,
+    or of the whole loop.  The interior is the range of the loop's index
+    where every boundary guard under an inner loop holds for all inner index
+    values, of each guard whose expression has coefficient +-1 on that index
+    and no index but it and the inner ones; the loop is cut only where the
+    interior covers at least half of it.  Guards under a data-dependent
+    `IfCmp` are left alone.  The walk that renders the interior proves its
+    guards and drops them."""
+    a, b, cut = loop.lower, loop.upper, False
+
+    def walk(stmts: list[Stmt], inner: dict) -> None:
+        nonlocal a, b, cut
+        for s in stmts:
+            if isinstance(s, For) and s.upper > s.lower:  # an empty loop never runs
+                walk(s.body, {**inner, s.index: (s.lower, s.upper - 1)})
+            elif isinstance(s, SelectGuard):
+                coeff = dict(s.expr.terms).get(loop.index)
+                if inner and coeff in (1, -1) and all(
+                        n == loop.index or n in inner for n, _ in s.expr.terms):
+                    # the range of the expression without its loop.index term
+                    lo, hi = affine_interval(s.expr, {**inner, loop.index: (0, 0)})
+                    held = ((s.lower - lo, s.upper - hi) if coeff == 1
+                            else (hi - s.upper + 1, lo - s.lower + 1))
+                    a, b, cut = max(a, held[0]), min(b, held[1]), True
+                walk(s.body, inner)
+                walk(s.orelse, inner)
+
+    walk(loop.body, {})
+    if not cut or b <= a or 2 * (b - a) < loop.upper - loop.lower:
+        return [(loop.lower, loop.upper)]
+    return [(p, q) for p, q in ((loop.lower, a), (a, b), (b, loop.upper)) if q > p]
+
+
+def _holds(guard: SelectGuard, known: Optional[dict]) -> bool:
+    """Whether `guard` is proved true wherever `known` (see `_Compiler`) holds."""
+    if known is None:
+        return False
+    lo, hi = affine_interval(guard.expr, known)
+    return guard.lower <= lo and hi < guard.upper
+
+
 def _guarded(guard: SelectGuard, known: Optional[dict]) -> Optional[dict]:
     """`known` (see `_Compiler`) in `guard`'s body, once rendering the guard
     has checked that each of its indices has an enclosing loop.  A guard on a
@@ -149,7 +211,9 @@ class _Compiler:
     access's index, over those ranges, must stay inside its buffer, and each
     index the unit reads must have an enclosing loop.  Code
     that never runs, such as an empty loop's body, has `known` None and is
-    rendered but not checked.
+    rendered but not checked.  The walk cuts each of the unit's own loops
+    into the pieces of `_pieces`, and a SelectGuard whose expression stays
+    in its bounds wherever `known` holds renders as its body.
 
     A block's cost per run is static: a Counter keyed by the `ExecCounters`
     fields `stores`, `mults`, `adds` and `trig_calls`, plus ("tag", t) per
@@ -210,7 +274,7 @@ class _Compiler:
         proved in bounds where `known` holds; raises OutOfBounds."""
         b, j = self._buffer(buffer)
         if known is not None:
-            lo, hi = known.get(index) or affine_interval(index, known)
+            lo, hi = affine_interval(index, known)
             cap = self.unit.buffers[j].capacity
             if lo < 0 or hi >= cap:
                 raise OutOfBounds(buffer, f"index {index} spans [{lo}, {hi}] "
@@ -311,6 +375,10 @@ class _Compiler:
                 emit(f"{self._access(stmt.buffer, stmt.index, known)[0]} = "
                      f"{ex(stmt.source)}")
                 cost["stores"] += 1
+            elif isinstance(stmt, SelectGuard) and _holds(stmt, known):
+                body_lines, body_cost = self._block(stmt.body, depth, loop_stack, known)
+                lines.extend(body_lines)
+                cost.update(body_cost)
             elif isinstance(stmt, (SelectGuard, IfCmp)):
                 if isinstance(stmt, SelectGuard):
                     emit(f"if {self._lit(stmt.lower)} <= {self._affine(stmt.expr, known)}"
@@ -341,16 +409,18 @@ class _Compiler:
                 lines.append(f"{pad}        raise _NonFinite({message})")
             elif isinstance(stmt, For):
                 i = self._name("i", stmt.index)
-                lines.append(f"{pad}for {i} in range({self._lit(stmt.lower)}, "
-                             f"{self._lit(stmt.upper)}):  # {stmt.tag}")
-                trip = max(0, stmt.upper - stmt.lower)
-                inside = (None if known is None or not trip else
-                          {**known, stmt.index: (stmt.lower, stmt.upper - 1)})
-                body_lines, body_cost = self._block(
-                    stmt.body, depth + 1, loop_stack + [i], inside)
-                body_cost["tag", stmt.tag] += 1
-                cost.update({k: v * trip for k, v in body_cost.items()})
-                lines.extend(body_lines or [f"{pad}    pass"])
+                for lower, upper in (_pieces(stmt) if depth == 1
+                                     else [(stmt.lower, stmt.upper)]):
+                    lines.append(f"{pad}for {i} in range({self._lit(lower)}, "
+                                 f"{self._lit(upper)}):  # {stmt.tag}")
+                    trip = max(0, upper - lower)
+                    inside = (None if known is None or not trip else
+                              {**known, stmt.index: (lower, upper - 1)})
+                    body_lines, body_cost = self._block(
+                        stmt.body, depth + 1, loop_stack + [i], inside)
+                    body_cost["tag", stmt.tag] += 1
+                    cost.update({k: v * trip for k, v in body_cost.items()})
+                    lines.extend(body_lines or [f"{pad}    pass"])
             else:
                 raise LoopIrError(f"unknown statement {stmt!r}")
         return lines, cost

@@ -13,7 +13,9 @@ temporary, and `Store`, `IfCmp` and `DynAppend` read trees directly.  Every
 static access, loads inside trees included, is proved in bounds by the walk
 that renders its unit (`interp`), before the unit is first compiled; a
 negative or overflowing index is only legal inside a SelectGuard that
-establishes its range.
+establishes its range.  The same walk decides where each guard holds, so the
+IR keeps every guard as emitted: it splits guard-free interiors off a nest
+and drops each guard it proves true only in the text it renders.
 
 A program is its buffers and one call per op, `(label, unit, buffer names)`.
 A `Unit` is an op's statements over its own buffers, named as the op's
@@ -268,23 +270,7 @@ class LoopProgram:
 
     @property
     def body(self) -> list[Stmt]:
-        """The statements of every call's unit, in call order (the statement
-        count `perfbench/run.py` reports reads them)."""
+        """The statements of every call's unit as emitted, unsplit, in call
+        order (the statement count `perfbench/run.py` reports reads them)."""
         return [stmt for _, unit, _ in self.calls for stmt in unit.body]
 
-
-# Index ranges ---------------------------------------------------------------
-
-
-def affine_interval(expr: AffineExpr, ranges: dict[str, tuple[int, int]]
-                    ) -> tuple[int, int]:
-    """The inclusive range of `expr` with each index in its inclusive range
-    in `ranges`; raises LoopIrError on an index that has none."""
-    lo = hi = expr.const
-    for name, coeff in expr.terms:
-        if name not in ranges:
-            raise LoopIrError(f"index {name!r} used outside its loop")
-        a, b = ranges[name]
-        lo += min(coeff * a, coeff * b)
-        hi += max(coeff * a, coeff * b)
-    return lo, hi

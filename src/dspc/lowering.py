@@ -10,10 +10,10 @@ crosses a guard boundary, and a non-constant divisor (the run-time zero
 check reads it first).  Cost-model conventions baked in here:
 
 * filter taps are loaded unconditionally in the inner loop; only the signal
-  load and the accumulate sit behind the boundary guard, and only outside a
-  nest's interior: emitters build the guarded nest and `split_guarded_nest`
-  peels off the outer range where every guard holds, so the interior runs
-  guard-free and its guarded work is static cost,
+  load and the accumulate sit behind the boundary guard.  Emitters build only
+  the guarded nest: the walk that renders it (`interp`) cuts off the outer
+  range where every guard holds and renders that interior guard-free, so its
+  guarded work is static cost,
 * transform phase angles are ``c * (k*n)`` with ``c = 2*pi/N`` folded at
   lowering time, so one multiply per inner iteration buys the angle,
 * mirrored producers (symmetric taps, conjugate-symmetric spectra) compute
@@ -38,7 +38,7 @@ from .graph import DspGraph, OpNode
 from .loop_ir import (AffineExpr, Arith, Assign, BufferDecl, Call, CheckFinite,
                       Cond, ConstF, DynAppend, Expr, For, IfCmp, IndexF,
                       IndexProdF, Load, LoopProgram, SelectGuard, Stmt, Store,
-                      TempRef, Unit, UnitCall, affine_interval)
+                      TempRef, Unit, UnitCall)
 from .ops import OP_DEFS, OpCode, TensorShape
 
 
@@ -539,92 +539,6 @@ EMITTERS = {
 }
 
 
-# -- index-set splitting -----------------------------------------------------
-# `inner` maps each enclosing inner loop's index to its inclusive value range.
-
-
-def _holds_for(guard: SelectGuard, index: str,
-               inner: dict[str, tuple[int, int]]) -> Optional[tuple[int, int]]:
-    """The half-open range of `index` over which `guard` holds for every value
-    of the inner indices, or None unless its expression has coefficient +-1
-    on `index` and no index but `index` and the inner ones."""
-    coeff = dict(guard.expr.terms).get(index)
-    if coeff not in (1, -1) or any(n != index and n not in inner for n, _ in guard.expr.terms):
-        return None
-    # the range of the expression without its `index` term
-    lo, hi = affine_interval(guard.expr, {**inner, index: (0, 0)})
-    if coeff == 1:
-        return guard.lower - lo, guard.upper - hi
-    return hi - guard.upper + 1, lo - guard.lower + 1
-
-
-def _inner_guard_ranges(stmts: list[Stmt], index: str,
-                        inner: dict[str, tuple[int, int]],
-                        out: list[tuple[int, int]]) -> list[tuple[int, int]]:
-    """Append to `out` the ranges of `index` on which each guard under an
-    inner loop holds throughout."""
-    for s in stmts:
-        if isinstance(s, For):
-            if s.upper > s.lower:  # an empty loop's guards never run
-                _inner_guard_ranges(s.body, index,
-                                    {**inner, s.index: (s.lower, s.upper - 1)},
-                                    out)
-        elif isinstance(s, SelectGuard):
-            held = _holds_for(s, index, inner) if inner else None
-            if held is not None:
-                out.append(held)
-            _inner_guard_ranges(s.body, index, inner, out)
-            _inner_guard_ranges(s.orelse, index, inner, out)
-    return out
-
-
-def _unguarded(stmts: list[Stmt], index: str,
-               inner: dict[str, tuple[int, int]], a: int, b: int) -> list[Stmt]:
-    """`stmts` for `index` in [a, b): every guard over `index` that holds on
-    all of it is replaced by its body."""
-    out: list[Stmt] = []
-    for s in stmts:
-        if isinstance(s, For) and s.upper > s.lower:
-            sub = {**inner, s.index: (s.lower, s.upper - 1)}
-            out.append(For(s.index, s.lower, s.upper,
-                           _unguarded(s.body, index, sub, a, b), s.tag))
-        elif isinstance(s, SelectGuard):
-            body = _unguarded(s.body, index, inner, a, b)
-            held = _holds_for(s, index, inner)
-            if held is not None and held[0] <= a and b <= held[1]:
-                out += body
-            else:
-                out.append(SelectGuard(s.expr, s.lower, s.upper, body,
-                                       _unguarded(s.orelse, index, inner, a, b)))
-        else:
-            out.append(s)
-    return out
-
-
-def split_guarded_nest(loop: For) -> list[For]:
-    """Index-set splitting of one top-level loop nest.
-
-    The interior [a, b) is where every boundary guard under an inner loop
-    holds for all inner index values.  When it covers at least half of the
-    loop, the loop becomes a guarded prologue [lower, a), a guard-free
-    interior and a guarded epilogue [b, upper), all with the loop's tag, and
-    empty pieces are dropped.  Guards under a data-dependent `IfCmp` are
-    left alone.  Tags, trip sums, the order of operations and so every
-    counter and output are those of the unsplit loop; the interior's
-    unguarded accesses are proved in bounds when `interp` renders the unit.
-    """
-    ranges = _inner_guard_ranges(loop.body, loop.index, {}, [])
-    a = max([loop.lower] + [lo for lo, _ in ranges])
-    b = min([loop.upper] + [hi for _, hi in ranges])
-    if not ranges or b <= a or 2 * (b - a) < loop.upper - loop.lower:
-        return [loop]
-    i, tag = loop.index, loop.tag
-    pieces = [For(i, loop.lower, a, loop.body, tag),
-              For(i, a, b, _unguarded(loop.body, i, {}, a, b), tag),
-              For(i, b, loop.upper, loop.body, tag)]
-    return [p for p in pieces if p.upper > p.lower]
-
-
 # Distinct ops whose units `op_unit` keeps, least recently used first out;
 # an entry holds an op's statements and render products, about 4 KB.
 UNIT_MEMO_SIZE = 256
@@ -638,15 +552,13 @@ def op_unit(opcode: OpCode, attributes: tuple, spelled: tuple[str, ...],
     and these operands: `operands` numbers each operand by the first slot that
     reads the same value, and `shapes` holds the shape of each distinct
     operand, then of each result.  Lowers the op's canonical copy, whose
-    operands are inputs, and splits its guard-free interiors off."""
+    operands are inputs, as its emitter builds it."""
     k = len(shapes) - OP_DEFS[opcode].n_results
     lw = _Lowerer()
     for vid, shape in enumerate(shapes[:k]):
         lw.declare(OpNode(vid, OpCode.INPUT, result_shapes=(shape,)))
     lw.emit(OpNode(k, opcode, operands, attributes, shapes[k:]))
-    return Unit(tuple(lw.buffers),
-                [piece for stmt in lw.body for piece in
-                 (split_guarded_nest(stmt) if isinstance(stmt, For) else [stmt])])
+    return Unit(tuple(lw.buffers), lw.body)
 
 
 def lower_graph(graph: DspGraph) -> LoopProgram:

@@ -2,7 +2,10 @@
 and trip/operation counts must match loop-bound arithmetic.
 """
 
+import ast
+import itertools
 import random
+import re
 from dataclasses import replace
 from pathlib import Path
 
@@ -15,8 +18,7 @@ from dspc.kernels import eval_graph, tensor
 from dspc.loop_ir import (AffineExpr, BufferDecl, For, IfCmp, Load,
                           LoopProgram, OutOfBounds, SelectGuard, Store, ConstF,
                           Unit)
-from dspc.lowering import (UNIT_MEMO_SIZE, _Lowerer, lower_graph, op_unit,
-                           split_guarded_nest)
+from dspc.lowering import UNIT_MEMO_SIZE, lower_graph, op_unit
 from dspc.rewriter import apply_dsp_patterns
 
 
@@ -390,17 +392,80 @@ def test_loop_tags_name_an_opcode_of_the_graph():
 
 
 # --------------------------------------------------------------------------
-# index-set splitting of guarded nests
+# index-set splitting of guarded nests, in the walk that renders a unit
+
+# a boundary guard's line: `if <lower> <= <index expression> < <upper>:`
+GUARD = re.compile(r"^\s+if (-?\d+) <= (.+) < (-?\d+):$", re.M)
 
 
-def _unsplit(g):
-    """The program as the emitters build it, before any nest is split."""
-    lw = _Lowerer()
-    for op in g.ops:
-        lw.emit(op)
-    return one_unit(lw.buffers, lw.body, inputs=lw.inputs,
-                    outputs=[(vid, lw.buf(vid)) for vid in g.prints],
-                    returns=[(vid, lw.buf(vid)) for vid in g.returns])
+def _call_text(program, k):
+    """The `_run` function of the program's k-th call as its text form shows
+    it, each literal parameter spelled as the call's value."""
+    lines = compiled_source(program).splitlines()
+    call = [line for line in lines if line.startswith("_run")][k]
+    name = call.split("(", 1)[0]
+    header = next(j for j, line in enumerate(lines) if line.startswith(f"def {name}("))
+    params = lines[header][len(f"def {name}("):-2].split(", ")
+    args = ast.parse(call.split("  # ")[0]).body[0].value.args
+    value = dict(zip(params, map(ast.unparse, args)))
+    body = itertools.takewhile(lambda line: line.startswith("    "), lines[header + 1:])
+    return "\n".join(re.sub(r"\bc\d+\b", lambda m: value[m[0]], line) for line in body)
+
+
+def _text_pieces(text):
+    """(lower, upper, guarded) of each outermost loop over the index of the
+    first one in a unit's text; a loop is guarded if a boundary guard in it
+    reads that index."""
+    pieces, index, inside = [], None, False
+    for line in text.splitlines():
+        loop = re.match(r"    for (\w+) in range\((-?\d+), (-?\d+)\):", line)
+        if loop:
+            index = index or loop[1]
+            inside = loop[1] == index
+            if inside:
+                pieces.append([int(loop[2]), int(loop[3]), False])
+        elif not line.startswith("     "):
+            inside = False
+        elif inside and (g := GUARD.match(line)) and re.search(rf"\b{index}\b", g[2]):
+            pieces[-1][2] = True
+    return [tuple(p) for p in pieces]
+
+
+def _call_pieces(program, op):
+    """`_text_pieces` of the unit that the call of `op` renders to."""
+    (k,) = [k for k, (label, _, _) in enumerate(program.calls)
+            if label.split()[0] == f"%{op.id}"]
+    return _text_pieces(_call_text(program, k))
+
+
+def _alone(unit, stmts):
+    """A program of one call of `stmts` over the buffers of `unit`."""
+    return one_unit(list(unit.buffers), stmts, inputs=[], outputs=[])
+
+
+def _nest_pieces(unit, nest):
+    """`_text_pieces` of `nest`, an outermost loop of `unit`, rendered alone."""
+    return _text_pieces(_call_text(_alone(unit, [nest]), 0))
+
+
+def _wrapped(program):
+    """`program` with each unit in a one-trip loop tagged `wrap`: none of its
+    nests is outermost, so each renders unsplit."""
+    return replace(program, calls=[
+        (label, Unit(unit.buffers, [For("w", 0, 1, unit.body, "wrap")]), names)
+        for label, unit, names in program.calls])
+
+
+def _run(program, inputs, wraps=0):
+    """Outputs and every counter but wall time of a run, less `wraps` trips
+    of the loop tagged `wrap`."""
+    outs, counters = evaluate_loop_ir(program, inputs)
+    d = counters.as_dict()
+    del d["wall_time_ns"]
+    if wraps:
+        assert d["loop_iters_by_tag"].pop("wrap") == wraps
+        d["loop_iterations"] -= wraps
+    return outs, d
 
 
 def _guards_over(index, stmts):
@@ -412,17 +477,28 @@ def _guards_over(index, stmts):
             yield from _guards_over(index, sub)
 
 
-def _pieces(body, index):
-    """(lower, upper, guarded) of each top-level loop over `index`."""
-    return [(s.lower, s.upper, any(_guards_over(s.index, s.body)))
-            for s in body if isinstance(s, For) and s.index == index]
+def _guarded_nest(s):
+    """Whether `s` is a loop nest with a guard over its index under an inner loop."""
+    return isinstance(s, For) and any(
+        _guards_over(s.index, [t for t in s.body if isinstance(t, For)]))
 
 
-def _call_pieces(program, op):
-    """`_pieces` of the nest of `op`, looked up through its call: a unit names
-    its indices as the op's canonical copy does."""
-    (unit,) = [u for label, u, _ in program.calls if label.split()[0] == f"%{op.id}"]
-    return _pieces(unit.body, next(s.index for s in unit.body if isinstance(s, For)))
+def _hand_unguarded(stmts, index, inner=False):
+    """`stmts` with each guard under an inner loop whose expression uses
+    `index` replaced by its body."""
+    out = []
+    for s in stmts:
+        if isinstance(s, For):
+            out.append(replace(s, body=_hand_unguarded(s.body, index, True)))
+        elif isinstance(s, SelectGuard) and inner and any(
+                n == index for n, _ in s.expr.terms):
+            out += _hand_unguarded(s.body, index, inner)
+        elif isinstance(s, SelectGuard):
+            out.append(replace(s, body=_hand_unguarded(s.body, index, inner),
+                               orelse=_hand_unguarded(s.orelse, index, inner)))
+        else:
+            out.append(s)
+    return out
 
 
 SYMM = "firFilterResponse(x, lowPassFIRFilter(%d, 1.2) * hammingWindow(%d))"
@@ -491,51 +567,77 @@ def _case_source(expr, lengths):
 @pytest.mark.parametrize("name,expr,lengths,opt,opcode,pieces", SPLIT_CASES,
                          ids=[c[0] for c in SPLIT_CASES])
 def test_split_matches_unsplit_nest(name, expr, lengths, opt, opcode, pieces):
+    # against the same units wrapped, so that they render unsplit: the
+    # same outputs to the bit and the same counters
     rng = random.Random(name)
     g = compile_graph(_case_source(expr, lengths), lengths, opt=opt)
-    split, unsplit = lower_graph(g), _unsplit(g)
-    compiled_source(split)
+    program = lower_graph(g)
     op = next(op for op in g.ops if op.opcode.value == opcode)
-    assert _call_pieces(split, op) == pieces
+    assert _call_pieces(program, op) == pieces
     inputs = {k: rand(rng, n) for k, n in lengths.items()}
-    runs = [evaluate_loop_ir(p, inputs) for p in (split, unsplit)]
-    assert runs[0][0] == runs[1][0]  # bit-identical outputs
-    got, want = (counters.as_dict() for _, counters in runs)
-    del got["wall_time_ns"], want["wall_time_ns"]
-    assert got == want
+    assert _run(program, inputs) == _run(_wrapped(program), inputs, len(program.calls))
 
 
-def _interiors(programs):
-    """(program, interior piece) for every split nest of `programs`."""
-    for program in programs:
-        for stmt in statements(program):
-            if isinstance(stmt, For):
-                for piece in split_guarded_nest(stmt):
-                    if piece is not stmt and not any(
-                            _guards_over(piece.index, piece.body)):
-                        yield program, piece
+@pytest.mark.parametrize("L", [4, 5, 8, 101])
+def test_mirror_store_guard_is_dropped_where_it_always_holds(L):
+    # filter_hamm_opt stores each tap of its first half twice but the middle
+    # tap of an odd L once: at even L the mirror store's guard holds on
+    # every trip of the whole loop, so the walk renders the store bare
+    g = compile_graph("def main() { print(lowPassFIRFilter(%d, 1.2) * "
+                      "hammingWindow(%d)); }" % (L, L), opt=True)
+    program = lower_graph(g)
+    text = _call_text(program, 0)
+    assert bool(re.search(r"^\s+if ", text, re.M)) == (L % 2 == 1)
+    assert (f"if 0 <= i0 < {L // 2}:" in text) == (L % 2 == 1)
+    assert _run(program, {}) == _run(_wrapped(program), {}, len(program.calls))
 
 
-def test_widened_interior_fails_validation():
-    # the guard-free interior is exactly as wide as the bounds proof allows
+def _interiors():
+    """(unit, nest, lower, upper) of the guard-free interior of each split
+    nest of the split cases and three corpus apps on both routes."""
     from dspc import corpus
-    programs = []
-    for _name, expr, lengths, opt, _op, _pieces in SPLIT_CASES:
-        programs.append(_unsplit(compile_graph(_case_source(expr, lengths),
-                                               lengths, opt=opt)))
+    graphs = [compile_graph(_case_source(expr, lengths), lengths, opt=opt)
+              for _name, expr, lengths, opt, _op, _pieces in SPLIT_CASES]
     for name in ("LowPassFiltering", "HearingAid", "AudioEqualizer"):
         app = corpus.find_app(name)
         sizes = app.default_sizes()
         g = corpus.compile_source(app.source(sizes), app.input_lengths(sizes))
-        programs += [_unsplit(g), _unsplit(apply_dsp_patterns(g)[0])]
+        graphs += [g, apply_dsp_patterns(g)[0]]
+    for g in graphs:
+        for _, unit, _ in lower_graph(g).calls:
+            for nest in unit.body:
+                if _guarded_nest(nest):
+                    for lower, upper, guarded in _nest_pieces(unit, nest):
+                        if not guarded:
+                            yield unit, nest, lower, upper
+
+
+def test_widened_interior_keeps_a_guard():
+    # the guard-free interior is exactly as wide as the walk proves its
+    # guards: rendered unsplit, it keeps none, and one trip wider into a
+    # guarded piece keeps at least one
     checked = 0
-    for program, interior in _interiors(programs):
-        for wider in (replace(interior, lower=interior.lower - 1),
-                      replace(interior, upper=interior.upper + 1)):
+    for unit, nest, a, b in _interiors():
+        for lower, upper in ((a, b), (a - 1, b), (a, b + 1)):
+            if lower < nest.lower or upper > nest.upper:
+                continue
+            wrapped = For("w", 0, 1, [replace(nest, lower=lower, upper=upper)], "wrap")
+            text = _call_text(_alone(unit, [wrapped]), 0)
+            assert bool(GUARD.search(text)) == ((lower, upper) != (a, b)), nest.tag
+        checked += 1
+    assert checked >= 20
+
+
+def test_widened_interior_fails_validation():
+    # the interior's accesses are in bounds without its inner guards, and
+    # one trip wider at either end they are not
+    checked = 0
+    for unit, nest, a, b in _interiors():
+        bare = replace(nest, body=_hand_unguarded(nest.body, nest.index))
+        for lower, upper in ((a - 1, b), (a, b + 1)):
             with pytest.raises(OutOfBounds):
-                compiled_source(one_unit(program.buffers, [wider],
-                                          inputs=[], outputs=[]))
-        compiled_source(one_unit(program.buffers, [interior], inputs=[], outputs=[]))
+                compiled_source(_alone(unit, [replace(bare, lower=lower, upper=upper)]))
+        compiled_source(_alone(unit, [replace(bare, lower=a, upper=b)]))
         checked += 1
     assert checked >= 20
 
@@ -550,19 +652,15 @@ def test_guarded_corpus_nests_are_split(app_name, opt):
     g = corpus.compile_source(app.source(sizes), app.input_lengths(sizes))
     if opt:
         g, _ = apply_dsp_patterns(g)
-    unsplit, program = statements(_unsplit(g)), lower_graph(g)
-    guarded = [s for s in unsplit if isinstance(s, For) and any(
-        _guards_over(s.index, [t for t in s.body if isinstance(t, For)]))]
+    guarded = [(unit, s) for _, unit, _ in lower_graph(g).calls for s in unit.body
+               if _guarded_nest(s)]
     assert guarded
-    if app_name == "SpectralAnalysis":
-        # full convolutions have a one-step interior and stay whole
-        assert [p for s in unsplit for p in (
-            split_guarded_nest(s) if isinstance(s, For) else [s])] == unsplit
-        assert len(statements(program)) == len(unsplit)
-        return
-    op_of = {f"i{op.id}": op for op in g.ops}  # an emitter's outer index
-    for nest in guarded:
-        pieces = _call_pieces(program, op_of[nest.index])
+    for unit, nest in guarded:
+        pieces = _nest_pieces(unit, nest)
+        if app_name == "SpectralAnalysis":
+            # full convolutions have a one-step interior and stay whole
+            assert pieces == [(nest.lower, nest.upper, True)]
+            continue
         assert len(pieces) > 1, nest.tag
         assert [p[2] for p in pieces].count(False) == 1, nest.tag
         assert pieces[0][0] == nest.lower and pieces[-1][1] == nest.upper
