@@ -154,6 +154,8 @@ def _parse_bindings(input_items: Sequence[str],
             bindings[name] = tensor(values)
         except OverflowError:
             raise UsageError(f"{path}: an integer is too large for a float") from None
+        if not all(map(math.isfinite, bindings[name].values)):  # NaN, Infinity, 1e400
+            raise UsageError(f"{path}: a number is NaN or infinite")
     for item in synth_items:
         name, n, seed = _parse_synth(item)
         if name in bindings:
@@ -245,12 +247,12 @@ def cmd_run(args) -> int:
     return EXIT_OK
 
 
-def _bench_average(program, bindings, reps: int = 5):
-    """Counters are deterministic; wall time is averaged over `reps` runs."""
+def _bench_average(program, bindings):
+    """Counters are deterministic; wall time is averaged over 5 runs."""
     outputs = None
     counters = None
     walls = []
-    for _ in range(reps):
+    for _ in range(5):
         outputs, counters = evaluate_loop_ir(program, bindings)
         walls.append(counters.wall_time_ns)
     counters.wall_time_ns = int(sum(walls) / len(walls))

@@ -41,12 +41,12 @@ def compile_source(source: str,
     return graph
 
 
-def max_relative_deviation(a: Sequence[Tensor], b: Sequence[Tensor],
-                           abs_floor: float = 1e-12) -> float:
+def max_relative_deviation(a: Sequence[Tensor], b: Sequence[Tensor]) -> float:
     """Worst relative elementwise difference.
 
-    Equal values (the same infinity, NaN and NaN) score 0; a length mismatch
-    or any other pair with a non-finite member scores inf.
+    Equal values (the same infinity, NaN and NaN) and values at most 1e-12
+    apart score 0; a length mismatch or any other pair with a non-finite
+    member scores inf.
     """
     worst = 0.0
     if len(a) != len(b):
@@ -61,7 +61,7 @@ def max_relative_deviation(a: Sequence[Tensor], b: Sequence[Tensor],
             if not (math.isfinite(x) and math.isfinite(y)):
                 return math.inf
             d = abs(x - y)
-            if d <= abs_floor:
+            if d <= 1e-12:
                 continue
             worst = max(worst, d / max(abs(x), abs(y)))
     return worst

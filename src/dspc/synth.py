@@ -30,8 +30,7 @@ class Lcg:
         return (self.next_u64() >> 11) / float(1 << 53)
 
 
-def noise(n: int, seed: int, amplitude: float = 1.0) -> Tensor:
-    """n samples of uniform noise in [-amplitude, amplitude]."""
+def noise(n: int, seed: int) -> Tensor:
+    """n samples of uniform noise in [-1, 1]."""
     rng = Lcg(seed)
-    return Tensor(tuple(amplitude * (2.0 * rng.next_unit() - 1.0)
-                        for _ in range(n)))
+    return Tensor(tuple(2.0 * rng.next_unit() - 1.0 for _ in range(n)))

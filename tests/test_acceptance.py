@@ -81,7 +81,7 @@ def test_01_equivalence_twenty_seeds(pipelines, say):
                                           rec.app.base_seed + 7919 * s)
             got, _ = loop_outputs(rec.p_dsp, inputs)
             ref, _ = loop_outputs(rec.p_none, inputs)
-            dev = corpus.max_relative_deviation(got, ref, ABS_FLOOR)
+            dev = corpus.max_relative_deviation(got, ref)
             worst = max(worst, dev)
     elapsed = time.perf_counter() - started
     ok = worst <= REL_TOL and elapsed < 30.0
@@ -280,8 +280,7 @@ def test_10_lowering_soundness(pipelines, say):
                                (rec.g_dsp, rec.p_dsp)):
             got, _ = loop_outputs(program, inputs)
             ref = kernel_outputs(graph, inputs)
-            worst = max(worst, corpus.max_relative_deviation(got, ref,
-                                                             ABS_FLOOR))
+            worst = max(worst, corpus.max_relative_deviation(got, ref))
     # the whole operation set must lower, not only what the corpus uses
     sink = """
 def main(x) {
@@ -307,7 +306,7 @@ def main(x) {
         x = {"x": tensor([math.cos(0.3 * i) for i in range(12)])}
         got, _ = loop_outputs(program, x)
         ref = kernel_outputs(graph, x)
-        worst = max(worst, corpus.max_relative_deviation(got, ref, ABS_FLOOR))
+        worst = max(worst, corpus.max_relative_deviation(got, ref))
     ok = worst <= REL_TOL and not unsupported
     assert say(ok, "10 lowering soundness",
                f"corpus + full-coverage graphs, worst deviation "

@@ -164,6 +164,20 @@ def test_run_rejects_json_integer_too_large_for_a_float(capsys, tmp_path):
     assert out == ""
 
 
+@pytest.mark.parametrize("number", ["NaN", "Infinity", "1e400"])
+def test_run_rejects_non_finite_json_input(capsys, tmp_path, number):
+    # Python's json reads NaN, Infinity and an overflowing float as nan or
+    # inf; an input file must hold finite numbers
+    data = tmp_path / "x.json"
+    data.write_text(f"[{number}, 1]")
+    src = tmp_path / "p.dsp"
+    src.write_text("def main(x) { print(x); }\n")
+    code, out, err = run_cli(capsys, "run", str(src), "--input", f"x={data}")
+    assert code == 1
+    assert err == f"usage error: {data}: a number is NaN or infinite\n"
+    assert out == ""
+
+
 def test_unbound_input_is_usage_error(capsys):
     code, _, err = run_cli(capsys, "run", ENERGY)
     assert code == 1

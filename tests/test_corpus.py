@@ -132,8 +132,3 @@ def test_noise_stays_in_unit_interval():
     assert all(-1.0 <= v <= 1.0 for v in xs)
     assert max(xs) > 0.9 and min(xs) < -0.9  # actually spreads out
 
-
-def test_noise_amplitude_scales():
-    base = noise(8, 5).values
-    scaled = noise(8, 5, amplitude=0.25).values
-    assert scaled == tuple(0.25 * v for v in base)
