@@ -211,7 +211,7 @@ class _Compiler:
     access's index, over those ranges, must stay inside its buffer, and each
     index the unit reads must have an enclosing loop.  Code
     that never runs, such as an empty loop's body, has `known` None and is
-    rendered but not checked.  The walk cuts each of the unit's own loops
+    rendered but not checked.  The walk cuts each outermost loop of the unit
     into the pieces of `_pieces`, and a SelectGuard whose expression stays
     in its bounds wherever `known` holds renders as its body.
 
