@@ -165,8 +165,13 @@ def _parse_bindings(input_items: Sequence[str],
 
 
 def _compile(source: str, bindings: dict[str, Tensor]) -> DspGraph:
-    lengths = {name: len(t) for name, t in bindings.items()} or None
-    return compile_source(source, lengths)
+    """The verified graph of `source`; each binding must name an input of main."""
+    graph = compile_source(source, {n: len(t) for n, t in bindings.items()} or None)
+    taken = {name for name, _vid in graph.inputs}
+    for name in bindings:
+        if name not in taken:
+            raise UsageError(f"main has no input {name!r}")
+    return graph
 
 
 def _require_bound(graph: DspGraph, bindings: dict[str, Tensor]) -> None:
@@ -298,8 +303,7 @@ def cmd_bench(args) -> int:
     app, sizes, bindings = _resolve_bench_target(args)
     enabled = _parse_patterns(args.patterns)
     source = app.source(sizes)
-    graph_none = compile_source(
-        source, {name: len(t) for name, t in bindings.items()} or None)
+    graph_none = _compile(source, bindings)
     _require_bound(graph_none, bindings)
     graph_dsp, stats = apply_dsp_patterns(graph_none, enabled)
 

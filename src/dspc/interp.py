@@ -12,9 +12,9 @@ statement becomes one Python statement and its expression trees one Python
 expression each, parenthesised only where the tree's association needs it.  A
 unit renders with local names and every literal lifted to a parameter, so
 units that differ only in names, sizes and constants share one text, a shape:
-`UNIT_CODE` compiles each shape once per process.  Linking a program binds
-each call's unit to the program's buffers: a new function with the unit's
-literals as its defaults, its error messages naming the program's buffers.
+`UNIT_CODE` compiles each shape once per process.  A unit is one function,
+its literals its defaults, that every call runs on the program's buffers; its
+non-finite and capacity errors carry the buffer, which the run names.
 The text form (`compiled_source`) has one comment line per buffer and per
 printed or returned value, each distinct unit once, with loop tags as comments
 on its `for` lines, and one call line per op.  Operation counters follow the
@@ -110,15 +110,22 @@ UNIT_CODE: dict[str, CodeType] = {}
 _NS = {"_sin": math.sin, "_cos": math.cos, "_floor": math.floor,
        "_isfinite": math.isfinite, "_DivZero": LoopDivisionByZero,
        "_NonFinite": NonFinite, "_Capacity": CapacityExceeded}
+# Generated code raises these with the buffer (and the capacity it passed);
+# `evaluate_loop_ir` names the program's buffer in the message.
+_MESSAGES = {NonFinite: "non-finite value in {}",
+             CapacityExceeded: "buffer {} exceeded capacity {}"}
+
+
+def _literal(v) -> str:
+    return f"float('{v}')" if isinstance(v, float) and not math.isfinite(v) else repr(v)
 
 
 class _Rendered(NamedTuple):
     """A unit's render products, made at its first use and kept on the unit."""
 
     text: str  # the function `_run`, interned
-    code: CodeType
-    literals: tuple  # values of c0, c1, ...; a message names its buffer `{}`
-    messages: tuple[tuple[int, int], ...]  # (literal, unit buffer it names)
+    fn: FunctionType  # its compiled code, with c0, c1, ... as defaults
+    literals: str  # ", c0, c1, ..." as a call line spells their values
     params: tuple[int, ...]  # the unit buffer of each b<k>
     appends: tuple[int, ...]  # the unit buffer of each returned cursor
     static: tuple  # (key, cost) of one run of the unit; a load's key names a unit buffer
@@ -239,7 +246,6 @@ class _Compiler:
         self.cursors: dict[str, str] = {}
         self.lits: list = []
         self.runs: list[str] = []
-        self.messages: list[tuple[int, int]] = []
         self.branch_costs: list[Counter] = []
 
     def _name(self, kind: str, name: str) -> str:
@@ -261,12 +267,6 @@ class _Compiler:
         if j is None:
             raise OutOfBounds(buffer, "unknown buffer")
         return self._name("b", buffer), j
-
-    def _message(self, template: str, j: int) -> str:
-        """A literal error message naming the unit's j-th buffer where
-        `template` has `{}`; each call fills in its own buffer name."""
-        self.messages.append((len(self.lits), j))
-        return self._lit(template)
 
     def _access(self, buffer: str, index: AffineExpr,
                 known: Optional[dict]) -> tuple[str, int]:
@@ -393,20 +393,18 @@ class _Compiler:
                     lines.extend(self._branch(stmt.orelse, depth + 1, loop_stack, known))
             elif isinstance(stmt, DynAppend):
                 buf, j = self._buffer(stmt.buffer)
-                cap = self.unit.buffers[j].capacity
                 cur = self.cursors.setdefault(stmt.buffer, f"n_{buf}")
-                lines.append(f"{pad}if {cur} >= {self._lit(cap)}:")
-                message = self._message(f"buffer {{}} exceeded capacity {cap}", j)
-                lines.append(f"{pad}    raise _Capacity({message})")
+                cap = self._lit(self.unit.buffers[j].capacity)
+                lines.append(f"{pad}if {cur} >= {cap}:")
+                lines.append(f"{pad}    raise _Capacity({buf}, {cap})")
                 emit(f"{buf}[{cur}] = {ex(stmt.value)}")
                 lines.append(f"{pad}{cur} += 1")
                 cost["stores"] += 1
             elif isinstance(stmt, CheckFinite):
-                buf, j = self._buffer(stmt.buffer)
+                buf = self._buffer(stmt.buffer)[0]
                 lines.append(f"{pad}for _v in {buf}:")
                 lines.append(f"{pad}    if not _isfinite(_v):")
-                message = self._message("non-finite value in {}", j)
-                lines.append(f"{pad}        raise _NonFinite({message})")
+                lines.append(f"{pad}        raise _NonFinite({buf})")
             elif isinstance(stmt, For):
                 i = self._name("i", stmt.index)
                 for lower, upper in (_pieces(stmt) if depth == 1
@@ -448,7 +446,8 @@ class _Compiler:
         code = UNIT_CODE.get(text)
         if code is None:  # the function's code is the module's first constant
             code = UNIT_CODE[text] = compile(text, "<loop-unit>", "exec").co_consts[0]
-        return _Rendered(text, code, tuple(self.lits), tuple(self.messages),
+        return _Rendered(text, FunctionType(code, _NS, "_run", tuple(self.lits)),
+                         "".join([f", {_literal(v)}" for v in self.lits]),
                          tuple(map(self.index.get, self.names["b"])),
                          tuple(map(self.index.get, self.cursors)),
                          tuple(cost.items()),
@@ -469,8 +468,8 @@ _FIELDS = ("stores", "mults", "adds", "trig_calls")
 class _Linked(NamedTuple):
     """A program's calls and its costs, split once into integer vectors."""
 
-    # per call, in order: (function, buffer slots, appended buffers, text, label)
-    calls: list[tuple[FunctionType, tuple[int, ...], tuple[str, ...], str, str]]
+    # per call, in order: (rendered unit, buffer slots, appended buffers, label)
+    calls: list[tuple[_Rendered, tuple[int, ...], tuple[str, ...], str]]
     static: list[int]  # cost of one run per counter: _FIELDS, then tags and loads
     branches: list[tuple[tuple[int, int], ...]]  # (counter, cost) per run counter
     tags: list[tuple[str, int]]  # (loop tag, counter)
@@ -478,8 +477,8 @@ class _Linked(NamedTuple):
 
 
 def _link(program: LoopProgram) -> _Linked:
-    """Bind each call's unit to the program's buffers: its function, with the
-    call's buffer names in its messages, and its costs under program keys."""
+    """Bind each call's unit to the program's buffers: the program slot of
+    each parameter of its one function, and its costs under program keys."""
     slot = {b.name: k for k, b in enumerate(program.buffers)}
     counter = {key: k for k, key in enumerate(_FIELDS)}
     static = [0] * len(_FIELDS)
@@ -493,16 +492,10 @@ def _link(program: LoopProgram) -> _Linked:
             static.append(0)
         return k
 
-    calls, bound = [], []
-    for label, unit, names in program.calls:
-        r = _rendered(unit)
-        literals = list(r.literals)
-        for k, j in r.messages:
-            literals[k] = literals[k].format(names[j])
-        calls.append((FunctionType(r.code, _NS, "_run", tuple(literals)),
-                      tuple([slot[names[j]] for j in r.params]),
-                      tuple([names[j] for j in r.appends]), r.text, label))
-        bound.append((r, names))
+    bound = [(_rendered(unit), names) for _, unit, names in program.calls]
+    calls = [(r, tuple([slot[names[j]] for j in r.params]),
+              tuple([names[j] for j in r.appends]), label)
+             for (r, names), (label, *_) in zip(bound, program.calls)]
     for r, names in bound:  # static keys first, as they sum in this order
         for key, v in r.static:
             static[at(key, names)] += v
@@ -520,10 +513,6 @@ def _ensure_compiled(program: LoopProgram) -> _Linked:
     if compiled is None:
         compiled = program._compiled = _link(program)
     return compiled
-
-
-def _literal(v) -> str:
-    return f"float('{v}')" if isinstance(v, float) and not math.isfinite(v) else repr(v)
 
 
 def compiled_source(program: LoopProgram) -> str:
@@ -546,14 +535,14 @@ def compiled_source(program: LoopProgram) -> str:
         lines += [f"# print %{vid} ({buf})" for vid, buf in program.outputs]
         lines += [f"# return %{vid} ({buf})" for vid, buf in program.returns]
         names: dict[str, str] = {}
-        for *_, text, _label in calls:
-            if text not in names:
-                names[text] = f"_run{len(names)}"
-                lines.append(f"def {names[text]}{text.removeprefix('def _run')}")
-        for fn, slots, _, text, label in calls:  # the literals are the defaults
-            args = ", ".join([*(program.buffers[k].name for k in slots),
-                              *map(_literal, fn.__defaults__ or ())])
-            lines.append(f"{names[text]}({args})" + (f"  # {label}" if label else ""))
+        for r, *_ in calls:
+            if r.text not in names:
+                names[r.text] = f"_run{len(names)}"
+                lines.append(f"def {names[r.text]}{r.text.removeprefix('def _run')}")
+        for r, slots, _, label in calls:
+            args = (", ".join([program.buffers[k].name for k in slots])
+                    + r.literals).removeprefix(", ")
+            lines.append(f"{names[r.text]}({args})" + (f"  # {label}" if label else ""))
         source = program._source = "\n".join(lines)
     return source
 
@@ -587,11 +576,16 @@ def evaluate_loop_ir(program: LoopProgram,
     cursors = {b.name: 0 for b in program.buffers if b.dynamic}
     runs: list[int] = []
     t0 = time.perf_counter_ns()
-    for fn, slots, dyn, _, _ in linked.calls:
-        got = fn(*[bufs[k] for k in slots])
-        if got:
-            cursors.update(zip(dyn, got))
-            runs += got[len(dyn):]
+    try:
+        for r, slots, dyn, _ in linked.calls:
+            got = r.fn(*[bufs[k] for k in slots])
+            if got:
+                cursors.update(zip(dyn, got))
+                runs += got[len(dyn):]
+    except (NonFinite, CapacityExceeded) as exc:  # raised with the buffer itself
+        buf, *cap = exc.args
+        name = next(b.name for b, v in zip(program.buffers, bufs) if v is buf)
+        raise type(exc)(_MESSAGES[type(exc)].format(name, *cap)) from None
     wall = time.perf_counter_ns() - t0
 
     total = linked.static.copy()

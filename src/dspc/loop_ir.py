@@ -21,9 +21,9 @@ A program is its buffers and one call per op, `(label, unit, buffer names)`.
 A `Unit` is an op's statements over its own buffers, named as the op's
 canonical copy names them (operands ``v0..v<k-1>``, results from ``v<k>``);
 a call binds them, in order, to program buffers.  Units are shared: programs
-with an equal op hold the same unit object, checked and rendered once.  A
-program's text form is its generated Python, `interp.compiled_source`: a
-function per distinct unit, a call per op.
+with an equal op hold the same unit object, checked and rendered once into
+one function that every call runs.  A program's text form is its generated
+Python, `interp.compiled_source`: a function per distinct unit, a call per op.
 """
 
 from __future__ import annotations

@@ -22,16 +22,18 @@ check reads it first).  Cost-model conventions baked in here:
 
 An op's unit depends only on its opcode, its attributes and the shapes of
 its operands, so `lower_graph` lowers each distinct op once: `op_unit`
-lowers the op's canonical copy (its k distinct operands ``v0..v<k-1>``, its
-results from ``v<k>``) and keeps the unit in a bounded memo, and a program
-calls the unit with its own buffer names.
+lowers the op's canonical copy, whose buffers it declares from the shapes
+alone (its k distinct operands ``v0..v<k-1>``, its results from ``v<k>``),
+and keeps the unit in a bounded memo; a program calls the unit with its own
+buffer names.  Inputs, constants, prints and returns have no unit:
+`lower_graph` alone declares the input and constant buffers and records
+which buffers are bound, printed and returned.
 """
 
 from __future__ import annotations
 
 import math
 from functools import lru_cache, partial
-from typing import Optional
 
 from .errors import DspcError
 from .graph import DspGraph, OpNode
@@ -43,11 +45,8 @@ from .ops import OP_DEFS, OpCode, TensorShape
 
 
 class LoweringUnsupported(DspcError):
-    """An op reached the backend without an emitter or a static shape.
-
-    The graph builder and the rewriter only produce lowerable ops, so user
-    programs should never trip this.
-    """
+    """An op reached the backend without a static shape (an input is
+    unbound), or it reads a tensor whose length is known only at run time."""
 
 
 def _af(index: str, coeff: int = 1, const: int = 0) -> AffineExpr:
@@ -55,12 +54,13 @@ def _af(index: str, coeff: int = 1, const: int = 0) -> AffineExpr:
 
 
 class _Lowerer:
-    def __init__(self):
-        self.buffers: list[BufferDecl] = []
+    """Builds the statements of an op's canonical copy, whose value ``v<j>``
+    has shape ``shapes[j]``."""
+
+    def __init__(self, shapes: tuple[TensorShape, ...]):
+        self.shapes = shapes
         self.body: list[Stmt] = []
-        self.inputs: list[tuple[str, str]] = []
         self._temp_seq = 0
-        self.shapes: dict[int, TensorShape] = {}
 
     # -- small helpers ------------------------------------------------------
 
@@ -73,20 +73,6 @@ class _Lowerer:
 
     def length(self, vid: int) -> int:
         return self.shapes[vid].length
-
-    def declare(self, op: OpNode) -> None:
-        """Register result buffers (and shapes) for an op."""
-        for rid, shape in zip(op.result_ids, op.result_shapes):
-            if shape is None:
-                raise LoweringUnsupported(
-                    f"op %{op.id} ({op.opcode.value}) has an unresolved "
-                    "shape; bind all inputs before lowering")
-            init: Optional[tuple[float, ...]] = None
-            if op.opcode is OpCode.CONST_TENSOR:
-                init = tuple(float(v) for v in op.attr("values"))
-            self.buffers.append(BufferDecl(self.buf(rid), shape.length,
-                                           init=init, dynamic=shape.dynamic))
-            self.shapes[rid] = shape
 
     def operand_len(self, op: OpNode, slot: int) -> int:
         return self.length(op.operands[slot])
@@ -113,26 +99,6 @@ class _Lowerer:
         at = _af(n_idx).plus(_af(i_idx, i_coeff)).shifted(offset)
         return SelectGuard(at, 0, x_len,
                            body=[Assign(acc, acc + tap * Load(x_buf, at))])
-
-    # -- emitters ------------------------------------------------------------
-
-    def emit(self, op: OpNode) -> None:
-        oc = op.opcode
-        if oc is OpCode.PRINT or oc is OpCode.RETURN:
-            return
-        self.declare(op)
-        emitter = EMITTERS.get(oc)
-        if emitter is None:
-            raise LoweringUnsupported(f"no emitter for opcode {oc.value}")
-        emitter(self, op)
-
-
-def _e_input(lw: _Lowerer, op: OpNode) -> None:
-    lw.inputs.append((str(op.attr("name")), lw.buf(op.id)))
-
-
-def _e_const(lw: _Lowerer, op: OpNode) -> None:
-    pass  # data segment only
 
 
 def _e_delay(lw: _Lowerer, op: OpNode) -> None:
@@ -499,10 +465,9 @@ def _e_range_vec(lw: _Lowerer, op: OpNode) -> None:
         Store(lw.buf(op.id), _af(i), start + step * IndexF(_af(i)))]))
 
 
-# The loop-nest emitter of each opcode; print lowers to nothing.
+# The loop-nest emitter of each opcode; inputs and constants are data only,
+# and print and return lower to nothing (`lower_graph` handles all four).
 EMITTERS = {
-    OpCode.INPUT: _e_input,
-    OpCode.CONST_TENSOR: _e_const,
     OpCode.DELAY: _e_delay,
     OpCode.FIR_FILTER_RESPONSE: _e_fir,
     OpCode.CONV1D_FULL: _e_fir,
@@ -552,44 +517,55 @@ def op_unit(opcode: OpCode, attributes: tuple, spelled: tuple[str, ...],
     and these operands: `operands` numbers each operand by the first slot that
     reads the same value, and `shapes` holds the shape of each distinct
     operand, then of each result.  Lowers the op's canonical copy, whose
-    operands are inputs, as its emitter builds it."""
+    buffer ``v<j>`` has shape ``shapes[j]``, as its emitter builds it."""
+    lw = _Lowerer(shapes)
     k = len(shapes) - OP_DEFS[opcode].n_results
-    lw = _Lowerer()
-    for vid, shape in enumerate(shapes[:k]):
-        lw.declare(OpNode(vid, OpCode.INPUT, result_shapes=(shape,)))
-    lw.emit(OpNode(k, opcode, operands, attributes, shapes[k:]))
-    return Unit(tuple(lw.buffers), lw.body)
+    EMITTERS[opcode](lw, OpNode(k, opcode, operands, attributes, shapes[k:]))
+    return Unit(tuple(BufferDecl(lw.buf(j), s.length, dynamic=s.dynamic)
+                      for j, s in enumerate(shapes)), lw.body)
 
 
 def lower_graph(graph: DspGraph) -> LoopProgram:
-    """Lower every op to loop nests: declare its result buffers and call its
-    unit (`op_unit`) on them; `interp` checks each unit's bounds as it first
-    renders it."""
-    lw = _Lowerer()
+    """Lower every op to loop nests: declare its result buffers, bind an
+    input's or fill a constant's, and call any other op's unit (`op_unit`) on
+    them; `interp` checks each unit's bounds as it first renders it."""
+    buffers: list[BufferDecl] = []
+    inputs: list[tuple[str, str]] = []
+    shapes: dict[int, TensorShape] = {}
     calls: list[UnitCall] = []
     for op in graph.ops:
         oc = op.opcode
         if oc is OpCode.PRINT or oc is OpCode.RETURN:
             continue
-        lw.declare(op)
+        if any(shape is None for shape in op.result_shapes):
+            raise LoweringUnsupported(
+                f"op %{op.id} ({oc.value}) has an unresolved "
+                "shape; bind all inputs before lowering")
+        init = (tuple(map(float, op.attr("values")))
+                if oc is OpCode.CONST_TENSOR else None)
+        for rid, shape in zip(op.result_ids, op.result_shapes):
+            buffers.append(BufferDecl(f"v{rid}", shape.length, init=init,
+                                      dynamic=shape.dynamic))
+            shapes[rid] = shape
+        if oc is OpCode.INPUT:
+            inputs.append((str(op.attr("name")), f"v{op.id}"))
         if oc is OpCode.INPUT or oc is OpCode.CONST_TENSOR:
-            EMITTERS[oc](lw, op)  # data only: no statements
             continue
         distinct = list(dict.fromkeys(op.operands))
-        shapes = [lw.shapes[vid] for vid in distinct]
-        if any(shape.dynamic for shape in shapes):
+        operand_shapes = [shapes[vid] for vid in distinct]
+        if any(shape.dynamic for shape in operand_shapes):
             raise LoweringUnsupported(
                 f"op %{op.id} ({oc.value}) consumes a dynamic tensor")
         unit = op_unit(oc, op.attributes, tuple(map(repr, op.attributes)),
                        tuple(map(distinct.index, op.operands)),
-                       (*shapes, *op.result_shapes))
+                       (*operand_shapes, *op.result_shapes))
         if unit.body:
             calls.append((f"%{op.id} {oc.value}", unit,
-                          tuple(map(lw.buf, (*distinct, *op.result_ids)))))
+                          tuple(f"v{vid}" for vid in (*distinct, *op.result_ids))))
     return LoopProgram(
-        buffers=lw.buffers,
-        inputs=lw.inputs,
-        outputs=[(vid, lw.buf(vid)) for vid in graph.prints],
-        returns=[(vid, lw.buf(vid)) for vid in graph.returns],
+        buffers=buffers,
+        inputs=inputs,
+        outputs=[(vid, f"v{vid}") for vid in graph.prints],
+        returns=[(vid, f"v{vid}") for vid in graph.returns],
         calls=calls,
     )

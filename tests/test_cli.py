@@ -184,6 +184,19 @@ def test_unbound_input_is_usage_error(capsys):
     assert "unbound input" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("run", ENERGY, "--synth", "x=8,1", "--synth", "typo=8,1"),
+    ("build", FILTER_DESIGN, "--emit=dsp", "--synth", "y=4"),
+    ("build", ENERGY, "--emit=loop", "--synth", "x=8,1", "--synth", "typo=8,1"),
+    ("bench", ENERGY, "--synth", "x=8,1", "--synth", "typo=8,1"),
+], ids=["run", "build_dsp", "build_loop", "bench_ad_hoc"])
+def test_binding_main_does_not_take_is_usage_error(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert err == f"usage error: main has no input {argv[-1].split('=')[0]!r}\n"
+    assert out == ""
+
+
 def test_missing_file(capsys):
     code, _, err = run_cli(capsys, "run", "no_such_file.dsp")
     assert code == 1

@@ -268,10 +268,11 @@ def test_verify_rejects_non_finite_attribute(op):
 def test_every_opcode_has_one_def_kernel_and_emitter():
     assert set(OP_DEFS) == set(OpCode)
     assert all(d.opcode is oc for oc, d in OP_DEFS.items())
-    # eval_graph binds inputs itself; print and return compute nothing and
-    # lower to no loop
+    # eval_graph binds inputs itself; print and return compute nothing, and
+    # inputs and constants are data, so these four lower to no loop
     assert set(KERNELS) | {OpCode.INPUT, OpCode.PRINT, OpCode.RETURN} == set(OpCode)
-    assert set(EMITTERS) | {OpCode.PRINT, OpCode.RETURN} == set(OpCode)
+    assert set(EMITTERS) | {OpCode.INPUT, OpCode.CONST_TENSOR, OpCode.PRINT,
+                            OpCode.RETURN} == set(OpCode)
 
 
 # --------------------------------------------------------------------------

@@ -241,9 +241,13 @@ def _corpus_programs(sizes_of=lambda app: app.default_sizes(), apps=None):
     return programs
 
 
-def _unit_code(program):
+def _unit_functions(program):
     compiled_source(program)
-    return [unit[0].__code__ for unit in program._compiled[0]]
+    return [rendered.fn for rendered, *_ in program._compiled.calls]
+
+
+def _unit_code(program):
+    return [fn.__code__ for fn in _unit_functions(program)]
 
 
 def test_unit_code_is_shared_across_sizes():
@@ -255,6 +259,17 @@ def test_unit_code_is_shared_across_sizes():
     for p, q in zip(big, small):
         assert p.calls and [s for s, *_ in p.calls] == [s for s, *_ in q.calls]
         assert all(a is b for a, b in zip(_unit_code(p), _unit_code(q), strict=True))
+
+
+def test_calls_of_one_unit_run_one_function():
+    # AudioCompression's two run_len_encoding ops share one unit on each
+    # route, so both calls run the same function object
+    for p in _corpus_programs(apps=[corpus.find_app("AudioCompression")]):
+        rle = [k for k, (label, *_) in enumerate(p.calls)
+               if label.endswith(" run_len_encoding")]
+        assert len(rle) == 2 and p.calls[rle[0]][1] is p.calls[rle[1]][1]
+        fns = _unit_functions(p)
+        assert fns[rle[0]] is fns[rle[1]]
 
 
 def test_recompiling_the_corpus_compiles_nothing(monkeypatch):
@@ -294,8 +309,9 @@ def test_recompiling_the_corpus_lowers_validates_and_renders_nothing(monkeypatch
             return fn(*args)
         return wrapper
 
-    monkeypatch.setattr(lowering._Lowerer, "emit",
-                        counted("lower", lowering._Lowerer.emit))
+    # a _Lowerer is made only where `op_unit` lowers an op
+    monkeypatch.setattr(lowering._Lowerer, "__init__",
+                        counted("lower", lowering._Lowerer.__init__))
     monkeypatch.setattr(interp._Compiler, "render",
                         counted("render", interp._Compiler.render))
     misses = lowering.op_unit.cache_info().misses
