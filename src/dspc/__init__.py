@@ -9,8 +9,7 @@ trips.  The `dspc` console script exposes build/run/bench commands.
 from .errors import DspcError, UsageError
 from .frontend import parse_source, tokenize
 from .graph import build_graph, graph_to_text, infer_shapes, verify_graph
-from .interp import evaluate_loop_ir
-from .kernels import Tensor, eval_graph, tensor
+from .interp import Tensor, evaluate_loop_ir, tensor
 from .lowering import lower_graph
 from .rewriter import PatternId, apply_dsp_patterns
 
@@ -24,7 +23,6 @@ __all__ = [
     "__version__",
     "apply_dsp_patterns",
     "build_graph",
-    "eval_graph",
     "evaluate_loop_ir",
     "graph_to_text",
     "infer_shapes",

@@ -21,9 +21,8 @@ from .errors import UsageError
 from .frontend import FrontendError, ast_to_text, parse_source, tokenize
 from .graph import (DspGraph, GraphBuildError, ShapeMismatch, VerificationFailed,
                     graph_to_text)
-from .interp import (LoopRuntimeError, NonFinite, compiled_source,
-                     counters_report, evaluate_loop_ir, report_table)
-from .kernels import Tensor, tensor
+from .interp import (LoopRuntimeError, NonFinite, Tensor, compiled_source,
+                     counters_report, evaluate_loop_ir, report_table, tensor)
 from .loop_ir import LoopIrError
 from .lowering import LoweringUnsupported, lower_graph
 from .rewriter import PatternId, RewriteError, apply_dsp_patterns

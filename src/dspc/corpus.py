@@ -19,8 +19,7 @@ from typing import Callable, Optional, Sequence
 from .frontend import parse_source
 from .graph import (DspGraph, VerificationFailed, build_graph, infer_shapes,
                     verify_graph)
-from .interp import ExecCounters
-from .kernels import Tensor
+from .interp import ExecCounters, Tensor
 from .ops import OpCode
 from .synth import noise
 

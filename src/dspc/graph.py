@@ -464,9 +464,3 @@ def dead_ops(producer: Mapping[ValueId, OpNode], uses: dict[ValueId, int],
         work += op.operands
     return dead
 
-
-def eliminate_dead_ops(graph: DspGraph) -> DspGraph:
-    """Drop ops whose results are unused; prints, returns, and inputs stay."""
-    producer = graph.producer_map()
-    dead = dead_ops(producer, graph.use_counts(), producer)
-    return renumber(DspGraph([op for op in graph.ops if id(op) not in dead]))

@@ -36,14 +36,27 @@ import time
 from collections import Counter
 from dataclasses import dataclass, field
 from types import CodeType, FunctionType
-from typing import NamedTuple, Optional
+from typing import Iterable, NamedTuple, Optional
 
 from .errors import DspcError
-from .kernels import Tensor
 from .loop_ir import (LEAVES, AffineExpr, Arith, Assign, Call, CheckFinite, Cond,
                       ConstF, DynAppend, Expr, For, IfCmp, IndexF, IndexProdF,
                       Load, LoopIrError, LoopProgram, OutOfBounds, SelectGuard,
                       Stmt, Store, TempRef, Unit)
+
+
+@dataclass(frozen=True)
+class Tensor:
+    """Rank-1 float tensor: a program's input or output values."""
+
+    values: tuple[float, ...]
+
+    def __len__(self) -> int:
+        return len(self.values)
+
+
+def tensor(values: Iterable[float]) -> Tensor:
+    return Tensor(tuple(float(v) for v in values))
 
 
 class LoopRuntimeError(DspcError):
@@ -577,7 +590,7 @@ def evaluate_loop_ir(program: LoopProgram,
     runs: list[int] = []
     t0 = time.perf_counter_ns()
     try:
-        for r, slots, dyn, _ in linked.calls:
+        for r, slots, dyn, label in linked.calls:
             got = r.fn(*[bufs[k] for k in slots])
             if got:
                 cursors.update(zip(dyn, got))
@@ -586,6 +599,8 @@ def evaluate_loop_ir(program: LoopProgram,
         buf, *cap = exc.args
         name = next(b.name for b, v in zip(program.buffers, bufs) if v is buf)
         raise type(exc)(_MESSAGES[type(exc)].format(name, *cap)) from None
+    except ValueError:  # floor of a NaN: quantize read a non-finite value
+        raise NonFinite(f"non-finite value in {label}") from None
     wall = time.perf_counter_ns() - t0
 
     total = linked.static.copy()

@@ -1,13 +1,15 @@
 """Lowering from the op graph to explicit loop nests.
 
-Each opcode gets a dedicated emitter that transcribes its defining recurrence
-into loads, stores and scalar arithmetic, preserving the reference kernels'
-accumulation order so both routes agree to the last bit wherever rounding
-allows.  An emitter builds each statement's operand as one expression tree,
-e.g. ``acc = acc + th * x[n - j]``, and names a value in a temporary only
-where it must: a value read twice, a loop-carried accumulator, a value that
-crosses a guard boundary, and a non-constant divisor (the run-time zero
-check reads it first).  Cost-model conventions baked in here:
+Each opcode gets a dedicated emitter, its one implementation, that
+transcribes its defining recurrence into loads, stores and scalar arithmetic.
+Reductions accumulate strictly left to right, the order of the test oracle's
+reference kernels (``tests/kernels.py``), so an emitter agrees with its kernel
+(a rewriter-only one with the kernels of the ops it replaces) to the last bit
+wherever rounding allows.  An emitter builds each statement's operand as one
+expression tree, e.g. ``acc = acc + th * x[n - j]``, and names a value in a
+temporary only where it must: a value read twice, a loop-carried accumulator,
+a value that crosses a guard boundary, and a non-constant divisor (the
+run-time zero check reads it first).  Cost-model conventions baked in here:
 
 * filter taps are loaded unconditionally in the inner loop; only the signal
   load and the accumulate sit behind the boundary guard.  Emitters build only

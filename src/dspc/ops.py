@@ -7,10 +7,11 @@ It is the only record of an attribute's name and legal range: an op stores
 just its attribute values, in schema order, and ``graph.check_op`` is the one
 place that enforces the ranges.  The graph builder, shape inference, the
 verifier, the text form (``graph.graph_to_text``) and the rewriter all read
-this one record.  The two other per-opcode facts live in one table each,
-next to the code they call: the reference kernel (``kernels.KERNELS``) and
-the loop-nest emitter (``lowering.EMITTERS``); both take a verified graph and
-check no attribute.
+this one record.  The one other per-opcode fact in the package is the op's
+implementation, its loop-nest emitter (``lowering.EMITTERS``), which takes a
+verified graph and checks no attribute.  The tests hold each emitter to a
+reference kernel (``tests/kernels.py``) for a source-level opcode, and to the
+kernels of the program it replaces for a rewriter-only one.
 """
 
 from __future__ import annotations
@@ -125,8 +126,16 @@ class OpDef:
 
 
 def _quantize_bounds(attrs: dict) -> Optional[str]:
-    if attrs["min"] >= attrs["max"]:
-        return f"quantize requires min < max, got min={attrs['min']} max={attrs['max']}"
+    """min < max, and the step (max-min)/(levels-1) the quantizer divides by
+    is finite and above 0.  A non-finite bound or levels < 2 is left to its
+    AttrSpec."""
+    levels, lo, hi = attrs["levels"], attrs["min"], attrs["max"]
+    if lo >= hi:
+        return f"quantize requires min < max, got min={lo} max={hi}"
+    if levels >= 2 and math.isfinite(lo) and math.isfinite(hi) \
+            and not 0.0 < (hi - lo) / (levels - 1) < math.inf:
+        return (f"quantize requires a finite step (max-min)/(levels-1) above 0, "
+                f"got levels={levels} min={lo} max={hi}")
     return None
 
 

@@ -8,7 +8,7 @@ random module internals.
 
 from __future__ import annotations
 
-from .kernels import Tensor
+from .interp import Tensor
 
 _MULT = 6364136223846793005
 _INC = 1442695040888963407

@@ -1,38 +1,27 @@
-"""Reference semantics for every opcode.
+"""Reference semantics for every source-level opcode: the test oracle.
 
 These are direct transcriptions of the defining recurrences, evaluated with
 plain Python floats.  Reductions accumulate strictly left to right; nothing
-here is vectorized or reassociated, so the functions double as the oracle
-for the loop-level backend.  Attribute values come from a verified graph,
-so no kernel checks their ranges; a kernel raises only on its data: division
-by zero, divergence, or unequal operand lengths (which the verifier cannot
-see while input shapes are unknown).
+here is vectorized or reassociated, so the tests hold every emitter in
+``dspc.lowering`` to these functions.  Only opcodes the source language can
+spell (and constant tensors) have a kernel: an opcode the rewriter creates is
+held to the kernels of the program it replaces, run on the loop backend.
+Attribute values come from a verified graph, so no kernel checks their
+ranges; a kernel raises only on its data: division by zero, divergence, or
+unequal operand lengths (which the verifier cannot see while input shapes
+are unknown).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from operator import add, mul, sub, truediv
-from typing import Iterable, Optional
+from typing import Optional
 
-from .errors import DspcError
-from .graph import DspGraph, ValueId
-from .ops import OpCode
-
-
-@dataclass(frozen=True)
-class Tensor:
-    """Rank-1 float tensor."""
-
-    values: tuple[float, ...]
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-
-def tensor(values: Iterable[float]) -> Tensor:
-    return Tensor(tuple(float(v) for v in values))
+from dspc.errors import DspcError
+from dspc.graph import DspGraph, ValueId
+from dspc.interp import Tensor, tensor
+from dspc.ops import OpCode
 
 
 class KernelError(DspcError):
@@ -116,40 +105,27 @@ def _two_pi_over(n: int) -> float:
     return 2.0 * math.pi / n
 
 
-def _dft(x: Tensor, real: bool = True, imag: bool = True,
-         half: bool = False) -> tuple[Tensor, Tensor]:
-    """X_real[k] = sum_n x[n]*cos(2*pi*k*n/N), X_imag[k] = -sum_n x[n]*sin(...).
-
-    Only the requested parts are accumulated (the other stays zero).  With
-    ``half``, bins k <= N/2 are computed and mirrored by conjugate symmetry:
-    X_real[N-k] = X_real[k], X_imag[N-k] = -X_imag[k].
-    """
-    xs = x.values
-    n_len = len(xs)
-    c = _two_pi_over(n_len)
-    re, im = [0.0] * n_len, [0.0] * n_len
-    for k in range(n_len // 2 + 1 if half else n_len):
-        acc_r = acc_i = 0.0
+def _rows(n_len: int, term) -> Tensor:
+    """out[k] = term(k, 0) + ... + term(k, N-1), accumulated left to right."""
+    out = []
+    for k in range(n_len):
+        acc = 0.0
         for n in range(n_len):
-            ang = c * (k * n)
-            if real:
-                acc_r += xs[n] * math.cos(ang)
-            if imag:
-                acc_i -= xs[n] * math.sin(ang)
-        re[k], im[k] = acc_r, acc_i
-        if half and 1 <= k and n_len - k != k:
-            re[n_len - k], im[n_len - k] = acc_r, -acc_i
-    return tensor(re), tensor(im)
+            acc += term(k, n)
+        out.append(acc)
+    return tensor(out)
 
 
 def k_dft_real(x: Tensor) -> Tensor:
     """X_real[k] = sum_n x[n] * cos(2*pi*k*n/N)."""
-    return _dft(x, imag=False)[0]
+    xs, c = x.values, _two_pi_over(len(x))
+    return _rows(len(xs), lambda k, n: xs[n] * math.cos(c * (k * n)))
 
 
 def k_dft_imag(x: Tensor) -> Tensor:
     """X_imag[k] = -sum_n x[n] * sin(2*pi*k*n/N)."""
-    return _dft(x, real=False)[1]
+    xs, c = x.values, _two_pi_over(len(x))
+    return _rows(len(xs), lambda k, n: -(xs[n] * math.sin(c * (k * n))))
 
 
 def k_idft(xr: Tensor, xi: Tensor) -> Tensor:
@@ -219,12 +195,6 @@ def k_lms_filter(x: Tensor, d: Tensor, mu: float, M: int) -> Tensor:
             if not math.isfinite(v):
                 raise Diverged(n)
     return tensor(w)
-
-
-def k_lms_filter_gain(x: Tensor, d: Tensor, mu: float, M: int, g: float) -> Tensor:
-    """The gain-fused LMS: exactly ``gain(lmsFilter(x, d, mu, M), g)``, the
-    final weights scaled by g."""
-    return tensor(g * v for v in k_lms_filter(x, d, mu, M).values)
 
 
 # --------------------------------------------------------------------------
@@ -328,81 +298,12 @@ def k_range_vec(start: float, step: float, n: int) -> Tensor:
 
 
 # --------------------------------------------------------------------------
-# Rewriter-created opcodes: evaluated via their defining mirrored recurrences
-
-
-def k_filter_hamm_opt(L: int, wc: float) -> Tensor:
-    """Windowed low-pass taps computed for the first half and mirrored."""
-    lpf = k_lowpass_fir_coeffs(L, wc).values
-    ham = k_hamming(L).values
-    out = [0.0] * L
-    for n in range(math.ceil(L / 2)):
-        v = lpf[n] * ham[n]
-        out[n] = v
-        out[L - 1 - n] = v
-    return tensor(out)
-
-
-def k_filter_res_symm(x: Tensor, h: Tensor) -> Tensor:
-    """FIR response using tap symmetry: pair x[n-i] with x[n-(L-1-i)]."""
-    xs, hs = x.values, h.values
-    n_len, L = len(xs), len(hs)
-    out = []
-    for n in range(n_len):
-        acc = 0.0
-        for i in range(L // 2):
-            t = 0.0
-            if 0 <= n - i < n_len:
-                t += xs[n - i]
-            if 0 <= n - (L - 1 - i) < n_len:
-                t += xs[n - (L - 1 - i)]
-            acc += hs[i] * t
-        if L % 2 == 1:
-            mid = (L - 1) // 2
-            if 0 <= n - mid < n_len:
-                acc += hs[mid] * xs[n - mid]
-        out.append(acc)
-    return tensor(out)
-
-
-def k_filter_y_symm(x: Tensor) -> Tensor:
-    """Autocorrelation-style conv(x, reverse(x)): first half computed, rest mirrored."""
-    xs = x.values
-    n_len = len(xs)
-    n_out = 2 * n_len - 1
-    out = [0.0] * n_out
-    for n in range(math.ceil(n_out / 2)):
-        acc = 0.0
-        for i in range(n_len):
-            if 0 <= n - i < n_len:
-                acc += xs[n_len - 1 - i] * xs[n - i]
-        out[n] = acc
-        out[n_out - 1 - n] = acc
-    return tensor(out)
-
-
-def k_dft_real_symm(x: Tensor) -> Tensor:
-    """Real DFT of an even signal: compute k <= N/2, mirror X[N-k] = X[k]."""
-    return _dft(x, imag=False, half=True)[0]
-
-
-def k_dft_imag_symm(x: Tensor) -> Tensor:
-    """Imag DFT with conjugate symmetry: X[N-k] = -X[k]."""
-    return _dft(x, real=False, half=True)[1]
-
-
-def k_dft_fused(x: Tensor) -> tuple[Tensor, Tensor]:
-    """Real and imaginary DFT accumulated in a single pass over (k, n)."""
-    return _dft(x)
-
-
-# --------------------------------------------------------------------------
 # Graph evaluation
 
 
-# The kernel of each opcode, called with the operand tensors and then the
-# attribute values in schema order.  Inputs are bound by eval_graph and
-# print computes nothing.
+# The kernel of each source-level opcode, called with the operand tensors and
+# then the attribute values in schema order.  Inputs are bound by eval_graph,
+# and print and return compute nothing.
 KERNELS = {
     OpCode.CONST_TENSOR: tensor,
     OpCode.DELAY: k_delay,
@@ -431,20 +332,14 @@ KERNELS = {
     OpCode.SIN_VEC: k_sin_vec,
     OpCode.COS_VEC: k_cos_vec,
     OpCode.RANGE_VEC: k_range_vec,
-    OpCode.FILTER_HAMM_OPT: k_filter_hamm_opt,
-    OpCode.FILTER_RES_SYMM_OPT: k_filter_res_symm,
-    OpCode.FILTER_Y_SYMM_OPT: k_filter_y_symm,
-    OpCode.DFT1D_REAL_SYMM: k_dft_real_symm,
-    OpCode.DFT1D_IMAG_SYMM: k_dft_imag_symm,
-    OpCode.DFT1D_FUSED: k_dft_fused,
-    OpCode.LMS_FILTER_GAIN_OPT: k_lms_filter_gain,
 }
 
 
 def eval_graph(graph: DspGraph, inputs: Optional[dict[str, Tensor]] = None
                ) -> dict[ValueId, Tensor]:
-    """Evaluate every op of a verified graph (see `verify_graph`) with the
-    reference kernels, which check no attribute; returns value -> Tensor."""
+    """Evaluate every op of a verified source-level graph (see `verify_graph`)
+    with the reference kernels, which check no attribute; returns value ->
+    Tensor."""
     inputs = inputs or {}
 
     def bound_input(name: str) -> Tensor:
@@ -455,10 +350,7 @@ def eval_graph(graph: DspGraph, inputs: Optional[dict[str, Tensor]] = None
     kernels = {**KERNELS, OpCode.INPUT: bound_input}
     values: dict[ValueId, Tensor] = {}
     for op in graph.ops:
-        if not op.n_results:
-            continue
-        kernel = kernels[op.opcode]
-        out = kernel(*(values[v] for v in op.operands), *op.attributes)
-        for rid, t in zip(op.result_ids, out if isinstance(out, tuple) else (out,)):
-            values[rid] = t
+        if op.n_results:
+            values[op.id] = kernels[op.opcode](*(values[v] for v in op.operands),
+                                               *op.attributes)
     return values

@@ -4,7 +4,7 @@ from pathlib import Path
 import pytest
 
 from dspc import corpus
-from dspc.kernels import tensor
+from dspc.interp import tensor
 from dspc.synth import Lcg, noise
 
 APPS_DIR = Path(__file__).resolve().parents[1] / "src" / "dspc" / "apps"

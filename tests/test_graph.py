@@ -5,11 +5,10 @@ import pytest
 
 from dspc.frontend import parse_source
 from dspc.graph import (ArityMismatch, BadAttribute, DspGraph, OpNode, ShapeMismatch,
-                        UndefinedVariable, UnknownBuiltin, build_graph,
-                        eliminate_dead_ops, graph_to_text, infer_shapes, renumber,
-                        verify_graph)
-from dspc.kernels import KERNELS
+                        UndefinedVariable, UnknownBuiltin, build_graph, dead_ops,
+                        graph_to_text, infer_shapes, renumber, verify_graph)
 from dspc.lowering import EMITTERS
+import kernels as K
 from dspc.ops import OP_DEFS, OpCode, TensorShape
 
 
@@ -226,6 +225,15 @@ def test_verifier_reports_each_cross_attribute_violation(sig):
     pytest.fail(f"no candidate values violate the cross-check of {sig.opcode.value}")
 
 
+@pytest.mark.parametrize("levels, lo, hi", [(10 ** 308, 0.0, 1e-20), (2, -1e308, 1e308)],
+                         ids=["step_underflows_to_0", "max_minus_min_overflows"])
+def test_verify_rejects_quantize_step(levels, lo, hi):
+    op = shaped(1, OpCode.QUANTIZE, (0,), 4, attributes=(levels, lo, hi))
+    assert verify_graph(DspGraph([input_op(0, 4), op, print_op(1)])) == [
+        "%1 quantize: quantize requires a finite step (max-min)/(levels-1) above 0, "
+        f"got levels={levels} min={lo} max={hi}"]
+
+
 def test_verify_operand_out_of_range():
     violations = verify_graph(DspGraph([
         input_op(0, 8), shaped(1, OpCode.SQUARE, (7,), 8), print_op(1)]))
@@ -268,9 +276,14 @@ def test_verify_rejects_non_finite_attribute(op):
 def test_every_opcode_has_one_def_kernel_and_emitter():
     assert set(OP_DEFS) == set(OpCode)
     assert all(d.opcode is oc for oc, d in OP_DEFS.items())
-    # eval_graph binds inputs itself; print and return compute nothing, and
-    # inputs and constants are data, so these four lower to no loop
-    assert set(KERNELS) | {OpCode.INPUT, OpCode.PRINT, OpCode.RETURN} == set(OpCode)
+    # the test oracle has a kernel for each opcode a source program can hold:
+    # the builtins, the four arithmetic operators and constant tensors; a
+    # rewriter-only opcode is held to the program it replaces
+    source_level = {oc for oc, d in OP_DEFS.items() if d.builtin is not None}
+    assert set(K.KERNELS) == source_level | {OpCode.ADD, OpCode.SUB, OpCode.MUL,
+                                           OpCode.DIV, OpCode.CONST_TENSOR}
+    # inputs and constants are data and print and return compute nothing, so
+    # these four lower to no loop
     assert set(EMITTERS) | {OpCode.INPUT, OpCode.CONST_TENSOR, OpCode.PRINT,
                             OpCode.RETURN} == set(OpCode)
 
@@ -323,6 +336,13 @@ def test_renumber_compacts_ids():
     assert g2.prints == [1]
 
 
+def pruned(graph):
+    """What the rewriter's pruning (`dead_ops`, every value a candidate) keeps."""
+    producer = graph.producer_map()
+    dead = dead_ops(producer, graph.use_counts(), producer)
+    return renumber(DspGraph([op for op in graph.ops if id(op) not in dead]))
+
+
 def test_dce_drops_unused_but_keeps_inputs():
     g = compile_graph("""
 def main(x) {
@@ -331,7 +351,7 @@ def main(x) {
   print(y);
 }
 """, {"x": 4})
-    g2 = eliminate_dead_ops(g)
+    g2 = pruned(g)
     codes = opcodes(g2)
     assert OpCode.SQUARE not in codes
     assert OpCode.INPUT in codes  # inputs are part of the interface
@@ -341,4 +361,4 @@ def main(x) {
 def test_dce_keeps_returns():
     g = compile_graph(
         "def main(x) { var y = square(x); return y; }", {"x": 4})
-    assert OpCode.SQUARE in opcodes(eliminate_dead_ops(g))
+    assert OpCode.SQUARE in opcodes(pruned(g))

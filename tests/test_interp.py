@@ -11,8 +11,7 @@ from dspc.frontend import parse_source
 from dspc.graph import build_graph, infer_shapes
 from dspc.interp import (CapacityExceeded, InputMismatch, LoopDivisionByZero,
                          NonFinite, compiled_source, counters_report,
-                         evaluate_loop_ir, report_table)
-from dspc.kernels import tensor
+                         evaluate_loop_ir, report_table, tensor)
 from dspc.loop_ir import (AffineExpr, BufferDecl, Call, CheckFinite, Cond, ConstF,
                           DynAppend, For, IndexF, IndexProdF, Load, LoopIrError,
                           LoopProgram, OutOfBounds, SelectGuard, Store, TempRef, Unit)

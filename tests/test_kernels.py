@@ -1,4 +1,5 @@
-"""Kernel semantics, checked against hand-derived values and numpy.
+"""The reference kernels' semantics, checked against hand-derived values and
+numpy.
 
 numpy is a test-side oracle only; the package itself never imports it.
 """
@@ -9,9 +10,11 @@ import random
 import numpy as np
 import pytest
 
-from dspc import kernels as K
-from dspc.kernels import DivisionByZero, Diverged, Tensor, tensor
+from dspc.interp import tensor
 from dspc.ops import OpCode
+
+import kernels as K
+from kernels import DivisionByZero, Diverged
 
 
 def approx(values, abs_tol=1e-12):
@@ -123,16 +126,6 @@ def test_lms_two_step_recursion():
     assert y.values == (0.75,)
 
 
-def test_lms_gain_fused_is_gain_of_plain():
-    # the fused op computes gain(lmsFilter(...), g) to the last bit
-    rng = random.Random(3)
-    x, d = rand_signal(rng, 40), rand_signal(rng, 40)
-    plain = K.k_lms_filter(x, d, 0.05, 4)
-    for g in (0.5, 2.0, -1.0):
-        fused = K.k_lms_filter_gain(x, d, 0.05, 4, g)
-        assert fused.values == tuple(g * v for v in plain.values)
-
-
 def test_lms_diverges_on_huge_step():
     rng = random.Random(9)
     x = rand_signal(rng, 256, scale=10.0)
@@ -195,55 +188,6 @@ def test_elementwise_broadcast_scalar():
 
 def test_sum_cancellation():
     assert K.k_sum(tensor([-1, 1])).values == (0.0,)
-
-
-# --------------------------------------------------------------------------
-# rewriter-only kernels agree with the plain ones
-
-
-def test_filter_hamm_opt_matches_product():
-    for L in (4, 5, 101):
-        wc = 0.4 * math.pi
-        plain = K.KERNELS[OpCode.MUL](K.k_lowpass_fir_coeffs(L, wc), K.k_hamming(L))
-        opt = K.k_filter_hamm_opt(L, wc)
-        assert list(opt.values) == approx(list(plain.values), abs_tol=0.0)
-
-
-def test_filter_res_symm_matches_plain():
-    rng = random.Random(21)
-    for L in (5, 8, 101):
-        h = K.k_filter_hamm_opt(L, 0.4 * math.pi)
-        x = rand_signal(rng, 64)
-        plain = K.k_fir_response(x, h)
-        opt = K.k_filter_res_symm(x, h)
-        assert list(opt.values) == approx(list(plain.values))
-
-
-def test_filter_y_symm_matches_autocorrelation():
-    rng = random.Random(22)
-    for n in (1, 2, 9, 32):
-        x = rand_signal(rng, n)
-        plain = K.k_conv1d_full(x, K.k_reverse(x))
-        opt = K.k_filter_y_symm(x)
-        assert list(opt.values) == approx(list(plain.values), abs_tol=1e-12)
-
-
-def test_dft_symm_matches_full():
-    rng = random.Random(23)
-    for n in (2, 3, 16, 17):
-        x = rand_signal(rng, n)
-        assert list(K.k_dft_real_symm(x).values) == approx(
-            list(K.k_dft_real(x).values), abs_tol=1e-9)
-        assert list(K.k_dft_imag_symm(x).values) == approx(
-            list(K.k_dft_imag(x).values), abs_tol=1e-9)
-
-
-def test_dft_fused_matches_unfused():
-    rng = random.Random(24)
-    x = rand_signal(rng, 24)
-    re, im = K.k_dft_fused(x)
-    assert list(re.values) == approx(list(K.k_dft_real(x).values), abs_tol=0.0)
-    assert list(im.values) == approx(list(K.k_dft_imag(x).values), abs_tol=0.0)
 
 
 # --------------------------------------------------------------------------

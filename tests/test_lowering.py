@@ -1,5 +1,6 @@
-"""Lowering soundness: loop-IR execution must match the kernel evaluator,
-and trip/operation counts must match loop-bound arithmetic.
+"""Lowering soundness: loop-IR execution must match the reference kernels of
+the source-level graph, rewritten or not, and trip/operation counts must
+match loop-bound arithmetic.
 """
 
 import ast
@@ -12,14 +13,16 @@ from pathlib import Path
 import pytest
 
 from dspc.frontend import parse_source
-from dspc.graph import build_graph, infer_shapes
-from dspc.interp import compiled_source, evaluate_loop_ir
-from dspc.kernels import eval_graph, tensor
+from dspc.graph import DspGraph, build_graph, infer_shapes
+from dspc.interp import compiled_source, evaluate_loop_ir, tensor
 from dspc.loop_ir import (AffineExpr, BufferDecl, For, IfCmp, Load,
                           LoopProgram, OutOfBounds, SelectGuard, Store, ConstF,
                           Unit)
 from dspc.lowering import UNIT_MEMO_SIZE, lower_graph, op_unit
+from dspc.ops import OpCode
 from dspc.rewriter import apply_dsp_patterns
+
+import kernels as K
 
 
 def compile_graph(source, lengths=None, opt=False):
@@ -46,19 +49,24 @@ def statements(program):
 
 
 def run_both(source, lengths, inputs, opt=False):
-    g = compile_graph(source, lengths, opt=opt)
-    outs, counters = evaluate_loop_ir(lower_graph(g), inputs)
-    ref = eval_graph(g, inputs)
-    return g, outs, ref, counters
+    """The printed tensors of the program on the loop backend, rewritten by
+    the default patterns if `opt` is true or by `opt` if it is a function;
+    those of the graph before rewriting under the reference kernels; and the
+    loop backend's counters."""
+    g = compile_graph(source, lengths)
+    run = opt(g) if callable(opt) else apply_dsp_patterns(g)[0] if opt else g
+    outs, counters = evaluate_loop_ir(lower_graph(run), inputs)
+    ref = K.eval_graph(g, inputs)
+    return [outs[v] for v in run.prints], [ref[v] for v in g.prints], counters
 
 
-def assert_matches_kernels(source, lengths, inputs, opt=False):
-    g, outs, ref, _ = run_both(source, lengths, inputs, opt=opt)
-    for vid in g.prints:
-        got, want = outs[vid], ref[vid]
-        assert len(got) == len(want)
-        for a, b in zip(got.values, want.values):
-            assert a == pytest.approx(b, rel=1e-9, abs=1e-12)
+def assert_matches_kernels(source, lengths, inputs, opt=False, abs_tol=1e-12):
+    got, want, _ = run_both(source, lengths, inputs, opt=opt)
+    assert len(got) == len(want)
+    for a_t, b_t in zip(got, want):
+        assert len(a_t) == len(b_t)
+        for a, b in zip(a_t.values, b_t.values):
+            assert a == pytest.approx(b, rel=1e-9, abs=abs_tol)
 
 
 # every source-level opcode in one small program each
@@ -101,29 +109,31 @@ def test_each_opcode_matches_kernels(name, source, n):
     assert_matches_kernels(source, lengths or None, inputs)
 
 
-# rewritten opcodes reach the loop backend through apply_dsp_patterns
+# rewritten opcodes reach the loop backend through apply_dsp_patterns, and
+# they have no kernel: each is held to the kernels of the program it replaced
 OPT_PROGRAMS = [
+    # the mirrored taps are the product's taps, computed the same way
     ("filter_hamm", """
 def main() {
   print(lowPassFIRFilter(%d, 1.2) * hammingWindow(%d));
-}"""),
+}""", 0.0),
     ("res_symm", """
 def main(x) {
   var h = lowPassFIRFilter(%d, 1.2) * hammingWindow(%d);
   print(firFilterResponse(x, h));
-}"""),
+}""", 1e-12),
 ]
 
 
 @pytest.mark.parametrize("L", [4, 5, 8, 101])
-@pytest.mark.parametrize("name,template",
+@pytest.mark.parametrize("name,template,abs_tol",
                          OPT_PROGRAMS, ids=[p[0] for p in OPT_PROGRAMS])
-def test_symmetric_filter_lowerings(name, template, L):
+def test_symmetric_filter_lowerings(name, template, abs_tol, L):
     rng = random.Random(L)
     source = template % (L, L)
     lengths = None if "main()" in source else {"x": 48}
     inputs = {} if lengths is None else {"x": rand(rng, 48)}
-    assert_matches_kernels(source, lengths, inputs, opt=True)
+    assert_matches_kernels(source, lengths, inputs, opt=True, abs_tol=abs_tol)
 
 
 @pytest.mark.parametrize("n", [3, 4, 16, 17])
@@ -139,10 +149,23 @@ def main(x) {
     assert_matches_kernels(source, {"x": n}, {"x": rand(rng, n)}, opt=True)
 
 
+@pytest.mark.parametrize("n", [2, 3, 16, 17])
+def test_symmetric_dft_of_any_real_signal(n):
+    # conjugate symmetry holds for every real signal, of even length too, so
+    # the mirrored transforms can stand in for the full ones
+    symm = {OpCode.DFT1D_REAL: OpCode.DFT1D_REAL_SYMM, OpCode.DFT1D_IMAG: OpCode.DFT1D_IMAG_SYMM}
+    def mirrored(g):
+        return DspGraph([replace(op, opcode=symm.get(op.opcode, op.opcode)) for op in g.ops])
+    assert_matches_kernels("def main(x) { print(dft1dreal(x)); print(dft1dimg(x)); }",
+                           {"x": n}, {"x": rand(random.Random(400 + n), n)}, opt=mirrored)
+
+
 def test_fused_dft_lowering():
+    # one pass accumulates both parts exactly as the two separate passes do
     rng = random.Random(11)
     source = "def main(x) { print(dft1dreal(x)); print(dft1dimg(x)); }"
-    assert_matches_kernels(source, {"x": 15}, {"x": rand(rng, 15)}, opt=True)
+    for n in (15, 24):
+        assert_matches_kernels(source, {"x": n}, {"x": rand(rng, n)}, opt=True, abs_tol=0.0)
 
 
 def test_lms_gain_lowering():
@@ -154,6 +177,19 @@ def main(x, d) {
 """
     inputs = {"x": rand(rng, 40), "d": rand(rng, 40)}
     assert_matches_kernels(source, {"x": 40, "d": 40}, inputs, opt=True)
+
+
+@pytest.mark.parametrize("factor", ["0.5", "2.0", "0 - 1"])
+def test_lms_gain_is_gain_of_lms_to_the_bit(factor):
+    # the fused op scales the final weights by g, as the gain op does
+    rng = random.Random(3)
+    source = "def main(x, d) { print(gain(lmsFilter(x, d, 0.05, 4), %s)); }" % factor
+    inputs = {"x": rand(rng, 40), "d": rand(rng, 40)}
+    g_none = compile_graph(source, {"x": 40, "d": 40})
+    g_dsp = apply_dsp_patterns(g_none)[0]
+    assert OpCode.LMS_FILTER_GAIN_OPT in [op.opcode for op in g_dsp.ops]
+    (none, _), (dsp, _) = (evaluate_loop_ir(lower_graph(g), inputs) for g in (g_none, g_dsp))
+    assert dsp[g_dsp.prints[0]].values == none[g_none.prints[0]].values
 
 
 def test_hearing_aid_dsp_route_matches_none_route():
@@ -183,7 +219,7 @@ def test_hearing_aid_dsp_route_matches_none_route():
 
 def test_dft_real_length8_counts():
     rng = random.Random(2)
-    _, _, _, c = run_both("def main(x) { print(dft1dreal(x)); }",
+    _, _, c = run_both("def main(x) { print(dft1dreal(x)); }",
                           {"x": 8}, {"x": rand(rng, 8)})
     assert c.loop_iters_by_tag["dft1d_real.inner"] == 64
     assert c.trig_calls == 64
@@ -203,7 +239,7 @@ def test_filter_hamm_opt_L5_counts():
 
 def test_delay_zero_is_single_copy_loop():
     rng = random.Random(4)
-    _, _, _, c = run_both("def main(x) { print(delay(x, 0)); }",
+    _, _, c = run_both("def main(x) { print(delay(x, 0)); }",
                           {"x": 20}, {"x": rand(rng, 20)})
     assert c.loop_iters_by_tag["delay"] == 20
     assert c.loads == 20 and c.stores == 20
@@ -211,7 +247,7 @@ def test_delay_zero_is_single_copy_loop():
 
 
 def test_const_print_counts_small():
-    _, _, _, c = run_both("def main() { print([1, 2, 3]); }", None, {})
+    _, _, c = run_both("def main() { print([1, 2, 3]); }", None, {})
     assert c.loop_iterations <= 3
     assert c.mults == 0 and c.trig_calls == 0
 

@@ -7,12 +7,15 @@ import pytest
 
 from dspc import corpus
 from dspc.frontend import parse_source
-from dspc.graph import (DspGraph, build_graph, eliminate_dead_ops, graph_to_text,
-                        infer_shapes, verify_graph)
-from dspc.kernels import eval_graph, tensor
+from dspc.graph import (DspGraph, build_graph, dead_ops, graph_to_text, infer_shapes,
+                        renumber, verify_graph)
+from dspc.interp import evaluate_loop_ir, tensor
+from dspc.lowering import lower_graph
 from dspc.ops import OpCode
 from dspc import rewriter
 from dspc.rewriter import PatternId, RewriteError, apply_dsp_patterns
+
+import kernels as K
 
 
 def compile_graph(source, lengths=None):
@@ -33,11 +36,12 @@ def rand(rng, n):
 
 
 def assert_equivalent(source, lengths, inputs, rel=1e-9):
-    """Kernel-evaluate the graph before and after rewriting."""
+    """The rewritten graph, run on the loop backend, computes what the
+    reference kernels compute for the graph before rewriting."""
     g = compile_graph(source, lengths)
     g2, _ = apply_dsp_patterns(g)
-    out1 = eval_graph(g, inputs)
-    out2 = eval_graph(g2, inputs)
+    out1 = K.eval_graph(g, inputs)
+    out2, _ = evaluate_loop_ir(lower_graph(g2), inputs)
     for v1, v2 in zip(g.prints, g2.prints):
         a, b = out1[v1], out2[v2]
         assert len(a) == len(b)
@@ -135,7 +139,7 @@ def test_pattern3_matches_only_same_value():
     assert stats.total_applications() == 0
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 17, 32])
+@pytest.mark.parametrize("n", [1, 2, 3, 9, 17, 32])
 def test_pattern3_equivalence(n):
     rng = random.Random(60 + n)
     assert_equivalent("def main(x) { print(conv1d(x, reverse(x))); }",
@@ -521,7 +525,7 @@ def test_rewrite_that_reshapes_a_rewired_value_fails_verification(monkeypatch):
 
 def reference_rewrite(graph, enabled=None):
     """The driver with whole-graph work per application: rebuild every op,
-    prune and renumber with eliminate_dead_ops, verify the whole graph."""
+    prune with dead_ops and renumber, verify the whole graph."""
     wanted = [pid for pid in PatternId if enabled is None or pid in enabled]
     applications = {pid: 0 for pid in wanted}
     current = graph
@@ -536,7 +540,10 @@ def reference_rewrite(graph, enabled=None):
         get = rw.subst.get
         ops = [replace(op, operands=tuple(get(v, v) for v in op.operands)) for op in current.ops]
         ops[rw.at:rw.at] = rw.new_ops
-        current = eliminate_dead_ops(DspGraph(ops))
+        spliced = DspGraph(ops)
+        producer = spliced.producer_map()
+        dead = dead_ops(producer, spliced.use_counts(), producer)
+        current = renumber(DspGraph([op for op in ops if id(op) not in dead]))
         assert verify_graph(current) == []
         applications[pid] += 1
 
