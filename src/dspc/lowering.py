@@ -2,11 +2,21 @@
 
 Each opcode gets a dedicated emitter, its one implementation, that
 transcribes its defining recurrence into loads, stores and scalar arithmetic.
+An emitter is a pure function of an op's canonical copy (see `op_unit`):
+``EMITTERS[opcode](op, lengths)`` returns the op's statements, where value
+``v`` lives in buffer ``v<v>`` and has length ``lengths[v]``.  Statements
+name their temporaries literally (``acc``, ``tap``, ...) and their loop
+indices ``i`` (outer) and ``j`` (inner).  The walk that renders a unit
+(`interp`) renames every buffer, temporary and index by first use, so these
+names never reach the generated code; only their order does, since an index
+sum sorts its terms by name (`AffineExpr.plus`) and ``i`` before ``j`` puts
+the outer index first.
+
 Reductions accumulate strictly left to right, the order of the test oracle's
 reference kernels (``tests/kernels.py``), so an emitter agrees with its kernel
 (a rewriter-only one with the kernels of the ops it replaces) to the last bit
 wherever rounding allows.  An emitter builds each statement's operand as one
-expression tree, e.g. ``acc = acc + th * x[n - j]``, and names a value in a
+expression tree, e.g. ``acc = acc + tap * x[i - j]``, and names a value in a
 temporary only where it must: a value read twice, a loop-carried accumulator,
 a value that crosses a guard boundary, and a non-constant divisor (the
 run-time zero check reads it first).  Cost-model conventions baked in here:
@@ -36,6 +46,7 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache, partial
+from typing import Sequence
 
 from .errors import DspcError
 from .graph import DspGraph, OpNode
@@ -55,416 +66,305 @@ def _af(index: str, coeff: int = 1, const: int = 0) -> AffineExpr:
     return AffineExpr.of(index, coeff, const)
 
 
-class _Lowerer:
-    """Builds the statements of an op's canonical copy, whose value ``v<j>``
-    has shape ``shapes[j]``."""
-
-    def __init__(self, shapes: tuple[TensorShape, ...]):
-        self.shapes = shapes
-        self.body: list[Stmt] = []
-        self._temp_seq = 0
-
-    # -- small helpers ------------------------------------------------------
-
-    def t(self) -> TempRef:
-        self._temp_seq += 1
-        return TempRef(f"t{self._temp_seq}")
-
-    def buf(self, vid: int) -> str:
-        return f"v{vid}"
-
-    def length(self, vid: int) -> int:
-        return self.shapes[vid].length
-
-    def operand_len(self, op: OpNode, slot: int) -> int:
-        return self.length(op.operands[slot])
-
-    # -- shared loop shapes --------------------------------------------------
-
-    def loop(self, op: OpNode, index: str, n: int, body: list[Stmt],
-             part: str = "", lower: int = 0) -> For:
-        """``for index in [lower, n)``, tagged ``<opcode>`` or ``<opcode>.<part>``."""
-        tag = f"{op.opcode.value}.{part}" if part else op.opcode.value
-        return For(index, lower, n, body, tag=tag)
-
-    def copy_loop(self, op: OpNode, src_index_of, n: int, transform) -> None:
-        """``for i in [0, n)``: the statements `transform(i, x)` builds from
-        the load ``x = src[src_index_of(i)]``."""
-        i = f"i{op.id}"
-        x = Load(self.buf(op.operands[0]), src_index_of(i))
-        self.body.append(self.loop(op, i, n, transform(i, x)))
-
-    def guarded_mac(self, n_idx: str, i_idx: str, x_buf: str, x_len: int,
-                    tap: Expr, acc: TempRef, offset: int = 0,
-                    i_coeff: int = -1) -> Stmt:
-        """Guarded ``acc = acc + tap * x[n + i_coeff*i + offset]``."""
-        at = _af(n_idx).plus(_af(i_idx, i_coeff)).shifted(offset)
-        return SelectGuard(at, 0, x_len,
-                           body=[Assign(acc, acc + tap * Load(x_buf, at))])
+def _loop(op: OpNode, n: int, body: list[Stmt], part: str = "",
+          index: str = "i", lower: int = 0) -> For:
+    """``for index in [lower, n)``, tagged ``<opcode>`` or ``<opcode>.<part>``."""
+    return For(index, lower, n, body,
+               tag=f"{op.opcode.value}.{part}" if part else op.opcode.value)
 
 
-def _e_delay(lw: _Lowerer, op: OpNode) -> None:
-    n = lw.length(op.id)
-    k = int(op.attr("k"))
-    x = lw.buf(op.operands[0])
-    out = lw.buf(op.id)
-    i = f"i{op.id}"
-    at = _af(i, const=-k)
-    body: list[Stmt] = [Store(out, _af(i), Load(x, at))]
+def _map(op: OpNode, n: int, value: Expr, at: AffineExpr = _af("i"),
+         pre: Sequence[Stmt] = ()) -> list[Stmt]:
+    """``for i in [0, n)``: the statements `pre`, then ``v<op>[at] = value``."""
+    return [_loop(op, n, [*pre, Store(f"v{op.id}", at, value)])]
+
+
+def _x(op: OpNode, at: AffineExpr = _af("i")) -> Load:
+    """The load ``x[at]`` from the op's first operand."""
+    return Load(f"v{op.operands[0]}", at)
+
+
+def _guarded_mac(x: str, n: int, tap: Expr, acc: TempRef, offset: int = 0,
+                 j_coeff: int = -1) -> Stmt:
+    """Guarded ``acc = acc + tap * x[i + j_coeff*j + offset]``."""
+    at = _af("i").plus(_af("j", j_coeff)).shifted(offset)
+    return SelectGuard(at, 0, n, body=[Assign(acc, acc + tap * Load(x, at))])
+
+
+def _e_delay(op: OpNode, lengths: list[int]) -> list[Stmt]:
+    n, k = lengths[op.id], int(op.attr("k"))
+    out, at = f"v{op.id}", _af("i", const=-k)
+    body: list[Stmt] = [Store(out, _af("i"), _x(op, at))]
     if k:
         body = [SelectGuard(at, 0, n, body=body,
-                            orelse=[Store(out, _af(i), ConstF(0.0))])]
-    lw.body.append(lw.loop(op, i, n, body))
+                            orelse=[Store(out, _af("i"), ConstF(0.0))])]
+    return [_loop(op, n, body)]
 
 
-def _e_fir(lw: _Lowerer, op: OpNode) -> None:
+def _e_fir(op: OpNode, lengths: list[int]) -> list[Stmt]:
     """Shared shape of firFilterResponse / conv1d: taps loaded every step."""
-    x, h = lw.buf(op.operands[0]), lw.buf(op.operands[1])
-    n_x = lw.operand_len(op, 0)
-    n_h = lw.operand_len(op, 1)
-    out = lw.buf(op.id)
-    n_i, i_i = f"i{op.id}", f"j{op.id}"
-    acc, th = lw.t(), lw.t()
-    inner: list[Stmt] = [
-        Assign(th, Load(h, _af(i_i))),
-        lw.guarded_mac(n_i, i_i, x, n_x, th, acc),
-    ]
-    body: list[Stmt] = [
+    x, h = (f"v{v}" for v in op.operands)
+    n_x, n_h = (lengths[v] for v in op.operands)
+    acc, tap = TempRef("acc"), TempRef("tap")
+    inner: list[Stmt] = [Assign(tap, Load(h, _af("j"))),
+                         _guarded_mac(x, n_x, tap, acc)]
+    return [_loop(op, lengths[op.id], [
         Assign(acc, ConstF(0.0)),
-        lw.loop(op, i_i, n_h, inner, "inner"),
-        Store(out, _af(n_i), acc),
-    ]
-    lw.body.append(lw.loop(op, n_i, lw.length(op.id), body, "outer"))
+        _loop(op, n_h, inner, "inner", "j"),
+        Store(f"v{op.id}", _af("i"), acc),
+    ], "outer")]
 
 
-def _e_sliding_avg(lw: _Lowerer, op: OpNode) -> None:
-    n = lw.length(op.id)
-    w = int(op.attr("window"))
-    x, out = lw.buf(op.operands[0]), lw.buf(op.id)
-    n_i, i_i = f"i{op.id}", f"j{op.id}"
-    acc = lw.t()
-    at = _af(n_i).plus(_af(i_i, -1))
+def _e_sliding_avg(op: OpNode, lengths: list[int]) -> list[Stmt]:
+    n, w = lengths[op.id], int(op.attr("window"))
+    acc, at = TempRef("acc"), _af("i").plus(_af("j", -1))
     inner: list[Stmt] = [
-        SelectGuard(at, 0, n, body=[Assign(acc, acc + Load(x, at))])]
-    body: list[Stmt] = [
+        SelectGuard(at, 0, n, body=[Assign(acc, acc + _x(op, at))])]
+    return [_loop(op, n, [
         Assign(acc, ConstF(0.0)),
-        lw.loop(op, i_i, w, inner, "inner"),
-        Store(out, _af(n_i), acc / float(w)),
-    ]
-    lw.body.append(lw.loop(op, n_i, n, body, "outer"))
+        _loop(op, w, inner, "inner", "j"),
+        Store(f"v{op.id}", _af("i"), acc / float(w)),
+    ], "outer")]
 
 
-def _e_dft(lw: _Lowerer, op: OpNode, *, real: bool = True, imag: bool = True,
-           half: bool = False) -> None:
+def _e_dft(op: OpNode, lengths: list[int], *, real: bool = True,
+           imag: bool = True, half: bool = False) -> list[Stmt]:
     """Real and/or imaginary DFT accumulated in one nest, optionally mirrored.
 
     Each enabled part stores into the op's next result.  With ``half`` (one
     part only) bins k <= N/2 are computed and mirrored by conjugate symmetry.
     """
-    n = lw.operand_len(op, 0)
-    x = lw.buf(op.operands[0])
-    c1 = 2.0 * math.pi / n
-    k_i, n_i = f"i{op.id}", f"j{op.id}"
-    parts = [(trig, sign) for on, trig, sign in ((real, "cos", "add"), (imag, "sin", "sub"))
-             if on]
-    accs = [lw.t() for _ in parts]
-    xn: Expr = Load(x, _af(n_i))
-    ang: Expr = c1 * IndexProdF(k_i, n_i)
+    n = lengths[op.operands[0]]
+    parts = [(TempRef(name), trig, sign) for on, name, trig, sign in
+             ((real, "re", "cos", "add"), (imag, "im", "sin", "sub")) if on]
+    xn: Expr = _x(op, _af("j"))
+    ang: Expr = 2.0 * math.pi / n * IndexProdF("i", "j")
     inner: list[Stmt] = []
     if len(parts) > 1:  # both parts read the sample and the angle
-        tx, ta = lw.t(), lw.t()
-        inner += [Assign(tx, xn), Assign(ta, ang)]
-        xn, ang = tx, ta
-    for acc, (trig, sign) in zip(accs, parts):
-        inner.append(Assign(acc, Arith(sign, acc, xn * Call(trig, ang))))
-    body: list[Stmt] = [Assign(acc, ConstF(0.0)) for acc in accs]
-    body.append(lw.loop(op, n_i, n, inner, "inner"))
-    body += [Store(lw.buf(rid), _af(k_i), acc) for rid, acc in zip(op.result_ids, accs)]
+        inner += [Assign(TempRef("x"), xn), Assign(TempRef("ang"), ang)]
+        xn, ang = TempRef("x"), TempRef("ang")
+    inner += [Assign(acc, Arith(sign, acc, xn * Call(trig, ang)))
+              for acc, trig, sign in parts]
+    body: list[Stmt] = [Assign(acc, ConstF(0.0)) for acc, _, _ in parts]
+    body.append(_loop(op, n, inner, "inner", "j"))
+    body += [Store(f"v{rid}", _af("i"), acc)
+             for rid, (acc, _, _) in zip(op.result_ids, parts)]
     if half:
         # real part: X[N-k] = X[k]; imaginary part: X[N-k] = -X[k]
-        acc = accs[0]
-        body.append(SelectGuard(_af(k_i), 1, (n + 1) // 2, body=[
-            Store(lw.buf(op.id), _af(k_i, -1, n), acc if real else 0.0 - acc)]))
-    lw.body.append(lw.loop(op, k_i, n // 2 + 1 if half else n, body, "outer"))
+        acc = parts[0][0]
+        body.append(SelectGuard(_af("i"), 1, (n + 1) // 2, body=[
+            Store(f"v{op.id}", _af("i", -1, n), acc if real else 0.0 - acc)]))
+    return [_loop(op, n // 2 + 1 if half else n, body, "outer")]
 
 
-def _e_idft(lw: _Lowerer, op: OpNode) -> None:
-    n = lw.length(op.id)
-    xr, xi = lw.buf(op.operands[0]), lw.buf(op.operands[1])
-    out = lw.buf(op.id)
-    c1 = 2.0 * math.pi / n
-    n_i, k_i = f"i{op.id}", f"j{op.id}"
-    acc, ang = lw.t(), lw.t()
+def _e_idft(op: OpNode, lengths: list[int]) -> list[Stmt]:
+    n = lengths[op.id]
+    xr, xi = (Load(f"v{v}", _af("j")) for v in op.operands)
+    acc, ang = TempRef("acc"), TempRef("ang")
     inner: list[Stmt] = [
-        Assign(ang, c1 * IndexProdF(n_i, k_i)),
-        Assign(acc, acc + Load(xr, _af(k_i)) * Call("cos", ang)
-               - Load(xi, _af(k_i)) * Call("sin", ang)),
+        Assign(ang, 2.0 * math.pi / n * IndexProdF("i", "j")),
+        Assign(acc, acc + xr * Call("cos", ang) - xi * Call("sin", ang)),
     ]
-    body: list[Stmt] = [
+    return [_loop(op, n, [
         Assign(acc, ConstF(0.0)),
-        lw.loop(op, k_i, n, inner, "inner"),
-        Store(out, _af(n_i), acc / float(n)),
-    ]
-    lw.body.append(lw.loop(op, n_i, n, body, "outer"))
+        _loop(op, n, inner, "inner", "j"),
+        Store(f"v{op.id}", _af("i"), acc / float(n)),
+    ], "outer")]
 
 
-def _lowpass_tap(lw: _Lowerer, n_i: str, L: int, wc: float, lp: TempRef
-                 ) -> list[Stmt]:
-    """lp = (wc/pi) * sinc(wc * (n - (L-1)/2)), midpoint guarded when L odd."""
-    scale = wc / math.pi
-    z = lw.t()  # sinc_eval reads its argument three times
-    calc: list[Stmt] = [
-        Assign(z, wc * (IndexF(_af(n_i)) - (L - 1) / 2.0)),
+def _lowpass_tap(L: int, wc: float) -> list[Stmt]:
+    """lp = (wc/pi) * sinc(wc * (i - (L-1)/2)), midpoint guarded when L odd."""
+    scale, lp, z = wc / math.pi, TempRef("lp"), TempRef("z")
+    calc: list[Stmt] = [  # sinc_eval reads its argument three times
+        Assign(z, wc * (IndexF(_af("i")) - (L - 1) / 2.0)),
         Assign(lp, scale * Call("sinc_eval", z)),
     ]
     if L % 2 == 1:
         midi = (L - 1) // 2
-        return [SelectGuard(_af(n_i), midi, midi + 1,
+        return [SelectGuard(_af("i"), midi, midi + 1,
                             body=[Assign(lp, ConstF(scale))], orelse=calc)]
     return calc
 
 
-def _hamming_tap(n_i: str, L: int) -> Expr:
-    """0.54 - 0.46 * cos(2*pi*n/(L-1))."""
-    c2 = 2.0 * math.pi / (L - 1)
-    return 0.54 - 0.46 * Call("cos", c2 * IndexF(_af(n_i)))
+def _hamming_tap(L: int) -> Expr:
+    """0.54 - 0.46 * cos(2*pi*i/(L-1))."""
+    return 0.54 - 0.46 * Call("cos", 2.0 * math.pi / (L - 1) * IndexF(_af("i")))
 
 
-def _e_lowpass(lw: _Lowerer, op: OpNode) -> None:
+def _e_lowpass(op: OpNode, lengths: list[int]) -> list[Stmt]:
     L = int(op.attr("L"))
-    n_i = f"i{op.id}"
-    lp = lw.t()
-    body = _lowpass_tap(lw, n_i, L, float(op.attr("wc")), lp)
-    body.append(Store(lw.buf(op.id), _af(n_i), lp))
-    lw.body.append(lw.loop(op, n_i, L, body))
+    return _map(op, L, TempRef("lp"), pre=_lowpass_tap(L, float(op.attr("wc"))))
 
 
-def _e_hamming(lw: _Lowerer, op: OpNode) -> None:
+def _e_hamming(op: OpNode, lengths: list[int]) -> list[Stmt]:
     L = int(op.attr("L"))
-    n_i = f"i{op.id}"
-    lw.body.append(lw.loop(op, n_i, L, [
-        Store(lw.buf(op.id), _af(n_i), _hamming_tap(n_i, L))]))
+    return _map(op, L, _hamming_tap(L))
 
 
-def _e_filter_hamm_opt(lw: _Lowerer, op: OpNode) -> None:
+def _e_filter_hamm_opt(op: OpNode, lengths: list[int]) -> list[Stmt]:
     L = int(op.attr("L"))
-    out = lw.buf(op.id)
-    n_i = f"i{op.id}"
-    lp, hv = lw.t(), lw.t()
-    body = _lowpass_tap(lw, n_i, L, float(op.attr("wc")), lp)
-    body.append(Assign(hv, lp * _hamming_tap(n_i, L)))
-    body.append(Store(out, _af(n_i), hv))
-    # mirrored tap; the middle of an odd-length window is stored once
-    body.append(SelectGuard(_af(n_i), 0, L // 2,
-                            body=[Store(out, _af(n_i, -1, L - 1), hv)]))
-    half = (L + 1) // 2
-    lw.body.append(lw.loop(op, n_i, half, body))
+    out, hv = f"v{op.id}", TempRef("hv")
+    return [_loop(op, (L + 1) // 2, [
+        *_lowpass_tap(L, float(op.attr("wc"))),
+        Assign(hv, TempRef("lp") * _hamming_tap(L)),
+        Store(out, _af("i"), hv),
+        # mirrored tap; the middle of an odd-length window is stored once
+        SelectGuard(_af("i"), 0, L // 2,
+                    body=[Store(out, _af("i", -1, L - 1), hv)]),
+    ])]
 
 
-def _e_filter_res_symm(lw: _Lowerer, op: OpNode) -> None:
-    x, h = lw.buf(op.operands[0]), lw.buf(op.operands[1])
-    n_x = lw.operand_len(op, 0)
-    L = lw.operand_len(op, 1)
-    out = lw.buf(op.id)
-    n_i, i_i = f"i{op.id}", f"j{op.id}"
-    acc, tp = lw.t(), lw.t()
-    at_lo = _af(n_i).plus(_af(i_i, -1))                    # n - i
-    at_hi = _af(n_i).plus(_af(i_i, 1)).shifted(-(L - 1))   # n - (L-1-i)
+def _e_filter_res_symm(op: OpNode, lengths: list[int]) -> list[Stmt]:
+    x, h = (f"v{v}" for v in op.operands)
+    n_x, L = (lengths[v] for v in op.operands)
+    acc, pair = TempRef("acc"), TempRef("pair")
+    at_lo = _af("i").plus(_af("j", -1))                  # i - j
+    at_hi = _af("i").plus(_af("j")).shifted(-(L - 1))    # i - (L-1-j)
     inner: list[Stmt] = [
-        Assign(tp, ConstF(0.0)),
-        SelectGuard(at_lo, 0, n_x, body=[Assign(tp, tp + Load(x, at_lo))]),
-        SelectGuard(at_hi, 0, n_x, body=[Assign(tp, tp + Load(x, at_hi))]),
-        Assign(acc, acc + Load(h, _af(i_i)) * tp),
+        Assign(pair, ConstF(0.0)),
+        SelectGuard(at_lo, 0, n_x, body=[Assign(pair, pair + Load(x, at_lo))]),
+        SelectGuard(at_hi, 0, n_x, body=[Assign(pair, pair + Load(x, at_hi))]),
+        Assign(acc, acc + Load(h, _af("j")) * pair),
     ]
-    body: list[Stmt] = [
-        Assign(acc, ConstF(0.0)),
-        lw.loop(op, i_i, L // 2, inner, "inner"),
-    ]
+    body: list[Stmt] = [Assign(acc, ConstF(0.0)),
+                        _loop(op, L // 2, inner, "inner", "j")]
     if L % 2 == 1:
-        midi = (L - 1) // 2
-        th = lw.t()  # loaded whether or not the guard holds
-        body.append(Assign(th, Load(h, AffineExpr.lit(midi))))
-        body.append(lw.guarded_mac(n_i, i_i, x, n_x, th, acc,
-                                   offset=-midi, i_coeff=0))
-    body.append(Store(out, _af(n_i), acc))
-    lw.body.append(lw.loop(op, n_i, lw.length(op.id), body, "outer"))
+        midi, tap = (L - 1) // 2, TempRef("tap")  # loaded whether or not the guard holds
+        body += [Assign(tap, Load(h, AffineExpr.lit(midi))),
+                 _guarded_mac(x, n_x, tap, acc, offset=-midi, j_coeff=0)]
+    body.append(Store(f"v{op.id}", _af("i"), acc))
+    return [_loop(op, lengths[op.id], body, "outer")]
 
 
-def _e_filter_y_symm(lw: _Lowerer, op: OpNode) -> None:
-    x = lw.buf(op.operands[0])
-    n = lw.operand_len(op, 0)
-    n_out = 2 * n - 1
-    out = lw.buf(op.id)
-    n_i, i_i = f"i{op.id}", f"j{op.id}"
-    acc, th = lw.t(), lw.t()
+def _e_filter_y_symm(op: OpNode, lengths: list[int]) -> list[Stmt]:
+    x, out = f"v{op.operands[0]}", f"v{op.id}"
+    n = lengths[op.operands[0]]
+    acc, tap = TempRef("acc"), TempRef("tap")
     inner: list[Stmt] = [
-        Assign(th, Load(x, _af(i_i, -1, n - 1))),  # reversed tap x[N-1-i]
-        lw.guarded_mac(n_i, i_i, x, n, th, acc),
+        Assign(tap, Load(x, _af("j", -1, n - 1))),  # reversed tap x[N-1-j]
+        _guarded_mac(x, n, tap, acc),
     ]
-    body: list[Stmt] = [
+    return [_loop(op, n, [
         Assign(acc, ConstF(0.0)),
-        lw.loop(op, i_i, n, inner, "inner"),
-        Store(out, _af(n_i), acc),
-        # palindrome: y[Nout-1-n] = y[n], middle stored once
-        SelectGuard(_af(n_i), 0, n - 1,
-                    body=[Store(out, _af(n_i, -1, n_out - 1), acc)]),
-    ]
-    lw.body.append(lw.loop(op, n_i, n, body, "outer"))
+        _loop(op, n, inner, "inner", "j"),
+        Store(out, _af("i"), acc),
+        # palindrome: y[2N-2-i] = y[i], middle stored once
+        SelectGuard(_af("i"), 0, n - 1,
+                    body=[Store(out, _af("i", -1, 2 * n - 2), acc)]),
+    ], "outer")]
 
 
-def _e_lms(lw: _Lowerer, op: OpNode) -> None:
+def _e_lms(op: OpNode, lengths: list[int]) -> list[Stmt]:
     """LMS adaptation with step mu.  The gain-fused form is exactly
     ``gain(lmsFilter(...), g)``: after the divergence check it scales the
     final weights in place, ``w[j] = g * w[j]``, at the gain's cost."""
-    mu = float(op.attr("mu"))
-    x, d = lw.buf(op.operands[0]), lw.buf(op.operands[1])
-    n = lw.operand_len(op, 0)
-    m = int(op.attr("M"))
-    w = lw.buf(op.id)  # weights accumulate in the result buffer
-    n_i, i_i = f"i{op.id}", f"j{op.id}"
-    y, t = lw.t(), lw.t()
-    at = _af(n_i).plus(_af(i_i, -1))
-    wi, xi = Load(w, _af(i_i)), Load(x, at)
+    x, d = (f"v{v}" for v in op.operands)
+    w = f"v{op.id}"  # weights accumulate in the result buffer
+    n, m = lengths[op.operands[0]], int(op.attr("M"))
+    y, step = TempRef("y"), TempRef("step")
+    at = _af("i").plus(_af("j", -1))
+    wj, xj = Load(w, _af("j")), Load(x, at)
     body: list[Stmt] = [
         Assign(y, ConstF(0.0)),
-        lw.loop(op, i_i, m, [SelectGuard(at, 0, n, body=[
-            Assign(y, y + wi * xi)])], "dot"),
-        Assign(t, mu * (Load(d, _af(n_i)) - y)),
-        lw.loop(op, i_i, m, [SelectGuard(at, 0, n, body=[
-            Store(w, _af(i_i), wi + t * xi)])], "update"),
+        _loop(op, m, [SelectGuard(at, 0, n, body=[
+            Assign(y, y + wj * xj)])], "dot", "j"),
+        Assign(step, float(op.attr("mu")) * (Load(d, _af("i")) - y)),
+        _loop(op, m, [SelectGuard(at, 0, n, body=[
+            Store(w, _af("j"), wj + step * xj)])], "update", "j"),
     ]
-    lw.body.append(lw.loop(op, n_i, n, body, "outer"))
-    lw.body.append(CheckFinite(w))
+    stmts = [_loop(op, n, body, "outer"), CheckFinite(w)]
     if op.opcode is OpCode.LMS_FILTER_GAIN_OPT:
         g = float(op.attr("g"))
-        lw.body.append(lw.loop(op, i_i, m, [Store(w, _af(i_i), g * wi)], "scale"))
+        stmts.append(_loop(op, m, [Store(w, _af("j"), g * wj)], "scale", "j"))
+    return stmts
 
 
-def _e_binary(lw: _Lowerer, op: OpNode) -> None:
-    n = lw.length(op.id)
-    na, nb = lw.operand_len(op, 0), lw.operand_len(op, 1)
-    i = f"i{op.id}"
-    a = Load(lw.buf(op.operands[0]), _af(i) if na != 1 else AffineExpr.lit(0))
-    b: Expr = Load(lw.buf(op.operands[1]), _af(i) if nb != 1 else AffineExpr.lit(0))
-    body: list[Stmt] = []
+def _e_binary(op: OpNode, lengths: list[int]) -> list[Stmt]:
+    a, b = (Load(f"v{v}", _af("i") if lengths[v] != 1 else AffineExpr.lit(0))
+            for v in op.operands)
+    pre: list[Stmt] = []
     if op.opcode is OpCode.DIV:  # the zero check reads the divisor first
-        tb = lw.t()
-        body.append(Assign(tb, b))
-        b = tb
-    body.append(Store(lw.buf(op.id), _af(i), Arith(op.opcode.value, a, b)))
-    lw.body.append(lw.loop(op, i, n, body))
+        pre, b = [Assign(TempRef("b"), b)], TempRef("b")
+    return _map(op, lengths[op.id], Arith(op.opcode.value, a, b), pre=pre)
 
 
-def _e_square(lw: _Lowerer, op: OpNode) -> None:
-    out = lw.buf(op.id)
-    tv = lw.t()
-    lw.copy_loop(op, lambda i: _af(i), lw.length(op.id),
-                 lambda i, x: [Assign(tv, x), Store(out, _af(i), tv * tv)])
+def _e_square(op: OpNode, lengths: list[int]) -> list[Stmt]:
+    x = TempRef("x")
+    return _map(op, lengths[op.id], x * x, pre=[Assign(x, _x(op))])
 
 
-def _e_gain(lw: _Lowerer, op: OpNode) -> None:
-    g = float(op.attr("g"))
-    out = lw.buf(op.id)
-    lw.copy_loop(op, lambda i: _af(i), lw.length(op.id),
-                 lambda i, x: [Store(out, _af(i), g * x)])
+def _e_gain(op: OpNode, lengths: list[int]) -> list[Stmt]:
+    return _map(op, lengths[op.id], float(op.attr("g")) * _x(op))
 
 
-def _e_reverse(lw: _Lowerer, op: OpNode) -> None:
-    n = lw.length(op.id)
-    out = lw.buf(op.id)
-    lw.copy_loop(op, lambda i: _af(i, -1, n - 1), n,
-                 lambda i, x: [Store(out, _af(i), x)])
+def _e_reverse(op: OpNode, lengths: list[int]) -> list[Stmt]:
+    n = lengths[op.id]
+    return _map(op, n, _x(op, _af("i", -1, n - 1)))
 
 
-def _e_sum(lw: _Lowerer, op: OpNode) -> None:
-    n = lw.operand_len(op, 0)
-    x, out = lw.buf(op.operands[0]), lw.buf(op.id)
-    i = f"i{op.id}"
-    acc = lw.t()
-    lw.body.append(Assign(acc, ConstF(0.0)))
-    lw.body.append(lw.loop(op, i, n, [Assign(acc, acc + Load(x, _af(i)))]))
-    lw.body.append(Store(out, AffineExpr.lit(0), acc))
+def _e_sum(op: OpNode, lengths: list[int]) -> list[Stmt]:
+    acc = TempRef("acc")
+    return [Assign(acc, ConstF(0.0)),
+            _loop(op, lengths[op.operands[0]], [Assign(acc, acc + _x(op))]),
+            Store(f"v{op.id}", AffineExpr.lit(0), acc)]
 
 
-def _e_threshold(lw: _Lowerer, op: OpNode) -> None:
-    t = float(op.attr("t"))
-    out = lw.buf(op.id)
-    tv = lw.t()
-    lw.copy_loop(op, lambda i: _af(i), lw.length(op.id),
-                 lambda i, x: [
-                     Assign(tv, x),
-                     Store(out, _af(i),
-                           Cond("ge", Call("abs", tv), ConstF(t), tv, ConstF(0.0))),
-                 ])
+def _e_threshold(op: OpNode, lengths: list[int]) -> list[Stmt]:
+    x, t = TempRef("x"), ConstF(float(op.attr("t")))
+    return _map(op, lengths[op.id],
+                Cond("ge", Call("abs", x), t, x, ConstF(0.0)),
+                pre=[Assign(x, _x(op))])
 
 
-def _e_quantize(lw: _Lowerer, op: OpNode) -> None:
+def _e_quantize(op: OpNode, lengths: list[int]) -> list[Stmt]:
     levels = int(op.attr("levels"))
-    lo = float(op.attr("min"))
-    hi = float(op.attr("max"))
+    lo, hi = float(op.attr("min")), float(op.attr("max"))
     step = (hi - lo) / (levels - 1)
-    out = lw.buf(op.id)
-    tv, tc = lw.t(), lw.t()  # tc: the lower clamp, read twice by the upper
-    clamped = Cond("gt", tc, ConstF(hi), ConstF(hi), tc)
-    lw.copy_loop(op, lambda i: _af(i), lw.length(op.id),
-                 lambda i, x: [
-                     Assign(tv, x),
-                     Assign(tc, Cond("lt", tv, ConstF(lo), ConstF(lo), tv)),
-                     Store(out, _af(i),
-                           lo + Call("floor", (clamped - lo) / step + 0.5) * step),
-                 ])
+    x, clamp = TempRef("x"), TempRef("clamp")  # the lower clamp, read twice by the upper
+    clamped = Cond("gt", clamp, ConstF(hi), ConstF(hi), clamp)
+    return _map(op, lengths[op.id],
+                lo + Call("floor", (clamped - lo) / step + 0.5) * step, pre=[
+                    Assign(x, _x(op)),
+                    Assign(clamp, Cond("lt", x, ConstF(lo), ConstF(lo), x))])
 
 
-def _e_rle(lw: _Lowerer, op: OpNode) -> None:
-    n = lw.operand_len(op, 0)
-    x, out = lw.buf(op.operands[0]), lw.buf(op.id)
-    i = f"i{op.id}"
-    rv, rl, tv = lw.t(), lw.t(), lw.t()
-    lw.body.append(Assign(rv, Load(x, AffineExpr.lit(0))))
-    lw.body.append(Assign(rl, ConstF(1.0)))
-    lw.body.append(lw.loop(op, i, n, [
-        Assign(tv, Load(x, _af(i))),
-        IfCmp("eq", tv, rv,
-              body=[Assign(rl, rl + 1.0)],
-              orelse=[DynAppend(out, rv),
-                      DynAppend(out, rl),
-                      Assign(rv, tv),
-                      Assign(rl, ConstF(1.0))]),
-    ], lower=1))
-    lw.body.append(DynAppend(out, rv))
-    lw.body.append(DynAppend(out, rl))
+def _e_rle(op: OpNode, lengths: list[int]) -> list[Stmt]:
+    out = f"v{op.id}"
+    value, run, x = TempRef("value"), TempRef("run"), TempRef("x")
+    return [
+        Assign(value, _x(op, AffineExpr.lit(0))),
+        Assign(run, ConstF(1.0)),
+        _loop(op, lengths[op.operands[0]], [
+            Assign(x, _x(op)),
+            IfCmp("eq", x, value,
+                  body=[Assign(run, run + 1.0)],
+                  orelse=[DynAppend(out, value),
+                          DynAppend(out, run),
+                          Assign(value, x),
+                          Assign(run, ConstF(1.0))]),
+        ], lower=1),
+        DynAppend(out, value),
+        DynAppend(out, run),
+    ]
 
 
-def _e_upsample(lw: _Lowerer, op: OpNode) -> None:
-    k = int(op.attr("k"))
-    n = lw.operand_len(op, 0)
-    out = lw.buf(op.id)
-    lw.copy_loop(op, lambda i: _af(i), n,
-                 lambda i, x: [Store(out, _af(i, k), x)])
+def _e_upsample(op: OpNode, lengths: list[int]) -> list[Stmt]:
+    return _map(op, lengths[op.operands[0]], _x(op),
+                at=_af("i", int(op.attr("k"))))
 
 
-def _e_downsample(lw: _Lowerer, op: OpNode) -> None:
-    k = int(op.attr("k"))
-    out = lw.buf(op.id)
-    lw.copy_loop(op, lambda i: _af(i, k), lw.length(op.id),
-                 lambda i, x: [Store(out, _af(i), x)])
+def _e_downsample(op: OpNode, lengths: list[int]) -> list[Stmt]:
+    return _map(op, lengths[op.id], _x(op, _af("i", int(op.attr("k")))))
 
 
-def _e_osc(lw: _Lowerer, op: OpNode, trig: str) -> None:
-    n = int(op.attr("n"))
+def _e_osc(op: OpNode, lengths: list[int], trig: str) -> list[Stmt]:
     c = 2.0 * math.pi * float(op.attr("f")) / float(op.attr("fs"))
-    i = f"i{op.id}"
-    lw.body.append(lw.loop(op, i, n, [
-        Store(lw.buf(op.id), _af(i), Call(trig, c * IndexF(_af(i))))]))
+    return _map(op, int(op.attr("n")), Call(trig, c * IndexF(_af("i"))))
 
 
-def _e_range_vec(lw: _Lowerer, op: OpNode) -> None:
-    n = int(op.attr("n"))
-    start = float(op.attr("start"))
-    step = float(op.attr("step"))
-    i = f"i{op.id}"
-    lw.body.append(lw.loop(op, i, n, [
-        Store(lw.buf(op.id), _af(i), start + step * IndexF(_af(i)))]))
+def _e_range_vec(op: OpNode, lengths: list[int]) -> list[Stmt]:
+    start, step = float(op.attr("start")), float(op.attr("step"))
+    return _map(op, int(op.attr("n")), start + step * IndexF(_af("i")))
 
 
 # The loop-nest emitter of each opcode; inputs and constants are data only,
@@ -519,12 +419,13 @@ def op_unit(opcode: OpCode, attributes: tuple, spelled: tuple[str, ...],
     and these operands: `operands` numbers each operand by the first slot that
     reads the same value, and `shapes` holds the shape of each distinct
     operand, then of each result.  Lowers the op's canonical copy, whose
-    buffer ``v<j>`` has shape ``shapes[j]``, as its emitter builds it."""
-    lw = _Lowerer(shapes)
+    buffer ``v<j>`` has shape ``shapes[j]``, with the statements its emitter
+    returns."""
     k = len(shapes) - OP_DEFS[opcode].n_results
-    EMITTERS[opcode](lw, OpNode(k, opcode, operands, attributes, shapes[k:]))
-    return Unit(tuple(BufferDecl(lw.buf(j), s.length, dynamic=s.dynamic)
-                      for j, s in enumerate(shapes)), lw.body)
+    op = OpNode(k, opcode, operands, attributes, shapes[k:])
+    return Unit(tuple(BufferDecl(f"v{j}", s.length, dynamic=s.dynamic)
+                      for j, s in enumerate(shapes)),
+                EMITTERS[opcode](op, [s.length for s in shapes]))
 
 
 def lower_graph(graph: DspGraph) -> LoopProgram:
