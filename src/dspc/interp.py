@@ -140,7 +140,6 @@ class _Rendered(NamedTuple):
     fn: FunctionType  # its compiled code, with c0, c1, ... as defaults
     literals: str  # ", c0, c1, ..." as a call line spells their values
     params: tuple[int, ...]  # the unit buffer of each b<k>
-    appends: tuple[int, ...]  # the unit buffer of each returned cursor
     static: tuple  # (key, cost) of one run of the unit; a load's key names a unit buffer
     branches: tuple[tuple, ...]  # (key, cost) of one run of each counted branch body
 
@@ -246,17 +245,16 @@ class _Compiler:
     cost is kept in `branches`, in program order.  A unit renders with local
     names: buffers `b<k>` (its positional parameters, in order of first use),
     temporaries `t<k>`, loop indices `i<k>`, and each literal a parameter
-    `c<k>`.  It zeroes its append cursors and run counters in one chained
-    assignment and returns them, in that order.  An op appends only to its
-    own result, so each unit's cursors start at 0.
+    `c<k>`.  It zeroes its run counters in one chained assignment and
+    returns them.  A dynamic buffer is a list the unit appends to, its
+    length the logical one, so no load or store may touch it.
     """
 
     def __init__(self, unit: Unit):
         self.unit = unit
         self.index = {b.name: j for j, b in enumerate(unit.buffers)}
         self.names: dict[str, dict[str, str]] = {"b": {}, "t": {}, "i": {}}
-        # cursor name per appended buffer, literal values, run counter names
-        self.cursors: dict[str, str] = {}
+        # literal values, run counter names
         self.lits: list = []
         self.runs: list[str] = []
         self.branch_costs: list[Counter] = []
@@ -286,6 +284,8 @@ class _Compiler:
         """Python for `buffer[index]` and the buffer's unit slot, the access
         proved in bounds where `known` holds; raises OutOfBounds."""
         b, j = self._buffer(buffer)
+        if self.unit.buffers[j].dynamic:
+            raise OutOfBounds(buffer, "a dynamic buffer is only appended to")
         if known is not None:
             lo, hi = affine_interval(index, known)
             cap = self.unit.buffers[j].capacity
@@ -406,12 +406,10 @@ class _Compiler:
                     lines.extend(self._branch(stmt.orelse, depth + 1, loop_stack, known))
             elif isinstance(stmt, DynAppend):
                 buf, j = self._buffer(stmt.buffer)
-                cur = self.cursors.setdefault(stmt.buffer, f"n_{buf}")
                 cap = self._lit(self.unit.buffers[j].capacity)
-                lines.append(f"{pad}if {cur} >= {cap}:")
+                lines.append(f"{pad}if len({buf}) >= {cap}:")
                 lines.append(f"{pad}    raise _Capacity({buf}, {cap})")
-                emit(f"{buf}[{cur}] = {ex(stmt.value)}")
-                lines.append(f"{pad}{cur} += 1")
+                emit(f"{buf}.append({ex(stmt.value)})")
                 cost["stores"] += 1
             elif isinstance(stmt, CheckFinite):
                 buf = self._buffer(stmt.buffer)[0]
@@ -451,10 +449,9 @@ class _Compiler:
         compiled once per text (`UNIT_CODE`)."""
         body, cost = self._block(self.unit.body, 1, [], {})
         params = [*self.names["b"].values(), *(f"c{k}" for k in range(len(self.lits)))]
-        zeroed = [*self.cursors.values(), *self.runs]
-        if zeroed:
-            body = [f"    {' = '.join(zeroed)} = 0", *body,
-                    f"    return [{', '.join(zeroed)}]"]
+        if self.runs:
+            body = [f"    {' = '.join(self.runs)} = 0", *body,
+                    f"    return [{', '.join(self.runs)}]"]
         text = sys.intern("\n".join([f"def _run({', '.join(params)}):", *body]))
         code = UNIT_CODE.get(text)
         if code is None:  # the function's code is the module's first constant
@@ -462,7 +459,6 @@ class _Compiler:
         return _Rendered(text, FunctionType(code, _NS, "_run", tuple(self.lits)),
                          "".join([f", {_literal(v)}" for v in self.lits]),
                          tuple(map(self.index.get, self.names["b"])),
-                         tuple(map(self.index.get, self.cursors)),
                          tuple(cost.items()),
                          tuple(tuple(c.items()) for c in self.branch_costs))
 
@@ -481,8 +477,8 @@ _FIELDS = ("stores", "mults", "adds", "trig_calls")
 class _Linked(NamedTuple):
     """A program's calls and its costs, split once into integer vectors."""
 
-    # per call, in order: (rendered unit, buffer slots, appended buffers, label)
-    calls: list[tuple[_Rendered, tuple[int, ...], tuple[str, ...], str]]
+    # per call, in order: (rendered unit, buffer slots, label)
+    calls: list[tuple[_Rendered, tuple[int, ...], str]]
     static: list[int]  # cost of one run per counter: _FIELDS, then tags and loads
     branches: list[tuple[tuple[int, int], ...]]  # (counter, cost) per run counter
     tags: list[tuple[str, int]]  # (loop tag, counter)
@@ -506,8 +502,7 @@ def _link(program: LoopProgram) -> _Linked:
         return k
 
     bound = [(_rendered(unit), names) for _, unit, names in program.calls]
-    calls = [(r, tuple([slot[names[j]] for j in r.params]),
-              tuple([names[j] for j in r.appends]), label)
+    calls = [(r, tuple([slot[names[j]] for j in r.params]), label)
              for (r, names), (label, *_) in zip(bound, program.calls)]
     for r, names in bound:  # static keys first, as they sum in this order
         for key, v in r.static:
@@ -552,7 +547,7 @@ def compiled_source(program: LoopProgram) -> str:
             if r.text not in names:
                 names[r.text] = f"_run{len(names)}"
                 lines.append(f"def {names[r.text]}{r.text.removeprefix('def _run')}")
-        for r, slots, _, label in calls:
+        for r, slots, label in calls:
             args = (", ".join([program.buffers[k].name for k in slots])
                     + r.literals).removeprefix(", ")
             lines.append(f"{names[r.text]}({args})" + (f"  # {label}" if label else ""))
@@ -572,7 +567,7 @@ def evaluate_loop_ir(program: LoopProgram,
     for b in program.buffers:
         try:
             bufs.append(list(b.init) if b.init is not None
-                        else [0.0] * b.capacity)
+                        else [] if b.dynamic else [0.0] * b.capacity)
         except (OverflowError, MemoryError):
             raise BufferTooLarge(f"buffer {b.name} of capacity {b.capacity} "
                                  "cannot be allocated") from None
@@ -586,21 +581,15 @@ def evaluate_loop_ir(program: LoopProgram,
                 f"input {name!r} expects {cap} samples, got {len(t)}")
         bufs[slot[bname]] = list(t.values)
 
-    cursors = {b.name: 0 for b in program.buffers if b.dynamic}
     runs: list[int] = []
     t0 = time.perf_counter_ns()
     try:
-        for r, slots, dyn, label in linked.calls:
-            got = r.fn(*[bufs[k] for k in slots])
-            if got:
-                cursors.update(zip(dyn, got))
-                runs += got[len(dyn):]
+        for r, slots, _ in linked.calls:
+            runs += r.fn(*[bufs[k] for k in slots]) or ()
     except (NonFinite, CapacityExceeded) as exc:  # raised with the buffer itself
         buf, *cap = exc.args
         name = next(b.name for b, v in zip(program.buffers, bufs) if v is buf)
         raise type(exc)(_MESSAGES[type(exc)].format(name, *cap)) from None
-    except ValueError:  # floor of a NaN: quantize read a non-finite value
-        raise NonFinite(f"non-finite value in {label}") from None
     wall = time.perf_counter_ns() - t0
 
     total = linked.static.copy()
@@ -618,8 +607,7 @@ def evaluate_loop_ir(program: LoopProgram,
 
     outputs: dict[int, Tensor] = {}
     for vid, bname in program.outputs + program.returns:
-        buf = bufs[slot[bname]]  # a dynamic buffer is trimmed to its cursor
-        outputs[vid] = Tensor(tuple(buf[:cursors[bname]] if bname in cursors else buf))
+        outputs[vid] = Tensor(tuple(bufs[slot[bname]]))
     return outputs, counters
 
 

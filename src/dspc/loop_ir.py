@@ -244,7 +244,7 @@ class BufferDecl:
     name: str
     capacity: int
     init: Optional[tuple[float, ...]] = None  # data segment, e.g. constants
-    dynamic: bool = False  # filled by DynAppend; logical length is the cursor
+    dynamic: bool = False  # a list filled by DynAppend alone, up to capacity
 
 
 @dataclass(eq=False)

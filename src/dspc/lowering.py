@@ -309,11 +309,13 @@ def _e_sum(op: OpNode, lengths: list[int]) -> list[Stmt]:
             Store(f"v{op.id}", AffineExpr.lit(0), acc)]
 
 
+# Threshold would map a NaN to 0 and quantize an infinity to a bound, so both
+# check their operand first: a non-finite value is an error, not data.
 def _e_threshold(op: OpNode, lengths: list[int]) -> list[Stmt]:
     x, t = TempRef("x"), ConstF(float(op.attr("t")))
-    return _map(op, lengths[op.id],
-                Cond("ge", Call("abs", x), t, x, ConstF(0.0)),
-                pre=[Assign(x, _x(op))])
+    return [CheckFinite(f"v{op.operands[0]}"), *_map(
+        op, lengths[op.id], Cond("ge", Call("abs", x), t, x, ConstF(0.0)),
+        pre=[Assign(x, _x(op))])]
 
 
 def _e_quantize(op: OpNode, lengths: list[int]) -> list[Stmt]:
@@ -322,10 +324,10 @@ def _e_quantize(op: OpNode, lengths: list[int]) -> list[Stmt]:
     step = (hi - lo) / (levels - 1)
     x, clamp = TempRef("x"), TempRef("clamp")  # the lower clamp, read twice by the upper
     clamped = Cond("gt", clamp, ConstF(hi), ConstF(hi), clamp)
-    return _map(op, lengths[op.id],
-                lo + Call("floor", (clamped - lo) / step + 0.5) * step, pre=[
-                    Assign(x, _x(op)),
-                    Assign(clamp, Cond("lt", x, ConstF(lo), ConstF(lo), x))])
+    return [CheckFinite(f"v{op.operands[0]}"), *_map(
+        op, lengths[op.id], lo + Call("floor", (clamped - lo) / step + 0.5) * step,
+        pre=[Assign(x, _x(op)),
+             Assign(clamp, Cond("lt", x, ConstF(lo), ConstF(lo), x))])]
 
 
 def _e_rle(op: OpNode, lengths: list[int]) -> list[Stmt]:

@@ -263,9 +263,16 @@ _B, _M = "1" + "0" * 300, "1" + "0" * 308  # 1e300 and 1e308 as plain literals
      ("--synth", "x=4,1"), 3, "quantize requires a finite step (max-min)/(levels-1) above 0"),
     (f"def main(x) {{ print(quantize(x, {_M}, 0, 0.00000000000000000001)); }}",
      ("--synth", "x=4,1"), 3, "quantize requires a finite step (max-min)/(levels-1) above 0"),
-    # big - big is inf - inf, a NaN, which no clamp moves and floor rejects
+    # big - big is inf - inf, a NaN, which no clamp moves and floor rejects;
+    # threshold and quantize name the operand buffer holding it
     (f"def main(x) {{ var big = gain(x, {_M}) * 10; print(quantize(big - big, 4, 0, 1)); }}",
-     ("--synth", "x=4,1"), 4, "non-finite value in %5 quantize"),
+     ("--synth", "x=4,1"), 4, "non-finite value in v4"),
+    # abs(nan) >= t is false, so threshold would print the NaN as 0.0
+    (f"def main(x) {{ var big = gain(x, {_M}) * 10; print(threshold(big - big, 0.5)); }}",
+     ("--synth", "x=4,1"), 4, "non-finite value in v4"),
+    # the clamps map +-inf to the bounds, so quantize would print them as finite
+    (f"def main(x) {{ var big = gain(x, {_M}) * 10; print(quantize(big, 4, 0, 1)); }}",
+     ("--synth", "x=4,1"), 4, "non-finite value in v3"),
     # the step mu = 1e300 makes the LMS weights diverge on both routes, inside
     # the LMS itself and before any gain scales them
     (f"def main(x, d) {{ print(gain(lmsFilter(x, d, {_B}, 2), {_B})); }}",
@@ -275,8 +282,8 @@ _B, _M = "1" + "0" * 300, "1" + "0" * 308  # 1e300 and 1e308 as plain literals
     # the phase step 2*pi*f/fs overflows, and sin(inf) has no value
     (f"def main() {{ print(sinVec(4, {_B}, 0.000000000000000000001)); }}",
      (), 3, "phase 2*pi*f/fs*(n-1) is not finite"),
-], ids=["quantize_step", "quantize_step_zero", "quantize_nan", "lms_gain_step_dsp",
-        "lms_gain_step_none", "sin_vec_phase"])
+], ids=["quantize_step", "quantize_step_zero", "quantize_nan", "threshold_nan",
+        "quantize_inf", "lms_gain_step_dsp", "lms_gain_step_none", "sin_vec_phase"])
 def test_overflowing_folded_constant_exits_cleanly(capsys, tmp_path, source, argv, code,
                                                    message):
     src = tmp_path / "overflow.dsp"

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import math
@@ -205,6 +206,20 @@ def test_index_without_a_loop_is_rejected_before_it_runs(stmt):
 
 
 @pytest.mark.parametrize("stmt", [
+    Store("y", AffineExpr.lit(0), ConstF(1.0)),
+    Store("z", AffineExpr.lit(0), Load("y", AffineExpr.lit(0))),
+], ids=["store", "load"])
+def test_dynamic_buffer_is_only_appended_to(stmt):
+    # a dynamic buffer is a list holding what was appended so far, so an
+    # index inside its capacity may still be past its end
+    p = one_unit([BufferDecl("y", 4, dynamic=True), BufferDecl("z", 1)], [stmt],
+                 inputs=[], outputs=[])
+    with pytest.raises(OutOfBounds,
+                       match="^buffer 'y': a dynamic buffer is only appended to$"):
+        compiled_source(p)
+
+
+@pytest.mark.parametrize("stmt", [
     Store("y", _NOPE, Call("tanh", ConstF(1.0))),
     ConstF(1.0),
     Store("y", _NOPE, "t0"),
@@ -269,6 +284,45 @@ def test_calls_of_one_unit_run_one_function():
         assert len(rle) == 2 and p.calls[rle[0]][1] is p.calls[rle[1]][1]
         fns = _unit_functions(p)
         assert fns[rle[0]] is fns[rle[1]]
+
+
+def _temps(node) -> set[str]:
+    """The names of the temporaries in an IR node, list or tree."""
+    if isinstance(node, TempRef):
+        return {node.name}
+    if isinstance(node, list):
+        return set().union(*map(_temps, node))
+    if dataclasses.is_dataclass(node) and not isinstance(node, AffineExpr):
+        return set().union(*(_temps(getattr(node, f.name))
+                             for f in dataclasses.fields(node)))
+    return set()
+
+
+def _renamed(node, names: dict[str, str]):
+    """An IR node, list or tree with each temporary `t` renamed `names[t]`."""
+    if isinstance(node, TempRef):
+        return TempRef(names[node.name])
+    if isinstance(node, list):
+        return [_renamed(n, names) for n in node]
+    if dataclasses.is_dataclass(node) and not isinstance(node, AffineExpr):
+        return dataclasses.replace(node, **{
+            f.name: _renamed(getattr(node, f.name), names)
+            for f in dataclasses.fields(node)})
+    return node
+
+
+def test_unit_text_does_not_depend_on_temporary_names():
+    # emitters name temporaries as they please: the render walk renames every
+    # one by first use, so a bijective renaming renders the same text
+    from dspc.interp import _Compiler
+    units = {id(unit): unit for p in _corpus_programs() for _, unit, _ in p.calls}
+    assert len(units) > 20
+    for unit in units.values():
+        names = sorted(_temps(unit.body))
+        swapped = dict(zip(names, [f"{n}_" for n in reversed(names)]))
+        copy = Unit(unit.buffers, _renamed(unit.body, swapped))
+        assert _temps(copy.body) == set(swapped.values())
+        assert _Compiler(copy).render().text == _Compiler(unit).render().text
 
 
 def test_recompiling_the_corpus_compiles_nothing(monkeypatch):
