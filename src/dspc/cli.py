@@ -253,13 +253,9 @@ def cmd_run(args) -> int:
 
 def _bench_average(program, bindings):
     """Counters are deterministic; wall time is averaged over 5 runs."""
-    outputs = None
-    counters = None
-    walls = []
-    for _ in range(5):
-        outputs, counters = evaluate_loop_ir(program, bindings)
-        walls.append(counters.wall_time_ns)
-    counters.wall_time_ns = int(sum(walls) / len(walls))
+    runs = [evaluate_loop_ir(program, bindings) for _ in range(5)]
+    outputs, counters = runs[-1]
+    counters.wall_time_ns = int(sum(c.wall_time_ns for _, c in runs) / len(runs))
     return outputs, counters
 
 

@@ -1,8 +1,10 @@
+import ast
 import dataclasses
 import hashlib
 import json
 import math
 import random
+import re
 from pathlib import Path
 
 import pytest
@@ -10,10 +12,10 @@ import pytest
 from dspc import corpus
 from dspc.frontend import parse_source
 from dspc.graph import build_graph, infer_shapes
-from dspc.interp import (CapacityExceeded, InputMismatch, LoopDivisionByZero,
-                         NonFinite, compiled_source, counters_report,
-                         evaluate_loop_ir, report_table, tensor)
-from dspc.loop_ir import (AffineExpr, BufferDecl, Call, CheckFinite, Cond, ConstF,
+from dspc.interp import (STREAM_MIN_TRIPS, CapacityExceeded, InputMismatch,
+                         LoopDivisionByZero, NonFinite, compiled_source,
+                         counters_report, evaluate_loop_ir, report_table, tensor)
+from dspc.loop_ir import (AffineExpr, Assign, BufferDecl, Call, CheckFinite, Cond, ConstF,
                           DynAppend, For, IndexF, IndexProdF, Load, LoopIrError,
                           LoopProgram, OutOfBounds, SelectGuard, Store, TempRef, Unit)
 from dspc.lowering import lower_graph
@@ -486,6 +488,205 @@ def test_nested_tree_cost_is_counted_once_per_node():
 def test_tree_read_more_than_once_must_be_a_leaf(value, stmts):
     with pytest.raises(LoopIrError):
         compiled_source(_tree_program(value, *stmts))
+
+
+# Guard-free reductions as streams -------------------------------------------
+
+_OUTER = 3  # outer trips k: each slice moves with k
+
+
+def _offset(coeff, edge, trips, cap, rng):
+    """The offset o that puts load `buf[coeff*j + k + o]`, over j in [0,
+    trips) and k in [0, _OUTER), flush against index 0 ("low"), flush against
+    cap - 1 ("high") or in between ("mid")."""
+    lo, hi = (0, cap - trips - _OUTER + 1) if coeff == 1 else (trips - 1, cap - _OUTER)
+    return {"low": lo, "high": hi, "mid": rng.randint(lo, hi)}[edge]
+
+
+def _reduction(loads, shape, trips):
+    """For each k: acc = 0.0, a guard-free loop over j in [0, trips), then
+    y[k] = acc.  The loop body over loads L0, L1, ... is "direct": acc = acc +
+    L0 * L1 * L2; "tap": tap = L0, then acc = acc + tap * L1 * L2; or "pair",
+    the symmetric FIR's: pair = 0.0, pair = pair + L1, pair = pair + L2, then
+    acc = acc + L0 * pair (with one load, pair sums L0 and acc = acc + pair)."""
+    terms = [Load(b, AffineExpr.of("j", c).plus(AffineExpr.of("k", 1, o)))
+             for b, c, o in loads]
+    acc, tap, pair = TempRef("acc"), TempRef("tap"), TempRef("pair")
+    body = []
+    if shape == "tap":
+        body, terms = [Assign(tap, terms[0])], [tap, *terms[1:]]
+    elif shape == "pair":
+        body = [Assign(pair, ConstF(0.0))]
+        body += [Assign(pair, pair + t) for t in terms[1:] or terms]
+        terms = [terms[0], pair] if len(terms) > 1 else [pair]
+    product = terms[0]
+    for t in terms[1:]:
+        product = product * t
+    return [For("k", 0, _OUTER, [
+        Assign(acc, ConstF(0.0)),
+        For("j", 0, trips, [*body, Assign(acc, acc + product)], "inner"),
+        Store("y", AffineExpr.of("k"), acc)], "outer")]
+
+
+def _reference(loads, shape, trips, bufs):
+    """The outputs and counters of `_reduction`, evaluated statement by
+    statement in plain Python."""
+    y, mults, adds = [], 0, 0
+    for k in range(_OUTER):
+        acc = 0.0
+        for j in range(trips):
+            v = [bufs[b][c * j + k + o] for b, c, o in loads]
+            if shape == "pair":
+                pair = 0.0
+                for w in v[1:] or v:
+                    pair, adds = pair + w, adds + 1
+                v = [v[0], pair] if len(v) > 1 else [pair]
+            product = v[0]
+            for w in v[1:]:
+                product, mults = product * w, mults + 1
+            acc, adds = acc + product, adds + 1
+        y.append(acc)
+    loads_by_buffer = {}
+    for b, _, _ in loads:
+        loads_by_buffer[b] = loads_by_buffer.get(b, 0) + _OUTER * trips
+    return y, {"loop_iterations": _OUTER * (trips + 1),
+               "loads": sum(loads_by_buffer.values()), "stores": _OUTER,
+               "mults": mults, "adds": adds, "trig_calls": 0,
+               "loop_iters_by_tag": {"inner": _OUTER * trips, "outer": _OUTER},
+               "loads_by_buffer": dict(sorted(loads_by_buffer.items()))}
+
+
+def _stream_cases():
+    """Seeded reductions of 1-3 loads of coefficient +-1, each flush against
+    index 0, flush against its capacity - 1 or in between, at trip counts on
+    both sides of STREAM_MIN_TRIPS, each with the edge each load is set at."""
+    rng = random.Random(21)
+    cases = []
+    for trips in (STREAM_MIN_TRIPS - 1, STREAM_MIN_TRIPS, STREAM_MIN_TRIPS + 7):
+        caps = {"x": trips + _OUTER + rng.randint(0, 4), "h": trips + _OUTER - 1}
+        for m in (1, 2, 3):
+            for shape in ("direct", "tap", "pair"):
+                spec = [(rng.choice("xh"), rng.choice((1, -1)),
+                         rng.choice(("low", "high", "mid"))) for _ in range(m)]
+                loads = [(b, c, _offset(c, edge, trips, caps[b], rng))
+                         for b, c, edge in spec]
+                cases.append((loads, shape, trips, caps, [e for *_, e in spec]))
+    return cases
+
+
+def _stream_program(loads, shape, trips, caps):
+    return one_unit([BufferDecl("x", caps["x"]), BufferDecl("h", caps["h"]),
+                     BufferDecl("y", _OUTER)], _reduction(loads, shape, trips),
+                    inputs=[("x", "x"), ("h", "h")], outputs=[(1, "y")])
+
+
+@pytest.mark.parametrize("case", _stream_cases(),
+                         ids=lambda c: f"{c[1]}-{len(c[0])}loads-{c[2]}trips")
+def test_streamed_reduction_matches_plain_python(case):
+    loads, shape, trips, caps, edges = case
+    rng = random.Random(trips * 10 + len(loads))
+    bufs = {b: [rng.uniform(-1, 1) for _ in range(cap)] for b, cap in caps.items()}
+    program = _stream_program(loads, shape, trips, caps)
+    out, c = evaluate_loop_ir(program, {b: tensor(v) for b, v in bufs.items()})
+    want, counts = _reference(loads, shape, trips, bufs)
+    assert out[1].values == tuple(want)  # bit for bit
+    got = c.as_dict()
+    del got["wall_time_ns"]
+    assert got == counts
+    # at STREAM_MIN_TRIPS trips and more the inner loop runs over one slice
+    # per distinct load, its temporaries folded into one statement
+    lines = compiled_source(program).splitlines()
+    head = next(k for k, line in enumerate(lines) if line.endswith("# inner"))
+    streamed = trips >= STREAM_MIN_TRIPS
+    assert lines[head].lstrip().startswith("for s0") == streamed
+    assert not streamed or not lines[head + 2].startswith(" " * 12)
+    # an offset one past the edge a load is flush against fails to render
+    for k, edge in enumerate(edges):
+        if edge != "mid":
+            b, coeff, o = loads[k]
+            bad = [*loads[:k], (b, coeff, o + (1 if edge == "high" else -1)), *loads[k + 1:]]
+            with pytest.raises(OutOfBounds, match=f"^buffer '{b}': index "):
+                compiled_source(_stream_program(bad, shape, trips, caps))
+
+
+def _fold_case(name):
+    """A loop of STREAM_MIN_TRIPS trips over x whose temporary t must not be
+    folded, and the plain-Python value of y[0] after it."""
+    n, j = STREAM_MIN_TRIPS, AffineExpr.of("j")
+    acc, t, xj = TempRef("acc"), TempRef("t"), Load("x", j)
+    xs = [0.5 + k for k in range(n)]
+    if name == "read_after_loop":  # the last value of t is stored
+        body, after, want = [Assign(t, xj), Assign(acc, acc + t)], t, xs[-1]
+    elif name == "checked_divisor":  # only a leaf may be a checked divisor
+        body, after = [Assign(t, xj), Assign(acc, acc + ConstF(1.0) / t)], acc
+        want = 0.0
+        for v in xs:
+            want = want + 1.0 / v
+    else:  # "read_later": acc changes between the Assign of t and its read
+        u = TempRef("u")
+        body, after = [Assign(t, acc), Assign(acc, acc + xj), Assign(u, u + t)], u
+        want, a = 0.0, 0.0
+        for v in xs:
+            want, a = want + a, a + v
+    prog = one_unit([BufferDecl("x", n), BufferDecl("y", 1)], [
+        Assign(acc, ConstF(0.0)), Assign(TempRef("u"), ConstF(0.0)),
+        For("j", 0, n, body, "loop"), Store("y", AffineExpr.lit(0), after)],
+        inputs=[("x", "x")], outputs=[(1, "y")])
+    return prog, {"x": tensor(xs)}, want
+
+
+@pytest.mark.parametrize("name", ["read_after_loop", "checked_divisor", "read_later"])
+def test_fold_keeps_what_it_cannot_fold(name):
+    program, inputs, want = _fold_case(name)
+    out, _ = evaluate_loop_ir(program, inputs)
+    assert out[1].values == (want,)
+    lines = compiled_source(program).splitlines()
+    head = next(k for k, line in enumerate(lines) if line.endswith("# loop"))
+    body = [line for line in lines[head + 1:] if re.match(r" {8}t\d+ = ", line)]
+    assert len(body) == len(program.calls[0][1].body[2].body), lines
+
+
+def _unit_texts(programs):
+    texts = {}
+    for p in programs:
+        compiled_source(p)
+        texts.update(dict.fromkeys(r.text for r, *_ in p._compiled.calls))
+    return list(texts)
+
+
+def test_every_unit_parameter_is_read():
+    # a literal lifted but never rendered (a range bound a stream replaced,
+    # say) would leave a dead parameter in the unit's signature
+    golden = program_for((FIXTURES / "golden_lowering.dsp").read_text(),
+                         {"x": 3, "d": 3})
+    texts = _unit_texts([*_corpus_programs(), golden])
+    assert len(texts) > 25
+    for text in texts:
+        fn = ast.parse(text).body[0]
+        read = {n.id for n in ast.walk(fn)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        assert {a.arg for a in fn.args.args} <= read, text
+
+
+_STREAM_FOR = re.compile(r"^ *for (s\d+(, s\d+)*) in (.+):  # (\S+)$")
+
+
+def test_long_guard_free_reductions_stream():
+    # the FIR interiors (101 taps, 50 symmetric pairs) and EnergyOfSignal's
+    # 1024-trip sum stream; HearingAid's 16-trip loops stay indexed
+    want = {"LowPassFiltering": ({"fir_filter_response.inner"},
+                                 {"filter_res_symm_opt.inner"}),
+            "EnergyOfSignal": ({"sum"}, {"sum"}),
+            "AudioEqualizer": ({"fir_filter_response.inner"},
+                               {"fir_filter_response.inner", "filter_res_symm_opt.inner"})}
+    for app in corpus.APPS:
+        for route, p in zip(want.get(app.name, (set(), set())),
+                            _corpus_programs(apps=[app])):
+            heads = [line for line in compiled_source(p).splitlines()
+                     if line.lstrip().startswith("for s")]
+            # every stream's `for` line carries its loop's tag
+            assert all(_STREAM_FOR.match(line) for line in heads), heads
+            assert {_STREAM_FOR.match(line)[4] for line in heads} == route, app.name
 
 
 def test_counters_report_identical_runs():
