@@ -12,7 +12,7 @@ import json
 import math
 import sys
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 from . import corpus
 from .corpus import (BenchContext, CorpusApp, InputPlan, compile_source,
@@ -25,7 +25,7 @@ from .interp import (LoopRuntimeError, NonFinite, Tensor, compiled_source,
                      counters_report, evaluate_loop_ir, report_table, tensor)
 from .loop_ir import LoopIrError
 from .lowering import LoweringUnsupported, lower_graph
-from .rewriter import PatternId, RewriteError, apply_dsp_patterns
+from .rewriter import PatternId, RewriteError, RewriteStats, apply_dsp_patterns
 from .synth import noise
 
 EXIT_OK = 0
@@ -131,8 +131,10 @@ def _parse_synth(item: str) -> tuple[str, int, int]:
     return name, n, seed
 
 
-def _parse_bindings(input_items: Sequence[str],
-                    synth_items: Sequence[str]) -> dict[str, Tensor]:
+def _parse_bindings(input_items: Sequence[str], synth_items: Sequence[str]
+                    ) -> tuple[dict[str, Tensor], dict[str, tuple[int, int]]]:
+    """The tensors of the `--input` files and the (size, seed) of each
+    `--synth` input; `_draw` makes the samples once the program compiles."""
     bindings: dict[str, Tensor] = {}
     for item in input_items:
         name, eq, path = item.partition("=")
@@ -155,25 +157,37 @@ def _parse_bindings(input_items: Sequence[str],
             raise UsageError(f"{path}: an integer is too large for a float") from None
         if not all(map(math.isfinite, bindings[name].values)):  # NaN, Infinity, 1e400
             raise UsageError(f"{path}: a number is NaN or infinite")
+    synth: dict[str, tuple[int, int]] = {}
     for item in synth_items:
         name, n, seed = _parse_synth(item)
-        if name in bindings:
+        if name in bindings or name in synth:
             raise UsageError(f"input {name!r} bound twice")
-        bindings[name] = noise(n, seed)
-    return bindings
+        synth[name] = n, seed
+    return bindings, synth
 
 
-def _compile(source: str, bindings: dict[str, Tensor]) -> DspGraph:
-    """The verified graph of `source`; each binding must name an input of main."""
-    graph = compile_source(source, {n: len(t) for n, t in bindings.items()} or None)
+def _lengths(bindings: dict[str, Tensor],
+             synth: dict[str, tuple[int, int]]) -> dict[str, int]:
+    return {**{n: len(t) for n, t in bindings.items()},
+            **{n: size for n, (size, _seed) in synth.items()}}
+
+
+def _draw(bindings: dict[str, Tensor],
+          synth: dict[str, tuple[int, int]]) -> dict[str, Tensor]:
+    return {**bindings, **{n: noise(size, seed) for n, (size, seed) in synth.items()}}
+
+
+def _compile(source: str, lengths: dict[str, int]) -> DspGraph:
+    """The verified graph of `source`; each bound name must be an input of main."""
+    graph = compile_source(source, lengths or None)
     taken = {name for name, _vid in graph.inputs}
-    for name in bindings:
+    for name in lengths:
         if name not in taken:
             raise UsageError(f"main has no input {name!r}")
     return graph
 
 
-def _require_bound(graph: DspGraph, bindings: dict[str, Tensor]) -> None:
+def _require_bound(graph: DspGraph, bindings: Mapping[str, object]) -> None:
     missing = [name for name, _vid in graph.inputs if name not in bindings]
     if missing:
         raise UsageError(
@@ -185,6 +199,13 @@ def _require_finite(program, outputs: dict[int, Tensor]) -> None:
     for vid, _buf in program.outputs:
         if not all(map(math.isfinite, outputs[vid].values)):
             raise NonFinite(f"non-finite value in printed %{vid}")
+
+
+def _rewrite_log(stats: RewriteStats) -> str:
+    """One ``#`` line per application, in working-graph ids."""
+    return "".join(f"# pattern {a.pattern.value} at %{a.site} {a.opcode.value}: new "
+                   f"{' '.join(f'%{v}' for v in a.new) or 'none'}, {a.ops} ops\n"
+                   for a in stats.log)
 
 
 def _format_tensor(t: Tensor) -> str:
@@ -210,16 +231,15 @@ def cmd_build(args) -> int:
         print(ast_to_text(module), end="")
         return EXIT_OK
 
-    bindings = _parse_bindings(args.input, args.synth)
-    graph = _compile(source, bindings)
+    graph = _compile(source, _lengths(*_parse_bindings(args.input, args.synth)))
     if args.emit == "dsp":
         print(graph_to_text(graph), end="")
         return EXIT_OK
     if args.opt == "dsp":
-        graph, _stats = apply_dsp_patterns(graph, enabled)
-    if args.emit == "dsp-opt":
-        print(graph_to_text(graph), end="")
-        return EXIT_OK
+        graph, stats = apply_dsp_patterns(graph, enabled)
+        if args.emit == "dsp-opt":
+            print(_rewrite_log(stats) + graph_to_text(graph), end="")
+            return EXIT_OK
     print(compiled_source(lower_graph(graph)))
     return EXIT_OK
 
@@ -227,13 +247,14 @@ def cmd_build(args) -> int:
 def cmd_run(args) -> int:
     source = _read_source(args.source)
     enabled = _route_patterns(args)
-    bindings = _parse_bindings(args.input, args.synth)
-    graph = _compile(source, bindings)
-    _require_bound(graph, bindings)
+    bindings, synth = _parse_bindings(args.input, args.synth)
+    lengths = _lengths(bindings, synth)
+    graph = _compile(source, lengths)
+    _require_bound(graph, lengths)
     if args.opt == "dsp":
         graph, _stats = apply_dsp_patterns(graph, enabled)
     program = lower_graph(graph)
-    outputs, counters = evaluate_loop_ir(program, bindings)
+    outputs, counters = evaluate_loop_ir(program, _draw(bindings, synth))
     _require_finite(program, outputs)
     for vid, _buf in program.outputs:
         t = outputs[vid]
@@ -260,7 +281,8 @@ def _bench_average(program, bindings):
 
 
 def _resolve_bench_target(args) -> tuple[CorpusApp, dict[str, int],
-                                         dict[str, Tensor]]:
+                                         dict[str, tuple[int, int]]]:
+    """The app, its sizes, and the (size, seed) of each input."""
     app = corpus.find_app(args.target)
     overrides = [_parse_synth(item) for item in args.synth]
     if app is not None:
@@ -273,9 +295,7 @@ def _resolve_bench_target(args) -> tuple[CorpusApp, dict[str, int],
                 raise UsageError(f"app {app.name} has no input {name!r}")
             sizes[plan.size_param] = n
             seeds[name] = seed
-        bindings = {p.name: noise(sizes[p.size_param], seeds[p.name])
-                    for p in app.inputs}
-        return app, sizes, bindings
+        return app, sizes, {p.name: (sizes[p.size_param], seeds[p.name]) for p in app.inputs}
 
     path = Path(args.target)
     if not path.exists():
@@ -283,27 +303,28 @@ def _resolve_bench_target(args) -> tuple[CorpusApp, dict[str, int],
             f"{args.target!r} is neither a corpus app "
             f"(app1..app7) nor a readable file")
     source = _read_source(args.target)
-    bindings = {name: noise(n, seed) for name, n, seed in overrides}
-    sizes = {name: len(t) for name, t in bindings.items()}
+    synth = {name: (n, seed) for name, n, seed in overrides}
+    sizes = {name: n for name, (n, _seed) in synth.items()}
     ad_hoc = CorpusApp(
         name=path.stem, alias="", filename=path.name,
         template=lambda **_kw: source, sizes=tuple(sizes.items()),
-        inputs=tuple(InputPlan(name, name) for name in bindings),
+        inputs=tuple(InputPlan(name, name) for name in synth),
         expected_patterns=frozenset(),
         checks=(corpus._check_deviation, corpus._check_never_worse))
-    return ad_hoc, sizes, bindings
+    return ad_hoc, sizes, synth
 
 
 def cmd_bench(args) -> int:
-    app, sizes, bindings = _resolve_bench_target(args)
+    app, sizes, synth = _resolve_bench_target(args)
     enabled = _parse_patterns(args.patterns)
     source = app.source(sizes)
-    graph_none = _compile(source, bindings)
-    _require_bound(graph_none, bindings)
+    graph_none = _compile(source, _lengths({}, synth))
+    _require_bound(graph_none, synth)
     graph_dsp, stats = apply_dsp_patterns(graph_none, enabled)
 
     prog_none = lower_graph(graph_none)
     prog_dsp = lower_graph(graph_dsp)
+    bindings = _draw({}, synth)
     outs_none, before = _bench_average(prog_none, bindings)
     outs_dsp, after = _bench_average(prog_dsp, bindings)
     vals_none = [outs_none[vid] for vid, _ in prog_none.outputs]
@@ -333,6 +354,9 @@ def cmd_bench(args) -> int:
             "app": app.name,
             "sizes": sizes,
             "fired": sorted(fired),
+            "applications": {pid.value: n for pid, n in stats.applications.items() if n},
+            "rewrites": [{**a._asdict(), "pattern": a.pattern.value, "opcode": a.opcode.value}
+                         for a in stats.log],
             "deviation": deviation,
             "counters": report,
             "checks": [{"name": n, "ok": ok, "detail": d}

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Iterable, Mapping, Optional
+from typing import Mapping, Optional
 
 from . import frontend as fe
 from .errors import DspcError
@@ -75,13 +75,6 @@ class DspGraph:
             for rid in op.result_ids:
                 out[rid] = op
         return out
-
-    def use_counts(self) -> dict[ValueId, int]:
-        counts: dict[ValueId, int] = {}
-        for op in self.ops:
-            for v in op.operands:
-                counts[v] = counts.get(v, 0) + 1
-        return counts
 
 
 class GraphBuildError(DspcError):
@@ -438,29 +431,3 @@ def renumber(graph: DspGraph) -> DspGraph:
         next_id += op.n_results
     return DspGraph([replace(op, id=new_id, operands=tuple(mapping[v] for v in op.operands))
                      for op, new_id in staged])
-
-
-def dead_ops(producer: Mapping[ValueId, OpNode], uses: dict[ValueId, int],
-             values: Iterable[ValueId]) -> dict[int, OpNode]:
-    """The ops left dead once `values` may have lost their last use, by `id()`.
-
-    An op other than an input dies when none of its results is used; its
-    operands then lose a use in `uses` (updated in place) and the check
-    cascades to their producers.  Prints and returns have no result and
-    never die, and their operands are counted uses like any other.  With
-    every value as a candidate this prunes all that prints and returns do
-    not reach.
-    """
-    dead: dict[int, OpNode] = {}
-    work = list(values)
-    while work:
-        op = producer.get(work.pop())
-        if op is None or id(op) in dead or op.opcode is OpCode.INPUT \
-                or any(uses.get(r, 0) for r in op.result_ids):
-            continue
-        dead[id(op)] = op
-        for v in op.operands:
-            uses[v] -= 1
-        work += op.operands
-    return dead
-

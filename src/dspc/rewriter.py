@@ -3,27 +3,33 @@
 Each pattern matches a small chain of ops by value identity (same SSA value,
 not merely an equal-looking subtree), builds the cheaper replacement ops and
 names the old values they stand for.  `_MATCHERS` registers each `PatternId`
-as ``(matcher, root opcodes)``; the driver tries a matcher only on ops whose
-opcode is a root, and applies the patterns in a fixed priority order,
-greedily, until a full sweep makes no change.  It keeps one working graph
-with its producer and use-count tables for the whole call and updates them in
-place: a splice inserts the new ops, rebuilds only the ops that read a
-replaced value, prunes the ops left dead (so later patterns never fire on
-unused values) and checks the ops it touched.  Ids are made dense and the
-whole graph is verified once, at the fixpoint; matchers compare ids only
-relatively, so the sparse ids in between change no match.  Pattern ids are
-looked up by code with ``PatternId(code)``.
+as ``(matcher, root opcodes)``.  The driver updates one working graph
+(`_Ctx`) in place, so that an application costs what its match reads and
+rewires, not the size of the graph:
+
+- Each value lists its readers, an op once per operand slot.  A splice
+  rewires only the readers of the replaced values and prunes the ops left
+  dead along the readers.
+- Each op has an order key, a tuple compared lexicographically.  Ops inserted
+  before an op take its key with the last entry lowered by one, then the
+  splice's first new id and their index, so no key is ever renumbered.
+- Each pattern keeps the roots it has still to try.  A root whose match
+  failed comes back only once it is rewired, or once the producer or the
+  readers of a value its matcher looked at change (`_Ctx.watch`).
+
+The op list is built, renumbered and verified once, at the fixpoint; matchers
+compare ids only relatively.  Pattern ids are looked up by ``PatternId(code)``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from collections import defaultdict
+from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable, Optional
+from typing import Callable, Iterable, NamedTuple, Optional
 
 from .errors import DspcError
-from .graph import (DspGraph, OpNode, ValueId, check_op, dead_ops, renumber,
-                    verify_graph)
+from .graph import DspGraph, OpNode, ValueId, check_op, renumber, verify_graph
 from .ops import OP_DEFS, OpCode, TensorShape
 
 
@@ -48,11 +54,22 @@ class NonTermination(RewriteError):
         super().__init__(f"rewriter exceeded {passes} sweeps without reaching a fixpoint")
 
 
+class Applied(NamedTuple):
+    """One application: pattern, site id and opcode, new ids, op count after."""
+
+    pattern: PatternId
+    site: ValueId
+    opcode: OpCode
+    new: tuple[ValueId, ...]
+    ops: int
+
+
 @dataclass
 class RewriteStats:
     applications: dict[PatternId, int] = field(default_factory=dict)
     ops_before: int = 0
     ops_after: int = 0
+    log: list[Applied] = field(default_factory=list)
 
     @property
     def fired(self) -> set[PatternId]:
@@ -64,90 +81,139 @@ class RewriteStats:
 
 @dataclass(frozen=True)
 class _Rewrite:
-    """Insert `new_ops` before op index `at` and make every use of a key of
-    `subst` read its value instead."""
+    """Insert `new_ops` right before the op `at` and make every use of a key
+    of `subst` read its value instead."""
 
-    at: int
+    at: OpNode
     new_ops: tuple[OpNode, ...]
     subst: dict[ValueId, ValueId]
 
 
 class _Ctx:
-    """The graph being rewritten with its lookup tables, kept current in place
-    across applications, and the matchers' op factory."""
+    """The working graph and its tables, and the matchers' op factory."""
 
-    def __init__(self, graph: DspGraph):
-        self.graph = graph
-        self.producer = graph.producer_map()
-        self.uses = graph.use_counts()
-        self.index_of = {id(op): i for i, op in enumerate(graph.ops)}
-        self.next_id = max((op.id + op.n_results for op in graph.ops if op.n_results),
-                           default=0)
+    def __init__(self, graph: DspGraph, matchers: Iterable[tuple] = ()):
+        self.ops: dict[int, tuple] = {}  # id(op) -> (order key, op)
+        self.producer: dict[ValueId, OpNode] = {}
+        self.readers: dict[ValueId, dict] = defaultdict(dict)  # value -> {(id(op), slot): op}
+        # producer, readers: value -> [(todo, op)] of the matches that read them
+        self.watch: tuple[dict, dict] = (defaultdict(list), defaultdict(list))
+        self.patterns: list[tuple] = []  # (pid, matcher, todo: id(op) -> op)
+        self.roots: dict[OpCode, list[dict]] = {}  # opcode -> todos
+        for pid, match, roots in matchers:
+            self.patterns.append((pid, match, todo := {}))
+            for opcode in roots:
+                self.roots.setdefault(opcode, []).append(todo)
+        self.trying: Optional[tuple[dict, OpNode]] = None
+        self.moved: list[ValueId] = []  # values whose readers changed in this splice
+        for i, op in enumerate(graph.ops):
+            self._enter(op, (i,))
+        self.next_id = max(self.producer, default=-1) + 1
+
+    def _enter(self, op: OpNode, key: tuple) -> None:
+        self.ops[id(op)] = key, op
+        for r in range(op.id, op.id + OP_DEFS[op.opcode].n_results):
+            self.producer[r] = op
+        for slot, v in enumerate(op.operands):
+            self.readers[v][id(op), slot] = op
+        self.moved += op.operands
+        for todo in self.roots.get(op.opcode, ()):
+            todo[id(op)] = op
+
+    def _leave(self, op: OpNode) -> tuple:
+        """Take `op` out of every table; returns its order key."""
+        for r in range(op.id, op.id + OP_DEFS[op.opcode].n_results):
+            del self.producer[r]
+        for slot, v in enumerate(op.operands):
+            del self.readers[v][id(op), slot]
+        self.moved += op.operands
+        for todo in self.roots.get(op.opcode, ()):
+            todo.pop(id(op), None)
+        return self.ops.pop(id(op))[0]
 
     def prod(self, value: ValueId) -> Optional[OpNode]:
+        if self.trying:
+            self.watch[0][value].append(self.trying)
         return self.producer.get(value)
 
-    def single_use(self, value: ValueId) -> bool:
-        return self.uses.get(value, 0) == 1
+    def users(self, value: ValueId) -> list[OpNode]:
+        """The ops reading `value`, once per operand slot, in no set order."""
+        if self.trying:
+            self.watch[1][value].append(self.trying)
+        return list(self.readers.get(value, {}).values())
 
-    def pos(self, op: OpNode) -> int:
-        return self.index_of[id(op)]
+    def single_use(self, value: ValueId) -> bool:
+        return len(self.users(value)) == 1
+
+    def order(self, op: OpNode) -> tuple:
+        return self.ops[id(op)][0]
 
     def shape(self, value: ValueId) -> Optional[TensorShape]:
-        op = self.prod(value)
+        """Not watched: a rewired op keeps its result shapes."""
+        op = self.producer.get(value)
         return None if op is None else op.result_shapes[value - op.id]
-
-    def shape_len(self, value: ValueId) -> Optional[int]:
-        shape = self.shape(value)
-        if shape is None or shape.dynamic:
-            return None
-        return shape.length
 
     def new(self, opcode: OpCode, operands: tuple[ValueId, ...] = (),
             attributes: tuple[object, ...] = ()) -> OpNode:
         """A new op with ids above every id in the graph, shaped by its OpDef."""
         sig = OP_DEFS[opcode]
-        op = OpNode(id=self.next_id, opcode=opcode, operands=operands, attributes=attributes)
-        op = replace(op, result_shapes=sig.result_shapes(op, [self.shape(v) for v in operands]))
+        op = OpNode(self.next_id, opcode, operands, attributes)
+        op = OpNode(op.id, opcode, operands, attributes,
+                    sig.result_shapes(op, [self.shape(v) for v in operands]))
         self.next_id += sig.n_results
         for rid in op.result_ids:
             self.producer[rid] = op
         return op
 
+    def sweep(self) -> Optional[tuple[PatternId, OpNode, _Rewrite]]:
+        """The first match, by pattern priority, then list order of the roots."""
+        for pid, match, todo in self.patterns:
+            for site in sorted(todo.values(), key=self.order) if todo else ():
+                self.trying = todo, site
+                rw = match(self, site)
+                self.trying = None
+                if rw is not None:
+                    return pid, site, rw
+                del todo[id(site)]
+        return None
+
     def splice(self, rw: _Rewrite, prune_all: bool) -> list[str]:
         """Apply `rw` in place and prune the ops it left dead (every dead op
         if `prune_all`); returns the violations of the new and rewired ops."""
-        g, subst, get = self.graph, rw.subst, rw.subst.get
-        touched, replaced = list(rw.new_ops), subst.keys()
-        for i, op in enumerate(g.ops):
-            if not replaced.isdisjoint(op.operands):
-                g.ops[i] = op = replace(op, operands=tuple(get(v, v) for v in op.operands))
-                touched.append(op)
-                self.producer.update(dict.fromkeys(op.result_ids, op))
-        g.ops[rw.at:rw.at] = rw.new_ops
-        moved = {old: self.uses.pop(old, 0) for old in subst}  # a target may be a key too
-        for old, n in moved.items():
-            self.uses[subst[old]] = self.uses.get(subst[old], 0) + n
-        for v in (v for op in rw.new_ops for v in op.operands):
-            self.uses[v] = self.uses.get(v, 0) + 1
-        dead = dead_ops(self.producer, self.uses, list(self.producer) if prune_all else
-                        [*subst, *(r for op in rw.new_ops for r in op.result_ids)])
-        if dead:
-            g.ops[:] = [op for op in g.ops if id(op) not in dead]
-            for r in (r for op in dead.values() for r in op.result_ids):
-                del self.producer[r]
-        self.index_of = {id(op): i for i, op in enumerate(g.ops)}
+        at, get, self.moved = self.order(rw.at), rw.subst.get, []
+        stale = {id(op): op for old in rw.subst for op in self.readers.get(old, {}).values()}
+        for i, op in enumerate(rw.new_ops):
+            self._enter(op, (*at[:-1], at[-1] - 1, rw.new_ops[0].id, i))
+        rewired = []
+        for old in stale.values():
+            rewired.append(OpNode(old.id, old.opcode, tuple(map(get, old.operands, old.operands)),
+                                  old.attributes, old.result_shapes))
+            self._enter(rewired[-1], self._leave(old))
+        work = [v for v in self.producer if not self.readers.get(v)] if prune_all else \
+            [*rw.subst, *(r for op in rw.new_ops for r in op.result_ids)]
+        while work:
+            v = work.pop()
+            if self.readers.get(v) or (op := self.producer.get(v)) is None \
+                    or op.opcode is OpCode.INPUT or any(map(self.readers.get, op.result_ids)):
+                continue
+            self._leave(op)
+            work += op.operands
+        for watch, values in zip(self.watch, ([r for op in rewired for r in op.result_ids],
+                                              self.moved)):
+            for todo, op in (t for v in watch.keys() & values for t in watch.pop(v)):
+                if id(op) in self.ops:  # the watch holds `op`, so no other op has its id
+                    todo[id(op)] = op
         problems: list[str] = []
-        for op in (op for op in touched if id(op) not in dead):
-            at = self.pos(op)
+        for op in (op for op in (*rw.new_ops, *rewired) if id(op) in self.ops):
+            at = self.order(op)
             problems += check_op(op, {v: self.shape(v) for v in op.operands
-                                      if v in self.producer and self.pos(self.producer[v]) < at})
+                                      if v in self.producer and self.order(self.producer[v]) < at})
         return problems
 
 
 def replace_site(ctx: _Ctx, site: OpNode, value: ValueId, *new_ops: OpNode) -> _Rewrite:
     """Replace the single op `site` by `new_ops`; uses of its result read `value`."""
-    return _Rewrite(at=ctx.pos(site), new_ops=new_ops, subst={site.id: value})
+    return _Rewrite(at=site, new_ops=new_ops, subst={site.id: value})
 
 
 # --------------------------------------------------------------------------
@@ -240,8 +306,8 @@ def pat_parseval(ctx: _Ctx, site: OpNode) -> Optional[_Rewrite]:
         x = _dft_source(ctx, b, a)
     if x is None:
         return None
-    n = ctx.shape_len(x)
-    if n is None or float(values[0]) != float(n):
+    shape = ctx.shape(x)
+    if shape is None or shape.dynamic or float(values[0]) != float(shape.length):
         return None
     square = ctx.new(OpCode.SQUARE, (x,))
     total_of_squares = ctx.new(OpCode.SUM, (square.id,))
@@ -266,15 +332,13 @@ def _dft_source(ctx: _Ctx, re: ValueId, im: ValueId) -> Optional[ValueId]:
 
 def pat_dft_fusion(ctx: _Ctx, site: OpNode) -> Optional[_Rewrite]:
     """Separate real and imaginary DFTs of one value fuse into a single pass."""
-    partner = None
-    for op in ctx.graph.ops:
-        if op.opcode is OpCode.DFT1D_REAL and op.operands == site.operands:
-            partner = op
-            break
-    if partner is None:
+    partners = [op for op in ctx.users(site.operands[0])
+                if op.opcode is OpCode.DFT1D_REAL and op.operands == site.operands]
+    if not partners:
         return None
+    partner = min(partners, key=ctx.order)
     new = ctx.new(OpCode.DFT1D_FUSED, site.operands)
-    return _Rewrite(at=min(ctx.pos(site), ctx.pos(partner)), new_ops=(new,),
+    return _Rewrite(at=min(site, partner, key=ctx.order), new_ops=(new,),
                     subst={partner.id: new.id, site.id: new.id + 1})
 
 
@@ -288,7 +352,7 @@ def pat_lms_gain_fusion(ctx: _Ctx, site: OpNode) -> Optional[_Rewrite]:
         return None
     new = ctx.new(OpCode.LMS_FILTER_GAIN_OPT, lms.operands,
                   lms.attributes + site.attributes)  # (mu, M) + (g,)
-    return _Rewrite(at=ctx.pos(lms), new_ops=(new,), subst={site.id: new.id})
+    return _Rewrite(at=lms, new_ops=(new,), subst={site.id: new.id})
 
 
 def pat_identity_dft_idft(ctx: _Ctx, site: OpNode) -> Optional[_Rewrite]:
@@ -328,44 +392,38 @@ def apply_dsp_patterns(graph: DspGraph,
                        ) -> tuple[DspGraph, RewriteStats]:
     """Greedy fixpoint rewriting in pattern-priority order.
 
-    Takes a shape-inferred graph.  Patterns are tried in declaration order;
-    within a pattern, its root ops are scanned in topological order and the
-    first match is applied, then scanning restarts from the first pattern.  (A
-    per-op worklist would change which pattern wins: on an energy chain it
-    fuses the transforms before Parseval can match.)  Each application
-    splices the match's new ops into one working copy of the graph, rewires
-    only the ops that read a replaced value, prunes the ops left dead (all of
-    them at the first application, so the first scan sees the graph as
-    given, then a cascade from the values that lost their last use) and
-    checks the new and rewired ops with `check_op`.  At the fixpoint the ids
-    are renumbered and the whole graph is verified once.  Only new ops are
-    shaped (from their operands), so a rewrite that would change the shape of
-    a rewired value fails the check, and a graph never passed through
-    ``infer_shapes`` keeps its unknown shapes.  With no application the
-    input graph is returned as is.
+    Takes a shape-inferred graph.  Each sweep tries the patterns in
+    declaration order, each on its roots in list order, and applies the first
+    match.  (A per-op worklist would change which pattern wins: on an energy
+    chain it fuses the transforms before Parseval can match.)  The first
+    application prunes every dead op, so the first sweep sees the graph as
+    given.  Only new ops are shaped, so a rewrite that would reshape a rewired
+    value fails `check_op`, and unknown shapes stay unknown.  The log is in
+    working-graph ids: an op of `graph` keeps its id and a new op takes the
+    next id above all others.  With no application `graph` is returned.
     """
     wanted = list(PatternId) if enabled is None else \
         [pid for pid in PatternId if pid in set(enabled)]
     stats = RewriteStats(applications={pid: 0 for pid in wanted},
                          ops_before=len(graph.ops))
-    ctx = _Ctx(DspGraph(list(graph.ops)))
-    matchers = [(pid, *_MATCHERS[pid]) for pid in wanted]
+    ctx = _Ctx(graph, [(pid, *_MATCHERS[pid]) for pid in wanted])
     sweep_limit = len(graph.ops) + 8
     for _ in range(sweep_limit):
-        hit = next(((pid, rw) for pid, match, roots in matchers for op in ctx.graph.ops
-                    if op.opcode in roots and (rw := match(ctx, op)) is not None), None)
+        hit = ctx.sweep()
         if hit is None:
             break
-        pid, rewrite = hit
-        problems = ctx.splice(rewrite, prune_all=not stats.total_applications())
+        pid, site, rewrite = hit
+        problems = ctx.splice(rewrite, prune_all=not stats.log)
         if problems:
             raise RewriteError(f"pattern {pid.value} produced an invalid graph: {problems[0]}")
         stats.applications[pid] += 1
+        stats.log.append(Applied(pid, site.id, site.opcode,
+                                 tuple(op.id for op in rewrite.new_ops), len(ctx.ops)))
     else:
         raise NonTermination(sweep_limit + 1)
     current = graph
-    if stats.total_applications():
-        current = renumber(ctx.graph)
+    if stats.log:
+        current = renumber(DspGraph([op for _key, op in sorted(ctx.ops.values())]))
         problems = verify_graph(current)
         if problems:
             fired = ", ".join(pid.value for pid, n in stats.applications.items() if n)

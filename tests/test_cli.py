@@ -72,6 +72,16 @@ def test_build_emit_loop_prints_the_generated_source(capsys):
     assert out == compiled_source(lower_graph(graph)) + "\n"
 
 
+def test_build_emit_dsp_opt_prints_the_rewrite_log(capsys):
+    code, out, _ = run_cli(capsys, "build", str(FIXTURES / "identity_dftidft.dsp"),
+                           "--emit=dsp-opt", "--opt=dsp", "--synth", "x=8")
+    assert code == 0
+    # ids of the working graph: %0-%3 as --emit=dsp numbers them, then new ops
+    assert out.splitlines()[:2] == ["# pattern 6 at %2 dft1d_imag: new %4, 4 ops",
+                                    "# pattern C3a at %3 idft1d: new none, 2 ops"]
+    assert out.splitlines()[2:] == ["%0 = input() {name=x} : tensor<8>", "print(%0)"]
+
+
 def test_emit_dsp_opt_requires_opt_flag(capsys):
     code, _, err = run_cli(capsys, "build", FILTER_DESIGN, "--emit=dsp-opt")
     assert code == 1
@@ -356,6 +366,17 @@ def test_bench_writes_json(capsys, tmp_path):
     assert doc["counters"]["ratios"]["loop_iterations"] < 1.0
 
 
+def test_bench_json_logs_each_rewrite(capsys, tmp_path):
+    report = tmp_path / "bench.json"
+    code, _, _ = run_cli(capsys, "bench", "app2", "--json", str(report))
+    assert code == 0
+    doc = json.loads(report.read_text())
+    assert doc["applications"] == {"1": 1, "2": 1}
+    assert [r["pattern"] for r in doc["rewrites"]] == ["1", "2"]
+    assert doc["rewrites"][0] == {"pattern": "1", "site": 5, "opcode": "mul",
+                                  "new": [7], "ops": 6}
+
+
 def test_bench_ad_hoc_file(capsys):
     fixture = str(FIXTURES / "identity_updown.dsp")
     code, out, _ = run_cli(capsys, "bench", fixture, "--synth", "x=12,3")
@@ -423,3 +444,36 @@ def test_signed_zero_gains_print_their_own_signs(capsys, tmp_path):
             src.write_text(f"def main(x) {{ print(gain(x, {g})); }}")
             assert run_cli(capsys, "run", str(src), "--input", f"x={x}") == (
                 0, printed[g], "")
+
+
+@pytest.fixture
+def noise_calls(monkeypatch):
+    import dspc.cli
+    calls = []
+
+    def counted(n, seed):
+        calls.append((n, seed))
+        return noise(n, seed)
+
+    noise = dspc.cli.noise
+    monkeypatch.setattr(dspc.cli, "noise", counted)
+    return calls
+
+
+@pytest.mark.parametrize("command", [("run",), ("bench",), ("build", "--emit=loop")])
+def test_inputs_are_synthesized_only_for_a_program_that_compiles(capsys, tmp_path,
+                                                                 noise_calls, command):
+    src = tmp_path / "p.dsp"
+    src.write_text("def main(x) { print(mul(x, x)); }\n")
+    code, _, err = run_cli(capsys, command[0], str(src), *command[1:], "--synth", "x=8,1")
+    assert code == 3 and "unknown builtin 'mul'" in err
+    assert noise_calls == []
+
+
+def test_inputs_are_synthesized_after_the_bindings_are_checked(capsys, noise_calls):
+    code, _, _ = run_cli(capsys, "run", ENERGY, "--synth", "x=8,1", "--synth", "typo=8,1")
+    assert code == 1 and noise_calls == []
+    code, _, _ = run_cli(capsys, "build", ENERGY, "--emit=loop", "--synth", "x=8,1")
+    assert code == 0 and noise_calls == []  # build needs only the lengths
+    code, _, _ = run_cli(capsys, "run", ENERGY, "--synth", "x=8,1")
+    assert code == 0 and noise_calls == [(8, 1)]

@@ -5,9 +5,10 @@ import pytest
 
 from dspc.frontend import parse_source
 from dspc.graph import (ArityMismatch, BadAttribute, DspGraph, OpNode, ShapeMismatch,
-                        UndefinedVariable, UnknownBuiltin, build_graph, dead_ops,
+                        UndefinedVariable, UnknownBuiltin, build_graph,
                         graph_to_text, infer_shapes, renumber, verify_graph)
 from dspc.lowering import EMITTERS
+from dce import dead_ops, use_counts
 import kernels as K
 from dspc.ops import OP_DEFS, OpCode, TensorShape
 
@@ -337,9 +338,9 @@ def test_renumber_compacts_ids():
 
 
 def pruned(graph):
-    """What the rewriter's pruning (`dead_ops`, every value a candidate) keeps."""
+    """What whole-graph pruning (`dead_ops`, every value a candidate) keeps."""
     producer = graph.producer_map()
-    dead = dead_ops(producer, graph.use_counts(), producer)
+    dead = dead_ops(producer, use_counts(graph), producer)
     return renumber(DspGraph([op for op in graph.ops if id(op) not in dead]))
 
 

@@ -7,7 +7,7 @@ import pytest
 
 from dspc import corpus
 from dspc.frontend import parse_source
-from dspc.graph import (DspGraph, build_graph, dead_ops, graph_to_text, infer_shapes,
+from dspc.graph import (DspGraph, build_graph, check_op, graph_to_text, infer_shapes,
                         renumber, verify_graph)
 from dspc.interp import evaluate_loop_ir, tensor
 from dspc.lowering import lower_graph
@@ -15,6 +15,7 @@ from dspc.ops import OpCode
 from dspc import rewriter
 from dspc.rewriter import PatternId, RewriteError, apply_dsp_patterns
 
+from dce import dead_ops, use_counts
 import kernels as K
 
 
@@ -519,6 +520,27 @@ def test_rewrite_that_reshapes_a_rewired_value_fails_verification(monkeypatch):
     assert "inconsistent" in str(exc.value)
 
 
+def test_ops_inserted_before_one_op_keep_their_order(monkeypatch):
+    # no default pattern anchors at an op that outlives its splice; this one
+    # inserts before the op reading the site, so both new gains go before the add
+    def gain_before_reader(ctx, site):
+        new = ctx.new(OpCode.GAIN, (site.operands[0],), (1.0,))
+        return rewriter._Rewrite(at=ctx.users(site.id)[0], new_ops=(new,),
+                                 subst={site.id: new.id})
+
+    monkeypatch.setitem(rewriter._MATCHERS, PatternId.IDENTITY_UP_DOWN,
+                        (gain_before_reader, {OpCode.DOWNSAMPLE}))
+    g = compile_graph("def main(x) { print(downsample(x, 1) + downsample(gain(x, 3.0), 1)); }",
+                      {"x": 4})
+    want, applications = reference_rewrite(g)
+    got, stats = apply_dsp_patterns(g)
+    assert graph_to_text(got) == graph_to_text(want)
+    assert stats.applications == applications
+    assert graph_to_text(got).splitlines()[2:5] == ["%2 = gain(%0) {g=1.0} : tensor<4>",
+                                                    "%3 = gain(%1) {g=1.0} : tensor<4>",
+                                                    "%4 = add(%2, %3) : tensor<4>"]
+
+
 # --------------------------------------------------------------------------
 # The in-place driver against the per-application reference
 
@@ -539,10 +561,11 @@ def reference_rewrite(graph, enabled=None):
         pid, rw = hit
         get = rw.subst.get
         ops = [replace(op, operands=tuple(get(v, v) for v in op.operands)) for op in current.ops]
-        ops[rw.at:rw.at] = rw.new_ops
+        at = next(i for i, op in enumerate(current.ops) if op is rw.at)
+        ops[at:at] = rw.new_ops
         spliced = DspGraph(ops)
         producer = spliced.producer_map()
-        dead = dead_ops(producer, spliced.use_counts(), producer)
+        dead = dead_ops(producer, use_counts(spliced), producer)
         current = renumber(DspGraph([op for op in ops if id(op) not in dead]))
         assert verify_graph(current) == []
         applications[pid] += 1
@@ -631,6 +654,192 @@ def test_dead_op_pruned_once_a_pattern_fires():
     kept, stats = apply_dsp_patterns(g)
     assert stats.total_applications() == 0
     assert kept is g and OpCode.SQUARE in opcodes(kept)
+
+
+# Stage kinds of the differential programs, each as (firing form, near-miss
+# form) in the stage index i, the input length n and a source value s.  The
+# near miss changes one detail so that the kind's own pattern does not match
+# (another may).  Energy's near miss squares a transform as r * r, the
+# dft/idft form gives a transform a second reader, and up/down's identity
+# rewires a reverse so that pattern 3 then matches.  A stage whose first line
+# declares a value may also get a dead reader of it, which the first sweep
+# still sees.
+STAGES = {
+    "fir": ("var h{i} = lowPassFIRFilter(7, 1.{i}) * hammingWindow(7);\n"
+            "  print(firFilterResponse(x, h{i}));",
+            "var h{i} = lowPassFIRFilter(7, 1.{i}) * gain(hammingWindow(7), 1.0);\n"
+            "  print(firFilterResponse(x, h{i}));"),
+    "autocorr": ("var a{i} = conv1d({s}, reverse({s}));\n"
+                 "  print(square(dft1dreal(a{i})) + square(dft1dimg(a{i})));",
+                 "var a{i} = conv1d({s}, reverse(gain({s}, 1.0)));\n"
+                 "  print(square(dft1dreal(a{i})) + square(dft1dimg(a{i})));"),
+    "energy": ("var r{i} = dft1dreal({s});\n"
+               "  print(sum(square(r{i}) + square(dft1dimg({s}))) / {n});",
+               "var r{i} = dft1dreal({s});\n"
+               "  print(sum(r{i} * r{i} + square(dft1dimg({s}))) / {n});"),
+    "compress": ("print(threshold(dft1dreal({s}), 0.5));\n"
+                 "  print(quantize(dft1dimg({s}), 8, 0 - 4, 4));",
+                 "print(threshold(dft1dreal({s}), 0.5));\n"
+                 "  print(quantize(dft1dimg(gain({s}, 1.0)), 8, 0 - 4, 4));"),
+    "lms": ("var w{i} = lmsFilter(x, d, 0.01, 4);\n"
+            "  print(firFilterResponse(x, gain(w{i}, 2.0)));",
+            "var w{i} = lmsFilter(x, d, 0.01, 4);\n"
+            "  print(firFilterResponse(x, gain(w{i}, 2.0)));\n  print(w{i});"),
+    "dft_idft": ("var r{i} = dft1dreal({s});\n"
+                 "  print(idft1d(r{i}, dft1dimg({s})));\n  print(r{i});",
+                 "print(idft1d(dft1dimg({s}), dft1dreal({s})));"),
+    "up_down": ("var c{i} = downsample(upsample({s}, 2), 2);\n"
+                "  print(conv1d({s}, reverse(c{i})));",
+                "print(downsample(upsample({s}, 2), 3));"),
+}
+
+
+def composed_program(seed):
+    """A seeded program of 1-15 stages of random kinds, each firing or a near
+    miss, reading the input or a gain of it; its input lengths; and a random
+    pattern subset (None for all) for half the seeds."""
+    rng = random.Random(seed)
+    n = rng.choice((8, 12, 16))
+    lines = []
+    for i in range(rng.randint(1, 15)):
+        fire, miss = STAGES[rng.choice(sorted(STAGES))]
+        s = rng.choice(("x", f"s{i}"))
+        if s != "x":
+            lines.append(f"var s{i} = gain(x, {rng.choice((0.5, 2.0))});")
+        lines.append(rng.choice((fire, miss)).format(i=i, n=n, s=s))
+        declared = re.match(r"var (\w+) =", lines[-1])
+        if declared and rng.random() < 0.3:
+            lines.append(f"var u{i} = sum({declared.group(1)});")
+    names = ("x", "d") if any("lmsFilter" in line for line in lines) else ("x",)
+    source = f"def main({', '.join(names)}) {{\n  " + "\n  ".join(lines) + "\n}\n"
+    enabled = None if seed % 2 else set(rng.sample(list(PatternId), rng.randint(1, 8)))
+    return source, dict.fromkeys(names, n), enabled
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_composed_programs_match_reference(seed):
+    source, lengths, enabled = composed_program(seed)
+    g = compile_graph(source, lengths)
+    want, applications = reference_rewrite(g, enabled)
+    got, stats = apply_dsp_patterns(g, enabled)
+    assert graph_to_text(got) == graph_to_text(want), source
+    assert stats.applications == applications
+    assert (stats.ops_before, stats.ops_after) == (len(g.ops), len(want.ops))
+    assert len(stats.log) == stats.total_applications()
+    assert stats.log == [] or stats.log[-1].ops == stats.ops_after
+
+
+def test_composed_programs_cover_every_pattern():
+    fired = set()
+    for seed in range(1, 40, 2):  # the seeds with every pattern enabled
+        source, lengths, _ = composed_program(seed)
+        fired |= rewrite(source, lengths)[1].fired
+    assert fired == set(PatternId)
+
+
+def test_rewrite_log_names_each_application_in_working_ids():
+    _, stats = rewrite(CHAINED, {"x": 9})
+    # %0-%15 as `--emit=dsp` numbers them; new ops take %16 up
+    assert [(a.pattern.value, a.site, a.opcode.value, a.new, a.ops) for a in stats.log] == [
+        ("1", 7, "mul", (16,), 16),
+        ("2", 11, "fir_filter_response", (17,), 16),
+        ("3", 4, "conv1d_full", (18,), 15),
+        ("4", 12, "dft1d_real", (19,), 15),
+        ("4", 13, "dft1d_imag", (20,), 15),
+        ("6", 9, "dft1d_imag", (21,), 14),
+        ("C3a", 10, "idft1d", (), 12),
+        ("C3b", 15, "downsample", (), 10),
+    ]
+    assert stats.ops_after == 10
+    assert rewrite("def main(x) { print(gain(x, 2.0)); }", {"x": 4})[1].log == []
+
+
+# A root whose match failed comes back once a splice changes what its matcher
+# read.  Pattern 7 fails while the first sweep still sees a dead reader of
+# the weights, which the first application prunes.  Pattern 3 fails while the
+# reverse reads another value, until identity C3b rewires it to read x.
+RETRIED = {
+    "readers": ("""
+def main(x, d) {
+  var w = lmsFilter(x, d, 0.01, 4);
+  var unused = sum(w);
+  print(firFilterResponse(x, gain(w, 2.0)));
+  print(downsample(upsample(x, 2), 2));
+}
+""", {"x": 8, "d": 8}, {"7": 1, "C3b": 1}),
+    "producer": ("""
+def main(x) {
+  var c = downsample(upsample(x, 2), 2);
+  print(conv1d(x, reverse(c)));
+}
+""", {"x": 8}, {"3": 1, "C3b": 1}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(RETRIED))
+def test_failed_root_is_retried_when_what_it_read_changes(case):
+    source, lengths, fired = RETRIED[case]
+    g = compile_graph(source, lengths)
+    want, applications = reference_rewrite(g)
+    got, stats = apply_dsp_patterns(g)
+    assert graph_to_text(got) == graph_to_text(want)
+    assert stats.applications == applications
+    assert {pid.value: n for pid, n in stats.applications.items() if n} == fired
+
+
+def test_rewrite_work_does_not_grow_with_unrelated_stages(monkeypatch):
+    """Per application, the ops checked and rebuilt do not depend on how many
+    unrelated gain stages precede the program; each such gain (a root of
+    pattern 7) costs one matcher call in one sweep, then none."""
+    counts = {}
+    splice, op_node = rewriter._Ctx.splice, rewriter.OpNode
+
+    def counted_splice(ctx, *args, **kwargs):
+        counts["in_splice"] = True
+        counts["checked"].append(0)
+        counts["rebuilt"].append(0)
+        try:
+            return splice(ctx, *args, **kwargs)
+        finally:
+            counts["in_splice"] = False
+            counts["calls"].append(0)  # the next sweep
+
+    def counted_check(op, shapes):
+        counts["checked"][-1] += 1
+        return check_op(op, shapes)
+
+    def counted_op_node(*args):
+        if counts["in_splice"]:
+            counts["rebuilt"][-1] += 1
+        return op_node(*args)
+
+    def counted(match):
+        def wrapper(ctx, site):
+            counts["calls"][-1] += 1
+            return match(ctx, site)
+        return wrapper
+
+    monkeypatch.setattr(rewriter._Ctx, "splice", counted_splice)
+    monkeypatch.setattr(rewriter, "check_op", counted_check)
+    monkeypatch.setattr(rewriter, "OpNode", counted_op_node)
+    for pid, (match, roots) in list(rewriter._MATCHERS.items()):
+        monkeypatch.setitem(rewriter._MATCHERS, pid, (counted(match), roots))
+
+    def profile(k):
+        counts.update(in_splice=False, checked=[], rebuilt=[], calls=[0])
+        gains = "".join(f"  print(gain(x, {j + 2}.0));\n" for j in range(k))
+        _, stats = rewrite(CHAINED.replace("def main(x) {\n", "def main(x) {\n" + gains),
+                           {"x": 9})
+        assert stats.total_applications() == 8
+        return counts["checked"], counts["rebuilt"], counts["calls"]
+
+    checked, rebuilt, calls = profile(0)
+    wide_checked, wide_rebuilt, wide_calls = profile(60)
+    assert (wide_checked, wide_rebuilt) == (checked, rebuilt)
+    assert sum(checked) > 8 and sum(rebuilt) > 0
+    extra = [wide - narrow for wide, narrow in zip(wide_calls, calls)]
+    assert len(wide_calls) == len(calls) == 9
+    assert sorted(extra) == [0] * 8 + [60]
 
 
 def test_whole_graph_passes_run_once_per_call(monkeypatch):
