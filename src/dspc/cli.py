@@ -282,36 +282,38 @@ def _bench_average(program, bindings):
 
 def _resolve_bench_target(args) -> tuple[CorpusApp, dict[str, int],
                                          dict[str, tuple[int, int]]]:
-    """The app, its sizes, and the (size, seed) of each input."""
+    """The app, its sizes, and the (size, seed) of each input.  A file target
+    becomes an app whose every input is its own size; inputs of an app that
+    share a size must be given the same one."""
+    _files, synth = _parse_bindings((), args.synth)
     app = corpus.find_app(args.target)
-    overrides = [_parse_synth(item) for item in args.synth]
-    if app is not None:
-        sizes = app.default_sizes()
-        seeds = {p.name: app.base_seed + p.seed_offset for p in app.inputs}
-        plan_by_name = {p.name: p for p in app.inputs}
-        for name, n, seed in overrides:
-            plan = plan_by_name.get(name)
-            if plan is None:
-                raise UsageError(f"app {app.name} has no input {name!r}")
-            sizes[plan.size_param] = n
-            seeds[name] = seed
-        return app, sizes, {p.name: (sizes[p.size_param], seeds[p.name]) for p in app.inputs}
-
-    path = Path(args.target)
-    if not path.exists():
-        raise UsageError(
-            f"{args.target!r} is neither a corpus app "
-            f"(app1..app7) nor a readable file")
-    source = _read_source(args.target)
-    synth = {name: (n, seed) for name, n, seed in overrides}
-    sizes = {name: n for name, (n, _seed) in synth.items()}
-    ad_hoc = CorpusApp(
-        name=path.stem, alias="", filename=path.name,
-        template=lambda **_kw: source, sizes=tuple(sizes.items()),
-        inputs=tuple(InputPlan(name, name) for name in synth),
-        expected_patterns=frozenset(),
-        checks=(corpus._check_deviation, corpus._check_never_worse))
-    return ad_hoc, sizes, synth
+    if app is None:
+        path = Path(args.target)
+        if not path.exists():
+            raise UsageError(
+                f"{args.target!r} is neither a corpus app "
+                f"(app1..app7) nor a readable file")
+        source = _read_source(args.target)
+        app = CorpusApp(
+            name=path.stem, alias="", filename=path.name, template=lambda **_kw: source,
+            sizes=tuple((name, n) for name, (n, _seed) in synth.items()),
+            inputs=tuple(InputPlan(name, name) for name in synth),
+            expected_patterns=frozenset(),
+            checks=(corpus._check_deviation, corpus._check_never_worse))
+    plans = {p.name: p for p in app.inputs}
+    sizes, bound_by = app.default_sizes(), {}
+    for name, (n, _seed) in synth.items():
+        plan = plans.get(name)
+        if plan is None:
+            raise UsageError(f"app {app.name} has no input {name!r}")
+        other = bound_by.setdefault(plan.size_param, name)
+        if synth[other][0] != n:
+            raise UsageError(f"inputs {other!r} and {name!r} share size "
+                             f"{plan.size_param!r} but are bound to {synth[other][0]} and {n}")
+        sizes[plan.size_param] = n
+    return app, sizes, {p.name: synth.get(p.name, (sizes[p.size_param],
+                                                   app.base_seed + p.seed_offset))
+                        for p in app.inputs}
 
 
 def cmd_bench(args) -> int:

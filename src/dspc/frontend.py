@@ -96,7 +96,6 @@ class FrontendError(DspcError):
     def __init__(self, span: SourceSpan, message: str):
         super().__init__(f"{span}: {message}")
         self.span = span
-        self.message = message
 
 
 class LexError(FrontendError):
@@ -106,8 +105,6 @@ class LexError(FrontendError):
 class ParseError(FrontendError):
     def __init__(self, span: SourceSpan, expected: str, found: str):
         super().__init__(span, f"expected {expected}, found {found}")
-        self.expected = expected
-        self.found = found
 
 
 class DuplicateMain(ParseError):

@@ -69,13 +69,6 @@ class DspGraph:
     def returns(self) -> list[ValueId]:
         return [op.operands[0] for op in self.ops if op.opcode is OpCode.RETURN]
 
-    def producer_map(self) -> dict[ValueId, OpNode]:
-        out: dict[ValueId, OpNode] = {}
-        for op in self.ops:
-            for rid in op.result_ids:
-                out[rid] = op
-        return out
-
 
 class GraphBuildError(DspcError):
     def __init__(self, span: Optional[fe.SourceSpan], message: str):
@@ -87,21 +80,16 @@ class GraphBuildError(DspcError):
 class UnknownBuiltin(GraphBuildError):
     def __init__(self, span, name: str):
         super().__init__(span, f"unknown builtin {name!r} (user-defined calls are not supported)")
-        self.name = name
 
 
 class ArityMismatch(GraphBuildError):
     def __init__(self, span, op: str, expected: int, got: int):
         super().__init__(span, f"{op} expects {expected} argument(s), got {got}")
-        self.op = op
-        self.expected = expected
-        self.got = got
 
 
 class UndefinedVariable(GraphBuildError):
     def __init__(self, span, name: str):
         super().__init__(span, f"undefined variable {name!r}")
-        self.name = name
 
 
 class BadAttribute(GraphBuildError):
@@ -113,7 +101,6 @@ class VerificationFailed(DspcError):
 
     def __init__(self, violations: list[str]):
         super().__init__("; ".join(violations))
-        self.violations = violations
 
 
 _BINOP_OPCODE = {"+": OpCode.ADD, "-": OpCode.SUB, "*": OpCode.MUL, "/": OpCode.DIV}
@@ -329,7 +316,7 @@ def check_op(op: OpNode, shapes: dict[ValueId, Optional[TensorShape]]) -> list[s
     if not violations and sig.shape is not None \
             and None not in ins and None not in op.result_shapes:
         try:
-            expected = sig.shape(op, ins)
+            expected = sig.derive(op, ins)
         except ShapeMismatch as exc:
             return [str(exc)]
         if tuple(op.result_shapes) != expected:
@@ -413,7 +400,7 @@ def graph_to_text(graph: DspGraph) -> str:
 
 
 # --------------------------------------------------------------------------
-# Shared helpers used by the rewriter and lowering
+# Renumbering, which the rewriter does once at its fixpoint
 
 
 def renumber(graph: DspGraph) -> DspGraph:

@@ -41,7 +41,6 @@ class LoopIrError(DspcError):
 class OutOfBounds(LoopIrError):
     def __init__(self, buffer: str, detail: str):
         super().__init__(f"buffer {buffer!r}: {detail}")
-        self.buffer = buffer
 
 
 @dataclass(frozen=True, slots=True)

@@ -58,8 +58,7 @@ from .ops import OP_DEFS, OpCode, TensorShape
 
 
 class LoweringUnsupported(DspcError):
-    """An op reached the backend without a static shape (an input is
-    unbound), or it reads a tensor whose length is known only at run time."""
+    """An op reached the backend without a static shape (an input is unbound)."""
 
 
 def _af(index: str, coeff: int = 1, const: int = 0) -> AffineExpr:
@@ -433,7 +432,9 @@ def op_unit(opcode: OpCode, attributes: tuple, spelled: tuple[str, ...],
 def lower_graph(graph: DspGraph) -> LoopProgram:
     """Lower every op to loop nests: declare its result buffers, bind an
     input's or fill a constant's, and call any other op's unit (`op_unit`) on
-    them; `interp` checks each unit's bounds as it first renders it."""
+    them; `interp` checks each unit's bounds as it first renders it, and
+    fails a unit that loads a dynamic tensor, which in a verified graph only
+    a print or a return reads."""
     buffers: list[BufferDecl] = []
     inputs: list[tuple[str, str]] = []
     shapes: dict[int, TensorShape] = {}
@@ -458,9 +459,6 @@ def lower_graph(graph: DspGraph) -> LoopProgram:
             continue
         distinct = list(dict.fromkeys(op.operands))
         operand_shapes = [shapes[vid] for vid in distinct]
-        if any(shape.dynamic for shape in operand_shapes):
-            raise LoweringUnsupported(
-                f"op %{op.id} ({oc.value}) consumes a dynamic tensor")
         unit = op_unit(oc, op.attributes, tuple(map(repr, op.attributes)),
                        tuple(map(distinct.index, op.operands)),
                        (*operand_shapes, *op.result_shapes))

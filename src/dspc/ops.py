@@ -5,13 +5,15 @@ source-language spelling (if any), operand count, attribute schema (names,
 types and legal ranges), result count, cross-attribute check and shape rule.
 It is the only record of an attribute's name and legal range: an op stores
 just its attribute values, in schema order, and ``graph.check_op`` is the one
-place that enforces the ranges.  The graph builder, shape inference, the
-verifier, the text form (``graph.graph_to_text``) and the rewriter all read
-this one record.  The one other per-opcode fact in the package is the op's
-implementation, its loop-nest emitter (``lowering.EMITTERS``), which takes a
-verified graph and checks no attribute.  The tests hold each emitter to a
-reference kernel (``tests/kernels.py``) for a source-level opcode, and to the
-kernels of the program it replaces for a rewriter-only one.
+place that enforces the ranges.  ``OpDef.derive`` is the one place that rejects
+a dynamic operand (only print and return read one), so a shape rule sees static
+operand shapes alone.  The graph builder, shape inference, the verifier, the
+text form (``graph.graph_to_text``) and the rewriter all read this one record.
+The one other per-opcode fact in the package is the op's implementation, its
+loop-nest emitter (``lowering.EMITTERS``), which takes a verified graph and
+checks no attribute.  The tests hold each emitter to a reference kernel
+(``tests/kernels.py``) for a source-level opcode, and to the kernels of the
+program it replaces for a rewriter-only one.
 """
 
 from __future__ import annotations
@@ -81,8 +83,6 @@ class TensorShape:
 class ShapeMismatch(DspcError):
     def __init__(self, op: "OpNode", detail: str):
         super().__init__(f"%{op.id} {op.opcode.value}: {detail}")
-        self.op = op
-        self.detail = detail
 
 
 @dataclass(frozen=True)
@@ -99,7 +99,8 @@ class AttrSpec:
 if TYPE_CHECKING:  # a runtime alias would pin TensorShape in typing's caches
     from .graph import OpNode
 
-    # Result shapes of an op from its static operand shapes; raises ShapeMismatch.
+    # Result shapes of an op from its operand shapes, all static (`OpDef.derive`
+    # rejects a dynamic one); raises ShapeMismatch.
     ShapeRule = Callable[[OpNode, Sequence[TensorShape]], tuple[TensorShape, ...]]
 
 
@@ -115,10 +116,20 @@ class OpDef:
 
     def result_shapes(self, op: "OpNode", ins: Sequence[Optional[TensorShape]]
                       ) -> tuple[Optional[TensorShape], ...]:
-        """The shape rule's result shapes; all unknown if an operand shape is
-        or an attribute fails its AttrSpec (the verifier reports it)."""
+        """`derive`'s result shapes; all unknown if an operand shape is or an
+        attribute fails its AttrSpec (the verifier reports it)."""
         if None in ins or not all(map(AttrSpec.ok, self.attrs, op.attributes)):
             return (None,) * self.n_results
+        return self.derive(op, ins)
+
+    def derive(self, op: "OpNode", ins: Sequence[TensorShape]) -> tuple[TensorShape, ...]:
+        """The shape rule's result shapes from the known operand shapes; raises
+        ShapeMismatch.  Only an op without results (print, return) may read a
+        dynamic tensor."""
+        if self.n_results:
+            for shape in ins:
+                if shape.dynamic:
+                    raise ShapeMismatch(op, "a dynamic tensor feeds only print and return")
         return self.shape(op, ins)
 
 
@@ -161,42 +172,30 @@ _OSC = (_at_least("n", 1), AttrSpec("f", "float"),
 # -- shape rules ------------------------------------------------------------
 
 
-def _static(op: "OpNode", shape: TensorShape, what: str = "operand") -> TensorShape:
-    if shape.dynamic:
-        raise ShapeMismatch(op, f"{what} must have a static shape")
-    return shape
-
-
 def _same(op, ins):
-    return (_static(op, ins[0]),)
-
-
-def _filter(op, ins):
-    _static(op, ins[1], "coefficients")
-    return (_static(op, ins[0], "signal"),)
+    return (ins[0],)
 
 
 def _conv_full(op, ins):
-    n = _static(op, ins[0], "signal").length
-    return (TensorShape(n + _static(op, ins[1], "kernel").length - 1),)
+    return (TensorShape(ins[0].length + ins[1].length - 1),)
 
 
 def _autocorr(op, ins):
-    return (TensorShape(2 * _static(op, ins[0], "signal").length - 1),)
+    return (TensorShape(2 * ins[0].length - 1),)
 
 
-def _paired(what_a: str, what_b: str, pair: str) -> ShapeRule:
-    """Two static operands of equal length; the result is shaped like them."""
+def _paired(pair: str) -> ShapeRule:
+    """Two operands of equal length; the result is shaped like them."""
     def rule(op, ins):
-        a, b = _static(op, ins[0], what_a), _static(op, ins[1], what_b)
+        a, b = ins
         if a.length != b.length:
             raise ShapeMismatch(op, f"{pair} lengths differ: {a.length} vs {b.length}")
         return (a,)
     return rule
 
 
-_idft = _paired("real part", "imaginary part", "real/imag")
-_lms_operands = _paired("input", "desired signal", "input/desired")
+_idft = _paired("real/imag")
+_lms_operands = _paired("input/desired")
 
 
 def _lms(op, ins):
@@ -210,37 +209,23 @@ def _length_attr(name: str) -> ShapeRule:
 
 def _broadcast(op, ins):
     a, b = ins
-    if a.dynamic or b.dynamic:
-        raise ShapeMismatch(op, "dynamic tensors cannot feed arithmetic ops")
-    if a.length == b.length:
-        return (TensorShape(a.length),)
+    if a.length == b.length or b.length == 1:
+        return (a,)
     if a.length == 1:
-        return (TensorShape(b.length),)
-    if b.length == 1:
-        return (TensorShape(a.length),)
+        return (b,)
     raise ShapeMismatch(op, f"operand lengths {a.length} and {b.length} do not broadcast")
 
 
-def _sum(op, ins):
-    _static(op, ins[0])
-    return (TensorShape(1),)
-
-
 def _rle(op, ins):
-    return (TensorShape(2 * _static(op, ins[0]).length, dynamic=True),)
+    return (TensorShape(2 * ins[0].length, dynamic=True),)
 
 
 def _upsample(op, ins):
-    return (TensorShape(_static(op, ins[0]).length * op.attr("k")),)
+    return (TensorShape(ins[0].length * op.attr("k")),)
 
 
 def _downsample(op, ins):
-    return (TensorShape(math.ceil(_static(op, ins[0]).length / op.attr("k"))),)
-
-
-def _fused(op, ins):
-    s = _static(op, ins[0])
-    return (s, s)
+    return (TensorShape(math.ceil(ins[0].length / op.attr("k"))),)
 
 
 _L2 = (_at_least("L", 2),)
@@ -251,7 +236,7 @@ OP_DEFS: dict[OpCode, OpDef] = {d.opcode: d for d in (
           (AttrSpec("values", "float_list", lambda v: len(v) >= 1, "at least one element"),),
           lambda op, ins: (TensorShape(len(op.attr("values"))),)),
     OpDef(OpCode.DELAY, "delay", 1, (_at_least("k", 0),), _same),
-    OpDef(OpCode.FIR_FILTER_RESPONSE, "firFilterResponse", 2, (), _filter),
+    OpDef(OpCode.FIR_FILTER_RESPONSE, "firFilterResponse", 2, (), _same),
     OpDef(OpCode.CONV1D_FULL, "conv1d", 2, (), _conv_full),
     OpDef(OpCode.SLIDING_WINDOW_AVG, "slidingWindowAvg", 1, (_at_least("window", 1),), _same),
     OpDef(OpCode.DFT1D_REAL, "dft1dreal", 1, (), _same),
@@ -268,7 +253,7 @@ OP_DEFS: dict[OpCode, OpDef] = {d.opcode: d for d in (
     OpDef(OpCode.SQUARE, "square", 1, (), _same),
     OpDef(OpCode.GAIN, "gain", 1, (AttrSpec("g", "float"),), _same),
     OpDef(OpCode.REVERSE, "reverse", 1, (), _same),
-    OpDef(OpCode.SUM, "sum", 1, (), _sum),
+    OpDef(OpCode.SUM, "sum", 1, (), lambda op, ins: (TensorShape(1),)),
     OpDef(OpCode.THRESHOLD, "threshold", 1,
           (AttrSpec("t", "float", lambda v: v >= 0.0, "t >= 0"),), _same),
     OpDef(OpCode.QUANTIZE, "quantize", 1,
@@ -285,11 +270,11 @@ OP_DEFS: dict[OpCode, OpDef] = {d.opcode: d for d in (
     OpDef(OpCode.PRINT, None, 1, (), lambda op, ins: (), n_results=0),
     OpDef(OpCode.RETURN, None, 1, (), lambda op, ins: (), n_results=0),
     OpDef(OpCode.FILTER_HAMM_OPT, None, 0, _L2 + (_CUTOFF,), _length_attr("L")),
-    OpDef(OpCode.FILTER_RES_SYMM_OPT, None, 2, (), _filter),
+    OpDef(OpCode.FILTER_RES_SYMM_OPT, None, 2, (), _same),
     OpDef(OpCode.FILTER_Y_SYMM_OPT, None, 1, (), _autocorr),
     OpDef(OpCode.DFT1D_REAL_SYMM, None, 1, (), _same),
     OpDef(OpCode.DFT1D_IMAG_SYMM, None, 1, (), _same),
-    OpDef(OpCode.DFT1D_FUSED, None, 1, (), _fused, n_results=2),
+    OpDef(OpCode.DFT1D_FUSED, None, 1, (), lambda op, ins: (ins[0], ins[0]), n_results=2),
     OpDef(OpCode.LMS_FILTER_GAIN_OPT, None, 2,
           (_MU, _at_least("M", 1), AttrSpec("g", "float")), _lms),
 )}

@@ -3,7 +3,8 @@
 Each pattern matches a small chain of ops by value identity (same SSA value,
 not merely an equal-looking subtree), builds the cheaper replacement ops and
 names the old values they stand for.  `_MATCHERS` registers each `PatternId`
-as ``(matcher, root opcodes)``.  The driver updates one working graph
+as ``(matcher, root opcodes)``.  A matcher walks its chain with one query,
+`_Ctx.made_by(value, opcode, single)`.  The driver updates one working graph
 (`_Ctx`) in place, so that an application costs what its match reads and
 rewires, not the size of the graph:
 
@@ -26,7 +27,7 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, Iterable, NamedTuple, Optional
+from typing import Iterable, NamedTuple, Optional
 
 from .errors import DspcError
 from .graph import DspGraph, OpNode, ValueId, check_op, renumber, verify_graph
@@ -47,11 +48,6 @@ class PatternId(Enum):
 
 class RewriteError(DspcError):
     pass
-
-
-class NonTermination(RewriteError):
-    def __init__(self, passes: int):
-        super().__init__(f"rewriter exceeded {passes} sweeps without reaching a fixpoint")
 
 
 class Applied(NamedTuple):
@@ -145,6 +141,14 @@ class _Ctx:
     def single_use(self, value: ValueId) -> bool:
         return len(self.users(value)) == 1
 
+    def made_by(self, value: ValueId, opcode: OpCode, single: bool = False) -> Optional[OpNode]:
+        """The op producing `value` if it is an `opcode` op and, with `single`,
+        `value` has one reader; else None.  Reads through `prod` and `single_use`."""
+        op = self.prod(value)
+        if op is None or op.opcode is not opcode or single and not self.single_use(value):
+            return None
+        return op
+
     def order(self, op: OpNode) -> tuple:
         return self.ops[id(op)][0]
 
@@ -211,7 +215,7 @@ class _Ctx:
         return problems
 
 
-def replace_site(ctx: _Ctx, site: OpNode, value: ValueId, *new_ops: OpNode) -> _Rewrite:
+def replace_site(site: OpNode, value: ValueId, *new_ops: OpNode) -> _Rewrite:
     """Replace the single op `site` by `new_ops`; uses of its result read `value`."""
     return _Rewrite(at=site, new_ops=new_ops, subst={site.id: value})
 
@@ -224,82 +228,61 @@ def replace_site(ctx: _Ctx, site: OpNode, value: ValueId, *new_ops: OpNode) -> _
 
 def pat_symmetric_filter(ctx: _Ctx, site: OpNode) -> Optional[_Rewrite]:
     """Mul(low-pass taps, Hamming window) with matching L -> FilterHammOpt."""
-    a, b = (ctx.prod(v) for v in site.operands)
-    if a is None or b is None:
-        return None
-    if a.opcode is OpCode.HAMMING_WINDOW and b.opcode is OpCode.LOW_PASS_FIR_COEFFS:
+    a, b = site.operands
+    if ctx.made_by(a, OpCode.HAMMING_WINDOW) is not None:
         a, b = b, a
-    if a.opcode is not OpCode.LOW_PASS_FIR_COEFFS or b.opcode is not OpCode.HAMMING_WINDOW:
+    taps = ctx.made_by(a, OpCode.LOW_PASS_FIR_COEFFS)
+    window = ctx.made_by(b, OpCode.HAMMING_WINDOW)
+    if taps is None or window is None or taps.attr("L") != window.attr("L"):
         return None
-    if a.attr("L") != b.attr("L"):
-        return None
-    new = ctx.new(OpCode.FILTER_HAMM_OPT, attributes=a.attributes)  # (L, wc)
-    return replace_site(ctx, site, new.id, new)
+    new = ctx.new(OpCode.FILTER_HAMM_OPT, attributes=taps.attributes)  # (L, wc)
+    return replace_site(site, new.id, new)
 
 
 def pat_symmetric_filter_response(ctx: _Ctx, site: OpNode) -> Optional[_Rewrite]:
     """FirFilterResponse with coefficients known symmetric -> paired-tap form."""
-    h = ctx.prod(site.operands[1])
-    if h is None or h.opcode is not OpCode.FILTER_HAMM_OPT:
+    if ctx.made_by(site.operands[1], OpCode.FILTER_HAMM_OPT) is None:
         return None
     new = ctx.new(OpCode.FILTER_RES_SYMM_OPT, site.operands)
-    return replace_site(ctx, site, new.id, new)
+    return replace_site(site, new.id, new)
 
 
 def pat_filter_y_symm(ctx: _Ctx, site: OpNode) -> Optional[_Rewrite]:
     """conv1d(x, reverse(x)) (either operand order) -> half-computed output."""
     a, b = site.operands
-    pa, pb = ctx.prod(a), ctx.prod(b)
-    x: Optional[ValueId] = None
-    if pb is not None and pb.opcode is OpCode.REVERSE and pb.operands[0] == a:
-        x = a
-    elif pa is not None and pa.opcode is OpCode.REVERSE and pa.operands[0] == b:
-        x = b
-    if x is None:
-        return None
-    new = ctx.new(OpCode.FILTER_Y_SYMM_OPT, (x,))
-    return replace_site(ctx, site, new.id, new)
+    for x, rev in ((a, ctx.made_by(b, OpCode.REVERSE)), (b, ctx.made_by(a, OpCode.REVERSE))):
+        if rev is not None and rev.operands[0] == x:
+            new = ctx.new(OpCode.FILTER_Y_SYMM_OPT, (x,))
+            return replace_site(site, new.id, new)
+    return None
 
 
 def pat_dft_conj_symm(ctx: _Ctx, site: OpNode) -> Optional[_Rewrite]:
     """DFT of a provably even signal computes half the bins and mirrors."""
-    src = ctx.prod(site.operands[0])
-    if src is None or src.opcode is not OpCode.FILTER_Y_SYMM_OPT:
+    if ctx.made_by(site.operands[0], OpCode.FILTER_Y_SYMM_OPT) is None:
         return None
-    target = (OpCode.DFT1D_REAL_SYMM if site.opcode is OpCode.DFT1D_REAL
-              else OpCode.DFT1D_IMAG_SYMM)
-    new = ctx.new(target, site.operands)
-    return replace_site(ctx, site, new.id, new)
+    new = ctx.new(OpCode.DFT1D_REAL_SYMM if site.opcode is OpCode.DFT1D_REAL
+                  else OpCode.DFT1D_IMAG_SYMM, site.operands)
+    return replace_site(site, new.id, new)
 
 
 def pat_parseval(ctx: _Ctx, site: OpNode) -> Optional[_Rewrite]:
-    """Div(Sum(Sq(re) + Sq(im)), N) over a DFT of x -> Sum(Square(x)).
-
-    The whole chain must be single-use and the divisor a scalar constant
-    equal to the (static) length of x; matches both the separate real/imag
-    transforms and the fused one.
-    """
+    """Div(Sum(Sq(re) + Sq(im)), N) over a DFT of x -> Sum(Square(x)), where
+    the chain is single-use and N a scalar constant equal to the length of x;
+    the DFT is the separate real/imag transforms or the fused one."""
     total, divisor = site.operands
-    const = ctx.prod(divisor)
-    if const is None or const.opcode is not OpCode.CONST_TENSOR:
+    const = ctx.made_by(divisor, OpCode.CONST_TENSOR)
+    if const is None or len(values := const.attr("values")) != 1:
         return None
-    values = const.attr("values")
-    if len(values) != 1:
+    sum_op = ctx.made_by(total, OpCode.SUM, single=True)
+    add_op = sum_op and ctx.made_by(sum_op.operands[0], OpCode.ADD, single=True)
+    if add_op is None:
         return None
-    sum_op = ctx.prod(total)
-    if sum_op is None or sum_op.opcode is not OpCode.SUM or not ctx.single_use(total):
-        return None
-    add_op = ctx.prod(sum_op.operands[0])
-    if add_op is None or add_op.opcode is not OpCode.ADD \
-            or not ctx.single_use(sum_op.operands[0]):
-        return None
-    squares = [ctx.prod(v) for v in add_op.operands]
-    if any(s is None or s.opcode is not OpCode.SQUARE for s in squares):
-        return None
-    if not all(ctx.single_use(v) for v in add_op.operands):
+    squares = [ctx.made_by(v, OpCode.SQUARE) for v in add_op.operands]
+    if None in squares:
         return None
     a, b = (s.operands[0] for s in squares)  # type: ignore[union-attr]
-    if not (ctx.single_use(a) and ctx.single_use(b)):
+    if not all(map(ctx.single_use, (*add_op.operands, a, b))):
         return None
     x = _dft_source(ctx, a, b)
     if x is None:
@@ -307,26 +290,25 @@ def pat_parseval(ctx: _Ctx, site: OpNode) -> Optional[_Rewrite]:
     if x is None:
         return None
     shape = ctx.shape(x)
-    if shape is None or shape.dynamic or float(values[0]) != float(shape.length):
+    if shape is None or float(values[0]) != float(shape.length):
         return None
     square = ctx.new(OpCode.SQUARE, (x,))
     total_of_squares = ctx.new(OpCode.SUM, (square.id,))
-    return replace_site(ctx, site, total_of_squares.id, square, total_of_squares)
+    return replace_site(site, total_of_squares.id, square, total_of_squares)
 
 
 def _dft_source(ctx: _Ctx, re: ValueId, im: ValueId) -> Optional[ValueId]:
     """The x whose real and imaginary DFT are `re` and `im`, in that order,
     from two separate transforms (or the mirrored pair pattern 4 makes of
     them, which holds every bin) or one fused one; None if there is none."""
-    pr, pi = ctx.prod(re), ctx.prod(im)
-    if pr is None or pi is None:
-        return None
-    if pr.operands == pi.operands and (pr.opcode, pi.opcode) in (
-            (OpCode.DFT1D_REAL, OpCode.DFT1D_IMAG),
-            (OpCode.DFT1D_REAL_SYMM, OpCode.DFT1D_IMAG_SYMM)):
-        return pr.operands[0]
-    if pr is pi and pr.opcode is OpCode.DFT1D_FUSED and (re, im) == (pr.id, pr.id + 1):
-        return pr.operands[0]
+    for real, imag in ((OpCode.DFT1D_REAL, OpCode.DFT1D_IMAG),
+                       (OpCode.DFT1D_REAL_SYMM, OpCode.DFT1D_IMAG_SYMM)):
+        pr, pi = ctx.made_by(re, real), ctx.made_by(im, imag)
+        if pr is not None and pi is not None and pr.operands == pi.operands:
+            return pr.operands[0]
+    fused = ctx.made_by(re, OpCode.DFT1D_FUSED)
+    if fused is not None and (re, im) == (fused.id, fused.id + 1):
+        return fused.operands[0]
     return None
 
 
@@ -345,10 +327,8 @@ def pat_dft_fusion(ctx: _Ctx, site: OpNode) -> Optional[_Rewrite]:
 def pat_lms_gain_fusion(ctx: _Ctx, site: OpNode) -> Optional[_Rewrite]:
     """Gain applied to a single-use LMS weight vector fuses into the LMS op,
     which scales its final weights in place."""
-    lms = ctx.prod(site.operands[0])
-    if lms is None or lms.opcode is not OpCode.LMS_FILTER:
-        return None
-    if not ctx.single_use(site.operands[0]):
+    lms = ctx.made_by(site.operands[0], OpCode.LMS_FILTER, single=True)
+    if lms is None:
         return None
     new = ctx.new(OpCode.LMS_FILTER_GAIN_OPT, lms.operands,
                   lms.attributes + site.attributes)  # (mu, M) + (g,)
@@ -358,19 +338,15 @@ def pat_lms_gain_fusion(ctx: _Ctx, site: OpNode) -> Optional[_Rewrite]:
 def pat_identity_dft_idft(ctx: _Ctx, site: OpNode) -> Optional[_Rewrite]:
     """idft1d applied to the DFT of x is the identity: all uses read x."""
     x = _dft_source(ctx, *site.operands)
-    if x is None:
-        return None
-    return replace_site(ctx, site, x)
+    return None if x is None else replace_site(site, x)
 
 
 def pat_identity_up_down(ctx: _Ctx, site: OpNode) -> Optional[_Rewrite]:
     """downsample(upsample(x, k), k) with the same k passes x through."""
-    up = ctx.prod(site.operands[0])
-    if up is None or up.opcode is not OpCode.UPSAMPLE:
+    up = ctx.made_by(site.operands[0], OpCode.UPSAMPLE)
+    if up is None or site.attr("k") != up.attr("k"):
         return None
-    if site.attr("k") != up.attr("k"):
-        return None
-    return replace_site(ctx, site, up.operands[0])
+    return replace_site(site, up.operands[0])
 
 
 _MATCHERS = {
@@ -420,7 +396,8 @@ def apply_dsp_patterns(graph: DspGraph,
         stats.log.append(Applied(pid, site.id, site.opcode,
                                  tuple(op.id for op in rewrite.new_ops), len(ctx.ops)))
     else:
-        raise NonTermination(sweep_limit + 1)
+        raise RewriteError(f"rewriter exceeded {sweep_limit + 1} sweeps "
+                           "without reaching a fixpoint")
     current = graph
     if stats.log:
         current = renumber(DspGraph([op for _key, op in sorted(ctx.ops.values())]))

@@ -7,6 +7,10 @@ from dspc.graph import DspGraph, OpNode, ValueId
 from dspc.ops import OpCode
 
 
+def producer_map(graph: DspGraph) -> dict[ValueId, OpNode]:
+    return {rid: op for op in graph.ops for rid in op.result_ids}
+
+
 def use_counts(graph: DspGraph) -> dict[ValueId, int]:
     counts: dict[ValueId, int] = {}
     for op in graph.ops:

@@ -228,6 +228,14 @@ def test_verify_error_exit_3(capsys, tmp_path):
     assert "k >= 0" in err
 
 
+def test_op_reading_a_dynamic_tensor_exit_3(capsys, tmp_path):
+    src = tmp_path / "dyn.dsp"
+    src.write_text("def main(x) { print(sum(runLenEncoding(x))); }\n")
+    code, out, err = run_cli(capsys, "run", str(src), "--synth", "x=8,1")
+    assert (code, out) == (3, "")
+    assert err == "verify error: %2 sum: a dynamic tensor feeds only print and return\n"
+
+
 def test_non_finite_literal_exit_2(capsys, tmp_path):
     src = tmp_path / "huge.dsp"
     src.write_text("def main() { print([" + "9" * 400 + "]); }\n")
@@ -422,6 +430,19 @@ def test_bench_transforms_of_an_autocorrelation(capsys, tmp_path, printed, fired
     assert code == 0
     assert f"fired patterns: {fired}" in out
     assert "FAIL" not in out
+
+
+@pytest.mark.parametrize("target", [ENERGY, "app3"], ids=["file", "app"])
+def test_bench_input_bound_twice_is_usage_error(capsys, target):
+    code, out, err = run_cli(capsys, "bench", target, "--synth", "x=8,1", "--synth", "x=16,2")
+    assert (code, out, err) == (1, "", "usage error: input 'x' bound twice\n")
+
+
+def test_bench_inputs_sharing_a_size_bound_to_two_sizes_is_usage_error(capsys):
+    # HearingAid's x and d are both N samples long
+    code, out, err = run_cli(capsys, "bench", "app6", "--synth", "x=8,1", "--synth", "d=16,2")
+    assert (code, out) == (1, "")
+    assert err == "usage error: inputs 'x' and 'd' share size 'N' but are bound to 8 and 16\n"
 
 
 def test_bench_unknown_target(capsys):

@@ -1,5 +1,6 @@
 import itertools
 import math
+from dataclasses import replace
 
 import pytest
 
@@ -7,8 +8,10 @@ from dspc.frontend import parse_source
 from dspc.graph import (ArityMismatch, BadAttribute, DspGraph, OpNode, ShapeMismatch,
                         UndefinedVariable, UnknownBuiltin, build_graph,
                         graph_to_text, infer_shapes, renumber, verify_graph)
-from dspc.lowering import EMITTERS
-from dce import dead_ops, use_counts
+from dspc.interp import evaluate_loop_ir, tensor
+from dspc.loop_ir import LoopIrError
+from dspc.lowering import EMITTERS, lower_graph
+from dce import dead_ops, producer_map, use_counts
 import kernels as K
 from dspc.ops import OP_DEFS, OpCode, TensorShape
 
@@ -226,6 +229,27 @@ def test_verifier_reports_each_cross_attribute_violation(sig):
     pytest.fail(f"no candidate values violate the cross-check of {sig.opcode.value}")
 
 
+@pytest.mark.parametrize("sig, slot", [
+    pytest.param(sig, slot, id=f"{sig.opcode.value}.{slot}")
+    for sig in OP_DEFS.values() if sig.n_operands and sig.n_results
+    for slot in range(sig.n_operands)])
+def test_only_print_and_return_read_a_dynamic_tensor(sig, slot):
+    # the run-length code %1 feeds operand `slot` of %3, an 8-sample input the
+    # others; %3 is shaped as if %1 were a static 8-sample tensor
+    rle = OpNode(1, OpCode.RUN_LEN_ENCODING, (0,), (), (TensorShape(8, dynamic=True),))
+    op = OpNode(3, sig.opcode, tuple(1 if i == slot else 2 for i in range(sig.n_operands)),
+                tuple(_valid(sig)))
+    op = replace(op, result_shapes=sig.shape(op, [TensorShape(8)] * sig.n_operands))
+    graph = DspGraph([input_op(0, 4), rle, input_op(2, 8, "y"), op, print_op(3)])
+    message = f"%3 {sig.opcode.value}: a dynamic tensor feeds only print and return"
+    with pytest.raises(ShapeMismatch, match=f"^{message}$"):
+        infer_shapes(graph)
+    assert verify_graph(graph) == [message]
+    # lowered unverified, the op's unit fails its first render, before any unit runs
+    with pytest.raises(LoopIrError, match="a dynamic buffer is only appended to"):
+        evaluate_loop_ir(lower_graph(graph), {"x": tensor([1.0] * 4), "y": tensor([1.0] * 8)})
+
+
 @pytest.mark.parametrize("levels, lo, hi", [(10 ** 308, 0.0, 1e-20), (2, -1e308, 1e308)],
                          ids=["step_underflows_to_0", "max_minus_min_overflows"])
 def test_verify_rejects_quantize_step(levels, lo, hi):
@@ -339,7 +363,7 @@ def test_renumber_compacts_ids():
 
 def pruned(graph):
     """What whole-graph pruning (`dead_ops`, every value a candidate) keeps."""
-    producer = graph.producer_map()
+    producer = producer_map(graph)
     dead = dead_ops(producer, use_counts(graph), producer)
     return renumber(DspGraph([op for op in graph.ops if id(op) not in dead]))
 

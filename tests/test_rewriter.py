@@ -15,7 +15,7 @@ from dspc.ops import OpCode
 from dspc import rewriter
 from dspc.rewriter import PatternId, RewriteError, apply_dsp_patterns
 
-from dce import dead_ops, use_counts
+from dce import dead_ops, producer_map, use_counts
 import kernels as K
 
 
@@ -509,7 +509,7 @@ def test_rewrite_that_reshapes_a_rewired_value_fails_verification(monkeypatch):
         up = ctx.prod(site.operands[0]) if site.opcode is OpCode.DOWNSAMPLE else None
         if up is None or up.opcode is not OpCode.UPSAMPLE:
             return None
-        return rewriter.replace_site(ctx, site, up.operands[0])
+        return rewriter.replace_site(site, up.operands[0])
 
     monkeypatch.setitem(rewriter._MATCHERS, PatternId.IDENTITY_UP_DOWN,
                         (any_factor, {OpCode.DOWNSAMPLE}))
@@ -564,7 +564,7 @@ def reference_rewrite(graph, enabled=None):
         at = next(i for i, op in enumerate(current.ops) if op is rw.at)
         ops[at:at] = rw.new_ops
         spliced = DspGraph(ops)
-        producer = spliced.producer_map()
+        producer = producer_map(spliced)
         dead = dead_ops(producer, use_counts(spliced), producer)
         current = renumber(DspGraph([op for op in ops if id(op) not in dead]))
         assert verify_graph(current) == []
