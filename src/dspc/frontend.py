@@ -22,16 +22,25 @@ The grammar:
 Numbers are decimal integers or decimal floats; there is no scientific
 notation and no unary minus, and a number too large for a float is a parse
 error.  An expression nests at most ``MAX_EXPR_DEPTH`` levels deep: every
-operator, call and pair of parentheses adds a level.  Comments run from
-``#`` to end of line.
+operator, call and pair of parentheses adds a level.
+
+The lexer splits the source into lines and scans each with one regular
+expression: a match is a word, a number, a comment (``#`` to end of line) or
+any other non-blank character, and its column is its offset in the line plus
+one.  A word is an identifier or keyword only if it starts with a letter or
+``_``; any other word, or a character that is no operator or punctuation, is
+a ``LexError``.  The parser matches operators, punctuation and keywords by
+their text, which no identifier or number spells.
 """
 
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass, field
 from decimal import Decimal
 from enum import Enum
+from itertools import repeat
 from typing import NamedTuple, Optional, Union
 
 from .errors import DspcError
@@ -45,6 +54,9 @@ MAX_EXPR_DEPTH = 256
 
 _PUNCT_CHARS = "()[]{},;="
 _OP_CHARS = "+-*/"
+
+# A word not led by a decimal digit, a number, a comment, or one character.
+_TOKEN_RE = re.compile(r"[^\W\d]\w*|\d+(?:\.\d+)?|#.*|[^ \t\r]")
 
 
 def _same_type_eq(a, b) -> bool:
@@ -77,6 +89,12 @@ class TokenKind(Enum):
     OP = "op"
     PUNCT = "punct"
     EOF = "eof"
+
+
+# The kind of each token that its text alone spells.
+_TEXT_KIND = {**dict.fromkeys(KEYWORDS, TokenKind.KEYWORD),
+              **dict.fromkeys(_OP_CHARS, TokenKind.OP),
+              **dict.fromkeys(_PUNCT_CHARS, TokenKind.PUNCT)}
 
 
 class Token(NamedTuple):
@@ -115,59 +133,26 @@ class DuplicateMain(ParseError):
 def tokenize(source: str) -> list[Token]:
     """Split source text into tokens, ending with a zero-length EOF marker."""
     tokens: list[Token] = []
-    line, col = 1, 1
-    i, n = 0, len(source)
-    while i < n:
-        ch = source[i]
-        if ch == "\n":
-            i += 1
-            line += 1
-            col = 1
-            continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if ch == "#":  # comment to end of line
-            while i < n and source[i] != "\n":
-                i += 1
-                col += 1
-            continue
-        start_col = col
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (source[j].isalnum() or source[j] == "_"):
-                j += 1
-            text = source[i:j]
-            kind = TokenKind.KEYWORD if text in KEYWORDS else TokenKind.IDENT
-            tokens.append(Token(kind, text, SourceSpan(line, start_col, j - i)))
-            col += j - i
-            i = j
-            continue
-        if ch.isdecimal():
-            j = i
-            while j < n and source[j].isdecimal():
-                j += 1
-            if j < n and source[j] == "." and j + 1 < n and source[j + 1].isdecimal():
-                j += 1
-                while j < n and source[j].isdecimal():
-                    j += 1
-            tokens.append(Token(TokenKind.NUMBER, source[i:j], SourceSpan(line, start_col, j - i)))
-            col += j - i
-            i = j
-            continue
-        if ch in _OP_CHARS:
-            tokens.append(Token(TokenKind.OP, ch, SourceSpan(line, start_col, 1)))
-            i += 1
-            col += 1
-            continue
-        if ch in _PUNCT_CHARS:
-            tokens.append(Token(TokenKind.PUNCT, ch, SourceSpan(line, start_col, 1)))
-            i += 1
-            col += 1
-            continue
-        raise LexError(SourceSpan(line, start_col, 1), f"unexpected character {ch!r}")
-    tokens.append(Token(TokenKind.EOF, "", SourceSpan(line, col, 0)))
+    append, kinds = tokens.append, _TEXT_KIND
+    new = tuple.__new__  # builds a Token or span without its NamedTuple __new__ frame
+    lines = source.split("\n")
+    for line, text in enumerate(lines, 1):
+        for m in _TOKEN_RE.finditer(text):
+            tok = m.group()
+            kind = kinds.get(tok)
+            if kind is None:
+                first = tok[0]
+                if first.isalpha() or first == "_":
+                    kind = TokenKind.IDENT
+                elif first.isdecimal():
+                    kind = TokenKind.NUMBER
+                elif first == "#":
+                    continue
+                else:
+                    raise LexError(SourceSpan(line, m.start() + 1, 1),
+                                   f"unexpected character {first!r}")
+            append(new(Token, (kind, tok, new(SourceSpan, (line, m.start() + 1, len(tok))))))
+    append(Token(TokenKind.EOF, "", SourceSpan(len(lines), len(lines[-1]) + 1, 0)))
     return tokens
 
 
@@ -269,30 +254,31 @@ class _Parser:
         self.open = 0
         self.depths: dict[int, int] = {}  # id(node) -> depth; leaves are 1
 
-    @property
-    def cur(self) -> Token:
-        return self.tokens[self.pos]
-
-    def _describe(self, tok: Token) -> str:
-        return "end of input" if tok.kind is TokenKind.EOF else repr(tok.text)
-
     def error(self, expected: str) -> ParseError:
-        return ParseError(self.cur.span, expected, self._describe(self.cur))
+        tok = self.tokens[self.pos]
+        found = "end of input" if tok.kind is TokenKind.EOF else repr(tok.text)
+        return ParseError(tok.span, expected, found)
 
-    def advance(self) -> Token:
-        tok = self.cur
+    def accept(self, text: str) -> Token | None:
+        """The next token, consumed, if it is spelled `text`."""
+        tok = self.tokens[self.pos]
+        if tok.text != text:
+            return None
         self.pos += 1
         return tok
 
-    def accept(self, kind: TokenKind, text: str | None = None) -> Token | None:
-        if self.cur.kind is kind and (text is None or self.cur.text == text):
-            return self.advance()
-        return None
+    def expect(self, text: str) -> Token:
+        tok = self.tokens[self.pos]
+        if tok.text != text:
+            raise self.error(repr(text))
+        self.pos += 1
+        return tok
 
-    def expect(self, kind: TokenKind, text: str | None = None, what: str | None = None) -> Token:
-        tok = self.accept(kind, text)
-        if tok is None:
-            raise self.error(what or (repr(text) if text else kind.value))
+    def expect_kind(self, kind: TokenKind, what: str) -> Token:
+        tok = self.tokens[self.pos]
+        if tok.kind is not kind:
+            raise self.error(what)
+        self.pos += 1
         return tok
 
     def number(self, tok: Token) -> float:
@@ -304,9 +290,17 @@ class _Parser:
 
     def deeper(self, node: AstExpression, *parts: AstExpression) -> AstExpression:
         """Record `node` as one level above its deepest part."""
-        depth = 1 + max((self.depths.get(id(p), 1) for p in parts), default=0)
+        depth = 1 + max(map(self.depths.get, map(id, parts), repeat(1)), default=0)
         self.check_depth(depth, node.span)
         self.depths[id(node)] = depth
+        return node
+
+    def binary(self, op: Token, lhs: AstExpression, rhs: AstExpression) -> BinaryOp:
+        depths = self.depths
+        depth = 1 + max(depths.get(id(lhs), 1), depths.get(id(rhs), 1))
+        self.check_depth(depth, op.span)
+        node = BinaryOp(op.text, lhs, rhs, span=op.span)
+        depths[id(node)] = depth
         return node
 
     def check_depth(self, depth: int, span: SourceSpan) -> None:
@@ -317,46 +311,43 @@ class _Parser:
     # module := funcdef+
     def module(self) -> AstModule:
         functions: list[AstFunction] = []
-        if self.cur.kind is TokenKind.EOF:
+        if self.tokens[self.pos].kind is TokenKind.EOF:
             raise self.error("a function definition")
-        while self.cur.kind is not TokenKind.EOF:
+        while self.tokens[self.pos].kind is not TokenKind.EOF:
             functions.append(self.funcdef())
         seen: set[str] = set()
-        main_spans = []
         for fn in functions:
             if fn.name in seen:
                 if fn.name == "main":
                     raise DuplicateMain(fn.span)
                 raise ParseError(fn.span, "a unique function name", f"redefinition of {fn.name!r}")
             seen.add(fn.name)
-            if fn.name == "main":
-                main_spans.append(fn.span)
-        if not main_spans:
-            last = functions[-1].span
-            raise ParseError(last, "a main function", "a module without main")
+        if "main" not in seen:
+            raise ParseError(functions[-1].span, "a main function", "a module without main")
         return AstModule(functions=tuple(functions))
 
     def funcdef(self) -> AstFunction:
-        start = self.expect(TokenKind.KEYWORD, "def", "'def'")
-        name_tok = self.accept(TokenKind.IDENT) or self.accept(TokenKind.KEYWORD, "main")
-        if name_tok is None:
+        start = self.expect("def")
+        name_tok = self.tokens[self.pos]
+        if name_tok.kind is not TokenKind.IDENT and name_tok.text != "main":
             raise self.error("a function name")
-        self.expect(TokenKind.PUNCT, "(")
+        self.pos += 1
+        self.expect("(")
         params: list[str] = []
-        if not self.accept(TokenKind.PUNCT, ")"):
+        if not self.accept(")"):
             while True:
-                p = self.expect(TokenKind.IDENT, what="a parameter name")
+                p = self.expect_kind(TokenKind.IDENT, "a parameter name")
                 if p.text in params:
                     raise ParseError(p.span, "a unique parameter name", f"duplicate {p.text!r}")
                 params.append(p.text)
-                if self.accept(TokenKind.PUNCT, ")"):
+                if self.accept(")"):
                     break
-                self.expect(TokenKind.PUNCT, ",")
-        self.expect(TokenKind.PUNCT, "{")
+                self.expect(",")
+        self.expect("{")
         body: list[AstStatement] = []
         declared = set(params)
-        while not self.accept(TokenKind.PUNCT, "}"):
-            if self.cur.kind is TokenKind.EOF:
+        while not self.accept("}"):
+            if self.tokens[self.pos].kind is TokenKind.EOF:
                 raise self.error("'}'")
             stmt = self.statement()
             if isinstance(stmt, VarDecl):
@@ -369,86 +360,94 @@ class _Parser:
                            span=start.span)
 
     def statement(self) -> AstStatement:
-        if tok := self.accept(TokenKind.KEYWORD, "var"):
-            name = self.expect(TokenKind.IDENT, what="a variable name")
-            self.expect(TokenKind.PUNCT, "=")
+        tok = self.tokens[self.pos]
+        text = tok.text
+        if text == "var":
+            self.pos += 1
+            name = self.expect_kind(TokenKind.IDENT, "a variable name")
+            self.expect("=")
             init = self.expression()
-            self.expect(TokenKind.PUNCT, ";")
+            self.expect(";")
             return VarDecl(name.text, init, span=name.span)
-        if tok := self.accept(TokenKind.KEYWORD, "print"):
-            self.expect(TokenKind.PUNCT, "(")
+        if text == "print":
+            self.pos += 1
+            self.expect("(")
             expr = self.expression()
-            self.expect(TokenKind.PUNCT, ")")
-            self.expect(TokenKind.PUNCT, ";")
+            self.expect(")")
+            self.expect(";")
             return PrintStmt(expr, span=tok.span)
-        if tok := self.accept(TokenKind.KEYWORD, "return"):
+        if text == "return":
+            self.pos += 1
             expr = None
-            if not self.accept(TokenKind.PUNCT, ";"):
+            if not self.accept(";"):
                 expr = self.expression()
-                self.expect(TokenKind.PUNCT, ";")
+                self.expect(";")
             return ReturnStmt(expr, span=tok.span)
         expr = self.expression()
-        self.expect(TokenKind.PUNCT, ";")
+        self.expect(";")
         return ExprStmt(expr, span=expr.span)
 
     # expr := term {("+"|"-") term}
     def expression(self) -> AstExpression:
         lhs = self.term()
-        while self.cur.kind is TokenKind.OP and self.cur.text in "+-":
-            op = self.advance()
-            rhs = self.term()
-            lhs = self.deeper(BinaryOp(op.text, lhs, rhs, span=op.span), lhs, rhs)
+        while (op := self.tokens[self.pos]).text in ("+", "-"):
+            self.pos += 1
+            lhs = self.binary(op, lhs, self.term())
         return lhs
 
     # term := unary {("*"|"/") unary}
     def term(self) -> AstExpression:
         lhs = self.unary()
-        while self.cur.kind is TokenKind.OP and self.cur.text in "*/":
-            op = self.advance()
-            rhs = self.unary()
-            lhs = self.deeper(BinaryOp(op.text, lhs, rhs, span=op.span), lhs, rhs)
+        while (op := self.tokens[self.pos]).text in ("*", "/"):
+            self.pos += 1
+            lhs = self.binary(op, lhs, self.unary())
         return lhs
 
     def unary(self) -> AstExpression:
-        if tok := self.accept(TokenKind.NUMBER):
+        tok = self.tokens[self.pos]
+        kind = tok.kind
+        if kind is TokenKind.IDENT:
+            self.pos += 1
+            if not self.accept("("):
+                return VariableRef(tok.text, span=tok.span)
+            self.open += 1
+            self.check_depth(self.open, tok.span)
+            args: list[AstExpression] = []
+            if not self.accept(")"):
+                while True:
+                    args.append(self.expression())
+                    if self.accept(")"):
+                        break
+                    self.expect(",")
+            self.open -= 1
+            return self.deeper(Call(tok.text, tuple(args), span=tok.span), *args)
+        if kind is TokenKind.NUMBER:
+            self.pos += 1
             return NumberLiteral(self.number(tok), span=tok.span)
-        if tok := self.accept(TokenKind.PUNCT, "["):
-            values = [self._number_element()]
-            while not self.accept(TokenKind.PUNCT, "]"):
-                self.expect(TokenKind.PUNCT, ",")
-                values.append(self._number_element())
-            return TensorLiteral(tuple(values), span=tok.span)
-        if tok := self.accept(TokenKind.PUNCT, "("):
+        if tok.text == "(":
+            self.pos += 1
             self.open += 1
             self.check_depth(self.open, tok.span)
             expr = self.expression()
-            self.expect(TokenKind.PUNCT, ")")
+            self.expect(")")
             self.open -= 1
             return self.deeper(expr, expr)
-        if tok := self.accept(TokenKind.IDENT):
-            if self.accept(TokenKind.PUNCT, "("):
-                self.open += 1
-                self.check_depth(self.open, tok.span)
-                args: list[AstExpression] = []
-                if not self.accept(TokenKind.PUNCT, ")"):
-                    while True:
-                        args.append(self.expression())
-                        if self.accept(TokenKind.PUNCT, ")"):
-                            break
-                        self.expect(TokenKind.PUNCT, ",")
-                self.open -= 1
-                return self.deeper(Call(tok.text, tuple(args), span=tok.span), *args)
-            return VariableRef(tok.text, span=tok.span)
+        if tok.text == "[":
+            self.pos += 1
+            values = [self._number_element()]
+            while not self.accept("]"):
+                self.expect(",")
+                values.append(self._number_element())
+            return TensorLiteral(tuple(values), span=tok.span)
         raise self.error("an expression")
 
     def _number_element(self) -> float:
-        return self.number(self.expect(TokenKind.NUMBER, what="a number"))
+        return self.number(self.expect_kind(TokenKind.NUMBER, "a number"))
 
 
 def parse_module(tokens: list[Token]) -> AstModule:
     """Parse a token list into a module; exactly one ``main`` is required."""
-    parser = _Parser(tokens)
-    return parser.module()
+    return _Parser(tokens).module()
 
 
 def parse_source(source: str) -> AstModule:

@@ -10,7 +10,7 @@ dynamic logical length bounded by its buffer capacity.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Mapping, Optional
 
 from . import frontend as fe
@@ -244,9 +244,8 @@ def infer_shapes(graph: DspGraph,
             shaped: tuple[Optional[TensorShape], ...] = (resolved,)
         else:
             shaped = sig.result_shapes(op, ins)
-        new_op = replace(op, result_shapes=shaped)
-        new_ops.append(new_op)
-        for rid, s in zip(new_op.result_ids, shaped):
+        new_ops.append(OpNode(op.id, op.opcode, op.operands, op.attributes, shaped))
+        for rid, s in zip(range(op.id, op.id + sig.n_results), shaped):
             shapes[rid] = s
     return DspGraph(new_ops)
 
@@ -409,12 +408,10 @@ def renumber(graph: DspGraph) -> DspGraph:
     next_id = 0
     staged: list[tuple[OpNode, ValueId]] = []
     for op in graph.ops:
-        if op.n_results == 0:
-            staged.append((op, -1))
-            continue
-        staged.append((op, next_id))
-        for i, rid in enumerate(op.result_ids):
-            mapping[rid] = next_id + i
-        next_id += op.n_results
-    return DspGraph([replace(op, id=new_id, operands=tuple(mapping[v] for v in op.operands))
-                     for op, new_id in staged])
+        n = OP_DEFS[op.opcode].n_results
+        staged.append((op, next_id if n else -1))
+        for i in range(n):
+            mapping[op.id + i] = next_id + i
+        next_id += n
+    return DspGraph([OpNode(new_id, op.opcode, tuple(map(mapping.__getitem__, op.operands)),
+                            op.attributes, op.result_shapes) for op, new_id in staged])

@@ -143,8 +143,11 @@ class _Ctx:
 
     def made_by(self, value: ValueId, opcode: OpCode, single: bool = False) -> Optional[OpNode]:
         """The op producing `value` if it is an `opcode` op and, with `single`,
-        `value` has one reader; else None.  Reads through `prod` and `single_use`."""
-        op = self.prod(value)
+        `value` has one reader; else None.  Watches as `prod` does and reads
+        the readers through `single_use`."""
+        if self.trying:
+            self.watch[0][value].append(self.trying)
+        op = self.producer.get(value)
         if op is None or op.opcode is not opcode or single and not self.single_use(value):
             return None
         return op

@@ -1,8 +1,13 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dspc.corpus import compile_source
-from dspc.frontend import (MAX_EXPR_DEPTH, DuplicateMain, LexError,
-                           ParseError, Token, TokenKind, ast_to_text,
+from dspc.frontend import (MAX_EXPR_DEPTH, AstFunction, AstModule,
+                           BinaryOp, Call, DuplicateMain, ExprStmt,
+                           FrontendError, LexError, NumberLiteral, ParseError,
+                           PrintStmt, ReturnStmt, SourceSpan, TensorLiteral,
+                           Token, TokenKind, VarDecl, VariableRef, ast_to_text,
                            format_number, parse_source, tokenize)
 from dspc.lowering import lower_graph
 
@@ -54,8 +59,40 @@ def test_number_literals(text, value):
 
 def test_number_requires_digit_after_dot():
     # a bare trailing dot is not part of the number, and '.' alone is illegal
-    with pytest.raises(LexError):
+    with pytest.raises(LexError) as exc:
         tokenize("1.")
+    assert exc.value.span == SourceSpan(1, 2, 1)
+
+
+def test_word_led_by_a_superscript_digit_is_a_lex_error():
+    # "²" is a word character but neither a letter nor a decimal digit
+    with pytest.raises(LexError) as exc:
+        tokenize("²x")
+    assert exc.value.span == SourceSpan(1, 1, 1)
+    assert "'²'" in str(exc.value)
+
+
+def test_unicode_word_and_digits():
+    assert [(t.kind, t.text) for t in tokenize("a² ٣.٥ é_1")][:-1] == [
+        (TokenKind.IDENT, "a²"), (TokenKind.NUMBER, "٣.٥"), (TokenKind.IDENT, "é_1")]
+
+
+def test_form_feed_is_a_lex_error():
+    with pytest.raises(LexError) as exc:
+        tokenize("x\x0cy")
+    assert exc.value.span == SourceSpan(1, 2, 1)
+
+
+def test_columns_after_crlf():
+    toks = tokenize("var a\r\n  = 1;\r\n")
+    assert [(t.text, t.span) for t in toks] == [
+        ("var", SourceSpan(1, 1, 3)), ("a", SourceSpan(1, 5, 1)),
+        ("=", SourceSpan(2, 3, 1)), ("1", SourceSpan(2, 5, 1)),
+        (";", SourceSpan(2, 6, 1)), ("", SourceSpan(3, 1, 0))]
+
+
+def test_eof_after_comment_on_unterminated_last_line():
+    assert tokenize("x\ny # note")[-1].span == SourceSpan(2, 9, 0)
 
 
 def test_lex_error_position():
@@ -199,3 +236,80 @@ def test_expression_depth_limit_is_exact(make):
     lower_graph(compile_source(source.format(make(MAX_EXPR_DEPTH - 1)), {"x": 4}))
     with pytest.raises(ParseError):
         parse_source(source.format(make(MAX_EXPR_DEPTH)))
+
+
+# --------------------------------------------------------------------------
+# Properties.  Example counts are bounded so the suite stays quick.
+
+_LEX_ALPHABET = "ab_x19.()[]{},;=+-*/# \t\r\n²٣é"
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.text(_LEX_ALPHABET + "\x0c$", max_size=40))
+def test_lexer_spans_address_their_text(source):
+    """Text either lexes, each token's span addressing its own text and EOF
+    sitting just past the last character, or is a LexError at the
+    character it names."""
+    lines = source.split("\n")
+    try:
+        tokens = tokenize(source)
+    except LexError as exc:
+        bad = lines[exc.span.line - 1][exc.span.column - 1]
+        assert exc.span.length == 1 and repr(bad) in str(exc)
+        return
+    for tok in tokens[:-1]:
+        start = tok.span.column - 1
+        assert lines[tok.span.line - 1][start:start + tok.span.length] == tok.text
+    assert tokens[-1] == Token(TokenKind.EOF, "",
+                               SourceSpan(len(lines), len(lines[-1]) + 1, 0))
+
+
+_WORDS = ["def", "main", "f", "(", ")", "{", "}", ",", ";", "var", "x", "y",
+          "=", "print", "return", "gain", "sum", "[", "]", "1", "2.5",
+          "9" * 400, "+", "-", "*", "/", "\n", "# c\n", "$"]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.lists(st.sampled_from(_WORDS), max_size=40))
+def test_parse_source_raises_only_frontend_errors(words):
+    try:
+        parse_source(" ".join(words))
+    except FrontendError as exc:
+        assert isinstance(exc.span, SourceSpan)
+
+
+_NAMES = st.sampled_from(["a", "x1", "_t", "gain", "sum", "é", "a²", "mains", "define"])
+_NUMBERS = st.floats(min_value=0, max_value=1e20)
+_EXPRESSIONS = st.recursive(
+    st.one_of(st.builds(NumberLiteral, _NUMBERS),
+              st.builds(TensorLiteral, st.lists(_NUMBERS, min_size=1, max_size=3).map(tuple)),
+              st.builds(VariableRef, _NAMES)),
+    lambda sub: st.one_of(
+        st.builds(BinaryOp, st.sampled_from("+-*/"), sub, sub),
+        st.builds(Call, _NAMES, st.lists(sub, max_size=3).map(tuple))),
+    max_leaves=12)
+
+
+@st.composite
+def _modules(draw):
+    """A module whose main declares fresh names, with an optional helper."""
+    params = draw(st.lists(_NAMES, max_size=3, unique=True))
+    body = []
+    for i, kind in enumerate(draw(st.lists(st.sampled_from("vper"), max_size=5))):
+        if kind == "v":
+            body.append(VarDecl(f"v{i}", draw(_EXPRESSIONS)))
+        elif kind == "p":
+            body.append(PrintStmt(draw(_EXPRESSIONS)))
+        elif kind == "e":
+            body.append(ExprStmt(draw(_EXPRESSIONS)))
+        else:
+            body.append(ReturnStmt(draw(st.none() | _EXPRESSIONS)))
+    main = AstFunction("main", tuple(params), tuple(body))
+    helper = AstFunction("helper", (), (ReturnStmt(None),))
+    return AstModule((helper, main) if draw(st.booleans()) else (main,))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(_modules())
+def test_ast_text_parses_back_to_the_same_module(module):
+    assert parse_source(ast_to_text(module)) == module
