@@ -9,13 +9,15 @@ splitting), and renders a guard it proves true as its bare body.  An innermost
 loop of `STREAM_MIN_TRIPS` or more trips left guard-free folds its single-use
 temporaries into their readers and, if its index only picks loads at +-1, runs
 over slices: `for s0, s1 in zip(b0[c0:c1], reversed(b1[i0 + c2:i0 + c3])):`.
-A unit is shared by every program with an equal op (`lowering.op_unit`), so
-it is checked and rendered once, and its render products sit on the unit.
+A unit is shared by every program with an equal op (`lowering.op_unit`), and
+units of ops that differ only in float attributes have one op shape
+(`Unit.shape`): the walk runs once per op shape held in `SHAPE_RENDERS`, and
+each unit keeps that render bound to its own constants (`_bound`).
 Each statement but a folded Assign becomes one Python statement and its trees
 one Python expression each, parenthesised only where their association needs
 it.  A unit renders with local names and every literal lifted to a parameter,
-so units that differ only in names, sizes and constants share one text, a
-shape: `UNIT_CODE` compiles each shape once per process.  A unit is one
+so units that differ only in names, sizes and constants share one text:
+`UNIT_CODE` compiles each text once per process.  A unit is one
 function, its literals its defaults, that every call runs on the program's
 buffers; its non-finite and capacity errors carry the buffer, which the run names.
 The text form (`compiled_source`) has one comment line per buffer and per
@@ -38,14 +40,15 @@ import sys
 import time
 from collections import Counter
 from dataclasses import asdict, dataclass, field, replace
+from itertools import accumulate
 from types import CodeType, FunctionType
-from typing import Iterable, NamedTuple, Optional
+from typing import Hashable, Iterable, NamedTuple, Optional
 
 from .errors import DspcError
-from .loop_ir import (LEAVES, AffineExpr, Arith, Assign, Call, CheckFinite, Cond,
+from .loop_ir import (LEAVES, AffineExpr, Arith, Assign, BufferDecl, Call, CheckFinite, Cond,
                       ConstF, DynAppend, Expr, For, IfCmp, IndexF, IndexProdF,
                       Load, LoopIrError, LoopProgram, OutOfBounds, SelectGuard,
-                      Stmt, Store, TempRef, Unit)
+                      Stmt, Store, TempRef, UNIT_MEMO_SIZE, Unit)
 
 
 @dataclass(frozen=True)
@@ -138,14 +141,15 @@ def _literal(v) -> str:
 
 
 class _Rendered(NamedTuple):
-    """A unit's render products, made at its first use and kept on the unit."""
+    """The render products of an op shape, as each unit keeps them (`_bound`)."""
 
     text: str  # the function `_run`, interned
-    fn: FunctionType  # its compiled code, with c0, c1, ... as defaults
+    fn: FunctionType  # its compiled code, c0, c1, ... its defaults (a slot: a ConstF till bound)
     literals: str  # ", c0, c1, ..." as a call line spells their values
     params: tuple[int, ...]  # the unit buffer of each b<k>
     static: tuple  # (key, cost) of one run of the unit; a load's key names a unit buffer
     branches: tuple[tuple, ...]  # (key, cost) of one run of each counted branch body
+    slots: tuple[tuple[int, int], ...]  # (k, j): c<k> is the unit's j-th ConstF (`_consts`)
 
 
 def affine_interval(expr: AffineExpr, ranges: dict) -> tuple[int, int]:
@@ -247,6 +251,11 @@ def _refs(node) -> Counter:
                    for _ in range(1 + leaf))
 
 
+def _consts(body: list[Stmt]) -> list[ConstF]:
+    """The ConstF leaves of `body`, in the order `_nodes` walks them."""
+    return [n for n, _ in _nodes(body) if isinstance(n, ConstF)]
+
+
 def _subst(e: Expr, env: dict) -> Expr:
     """Tree `e`, each temporary in `env` replaced by its value (popped) but in a Cond arm."""
     if isinstance(e, TempRef):
@@ -293,7 +302,7 @@ class _Compiler:
         self.unit = unit
         self.index = {b.name: j for j, b in enumerate(unit.buffers)}
         self.names: dict[str, dict[str, str]] = {"b": {}, "t": {}, "i": {}}
-        # literal values, run counter names
+        # literal values (a ConstF for a slot, see `render`), run counter names
         self.lits: list = []
         self.runs: list[str] = []
         self.branch_costs: list[Counter] = []
@@ -356,7 +365,7 @@ class _Compiler:
         if isinstance(e, TempRef):
             return self._name("t", e.name)
         if isinstance(e, ConstF):
-            return self._lit(e.value)
+            return self._lit(e)  # a slot, see `render`
         if isinstance(e, IndexF):
             return f"({self._affine(e.expr, known)})"
         if isinstance(e, IndexProdF):
@@ -552,7 +561,9 @@ class _Compiler:
     def render(self) -> _Rendered:
         """The unit's function `_run`, its accesses proved in bounds before its
         text is interned, so that the units of many ops share it, and its code
-        compiled once per text (`UNIT_CODE`)."""
+        compiled once per text (`UNIT_CODE`).  The walk reads no ConstF value:
+        each lifts to a literal, a slot that each unit of the same shape fills
+        with its own value (`_bound`)."""
         body, cost = self._block(self.unit.body, 1, [], {})
         params = [*self.names["b"].values(), *(f"c{k}" for k in range(len(self.lits)))]
         if self.runs:
@@ -562,18 +573,44 @@ class _Compiler:
         code = UNIT_CODE.get(text)
         if code is None:  # the function's code is the module's first constant
             code = UNIT_CODE[text] = compile(text, "<loop-unit>", "exec").co_consts[0]
-        return _Rendered(text, FunctionType(code, _NS, "_run", tuple(self.lits)),
-                         "".join([f", {_literal(v)}" for v in self.lits]),
+        order = {id(c): j for j, c in enumerate(_consts(self.unit.body))}
+        return _Rendered(text, FunctionType(code, _NS, "_run", tuple(self.lits)), "",
                          tuple(map(self.index.get, self.names["b"])),
                          tuple(cost.items()),
-                         tuple(tuple(c.items()) for c in self.branch_costs))
+                         tuple(tuple(c.items()) for c in self.branch_costs),
+                         tuple((k, order[id(v)]) for k, v in enumerate(self.lits)
+                               if isinstance(v, ConstF)))
+
+
+def _bound(shape: _Rendered, unit: Unit) -> _Rendered:
+    """The render of `unit`'s shape, the unit's own ConstF values in its slots."""
+    lits, consts = list(shape.fn.__defaults__), _consts(unit.body)
+    for k, j in shape.slots:
+        lits[k] = consts[j].value
+    return shape._replace(fn=FunctionType(shape.fn.__code__, _NS, "_run", tuple(lits)),
+                          literals="".join([f", {_literal(v)}" for v in lits]))
+
+
+# The render of each op shape (`Unit.shape`) seen last, least recently used
+# first out: a unit of a shape held here is bound to its render, not walked.
+SHAPE_RENDERS: dict[Hashable, _Rendered] = {}
 
 
 def _rendered(unit: Unit) -> _Rendered:
     rendered = getattr(unit, "_rendered", None)
     if rendered is None:
-        rendered = unit._rendered = _Compiler(unit).render()
+        shape = SHAPE_RENDERS.pop(unit.shape, None) or _Compiler(unit).render()
+        rendered = unit._rendered = _bound(shape, unit)
+        if unit.shape is not None:
+            SHAPE_RENDERS[unit.shape] = shape
+            if len(SHAPE_RENDERS) > UNIT_MEMO_SIZE:
+                del SHAPE_RENDERS[next(iter(SHAPE_RENDERS))]
     return rendered
+
+
+# The most elements a program's buffers may hold in all; a run fails before it
+# allocates more, since with overcommitted memory that kills, not MemoryError.
+MAX_ELEMENTS = 2 ** 24
 
 
 # The counters every program reports, at the head of its counter vector.
@@ -589,6 +626,7 @@ class _Linked(NamedTuple):
     branches: list[tuple[tuple[int, int], ...]]  # (counter, cost) per run counter
     tags: list[tuple[str, int]]  # (loop tag, counter)
     loads: list[tuple[str, int]]  # (buffer, counter)
+    too_large: Optional[BufferDecl]  # the buffer that passes MAX_ELEMENTS in all, if any
 
 
 def _link(program: LoopProgram) -> _Linked:
@@ -617,7 +655,9 @@ def _link(program: LoopProgram) -> _Linked:
                 for r, names in bound for cost in r.branches]
     tags, loads = ([(key[1], k) for key, k in counter.items()
                     if isinstance(key, tuple) and key[0] == kind] for kind in ("tag", "load"))
-    return _Linked(calls, static, branches, tags, loads)
+    too_large = next((b for b, total in zip(program.buffers, accumulate(
+        b.capacity for b in program.buffers)) if total > MAX_ELEMENTS), None)
+    return _Linked(calls, static, branches, tags, loads, too_large)
 
 
 def _ensure_compiled(program: LoopProgram) -> _Linked:
@@ -667,14 +707,11 @@ def evaluate_loop_ir(program: LoopProgram,
     linked = _ensure_compiled(program)
 
     slot = {b.name: k for k, b in enumerate(program.buffers)}
-    bufs = []
-    for b in program.buffers:
-        try:
-            bufs.append(list(b.init) if b.init is not None
-                        else [] if b.dynamic else [0.0] * b.capacity)
-        except (OverflowError, MemoryError):
-            raise BufferTooLarge(f"buffer {b.name} of capacity {b.capacity} "
-                                 "cannot be allocated") from None
+    if b := linked.too_large:  # checked before anything is allocated
+        raise BufferTooLarge(f"buffer {b.name} of capacity {b.capacity} cannot be allocated: "
+                             f"a program's buffers hold at most {MAX_ELEMENTS} elements")
+    bufs = [list(b.init) if b.init is not None else [] if b.dynamic else [0.0] * b.capacity
+            for b in program.buffers]
     for name, bname in program.inputs:
         if name not in inputs:
             raise InputMismatch(f"input {name!r} is not bound")

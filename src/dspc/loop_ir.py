@@ -29,7 +29,7 @@ Python, `interp.compiled_source`: a function per distinct unit, a call per op.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Union
+from typing import Hashable, NamedTuple, Optional, Union
 
 from .errors import DspcError
 
@@ -238,21 +238,28 @@ class CheckFinite:
 Stmt = Union[For, Assign, Store, SelectGuard, IfCmp, DynAppend, CheckFinite]
 
 
-@dataclass(frozen=True, slots=True)
-class BufferDecl:
+class BufferDecl(NamedTuple):
     name: str
     capacity: int
     init: Optional[tuple[float, ...]] = None  # data segment, e.g. constants
     dynamic: bool = False  # a list filled by DynAppend alone, up to capacity
 
 
+# Units `lowering.op_unit` keeps (statements and bound render, about 2.7 KB each) and op
+# shapes whose renders `interp` keeps (about 2.0 KB each), least recently used first out.
+UNIT_MEMO_SIZE = 256
+
+
 @dataclass(eq=False)
 class Unit:
     """The statements of one op over `buffers`, its parameters in call order.
-    Programs share units (and their statements), so none may be changed."""
+    Programs share units (and their statements), so none may be changed.
+    Units with one op `shape` (`lowering.op_unit`) differ only in ConstF
+    values and share one render; a hand-built unit has none, renders alone."""
 
     buffers: tuple[BufferDecl, ...]
     body: list[Stmt]
+    shape: Optional[Hashable] = None
 
 
 # (label "%<id> <opcode>", unit, the program buffer bound to each unit buffer)

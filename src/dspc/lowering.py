@@ -37,9 +37,11 @@ its operands, so `lower_graph` lowers each distinct op once: `op_unit`
 lowers the op's canonical copy, whose buffers it declares from the shapes
 alone (its k distinct operands ``v0..v<k-1>``, its results from ``v<k>``),
 and keeps the unit in a bounded memo; a program calls the unit with its own
-buffer names.  Inputs, constants, prints and returns have no unit:
-`lower_graph` alone declares the input and constant buffers and records
-which buffers are bound, printed and returned.
+buffer names.  A float attribute reaches the statements only as ConstF
+values, so ops that differ only in float attributes have one op shape
+(`Unit.shape`), which `interp` renders once.  Inputs, constants, prints and
+returns have no unit: `lower_graph` alone declares the input and constant
+buffers and records which buffers are bound, printed and returned.
 """
 
 from __future__ import annotations
@@ -53,7 +55,7 @@ from .graph import DspGraph, OpNode
 from .loop_ir import (AffineExpr, Arith, Assign, BufferDecl, Call, CheckFinite,
                       Cond, ConstF, DynAppend, Expr, For, IfCmp, IndexF,
                       IndexProdF, Load, LoopProgram, SelectGuard, Stmt, Store,
-                      TempRef, Unit, UnitCall)
+                      TempRef, UNIT_MEMO_SIZE, Unit, UnitCall)
 from .ops import OP_DEFS, OpCode, TensorShape
 
 
@@ -407,26 +409,21 @@ EMITTERS = {
 }
 
 
-# Distinct ops whose units `op_unit` keeps, least recently used first out;
-# an entry holds an op's statements and render products, about 4 KB.
-UNIT_MEMO_SIZE = 256
-
-
 @lru_cache(maxsize=UNIT_MEMO_SIZE)
-def op_unit(opcode: OpCode, attributes: tuple, spelled: tuple[str, ...],
-            operands: tuple[int, ...], shapes: tuple[TensorShape, ...]) -> Unit:
+def op_unit(opcode: OpCode, attributes: tuple, spelled: str, operands: tuple[int, ...],
+            shapes: tuple[tuple[int, bool], ...]) -> Unit:
     """The unit of every op with this opcode, these attributes (`spelled` is
-    their reprs, which tell 0.0 from -0.0 and 1 from 1.0 where `==` does not)
+    their repr, which tells -0.0 from 0.0 and 1 from 1.0 where `==` does not)
     and these operands: `operands` numbers each operand by the first slot that
-    reads the same value, and `shapes` holds the shape of each distinct
-    operand, then of each result.  Lowers the op's canonical copy, whose
-    buffer ``v<j>`` has shape ``shapes[j]``, with the statements its emitter
-    returns."""
+    reads the same value, and `shapes` holds the (length, dynamic) of each
+    distinct operand, then of each result.  Lowers the op's canonical copy,
+    whose buffer ``v<j>`` has shape ``shapes[j]``, with the statements its
+    emitter returns; the unit's op shape is this key but the float attributes."""
     k = len(shapes) - OP_DEFS[opcode].n_results
-    op = OpNode(k, opcode, operands, attributes, shapes[k:])
-    return Unit(tuple(BufferDecl(f"v{j}", s.length, dynamic=s.dynamic)
-                      for j, s in enumerate(shapes)),
-                EMITTERS[opcode](op, [s.length for s in shapes]))
+    op = OpNode(k, opcode, operands, attributes, tuple(TensorShape(*s) for s in shapes[k:]))
+    ints = tuple(v for spec, v in zip(OP_DEFS[opcode].attrs, attributes) if spec.kind != "float")
+    return Unit(tuple(BufferDecl(f"v{j}", n, dynamic=d) for j, (n, d) in enumerate(shapes)),
+                EMITTERS[opcode](op, [n for n, _ in shapes]), (opcode, ints, operands, shapes))
 
 
 def lower_graph(graph: DspGraph) -> LoopProgram:
@@ -437,38 +434,36 @@ def lower_graph(graph: DspGraph) -> LoopProgram:
     a print or a return reads."""
     buffers: list[BufferDecl] = []
     inputs: list[tuple[str, str]] = []
-    shapes: dict[int, TensorShape] = {}
+    outputs, returns = [], []  # (value printed or returned, its buffer)
+    shapes: dict[int, tuple[int, bool]] = {}  # (length, dynamic) of each value
     calls: list[UnitCall] = []
+    new = tuple.__new__  # builds a BufferDecl without its NamedTuple __new__ frame
     for op in graph.ops:
         oc = op.opcode
-        if oc is OpCode.PRINT or oc is OpCode.RETURN:
+        called = oc in EMITTERS  # all but inputs, constants, prints and returns
+        if not called and (oc is OpCode.PRINT or oc is OpCode.RETURN):
+            v = op.operands[0]
+            (outputs if oc is OpCode.PRINT else returns).append((v, f"v{v}"))
             continue
-        if any(shape is None for shape in op.result_shapes):
-            raise LoweringUnsupported(
-                f"op %{op.id} ({oc.value}) has an unresolved "
-                "shape; bind all inputs before lowering")
         init = (tuple(map(float, op.attr("values")))
-                if oc is OpCode.CONST_TENSOR else None)
-        for rid, shape in zip(op.result_ids, op.result_shapes):
-            buffers.append(BufferDecl(f"v{rid}", shape.length, init=init,
-                                      dynamic=shape.dynamic))
-            shapes[rid] = shape
-        if oc is OpCode.INPUT:
-            inputs.append((str(op.attr("name")), f"v{op.id}"))
-        if oc is OpCode.INPUT or oc is OpCode.CONST_TENSOR:
+                if not called and oc is OpCode.CONST_TENSOR else None)
+        rid = op.id
+        for shape in op.result_shapes:
+            if shape is None:
+                raise LoweringUnsupported(
+                    f"op %{op.id} ({oc.value}) has an unresolved "
+                    "shape; bind all inputs before lowering")
+            buffers.append(new(BufferDecl, (f"v{rid}", shape.length, init, shape.dynamic)))
+            shapes[rid] = shape.length, shape.dynamic
+            rid += 1
+        if not called:
+            if oc is OpCode.INPUT:
+                inputs.append((str(op.attr("name")), f"v{op.id}"))
             continue
-        distinct = list(dict.fromkeys(op.operands))
-        operand_shapes = [shapes[vid] for vid in distinct]
-        unit = op_unit(oc, op.attributes, tuple(map(repr, op.attributes)),
-                       tuple(map(distinct.index, op.operands)),
-                       (*operand_shapes, *op.result_shapes))
+        values = (*dict.fromkeys(op.operands), *range(op.id, rid))
+        unit = op_unit(oc, op.attributes, repr(op.attributes),
+                       tuple(map(values.index, op.operands)),
+                       tuple(map(shapes.__getitem__, values)))
         if unit.body:
-            calls.append((f"%{op.id} {oc.value}", unit,
-                          tuple(f"v{vid}" for vid in (*distinct, *op.result_ids))))
-    return LoopProgram(
-        buffers=buffers,
-        inputs=inputs,
-        outputs=[(vid, f"v{vid}") for vid in graph.prints],
-        returns=[(vid, f"v{vid}") for vid in graph.returns],
-        calls=calls,
-    )
+            calls.append((f"%{op.id} {oc._value_}", unit, tuple([f"v{v}" for v in values])))
+    return LoopProgram(buffers, inputs, outputs, returns, calls)

@@ -1,4 +1,5 @@
 import json
+import time
 from pathlib import Path
 
 import pytest
@@ -326,6 +327,20 @@ def test_unallocatable_buffer_exit_4(capsys, tmp_path):
     code, out, err = run_cli(capsys, "run", str(src), "--synth", "x=4,1")
     assert (code, out) == (4, "")
     assert "buffer v1 of capacity 400000000000000000000 cannot be allocated" in err
+
+
+def test_buffers_past_the_element_budget_exit_4_before_allocating(capsys, tmp_path):
+    # 8e8 elements fit the index range, and where memory is overcommitted
+    # allocating them kills the process; the run fails before it allocates
+    from dspc.interp import MAX_ELEMENTS
+    src = tmp_path / "big.dsp"
+    src.write_text("def main(x) { print(upsample(x, 100000000)); }\n")
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "run", str(src), "--synth", "x=8,1")
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (4, "")
+    assert err == (f"runtime error: buffer v1 of capacity 800000000 cannot be allocated: "
+                   f"a program's buffers hold at most {MAX_ELEMENTS} elements\n")
 
 
 def test_run_non_finite_output_exit_4(capsys):

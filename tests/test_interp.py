@@ -11,14 +11,15 @@ import pytest
 
 from dspc import corpus
 from dspc.frontend import parse_source
-from dspc.graph import build_graph, infer_shapes
+from dspc.graph import DspGraph, OpNode, build_graph, infer_shapes, verify_graph
 from dspc.interp import (STREAM_MIN_TRIPS, CapacityExceeded, InputMismatch,
-                         LoopDivisionByZero, NonFinite, compiled_source,
+                         LoopDivisionByZero, LoopRuntimeError, NonFinite, compiled_source,
                          counters_report, evaluate_loop_ir, report_table, tensor)
 from dspc.loop_ir import (AffineExpr, Assign, BufferDecl, Call, CheckFinite, Cond, ConstF,
                           DynAppend, For, IndexF, IndexProdF, Load, LoopIrError,
                           LoopProgram, OutOfBounds, SelectGuard, Store, TempRef, Unit)
 from dspc.lowering import lower_graph
+from dspc.ops import OP_DEFS, OpCode, TensorShape
 from dspc.rewriter import apply_dsp_patterns
 
 
@@ -132,20 +133,23 @@ _Y_SPANS_0_4 = r"^buffer 'y': index i spans \[0, 4\] outside \[0, 4\)$"
 
 
 def test_program_is_validated_once_before_its_first_compile(monkeypatch):
-    # the walk that renders a unit checks it: lower_graph checks nothing,
-    # the first compile checks each distinct unit once, a recompile nothing
-    from dspc import lowering
+    # the walk that renders a unit checks it: lower_graph checks nothing, the
+    # first compile walks the first unit of each op shape once (gains by 2.0
+    # and by 3.0 are one shape), a recompile nothing
+    from dspc import interp, lowering
     lowering.op_unit.cache_clear()
+    interp.SHAPE_RENDERS.clear()
     checked = _count_renders(monkeypatch)
-    source = "def main(x) { print(gain(x, 2.0)); print(square(gain(x, 2.0))); }"
+    source = ("def main(x) { print(gain(x, 2.0)); print(square(gain(x, 2.0))); "
+              "print(gain(x, 3.0)); }")
     p = program_for(source, {"x": 4})
     assert checked == []
     evaluate_loop_ir(p, {"x": tensor([1, 2, 3, 4])})
     compiled_source(p)
     units = list(dict.fromkeys(unit for _, unit, _ in p.calls))
-    assert len(units) == 2 < len(p.calls) and checked == units
+    assert len(units) == 3 < len(p.calls) and checked == units[:2]
     compiled_source(program_for(source, {"x": 4}))
-    assert checked == units
+    assert checked == units[:2]
 
     good, bad = _store_loop(4), _store_loop(5)  # built by hand, one text
     compiled_source(good)
@@ -377,10 +381,91 @@ def test_recompiling_the_corpus_lowers_validates_and_renders_nothing(monkeypatch
     assert sum(len(p.calls) for p in programs) == 86
     # a new op is lowered, then checked and rendered, once
     lowering.op_unit.cache_clear()
+    interp.SHAPE_RENDERS.clear()
     for _ in range(2):
         compiled_source(program_for("def main(x) { print(gain(x, 2.25)); }",
                                     {"x": 5}))
     assert work == ["lower", "render"]
+
+
+def _draw(rng, spec):
+    """A seeded in-range value of attribute `spec`: an int from 1 to 6, or a
+    float among signed zeros, small integers and uniform draws."""
+    while True:
+        v = rng.randint(1, 6) if spec.kind == "int" else rng.choice(
+            [0.0, -0.0, float(rng.randint(-3, 3)), rng.uniform(-4.0, 4.0), rng.uniform(0.0, 0.5)])
+        if spec.ok(v):
+            return v
+
+
+def _float_twins(sig, seed):
+    """The attributes of two valid ops of `sig` that differ only in the
+    spelling of their float values."""
+    rng = random.Random(f"{sig.opcode.value}/{seed}")
+    names = [spec.name for spec in sig.attrs]
+    ints = {spec.name: _draw(rng, spec) for spec in sig.attrs if spec.kind != "float"}
+    twins: list[tuple] = []
+    while len(twins) < 2:
+        values = tuple(_draw(rng, spec) if spec.kind == "float" else ints[spec.name]
+                       for spec in sig.attrs)
+        if (sig.cross_check is None or sig.cross_check(dict(zip(names, values))) is None) \
+                and repr(values) not in map(repr, twins):
+            twins.append(values)
+    return twins
+
+
+def _lone_op_program(sig, attributes):
+    """The lowered program printing one op of `sig`, each operand an input of 8."""
+    ins = [OpNode(i, OpCode.INPUT, (), (f"x{i}",), (TensorShape(8),))
+           for i in range(sig.n_operands)]
+    op = OpNode(sig.n_operands, sig.opcode, tuple(range(sig.n_operands)), attributes)
+    op = dataclasses.replace(op, result_shapes=sig.shape(op, [TensorShape(8)] * len(ins)))
+    graph = DspGraph([*ins, op, OpNode(-1, OpCode.PRINT, (op.id,))])
+    assert verify_graph(graph) == []
+    return lower_graph(graph)
+
+
+def _outcome(program, inputs):
+    """Printed values (as hex, so -0.0 is not 0.0) and counters, or the error."""
+    try:
+        out, c = evaluate_loop_ir(program, inputs)
+    except LoopRuntimeError as exc:  # e.g. an adaptive filter that diverges
+        return type(exc), str(exc)
+    counters = c.as_dict()
+    del counters["wall_time_ns"]
+    return [[v.hex() for v in t.values] for t in out.values()], counters
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("sig", [
+    pytest.param(sig, id=sig.opcode.value) for sig in OP_DEFS.values()
+    if any(spec.kind == "float" for spec in sig.attrs)])
+def test_ops_differing_only_in_floats_share_one_render(monkeypatch, sig, seed):
+    # a float attribute reaches a unit only as ConstF values, each lifted to a
+    # literal: the second op of a shape binds its own values to the first's
+    # render, with no walk and no compile, and runs as if rendered alone
+    from dspc import interp, lowering
+    lowering.op_unit.cache_clear()
+    interp.SHAPE_RENDERS.clear()
+    first, second = (_lone_op_program(sig, a) for a in _float_twins(sig, seed))
+    compiled_source(first)
+    walked, compiled = _count_renders(monkeypatch), []
+    monkeypatch.setattr(interp, "compile", lambda *a: compiled.append(a) or compile(*a),
+                        raising=False)
+    compiled_source(second)
+    assert walked == [] and compiled == []
+    (label, unit, names), = second.calls
+    a, b = interp._rendered(first.calls[0][1]), interp._rendered(unit)
+    assert b.text is a.text and (b.params, b.static, b.branches) == (a.params, a.static, a.branches)
+    monkeypatch.undo()
+    alone = LoopProgram(second.buffers, second.inputs, second.outputs,
+                        calls=[(label, Unit(unit.buffers, unit.body), names)])
+    r = interp._rendered(alone.calls[0][1])
+    assert (repr(r.fn.__defaults__), r.literals) == (repr(b.fn.__defaults__), b.literals)
+    assert compiled_source(alone) == compiled_source(second)
+    rng = random.Random(seed)
+    inputs = {f"x{i}": rand(rng, 8) for i in range(sig.n_operands)}
+    assert _outcome(alone, inputs) == _outcome(second, inputs)
 
 
 def _runaway_append(capacity):
@@ -419,14 +504,19 @@ def test_non_finite_message_names_each_program_buffer():
 def test_hand_built_program_is_one_unit(monkeypatch):
     # one unlabelled call over every buffer, checked and rendered once: its
     # call line has no label; a non-finite literal is written so that it
-    # reads back
+    # reads back.  A hand-built unit has no op shape: an equal one built
+    # again is walked again, and a recompile walks nothing
     checked = _count_renders(monkeypatch)
     i = AffineExpr.of("i")
-    p = one_unit(
-        [BufferDecl("x", 3), BufferDecl("y", 3), BufferDecl("z", 1)],
-        [For("i", 0, 3, [Store("y", i, Load("x", i) + float("-inf"))], "fill"),
-         Store("z", AffineExpr.lit(0), Load("x", AffineExpr.lit(2)))],
-        inputs=[("x", "x")], outputs=[(1, "y"), (2, "z")])
+
+    def build():
+        return one_unit(
+            [BufferDecl("x", 3), BufferDecl("y", 3), BufferDecl("z", 1)],
+            [For("i", 0, 3, [Store("y", i, Load("x", i) + float("-inf"))], "fill"),
+             Store("z", AffineExpr.lit(0), Load("x", AffineExpr.lit(2)))],
+            inputs=[("x", "x")], outputs=[(1, "y"), (2, "z")])
+
+    p, q = build(), build()
     out, c = evaluate_loop_ir(p, {"x": tensor([1.0, 2.0, 3.0])})
     (label, unit, names), = p.calls
     assert (label, names, checked) == ("", ("x", "y", "z"), [unit])
@@ -439,6 +529,7 @@ def test_hand_built_program_is_one_unit(monkeypatch):
         "    b2[c3] = b1[c4]",
         "_run0(y, x, z, 0, 3, float('-inf'), 0, 2)"]
     assert checked == [unit]
+    assert compiled_source(q) == compiled_source(p) and checked == [unit, q.calls[0][1]]
 
 
 def test_counter_hoisting_matches_naive_count():
