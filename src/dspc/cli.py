@@ -293,12 +293,10 @@ def _resolve_bench_target(args) -> tuple[CorpusApp, dict[str, int],
             raise UsageError(
                 f"{args.target!r} is neither a corpus app "
                 f"(app1..app7) nor a readable file")
-        source = _read_source(args.target)
         app = CorpusApp(
-            name=path.stem, alias="", filename=path.name, template=lambda **_kw: source,
+            name=path.stem, alias="", filename=path.name, text=_read_source(args.target),
             sizes=tuple((name, n) for name, (n, _seed) in synth.items()),
             inputs=tuple(InputPlan(name, name) for name in synth),
-            expected_patterns=frozenset(),
             checks=(corpus._check_deviation, corpus._check_never_worse))
     plans = {p.name: p for p in app.inputs}
     sizes, bound_by = app.default_sizes(), {}

@@ -1,19 +1,20 @@
-"""The seven shipped applications, as size-parameterized source templates.
+"""The seven shipped applications and the checks `dspc bench` runs on them.
 
-The `.dsp` files under ``dspc/apps/`` are the templates instantiated at
-their default sizes; a test pins the two in sync.  Keeping templates here
-lets the bench harness and the test suite rebuild any app at a different
-input size (the energy divisor, oscillator lengths, and so on must track
-the size, so plain string sources would not do).
-
-Each app carries its expected rewrite firings and the counter assertions
-the bench command enforces, so the CLI and the tests share one registry.
+Each app's program is its packaged file under ``dspc/apps/``, written at the
+app's default sizes and read once when the registry is built.  A new size is
+rebound into that text: `CorpusApp.source` turns every whole-number literal
+equal to the size's default (the energy divisor, an oscillator or filter
+length) into the new value.  The file's ``# patterns:`` line names the
+rewrites the bench asserts fire, and each app carries the counter checks the
+bench enforces, so the CLI and the tests share one registry.
 """
 
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Callable, Optional, Sequence
 
 from .frontend import parse_source
@@ -22,12 +23,6 @@ from .graph import (DspGraph, VerificationFailed, build_graph, infer_shapes,
 from .interp import ExecCounters, Tensor
 from .ops import OpCode
 from .synth import noise
-
-# Cutoffs in radians/sample, written out as decimal literals for the DSL.
-_WC_DEFAULT = repr(0.4 * math.pi)
-_WC_LOW = repr(0.2 * math.pi)
-_WC_MID = repr(0.5 * math.pi)
-_WC_HIGH = repr(0.8 * math.pi)
 
 
 def compile_source(source: str,
@@ -64,115 +59,6 @@ def max_relative_deviation(a: Sequence[Tensor], b: Sequence[Tensor]) -> float:
                 continue
             worst = max(worst, d / max(abs(x), abs(y)))
     return worst
-
-
-# --------------------------------------------------------------------------
-# Templates
-
-
-def _t_filter_design(L: int = 101) -> str:
-    return f"""\
-# FilterDesign: windowed low-pass coefficient design
-# patterns: 1
-def main() {{
-  var ideal = lowPassFIRFilter({L}, {_WC_DEFAULT});
-  var window = hammingWindow({L});
-  var h = ideal * window;
-  print(h);
-}}
-"""
-
-
-def _t_low_pass_filtering(N: int = 4096, L: int = 101) -> str:
-    return f"""\
-# LowPassFiltering: tone + noise through a designed low-pass filter
-# patterns: 1, 2
-def main(x) {{
-  var tone = sinVec({N}, 200, 8000);
-  var mix = tone + x;
-  var ideal = lowPassFIRFilter({L}, {_WC_DEFAULT});
-  var window = hammingWindow({L});
-  var h = ideal * window;
-  var y = firFilterResponse(mix, h);
-  print(y);
-}}
-"""
-
-
-def _t_energy_of_signal(N: int = 1024) -> str:
-    return f"""\
-# EnergyOfSignal: spectral energy, normalized by the transform length
-# patterns: 5
-def main(x) {{
-  var re = dft1dreal(x);
-  var im = dft1dimg(x);
-  var power = square(re) + square(im);
-  var energy = sum(power) / {N};
-  print(energy);
-}}
-"""
-
-
-def _t_spectral_analysis(N: int = 255) -> str:
-    return f"""\
-# SpectralAnalysis: autocorrelation power spectrum
-# patterns: 3, 4
-def main(x) {{
-  var y = conv1d(x, reverse(x));
-  var re = dft1dreal(y);
-  var im = dft1dimg(y);
-  var power = square(re) + square(im);
-  print(power);
-}}
-"""
-
-
-def _t_audio_compression(N: int = 256) -> str:
-    return f"""\
-# AudioCompression: transform, drop small coefficients, quantize, pack
-# patterns: 6
-def main(x) {{
-  var re = dft1dreal(x);
-  var im = dft1dimg(x);
-  var keptRe = threshold(re, 0.5);
-  var keptIm = threshold(im, 0.5);
-  var qRe = quantize(keptRe, 16, 0 - 16, 16);
-  var qIm = quantize(keptIm, 16, 0 - 16, 16);
-  print(runLenEncoding(qRe));
-  print(runLenEncoding(qIm));
-}}
-"""
-
-
-def _t_hearing_aid(N: int = 1024, M: int = 16) -> str:
-    return f"""\
-# HearingAid: adaptive noise-canceling weights, amplified and applied
-# patterns: 7
-def main(x, d) {{
-  var w = lmsFilter(x, d, 0.01, {M});
-  var amplified = gain(w, 2.0);
-  var y = firFilterResponse(x, amplified);
-  print(y);
-}}
-"""
-
-
-def _t_audio_equalizer(N: int = 1024, L: int = 101) -> str:
-    return f"""\
-# AudioEqualizer: three-band split from stacked low-pass designs
-# patterns: 1, 2
-def main(x) {{
-  var window = hammingWindow({L});
-  var low = lowPassFIRFilter({L}, {_WC_LOW}) * window;
-  var midCut = lowPassFIRFilter({L}, {_WC_MID}) * window;
-  var highCut = lowPassFIRFilter({L}, {_WC_HIGH}) * window;
-  var bass = firFilterResponse(x, low);
-  var mid = firFilterResponse(x, midCut - low);
-  var treble = firFilterResponse(x, highCut - midCut);
-  var out = gain(bass, 0.5) + gain(mid, 1.0) + gain(treble, 2.0);
-  print(out);
-}}
-"""
 
 
 # --------------------------------------------------------------------------
@@ -294,23 +180,40 @@ class InputPlan:
     seed_offset: int = 0
 
 
+# A comment, matched whole so it is left as it is, or a whole-number literal
+# bounded by neither a word character nor ".", so no digit of a float or a
+# name is ever rebound.
+_INT_OR_COMMENT = re.compile(r"#.*|(?<![\w.])\d+(?![\w.])")
+
+
 @dataclass(frozen=True)
 class CorpusApp:
     name: str
     alias: str  # short handle: app1..app7
     filename: str
-    template: Callable[..., str]
+    text: str  # the program at its default `sizes`
     sizes: tuple[tuple[str, int], ...]
     inputs: tuple[InputPlan, ...]
-    expected_patterns: frozenset[str]
     checks: tuple[Callable[[BenchContext], CheckResult], ...]
     base_seed: int = 0
+
+    @property
+    def expected_patterns(self) -> frozenset[str]:
+        """The pattern ids on the text's ``# patterns:`` line, if it has one."""
+        line = re.search(r"^# patterns:(.*)", self.text, re.M)
+        return frozenset(line[1].replace(",", " ").split() if line else ())
 
     def default_sizes(self) -> dict[str, int]:
         return dict(self.sizes)
 
     def source(self, sizes: Optional[dict[str, int]] = None) -> str:
-        return self.template(**(sizes or self.default_sizes()))
+        """The text, with each size that `sizes` binds to another value than
+        its default rebound; all in one pass, so a swap comes out right."""
+        new = {str(d): str(sizes[k]) for k, d in self.sizes
+               if sizes and sizes.get(k, d) != d}
+        if not new:
+            return self.text
+        return _INT_OR_COMMENT.sub(lambda m: new.get(m[0], m[0]), self.text)
 
     def synth_inputs(self, sizes: dict[str, int], seed: int
                      ) -> dict[str, Tensor]:
@@ -321,53 +224,36 @@ class CorpusApp:
         return {p.name: sizes[p.size_param] for p in self.inputs}
 
 
+def _packaged(alias: str, name: str, filename: str, **fields) -> CorpusApp:
+    text = (Path(__file__).with_name("apps") / filename).read_text()
+    return CorpusApp(name, alias, filename, text, **fields)
+
+
 _COMMON = (_check_deviation, _check_fired, _check_never_worse)
 
 APPS: tuple[CorpusApp, ...] = (
-    CorpusApp(
-        name="FilterDesign", alias="app1", filename="filter_design.dsp",
-        template=_t_filter_design, sizes=(("L", 101),), inputs=(),
-        expected_patterns=frozenset({"1"}),
-        checks=_COMMON + (_check_trig_half,), base_seed=1100),
-    CorpusApp(
-        name="LowPassFiltering", alias="app2",
-        filename="low_pass_filtering.dsp",
-        template=_t_low_pass_filtering, sizes=(("N", 4096), ("L", 101)),
-        inputs=(InputPlan("x", "N"),),
-        expected_patterns=frozenset({"1", "2"}),
-        checks=_COMMON + (_check_tap_loads,), base_seed=1200),
-    CorpusApp(
-        name="EnergyOfSignal", alias="app3", filename="energy_of_signal.dsp",
-        template=_t_energy_of_signal, sizes=(("N", 1024),),
-        inputs=(InputPlan("x", "N"),),
-        expected_patterns=frozenset({"5"}),
-        checks=_COMMON + (_check_parseval_counts,), base_seed=1300),
-    CorpusApp(
-        name="SpectralAnalysis", alias="app4",
-        filename="spectral_analysis.dsp",
-        template=_t_spectral_analysis, sizes=(("N", 255),),
-        inputs=(InputPlan("x", "N"),),
-        expected_patterns=frozenset({"3", "4"}),
-        checks=_COMMON + (_check_symm_trips,), base_seed=1400),
-    CorpusApp(
-        name="AudioCompression", alias="app5",
-        filename="audio_compression.dsp",
-        template=_t_audio_compression, sizes=(("N", 256),),
-        inputs=(InputPlan("x", "N"),),
-        expected_patterns=frozenset({"6"}),
-        checks=_COMMON + (_check_fused_inner,), base_seed=1500),
-    CorpusApp(
-        name="HearingAid", alias="app6", filename="hearing_aid.dsp",
-        template=_t_hearing_aid, sizes=(("N", 1024), ("M", 16)),
-        inputs=(InputPlan("x", "N"), InputPlan("d", "N", seed_offset=1)),
-        expected_patterns=frozenset({"7"}),
-        checks=_COMMON, base_seed=1600),
-    CorpusApp(
-        name="AudioEqualizer", alias="app7", filename="audio_equalizer.dsp",
-        template=_t_audio_equalizer, sizes=(("N", 1024), ("L", 101)),
-        inputs=(InputPlan("x", "N"),),
-        expected_patterns=frozenset({"1", "2"}),
-        checks=_COMMON, base_seed=1700),
+    _packaged("app1", "FilterDesign", "filter_design.dsp",
+              sizes=(("L", 101),), inputs=(),
+              checks=_COMMON + (_check_trig_half,), base_seed=1100),
+    _packaged("app2", "LowPassFiltering", "low_pass_filtering.dsp",
+              sizes=(("N", 4096), ("L", 101)), inputs=(InputPlan("x", "N"),),
+              checks=_COMMON + (_check_tap_loads,), base_seed=1200),
+    _packaged("app3", "EnergyOfSignal", "energy_of_signal.dsp",
+              sizes=(("N", 1024),), inputs=(InputPlan("x", "N"),),
+              checks=_COMMON + (_check_parseval_counts,), base_seed=1300),
+    _packaged("app4", "SpectralAnalysis", "spectral_analysis.dsp",
+              sizes=(("N", 255),), inputs=(InputPlan("x", "N"),),
+              checks=_COMMON + (_check_symm_trips,), base_seed=1400),
+    _packaged("app5", "AudioCompression", "audio_compression.dsp",
+              sizes=(("N", 256),), inputs=(InputPlan("x", "N"),),
+              checks=_COMMON + (_check_fused_inner,), base_seed=1500),
+    _packaged("app6", "HearingAid", "hearing_aid.dsp",
+              sizes=(("N", 1024), ("M", 16)),
+              inputs=(InputPlan("x", "N"), InputPlan("d", "N", seed_offset=1)),
+              checks=_COMMON, base_seed=1600),
+    _packaged("app7", "AudioEqualizer", "audio_equalizer.dsp",
+              sizes=(("N", 1024), ("L", 101)), inputs=(InputPlan("x", "N"),),
+              checks=_COMMON, base_seed=1700),
 )
 
 

@@ -103,9 +103,6 @@ class VerificationFailed(DspcError):
         super().__init__("; ".join(violations))
 
 
-_BINOP_OPCODE = {"+": OpCode.ADD, "-": OpCode.SUB, "*": OpCode.MUL, "/": OpCode.DIV}
-
-
 class _Builder:
     def __init__(self) -> None:
         self.graph = DspGraph()
@@ -155,7 +152,7 @@ class _Builder:
         if isinstance(expr, fe.BinaryOp):
             lhs = self.expression(expr.lhs)
             rhs = self.expression(expr.rhs)
-            return self.emit(_BINOP_OPCODE[expr.op], operands=(lhs, rhs))
+            return self.emit(OPDEF_BY_BUILTIN[expr.op].opcode, operands=(lhs, rhs))
         if isinstance(expr, fe.Call):
             return self.call(expr)
         raise TypeError(f"not an expression node: {expr!r}")

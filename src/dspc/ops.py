@@ -107,7 +107,7 @@ if TYPE_CHECKING:  # a runtime alias would pin TensorShape in typing's caches
 @dataclass(frozen=True)
 class OpDef:
     opcode: OpCode
-    builtin: Optional[str]  # source-language spelling; None if not callable
+    builtin: Optional[str]  # source spelling: a call name or operator; else None
     n_operands: int
     attrs: tuple[AttrSpec, ...]
     shape: Optional[ShapeRule]  # None only for inputs, shaped by bindings
@@ -246,10 +246,10 @@ OP_DEFS: dict[OpCode, OpDef] = {d.opcode: d for d in (
           _length_attr("L")),
     OpDef(OpCode.HAMMING_WINDOW, "hammingWindow", 0, _L2, _length_attr("L")),
     OpDef(OpCode.LMS_FILTER, "lmsFilter", 2, (_MU, _at_least("M", 1)), _lms),
-    OpDef(OpCode.ADD, None, 2, (), _broadcast),
-    OpDef(OpCode.SUB, None, 2, (), _broadcast),
-    OpDef(OpCode.MUL, None, 2, (), _broadcast),
-    OpDef(OpCode.DIV, None, 2, (), _broadcast),
+    OpDef(OpCode.ADD, "+", 2, (), _broadcast),
+    OpDef(OpCode.SUB, "-", 2, (), _broadcast),
+    OpDef(OpCode.MUL, "*", 2, (), _broadcast),
+    OpDef(OpCode.DIV, "/", 2, (), _broadcast),
     OpDef(OpCode.SQUARE, "square", 1, (), _same),
     OpDef(OpCode.GAIN, "gain", 1, (AttrSpec("g", "float"),), _same),
     OpDef(OpCode.REVERSE, "reverse", 1, (), _same),

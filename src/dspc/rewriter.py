@@ -127,11 +127,6 @@ class _Ctx:
             todo.pop(id(op), None)
         return self.ops.pop(id(op))[0]
 
-    def prod(self, value: ValueId) -> Optional[OpNode]:
-        if self.trying:
-            self.watch[0][value].append(self.trying)
-        return self.producer.get(value)
-
     def users(self, value: ValueId) -> list[OpNode]:
         """The ops reading `value`, once per operand slot, in no set order."""
         if self.trying:
@@ -143,8 +138,8 @@ class _Ctx:
 
     def made_by(self, value: ValueId, opcode: OpCode, single: bool = False) -> Optional[OpNode]:
         """The op producing `value` if it is an `opcode` op and, with `single`,
-        `value` has one reader; else None.  Watches as `prod` does and reads
-        the readers through `single_use`."""
+        `value` has one reader; else None.  Watches `value`'s producer and
+        reads the readers through `single_use`."""
         if self.trying:
             self.watch[0][value].append(self.trying)
         op = self.producer.get(value)

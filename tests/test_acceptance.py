@@ -2,7 +2,8 @@
 
 Ten end-to-end checks, one per test, each printing a single PASS/FAIL line
 (visible even under captured output) with the measured quantities.  The
-assertions carry exactly the same conditions as the printed lines.
+assertions carry exactly the same conditions as the printed lines.  A last
+test runs every check `dspc bench` enforces on each app.
 """
 
 import math
@@ -313,3 +314,17 @@ def main(x) {
                f"corpus + full-coverage graphs, worst deviation "
                f"{worst:.3e} (tol {REL_TOL:.0e}), "
                f"unsupported: {unsupported or 'none'}")
+
+
+def test_bench_checks_pass_on_every_app(pipelines):
+    for rec in pipelines.values():
+        inputs = rec.app.synth_inputs(rec.sizes, rec.app.base_seed)
+        outs_none, before = loop_outputs(rec.p_none, inputs)
+        outs_dsp, after = loop_outputs(rec.p_dsp, inputs)
+        ctx = corpus.BenchContext(
+            app=rec.app, sizes=rec.sizes,
+            fired=frozenset(pid.value for pid in rec.stats.fired),
+            before=before, after=after, graph_none=rec.g_none, graph_dsp=rec.g_dsp,
+            deviation=corpus.max_relative_deviation(outs_none, outs_dsp))
+        for name, ok, detail in (check(ctx) for check in rec.app.checks):
+            assert ok, f"{rec.app.name}: {name} ({detail})"

@@ -1,5 +1,5 @@
 import math
-from pathlib import Path
+from dataclasses import replace
 
 import pytest
 
@@ -7,27 +7,10 @@ from dspc import corpus
 from dspc.interp import tensor
 from dspc.synth import Lcg, noise
 
-APPS_DIR = Path(__file__).resolve().parents[1] / "src" / "dspc" / "apps"
-
 
 def test_registry_covers_seven_apps():
     assert len(corpus.APPS) == 7
     assert [a.alias for a in corpus.APPS] == [f"app{i}" for i in range(1, 8)]
-
-
-def test_packaged_sources_match_templates():
-    # the shipped .dsp files are the templates rendered at default sizes
-    for app in corpus.APPS:
-        packaged = (APPS_DIR / app.filename).read_text()
-        assert packaged == app.source(), app.filename
-
-
-def test_pattern_annotations_agree_with_registry():
-    for app in corpus.APPS:
-        line = next(l for l in app.source().splitlines()
-                    if l.startswith("# patterns:"))
-        annotated = set(line.split(":", 1)[1].replace(",", " ").split())
-        assert annotated == set(app.expected_patterns), app.name
 
 
 @pytest.mark.parametrize("key", ["app4", "SpectralAnalysis",
@@ -58,6 +41,50 @@ def test_app_sizes_flow_into_template():
     app = corpus.find_app("app3")
     src = app.source({"N": 64})
     assert "/ 64" in src  # the energy divisor tracks the input length
+
+
+# the whole-number literals of each packaged program that a size's default
+# is written as; a size at 0 is an input length only
+SIZE_LITERALS = {
+    "FilterDesign": {"L": 2},
+    "LowPassFiltering": {"N": 1, "L": 2},
+    "EnergyOfSignal": {"N": 1},
+    "SpectralAnalysis": {"N": 0},
+    "AudioCompression": {"N": 0},
+    "HearingAid": {"N": 0, "M": 1},
+    "AudioEqualizer": {"N": 0, "L": 4},
+}
+
+
+@pytest.mark.parametrize("app", corpus.APPS, ids=lambda app: app.name)
+def test_rebinding_a_size_replaces_only_its_literals(app):
+    defaults = [d for _, d in app.sizes]
+    assert len(set(defaults)) == len(defaults)  # else a rebinding is ambiguous
+    assert app.source() == app.source(app.default_sizes()) == app.text
+    counts = {}
+    for name, default in app.sizes:
+        src = app.source({name: 987654})
+        counts[name] = src.count("987654")
+        assert src.replace("987654", str(default)) == app.text
+    assert counts == SIZE_LITERALS[app.name]
+
+
+def test_swapped_sizes_rebind_in_one_pass():
+    # one replace per size would turn both lengths into the same value
+    src = corpus.find_app("LowPassFiltering").source({"N": 101, "L": 4096})
+    assert "sinVec(101, 200, 8000)" in src
+    assert "lowPassFIRFilter(4096, 1.2566370614359172)" in src
+    assert "hammingWindow(4096)" in src
+
+
+def test_rebinding_skips_comments_floats_and_names():
+    text = ("# patterns: 2\n"
+            "def main(x2) { print(gain(sinVec(2, 2.5, 12), 0.2) + x2); }  # 2\n")
+    app = corpus.CorpusApp("T", "", "t.dsp", text, sizes=(("n", 2),),
+                           inputs=(), checks=())
+    assert app.expected_patterns == {"2"}
+    assert app.source({"n": 7}) == text.replace("(2,", "(7,")
+    assert replace(app, text=text.partition("\n")[2]).expected_patterns == frozenset()
 
 
 # --------------------------------------------------------------------------

@@ -273,6 +273,7 @@ def test_verify_undefined_print_or_return_operand(line, opcode):
     assert violations == [f"%-1 {opcode}: operand %7 not defined before use"]
 
 
+# each graph breaks one rule of `check_op`, and that is its only violation
 @pytest.mark.parametrize("ops, violation", [
     ([input_op(0, 8), input_op(1, 3, "h"), shaped(2, OpCode.CONV1D_FULL, (0, 1), 8)],
      "%2 conv1d_full: result shapes ('tensor<8>',) inconsistent, "
@@ -284,7 +285,26 @@ def test_verify_undefined_print_or_return_operand(line, opcode):
       shaped(3, OpCode.SQUARE, (2,), 5)],
      "%3 square: result shapes ('tensor<5>',) inconsistent, "
      "expected ('tensor<8>',)"),
-], ids=["conv1d_full", "dft1d_fused", "square_of_second_result"])
+    ([input_op(0, 8), shaped(1, OpCode.SQUARE, (0, 0), 8)],
+     "%1 square: expects 1 operand(s), has 2"),
+    ([input_op(0, 8), shaped(1, OpCode.GAIN, (0,), 8)],
+     "%1 gain: has 0 attribute(s), schema says 1"),
+    ([input_op(0, 8), shaped(1, OpCode.GAIN, (0,), 8, attributes=("2.0",))],
+     "%1 gain: attribute 'g' has wrong type"),
+    ([input_op(0, 8), shaped(1, OpCode.DFT1D_FUSED, (0,), 8)],
+     "%1 dft1d_fused: has 1 result shape slot(s), schema says 2"),
+    ([input_op(0, 8), OpNode(1, OpCode.PRINT, (0,))],
+     "%1 print: resultless op must use id -1"),
+    ([input_op(0, 8), shaped(0, OpCode.SQUARE, (0,), 8)],
+     "%0 square: value %0 defined more than once"),
+    ([input_op(0, 8), input_op(1, 4, "y"), shaped(2, OpCode.IDFT1D, (0, 1), 8)],
+     "%2 idft1d: real/imag lengths differ: 8 vs 4"),
+    ([input_op(0, 8), input_op(1, 4, "d"),
+      shaped(2, OpCode.LMS_FILTER, (0, 1), 2, attributes=(0.01, 2))],
+     "%2 lms_filter: input/desired lengths differ: 8 vs 4"),
+], ids=["conv1d_full", "dft1d_fused", "square_of_second_result", "operand_count",
+        "attribute_count", "attribute_type", "result_slot_count", "resultless_id",
+        "defined_twice", "idft1d_paired", "lms_filter_paired"])
 def test_verify_result_shapes(ops, violation):
     assert verify_graph(DspGraph(ops)) == [violation]
 

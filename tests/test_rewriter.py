@@ -506,8 +506,8 @@ def test_rewrite_that_reshapes_a_rewired_value_fails_verification(monkeypatch):
     # an unsound up/down identity that ignores the factors: the gain would
     # read a 10-sample value where its result says 15
     def any_factor(ctx, site):
-        up = ctx.prod(site.operands[0]) if site.opcode is OpCode.DOWNSAMPLE else None
-        if up is None or up.opcode is not OpCode.UPSAMPLE:
+        up = ctx.made_by(site.operands[0], OpCode.UPSAMPLE)
+        if up is None:
             return None
         return rewriter.replace_site(site, up.operands[0])
 
@@ -518,6 +518,21 @@ def test_rewrite_that_reshapes_a_rewired_value_fails_verification(monkeypatch):
                 {"x": 10})
     assert "pattern C3b produced an invalid graph" in str(exc.value)
     assert "inconsistent" in str(exc.value)
+
+
+def test_rewrite_that_builds_a_malformed_op_fails_verification(monkeypatch):
+    # `ctx.new` counts no operands; the verifier after the splice does
+    def two_operand_square(ctx, site):
+        a = site.operands[0]
+        square = ctx.new(OpCode.SQUARE, (a, a))
+        return rewriter.replace_site(site, square.id, square)
+
+    monkeypatch.setitem(rewriter._MATCHERS, PatternId.IDENTITY_UP_DOWN,
+                        (two_operand_square, {OpCode.DOWNSAMPLE}))
+    with pytest.raises(RewriteError) as exc:
+        rewrite("def main(x) { print(downsample(x, 2)); }", {"x": 10})
+    assert str(exc.value) == ("pattern C3b produced an invalid graph: "
+                              "%2 square: expects 1 operand(s), has 2")
 
 
 def test_ops_inserted_before_one_op_keep_their_order(monkeypatch):
