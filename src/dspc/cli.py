@@ -283,8 +283,8 @@ def _bench_average(program, bindings):
 def _resolve_bench_target(args) -> tuple[CorpusApp, dict[str, int],
                                          dict[str, tuple[int, int]]]:
     """The app, its sizes, and the (size, seed) of each input.  A file target
-    becomes an app whose every input is its own size; inputs of an app that
-    share a size must be given the same one."""
+    but a packaged app's becomes an app whose every input is its own size;
+    inputs of an app that share a size must be given the same one."""
     _files, synth = _parse_bindings((), args.synth)
     app = corpus.find_app(args.target)
     if app is None:
@@ -303,7 +303,7 @@ def _resolve_bench_target(args) -> tuple[CorpusApp, dict[str, int],
     for name, (n, _seed) in synth.items():
         plan = plans.get(name)
         if plan is None:
-            raise UsageError(f"app {app.name} has no input {name!r}")
+            raise UsageError(f"main has no input {name!r}")
         other = bound_by.setdefault(plan.size_param, name)
         if synth[other][0] != n:
             raise UsageError(f"inputs {other!r} and {name!r} share size "

@@ -258,6 +258,10 @@ APPS: tuple[CorpusApp, ...] = (
 
 
 def find_app(key: str) -> Optional[CorpusApp]:
+    """The app of alias, name or file stem `key` (any case), or of a path to its packaged file."""
+    path = Path(key)
+    if path.is_file() and path.resolve().parent == Path(__file__).resolve().with_name("apps"):
+        key = path.stem
     low = key.lower()
     for app in APPS:
         names = {app.alias, app.name.lower(),

@@ -9,6 +9,8 @@ splitting), and renders a guard it proves true as its bare body.  An innermost
 loop of `STREAM_MIN_TRIPS` or more trips left guard-free folds its single-use
 temporaries into their readers and, if its index only picks loads at +-1, runs
 over slices: `for s0, s1 in zip(b0[c0:c1], reversed(b1[i0 + c2:i0 + c3])):`.
+A shorter one nested in another loop is straight-line code: a comment with
+its tag, then its folded body once per trip, the index a literal in each.
 A unit is shared by every program with an equal op (`lowering.op_unit`), and
 units of ops that differ only in float attributes have one op shape
 (`Unit.shape`): the walk runs once per op shape held in `SHAPE_RENDERS`, and
@@ -36,6 +38,7 @@ only adds integers.
 from __future__ import annotations
 
 import math
+import re
 import sys
 import time
 from collections import Counter
@@ -128,10 +131,11 @@ _MESSAGES = {NonFinite: "non-finite value in {}",
              CapacityExceeded: "buffer {} exceeded capacity {}"}
 
 
-# Trips from which an innermost loop folds and streams (`_Compiler._fold`):
-# from here on no stream form measured ran slower than the indexed loop (each
-# unit's best of 35 calls over 1024 samples, CPython 3.11.7, 2 vCPUs).  Two
-# streams (FIR): 1.31x at 17 trips, 1.06-1.12x at 33-41, 0.94-1.10x at 45-101;
+# Trips from which a guard-free innermost loop streams (`_Compiler._fold`);
+# below, nested in another loop, it is straight-line code (a 16-tap FIR: 0.64x
+# of the indexed loop).  From here on no stream form ran slower than the indexed
+# loop (each unit's best of 35 calls over 1024 samples, CPython 3.11.7, 2 vCPUs).
+# Two streams (FIR): 1.31x at 17 trips, 1.06-1.12x at 33-41, 0.94-1.10x at 45-101;
 # three (symmetric FIR): 1.00x at 16, 0.79-0.86x at 32-50; one (sum): 0.83-0.91x.
 STREAM_MIN_TRIPS = 48
 
@@ -229,6 +233,18 @@ def _guarded(guard: SelectGuard, known: Optional[dict]) -> Optional[dict]:
     return {**known, expr: (lo, hi)}
 
 
+def _checked(e) -> bool:
+    """Whether `e` divides by a non-constant: its divisor is checked at run time."""
+    return isinstance(e, Arith) and e.op == "div" and not isinstance(e.rhs, ConstF)
+
+
+# Each IR node type that holds nodes (whose slots `_nodes` walks) and, in
+# order, its slots that may hold a ConstF.
+_CONST_SLOTS = {Arith: ("lhs", "rhs"), Call: ("arg",), Cond: ("lhs", "rhs", "if_true", "if_false"),
+                For: ("body",), Assign: ("value",), Store: ("source",), DynAppend: ("value",),
+                SelectGuard: ("body", "orelse"), IfCmp: ("lhs", "rhs", "body", "orelse")}
+
+
 def _nodes(node, leaf: bool = False):
     """(n, leaf) for IR node (or list) `node` and each node in it, leaf true where
     only a leaf may stand: a checked divisor, sinc_eval's argument, a Cond arm."""
@@ -237,11 +253,10 @@ def _nodes(node, leaf: bool = False):
             yield from _nodes(n)
         return
     yield node, leaf
-    parent = isinstance(node, (Arith, Call, Cond, For, Assign, Store, SelectGuard, IfCmp, DynAppend))
-    for name in node.__slots__ if parent else ():
+    for name in node.__slots__ if type(node) in _CONST_SLOTS else ():
         kid = getattr(node, name)
         leaf = (name in ("if_true", "if_false") or name == "arg" and node.fn == "sinc_eval"
-                or name == "rhs" and getattr(node, "op", 0) == "div" and not isinstance(kid, ConstF))
+                or name == "rhs" and _checked(node))
         yield from _nodes(kid, leaf)
 
 
@@ -251,9 +266,18 @@ def _refs(node) -> Counter:
                    for _ in range(1 + leaf))
 
 
-def _consts(body: list[Stmt]) -> list[ConstF]:
-    """The ConstF leaves of `body`, in the order `_nodes` walks them."""
-    return [n for n, _ in _nodes(body) if isinstance(n, ConstF)]
+def _consts(node, out: list) -> list[ConstF]:
+    """`out` and the ConstF leaves of IR node (or list) `node`, in `_nodes` order."""
+    kind = type(node)
+    if kind is list:
+        for n in node:
+            _consts(n, out)
+    elif kind is ConstF:
+        out.append(node)
+    elif kind in _CONST_SLOTS:
+        for name in _CONST_SLOTS[kind]:
+            _consts(getattr(node, name), out)
+    return out
 
 
 def _subst(e: Expr, env: dict) -> Expr:
@@ -281,6 +305,9 @@ class _Compiler:
     loop of `STREAM_MIN_TRIPS` or more trips left guard-free folds its
     single-use temporaries (`_fold`) and may run over slices (`_stream`), with
     the trees, order and cost of the indexed loop; no slice leaves its loop.
+    A shorter one nested in another loop, with no checked divisor (its error
+    names the index), is proved and costed as the indexed loop; then its
+    folded body renders once, and that text once per trip, the index a literal.
 
     A block's cost per run is static: a Counter keyed by the `ExecCounters`
     fields `stores`, `mults`, `adds` and `trig_calls`, plus ("tag", t) per
@@ -379,7 +406,7 @@ class _Compiler:
             p = _PRECEDENCE[e.op]
             lhs = self._expr(e.lhs, cost, divisors, known, p)
             rhs = self._expr(e.rhs, cost, divisors, known, p + 1)
-            if e.op == "div" and not isinstance(e.rhs, ConstF):
+            if _checked(e):
                 if not isinstance(e.rhs, LEAVES):  # the check reads it again
                     raise LoopIrError(f"checked divisor is not a leaf: {e!r}")
                 divisors.append(rhs)
@@ -474,18 +501,26 @@ class _Compiler:
                     trip = max(0, upper - lower)
                     inside = (None if known is None or not trip else
                               {**known, stmt.index: (lower, upper - 1)})
-                    body, head = stmt.body, None
-                    if trip >= STREAM_MIN_TRIPS and inside and (
-                            flat := self._fold(stmt, inside)) is not None:
+                    body, head, mark = stmt.body, None, len(self.lits)
+                    flat = self._fold(stmt, inside) if inside and (
+                        loop_stack or trip >= STREAM_MIN_TRIPS) else None
+                    if flat is not None and trip >= STREAM_MIN_TRIPS:
                         body, head = flat, self._stream(stmt.index, flat, lower, upper, inside)
                     head = head or f"{i} in range({self._lit(lower)}, {self._lit(upper)})"
-                    lines.append(f"{pad}for {head}:  # {stmt.tag}")
-                    body_lines, body_cost = self._block(
-                        body, depth + 1, loop_stack + [i], inside)
+                    body_lines, body_cost = self._block(body, depth + 1, loop_stack + [i], inside)
                     self.streams = {}
                     body_cost["tag", stmt.tag] += 1
                     cost.update({k: v * trip for k, v in body_cost.items()})
-                    lines.extend(body_lines or [f"{pad}    pass"])
+                    if flat and trip < STREAM_MIN_TRIPS and not any(
+                            _checked(n) for n, _ in _nodes(flat)):
+                        del self.lits[mark:]  # the loop's text only proved and costed it
+                        text = "\n".join(self._block(flat, depth, loop_stack, inside)[0])
+                        parts = re.split(rf"\b{i}\b", text)
+                        lines.append(f"{pad}# {stmt.tag}: {trip} trips, straight-line")
+                        lines += [self._lit(k).join(parts) for k in range(lower, upper)]
+                    else:
+                        lines.append(f"{pad}for {head}:  # {stmt.tag}")
+                        lines.extend(body_lines or [f"{pad}    pass"])
             else:
                 raise LoopIrError(f"unknown statement {stmt!r}")
         return lines, cost
@@ -537,7 +572,7 @@ class _Compiler:
                 streams.setdefault(n, f"s{len(streams)}")
             elif (isinstance(n, Store) or index in terms
                   or isinstance(n, IndexProdF) and index in (n.a, n.b)
-                  or isinstance(n, Arith) and n.op == "div" and not isinstance(n.rhs, ConstF)):
+                  or _checked(n)):
                 return None
         slices = []
         for load in streams:  # load.index less c * index, shifted to each bound
@@ -573,7 +608,7 @@ class _Compiler:
         code = UNIT_CODE.get(text)
         if code is None:  # the function's code is the module's first constant
             code = UNIT_CODE[text] = compile(text, "<loop-unit>", "exec").co_consts[0]
-        order = {id(c): j for j, c in enumerate(_consts(self.unit.body))}
+        order = {id(c): j for j, c in enumerate(_consts(self.unit.body, []))}
         return _Rendered(text, FunctionType(code, _NS, "_run", tuple(self.lits)), "",
                          tuple(map(self.index.get, self.names["b"])),
                          tuple(cost.items()),
@@ -584,7 +619,7 @@ class _Compiler:
 
 def _bound(shape: _Rendered, unit: Unit) -> _Rendered:
     """The render of `unit`'s shape, the unit's own ConstF values in its slots."""
-    lits, consts = list(shape.fn.__defaults__), _consts(unit.body)
+    lits, consts = list(shape.fn.__defaults__), _consts(unit.body, [])
     for k, j in shape.slots:
         lits[k] = consts[j].value
     return shape._replace(fn=FunctionType(shape.fn.__code__, _NS, "_run", tuple(lits)),

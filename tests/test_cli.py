@@ -400,6 +400,20 @@ def test_bench_json_logs_each_rewrite(capsys, tmp_path):
                                   "new": [7], "ops": 6}
 
 
+@pytest.mark.parametrize("app", ["app1", "app6"])
+def test_bench_packaged_file_runs_its_apps_checks(capsys, app, monkeypatch):
+    # a path to a packaged app's file, relative or absolute, is that app
+    from dspc.corpus import find_app
+    path = APPS / find_app(app).filename
+    monkeypatch.chdir(APPS.parents[2])
+    outs = [run_cli(capsys, "bench", target) for target in
+            (app, str(path), str(path.relative_to(APPS.parents[2])))]
+    checks = [[line for line in out.splitlines() if line.startswith(("PASS", "FAIL"))]
+              for _, out, _ in outs]
+    assert [code for code, _, _ in outs] == [0, 0, 0]
+    assert checks[0] == checks[1] == checks[2] and len(checks[0]) >= 3, checks
+
+
 def test_bench_ad_hoc_file(capsys):
     fixture = str(FIXTURES / "identity_updown.dsp")
     code, out, _ = run_cli(capsys, "bench", fixture, "--synth", "x=12,3")

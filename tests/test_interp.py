@@ -16,7 +16,7 @@ from dspc.interp import (STREAM_MIN_TRIPS, CapacityExceeded, InputMismatch,
                          LoopDivisionByZero, LoopRuntimeError, NonFinite, compiled_source,
                          counters_report, evaluate_loop_ir, report_table, tensor)
 from dspc.loop_ir import (AffineExpr, Assign, BufferDecl, Call, CheckFinite, Cond, ConstF,
-                          DynAppend, For, IndexF, IndexProdF, Load, LoopIrError,
+                          DynAppend, For, IfCmp, IndexF, IndexProdF, Load, LoopIrError,
                           LoopProgram, OutOfBounds, SelectGuard, Store, TempRef, Unit)
 from dspc.lowering import lower_graph
 from dspc.ops import OP_DEFS, OpCode, TensorShape
@@ -329,6 +329,36 @@ def test_unit_text_does_not_depend_on_temporary_names():
         copy = Unit(unit.buffers, _renamed(unit.body, swapped))
         assert _temps(copy.body) == set(swapped.values())
         assert _Compiler(copy).render().text == _Compiler(unit).render().text
+
+
+def test_consts_yields_the_constants_nodes_walks_in_its_order(monkeypatch):
+    # `_consts` is a dedicated walker over the slots that may hold a ConstF;
+    # a unit binds its render's slots by position in its list, so it must be
+    # the generic walk's list: the same objects in the same order
+    from dspc.interp import _consts, _nodes
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    import programs  # the compile workloads' program generator
+    lowered = [*_corpus_programs(), program_for(
+        (FIXTURES / "golden_lowering.dsp").read_text(), {"x": 3, "d": 3})]
+    for workload in ("compile-fire", "compile-miss"):
+        for p in programs.make_block(workload, 7, 0)[::3]:
+            g = corpus.compile_source(p.source, {name: p.length for name, _ in p.input_seeds})
+            lowered += [lower_graph(g), lower_graph(apply_dsp_patterns(g)[0])]
+    bodies = list({id(unit): unit.body for p in lowered for _, unit, _ in p.calls}.values())
+    assert len(bodies) > 40
+    # and a constant in each slot of each kind of node that may hold one
+    c, i, t = (ConstF(float(k)) for k in range(16)), AffineExpr.of("i"), TempRef("t")
+    bodies.append([For("i", 0, 2, [
+        Assign(t, Cond("lt", next(c), next(c), next(c), next(c)) * Call("sin", next(c))),
+        IfCmp("lt", next(c), next(c), [DynAppend("q", next(c))], [Store("y", i, next(c) / t)]),
+        SelectGuard(i, 0, 1, [Store("y", i, next(c))], [Store("y", i, next(c))])], "loop")])
+    found = 0
+    for body in bodies:
+        want = [n for n, _ in _nodes(body) if isinstance(n, ConstF)]
+        got = _consts(body, [])
+        assert len(got) == len(want) and all(a is b for a, b in zip(got, want))
+        found += len(got)
+    assert found > 200
 
 
 def test_recompiling_the_corpus_compiles_nothing(monkeypatch):
@@ -685,12 +715,20 @@ def test_streamed_reduction_matches_plain_python(case):
     del got["wall_time_ns"]
     assert got == counts
     # at STREAM_MIN_TRIPS trips and more the inner loop runs over one slice
-    # per distinct load, its temporaries folded into one statement
+    # per distinct load, its temporaries folded into one statement; below,
+    # it has no `for` line but a tag comment and that statement once per trip
     lines = compiled_source(program).splitlines()
-    head = next(k for k, line in enumerate(lines) if line.endswith("# inner"))
-    streamed = trips >= STREAM_MIN_TRIPS
-    assert lines[head].lstrip().startswith("for s0") == streamed
-    assert not streamed or not lines[head + 2].startswith(" " * 12)
+    heads = [k for k, line in enumerate(lines) if line.endswith("# inner")]
+    if trips >= STREAM_MIN_TRIPS:
+        assert lines[heads[0]].lstrip().startswith("for s0")
+        assert not lines[heads[0] + 2].startswith(" " * 12)
+    else:
+        assert not heads
+        head = lines.index(f"        # inner: {trips} trips, straight-line")
+        copies = lines[head + 1:head + 1 + trips]
+        assert all(re.match(r" {8}t\d+ = t\d+ \+ ", line) for line in copies), copies
+        assert re.match(r" {8}b\d+\[i0\] = t\d+$", lines[head + 1 + trips])
+        assert "i1" not in "\n".join(copies)
     # an offset one past the edge a load is flush against fails to render
     for k, edge in enumerate(edges):
         if edge != "mid":
@@ -698,6 +736,53 @@ def test_streamed_reduction_matches_plain_python(case):
             bad = [*loads[:k], (b, coeff, o + (1 if edge == "high" else -1)), *loads[k + 1:]]
             with pytest.raises(OutOfBounds, match=f"^buffer '{b}': index "):
                 compiled_source(_stream_program(bad, shape, trips, caps))
+
+
+def _short_loop_case(name):
+    """A program over x (8 samples) and h (12) whose one loop of 8 trips is
+    short but must keep its `for` line, and the plain-Python values of y."""
+    j, k = AffineExpr.of("j"), AffineExpr.of("k")
+    k_j = k.plus(AffineExpr.of("j", -1))
+    acc, t = TempRef("acc"), TempRef("t")
+    x = [0.5 + v for v in range(8)]
+    h = [0.25 * v + 1.0 for v in range(12)]
+    if name == "outermost":
+        body = [For("j", 0, 8, [Store("y", j, Load("x", j) * 2.0)], "inner")]
+        want = [v * 2.0 for v in x]
+    else:
+        if name == "checked_divisor":
+            inner = [Assign(t, Load("h", j.plus(k))), Assign(acc, acc + Load("x", j) / t)]
+            term = lambda a, b: x[b] / h[a + b]
+        else:  # "unproved_guard": x[k - j] is read only where k - j is in [0, 8)
+            inner = [SelectGuard(k_j, 0, 8, [Assign(acc, acc + Load("x", k_j))])]
+            term = lambda a, b: x[a - b]
+        body = [For("k", 0, 4, [Assign(acc, ConstF(0.0)), For("j", 0, 8, inner, "inner"),
+                                Store("y", k, acc)], "outer")]
+        want = []
+        for a in range(4):
+            total = 0.0
+            for b in range(8 if name == "checked_divisor" else a + 1):
+                total = total + term(a, b)
+            want.append(total)
+    prog = one_unit([BufferDecl("x", 8), BufferDecl("h", 12), BufferDecl("y", len(want))],
+                    body, inputs=[("x", "x"), ("h", "h")], outputs=[(1, "y")])
+    return prog, {"x": tensor(x), "h": tensor(h)}, want
+
+
+@pytest.mark.parametrize("name", ["checked_divisor", "outermost", "unproved_guard"])
+def test_short_loop_keeps_its_for(name):
+    # below STREAM_MIN_TRIPS a guard-free inner loop is straight-line code;
+    # these are not, so each runs as an indexed loop with its tag
+    program, inputs, want = _short_loop_case(name)
+    out, _ = evaluate_loop_ir(program, inputs)
+    assert out[1].values == tuple(want)
+    lines = compiled_source(program).splitlines()
+    assert any(re.match(r" +for i\d+ in range\(.*\):  # inner$", line) for line in lines), lines
+    assert not any("straight-line" in line for line in lines)
+    if name == "checked_divisor":  # h[5] zero: the first zero divisor is at k = 0, j = 5
+        h = [*inputs["h"].values[:5], 0.0, *inputs["h"].values[6:]]
+        with pytest.raises(LoopDivisionByZero, match="^division by zero at element 5$"):
+            evaluate_loop_ir(program, {**inputs, "h": tensor(h)})
 
 
 def _fold_case(name):
