@@ -202,7 +202,7 @@ def _require_finite(program, outputs: dict[int, Tensor]) -> None:
 
 
 def _rewrite_log(stats: RewriteStats) -> str:
-    """One ``#`` line per application, in working-graph ids."""
+    """One ``#`` line per application, in the ids of the rewritten graph."""
     return "".join(f"# pattern {a.pattern.value} at %{a.site} {a.opcode.value}: new "
                    f"{' '.join(f'%{v}' for v in a.new) or 'none'}, {a.ops} ops\n"
                    for a in stats.log)

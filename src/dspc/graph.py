@@ -393,22 +393,3 @@ def graph_to_text(graph: DspGraph) -> str:
         text += f" : {shapes}"
         lines.append(text)
     return "\n".join(lines) + "\n"
-
-
-# --------------------------------------------------------------------------
-# Renumbering, which the rewriter does once at its fixpoint
-
-
-def renumber(graph: DspGraph) -> DspGraph:
-    """Assign dense ValueIds in list order, keeping multi-result ids adjacent."""
-    mapping: dict[ValueId, ValueId] = {}
-    next_id = 0
-    staged: list[tuple[OpNode, ValueId]] = []
-    for op in graph.ops:
-        n = OP_DEFS[op.opcode].n_results
-        staged.append((op, next_id if n else -1))
-        for i in range(n):
-            mapping[op.id + i] = next_id + i
-        next_id += n
-    return DspGraph([OpNode(new_id, op.opcode, tuple(map(mapping.__getitem__, op.operands)),
-                            op.attributes, op.result_shapes) for op, new_id in staged])

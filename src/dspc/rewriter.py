@@ -18,8 +18,9 @@ rewires, not the size of the graph:
   failed comes back only once it is rewired, or once the producer or the
   readers of a value its matcher looked at change (`_Ctx.watch`).
 
-The op list is built, renumbered and verified once, at the fixpoint; matchers
-compare ids only relatively.  Pattern ids are looked up by ``PatternId(code)``.
+The op list is built and verified once, at the fixpoint.  It keeps the
+working ids, which are sparse and not in list order, so matchers compare ids
+only relatively.  Pattern ids are looked up by ``PatternId(code)``.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from enum import Enum
 from typing import Iterable, NamedTuple, Optional
 
 from .errors import DspcError
-from .graph import DspGraph, OpNode, ValueId, check_op, renumber, verify_graph
+from .graph import DspGraph, OpNode, ValueId, check_op, verify_graph
 from .ops import OP_DEFS, OpCode, TensorShape
 
 
@@ -372,9 +373,10 @@ def apply_dsp_patterns(graph: DspGraph,
     chain it fuses the transforms before Parseval can match.)  The first
     application prunes every dead op, so the first sweep sees the graph as
     given.  Only new ops are shaped, so a rewrite that would reshape a rewired
-    value fails `check_op`, and unknown shapes stay unknown.  The log is in
-    working-graph ids: an op of `graph` keeps its id and a new op takes the
-    next id above all others.  With no application `graph` is returned.
+    value fails `check_op`, and unknown shapes stay unknown.  The result and
+    the log share one id space: an op of `graph` keeps its id and a new op
+    takes the next id above all others.  With no application `graph` is
+    returned.
     """
     wanted = list(PatternId) if enabled is None else \
         [pid for pid in PatternId if pid in set(enabled)]
@@ -398,7 +400,7 @@ def apply_dsp_patterns(graph: DspGraph,
                            "without reaching a fixpoint")
     current = graph
     if stats.log:
-        current = renumber(DspGraph([op for _key, op in sorted(ctx.ops.values())]))
+        current = DspGraph([op for _key, op in sorted(ctx.ops.values())])
         problems = verify_graph(current)
         if problems:
             fired = ", ".join(pid.value for pid, n in stats.applications.items() if n)

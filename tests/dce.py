@@ -1,10 +1,11 @@
 """Whole-graph dead-op pruning by use counts, the reference that the
-rewriter's in-place pruning along its readers is held to."""
+rewriter's in-place pruning along its readers is held to, and dense
+renumbering, which compares two graphs up to their ids."""
 
 from typing import Iterable, Mapping
 
 from dspc.graph import DspGraph, OpNode, ValueId
-from dspc.ops import OpCode
+from dspc.ops import OP_DEFS, OpCode
 
 
 def producer_map(graph: DspGraph) -> dict[ValueId, OpNode]:
@@ -43,3 +44,17 @@ def dead_ops(producer: Mapping[ValueId, OpNode], uses: dict[ValueId, int],
         work += op.operands
     return dead
 
+
+def renumber(graph: DspGraph) -> DspGraph:
+    """Assign dense ValueIds in list order, keeping multi-result ids adjacent."""
+    mapping: dict[ValueId, ValueId] = {}
+    next_id = 0
+    staged: list[tuple[OpNode, ValueId]] = []
+    for op in graph.ops:
+        n = OP_DEFS[op.opcode].n_results
+        staged.append((op, next_id if n else -1))
+        for i in range(n):
+            mapping[op.id + i] = next_id + i
+        next_id += n
+    return DspGraph([OpNode(new_id, op.opcode, tuple(map(mapping.__getitem__, op.operands)),
+                            op.attributes, op.result_shapes) for op, new_id in staged])

@@ -4,14 +4,15 @@ from dataclasses import replace
 
 import pytest
 
+from dspc.cli import main
 from dspc.frontend import parse_source
 from dspc.graph import (ArityMismatch, BadAttribute, DspGraph, OpNode, ShapeMismatch,
                         UndefinedVariable, UnknownBuiltin, build_graph,
-                        graph_to_text, infer_shapes, renumber, verify_graph)
+                        graph_to_text, infer_shapes, verify_graph)
 from dspc.interp import evaluate_loop_ir, tensor
 from dspc.loop_ir import LoopIrError
 from dspc.lowering import EMITTERS, lower_graph
-from dce import dead_ops, producer_map, use_counts
+from dce import dead_ops, producer_map, renumber, use_counts
 import kernels as K
 from dspc.ops import OP_DEFS, OpCode, TensorShape
 
@@ -368,6 +369,29 @@ def test_graph_text_format():
     text = graph_to_text(g)
     assert "%0 = const_tensor() {values=[1, 2]} : tensor<2>" in text
     assert "print(%0)" in text
+
+
+def test_binding_contradicting_a_shaped_input_raises():
+    g = compile_graph("def main(x) { print(gain(x, 2.0)); }", {"x": 4})
+    with pytest.raises(ShapeMismatch) as exc:
+        infer_shapes(g, {"x": 8})
+    assert str(exc.value) == "%0 input: input bound to length 8 but already shaped 4"
+    assert graph_to_text(infer_shapes(g)) == graph_to_text(g)
+
+
+def test_expression_statement_builds_an_unread_op(tmp_path, capsys):
+    source = "def main(x) { gain(x, 2.0); print(x); }"
+    g = compile_graph(source, {"x": 3})
+    assert graph_to_text(g).splitlines()[1:] == ["%1 = gain(%0) {g=2.0} : tensor<3>",
+                                                 "print(%0)"]
+    assert verify_graph(g) == []
+    path = tmp_path / "expr.dsp"
+    path.write_text(source)
+    assert main(["run", str(path), "--opt=dsp", "--synth", "x=3,1"]) == 0
+    assert capsys.readouterr().out.startswith("%0 = [")
+    # no pattern fires, so nothing prunes the unread gain
+    assert main(["build", str(path), "--emit=dsp-opt", "--opt=dsp", "--synth", "x=3,1"]) == 0
+    assert capsys.readouterr().out == graph_to_text(g)
 
 
 def test_renumber_compacts_ids():

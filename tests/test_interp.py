@@ -498,6 +498,35 @@ def test_ops_differing_only_in_floats_share_one_render(monkeypatch, sig, seed):
     assert _outcome(alone, inputs) == _outcome(second, inputs)
 
 
+def test_evicted_shape_renders_change_no_program(monkeypatch):
+    # with room for two op shapes, renders are evicted and walked again, and
+    # every corpus program still gives the text, outputs and counters it
+    # gives under the default bound
+    from dspc import interp, lowering
+
+    def corpus_runs():
+        lowering.op_unit.cache_clear()
+        interp.SHAPE_RENDERS.clear()
+        runs = []
+        for app in corpus.APPS:
+            sizes = app.default_sizes()
+            g = corpus.compile_source(app.source(sizes), app.input_lengths(sizes))
+            inputs = app.synth_inputs(sizes, app.base_seed)
+            for graph in (g, apply_dsp_patterns(g)[0]):
+                program = lower_graph(graph)
+                outputs, counters = evaluate_loop_ir(program, inputs)
+                counters.wall_time_ns = 0
+                runs.append((compiled_source(program), outputs, counters))
+                assert len(interp.SHAPE_RENDERS) <= interp.UNIT_MEMO_SIZE
+        return runs
+
+    want = corpus_runs()
+    walked = _count_renders(monkeypatch)
+    monkeypatch.setattr(interp, "UNIT_MEMO_SIZE", 2)
+    assert corpus_runs() == want
+    assert len(walked) > len({unit.shape for unit in walked})
+
+
 def _runaway_append(capacity):
     """A unit that appends one value more than its buffer holds."""
     return [For("i", 0, capacity + 1, [DynAppend("v0", ConstF(1.0))], "fill")]

@@ -6,16 +6,17 @@ from pathlib import Path
 import pytest
 
 from dspc import corpus
+from dspc.cli import main
 from dspc.frontend import parse_source
 from dspc.graph import (DspGraph, build_graph, check_op, graph_to_text, infer_shapes,
-                        renumber, verify_graph)
+                        verify_graph)
 from dspc.interp import evaluate_loop_ir, tensor
 from dspc.lowering import lower_graph
 from dspc.ops import OpCode
 from dspc import rewriter
 from dspc.rewriter import PatternId, RewriteError, apply_dsp_patterns
 
-from dce import dead_ops, producer_map, use_counts
+from dce import dead_ops, producer_map, renumber, use_counts
 import kernels as K
 
 
@@ -410,7 +411,7 @@ def test_enabled_fusion_without_parseval():
     assert OpCode.DFT1D_FUSED in opcodes(g2)
 
 
-# Golden rewrites: where the new ops land and how the result is numbered.
+# Golden rewrites: where the new ops land, under the ids the log gives them.
 SPLICE_GOLDEN = {
     # the fused op lands at the earlier of the two transforms
     "fusion_real_first": ("""
@@ -424,11 +425,11 @@ def main(x) {
 }
 """, {"x": 8}, """\
 %0 = input() {name=x} : tensor<8>
-%1, %2 = dft1d_fused(%0) : tensor<8>, tensor<8>
-%3 = gain(%0) {g=2.0} : tensor<8>
-print(%1)
-print(%3)
+%4, %5 = dft1d_fused(%0) : tensor<8>, tensor<8>
+%2 = gain(%0) {g=2.0} : tensor<8>
+print(%4)
 print(%2)
+print(%5)
 """),
     "fusion_imag_first": ("""
 def main(x) {
@@ -441,11 +442,11 @@ def main(x) {
 }
 """, {"x": 8}, """\
 %0 = input() {name=x} : tensor<8>
-%1, %2 = dft1d_fused(%0) : tensor<8>, tensor<8>
-%3 = gain(%0) {g=2.0} : tensor<8>
-print(%1)
-print(%3)
+%4, %5 = dft1d_fused(%0) : tensor<8>, tensor<8>
+%2 = gain(%0) {g=2.0} : tensor<8>
+print(%4)
 print(%2)
+print(%5)
 """),
     # the fused LMS lands where the LMS was, not where the gain was
     "lms_gain": ("""
@@ -458,9 +459,9 @@ def main(x, d) {
 """, {"x": 32, "d": 32}, """\
 %0 = input() {name=x} : tensor<32>
 %1 = input() {name=d} : tensor<32>
-%2 = lms_filter_gain_opt(%0, %1) {mu=0.01, M=4, g=2.0} : tensor<4>
+%5 = lms_filter_gain_opt(%0, %1) {mu=0.01, M=4, g=2.0} : tensor<4>
 %3 = sum(%0) : tensor<1>
-print(%2)
+print(%5)
 print(%3)
 """),
     # both new ops, in order, where the division was
@@ -474,11 +475,11 @@ def main(x) {
 }
 """, {"x": 16}, """\
 %0 = input() {name=x} : tensor<16>
-%1 = square(%0) : tensor<16>
-%2 = sum(%1) : tensor<1>
-%3 = gain(%0) {g=2.0} : tensor<16>
-print(%3)
-print(%2)
+%10 = square(%0) : tensor<16>
+%11 = sum(%10) : tensor<1>
+%9 = gain(%0) {g=2.0} : tensor<16>
+print(%9)
+print(%11)
 """),
     # an unbound input leaves the response unshaped; the taps are shaped
     "filter_unbound": ("""
@@ -488,9 +489,9 @@ def main(x) {
 }
 """, None, """\
 %0 = input() {name=x} : tensor<?>
-%1 = filter_hamm_opt() {L=5, wc=1.1} : tensor<5>
-%2 = filter_res_symm_opt(%0, %1) : tensor<?>
-print(%2)
+%5 = filter_hamm_opt() {L=5, wc=1.1} : tensor<5>
+%6 = filter_res_symm_opt(%0, %5) : tensor<?>
+print(%6)
 """),
 }
 
@@ -535,6 +536,42 @@ def test_rewrite_that_builds_a_malformed_op_fails_verification(monkeypatch):
                               "%2 square: expects 1 operand(s), has 2")
 
 
+def test_rewrite_that_reuses_a_live_id_fails_the_fixpoint_check(monkeypatch):
+    # `check_op` sees only the new op's operand shapes, so a new op that takes
+    # a live id instead of one from `ctx.new` passes its splice; the check of
+    # the whole graph at the fixpoint names the clash
+    def live_id_square(ctx, site):
+        x = site.operands[0]
+        square = rewriter.OpNode(2, OpCode.SQUARE, (x,), (), (ctx.shape(x),))
+        return rewriter.replace_site(site, square.id, square)
+
+    monkeypatch.setitem(rewriter._MATCHERS, PatternId.IDENTITY_UP_DOWN,
+                        (live_id_square, {OpCode.DOWNSAMPLE}))
+    with pytest.raises(RewriteError) as exc:
+        rewrite("def main(x) { print(downsample(x, 1)); print(square(x)); }", {"x": 4})
+    assert str(exc.value) == ("patterns C3b produced an invalid graph: "
+                              "%2 square: value %2 defined more than once")
+
+
+def test_rewrite_that_always_matches_hits_the_sweep_limit(monkeypatch, tmp_path, capsys):
+    # each new downsample is a root again, so no sweep comes back empty
+    def same_downsample(ctx, site):
+        new = ctx.new(OpCode.DOWNSAMPLE, site.operands, site.attributes)
+        return rewriter.replace_site(site, new.id, new)
+
+    monkeypatch.setitem(rewriter._MATCHERS, PatternId.IDENTITY_UP_DOWN,
+                        (same_downsample, {OpCode.DOWNSAMPLE}))
+    source = "def main(x) { print(downsample(x, 1)); }"
+    with pytest.raises(RewriteError) as exc:
+        rewrite(source, {"x": 4})
+    assert str(exc.value) == "rewriter exceeded 12 sweeps without reaching a fixpoint"
+    path = tmp_path / "loop.dsp"
+    path.write_text(source)
+    assert main(["run", str(path), "--opt=dsp", "--synth", "x=4,1"]) == 3
+    err = capsys.readouterr().err
+    assert err == f"verify error: {exc.value}\n"
+
+
 def test_ops_inserted_before_one_op_keep_their_order(monkeypatch):
     # no default pattern anchors at an op that outlives its splice; this one
     # inserts before the op reading the site, so both new gains go before the add
@@ -549,11 +586,11 @@ def test_ops_inserted_before_one_op_keep_their_order(monkeypatch):
                       {"x": 4})
     want, applications = reference_rewrite(g)
     got, stats = apply_dsp_patterns(g)
-    assert graph_to_text(got) == graph_to_text(want)
+    assert graph_to_text(renumber(got)) == graph_to_text(want)
     assert stats.applications == applications
-    assert graph_to_text(got).splitlines()[2:5] == ["%2 = gain(%0) {g=1.0} : tensor<4>",
-                                                    "%3 = gain(%1) {g=1.0} : tensor<4>",
-                                                    "%4 = add(%2, %3) : tensor<4>"]
+    assert graph_to_text(got).splitlines()[2:5] == ["%5 = gain(%0) {g=1.0} : tensor<4>",
+                                                    "%6 = gain(%2) {g=1.0} : tensor<4>",
+                                                    "%4 = add(%5, %6) : tensor<4>"]
 
 
 # --------------------------------------------------------------------------
@@ -647,7 +684,7 @@ def test_driver_matches_reference(case, subset):
     g = compile_graph(source, lengths)
     want, applications = reference_rewrite(g, enabled)
     got, stats = apply_dsp_patterns(g, enabled)
-    assert graph_to_text(got) == graph_to_text(want)
+    assert graph_to_text(renumber(got)) == graph_to_text(want)
     assert stats.applications == applications
     assert (stats.ops_before, stats.ops_after) == (len(g.ops), len(want.ops))
 
@@ -737,7 +774,7 @@ def test_composed_programs_match_reference(seed):
     g = compile_graph(source, lengths)
     want, applications = reference_rewrite(g, enabled)
     got, stats = apply_dsp_patterns(g, enabled)
-    assert graph_to_text(got) == graph_to_text(want), source
+    assert graph_to_text(renumber(got)) == graph_to_text(want), source
     assert stats.applications == applications
     assert (stats.ops_before, stats.ops_after) == (len(g.ops), len(want.ops))
     assert len(stats.log) == stats.total_applications()
@@ -769,6 +806,31 @@ def test_rewrite_log_names_each_application_in_working_ids():
     assert rewrite("def main(x) { print(gain(x, 2.0)); }", {"x": 4})[1].log == []
 
 
+def _routes_and_composed_programs():
+    for app in corpus.APPS:
+        sizes = app.default_sizes()
+        for enabled in (None, set()):
+            yield app.source(sizes), app.input_lengths(sizes), enabled
+    for seed in range(40):
+        yield composed_program(seed)
+
+
+def test_result_and_log_share_one_id_space():
+    # an op of the input graph keeps its id and opcode; any other op has an
+    # id that the log gave a new op, and no new op takes an input graph's id
+    fired = 0
+    for source, lengths, enabled in _routes_and_composed_programs():
+        g = compile_graph(source, lengths)
+        got, stats = apply_dsp_patterns(g, enabled)
+        before = {op.id: op.opcode for op in g.ops}
+        new = {v for a in stats.log for v in a.new}
+        assert not new & before.keys(), source
+        assert all(before.get(op.id) is op.opcode or op.id in new for op in got.ops), source
+        assert verify_graph(got) == []
+        fired += bool(new)
+    assert fired >= 40
+
+
 # A root whose match failed comes back once a splice changes what its matcher
 # read.  Pattern 7 fails while the first sweep still sees a dead reader of
 # the weights, which the first application prunes.  Pattern 3 fails while the
@@ -797,7 +859,7 @@ def test_failed_root_is_retried_when_what_it_read_changes(case):
     g = compile_graph(source, lengths)
     want, applications = reference_rewrite(g)
     got, stats = apply_dsp_patterns(g)
-    assert graph_to_text(got) == graph_to_text(want)
+    assert graph_to_text(renumber(got)) == graph_to_text(want)
     assert stats.applications == applications
     assert {pid.value: n for pid, n in stats.applications.items() if n} == fired
 
@@ -858,22 +920,19 @@ def test_rewrite_work_does_not_grow_with_unrelated_stages(monkeypatch):
 
 
 def test_whole_graph_passes_run_once_per_call(monkeypatch):
-    calls = {"verify_graph": 0, "renumber": 0}
+    calls = []
 
-    def counted(name, fn):
-        def wrapper(*args):
-            calls[name] += 1
-            return fn(*args)
-        return wrapper
+    def counted(graph):
+        calls.append(graph)
+        return verify_graph(graph)
 
-    for name in calls:
-        monkeypatch.setattr(rewriter, name, counted(name, getattr(rewriter, name)))
+    monkeypatch.setattr(rewriter, "verify_graph", counted)
     _, stats = rewrite(CHAINED, {"x": 9})
     assert stats.total_applications() >= 5
-    assert calls == {"verify_graph": 1, "renumber": 1}
+    assert len(calls) == 1
     _, stats = rewrite("def main(x) { print(gain(x, 2.0)); }", {"x": 8})
     assert stats.total_applications() == 0
-    assert calls == {"verify_graph": 1, "renumber": 1}
+    assert len(calls) == 1
 
 
 # --------------------------------------------------------------------------
