@@ -170,26 +170,26 @@ class _Builder:
         return self.emit(sig.opcode, operands=operands, attributes=attributes)
 
     def _const_attr(self, spec: AttrSpec, arg: fe.AstExpression, callee: str) -> object:
-        value = _fold_constant(arg)
+        what = f"{callee} attribute {spec.name!r}"
+        value = _fold_constant(arg, what)
         if value is None:
-            raise BadAttribute(arg.span,
-                               f"{callee} attribute {spec.name!r} must be a constant number")
+            raise BadAttribute(arg.span, f"{what} must be a constant number")
         if spec.kind == "int":
             if not math.isfinite(value) or value != int(value):
-                raise BadAttribute(arg.span,
-                                   f"{callee} attribute {spec.name!r} must be an integer, "
-                                   f"got {value}")
+                raise BadAttribute(arg.span, f"{what} must be an integer, got {value}")
             return int(value)
         return float(value)
 
 
-def _fold_constant(expr: fe.AstExpression) -> Optional[float]:
-    """Evaluate an attribute-position expression built from number literals."""
+def _fold_constant(expr: fe.AstExpression, what: str) -> Optional[float]:
+    """Evaluate an attribute-position expression built from number literals;
+    None if it reads anything else.  Raises BadAttribute, naming the attribute
+    `what`, at a division by zero."""
     if isinstance(expr, fe.NumberLiteral):
         return expr.value
     if isinstance(expr, fe.BinaryOp):
-        lhs = _fold_constant(expr.lhs)
-        rhs = _fold_constant(expr.rhs)
+        lhs = _fold_constant(expr.lhs, what)
+        rhs = _fold_constant(expr.rhs, what)
         if lhs is None or rhs is None:
             return None
         if expr.op == "+":
@@ -199,7 +199,7 @@ def _fold_constant(expr: fe.AstExpression) -> Optional[float]:
         if expr.op == "*":
             return lhs * rhs
         if rhs == 0.0:
-            return None
+            raise BadAttribute(expr.span, f"{what} divides by zero")
         return lhs / rhs
     return None
 
@@ -265,81 +265,54 @@ def verify_graph(graph: DspGraph) -> list[str]:
 
 def check_op(op: OpNode, shapes: dict[ValueId, Optional[TensorShape]]) -> list[str]:
     """The violations of one op, given the shapes of the values defined before
-    it; the op's results are then added to `shapes`.
+    it; the op's results are then added to `shapes`.  Each attribute value is
+    judged by its `AttrSpec.problem` alone.
 
     Where the op has no other violation and all its operand and result shapes
     are known, its result shapes must equal what its OpDef shape rule derives
     from the operand shapes.
     """
     sig = OP_DEFS.get(op.opcode)
-    label = f"%{op.id} {op.opcode.value}"
+    label = f"%{op.id} {op.opcode.value}: "
     if sig is None:
-        return [f"{label}: unknown opcode"]
-    violations: list[str] = []
+        return [f"{label}unknown opcode"]
+    problems: list[str] = []
     for v in op.operands:
         if v not in shapes:
-            violations.append(f"{label}: operand %{v} not defined before use")
+            problems.append(f"operand %{v} not defined before use")
     if len(op.operands) != sig.n_operands:
-        violations.append(f"{label}: expects {sig.n_operands} operand(s), "
-                          f"has {len(op.operands)}")
+        problems.append(f"expects {sig.n_operands} operand(s), has {len(op.operands)}")
     if len(op.attributes) != len(sig.attrs):
-        violations.append(f"{label}: has {len(op.attributes)} attribute(s), "
-                          f"schema says {len(sig.attrs)}")
+        problems.append(f"has {len(op.attributes)} attribute(s), schema says {len(sig.attrs)}")
     else:
-        for spec, value in zip(sig.attrs, op.attributes):
-            if not _attr_type_ok(spec, value):
-                violations.append(f"{label}: attribute {spec.name!r} has wrong type")
-            elif not _attr_finite(spec, value):
-                violations.append(f"{label}: attribute {spec.name}={value!r} "
-                                  "is not finite")
-            elif not spec.ok(value):
-                violations.append(f"{label}: attribute {spec.name}={value!r} "
-                                  f"violates {spec.legal}")
+        problems += filter(None, map(AttrSpec.problem, sig.attrs, op.attributes))
         if sig.cross_check is not None:
-            msg = sig.cross_check({s.name: v for s, v in zip(sig.attrs, op.attributes)})
+            try:
+                msg = sig.cross_check({s.name: v for s, v in zip(sig.attrs, op.attributes)})
+            except TypeError:  # a mistyped attribute, reported above
+                msg = None
             if msg:
-                violations.append(f"{label}: {msg}")
+                problems.append(msg)
     if len(op.result_shapes) != sig.n_results:
-        violations.append(f"{label}: has {len(op.result_shapes)} result shape slot(s), "
-                          f"schema says {sig.n_results}")
+        problems.append(f"has {len(op.result_shapes)} result shape slot(s), "
+                        f"schema says {sig.n_results}")
     if sig.n_results == 0 and op.id != -1:
-        violations.append(f"{label}: resultless op must use id -1")
+        problems.append("resultless op must use id -1")
     ins = [shapes.get(v) for v in op.operands]
     for i, rid in enumerate(op.result_ids):
         if sig.n_results and rid in shapes:
-            violations.append(f"{label}: value %{rid} defined more than once")
+            problems.append(f"value %{rid} defined more than once")
         shapes[rid] = op.result_shapes[i] if i < len(op.result_shapes) else None
-    if not violations and sig.shape is not None \
+    if not problems and sig.shape is not None \
             and None not in ins and None not in op.result_shapes:
         try:
             expected = sig.derive(op, ins)
         except ShapeMismatch as exc:
             return [str(exc)]
         if tuple(op.result_shapes) != expected:
-            violations.append(f"{label}: result shapes "
-                              f"{tuple(map(str, op.result_shapes))} "
-                              f"inconsistent, expected {tuple(map(str, expected))}")
-    return violations
-
-
-def _attr_type_ok(spec: AttrSpec, value: object) -> bool:
-    if spec.kind == "int":
-        return isinstance(value, int) and not isinstance(value, bool)
-    if spec.kind == "float":
-        return isinstance(value, (int, float)) and not isinstance(value, bool)
-    if spec.kind == "float_list":
-        return isinstance(value, tuple) and all(isinstance(v, (int, float)) for v in value)
-    if spec.kind == "str":
-        return isinstance(value, str)
-    return False
-
-
-def _attr_finite(spec: AttrSpec, value) -> bool:
-    if spec.kind == "float":
-        return math.isfinite(value)
-    if spec.kind == "float_list":
-        return all(map(math.isfinite, value))
-    return True
+            problems.append(f"result shapes {tuple(map(str, op.result_shapes))} "
+                            f"inconsistent, expected {tuple(map(str, expected))}")
+    return [label + p for p in problems] if problems else problems
 
 
 # --------------------------------------------------------------------------

@@ -306,8 +306,8 @@ class _Compiler:
     single-use temporaries (`_fold`) and may run over slices (`_stream`), with
     the trees, order and cost of the indexed loop; no slice leaves its loop.
     A shorter one nested in another loop, with no checked divisor (its error
-    names the index), is proved and costed as the indexed loop; then its
-    folded body renders once, and that text once per trip, the index a literal.
+    names the index), renders its folded body once, which proves its accesses
+    and costs one trip, and repeats that text once per trip, the index a literal.
 
     A block's cost per run is static: a Counter keyed by the `ExecCounters`
     fields `stores`, `mults`, `adds` and `trig_calls`, plus ("tag", t) per
@@ -501,26 +501,25 @@ class _Compiler:
                     trip = max(0, upper - lower)
                     inside = (None if known is None or not trip else
                               {**known, stmt.index: (lower, upper - 1)})
-                    body, head, mark = stmt.body, None, len(self.lits)
                     flat = self._fold(stmt, inside) if inside and (
                         loop_stack or trip >= STREAM_MIN_TRIPS) else None
-                    if flat is not None and trip >= STREAM_MIN_TRIPS:
-                        body, head = flat, self._stream(stmt.index, flat, lower, upper, inside)
-                    head = head or f"{i} in range({self._lit(lower)}, {self._lit(upper)})"
-                    body_lines, body_cost = self._block(body, depth + 1, loop_stack + [i], inside)
-                    self.streams = {}
-                    body_cost["tag", stmt.tag] += 1
-                    cost.update({k: v * trip for k, v in body_cost.items()})
                     if flat and trip < STREAM_MIN_TRIPS and not any(
-                            _checked(n) for n, _ in _nodes(flat)):
-                        del self.lits[mark:]  # the loop's text only proved and costed it
-                        text = "\n".join(self._block(flat, depth, loop_stack, inside)[0])
-                        parts = re.split(rf"\b{i}\b", text)
+                            _checked(n) for n, _ in _nodes(flat)):  # straight-line
+                        body_lines, body_cost = self._block(flat, depth, loop_stack, inside)
+                        parts = re.split(rf"\b{i}\b", "\n".join(body_lines))
                         lines.append(f"{pad}# {stmt.tag}: {trip} trips, straight-line")
                         lines += [self._lit(k).join(parts) for k in range(lower, upper)]
                     else:
+                        body = flat if flat is not None and trip >= STREAM_MIN_TRIPS else stmt.body
+                        head = body is flat and self._stream(stmt.index, flat, lower, upper, inside)
+                        head = head or f"{i} in range({self._lit(lower)}, {self._lit(upper)})"
+                        body_lines, body_cost = self._block(body, depth + 1, loop_stack + [i],
+                                                            inside)
+                        self.streams = {}
                         lines.append(f"{pad}for {head}:  # {stmt.tag}")
                         lines.extend(body_lines or [f"{pad}    pass"])
+                    body_cost["tag", stmt.tag] += 1
+                    cost.update({k: v * trip for k, v in body_cost.items()})
             else:
                 raise LoopIrError(f"unknown statement {stmt!r}")
         return lines, cost

@@ -19,7 +19,10 @@ wherever rounding allows.  An emitter builds each statement's operand as one
 expression tree, e.g. ``acc = acc + tap * x[i - j]``, and names a value in a
 temporary only where it must: a value read twice, a loop-carried accumulator,
 a value that crosses a guard boundary, and a non-constant divisor (the
-run-time zero check reads it first).  Cost-model conventions baked in here:
+run-time zero check reads it first).  The reductions but the DFTs (FIR and
+conv1d, the sliding average, the inverse DFT and both symmetric filters) share
+one nest, `_reduce`: per output ``i``, ``acc = 0``, an inner loop over ``j``,
+then ``v<op>[i]`` stored from ``acc``.  Cost-model conventions baked in here:
 
 * filter taps are loaded unconditionally in the inner loop; only the signal
   load and the accumulate sit behind the boundary guard.  Emitters build only
@@ -80,6 +83,17 @@ def _map(op: OpNode, n: int, value: Expr, at: AffineExpr = _af("i"),
     return [_loop(op, n, [*pre, Store(f"v{op.id}", at, value)])]
 
 
+_ACC = TempRef("acc")
+
+
+def _reduce(op: OpNode, n: int, trips: int, inner: list[Stmt], value: Expr = _ACC,
+            mid: Sequence[Stmt] = (), tail: Sequence[Stmt] = ()) -> list[Stmt]:
+    """The reduction nest ``for i in [0, n)``: ``acc = 0``, `inner` for ``j`` in
+    ``[0, trips)``, the statements `mid`, ``v<op>[i] = value`` and `tail`."""
+    return [_loop(op, n, [Assign(_ACC, ConstF(0.0)), _loop(op, trips, inner, "inner", "j"),
+                          *mid, Store(f"v{op.id}", _af("i"), value), *tail], "outer")]
+
+
 def _x(op: OpNode, at: AffineExpr = _af("i")) -> Load:
     """The load ``x[at]`` from the op's first operand."""
     return Load(f"v{op.operands[0]}", at)
@@ -106,26 +120,16 @@ def _e_fir(op: OpNode, lengths: list[int]) -> list[Stmt]:
     """Shared shape of firFilterResponse / conv1d: taps loaded every step."""
     x, h = (f"v{v}" for v in op.operands)
     n_x, n_h = (lengths[v] for v in op.operands)
-    acc, tap = TempRef("acc"), TempRef("tap")
-    inner: list[Stmt] = [Assign(tap, Load(h, _af("j"))),
-                         _guarded_mac(x, n_x, tap, acc)]
-    return [_loop(op, lengths[op.id], [
-        Assign(acc, ConstF(0.0)),
-        _loop(op, n_h, inner, "inner", "j"),
-        Store(f"v{op.id}", _af("i"), acc),
-    ], "outer")]
+    tap = TempRef("tap")
+    return _reduce(op, lengths[op.id], n_h, [Assign(tap, Load(h, _af("j"))),
+                                            _guarded_mac(x, n_x, tap, _ACC)])
 
 
 def _e_sliding_avg(op: OpNode, lengths: list[int]) -> list[Stmt]:
     n, w = lengths[op.id], int(op.attr("window"))
-    acc, at = TempRef("acc"), _af("i").plus(_af("j", -1))
-    inner: list[Stmt] = [
-        SelectGuard(at, 0, n, body=[Assign(acc, acc + _x(op, at))])]
-    return [_loop(op, n, [
-        Assign(acc, ConstF(0.0)),
-        _loop(op, w, inner, "inner", "j"),
-        Store(f"v{op.id}", _af("i"), acc / float(w)),
-    ], "outer")]
+    at = _af("i").plus(_af("j", -1))
+    return _reduce(op, n, w, [SelectGuard(at, 0, n, body=[Assign(_ACC, _ACC + _x(op, at))])],
+                   _ACC / float(w))
 
 
 def _e_dft(op: OpNode, lengths: list[int], *, real: bool = True,
@@ -161,16 +165,10 @@ def _e_dft(op: OpNode, lengths: list[int], *, real: bool = True,
 def _e_idft(op: OpNode, lengths: list[int]) -> list[Stmt]:
     n = lengths[op.id]
     xr, xi = (Load(f"v{v}", _af("j")) for v in op.operands)
-    acc, ang = TempRef("acc"), TempRef("ang")
-    inner: list[Stmt] = [
-        Assign(ang, 2.0 * math.pi / n * IndexProdF("i", "j")),
-        Assign(acc, acc + xr * Call("cos", ang) - xi * Call("sin", ang)),
-    ]
-    return [_loop(op, n, [
-        Assign(acc, ConstF(0.0)),
-        _loop(op, n, inner, "inner", "j"),
-        Store(f"v{op.id}", _af("i"), acc / float(n)),
-    ], "outer")]
+    ang = TempRef("ang")
+    return _reduce(op, n, n, [Assign(ang, 2.0 * math.pi / n * IndexProdF("i", "j")),
+                              Assign(_ACC, _ACC + xr * Call("cos", ang) - xi * Call("sin", ang))],
+                   _ACC / float(n))
 
 
 def _lowpass_tap(L: int, wc: float) -> list[Stmt]:
@@ -218,41 +216,30 @@ def _e_filter_hamm_opt(op: OpNode, lengths: list[int]) -> list[Stmt]:
 def _e_filter_res_symm(op: OpNode, lengths: list[int]) -> list[Stmt]:
     x, h = (f"v{v}" for v in op.operands)
     n_x, L = (lengths[v] for v in op.operands)
-    acc, pair = TempRef("acc"), TempRef("pair")
+    pair = TempRef("pair")
     at_lo = _af("i").plus(_af("j", -1))                  # i - j
     at_hi = _af("i").plus(_af("j")).shifted(-(L - 1))    # i - (L-1-j)
     inner: list[Stmt] = [
         Assign(pair, ConstF(0.0)),
         SelectGuard(at_lo, 0, n_x, body=[Assign(pair, pair + Load(x, at_lo))]),
         SelectGuard(at_hi, 0, n_x, body=[Assign(pair, pair + Load(x, at_hi))]),
-        Assign(acc, acc + Load(h, _af("j")) * pair),
+        Assign(_ACC, _ACC + Load(h, _af("j")) * pair),
     ]
-    body: list[Stmt] = [Assign(acc, ConstF(0.0)),
-                        _loop(op, L // 2, inner, "inner", "j")]
+    mid: list[Stmt] = []
     if L % 2 == 1:
         midi, tap = (L - 1) // 2, TempRef("tap")  # loaded whether or not the guard holds
-        body += [Assign(tap, Load(h, AffineExpr.lit(midi))),
-                 _guarded_mac(x, n_x, tap, acc, offset=-midi, j_coeff=0)]
-    body.append(Store(f"v{op.id}", _af("i"), acc))
-    return [_loop(op, lengths[op.id], body, "outer")]
+        mid = [Assign(tap, Load(h, AffineExpr.lit(midi))),
+               _guarded_mac(x, n_x, tap, _ACC, offset=-midi, j_coeff=0)]
+    return _reduce(op, lengths[op.id], L // 2, inner, mid=mid)
 
 
 def _e_filter_y_symm(op: OpNode, lengths: list[int]) -> list[Stmt]:
-    x, out = f"v{op.operands[0]}", f"v{op.id}"
-    n = lengths[op.operands[0]]
-    acc, tap = TempRef("acc"), TempRef("tap")
-    inner: list[Stmt] = [
-        Assign(tap, Load(x, _af("j", -1, n - 1))),  # reversed tap x[N-1-j]
-        _guarded_mac(x, n, tap, acc),
-    ]
-    return [_loop(op, n, [
-        Assign(acc, ConstF(0.0)),
-        _loop(op, n, inner, "inner", "j"),
-        Store(out, _af("i"), acc),
-        # palindrome: y[2N-2-i] = y[i], middle stored once
-        SelectGuard(_af("i"), 0, n - 1,
-                    body=[Store(out, _af("i", -1, 2 * n - 2), acc)]),
-    ], "outer")]
+    x, n, tap = f"v{op.operands[0]}", lengths[op.operands[0]], TempRef("tap")
+    inner: list[Stmt] = [Assign(tap, Load(x, _af("j", -1, n - 1))),  # reversed tap x[N-1-j]
+                         _guarded_mac(x, n, tap, _ACC)]
+    # palindrome: y[2N-2-i] = y[i], middle stored once
+    return _reduce(op, n, n, inner, tail=[SelectGuard(_af("i"), 0, n - 1, body=[
+        Store(f"v{op.id}", _af("i", -1, 2 * n - 2), _ACC)])])
 
 
 def _e_lms(op: OpNode, lengths: list[int]) -> list[Stmt]:

@@ -3,15 +3,17 @@
 An ``OpDef`` holds everything the graph layer knows about an opcode: its
 source-language spelling (if any), operand count, attribute schema (names,
 types and legal ranges), result count, cross-attribute check and shape rule.
-It is the only record of an attribute's name and legal range: an op stores
-just its attribute values, in schema order, and ``graph.check_op`` is the one
-place that enforces the ranges.  ``OpDef.derive`` is the one place that rejects
-a dynamic operand (only print and return read one), so a shape rule sees static
-operand shapes alone.  The graph builder, shape inference, the verifier, the
-text form (``graph.graph_to_text``) and the rewriter all read this one record.
-The one other per-opcode fact in the package is the op's implementation, its
-loop-nest emitter (``lowering.EMITTERS``), which takes a verified graph and
-checks no attribute.  The tests hold each emitter to a reference kernel
+It is the only record of an attribute's name, type and legal range: an op
+stores just its attribute values, in schema order, and ``AttrSpec.problem`` is
+the one judge of a value, which the verifier (``graph.check_op``) and shape
+inference (``OpDef.result_shapes``) both ask.  ``OpDef.derive`` is the one
+place that rejects a dynamic operand (only print and return read one), so a
+shape rule sees static operand shapes alone.  The graph builder, shape
+inference, the verifier, the text form (``graph.graph_to_text``) and the
+rewriter all read this one record.  The one other per-opcode fact in the
+package is the op's implementation, its loop-nest emitter
+(``lowering.EMITTERS``), which takes a verified graph and checks no
+attribute.  The tests hold each emitter to a reference kernel
 (``tests/kernels.py``) for a source-level opcode, and to the kernels of the
 program it replaces for a rewriter-only one.
 """
@@ -85,15 +87,32 @@ class ShapeMismatch(DspcError):
         super().__init__(f"%{op.id} {op.opcode.value}: {detail}")
 
 
+# The type of each attribute kind's values (a float_list's elements are numbers);
+# a bool is no number, though an int.
+_KIND_TYPES = {"int": int, "float": (int, float), "float_list": tuple, "str": str}
+
+
 @dataclass(frozen=True)
 class AttrSpec:
     name: str
-    kind: str  # "int" | "float" | "float_list" | "str"
+    kind: str  # a key of _KIND_TYPES
     check: Optional[Callable[[object], bool]] = None
     legal: str = ""  # human-readable range, used in verifier messages
 
-    def ok(self, value: object) -> bool:
-        return self.check is None or bool(self.check(value))
+    def problem(self, value: object) -> Optional[str]:
+        """The verifier's sentence for the first thing wrong with `value`: its
+        type for the kind, then (float kinds) its finiteness, then its range;
+        None if nothing is."""
+        kind = self.kind
+        if not isinstance(value, _KIND_TYPES[kind]) or isinstance(value, bool) or \
+                kind == "float_list" and not all(isinstance(x, (int, float)) for x in value):
+            return f"attribute {self.name!r} has wrong type"
+        if kind == "float" and not math.isfinite(value) or \
+                kind == "float_list" and not all(map(math.isfinite, value)):
+            return f"attribute {self.name}={value!r} is not finite"
+        if self.check is not None and not self.check(value):
+            return f"attribute {self.name}={value!r} violates {self.legal}"
+        return None
 
 
 if TYPE_CHECKING:  # a runtime alias would pin TensorShape in typing's caches
@@ -117,8 +136,8 @@ class OpDef:
     def result_shapes(self, op: "OpNode", ins: Sequence[Optional[TensorShape]]
                       ) -> tuple[Optional[TensorShape], ...]:
         """`derive`'s result shapes; all unknown if an operand shape is or an
-        attribute fails its AttrSpec (the verifier reports it)."""
-        if None in ins or not all(map(AttrSpec.ok, self.attrs, op.attributes)):
+        attribute has a problem (`AttrSpec.problem`, which the verifier reports)."""
+        if None in ins or any(map(AttrSpec.problem, self.attrs, op.attributes)):
             return (None,) * self.n_results
         return self.derive(op, ins)
 

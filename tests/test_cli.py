@@ -229,6 +229,13 @@ def test_verify_error_exit_3(capsys, tmp_path):
     assert "k >= 0" in err
 
 
+def test_zero_divisor_attribute_exit_3(capsys):
+    # the folded constant is reported at the division, not as "not constant"
+    code, out, err = run_cli(capsys, "build", str(FIXTURES / "zero_divisor_attr.dsp"))
+    assert (code, out) == (3, "")
+    assert err == "verify error: 3:31: lowPassFIRFilter attribute 'wc' divides by zero\n"
+
+
 def test_op_reading_a_dynamic_tensor_exit_3(capsys, tmp_path):
     src = tmp_path / "dyn.dsp"
     src.write_text("def main(x) { print(sum(runLenEncoding(x))); }\n")

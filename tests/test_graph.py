@@ -193,7 +193,7 @@ def _verify_op(sig, values):
 
 def _in_range(sig):
     """Every combination of in-range candidates, as attribute value lists."""
-    return itertools.product(*([v for v in _CANDIDATES[spec.kind] if spec.ok(v)]
+    return itertools.product(*([v for v in _CANDIDATES[spec.kind] if spec.problem(v) is None]
                                for spec in sig.attrs))
 
 
@@ -212,10 +212,39 @@ def test_verifier_reports_each_out_of_range_attribute(sig, slot):
     spec = sig.attrs[slot]
     values = _valid(sig)
     assert _verify_op(sig, values)[0] == []
-    values[slot] = next(v for v in _CANDIDATES[spec.kind] if not spec.ok(v))
+    values[slot] = next(v for v in _CANDIDATES[spec.kind] if spec.problem(v) is not None)
     violations, label = _verify_op(sig, values)
     assert f"{label}: attribute {spec.name}={values[slot]!r} violates {spec.legal}" \
         in violations
+
+
+# Values of the wrong type for each AttrSpec kind, and non-finite values of the
+# float kinds, tried by the schema-driven type and finiteness tests.
+_WRONG_TYPE = {"int": ("1", 2.0, None), "float": ("0.5", None),
+               "float_list": ([1.0], (1.0, "x")), "str": (1, None)}
+_NON_FINITE = {"float": (math.nan,), "float_list": ((1.0, math.nan),)}
+
+
+@pytest.mark.parametrize("sig, slot", [
+    pytest.param(sig, i, id=f"{sig.opcode.value}.{spec.name}")
+    for sig in OP_DEFS.values() for i, spec in enumerate(sig.attrs)])
+def test_attribute_of_wrong_type_or_not_finite_is_its_ops_only_violation(sig, slot):
+    # generated from the schema: the op's AttrSpec alone judges the value, for
+    # the verifier and for shape inference, which leaves the op unshaped
+    spec = sig.attrs[slot]
+    cases = [(v, f"attribute {spec.name!r} has wrong type") for v in _WRONG_TYPE[spec.kind]]
+    cases += [(v, f"attribute {spec.name}={v!r} is not finite")
+              for v in _NON_FINITE.get(spec.kind, ())]
+    for value, problem in cases:
+        values = _valid(sig)
+        values[slot] = value
+        violations, label = _verify_op(sig, values)
+        assert violations == [f"{label}: {problem}"]
+        # the op of `_verify_op`, its operands shaped: shape inference leaves it unshaped
+        ins = [input_op(i, 8, f"x{i}") for i in range(sig.n_operands)]
+        op = OpNode(sig.n_operands if sig.n_results else -1, sig.opcode,
+                    tuple(range(sig.n_operands)), tuple(values), (None,) * sig.n_results)
+        assert infer_shapes(DspGraph(ins + [op])).ops[-1].result_shapes == op.result_shapes
 
 
 @pytest.mark.parametrize("sig", [sig for sig in OP_DEFS.values() if sig.cross_check],

@@ -424,7 +424,7 @@ def _draw(rng, spec):
     while True:
         v = rng.randint(1, 6) if spec.kind == "int" else rng.choice(
             [0.0, -0.0, float(rng.randint(-3, 3)), rng.uniform(-4.0, 4.0), rng.uniform(0.0, 0.5)])
-        if spec.ok(v):
+        if spec.problem(v) is None:
             return v
 
 
