@@ -273,7 +273,8 @@ def cmd_run(args) -> int:
 
 
 def _bench_average(program, bindings):
-    """Counters are deterministic; wall time is averaged over 5 runs."""
+    """Counters are deterministic; wall time is averaged over 5 runs, of which
+    only the first runs the input-free calls (`interp.evaluate_loop_ir`)."""
     runs = [evaluate_loop_ir(program, bindings) for _ in range(5)]
     outputs, counters = runs[-1]
     counters.wall_time_ns = int(sum(c.wall_time_ns for _, c in runs) / len(runs))

@@ -32,7 +32,9 @@ run of any block is known at codegen time.  The generated code counts only
 how often each branch body (a boundary guard or a data-dependent comparison)
 ran, with one `+=` per run; the totals are the static cost plus each branch
 body's runs times its cost, kept per program as integer vectors, so a run
-only adds integers.
+only adds integers.  A program's first run that ends without raising keeps
+the buffers of its input-free calls and folds their branch runs into the
+static cost: later runs bind those buffers, skip those calls, count the same.
 """
 
 from __future__ import annotations
@@ -652,7 +654,7 @@ _FIELDS = ("stores", "mults", "adds", "trig_calls")
 
 
 class _Linked(NamedTuple):
-    """A program's calls and its costs, split once into integer vectors."""
+    """A program's calls, costs and buffer slots, split once into integer vectors."""
 
     # per call, in order: (rendered unit, buffer slots, label)
     calls: list[tuple[_Rendered, tuple[int, ...], str]]
@@ -661,11 +663,15 @@ class _Linked(NamedTuple):
     tags: list[tuple[str, int]]  # (loop tag, counter)
     loads: list[tuple[str, int]]  # (buffer, counter)
     too_large: Optional[BufferDecl]  # the buffer that passes MAX_ELEMENTS in all, if any
+    inputs: list[tuple[str, int, int]]  # (input name, buffer slot, capacity)
+    outputs: list[tuple[int, int]]  # (value printed or returned, buffer slot)
+    kept: tuple[tuple[int, list], ...] = ()  # (slot, buffer a run binds), see `_fold`
 
 
 def _link(program: LoopProgram) -> _Linked:
     """Bind each call's unit to the program's buffers: the program slot of
-    each parameter of its one function, and its costs under program keys."""
+    each parameter of its one function, its costs under program keys, and
+    the slot of each input and each printed or returned value."""
     slot = {b.name: k for k, b in enumerate(program.buffers)}
     counter = {key: k for k, key in enumerate(_FIELDS)}
     static = [0] * len(_FIELDS)
@@ -691,7 +697,27 @@ def _link(program: LoopProgram) -> _Linked:
                     if isinstance(key, tuple) and key[0] == kind] for kind in ("tag", "load"))
     too_large = next((b for b, total in zip(program.buffers, accumulate(
         b.capacity for b in program.buffers)) if total > MAX_ELEMENTS), None)
-    return _Linked(calls, static, branches, tags, loads, too_large)
+    inputs = [(name, slot[b], program.buffers[slot[b]].capacity) for name, b in program.inputs]
+    outputs = [(vid, slot[b]) for vid, b in program.outputs + program.returns]
+    return _Linked(calls, static, branches, tags, loads, too_large, inputs, outputs)
+
+
+def _fold(linked: _Linked, input_free: frozenset[int], bufs: list, runs: list[int]) -> _Linked:
+    """`linked` less its input-free calls (`input_free`), after a run of it that
+    ended without raising: each buffer they touched is kept from the run's
+    `bufs`, and their branch runs (in `runs`) fold into the static cost."""
+    static, branches = linked.static.copy(), []
+    owners = [c for c, call in enumerate(linked.calls) for _ in call[0].branches]
+    for n, cost, c in zip(runs, linked.branches, owners):
+        if c not in input_free:
+            branches.append(cost)
+        elif n:
+            for k, v in cost:
+                static[k] += v * n
+    return linked._replace(
+        calls=[call for c, call in enumerate(linked.calls) if c not in input_free],
+        static=static, branches=branches,
+        kept=tuple({k: bufs[k] for c in input_free for k in linked.calls[c][1]}.items()))
 
 
 def _ensure_compiled(program: LoopProgram) -> _Linked:
@@ -725,10 +751,11 @@ def compiled_source(program: LoopProgram) -> str:
             if r.text not in names:
                 names[r.text] = f"_run{len(names)}"
                 lines.append(f"def {names[r.text]}{r.text.removeprefix('def _run')}")
-        for r, slots, label in calls:
+        for c, (r, slots, label) in enumerate(calls):
             args = (", ".join([program.buffers[k].name for k in slots])
                     + r.literals).removeprefix(", ")
-            lines.append(f"{names[r.text]}({args})" + (f"  # {label}" if label else ""))
+            lines.append(f"{names[r.text]}({args})" + (f"  # {label}" if label else "")
+                         + " (input-free: runs once)" * (c in program.input_free))
         source = program._source = "\n".join(lines)
     return source
 
@@ -738,23 +765,22 @@ def evaluate_loop_ir(program: LoopProgram,
                      ) -> tuple[dict[int, Tensor], ExecCounters]:
     """Run a loop program; returns printed/returned tensors and counters."""
     inputs = inputs or {}
-    linked = _ensure_compiled(program)
-
-    slot = {b.name: k for k, b in enumerate(program.buffers)}
+    linked = getattr(program, "_folded", None) or _ensure_compiled(program)
     if b := linked.too_large:  # checked before anything is allocated
         raise BufferTooLarge(f"buffer {b.name} of capacity {b.capacity} cannot be allocated: "
                              f"a program's buffers hold at most {MAX_ELEMENTS} elements")
     bufs = [list(b.init) if b.init is not None else [] if b.dynamic else [0.0] * b.capacity
             for b in program.buffers]
-    for name, bname in program.inputs:
+    for k, buf in linked.kept:
+        bufs[k] = buf
+    for name, k, cap in linked.inputs:
         if name not in inputs:
             raise InputMismatch(f"input {name!r} is not bound")
         t = inputs[name]
-        cap = program.buffers[slot[bname]].capacity
         if len(t) != cap:
             raise InputMismatch(
                 f"input {name!r} expects {cap} samples, got {len(t)}")
-        bufs[slot[bname]] = list(t.values)
+        bufs[k] = list(t.values)
 
     runs: list[int] = []
     t0 = time.perf_counter_ns()
@@ -766,6 +792,8 @@ def evaluate_loop_ir(program: LoopProgram,
         name = next(b.name for b, v in zip(program.buffers, bufs) if v is buf)
         raise type(exc)(_MESSAGES[type(exc)].format(name, *cap)) from None
     wall = time.perf_counter_ns() - t0
+    if program.input_free and not linked.kept:
+        program._folded = _fold(linked, program.input_free, bufs, runs)
 
     total = linked.static.copy()
     for n, cost in zip(runs, linked.branches):
@@ -780,10 +808,7 @@ def evaluate_loop_ir(program: LoopProgram,
         stores=stores, mults=mults, adds=adds, trig_calls=trig_calls,
         wall_time_ns=wall, loop_iters_by_tag=by_tag, loads_by_buffer=by_load)
 
-    outputs: dict[int, Tensor] = {}
-    for vid, bname in program.outputs + program.returns:
-        outputs[vid] = Tensor(tuple(bufs[slot[bname]]))
-    return outputs, counters
+    return {vid: Tensor(tuple(bufs[k])) for vid, k in linked.outputs}, counters
 
 
 _REPORT_KEYS = ("loop_iterations", "loads", "stores", "mults", "adds",

@@ -273,6 +273,9 @@ class LoopProgram:
     outputs: list[tuple[int, str]]  # (ValueId printed, buffer name), in print order
     returns: list[tuple[int, str]] = field(default_factory=list)
     calls: list[UnitCall] = field(default_factory=list)
+    # the position in `calls` of each call whose op is input-free: it reads no
+    # input, only constants and input-free values (`interp` runs it once)
+    input_free: frozenset[int] = frozenset()
 
     @property
     def body(self) -> list[Stmt]:

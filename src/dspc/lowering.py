@@ -44,7 +44,9 @@ buffer names.  A float attribute reaches the statements only as ConstF
 values, so ops that differ only in float attributes have one op shape
 (`Unit.shape`), which `interp` renders once.  Inputs, constants, prints and
 returns have no unit: `lower_graph` alone declares the input and constant
-buffers and records which buffers are bound, printed and returned.
+buffers and records which buffers are bound, printed and returned, and which
+calls are input-free (read only constants and input-free values): `interp`
+runs those once per program.
 """
 
 from __future__ import annotations
@@ -424,6 +426,7 @@ def lower_graph(graph: DspGraph) -> LoopProgram:
     outputs, returns = [], []  # (value printed or returned, its buffer)
     shapes: dict[int, tuple[int, bool]] = {}  # (length, dynamic) of each value
     calls: list[UnitCall] = []
+    free, input_free = set(), set()  # input-free values; the calls that make them
     new = tuple.__new__  # builds a BufferDecl without its NamedTuple __new__ frame
     for op in graph.ops:
         oc = op.opcode
@@ -443,6 +446,8 @@ def lower_graph(graph: DspGraph) -> LoopProgram:
             buffers.append(new(BufferDecl, (f"v{rid}", shape.length, init, shape.dynamic)))
             shapes[rid] = shape.length, shape.dynamic
             rid += 1
+        if (called or init is not None) and free.issuperset(op.operands):
+            free.update(range(op.id, rid))
         if not called:
             if oc is OpCode.INPUT:
                 inputs.append((str(op.attr("name")), f"v{op.id}"))
@@ -452,5 +457,7 @@ def lower_graph(graph: DspGraph) -> LoopProgram:
                        tuple(map(values.index, op.operands)),
                        tuple(map(shapes.__getitem__, values)))
         if unit.body:
+            if op.id in free:
+                input_free.add(len(calls))
             calls.append((f"%{op.id} {oc._value_}", unit, tuple([f"v{v}" for v in values])))
-    return LoopProgram(buffers, inputs, outputs, returns, calls)
+    return LoopProgram(buffers, inputs, outputs, returns, calls, frozenset(input_free))

@@ -135,9 +135,10 @@ class OpDef:
 
     def result_shapes(self, op: "OpNode", ins: Sequence[Optional[TensorShape]]
                       ) -> tuple[Optional[TensorShape], ...]:
-        """`derive`'s result shapes; all unknown if an operand shape is or an
-        attribute has a problem (`AttrSpec.problem`, which the verifier reports)."""
-        if None in ins or any(map(AttrSpec.problem, self.attrs, op.attributes)):
+        """`derive`'s result shapes; all unknown if an operand shape is, or the
+        attribute count or an attribute has a problem (which the verifier reports)."""
+        if None in ins or len(op.attributes) != len(self.attrs) or \
+                any(map(AttrSpec.problem, self.attrs, op.attributes)):
             return (None,) * self.n_results
         return self.derive(op, ins)
 

@@ -247,6 +247,31 @@ def test_attribute_of_wrong_type_or_not_finite_is_its_ops_only_violation(sig, sl
         assert infer_shapes(DspGraph(ins + [op])).ops[-1].result_shapes == op.result_shapes
 
 
+@pytest.mark.parametrize("sig", [sig for sig in OP_DEFS.values() if sig.shape],
+                         ids=lambda sig: sig.opcode.value)
+def test_wrong_attribute_count_is_its_ops_only_violation(sig):
+    # an attribute too few or too many: the verifier reports the count, and
+    # shape inference leaves the op unshaped, as for a value with a problem
+    values = _valid(sig)
+    for wrong in ([*values, values[-1] if values else 1], values[:-1]):
+        if len(wrong) == len(values):
+            continue  # no attribute to drop
+        violations, label = _verify_op(sig, wrong)
+        assert violations == [f"{label}: has {len(wrong)} attribute(s), "
+                              f"schema says {len(values)}"]
+        ins = [input_op(i, 8, f"x{i}") for i in range(sig.n_operands)]
+        op = OpNode(sig.n_operands if sig.n_results else -1, sig.opcode,
+                    tuple(range(sig.n_operands)), tuple(wrong), (None,) * sig.n_results)
+        assert infer_shapes(DspGraph(ins + [op])).ops[-1].result_shapes == op.result_shapes
+
+
+def test_downsample_without_its_factor_is_reported_not_a_key_error():
+    g = DspGraph([input_op(0, 8), OpNode(1, OpCode.DOWNSAMPLE, (0,), (), (None,))])
+    shaped_g = infer_shapes(g)
+    assert shaped_g.ops[1].result_shapes == (None,)
+    assert verify_graph(shaped_g) == ["%1 downsample: has 0 attribute(s), schema says 1"]
+
+
 @pytest.mark.parametrize("sig", [sig for sig in OP_DEFS.values() if sig.cross_check],
                          ids=lambda sig: sig.opcode.value)
 def test_verifier_reports_each_cross_attribute_violation(sig):

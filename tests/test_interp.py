@@ -5,6 +5,7 @@ import json
 import math
 import random
 import re
+import sys
 from pathlib import Path
 
 import pytest
@@ -12,7 +13,7 @@ import pytest
 from dspc import corpus
 from dspc.frontend import parse_source
 from dspc.graph import DspGraph, OpNode, build_graph, infer_shapes, verify_graph
-from dspc.interp import (STREAM_MIN_TRIPS, CapacityExceeded, InputMismatch,
+from dspc.interp import (STREAM_MIN_TRIPS, BufferTooLarge, CapacityExceeded, InputMismatch,
                          LoopDivisionByZero, LoopRuntimeError, NonFinite, compiled_source,
                          counters_report, evaluate_loop_ir, report_table, tensor)
 from dspc.loop_ir import (AffineExpr, Assign, BufferDecl, Call, CheckFinite, Cond, ConstF,
@@ -489,7 +490,8 @@ def test_ops_differing_only_in_floats_share_one_render(monkeypatch, sig, seed):
     assert b.text is a.text and (b.params, b.static, b.branches) == (a.params, a.static, a.branches)
     monkeypatch.undo()
     alone = LoopProgram(second.buffers, second.inputs, second.outputs,
-                        calls=[(label, Unit(unit.buffers, unit.body), names)])
+                        calls=[(label, Unit(unit.buffers, unit.body), names)],
+                        input_free=second.input_free)
     r = interp._rendered(alone.calls[0][1])
     assert (repr(r.fn.__defaults__), r.literals) == (repr(b.fn.__defaults__), b.literals)
     assert compiled_source(alone) == compiled_source(second)
@@ -982,3 +984,101 @@ def test_golden_outputs_are_bit_identical():
     # reassociates float arithmetic shows here even where counters agree
     want = json.loads((FIXTURES / "golden_outputs.json").read_text())
     assert _output_digests() == want
+
+
+# Input-free calls: a run that ends without raising keeps their buffers, and
+# every later run of the program skips them.
+
+
+def _writes(stmts):
+    """The buffers each Store and DynAppend in `stmts` writes."""
+    for s in stmts:
+        if isinstance(s, (Store, DynAppend)):
+            yield s.buffer
+        for arm in ("body", "orelse"):
+            yield from _writes(getattr(s, arm, ()))
+
+
+def test_every_call_writes_exactly_its_own_results():
+    # so a buffer kept from an input-free call is never written by a later call
+    golden = program_for((FIXTURES / "golden_lowering.dsp").read_text(), {"x": 3, "d": 3})
+    calls = [call for p in [*_corpus_programs(), golden] for call in p.calls]
+    for label, unit, names in calls:
+        vid, opcode = label[1:].split()
+        own = {f"v{int(vid) + i}" for i in range(OP_DEFS[OpCode(opcode)].n_results)}
+        bound = dict(zip([b.name for b in unit.buffers], names))
+        assert {bound[b] for b in _writes(unit.body)} == own, label
+    assert len(calls) > len(golden.calls)
+
+
+def _outcome_and_units(program, inputs):
+    """(outputs as hex and counters but wall time, or the error raised; the
+    code of each unit function called, in order) of one run of `program`."""
+    ran = []
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code.co_filename == "<loop-unit>":
+            ran.append(frame.f_code)
+    sys.setprofile(profile)
+    try:
+        outcome = _outcome(program, inputs)
+    finally:
+        sys.setprofile(None)
+    return outcome, ran
+
+
+def test_later_runs_equal_a_fresh_programs_first_run():
+    for app in corpus.APPS:
+        sizes = app.default_sizes()
+        g = corpus.compile_source(app.source(sizes), app.input_lengths(sizes))
+        for graph in (g, apply_dsp_patterns(g)[0]):
+            program = lower_graph(graph)
+            for seed in (1, 2, 3):
+                inputs = app.synth_inputs(sizes, seed)
+                assert _outcome(program, inputs) == _outcome(lower_graph(graph), inputs)
+
+
+@pytest.mark.parametrize("name, later", [("FilterDesign", []),
+                                         ("LowPassFiltering", ["add", "filter_res_symm_opt"])])
+def test_later_runs_call_only_what_reads_an_input(name, later):
+    app = corpus.find_app(name)
+    program, = _corpus_programs(apps=[app])[1:]
+    code = {label.split()[1]: c for (label, *_), c in zip(program.calls, _unit_code(program))}
+    inputs = app.synth_inputs(app.default_sizes(), 1)
+    outcome, ran = _outcome_and_units(program, inputs)
+    assert ran == _unit_code(program)
+    for _ in range(2):
+        assert _outcome_and_units(program, inputs) == (outcome, [code[op] for op in later])
+
+
+def test_an_input_free_call_that_raises_raises_on_every_run():
+    big = "gain(hammingWindow(4), 1" + "0" * 308 + ") * 10"  # 1e308 as a plain literal
+    program = program_for(f"def main() {{ var big = {big}; print(threshold(big - big, 0.5)); }}")
+    (error, message), ran = _outcome_and_units(program, {})
+    assert error is NonFinite and len(ran) == len(program.calls) == len(program.input_free)
+    for _ in range(2):
+        assert _outcome_and_units(program, {}) == ((error, message), ran)
+
+
+def test_a_run_that_fails_later_keeps_nothing():
+    source = "def main(x) { print(hammingWindow(4) / x); }"
+    program = program_for(source, {"x": 4})
+    bad, good = {"x": tensor([1, 0, 1, 1])}, {"x": tensor([1, 2, 3, 4])}
+    failed = _outcome(program_for(source, {"x": 4}), bad)
+    assert failed[0] is LoopDivisionByZero
+    all_units = _unit_code(program)
+    for _ in range(2):
+        assert _outcome_and_units(program, bad) == (failed, all_units)
+    done = _outcome(program_for(source, {"x": 4}), good)
+    assert _outcome_and_units(program, good) == (done, all_units)
+    assert _outcome_and_units(program, good) == (done, all_units[1:])
+    assert _outcome_and_units(program, bad) == (failed, all_units[1:])
+
+
+def test_buffer_too_large_is_raised_on_every_run_before_allocating():
+    # [0.0] * 10**20 would raise OverflowError: the check comes first each run
+    program = program_for("def main() { print(sinVec(1" + "0" * 20 + ", 1, 8)); }")
+    assert program.input_free
+    for _ in range(3):
+        with pytest.raises(BufferTooLarge, match="cannot be allocated"):
+            evaluate_loop_ir(program, {})
