@@ -272,13 +272,12 @@ def cmd_run(args) -> int:
     return EXIT_OK
 
 
-def _bench_average(program, bindings):
-    """Counters are deterministic; wall time is averaged over 5 runs, of which
-    only the first runs the input-free calls (`interp.evaluate_loop_ir`)."""
-    runs = [evaluate_loop_ir(program, bindings) for _ in range(5)]
-    outputs, counters = runs[-1]
-    counters.wall_time_ns = int(sum(c.wall_time_ns for _, c in runs) / len(runs))
-    return outputs, counters
+def _bench_runs(program, bindings):
+    """Outputs and counters of a program's first run, and the mean wall time of four
+    more, which skip the input-free units (`interp.evaluate_loop_ir`)."""
+    outputs, counters = evaluate_loop_ir(program, bindings)
+    return outputs, counters, sum(evaluate_loop_ir(program, bindings)[1].wall_time_ns
+                                  for _ in range(4)) // 4
 
 
 def _resolve_bench_target(args) -> tuple[CorpusApp, dict[str, int],
@@ -326,8 +325,8 @@ def cmd_bench(args) -> int:
     prog_none = lower_graph(graph_none)
     prog_dsp = lower_graph(graph_dsp)
     bindings = _draw({}, synth)
-    outs_none, before = _bench_average(prog_none, bindings)
-    outs_dsp, after = _bench_average(prog_dsp, bindings)
+    outs_none, before, steady_none = _bench_runs(prog_none, bindings)
+    outs_dsp, after, steady_dsp = _bench_runs(prog_dsp, bindings)
     vals_none = [outs_none[vid] for vid, _ in prog_none.outputs]
     vals_dsp = [outs_dsp[vid] for vid, _ in prog_dsp.outputs]
 
@@ -338,7 +337,7 @@ def cmd_bench(args) -> int:
                        before=before, after=after, graph_none=graph_none,
                        graph_dsp=graph_dsp, deviation=deviation)
     results = [check(ctx) for check in app.checks]
-    report = counters_report(before, after)
+    report = counters_report(before, after, (steady_none, steady_dsp))
 
     size_text = ", ".join(f"{k}={v}" for k, v in sizes.items())
     print(f"app: {app.name}" + (f" ({size_text})" if size_text else ""))

@@ -157,28 +157,29 @@ def tokenize(source: str) -> list[Token]:
 
 
 # --------------------------------------------------------------------------
-# AST
+# AST: slotted records, set field by field and never changed after.  A span
+# is where a node was written, not what it is, so equality ignores it.
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class NumberLiteral:
     value: float
     span: SourceSpan = field(compare=False, default=SourceSpan(1, 1))
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class TensorLiteral:
     values: tuple[float, ...]
     span: SourceSpan = field(compare=False, default=SourceSpan(1, 1))
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class VariableRef:
     name: str
     span: SourceSpan = field(compare=False, default=SourceSpan(1, 1))
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class BinaryOp:
     op: str  # one of + - * /
     lhs: "AstExpression"
@@ -186,7 +187,7 @@ class BinaryOp:
     span: SourceSpan = field(compare=False, default=SourceSpan(1, 1))
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Call:
     callee: str
     args: tuple["AstExpression", ...]
@@ -196,26 +197,26 @@ class Call:
 AstExpression = Union[NumberLiteral, TensorLiteral, VariableRef, BinaryOp, Call]
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class VarDecl:
     name: str
     initializer: AstExpression
     span: SourceSpan = field(compare=False, default=SourceSpan(1, 1))
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class PrintStmt:
     expr: AstExpression
     span: SourceSpan = field(compare=False, default=SourceSpan(1, 1))
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class ReturnStmt:
     expr: Optional[AstExpression]
     span: SourceSpan = field(compare=False, default=SourceSpan(1, 1))
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class ExprStmt:
     expr: AstExpression
     span: SourceSpan = field(compare=False, default=SourceSpan(1, 1))
@@ -224,7 +225,7 @@ class ExprStmt:
 AstStatement = Union[VarDecl, PrintStmt, ReturnStmt, ExprStmt]
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class AstFunction:
     name: str
     params: tuple[str, ...]
@@ -232,7 +233,7 @@ class AstFunction:
     span: SourceSpan = field(compare=False, default=SourceSpan(1, 1))
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class AstModule:
     functions: tuple[AstFunction, ...]
 
@@ -299,7 +300,7 @@ class _Parser:
         depths = self.depths
         depth = 1 + max(depths.get(id(lhs), 1), depths.get(id(rhs), 1))
         self.check_depth(depth, op.span)
-        node = BinaryOp(op.text, lhs, rhs, span=op.span)
+        node = BinaryOp(op.text, lhs, rhs, op.span)
         depths[id(node)] = depth
         return node
 
@@ -324,7 +325,7 @@ class _Parser:
             seen.add(fn.name)
         if "main" not in seen:
             raise ParseError(functions[-1].span, "a main function", "a module without main")
-        return AstModule(functions=tuple(functions))
+        return AstModule(tuple(functions))
 
     def funcdef(self) -> AstFunction:
         start = self.expect("def")
@@ -356,8 +357,7 @@ class _Parser:
                                      f"redeclaration of {stmt.name!r}")
                 declared.add(stmt.name)
             body.append(stmt)
-        return AstFunction(name=name_tok.text, params=tuple(params), body=tuple(body),
-                           span=start.span)
+        return AstFunction(name_tok.text, tuple(params), tuple(body), start.span)
 
     def statement(self) -> AstStatement:
         tok = self.tokens[self.pos]
@@ -368,24 +368,24 @@ class _Parser:
             self.expect("=")
             init = self.expression()
             self.expect(";")
-            return VarDecl(name.text, init, span=name.span)
+            return VarDecl(name.text, init, name.span)
         if text == "print":
             self.pos += 1
             self.expect("(")
             expr = self.expression()
             self.expect(")")
             self.expect(";")
-            return PrintStmt(expr, span=tok.span)
+            return PrintStmt(expr, tok.span)
         if text == "return":
             self.pos += 1
             expr = None
             if not self.accept(";"):
                 expr = self.expression()
                 self.expect(";")
-            return ReturnStmt(expr, span=tok.span)
+            return ReturnStmt(expr, tok.span)
         expr = self.expression()
         self.expect(";")
-        return ExprStmt(expr, span=expr.span)
+        return ExprStmt(expr, expr.span)
 
     # expr := term {("+"|"-") term}
     def expression(self) -> AstExpression:
@@ -409,7 +409,7 @@ class _Parser:
         if kind is TokenKind.IDENT:
             self.pos += 1
             if not self.accept("("):
-                return VariableRef(tok.text, span=tok.span)
+                return VariableRef(tok.text, tok.span)
             self.open += 1
             self.check_depth(self.open, tok.span)
             args: list[AstExpression] = []
@@ -420,10 +420,10 @@ class _Parser:
                         break
                     self.expect(",")
             self.open -= 1
-            return self.deeper(Call(tok.text, tuple(args), span=tok.span), *args)
+            return self.deeper(Call(tok.text, tuple(args), tok.span), *args)
         if kind is TokenKind.NUMBER:
             self.pos += 1
-            return NumberLiteral(self.number(tok), span=tok.span)
+            return NumberLiteral(self.number(tok), tok.span)
         if tok.text == "(":
             self.pos += 1
             self.open += 1
@@ -438,7 +438,7 @@ class _Parser:
             while not self.accept("]"):
                 self.expect(",")
                 values.append(self._number_element())
-            return TensorLiteral(tuple(values), span=tok.span)
+            return TensorLiteral(tuple(values), tok.span)
         raise self.error("an expression")
 
     def _number_element(self) -> float:

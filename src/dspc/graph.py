@@ -4,23 +4,29 @@ Ops live in a topologically ordered list; every value is defined exactly once
 and referenced only by later ops.  The list is the whole graph: the inputs,
 prints and returns are ops too (the last two resultless).  Shapes are static
 one-dimensional lengths, except run-length encoding whose result carries a
-dynamic logical length bounded by its buffer capacity.
+dynamic logical length bounded by its buffer capacity.  The verifier checks an
+op with the checker built from its `OpDef` at import, which formats nothing
+for an op without a violation.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Mapping, Optional
 
 from . import frontend as fe
 from .errors import DspcError
-from .ops import OP_DEFS, OPDEF_BY_BUILTIN, AttrSpec, OpCode, ShapeMismatch, TensorShape
+from .ops import OP_DEFS, OPDEF_BY_BUILTIN, AttrSpec, OpCode, OpDef, ShapeMismatch, TensorShape
 
 ValueId = int
 
+# Opcodes that per-op loops use, bound once, as reading an enum member is slow.
+_INPUT, _PRINT, _RETURN, _CONST = OpCode.INPUT, OpCode.PRINT, OpCode.RETURN, OpCode.CONST_TENSOR
 
-@dataclass(frozen=True)
+
+@dataclass(slots=True, unsafe_hash=True)  # set field by field; not changed once in a graph
 class OpNode:
     """One operation; ``id`` is the ValueId of its first result.
 
@@ -59,15 +65,15 @@ class DspGraph:
 
     @property
     def inputs(self) -> list[tuple[str, ValueId]]:
-        return [(op.attr("name"), op.id) for op in self.ops if op.opcode is OpCode.INPUT]
+        return [(op.attr("name"), op.id) for op in self.ops if op.opcode is _INPUT]
 
     @property
     def prints(self) -> list[ValueId]:
-        return [op.operands[0] for op in self.ops if op.opcode is OpCode.PRINT]
+        return [op.operands[0] for op in self.ops if op.opcode is _PRINT]
 
     @property
     def returns(self) -> list[ValueId]:
-        return [op.operands[0] for op in self.ops if op.opcode is OpCode.RETURN]
+        return [op.operands[0] for op in self.ops if op.opcode is _RETURN]
 
 
 class GraphBuildError(DspcError):
@@ -113,16 +119,14 @@ class _Builder:
              attributes: tuple[object, ...] = ()) -> ValueId:
         n_results = OP_DEFS[opcode].n_results
         op_id = self.next_id if n_results > 0 else -1
-        node = OpNode(id=op_id, opcode=opcode, operands=operands, attributes=attributes,
-                      result_shapes=(None,) * n_results)
-        self.graph.ops.append(node)
+        self.graph.ops.append(OpNode(op_id, opcode, operands, attributes, (None,) * n_results))
         self.next_id += n_results
         return op_id
 
     def build(self, module: fe.AstModule) -> DspGraph:
         main = module.main
         for param in main.params:
-            self.env[param] = self.emit(OpCode.INPUT, attributes=(param,))
+            self.env[param] = self.emit(_INPUT, (), (param,))
         for stmt in main.body:
             self.statement(stmt)
         return self.graph
@@ -131,30 +135,30 @@ class _Builder:
         if isinstance(stmt, fe.VarDecl):
             self.env[stmt.name] = self.expression(stmt.initializer)
         elif isinstance(stmt, fe.PrintStmt):
-            self.emit(OpCode.PRINT, operands=(self.expression(stmt.expr),))
+            self.emit(_PRINT, (self.expression(stmt.expr),))
         elif isinstance(stmt, fe.ReturnStmt):
             if stmt.expr is not None:
-                self.emit(OpCode.RETURN, operands=(self.expression(stmt.expr),))
+                self.emit(_RETURN, (self.expression(stmt.expr),))
         elif isinstance(stmt, fe.ExprStmt):
             self.expression(stmt.expr)
         else:
             raise TypeError(f"not a statement node: {stmt!r}")
 
     def expression(self, expr: fe.AstExpression) -> ValueId:
-        if isinstance(expr, fe.NumberLiteral):
-            return self.emit(OpCode.CONST_TENSOR, attributes=((expr.value,),))
-        if isinstance(expr, fe.TensorLiteral):
-            return self.emit(OpCode.CONST_TENSOR, attributes=(tuple(expr.values),))
         if isinstance(expr, fe.VariableRef):
             if expr.name not in self.env:
                 raise UndefinedVariable(expr.span, expr.name)
             return self.env[expr.name]
+        if isinstance(expr, fe.Call):
+            return self.call(expr)
+        if isinstance(expr, fe.NumberLiteral):
+            return self.emit(_CONST, (), ((expr.value,),))
         if isinstance(expr, fe.BinaryOp):
             lhs = self.expression(expr.lhs)
             rhs = self.expression(expr.rhs)
-            return self.emit(OPDEF_BY_BUILTIN[expr.op].opcode, operands=(lhs, rhs))
-        if isinstance(expr, fe.Call):
-            return self.call(expr)
+            return self.emit(OPDEF_BY_BUILTIN[expr.op].opcode, (lhs, rhs))
+        if isinstance(expr, fe.TensorLiteral):
+            return self.emit(_CONST, (), (tuple(expr.values),))
         raise TypeError(f"not an expression node: {expr!r}")
 
     def call(self, expr: fe.Call) -> ValueId:
@@ -164,14 +168,13 @@ class _Builder:
         expected = sig.n_operands + len(sig.attrs)
         if len(expr.args) != expected:
             raise ArityMismatch(expr.span, expr.callee, expected, len(expr.args))
-        operands = tuple(self.expression(a) for a in expr.args[:sig.n_operands])
-        attributes = tuple(self._const_attr(spec, arg, expr.callee)
-                           for spec, arg in zip(sig.attrs, expr.args[sig.n_operands:]))
-        return self.emit(sig.opcode, operands=operands, attributes=attributes)
+        return self.emit(sig.opcode, tuple(map(self.expression, expr.args[:sig.n_operands])),
+                         tuple([self._const_attr(spec, arg, expr.callee) for spec, arg
+                                in zip(sig.attrs, expr.args[sig.n_operands:])]))
 
     def _const_attr(self, spec: AttrSpec, arg: fe.AstExpression, callee: str) -> object:
         what = f"{callee} attribute {spec.name!r}"
-        value = _fold_constant(arg, what)
+        value = arg.value if type(arg) is fe.NumberLiteral else _fold_constant(arg, what)
         if value is None:
             raise BadAttribute(arg.span, f"{what} must be a constant number")
         if spec.kind == "int":
@@ -242,8 +245,7 @@ def infer_shapes(graph: DspGraph,
         else:
             shaped = sig.result_shapes(op, ins)
         new_ops.append(OpNode(op.id, op.opcode, op.operands, op.attributes, shaped))
-        for rid, s in zip(range(op.id, op.id + sig.n_results), shaped):
-            shapes[rid] = s
+        shapes.update(zip(range(op.id, op.id + sig.n_results), shaped))
     return DspGraph(new_ops)
 
 
@@ -259,60 +261,59 @@ def verify_graph(graph: DspGraph) -> list[str]:
     violations: list[str] = []
     shapes: dict[ValueId, Optional[TensorShape]] = {}  # every value defined so far
     for op in graph.ops:
-        violations += check_op(op, shapes)
+        violations += _CHECKERS[op.opcode](op, shapes)
     return violations
 
 
 def check_op(op: OpNode, shapes: dict[ValueId, Optional[TensorShape]]) -> list[str]:
     """The violations of one op, given the shapes of the values defined before
-    it; the op's results are then added to `shapes`.  Each attribute value is
-    judged by its `AttrSpec.problem` alone.
+    it, to which the op's results are added.  Its `AttrSpec.problem` alone
+    judges an attribute value.  With no other violation and all shapes known,
+    the result shapes must be those the shape rule derives from the operands'."""
+    return _CHECKERS[op.opcode](op, shapes)
 
-    Where the op has no other violation and all its operand and result shapes
-    are known, its result shapes must equal what its OpDef shape rule derives
-    from the operand shapes.
-    """
-    sig = OP_DEFS.get(op.opcode)
-    label = f"%{op.id} {op.opcode.value}: "
-    if sig is None:
-        return [f"{label}unknown opcode"]
-    problems: list[str] = []
-    for v in op.operands:
-        if v not in shapes:
-            problems.append(f"operand %{v} not defined before use")
+
+def _check(sig: OpDef, op: OpNode, shapes: dict) -> list[str]:
+    """`check_op` for an op of `sig`; bound to each OpDef at import."""
+    problems = [f"operand %{v} not defined before use" for v in op.operands if v not in shapes]
     if len(op.operands) != sig.n_operands:
         problems.append(f"expects {sig.n_operands} operand(s), has {len(op.operands)}")
     if len(op.attributes) != len(sig.attrs):
         problems.append(f"has {len(op.attributes)} attribute(s), schema says {len(sig.attrs)}")
-    else:
+    elif op.attributes:
         problems += filter(None, map(AttrSpec.problem, sig.attrs, op.attributes))
-        if sig.cross_check is not None:
-            try:
-                msg = sig.cross_check({s.name: v for s, v in zip(sig.attrs, op.attributes)})
-            except TypeError:  # a mistyped attribute, reported above
-                msg = None
-            if msg:
-                problems.append(msg)
+    if sig.cross_check:
+        try:
+            msg = sig.cross_check(*op.attributes)
+        except TypeError:  # a wrong count or a mistyped attribute, reported above
+            msg = None
+        if msg:
+            problems.append(msg)
     if len(op.result_shapes) != sig.n_results:
         problems.append(f"has {len(op.result_shapes)} result shape slot(s), "
                         f"schema says {sig.n_results}")
-    if sig.n_results == 0 and op.id != -1:
+    if not sig.n_results and op.id != -1:
         problems.append("resultless op must use id -1")
-    ins = [shapes.get(v) for v in op.operands]
-    for i, rid in enumerate(op.result_ids):
-        if sig.n_results and rid in shapes:
+    for i, rid in enumerate(range(op.id, op.id + sig.n_results)):
+        if rid in shapes:
             problems.append(f"value %{rid} defined more than once")
         shapes[rid] = op.result_shapes[i] if i < len(op.result_shapes) else None
-    if not problems and sig.shape is not None \
-            and None not in ins and None not in op.result_shapes:
-        try:
-            expected = sig.derive(op, ins)
-        except ShapeMismatch as exc:
-            return [str(exc)]
-        if tuple(op.result_shapes) != expected:
-            problems.append(f"result shapes {tuple(map(str, op.result_shapes))} "
-                            f"inconsistent, expected {tuple(map(str, expected))}")
-    return [label + p for p in problems] if problems else problems
+    if problems:
+        return [f"%{op.id} {op.opcode.value}: {p}" for p in problems]
+    ins = [shapes[v] for v in op.operands]
+    if sig.shape is None or not all(op.result_shapes) or not all(ins):  # None: unknown
+        return problems
+    try:
+        expected = sig.derive(op, ins)
+    except ShapeMismatch as exc:
+        return [str(exc)]
+    if tuple(op.result_shapes) != expected:
+        return [f"%{op.id} {op.opcode.value}: result shapes {tuple(map(str, op.result_shapes))} "
+                f"inconsistent, expected {tuple(map(str, expected))}"]
+    return problems
+
+
+_CHECKERS = {opcode: partial(_check, sig) for opcode, sig in OP_DEFS.items()}
 
 
 # --------------------------------------------------------------------------
@@ -350,10 +351,10 @@ def graph_to_text(graph: DspGraph) -> str:
     lines: list[str] = []
     for op in graph.ops:
         args = ", ".join(f"%{v}" for v in op.operands)
-        if op.opcode is OpCode.PRINT:
+        if op.opcode is _PRINT:
             lines.append(f"print({args})")
             continue
-        if op.opcode is OpCode.RETURN:
+        if op.opcode is _RETURN:
             lines.append(f"return {args}")
             continue
         heads = ", ".join(f"%{r}" for r in op.result_ids)

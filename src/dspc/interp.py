@@ -660,6 +660,7 @@ class _Linked(NamedTuple):
     calls: list[tuple[_Rendered, tuple[int, ...], str]]
     static: list[int]  # cost of one run per counter: _FIELDS, then tags and loads
     branches: list[tuple[tuple[int, int], ...]]  # (counter, cost) per run counter
+    starts: list[int]  # the first run counter of each call's branches, then their count
     tags: list[tuple[str, int]]  # (loop tag, counter)
     loads: list[tuple[str, int]]  # (buffer, counter)
     too_large: Optional[BufferDecl]  # the buffer that passes MAX_ELEMENTS in all, if any
@@ -693,30 +694,30 @@ def _link(program: LoopProgram) -> _Linked:
             static[at(key, names)] += v
     branches = [tuple([(at(key, names), v) for key, v in cost])
                 for r, names in bound for cost in r.branches]
+    starts = [*accumulate([len(r.branches) for r, _ in bound], initial=0)]
     tags, loads = ([(key[1], k) for key, k in counter.items()
                     if isinstance(key, tuple) and key[0] == kind] for kind in ("tag", "load"))
     too_large = next((b for b, total in zip(program.buffers, accumulate(
         b.capacity for b in program.buffers)) if total > MAX_ELEMENTS), None)
     inputs = [(name, slot[b], program.buffers[slot[b]].capacity) for name, b in program.inputs]
     outputs = [(vid, slot[b]) for vid, b in program.outputs + program.returns]
-    return _Linked(calls, static, branches, tags, loads, too_large, inputs, outputs)
+    return _Linked(calls, static, branches, starts, tags, loads, too_large, inputs, outputs)
 
 
 def _fold(linked: _Linked, input_free: frozenset[int], bufs: list, runs: list[int]) -> _Linked:
     """`linked` less its input-free calls (`input_free`), after a run of it that
     ended without raising: each buffer they touched is kept from the run's
-    `bufs`, and their branch runs (in `runs`) fold into the static cost."""
-    static, branches = linked.static.copy(), []
-    owners = [c for c, call in enumerate(linked.calls) for _ in call[0].branches]
-    for n, cost, c in zip(runs, linked.branches, owners):
-        if c not in input_free:
-            branches.append(cost)
-        elif n:
+    `bufs`, and their branch runs (in `runs`) fold into the static cost.  It keeps
+    no `starts`: a record that keeps buffers is not folded again."""
+    calls, static, branches = linked.calls.copy(), linked.static.copy(), linked.branches.copy()
+    for c in sorted(input_free, reverse=True):  # a later call first: the earlier stay put
+        span = slice(linked.starts[c], linked.starts[c + 1])
+        for n, cost in zip(runs[span], linked.branches[span]):
             for k, v in cost:
                 static[k] += v * n
+        del calls[c], branches[span]
     return linked._replace(
-        calls=[call for c, call in enumerate(linked.calls) if c not in input_free],
-        static=static, branches=branches,
+        calls=calls, static=static, branches=branches, starts=[],
         kept=tuple({k: bufs[k] for c in input_free for k in linked.calls[c][1]}.items()))
 
 
@@ -815,23 +816,23 @@ _REPORT_KEYS = ("loop_iterations", "loads", "stores", "mults", "adds",
                 "trig_calls", "wall_time_ns")
 
 
-def counters_report(before: ExecCounters, after: ExecCounters) -> dict:
-    """Per-counter after/before ratios; JSON-ready with stable key order."""
-    ratios = {}
-    for key in _REPORT_KEYS:
-        b, a = getattr(before, key), getattr(after, key)
-        ratios[key] = (a / b) if b else (1.0 if a == 0 else float("inf"))
-    return {
-        "before": before.as_dict(),
-        "after": after.as_dict(),
-        "ratios": ratios,
-    }
+def counters_report(before: ExecCounters, after: ExecCounters,
+                    steady: Optional[tuple[int, int]] = None) -> dict:
+    """Per-counter after/before ratios; JSON-ready with stable key order.  With
+    `steady`, the (before, after) wall time of runs after the first, a row for it."""
+    report = {"before": before.as_dict(), "after": after.as_dict(), "ratios": {}}
+    if steady:
+        report["before"]["steady_wall_time_ns"], report["after"]["steady_wall_time_ns"] = steady
+    for key in _REPORT_KEYS + ("steady_wall_time_ns",) * bool(steady):
+        b, a = report["before"][key], report["after"][key]
+        report["ratios"][key] = (a / b) if b else (1.0 if a == 0 else float("inf"))
+    return report
 
 
 def report_table(report: dict) -> str:
     """Render a counters_report dict as an aligned human-readable table."""
     rows = [("counter", "before", "after", "ratio")]
-    for key in _REPORT_KEYS:
+    for key in report["ratios"]:
         rows.append((key, str(report["before"][key]),
                      str(report["after"][key]),
                      f"{report['ratios'][key]:.6g}"))

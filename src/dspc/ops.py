@@ -4,18 +4,17 @@ An ``OpDef`` holds everything the graph layer knows about an opcode: its
 source-language spelling (if any), operand count, attribute schema (names,
 types and legal ranges), result count, cross-attribute check and shape rule.
 It is the only record of an attribute's name, type and legal range: an op
-stores just its attribute values, in schema order, and ``AttrSpec.problem`` is
-the one judge of a value, which the verifier (``graph.check_op``) and shape
-inference (``OpDef.result_shapes``) both ask.  ``OpDef.derive`` is the one
-place that rejects a dynamic operand (only print and return read one), so a
-shape rule sees static operand shapes alone.  The graph builder, shape
-inference, the verifier, the text form (``graph.graph_to_text``) and the
-rewriter all read this one record.  The one other per-opcode fact in the
-package is the op's implementation, its loop-nest emitter
-(``lowering.EMITTERS``), which takes a verified graph and checks no
-attribute.  The tests hold each emitter to a reference kernel
-(``tests/kernels.py``) for a source-level opcode, and to the kernels of the
-program it replaces for a rewriter-only one.
+stores just its attribute values, in schema order.  ``AttrSpec.problem`` is
+the one judge of a value, which the checker the verifier builds from each
+record (``graph.check_op``) and shape inference (``OpDef.result_shapes``) ask
+by position, as a cross check reads them.  ``OpDef.derive`` alone rejects a
+dynamic operand (only print and return read one), so a shape rule sees static
+operand shapes.  The graph builder, shape inference, the verifier, the text
+form (``graph.graph_to_text``) and the rewriter all read this one record.  The
+one other per-opcode fact is the op's loop-nest emitter (``lowering.EMITTERS``),
+which takes a verified graph and checks no attribute.  The tests hold each
+emitter to a reference kernel (``tests/kernels.py``) for a source-level
+opcode, and to the kernels of the program it replaces for a rewriter-only one.
 """
 
 from __future__ import annotations
@@ -131,13 +130,13 @@ class OpDef:
     attrs: tuple[AttrSpec, ...]
     shape: Optional[ShapeRule]  # None only for inputs, shaped by bindings
     n_results: int = 1
-    cross_check: Optional[Callable[[dict], Optional[str]]] = None
+    cross_check: Optional[Callable[..., Optional[str]]] = None  # (values) -> what is wrong
 
     def result_shapes(self, op: "OpNode", ins: Sequence[Optional[TensorShape]]
                       ) -> tuple[Optional[TensorShape], ...]:
-        """`derive`'s result shapes; all unknown if an operand shape is, or the
-        attribute count or an attribute has a problem (which the verifier reports)."""
-        if None in ins or len(op.attributes) != len(self.attrs) or \
+        """`derive`'s result shapes; all unknown if an operand shape is (None; no
+        shape is falsy), or the attribute count or an attribute has a problem."""
+        if not all(ins) or len(op.attributes) != len(self.attrs) or \
                 any(map(AttrSpec.problem, self.attrs, op.attributes)):
             return (None,) * self.n_results
         return self.derive(op, ins)
@@ -156,11 +155,10 @@ class OpDef:
 # -- attribute schemas ------------------------------------------------------
 
 
-def _quantize_bounds(attrs: dict) -> Optional[str]:
+def _quantize_bounds(levels: int, lo: float, hi: float) -> Optional[str]:
     """min < max, and the step (max-min)/(levels-1) the quantizer divides by
     is finite and above 0.  A non-finite bound or levels < 2 is left to its
     AttrSpec."""
-    levels, lo, hi = attrs["levels"], attrs["min"], attrs["max"]
     if lo >= hi:
         return f"quantize requires min < max, got min={lo} max={hi}"
     if levels >= 2 and math.isfinite(lo) and math.isfinite(hi) \
@@ -174,10 +172,9 @@ def _at_least(name: str, low: int) -> AttrSpec:
     return AttrSpec(name, "int", lambda v: v >= low, f"{name} >= {low}")
 
 
-def _finite_phase(attrs: dict) -> Optional[str]:
+def _finite_phase(n: int, f: float, fs: float) -> Optional[str]:
     """sin and cos raise on an infinite phase; the largest is 2*pi*f/fs*(n-1).
     A non-finite f or an fs <= 0 is left to its AttrSpec."""
-    n, f, fs = attrs["n"], attrs["f"], attrs["fs"]
     if fs > 0.0 and math.isfinite(f) and not math.isfinite(2.0 * math.pi * f / fs * (n - 1)):
         return f"phase 2*pi*f/fs*(n-1) is not finite for n={n} f={f} fs={fs}"
     return None

@@ -3,37 +3,31 @@
 Each pattern matches a small chain of ops by value identity (same SSA value,
 not merely an equal-looking subtree), builds the cheaper replacement ops and
 names the old values they stand for.  `_MATCHERS` registers each `PatternId`
-as ``(matcher, root opcodes)``.  A matcher walks its chain with one query,
+as ``(matcher, root opcodes)``; a matcher walks its chain with one query,
 `_Ctx.made_by(value, opcode, single)`.  The driver updates one working graph
 (`_Ctx`) in place, so that an application costs what its match reads and
-rewires, not the size of the graph:
-
-- Each value lists its readers, an op once per operand slot.  A splice
-  rewires only the readers of the replaced values and prunes the ops left
-  dead along the readers.
-- Each op has an order key, a tuple compared lexicographically.  Ops inserted
-  before an op take its key with the last entry lowered by one, then the
-  splice's first new id and their index, so no key is ever renumbered.
-- Each pattern keeps the roots it has still to try.  A root whose match
-  failed comes back only once it is rewired, or once the producer or the
-  readers of a value its matcher looked at change (`_Ctx.watch`).
-
-The op list is built and verified once, at the fixpoint.  It keeps the
-working ids, which are sparse and not in list order, so matchers compare ids
-only relatively.  Pattern ids are looked up by ``PatternId(code)``.
+rewires, not the size of the graph.  Each op's order key, a tuple compared
+lexicographically, is made when first asked for.  A splice rewires only the
+readers of the replaced values, prunes the ops left dead along them and keys
+the ops it inserts before an op by that op's key with the last entry lowered
+by one, then its first new id and their index: no key is ever renumbered.  A
+root whose match failed is tried again once it is rewired, or the producer or
+readers of a value its matcher read change (`_Ctx.watch`).  The op list is
+built and verified once, at the fixpoint, with the working ids, which are
+sparse and not in list order, so matchers compare ids only relatively.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass, field
+from functools import cached_property
 from enum import Enum
 from typing import Iterable, NamedTuple, Optional
 
 from .errors import DspcError
 from .graph import DspGraph, OpNode, ValueId, check_op, verify_graph
 from .ops import OP_DEFS, OpCode, TensorShape
-
 
 class PatternId(Enum):
     SYMMETRIC_FILTER = "1"
@@ -76,8 +70,7 @@ class RewriteStats:
         return sum(self.applications.values())
 
 
-@dataclass(frozen=True)
-class _Rewrite:
+class _Rewrite(NamedTuple):
     """Insert `new_ops` right before the op `at` and make every use of a key
     of `subst` read its value instead."""
 
@@ -90,9 +83,11 @@ class _Ctx:
     """The working graph and its tables, and the matchers' op factory."""
 
     def __init__(self, graph: DspGraph, matchers: Iterable[tuple] = ()):
-        self.ops: dict[int, tuple] = {}  # id(op) -> (order key, op)
-        self.producer: dict[ValueId, OpNode] = {}
-        self.readers: dict[ValueId, dict] = defaultdict(dict)  # value -> {(id(op), slot): op}
+        self.live = graph.ops  # the ops in list order, until an op enters or leaves
+        self.producer: dict[ValueId, OpNode] = {
+            r: op for op in self.live for r in range(op.id, op.id + OP_DEFS[op.opcode].n_results)}
+        self.next_id = max(self.producer, default=-1) + 1
+        self.readers: dict[ValueId, list] = defaultdict(list)  # value -> ops, once per slot
         # producer, readers: value -> [(todo, op)] of the matches that read them
         self.watch: tuple[dict, dict] = (defaultdict(list), defaultdict(list))
         self.patterns: list[tuple] = []  # (pid, matcher, todo: id(op) -> op)
@@ -101,28 +96,38 @@ class _Ctx:
             self.patterns.append((pid, match, todo := {}))
             for opcode in roots:
                 self.roots.setdefault(opcode, []).append(todo)
+        for op in self.live:
+            for v in op.operands:
+                self.readers[v].append(op)
+            for todo in self.roots.get(op.opcode, ()):
+                todo[id(op)] = op
         self.trying: Optional[tuple[dict, OpNode]] = None
         self.moved: list[ValueId] = []  # values whose readers changed in this splice
-        for i, op in enumerate(graph.ops):
-            self._enter(op, (i,))
-        self.next_id = max(self.producer, default=-1) + 1
+        self.changed = False  # once an op enters or leaves; till then todos are in list order
+        self._prune([v for v in self.producer if v not in self.readers])
+
+    @cached_property
+    def ops(self) -> dict[int, tuple]:
+        """id(op) -> (order key, op), built when first asked for: by list position."""
+        return {id(op): ((i,), op) for i, op in enumerate(self.live)}
 
     def _enter(self, op: OpNode, key: tuple) -> None:
+        self.changed = True
         self.ops[id(op)] = key, op
-        for r in range(op.id, op.id + OP_DEFS[op.opcode].n_results):
-            self.producer[r] = op
-        for slot, v in enumerate(op.operands):
-            self.readers[v][id(op), slot] = op
+        self.producer.update(dict.fromkeys(op.result_ids, op))
+        for v in op.operands:
+            self.readers[v].append(op)
         self.moved += op.operands
         for todo in self.roots.get(op.opcode, ()):
             todo[id(op)] = op
 
     def _leave(self, op: OpNode) -> tuple:
         """Take `op` out of every table; returns its order key."""
-        for r in range(op.id, op.id + OP_DEFS[op.opcode].n_results):
+        self.changed = True
+        for r in op.result_ids:
             del self.producer[r]
-        for slot, v in enumerate(op.operands):
-            del self.readers[v][id(op), slot]
+        for v in set(op.operands):
+            self.readers[v] = [reader for reader in self.readers[v] if reader is not op]
         self.moved += op.operands
         for todo in self.roots.get(op.opcode, ()):
             todo.pop(id(op), None)
@@ -132,15 +137,14 @@ class _Ctx:
         """The ops reading `value`, once per operand slot, in no set order."""
         if self.trying:
             self.watch[1][value].append(self.trying)
-        return list(self.readers.get(value, {}).values())
+        return list(self.readers.get(value, ()))
 
     def single_use(self, value: ValueId) -> bool:
         return len(self.users(value)) == 1
 
     def made_by(self, value: ValueId, opcode: OpCode, single: bool = False) -> Optional[OpNode]:
-        """The op producing `value` if it is an `opcode` op and, with `single`,
-        `value` has one reader; else None.  Watches `value`'s producer and
-        reads the readers through `single_use`."""
+        """The producer of `value` if an `opcode` op, and with `single` its one
+        reader; else None.  Watches `value`'s producer, and via `users` its readers."""
         if self.trying:
             self.watch[0][value].append(self.trying)
         op = self.producer.get(value)
@@ -159,19 +163,16 @@ class _Ctx:
     def new(self, opcode: OpCode, operands: tuple[ValueId, ...] = (),
             attributes: tuple[object, ...] = ()) -> OpNode:
         """A new op with ids above every id in the graph, shaped by its OpDef."""
-        sig = OP_DEFS[opcode]
         op = OpNode(self.next_id, opcode, operands, attributes)
-        op = OpNode(op.id, opcode, operands, attributes,
-                    sig.result_shapes(op, [self.shape(v) for v in operands]))
-        self.next_id += sig.n_results
-        for rid in op.result_ids:
-            self.producer[rid] = op
+        op.result_shapes = OP_DEFS[opcode].result_shapes(op, [*map(self.shape, operands)])
+        self.next_id += len(op.result_shapes)
+        self.producer.update(dict.fromkeys(op.result_ids, op))
         return op
 
     def sweep(self) -> Optional[tuple[PatternId, OpNode, _Rewrite]]:
         """The first match, by pattern priority, then list order of the roots."""
         for pid, match, todo in self.patterns:
-            for site in sorted(todo.values(), key=self.order) if todo else ():
+            for site in sorted(todo.values(), key=self.order) if self.changed else [*todo.values()]:
                 self.trying = todo, site
                 rw = match(self, site)
                 self.trying = None
@@ -180,11 +181,11 @@ class _Ctx:
                 del todo[id(site)]
         return None
 
-    def splice(self, rw: _Rewrite, prune_all: bool) -> list[str]:
-        """Apply `rw` in place and prune the ops it left dead (every dead op
-        if `prune_all`); returns the violations of the new and rewired ops."""
+    def splice(self, rw: _Rewrite) -> list[str]:
+        """Apply `rw` in place and prune the ops it left dead; returns the
+        violations of the new and rewired ops."""
         at, get, self.moved = self.order(rw.at), rw.subst.get, []
-        stale = {id(op): op for old in rw.subst for op in self.readers.get(old, {}).values()}
+        stale = {id(op): op for old in rw.subst for op in self.readers.get(old, ())}
         for i, op in enumerate(rw.new_ops):
             self._enter(op, (*at[:-1], at[-1] - 1, rw.new_ops[0].id, i))
         rewired = []
@@ -192,15 +193,7 @@ class _Ctx:
             rewired.append(OpNode(old.id, old.opcode, tuple(map(get, old.operands, old.operands)),
                                   old.attributes, old.result_shapes))
             self._enter(rewired[-1], self._leave(old))
-        work = [v for v in self.producer if not self.readers.get(v)] if prune_all else \
-            [*rw.subst, *(r for op in rw.new_ops for r in op.result_ids)]
-        while work:
-            v = work.pop()
-            if self.readers.get(v) or (op := self.producer.get(v)) is None \
-                    or op.opcode is OpCode.INPUT or any(map(self.readers.get, op.result_ids)):
-                continue
-            self._leave(op)
-            work += op.operands
+        self._prune([*rw.subst, *(r for op in rw.new_ops for r in op.result_ids)])
         for watch, values in zip(self.watch, ([r for op in rewired for r in op.result_ids],
                                               self.moved)):
             for todo, op in (t for v in watch.keys() & values for t in watch.pop(v)):
@@ -212,6 +205,16 @@ class _Ctx:
             problems += check_op(op, {v: self.shape(v) for v in op.operands
                                       if v in self.producer and self.order(self.producer[v]) < at})
         return problems
+
+    def _prune(self, work: list[ValueId]) -> None:
+        """Take out each unread op but an input making a value of `work`, and so on."""
+        while work:
+            v = work.pop()
+            if self.readers.get(v) or (op := self.producer.get(v)) is None \
+                    or op.opcode is OpCode.INPUT or any(map(self.readers.get, op.result_ids)):
+                continue
+            self._leave(op)
+            work += op.operands
 
 
 def replace_site(site: OpNode, value: ValueId, *new_ops: OpNode) -> _Rewrite:
@@ -286,9 +289,7 @@ def pat_parseval(ctx: _Ctx, site: OpNode) -> Optional[_Rewrite]:
     x = _dft_source(ctx, a, b)
     if x is None:
         x = _dft_source(ctx, b, a)
-    if x is None:
-        return None
-    shape = ctx.shape(x)
+    shape = None if x is None else ctx.shape(x)
     if shape is None or float(values[0]) != float(shape.length):
         return None
     square = ctx.new(OpCode.SQUARE, (x,))
@@ -367,16 +368,16 @@ def apply_dsp_patterns(graph: DspGraph,
                        ) -> tuple[DspGraph, RewriteStats]:
     """Greedy fixpoint rewriting in pattern-priority order.
 
-    Takes a shape-inferred graph.  Each sweep tries the patterns in
-    declaration order, each on its roots in list order, and applies the first
-    match.  (A per-op worklist would change which pattern wins: on an energy
-    chain it fuses the transforms before Parseval can match.)  The first
-    application prunes every dead op, so the first sweep sees the graph as
-    given.  Only new ops are shaped, so a rewrite that would reshape a rewired
-    value fails `check_op`, and unknown shapes stay unknown.  The result and
-    the log share one id space: an op of `graph` keeps its id and a new op
-    takes the next id above all others.  With no application `graph` is
-    returned.
+    Takes a shape-inferred graph, and first prunes each op but an input whose
+    results nothing reads, then each op only pruned ops read.  Each sweep tries
+    the patterns in declaration order, each on its roots in list order, and
+    applies the first match.  (A per-op worklist would change which pattern
+    wins: on an energy chain it fuses the transforms before Parseval can
+    match.)  Only new ops are shaped, so a rewrite that would reshape a
+    rewired value fails `check_op`, and unknown shapes stay unknown.  The
+    result and the log share one id space: an op of `graph` keeps its id and
+    a new op takes the next id above all others.  With nothing pruned and no
+    application `graph` is returned.
     """
     wanted = list(PatternId) if enabled is None else \
         [pid for pid in PatternId if pid in set(enabled)]
@@ -389,7 +390,7 @@ def apply_dsp_patterns(graph: DspGraph,
         if hit is None:
             break
         pid, site, rewrite = hit
-        problems = ctx.splice(rewrite, prune_all=not stats.log)
+        problems = ctx.splice(rewrite)
         if problems:
             raise RewriteError(f"pattern {pid.value} produced an invalid graph: {problems[0]}")
         stats.applications[pid] += 1
@@ -398,9 +399,8 @@ def apply_dsp_patterns(graph: DspGraph,
     else:
         raise RewriteError(f"rewriter exceeded {sweep_limit + 1} sweeps "
                            "without reaching a fixpoint")
-    current = graph
+    current = DspGraph([op for _key, op in sorted(ctx.ops.values())]) if ctx.changed else graph
     if stats.log:
-        current = DspGraph([op for _key, op in sorted(ctx.ops.values())])
         problems = verify_graph(current)
         if problems:
             fired = ", ".join(pid.value for pid, n in stats.applications.items() if n)

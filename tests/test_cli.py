@@ -376,6 +376,10 @@ def test_bench_app_by_alias(capsys):
     assert code == 0
     assert "fired patterns: ['6']" in out
     assert "FAIL" not in out
+    # the first run's wall time, then the steady state's, which skips the
+    # input-free calls, each a row of its own
+    rows = [line.split()[0] for line in out.splitlines()]
+    assert rows[rows.index("wall_time_ns") + 1] == "steady_wall_time_ns"
 
 
 def test_bench_app_with_size_override(capsys):
@@ -394,6 +398,7 @@ def test_bench_writes_json(capsys, tmp_path):
     assert doc["fired"] == ["6"]
     assert all(c["ok"] for c in doc["checks"])
     assert doc["counters"]["ratios"]["loop_iterations"] < 1.0
+    assert all(doc["counters"][side]["steady_wall_time_ns"] > 0 for side in ("before", "after"))
 
 
 def test_bench_json_logs_each_rewrite(capsys, tmp_path):

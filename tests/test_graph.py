@@ -1,9 +1,11 @@
 import itertools
 import math
+import random
 from dataclasses import replace
 
 import pytest
 
+from dspc import corpus
 from dspc.cli import main
 from dspc.frontend import parse_source
 from dspc.graph import (ArityMismatch, BadAttribute, DspGraph, OpNode, ShapeMismatch,
@@ -13,8 +15,10 @@ from dspc.interp import evaluate_loop_ir, tensor
 from dspc.loop_ir import LoopIrError
 from dspc.lowering import EMITTERS, lower_graph
 from dce import dead_ops, producer_map, renumber, use_counts
+import generic_check
 import kernels as K
 from dspc.ops import OP_DEFS, OpCode, TensorShape
+from dspc.rewriter import apply_dsp_patterns
 
 
 def compile_graph(source, lengths=None):
@@ -199,8 +203,7 @@ def _in_range(sig):
 
 def _valid(sig):
     return next(list(vs) for vs in _in_range(sig)
-                if sig.cross_check is None or sig.cross_check(
-                    {spec.name: v for spec, v in zip(sig.attrs, vs)}) is None)
+                if sig.cross_check is None or sig.cross_check(*vs) is None)
 
 
 @pytest.mark.parametrize("sig, slot", [
@@ -276,7 +279,7 @@ def test_downsample_without_its_factor_is_reported_not_a_key_error():
                          ids=lambda sig: sig.opcode.value)
 def test_verifier_reports_each_cross_attribute_violation(sig):
     for values in _in_range(sig):
-        msg = sig.cross_check({spec.name: v for spec, v in zip(sig.attrs, values)})
+        msg = sig.cross_check(*values)
         if msg:
             violations, label = _verify_op(sig, values)
             assert f"{label}: {msg}" in violations
@@ -329,39 +332,110 @@ def test_verify_undefined_print_or_return_operand(line, opcode):
 
 
 # each graph breaks one rule of `check_op`, and that is its only violation
-@pytest.mark.parametrize("ops, violation", [
-    ([input_op(0, 8), input_op(1, 3, "h"), shaped(2, OpCode.CONV1D_FULL, (0, 1), 8)],
-     "%2 conv1d_full: result shapes ('tensor<8>',) inconsistent, "
-     "expected ('tensor<10>',)"),
-    ([input_op(0, 8), shaped(1, OpCode.DFT1D_FUSED, (0,), 8, 4)],
-     "%1 dft1d_fused: result shapes ('tensor<8>', 'tensor<4>') inconsistent, "
-     "expected ('tensor<8>', 'tensor<8>')"),
-    ([input_op(0, 8), shaped(1, OpCode.DFT1D_FUSED, (0,), 8, 8),
-      shaped(3, OpCode.SQUARE, (2,), 5)],
-     "%3 square: result shapes ('tensor<5>',) inconsistent, "
-     "expected ('tensor<8>',)"),
-    ([input_op(0, 8), shaped(1, OpCode.SQUARE, (0, 0), 8)],
-     "%1 square: expects 1 operand(s), has 2"),
-    ([input_op(0, 8), shaped(1, OpCode.GAIN, (0,), 8)],
-     "%1 gain: has 0 attribute(s), schema says 1"),
-    ([input_op(0, 8), shaped(1, OpCode.GAIN, (0,), 8, attributes=("2.0",))],
-     "%1 gain: attribute 'g' has wrong type"),
-    ([input_op(0, 8), shaped(1, OpCode.DFT1D_FUSED, (0,), 8)],
-     "%1 dft1d_fused: has 1 result shape slot(s), schema says 2"),
-    ([input_op(0, 8), OpNode(1, OpCode.PRINT, (0,))],
-     "%1 print: resultless op must use id -1"),
-    ([input_op(0, 8), shaped(0, OpCode.SQUARE, (0,), 8)],
-     "%0 square: value %0 defined more than once"),
-    ([input_op(0, 8), input_op(1, 4, "y"), shaped(2, OpCode.IDFT1D, (0, 1), 8)],
-     "%2 idft1d: real/imag lengths differ: 8 vs 4"),
-    ([input_op(0, 8), input_op(1, 4, "d"),
-      shaped(2, OpCode.LMS_FILTER, (0, 1), 2, attributes=(0.01, 2))],
-     "%2 lms_filter: input/desired lengths differ: 8 vs 4"),
-], ids=["conv1d_full", "dft1d_fused", "square_of_second_result", "operand_count",
-        "attribute_count", "attribute_type", "result_slot_count", "resultless_id",
-        "defined_twice", "idft1d_paired", "lms_filter_paired"])
+ONE_VIOLATION = {
+    "conv1d_full": (
+        [input_op(0, 8), input_op(1, 3, "h"), shaped(2, OpCode.CONV1D_FULL, (0, 1), 8)],
+        "%2 conv1d_full: result shapes ('tensor<8>',) inconsistent, expected ('tensor<10>',)"),
+    "dft1d_fused": (
+        [input_op(0, 8), shaped(1, OpCode.DFT1D_FUSED, (0,), 8, 4)],
+        "%1 dft1d_fused: result shapes ('tensor<8>', 'tensor<4>') inconsistent, "
+        "expected ('tensor<8>', 'tensor<8>')"),
+    "square_of_second_result": (
+        [input_op(0, 8), shaped(1, OpCode.DFT1D_FUSED, (0,), 8, 8),
+         shaped(3, OpCode.SQUARE, (2,), 5)],
+        "%3 square: result shapes ('tensor<5>',) inconsistent, expected ('tensor<8>',)"),
+    "operand_count": (
+        [input_op(0, 8), shaped(1, OpCode.SQUARE, (0, 0), 8)],
+        "%1 square: expects 1 operand(s), has 2"),
+    "attribute_count": (
+        [input_op(0, 8), shaped(1, OpCode.GAIN, (0,), 8)],
+        "%1 gain: has 0 attribute(s), schema says 1"),
+    "attribute_type": (
+        [input_op(0, 8), shaped(1, OpCode.GAIN, (0,), 8, attributes=("2.0",))],
+        "%1 gain: attribute 'g' has wrong type"),
+    "result_slot_count": (
+        [input_op(0, 8), shaped(1, OpCode.DFT1D_FUSED, (0,), 8)],
+        "%1 dft1d_fused: has 1 result shape slot(s), schema says 2"),
+    "resultless_id": (
+        [input_op(0, 8), OpNode(1, OpCode.PRINT, (0,))],
+        "%1 print: resultless op must use id -1"),
+    "defined_twice": (
+        [input_op(0, 8), shaped(0, OpCode.SQUARE, (0,), 8)],
+        "%0 square: value %0 defined more than once"),
+    "idft1d_paired": (
+        [input_op(0, 8), input_op(1, 4, "y"), shaped(2, OpCode.IDFT1D, (0, 1), 8)],
+        "%2 idft1d: real/imag lengths differ: 8 vs 4"),
+    "lms_filter_paired": (
+        [input_op(0, 8), input_op(1, 4, "d"),
+         shaped(2, OpCode.LMS_FILTER, (0, 1), 2, attributes=(0.01, 2))],
+        "%2 lms_filter: input/desired lengths differ: 8 vs 4"),
+}
+
+
+@pytest.mark.parametrize("ops, violation", list(ONE_VIOLATION.values()),
+                         ids=list(ONE_VIOLATION))
 def test_verify_result_shapes(ops, violation):
     assert verify_graph(DspGraph(ops)) == [violation]
+
+
+def _mutants(sig, rng):
+    """Graphs holding one op of `sig`, valid but for seeded mutations of its
+    attributes (types, counts, values not finite or out of range), operands
+    (undefined, a dynamic tensor, too many or too few), id or result shapes;
+    its operands are inputs %0.. of length 8 or 4 and %9, a run-length code."""
+    values = _valid(sig)
+    ins = [input_op(i, rng.choice((8, 8, 4)), f"x{i}") for i in range(sig.n_operands)]
+    ins += [input_op(8, 4, "r"),
+            OpNode(9, OpCode.RUN_LEN_ENCODING, (8,), (), (TensorShape(8, True),))]
+    for _ in range(30):
+        attributes, operands = list(values), list(range(sig.n_operands))
+        rid = sig.n_operands if sig.n_results else -1
+        shapes = [TensorShape(8)] * sig.n_results
+        for _ in range(rng.choice((1, 1, 2))):
+            what = rng.randrange(5)
+            if what == 0 and attributes[:len(values)]:
+                slot = rng.randrange(min(len(attributes), len(values)))
+                kind = sig.attrs[slot].kind
+                attributes[slot] = rng.choice(_WRONG_TYPE[kind] + _NON_FINITE.get(kind, ())
+                                              + _CANDIDATES[kind])
+            elif what == 1:
+                attributes = attributes[:-1] if attributes and rng.random() < 0.5 \
+                    else attributes + [rng.choice((1, 2.0, "x"))]
+            elif what == 2:
+                change = rng.choice(("undefined", "dynamic", "extra", "drop"))
+                if change == "extra" or not operands:
+                    operands.append(0)
+                elif change == "drop":
+                    operands.pop()
+                else:
+                    operands[rng.randrange(len(operands))] = 50 if change == "undefined" else 9
+            elif what == 3:
+                rid = rng.choice((-1, 0, 9, 5))
+            else:
+                shapes = rng.choice((shapes + [None], shapes[:-1], [None] * len(shapes),
+                                     [TensorShape(rng.choice((3, 8, 15)))] * len(shapes)))
+        op = OpNode(rid, sig.opcode, tuple(operands), tuple(attributes), tuple(shapes))
+        yield DspGraph(ins + [op, shaped(20, OpCode.SQUARE, (max(rid, 0),), 8), print_op(20)])
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_schema_built_checkers_match_the_generic_check(seed):
+    # every opcode, the negative cases above and seeded mutations, and the
+    # corpus graphs on both routes: the same violations in the same order
+    rng = random.Random(seed)
+    graphs = [DspGraph(ops) for ops, _ in ONE_VIOLATION.values()]
+    for sig in OP_DEFS.values():
+        graphs += _mutants(sig, rng)
+    for app in corpus.APPS:
+        sizes = app.default_sizes()
+        g = compile_graph(app.source(sizes), app.input_lengths(sizes))
+        graphs += [g, apply_dsp_patterns(g)[0]]
+    reported = 0
+    for graph in graphs:
+        want = generic_check.verify_graph(graph)
+        assert verify_graph(graph) == want, graph_to_text(graph)
+        reported += bool(want)
+    assert reported > len(graphs) // 2
 
 
 @pytest.mark.parametrize("op", [
@@ -443,9 +517,9 @@ def test_expression_statement_builds_an_unread_op(tmp_path, capsys):
     path.write_text(source)
     assert main(["run", str(path), "--opt=dsp", "--synth", "x=3,1"]) == 0
     assert capsys.readouterr().out.startswith("%0 = [")
-    # no pattern fires, so nothing prunes the unread gain
+    # no pattern fires, but the rewriter prunes the unread gain
     assert main(["build", str(path), "--emit=dsp-opt", "--opt=dsp", "--synth", "x=3,1"]) == 0
-    assert capsys.readouterr().out == graph_to_text(g)
+    assert capsys.readouterr().out == "%0 = input() {name=x} : tensor<3>\nprint(%0)\n"
 
 
 def test_renumber_compacts_ids():

@@ -433,13 +433,12 @@ def _float_twins(sig, seed):
     """The attributes of two valid ops of `sig` that differ only in the
     spelling of their float values."""
     rng = random.Random(f"{sig.opcode.value}/{seed}")
-    names = [spec.name for spec in sig.attrs]
     ints = {spec.name: _draw(rng, spec) for spec in sig.attrs if spec.kind != "float"}
     twins: list[tuple] = []
     while len(twins) < 2:
         values = tuple(_draw(rng, spec) if spec.kind == "float" else ints[spec.name]
                        for spec in sig.attrs)
-        if (sig.cross_check is None or sig.cross_check(dict(zip(names, values))) is None) \
+        if (sig.cross_check is None or sig.cross_check(*values) is None) \
                 and repr(values) not in map(repr, twins):
             twins.append(values)
     return twins
@@ -1049,6 +1048,11 @@ def test_later_runs_call_only_what_reads_an_input(name, later):
     assert ran == _unit_code(program)
     for _ in range(2):
         assert _outcome_and_units(program, inputs) == (outcome, [code[op] for op in later])
+    # a folded run counts exactly what the first did, the counters of the
+    # branches of the input-free filter_hamm_opt too
+    starts = program._compiled.starts
+    assert [label.split()[1] for c, (label, *_) in enumerate(program.calls)
+            if c in program.input_free and starts[c + 1] > starts[c]] == ["filter_hamm_opt"]
 
 
 def test_an_input_free_call_that_raises_raises_on_every_run():

@@ -598,12 +598,16 @@ def test_ops_inserted_before_one_op_keep_their_order(monkeypatch):
 
 
 def reference_rewrite(graph, enabled=None):
-    """The driver with whole-graph work per application: rebuild every op,
-    prune with dead_ops and renumber, verify the whole graph."""
+    """The rewriter with whole-graph work before each sweep: prune with dead_ops
+    and renumber, verify the whole graph, then rebuild every op."""
     wanted = [pid for pid in PatternId if enabled is None or pid in enabled]
     applications = {pid: 0 for pid in wanted}
-    current = graph
+    ops = graph.ops
     while True:
+        producer = producer_map(DspGraph(ops))
+        dead = dead_ops(producer, use_counts(DspGraph(ops)), producer)
+        current = renumber(DspGraph([op for op in ops if id(op) not in dead]))
+        assert verify_graph(current) == []
         ctx = rewriter._Ctx(current)
         hit = next(((pid, rw) for pid in wanted for op in current.ops
                     if op.opcode in rewriter._MATCHERS[pid][1]
@@ -615,11 +619,6 @@ def reference_rewrite(graph, enabled=None):
         ops = [replace(op, operands=tuple(get(v, v) for v in op.operands)) for op in current.ops]
         at = next(i for i, op in enumerate(current.ops) if op is rw.at)
         ops[at:at] = rw.new_ops
-        spliced = DspGraph(ops)
-        producer = producer_map(spliced)
-        dead = dead_ops(producer, use_counts(spliced), producer)
-        current = renumber(DspGraph([op for op in ops if id(op) not in dead]))
-        assert verify_graph(current) == []
         applications[pid] += 1
 
 
@@ -639,7 +638,7 @@ def main(x) {
 }
 """
 
-# a dead stage the first application prunes, and stages whose rewrites
+# a dead stage pruned before the first sweep, and stages whose rewrites
 # feed each other: 1 then 2, 3 then 4 twice, 6 then C3a
 CHAINED = """
 def main(x) {
@@ -696,16 +695,22 @@ def test_priority_scan_fires_parseval_before_fusion():
     assert stats.applications[PatternId.DFT_FUSION] == 0
 
 
-def test_dead_op_pruned_once_a_pattern_fires():
+def test_dead_ops_pruned_before_the_first_sweep(monkeypatch):
     src = "def main(x) { var unused = sum(square(x)); print(%s); }"
     fired, stats = rewrite(src % "downsample(upsample(x, 2), 2)", {"x": 8})
     assert stats.total_applications() == 1
     assert opcodes(fired) == [OpCode.INPUT, OpCode.PRINT]
-
-    g = compile_graph(src % "gain(x, 2.0)", {"x": 8})
-    kept, stats = apply_dsp_patterns(g)
-    assert stats.total_applications() == 0
-    assert kept is g and OpCode.SQUARE in opcodes(kept)
+    # with no application the dead ops go too, and the graph is not verified again
+    monkeypatch.setattr(rewriter, "verify_graph", None)
+    for enabled in (None, set()):
+        g = compile_graph(src % "gain(x, 2.0)", {"x": 8})
+        pruned, stats = apply_dsp_patterns(g, enabled)
+        assert stats.total_applications() == 0
+        assert opcodes(pruned) == [OpCode.INPUT, OpCode.GAIN, OpCode.PRINT]
+        assert (stats.ops_before, stats.ops_after) == (5, 3)
+        assert graph_to_text(pruned).splitlines()[1] == "%3 = gain(%0) {g=2.0} : tensor<8>"
+    g = compile_graph("def main(x) { print(gain(x, 2.0)); }", {"x": 8})
+    assert apply_dsp_patterns(g)[0] is g
 
 
 # Stage kinds of the differential programs, each as (firing form, near-miss
@@ -714,8 +719,8 @@ def test_dead_op_pruned_once_a_pattern_fires():
 # (another may).  Energy's near miss squares a transform as r * r, the
 # dft/idft form gives a transform a second reader, and up/down's identity
 # rewires a reverse so that pattern 3 then matches.  A stage whose first line
-# declares a value may also get a dead reader of it, which the first sweep
-# still sees.
+# declares a value may also get a dead reader of it, which the rewriter
+# prunes before its first sweep.
 STAGES = {
     "fir": ("var h{i} = lowPassFIRFilter(7, 1.{i}) * hammingWindow(7);\n"
             "  print(firFilterResponse(x, h{i}));",
@@ -832,18 +837,18 @@ def test_result_and_log_share_one_id_space():
 
 
 # A root whose match failed comes back once a splice changes what its matcher
-# read.  Pattern 7 fails while the first sweep still sees a dead reader of
-# the weights, which the first application prunes.  Pattern 3 fails while the
+# read.  Parseval fails while the inverse transform reads the transforms too,
+# until fusion and then identity C3a take it away.  Pattern 3 fails while the
 # reverse reads another value, until identity C3b rewires it to read x.
 RETRIED = {
     "readers": ("""
-def main(x, d) {
-  var w = lmsFilter(x, d, 0.01, 4);
-  var unused = sum(w);
-  print(firFilterResponse(x, gain(w, 2.0)));
-  print(downsample(upsample(x, 2), 2));
+def main(x) {
+  var re = dft1dreal(x);
+  var im = dft1dimg(x);
+  print(idft1d(re, im));
+  print(sum(square(re) + square(im)) / 8);
 }
-""", {"x": 8, "d": 8}, {"7": 1, "C3b": 1}),
+""", {"x": 8}, {"5": 1, "6": 1, "C3a": 1}),
     "producer": ("""
 def main(x) {
   var c = downsample(upsample(x, 2), 2);
