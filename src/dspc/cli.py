@@ -119,11 +119,11 @@ def _parse_synth(item: str) -> tuple[str, int, int]:
     name, eq, rest = item.partition("=")
     if not eq or not name:
         raise UsageError(f"bad --synth {item!r}, expected NAME=N[,SEED]")
-    parts = rest.split(",")
+    size, comma, seed_text = rest.partition(",")
     try:
-        n = int(parts[0])
-        seed = int(parts[1]) if len(parts) > 1 else 0
-    except (ValueError, IndexError):
+        n = int(size)
+        seed = int(seed_text) if comma else 0  # int() rejects "5,9": at most two fields
+    except ValueError:
         raise UsageError(f"bad --synth {item!r}, expected NAME=N[,SEED]"
                          ) from None
     if n < 1:

@@ -256,7 +256,8 @@ def infer_shapes(graph: DspGraph,
 def verify_graph(graph: DspGraph) -> list[str]:
     """Check structural, range and shape invariants; returns violations, never raises.
 
-    One pass in list order, applying `check_op` to every op.
+    One pass in list order, applying its opcode's checker (`_check`) to every
+    op.  The front end and the rewriter, on its result, both call it.
     """
     violations: list[str] = []
     shapes: dict[ValueId, Optional[TensorShape]] = {}  # every value defined so far
@@ -265,16 +266,12 @@ def verify_graph(graph: DspGraph) -> list[str]:
     return violations
 
 
-def check_op(op: OpNode, shapes: dict[ValueId, Optional[TensorShape]]) -> list[str]:
-    """The violations of one op, given the shapes of the values defined before
-    it, to which the op's results are added.  Its `AttrSpec.problem` alone
-    judges an attribute value.  With no other violation and all shapes known,
-    the result shapes must be those the shape rule derives from the operands'."""
-    return _CHECKERS[op.opcode](op, shapes)
-
-
 def _check(sig: OpDef, op: OpNode, shapes: dict) -> list[str]:
-    """`check_op` for an op of `sig`; bound to each OpDef at import."""
+    """The violations of an op of `sig`, given the shapes of the values defined
+    before it, to which the op's results are added.  Its `AttrSpec.problem`
+    alone judges an attribute value.  With no other violation and all shapes
+    known, the result shapes must be those the shape rule derives from the
+    operands'.  Bound to each OpDef at import, in `_CHECKERS`."""
     problems = [f"operand %{v} not defined before use" for v in op.operands if v not in shapes]
     if len(op.operands) != sig.n_operands:
         problems.append(f"expects {sig.n_operands} operand(s), has {len(op.operands)}")

@@ -6,7 +6,7 @@ types and legal ranges), result count, cross-attribute check and shape rule.
 It is the only record of an attribute's name, type and legal range: an op
 stores just its attribute values, in schema order.  ``AttrSpec.problem`` is
 the one judge of a value, which the checker the verifier builds from each
-record (``graph.check_op``) and shape inference (``OpDef.result_shapes``) ask
+record (``graph._check``) and shape inference (``OpDef.result_shapes``) ask
 by position, as a cross check reads them.  ``OpDef.derive`` alone rejects a
 dynamic operand (only print and return read one), so a shape rule sees static
 operand shapes.  The graph builder, shape inference, the verifier, the text

@@ -12,9 +12,10 @@ readers of the replaced values, prunes the ops left dead along them and keys
 the ops it inserts before an op by that op's key with the last entry lowered
 by one, then its first new id and their index: no key is ever renumbered.  A
 root whose match failed is tried again once it is rewired, or the producer or
-readers of a value its matcher read change (`_Ctx.watch`).  The op list is
-built and verified once, at the fixpoint, with the working ids, which are
-sparse and not in list order, so matchers compare ids only relatively.
+readers of a value its matcher read change (`_Ctx.watch`).  A splice checks
+nothing: the op list is built and verified once, at the fixpoint, with the
+working ids, which are sparse and not in list order, so matchers compare ids
+only relatively.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from enum import Enum
 from typing import Iterable, NamedTuple, Optional
 
 from .errors import DspcError
-from .graph import DspGraph, OpNode, ValueId, check_op, verify_graph
+from .graph import DspGraph, OpNode, ValueId, verify_graph
 from .ops import OP_DEFS, OpCode, TensorShape
 
 class PatternId(Enum):
@@ -181,9 +182,8 @@ class _Ctx:
                 del todo[id(site)]
         return None
 
-    def splice(self, rw: _Rewrite) -> list[str]:
-        """Apply `rw` in place and prune the ops it left dead; returns the
-        violations of the new and rewired ops."""
+    def splice(self, rw: _Rewrite) -> None:
+        """Apply `rw` in place and prune the ops it left dead."""
         at, get, self.moved = self.order(rw.at), rw.subst.get, []
         stale = {id(op): op for old in rw.subst for op in self.readers.get(old, ())}
         for i, op in enumerate(rw.new_ops):
@@ -199,12 +199,6 @@ class _Ctx:
             for todo, op in (t for v in watch.keys() & values for t in watch.pop(v)):
                 if id(op) in self.ops:  # the watch holds `op`, so no other op has its id
                     todo[id(op)] = op
-        problems: list[str] = []
-        for op in (op for op in (*rw.new_ops, *rewired) if id(op) in self.ops):
-            at = self.order(op)
-            problems += check_op(op, {v: self.shape(v) for v in op.operands
-                                      if v in self.producer and self.order(self.producer[v]) < at})
-        return problems
 
     def _prune(self, work: list[ValueId]) -> None:
         """Take out each unread op but an input making a value of `work`, and so on."""
@@ -368,16 +362,18 @@ def apply_dsp_patterns(graph: DspGraph,
                        ) -> tuple[DspGraph, RewriteStats]:
     """Greedy fixpoint rewriting in pattern-priority order.
 
-    Takes a shape-inferred graph, and first prunes each op but an input whose
-    results nothing reads, then each op only pruned ops read.  Each sweep tries
-    the patterns in declaration order, each on its roots in list order, and
-    applies the first match.  (A per-op worklist would change which pattern
-    wins: on an energy chain it fuses the transforms before Parseval can
-    match.)  Only new ops are shaped, so a rewrite that would reshape a
-    rewired value fails `check_op`, and unknown shapes stay unknown.  The
-    result and the log share one id space: an op of `graph` keeps its id and
-    a new op takes the next id above all others.  With nothing pruned and no
-    application `graph` is returned.
+    Takes a verified, shape-inferred graph, and first prunes each op but an
+    input whose results nothing reads, then each op only pruned ops read.
+    Each sweep tries the patterns in declaration order, each on its roots in
+    list order, and applies the first match.  (A per-op worklist would change
+    which pattern wins: on an energy chain it fuses the transforms before
+    Parseval can match.)  Only new ops are shaped, and unknown shapes stay
+    unknown.  Once a pattern fired, the result alone is verified, so a
+    rewrite that reshapes a rewired value raises RewriteError, while a bad op
+    that a later application removes goes unseen.  The result and the log
+    share one id space: an op of `graph` keeps its id and a new op takes the
+    next id above all others.  With nothing pruned and no application `graph`
+    is returned.
     """
     wanted = list(PatternId) if enabled is None else \
         [pid for pid in PatternId if pid in set(enabled)]
@@ -390,9 +386,7 @@ def apply_dsp_patterns(graph: DspGraph,
         if hit is None:
             break
         pid, site, rewrite = hit
-        problems = ctx.splice(rewrite)
-        if problems:
-            raise RewriteError(f"pattern {pid.value} produced an invalid graph: {problems[0]}")
+        ctx.splice(rewrite)
         stats.applications[pid] += 1
         stats.log.append(Applied(pid, site.id, site.opcode,
                                  tuple(op.id for op in rewrite.new_ops), len(ctx.ops)))

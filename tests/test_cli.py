@@ -189,6 +189,27 @@ def test_run_rejects_non_finite_json_input(capsys, tmp_path, number):
     assert out == ""
 
 
+@pytest.mark.parametrize("args, message", [
+    (("--opt=dsp", "--patterns", ","), "--patterns given but empty\n"),
+    (("--synth", "x"), "bad --synth 'x', expected NAME=N[,SEED]\n"),
+    (("--synth", "x=abc"), "bad --synth 'x=abc', expected NAME=N[,SEED]\n"),
+    (("--synth", "x=0"), "--synth x: size must be >= 1, got 0\n"),
+    (("--synth", "x=1024,5,9"), "bad --synth 'x=1024,5,9', expected NAME=N[,SEED]\n"),
+    (("--input", "x"), "bad --input 'x', expected NAME=FILE.json\n"),
+    (("--input", "x={tmp}/missing.json"), "cannot read {tmp}/missing.json: "),
+    (("--input", "x={tmp}/bad.json"), "{tmp}/bad.json: not valid JSON ("),
+    (("--input", "x={tmp}/x.json", "--input", "x={tmp}/x.json"), "input 'x' bound twice\n"),
+], ids=["empty_patterns", "synth_no_size", "synth_bad_size", "synth_zero_size",
+        "synth_extra_field", "input_no_file", "input_unreadable", "input_bad_json",
+        "input_twice"])
+def test_usage_error_exit_1(capsys, tmp_path, args, message):
+    (tmp_path / "x.json").write_text("[1.0, 2.0]")
+    (tmp_path / "bad.json").write_text("[1.0,")
+    code, out, err = run_cli(capsys, "run", ENERGY, *(a.format(tmp=tmp_path) for a in args))
+    assert (code, out) == (1, "")
+    assert err.startswith("usage error: " + message.format(tmp=tmp_path))
+
+
 def test_unbound_input_is_usage_error(capsys):
     code, _, err = run_cli(capsys, "run", ENERGY)
     assert code == 1
@@ -227,6 +248,19 @@ def test_verify_error_exit_3(capsys, tmp_path):
     code, _, err = run_cli(capsys, "run", str(src), "--synth", "x=8,1")
     assert code == 3
     assert "k >= 0" in err
+
+
+@pytest.mark.parametrize("source, code, message", [
+    ("def main(x, y) { print(gain(x, y * 2.0)); }",
+     3, "verify error: 1:34: gain attribute 'g' must be a constant number\n"),
+    ("def f(x) { return x; }\ndef f(x) { return x; }\ndef main(x) { print(x); }",
+     2, "parse error: 2:1: expected a unique function name, found redefinition of 'f'\n"),
+    ("def main(x) { print(x);", 2, "parse error: 1:24: expected '}', found end of input\n"),
+], ids=["attribute_reads_a_value", "function_redefined", "body_cut_off"])
+def test_frontend_error_exit_code(capsys, tmp_path, source, code, message):
+    src = tmp_path / "p.dsp"
+    src.write_text(source)
+    assert run_cli(capsys, "build", str(src), "--emit=dsp") == (code, "", message)
 
 
 def test_zero_divisor_attribute_exit_3(capsys):

@@ -77,6 +77,11 @@ def test_attr_constant_folding():
     assert values == {"levels": 16, "min": -16.0, "max": 16.0}
 
 
+def test_attr_constant_folding_adds_and_divides():
+    g = compile_graph("def main(x) { print(gain(x, 1.0 / 4.0 + 0.5)); }", {"x": 4})
+    assert graph_to_text(g).splitlines()[1] == "%1 = gain(%0) {g=0.75} : tensor<4>"
+
+
 def test_attr_must_be_constant():
     with pytest.raises(BadAttribute):
         compile_graph("def main(x) { print(delay(x, sum(x))); }")
@@ -210,7 +215,7 @@ def _valid(sig):
     pytest.param(sig, i, id=f"{sig.opcode.value}.{spec.name}")
     for sig in OP_DEFS.values() for i, spec in enumerate(sig.attrs) if spec.check])
 def test_verifier_reports_each_out_of_range_attribute(sig, slot):
-    # generated from the schema: check_op is the only range check, so every
+    # generated from the schema: the op check is the only range check, so every
     # checked attribute of every opcode must be rejected there
     spec = sig.attrs[slot]
     values = _valid(sig)
@@ -331,7 +336,7 @@ def test_verify_undefined_print_or_return_operand(line, opcode):
     assert violations == [f"%-1 {opcode}: operand %7 not defined before use"]
 
 
-# each graph breaks one rule of `check_op`, and that is its only violation
+# each graph breaks one rule of the op check, and that is its only violation
 ONE_VIOLATION = {
     "conv1d_full": (
         [input_op(0, 8), input_op(1, 3, "h"), shaped(2, OpCode.CONV1D_FULL, (0, 1), 8)],

@@ -8,7 +8,7 @@ import pytest
 from dspc import corpus
 from dspc.cli import main
 from dspc.frontend import parse_source
-from dspc.graph import (DspGraph, build_graph, check_op, graph_to_text, infer_shapes,
+from dspc.graph import (_CHECKERS, DspGraph, build_graph, graph_to_text, infer_shapes,
                         verify_graph)
 from dspc.interp import evaluate_loop_ir, tensor
 from dspc.lowering import lower_graph
@@ -517,12 +517,12 @@ def test_rewrite_that_reshapes_a_rewired_value_fails_verification(monkeypatch):
     with pytest.raises(RewriteError) as exc:
         rewrite("def main(x) { print(gain(downsample(upsample(x, 3), 2), 2.0)); }",
                 {"x": 10})
-    assert "pattern C3b produced an invalid graph" in str(exc.value)
+    assert "patterns C3b produced an invalid graph" in str(exc.value)
     assert "inconsistent" in str(exc.value)
 
 
 def test_rewrite_that_builds_a_malformed_op_fails_verification(monkeypatch):
-    # `ctx.new` counts no operands; the verifier after the splice does
+    # `ctx.new` counts no operands; the verifier at the fixpoint does
     def two_operand_square(ctx, site):
         a = site.operands[0]
         square = ctx.new(OpCode.SQUARE, (a, a))
@@ -532,14 +532,14 @@ def test_rewrite_that_builds_a_malformed_op_fails_verification(monkeypatch):
                         (two_operand_square, {OpCode.DOWNSAMPLE}))
     with pytest.raises(RewriteError) as exc:
         rewrite("def main(x) { print(downsample(x, 2)); }", {"x": 10})
-    assert str(exc.value) == ("pattern C3b produced an invalid graph: "
+    assert str(exc.value) == ("patterns C3b produced an invalid graph: "
                               "%2 square: expects 1 operand(s), has 2")
 
 
 def test_rewrite_that_reuses_a_live_id_fails_the_fixpoint_check(monkeypatch):
-    # `check_op` sees only the new op's operand shapes, so a new op that takes
-    # a live id instead of one from `ctx.new` passes its splice; the check of
-    # the whole graph at the fixpoint names the clash
+    # a new op that takes a live id instead of one from `ctx.new` passes its
+    # splice, which checks nothing; the check of the whole graph at the
+    # fixpoint names the clash
     def live_id_square(ctx, site):
         x = site.operands[0]
         square = rewriter.OpNode(2, OpCode.SQUARE, (x,), (), (ctx.shape(x),))
@@ -870,25 +870,20 @@ def test_failed_root_is_retried_when_what_it_read_changes(case):
 
 
 def test_rewrite_work_does_not_grow_with_unrelated_stages(monkeypatch):
-    """Per application, the ops checked and rebuilt do not depend on how many
-    unrelated gain stages precede the program; each such gain (a root of
-    pattern 7) costs one matcher call in one sweep, then none."""
+    """Per application, the ops rebuilt do not depend on how many unrelated
+    gain stages precede the program; each such gain (a root of pattern 7)
+    costs one matcher call in one sweep, then none."""
     counts = {}
     splice, op_node = rewriter._Ctx.splice, rewriter.OpNode
 
     def counted_splice(ctx, *args, **kwargs):
         counts["in_splice"] = True
-        counts["checked"].append(0)
         counts["rebuilt"].append(0)
         try:
             return splice(ctx, *args, **kwargs)
         finally:
             counts["in_splice"] = False
             counts["calls"].append(0)  # the next sweep
-
-    def counted_check(op, shapes):
-        counts["checked"][-1] += 1
-        return check_op(op, shapes)
 
     def counted_op_node(*args):
         if counts["in_splice"]:
@@ -902,42 +897,51 @@ def test_rewrite_work_does_not_grow_with_unrelated_stages(monkeypatch):
         return wrapper
 
     monkeypatch.setattr(rewriter._Ctx, "splice", counted_splice)
-    monkeypatch.setattr(rewriter, "check_op", counted_check)
     monkeypatch.setattr(rewriter, "OpNode", counted_op_node)
     for pid, (match, roots) in list(rewriter._MATCHERS.items()):
         monkeypatch.setitem(rewriter._MATCHERS, pid, (counted(match), roots))
 
     def profile(k):
-        counts.update(in_splice=False, checked=[], rebuilt=[], calls=[0])
+        counts.update(in_splice=False, rebuilt=[], calls=[0])
         gains = "".join(f"  print(gain(x, {j + 2}.0));\n" for j in range(k))
         _, stats = rewrite(CHAINED.replace("def main(x) {\n", "def main(x) {\n" + gains),
                            {"x": 9})
         assert stats.total_applications() == 8
-        return counts["checked"], counts["rebuilt"], counts["calls"]
+        return counts["rebuilt"], counts["calls"]
 
-    checked, rebuilt, calls = profile(0)
-    wide_checked, wide_rebuilt, wide_calls = profile(60)
-    assert (wide_checked, wide_rebuilt) == (checked, rebuilt)
-    assert sum(checked) > 8 and sum(rebuilt) > 0
+    rebuilt, calls = profile(0)
+    wide_rebuilt, wide_calls = profile(60)
+    assert wide_rebuilt == rebuilt
+    assert sum(rebuilt) > 0
     extra = [wide - narrow for wide, narrow in zip(wide_calls, calls)]
     assert len(wide_calls) == len(calls) == 9
     assert sorted(extra) == [0] * 8 + [60]
 
 
 def test_whole_graph_passes_run_once_per_call(monkeypatch):
-    calls = []
+    # the rewriter's one check is the verifier on its result: one checker call
+    # per op of the result once a pattern fired, none when none did
+    calls, checks = [], []
 
     def counted(graph):
         calls.append(graph)
         return verify_graph(graph)
 
+    def counted_check(check):
+        def wrapper(op, shapes):
+            checks.append(op)
+            return check(op, shapes)
+        return wrapper
+
     monkeypatch.setattr(rewriter, "verify_graph", counted)
-    _, stats = rewrite(CHAINED, {"x": 9})
+    for opcode, check in list(_CHECKERS.items()):
+        monkeypatch.setitem(_CHECKERS, opcode, counted_check(check))
+    result, stats = rewrite(CHAINED, {"x": 9})
     assert stats.total_applications() >= 5
-    assert len(calls) == 1
+    assert len(calls) == 1 and checks == result.ops
     _, stats = rewrite("def main(x) { print(gain(x, 2.0)); }", {"x": 8})
     assert stats.total_applications() == 0
-    assert len(calls) == 1
+    assert len(calls) == 1 and checks == result.ops  # no checker call
 
 
 # --------------------------------------------------------------------------
