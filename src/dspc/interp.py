@@ -11,6 +11,9 @@ temporaries into their readers and, if its index only picks loads at +-1, runs
 over slices: `for s0, s1 in zip(b0[c0:c1], reversed(b1[i0 + c2:i0 + c3])):`.
 A shorter one nested in another loop is straight-line code: a comment with
 its tag, then its folded body once per trip, the index a literal in each.
+A sin or cos of c * (i*j) in a loop over j nested in one over i reads row i
+of a twiddle table (`TABLES`) instead, once a call of any unit requested each
+table it reads before: the first request of a table runs the trig nest.
 A unit is shared by every program with an equal op (`lowering.op_unit`), and
 units of ops that differ only in float attributes have one op shape
 (`Unit.shape`): the walk runs once per op shape held in `SHAPE_RENDERS`, and
@@ -27,7 +30,8 @@ printed or returned value, each distinct unit once, with loop tags as comments
 on its `for` lines, and one call line per op.  Operation counters follow the
 cost model the backend was lowered against: loads/stores per buffer access,
 multiplies (including divides), adds (including subtracts), trig calls, and
-loop iterations split by tag.  Loop bounds are static ints, so the cost of one
+loop iterations split by tag; a table read counts as the trig call and angle
+multiply it stands for.  Loop bounds are static ints, so the cost of one
 run of any block is known at codegen time.  The generated code counts only
 how often each branch body (a boundary guard or a data-dependent comparison)
 ran, with one `+=` per run; the totals are the static cost plus each branch
@@ -43,6 +47,7 @@ import math
 import re
 import sys
 import time
+from array import array
 from collections import Counter
 from dataclasses import asdict, dataclass, field, replace
 from itertools import accumulate
@@ -121,10 +126,40 @@ _COST_OF_ARITH = {"add": "adds", "sub": "adds", "mul": "mults",
 CMP_SYMBOLS = {"eq": "==", "ne": "!=", "lt": "<", "le": "<=", "gt": ">", "ge": ">="}
 
 
+# Twiddle tables, least recently used first: key (c, trig, rows, cols) holds rows of
+# trig(c * (i*j)) for j < cols, as the trig nest computes them, or None once requested
+# (`_bound`); UNIT_MEMO_SIZE keys at most.  A unit reads tables of at most a quarter of
+# TABLE_ENTRIES, the entries all tables hold at most (2 MB; a row two tables share
+# counts twice).
+TABLES: dict[tuple, Optional[list[array]]] = {}
+TABLE_ENTRIES = 2 ** 18
+
+
+def _request(keys: list[tuple]) -> bool:
+    """Whether each table of `keys` was requested before; requests each, now the
+    most recently used, and if so builds each one not built yet."""
+    seen = all([k in TABLES for k in keys])
+    for key in keys:
+        table = TABLES.pop(key, None)
+        if table is None and seen:
+            c, trig, rows, cols = key  # rows a table of c, trig and cols holds are shared
+            have = max([t for k, t in TABLES.items() if t and k[:2] == key[:2] and k[3] == cols],
+                       key=len, default=[])
+            while sum(k[2] * k[3] for k, t in TABLES.items() if t) + rows * cols > TABLE_ENTRIES:
+                del TABLES[next(iter(TABLES))]
+            fn = getattr(math, trig)
+            table = have[:rows] + [array("d", [fn(c * (i * j)) for j in range(cols)])
+                                   for i in range(len(have), rows)]
+        TABLES[key] = table
+    while len(TABLES) > UNIT_MEMO_SIZE:
+        del TABLES[next(iter(TABLES))]
+    return seen
+
+
 # The compiled code of each distinct unit text (a shape) seen in the process;
 # every literal is a parameter, so the emitters bound the number of shapes.
 UNIT_CODE: dict[str, CodeType] = {}
-_NS = {"_sin": math.sin, "_cos": math.cos, "_floor": math.floor,
+_NS = {"_sin": math.sin, "_cos": math.cos, "_floor": math.floor, "_tables": TABLES,
        "_isfinite": math.isfinite, "_DivZero": LoopDivisionByZero,
        "_NonFinite": NonFinite, "_Capacity": CapacityExceeded}
 # Generated code raises these with the buffer (and the capacity it passed);
@@ -155,7 +190,8 @@ class _Rendered(NamedTuple):
     params: tuple[int, ...]  # the unit buffer of each b<k>
     static: tuple  # (key, cost) of one run of the unit; a load's key names a unit buffer
     branches: tuple[tuple, ...]  # (key, cost) of one run of each counted branch body
-    slots: tuple[tuple[int, int], ...]  # (k, j): c<k> is the unit's j-th ConstF (`_consts`)
+    slots: tuple[tuple[int, int], ...]  # (k, j): c<k> is (a table key of) the unit's j-th ConstF
+    tabled: Optional["_Rendered"] = None  # the render that reads twiddle tables, if any
 
 
 def affine_interval(expr: AffineExpr, ranges: dict) -> tuple[int, int]:
@@ -235,6 +271,14 @@ def _guarded(guard: SelectGuard, known: Optional[dict]) -> Optional[dict]:
     return {**known, expr: (lo, hi)}
 
 
+@dataclass(frozen=True, slots=True)
+class _Twiddle(Load):
+    """`buffer[row][index]` of a table, for a trig call and `mults` multiplies."""
+
+    row: str
+    mults: int
+
+
 def _checked(e) -> bool:
     """Whether `e` divides by a non-constant: its divisor is checked at run time."""
     return isinstance(e, Arith) and e.op == "div" and not isinstance(e.rhs, ConstF)
@@ -310,6 +354,7 @@ class _Compiler:
     A shorter one nested in another loop, with no checked divisor (its error
     names the index), renders its folded body once, which proves its accesses
     and costs one trip, and repeats that text once per trip, the index a literal.
+    In the table form (`twiddle`) trig nests read tables instead (`_twiddled`).
 
     A block's cost per run is static: a Counter keyed by the `ExecCounters`
     fields `stores`, `mults`, `adds` and `trig_calls`, plus ("tag", t) per
@@ -327,8 +372,10 @@ class _Compiler:
     length the logical one, so no load or store may touch it.
     """
 
-    def __init__(self, unit: Unit):
+    def __init__(self, unit: Unit, twiddle: bool = False):
         self.unit = unit
+        self.twiddle = twiddle  # render the table form (`_twiddled`)
+        self.tables: dict[tuple, tuple[str, tuple]] = {}  # (local, key) of each table found
         self.index = {b.name: j for j, b in enumerate(unit.buffers)}
         self.names: dict[str, dict[str, str]] = {"b": {}, "t": {}, "i": {}}
         # literal values (a ConstF for a slot, see `render`), run counter names
@@ -399,6 +446,10 @@ class _Compiler:
             return f"({self._affine(e.expr, known)})"
         if isinstance(e, IndexProdF):
             return f"({self._index(e.a, known)}*{self._index(e.b, known)})"
+        if isinstance(e, _Twiddle):  # in bounds by construction
+            cost.update(trig_calls=1, mults=e.mults)
+            row = f"{e.buffer}[{self._index(e.row, known)}]"
+            return self.streams.get(e) or f"{row}[{self._affine(e.index, known)}]"
         if isinstance(e, Load):
             b, j = self._access(e.buffer, e.index, known)
             cost["load", j] += 1
@@ -497,6 +548,7 @@ class _Compiler:
                 lines.append(f"{pad}    if not _isfinite(_v):")
                 lines.append(f"{pad}        raise _NonFinite({buf})")
             elif isinstance(stmt, For):
+                stmt = self._twiddled(stmt)
                 i = self._name("i", stmt.index)
                 for lower, upper in (_pieces(stmt) if depth == 1
                                      else [(stmt.lower, stmt.upper)]):
@@ -559,6 +611,47 @@ class _Compiler:
                 out.append(s)
         return out
 
+    def _twiddled(self, loop: For) -> For:
+        """`loop` in the table form: sin or cos of c * (i*j) in an Assign or Store
+        of a loop over j from 0 in its body, i its index from 0, reads row i of
+        a table (`TABLES`) of at most TABLE_ENTRIES / 4, for a call of the angle
+        or of a temporary assigned it that only later such calls read, whose
+        Assign goes, its multiply charged to its first reader."""
+        body = [replace(s, body=self._rows(loop, s)) if isinstance(s, For) and loop.lower == s.lower
+                == 0 < 4 * loop.upper * s.upper <= TABLE_ENTRIES and s.index != loop.index and any(
+                    isinstance(n, Call) and n.fn in ("sin", "cos") for n, _ in _nodes(s.body))
+                else s for s in loop.body]
+        return replace(loop, body=body) if self.twiddle and body != loop.body else loop
+
+    def _rows(self, loop: For, inner: For) -> list[Stmt]:
+        prod, angles, charged, out = IndexProdF(loop.index, inner.index), {}, set(), []
+        self.refs = self.refs or _refs(self.unit.body)
+
+        def angle(e) -> bool:
+            return isinstance(e, Arith) and e.op == "mul" and type(e.lhs) is ConstF and e.rhs == prod
+
+        def swap(e: Expr) -> Expr:
+            arg = angles.get(e.arg, e.arg) if isinstance(e, Call) and e.fn in ("sin", "cos") else 0
+            if angle(arg):
+                w = self.tables.setdefault((id(arg.lhs), e.fn, loop.upper, inner.upper), (
+                    f"w{len(self.tables)}", (arg.lhs, e.fn, loop.upper, inner.upper)))[0]
+                mults, _ = e.arg is arg or e.arg not in charged, charged.add(e.arg)
+                return _Twiddle(w, AffineExpr.of(inner.index), loop.index, int(mults))
+            return replace(e, **{k: swap(getattr(e, k)) for k in _CONST_SLOTS[type(e)]}
+                           ) if type(e) in (Arith, Call, Cond) else e
+
+        for k, t in enumerate(inner.body):
+            if isinstance(t, Assign) and angle(t.value) and self.refs[t.target.name] == 1 + sum(
+                    n == Call("sin", t.target) or n == Call("cos", t.target)
+                    for u in inner.body[k + 1:] if isinstance(u, (Assign, Store))
+                    for n, _ in _nodes(u)):
+                angles[t.target] = t.value
+            else:
+                tree = "value" if isinstance(t, Assign) else "source"
+                out.append(replace(t, **{tree: swap(getattr(t, tree))})
+                           if isinstance(t, (Assign, Store)) else t)
+        return out
+
     def _stream(self, index: str, body: list[Stmt], lower: int, upper: int,
                 known: dict) -> Optional[str]:
         """The `for` header running `body` for `index` in [lower, upper) over a
@@ -577,6 +670,9 @@ class _Compiler:
                 return None
         slices = []
         for load in streams:  # load.index less c * index, shifted to each bound
+            if isinstance(load, _Twiddle):  # the whole row
+                slices.append(f"{load.buffer}[{self._index(load.row, known)}]")
+                continue
             b, c = self._access(load.buffer, load.index, known)[0], dict(load.index.terms)[index]
             lo, hi = (self._affine(load.index.plus(AffineExpr.of(index, -c, k)), known)
                       for k in ((lower, upper) if c == 1 else (1 - upper, 1 - lower)))
@@ -601,6 +697,8 @@ class _Compiler:
         each lifts to a literal, a slot that each unit of the same shape fills
         with its own value (`_bound`)."""
         body, cost = self._block(self.unit.body, 1, [], {})
+        if self.twiddle:
+            body[:0] = [f"    {w} = _tables[{self._lit(key)}]" for w, key in self.tables.values()]
         params = [*self.names["b"].values(), *(f"c{k}" for k in range(len(self.lits)))]
         if self.runs:
             body = [f"    {' = '.join(self.runs)} = 0", *body,
@@ -614,17 +712,25 @@ class _Compiler:
                          tuple(map(self.index.get, self.names["b"])),
                          tuple(cost.items()),
                          tuple(tuple(c.items()) for c in self.branch_costs),
-                         tuple((k, order[id(v)]) for k, v in enumerate(self.lits)
-                               if isinstance(v, ConstF)))
+                         tuple((k, order[id(v[0] if type(v) is tuple else v)])
+                               for k, v in enumerate(self.lits) if isinstance(v, (ConstF, tuple))),
+                         _Compiler(self.unit, True).render()
+                         if self.tables and not self.twiddle else None)
 
 
 def _bound(shape: _Rendered, unit: Unit) -> _Rendered:
-    """The render of `unit`'s shape, the unit's own ConstF values in its slots."""
+    """The render of `unit`'s shape, the unit's own ConstF values in its slots;
+    a table form shows, but runs only once its tables were requested before."""
     lits, consts = list(shape.fn.__defaults__), _consts(unit.body, [])
     for k, j in shape.slots:
-        lits[k] = consts[j].value
-    return shape._replace(fn=FunctionType(shape.fn.__code__, _NS, "_run", tuple(lits)),
-                          literals="".join([f", {_literal(v)}" for v in lits]))
+        lits[k] = (consts[j].value, *lits[k][1:]) if type(lits[k]) is tuple else consts[j].value
+    bound = shape._replace(fn=FunctionType(shape.fn.__code__, _NS, "_run", tuple(lits)),
+                           literals="".join([f", {_literal(v)}" for v in lits]))
+    if shape.tabled is None:
+        return bound
+    table = _bound(shape.tabled, unit)
+    keys = [v for v in table.fn.__defaults__ if type(v) is tuple]
+    return table._replace(fn=lambda *bufs: (table.fn if _request(keys) else bound.fn)(*bufs))
 
 
 # The render of each op shape (`Unit.shape`) seen last, least recently used
@@ -770,10 +876,7 @@ def evaluate_loop_ir(program: LoopProgram,
     if b := linked.too_large:  # checked before anything is allocated
         raise BufferTooLarge(f"buffer {b.name} of capacity {b.capacity} cannot be allocated: "
                              f"a program's buffers hold at most {MAX_ELEMENTS} elements")
-    bufs = [list(b.init) if b.init is not None else [] if b.dynamic else [0.0] * b.capacity
-            for b in program.buffers]
-    for k, buf in linked.kept:
-        bufs[k] = buf
+    filled = dict(linked.kept)  # the buffers a run binds, not allocates
     for name, k, cap in linked.inputs:
         if name not in inputs:
             raise InputMismatch(f"input {name!r} is not bound")
@@ -781,7 +884,9 @@ def evaluate_loop_ir(program: LoopProgram,
         if len(t) != cap:
             raise InputMismatch(
                 f"input {name!r} expects {cap} samples, got {len(t)}")
-        bufs[k] = list(t.values)
+        filled[k] = list(t.values)
+    bufs = [filled[k] if k in filled else list(b.init) if b.init is not None
+            else [] if b.dynamic else [0.0] * b.capacity for k, b in enumerate(program.buffers)]
 
     runs: list[int] = []
     t0 = time.perf_counter_ns()

@@ -416,6 +416,25 @@ def test_bench_app_by_alias(capsys):
     assert rows[rows.index("wall_time_ns") + 1] == "steady_wall_time_ns"
 
 
+def test_bench_starts_each_route_from_no_twiddle_tables(capsys, monkeypatch):
+    # the none route's tables must not serve the dsp route's first run, and
+    # the steady-state row starts after the run that builds a route's tables
+    import dspc.cli
+    from dspc.interp import TABLES
+    seen, run = [], dspc.cli.evaluate_loop_ir
+
+    def recorded(program, inputs):
+        seen.append(sorted((key[1], rows is not None) for key, rows in TABLES.items()))
+        return run(program, inputs)
+
+    monkeypatch.setattr(dspc.cli, "evaluate_loop_ir", recorded)
+    code, out, _ = run_cli(capsys, "bench", "AudioCompression", "--synth", "x=64")
+    assert code == 0 and "FAIL" not in out
+    # per route: no key, then both requested, then both built for the four timed runs
+    requested, built = [("cos", False), ("sin", False)], [("cos", True), ("sin", True)]
+    assert seen == 2 * ([[], requested] + 4 * [built])
+
+
 def test_bench_app_with_size_override(capsys):
     code, out, _ = run_cli(capsys, "bench", "app5", "--synth", "x=32,7")
     assert code == 0

@@ -282,6 +282,60 @@ def test_unit_code_is_shared_across_sizes():
         assert all(a is b for a, b in zip(_unit_code(p), _unit_code(q), strict=True))
 
 
+def test_twiddle_tables_are_shared_bounded_and_least_recently_used_first_out():
+    from dspc import interp
+    from dspc.interp import TABLE_ENTRIES, TABLES
+    app = corpus.find_app("AudioCompression")
+    programs = {n: _corpus_programs(lambda app: {"N": n}, [app]) for n in (64, 128, 160, 200, 256)}
+    # AudioCompression's DFTs at 128 and 256 points read tables through one
+    # code object each, unit for unit, on each route
+    for p, q in zip(programs[256], programs[128]):
+        compiled_source(p), compiled_source(q)
+        texts = [r.text for r, *_ in p._compiled.calls]
+        assert texts == [r.text for r, *_ in q._compiled.calls]
+        assert sum("_tables[" in t for t in texts) == (2 if p is programs[256][0] else 1)
+        assert len({id(interp.UNIT_CODE[t]) for t in texts}) == len(set(texts))
+    # EnergyOfSignal's 1024-point DFTs and SpectralAnalysis's 509-point ones
+    # are over the bound: they call sin and cos
+    for p in [_corpus_programs(apps=[corpus.find_app("EnergyOfSignal")])[0],
+              *_corpus_programs(apps=[corpus.find_app("SpectralAnalysis")])]:
+        assert "_tables[" not in compiled_source(p) and "_cos(" in compiled_source(p)
+    # a model of the cache: key -> built, least recently used first
+    model, evicted = {}, []
+
+    def use(keys):  # a call of a unit reading `keys`: each requested, built from its second
+        seen = all(k in model for k in keys)
+        for k in keys:
+            built = model.pop(k, False)
+            if seen and not built:
+                while sum(a[2] * a[3] for a, b in model.items() if b) + k[2] * k[3] > TABLE_ENTRIES:
+                    oldest = next(iter(model))
+                    evicted.append((oldest, model.pop(oldest)))
+            model[k] = built or seen
+
+    TABLES.clear()
+    rng = random.Random(11)
+    for _ in range(16):
+        n, route = rng.choice(list(programs)), rng.randrange(2)
+        key = (n, n)
+        for _ in range(rng.randrange(1, 4)):
+            evaluate_loop_ir(programs[n][route], {"x": rand(rng, n)})
+            c = 2.0 * math.pi / n
+            for keys in ([(c, "cos", *key)], [(c, "sin", *key)]) if route == 0 else [
+                    [(c, "cos", *key), (c, "sin", *key)]]:
+                use(keys)
+            assert [(k, t is not None) for k, t in TABLES.items()] == list(model.items())
+            assert sum(len(t) * len(t[0]) for t in TABLES.values() if t) <= TABLE_ENTRIES
+    assert sum(built for _, built in evicted) >= 2  # built tables were evicted
+    # a halved DFT's table shares its rows with the full DFT's of the same transform
+    TABLES.clear()
+    for p in _corpus_programs(lambda app: {"N": 64}, [corpus.find_app("SpectralAnalysis")]):
+        for _ in range(2):
+            evaluate_loop_ir(p, {"x": rand(rng, 64)})
+    full, half = (TABLES[2.0 * math.pi / 127, "cos", rows, 127] for rows in (127, 64))
+    assert len(half) == 64 and all(a is b for a, b in zip(half, full))
+
+
 def test_calls_of_one_unit_run_one_function():
     # AudioCompression's two run_len_encoding ops share one unit on each
     # route, so both calls run the same function object
@@ -878,11 +932,14 @@ _STREAM_FOR = re.compile(r"^ *for (s\d+(, s\d+)*) in (.+):  # (\S+)$")
 
 
 def test_long_guard_free_reductions_stream():
-    # the FIR interiors (101 taps, 50 symmetric pairs) and EnergyOfSignal's
-    # 1024-trip sum stream; HearingAid's 16-trip loops stay indexed
+    # the FIR interiors (101 taps, 50 symmetric pairs), EnergyOfSignal's
+    # 1024-trip sum and AudioCompression's 256-point DFT rows, which read
+    # twiddle tables, stream; HearingAid's 16-trip loops stay indexed
     want = {"LowPassFiltering": ({"fir_filter_response.inner"},
                                  {"filter_res_symm_opt.inner"}),
             "EnergyOfSignal": ({"sum"}, {"sum"}),
+            "AudioCompression": ({"dft1d_real.inner", "dft1d_imag.inner"},
+                                 {"dft1d_fused.inner"}),
             "AudioEqualizer": ({"fir_filter_response.inner"},
                                {"fir_filter_response.inner", "filter_res_symm_opt.inner"})}
     for app in corpus.APPS:
