@@ -273,11 +273,10 @@ def cmd_run(args) -> int:
 
 
 def _bench_runs(program, bindings):
-    """Outputs and counters of a program's first run, from no twiddle tables, and the
-    mean wall time of four after the second, which builds them (`interp.TABLES`)."""
+    """Outputs and counters of a program's first run, from no twiddle tables, which
+    builds them (`interp.TABLES`), and the mean wall time of the next four."""
     TABLES.clear()
     outputs, counters = evaluate_loop_ir(program, bindings)
-    evaluate_loop_ir(program, bindings)
     return outputs, counters, sum(evaluate_loop_ir(program, bindings)[1].wall_time_ns
                                   for _ in range(4)) // 4
 

@@ -12,8 +12,8 @@ over slices: `for s0, s1 in zip(b0[c0:c1], reversed(b1[i0 + c2:i0 + c3])):`.
 A shorter one nested in another loop is straight-line code: a comment with
 its tag, then its folded body once per trip, the index a literal in each.
 A sin or cos of c * (i*j) in a loop over j nested in one over i reads row i
-of a twiddle table (`TABLES`) instead, once a call of any unit requested each
-table it reads before: the first request of a table runs the trig nest.
+of a twiddle table (`TABLES`) instead, which the unit's head requests and the
+first request of its key builds.
 A unit is shared by every program with an equal op (`lowering.op_unit`), and
 units of ops that differ only in float attributes have one op shape
 (`Unit.shape`): the walk runs once per op shape held in `SHAPE_RENDERS`, and
@@ -127,39 +127,35 @@ CMP_SYMBOLS = {"eq": "==", "ne": "!=", "lt": "<", "le": "<=", "gt": ">", "ge": "
 
 
 # Twiddle tables, least recently used first: key (c, trig, rows, cols) holds rows of
-# trig(c * (i*j)) for j < cols, as the trig nest computes them, or None once requested
-# (`_bound`); UNIT_MEMO_SIZE keys at most.  A unit reads tables of at most a quarter of
-# TABLE_ENTRIES, the entries all tables hold at most (2 MB; a row two tables share
-# counts twice).
-TABLES: dict[tuple, Optional[list[array]]] = {}
+# trig(c * (i*j)) for j < cols, as the trig nest computes them.  A unit reads tables of
+# at most a quarter of TABLE_ENTRIES, the entries all tables hold at most (2 MB; a row
+# two tables share counts twice).
+TABLES: dict[tuple, list[array]] = {}
 TABLE_ENTRIES = 2 ** 18
 
 
-def _request(keys: list[tuple]) -> bool:
-    """Whether each table of `keys` was requested before; requests each, now the
-    most recently used, and if so builds each one not built yet."""
-    seen = all([k in TABLES for k in keys])
-    for key in keys:
-        table = TABLES.pop(key, None)
-        if table is None and seen:
-            c, trig, rows, cols = key  # rows a table of c, trig and cols holds are shared
-            have = max([t for k, t in TABLES.items() if t and k[:2] == key[:2] and k[3] == cols],
-                       key=len, default=[])
-            while sum(k[2] * k[3] for k, t in TABLES.items() if t) + rows * cols > TABLE_ENTRIES:
-                del TABLES[next(iter(TABLES))]
-            fn = getattr(math, trig)
-            table = have[:rows] + [array("d", [fn(c * (i * j)) for j in range(cols)])
-                                   for i in range(len(have), rows)]
-        TABLES[key] = table
-    while len(TABLES) > UNIT_MEMO_SIZE:
-        del TABLES[next(iter(TABLES))]
-    return seen
+def _table(c: float, trig: str, rows: int, cols: int) -> list[array]:
+    """The table of key (c, trig, rows, cols), now the most recently used, built if
+    missing from the rows of a table of c, trig and cols and evicting the least
+    recently used past TABLE_ENTRIES."""
+    key = (c, trig, rows, cols)
+    table = TABLES.pop(key, None)
+    if table is None:
+        have = max([t for k, t in TABLES.items() if k[:2] == key[:2] and k[3] == cols],
+                   key=len, default=[])
+        while sum(k[2] * k[3] for k in TABLES) + rows * cols > TABLE_ENTRIES:
+            del TABLES[next(iter(TABLES))]
+        fn = getattr(math, trig)
+        table = have[:rows] + [array("d", [fn(c * (i * j)) for j in range(cols)])
+                               for i in range(len(have), rows)]
+    TABLES[key] = table
+    return table
 
 
 # The compiled code of each distinct unit text (a shape) seen in the process;
 # every literal is a parameter, so the emitters bound the number of shapes.
 UNIT_CODE: dict[str, CodeType] = {}
-_NS = {"_sin": math.sin, "_cos": math.cos, "_floor": math.floor, "_tables": TABLES,
+_NS = {"_sin": math.sin, "_cos": math.cos, "_floor": math.floor, "_table": _table,
        "_isfinite": math.isfinite, "_DivZero": LoopDivisionByZero,
        "_NonFinite": NonFinite, "_Capacity": CapacityExceeded}
 # Generated code raises these with the buffer (and the capacity it passed);
@@ -190,8 +186,7 @@ class _Rendered(NamedTuple):
     params: tuple[int, ...]  # the unit buffer of each b<k>
     static: tuple  # (key, cost) of one run of the unit; a load's key names a unit buffer
     branches: tuple[tuple, ...]  # (key, cost) of one run of each counted branch body
-    slots: tuple[tuple[int, int], ...]  # (k, j): c<k> is (a table key of) the unit's j-th ConstF
-    tabled: Optional["_Rendered"] = None  # the render that reads twiddle tables, if any
+    slots: tuple[tuple[int, int], ...]  # (k, j): c<k> is the unit's j-th ConstF
 
 
 def affine_interval(expr: AffineExpr, ranges: dict) -> tuple[int, int]:
@@ -354,7 +349,7 @@ class _Compiler:
     A shorter one nested in another loop, with no checked divisor (its error
     names the index), renders its folded body once, which proves its accesses
     and costs one trip, and repeats that text once per trip, the index a literal.
-    In the table form (`twiddle`) trig nests read tables instead (`_twiddled`).
+    A trig nest reads tables instead (`_twiddled`).
 
     A block's cost per run is static: a Counter keyed by the `ExecCounters`
     fields `stores`, `mults`, `adds` and `trig_calls`, plus ("tag", t) per
@@ -372,9 +367,8 @@ class _Compiler:
     length the logical one, so no load or store may touch it.
     """
 
-    def __init__(self, unit: Unit, twiddle: bool = False):
+    def __init__(self, unit: Unit):
         self.unit = unit
-        self.twiddle = twiddle  # render the table form (`_twiddled`)
         self.tables: dict[tuple, tuple[str, tuple]] = {}  # (local, key) of each table found
         self.index = {b.name: j for j, b in enumerate(unit.buffers)}
         self.names: dict[str, dict[str, str]] = {"b": {}, "t": {}, "i": {}}
@@ -621,7 +615,7 @@ class _Compiler:
                 == 0 < 4 * loop.upper * s.upper <= TABLE_ENTRIES and s.index != loop.index and any(
                     isinstance(n, Call) and n.fn in ("sin", "cos") for n, _ in _nodes(s.body))
                 else s for s in loop.body]
-        return replace(loop, body=body) if self.twiddle and body != loop.body else loop
+        return replace(loop, body=body) if body != loop.body else loop
 
     def _rows(self, loop: For, inner: For) -> list[Stmt]:
         prod, angles, charged, out = IndexProdF(loop.index, inner.index), {}, set(), []
@@ -697,8 +691,8 @@ class _Compiler:
         each lifts to a literal, a slot that each unit of the same shape fills
         with its own value (`_bound`)."""
         body, cost = self._block(self.unit.body, 1, [], {})
-        if self.twiddle:
-            body[:0] = [f"    {w} = _tables[{self._lit(key)}]" for w, key in self.tables.values()]
+        body[:0] = [f"    {w} = _table({self._lit(c)}, {trig!r}, {', '.join(map(self._lit, size))})"
+                    for w, (c, trig, *size) in self.tables.values()]
         params = [*self.names["b"].values(), *(f"c{k}" for k in range(len(self.lits)))]
         if self.runs:
             body = [f"    {' = '.join(self.runs)} = 0", *body,
@@ -712,25 +706,17 @@ class _Compiler:
                          tuple(map(self.index.get, self.names["b"])),
                          tuple(cost.items()),
                          tuple(tuple(c.items()) for c in self.branch_costs),
-                         tuple((k, order[id(v[0] if type(v) is tuple else v)])
-                               for k, v in enumerate(self.lits) if isinstance(v, (ConstF, tuple))),
-                         _Compiler(self.unit, True).render()
-                         if self.tables and not self.twiddle else None)
+                         tuple((k, order[id(v)]) for k, v in enumerate(self.lits)
+                               if isinstance(v, ConstF)))
 
 
 def _bound(shape: _Rendered, unit: Unit) -> _Rendered:
-    """The render of `unit`'s shape, the unit's own ConstF values in its slots;
-    a table form shows, but runs only once its tables were requested before."""
+    """The render of `unit`'s shape, the unit's own ConstF values in its slots."""
     lits, consts = list(shape.fn.__defaults__), _consts(unit.body, [])
     for k, j in shape.slots:
-        lits[k] = (consts[j].value, *lits[k][1:]) if type(lits[k]) is tuple else consts[j].value
-    bound = shape._replace(fn=FunctionType(shape.fn.__code__, _NS, "_run", tuple(lits)),
-                           literals="".join([f", {_literal(v)}" for v in lits]))
-    if shape.tabled is None:
-        return bound
-    table = _bound(shape.tabled, unit)
-    keys = [v for v in table.fn.__defaults__ if type(v) is tuple]
-    return table._replace(fn=lambda *bufs: (table.fn if _request(keys) else bound.fn)(*bufs))
+        lits[k] = consts[j].value
+    return shape._replace(fn=FunctionType(shape.fn.__code__, _NS, "_run", tuple(lits)),
+                          literals="".join([f", {_literal(v)}" for v in lits]))
 
 
 # The render of each op shape (`Unit.shape`) seen last, least recently used

@@ -142,7 +142,7 @@ def outcome(run) -> tuple:
 
 def differences(program, inputs, runs: int = 3) -> list[str]:
     """How `evaluate_loop_ir`'s first `runs` runs of `program`, from no twiddle
-    tables (the trig nest, the run that builds them, the table form), differ from `evaluate`."""
+    tables (the first builds them, the others read them), differ from `evaluate`."""
     TABLES.clear()
     want = outcome(lambda: evaluate(program, inputs))
     return [f"run {r + 1}: {got} != {want}" for r in range(runs)

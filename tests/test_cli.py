@@ -424,15 +424,14 @@ def test_bench_starts_each_route_from_no_twiddle_tables(capsys, monkeypatch):
     seen, run = [], dspc.cli.evaluate_loop_ir
 
     def recorded(program, inputs):
-        seen.append(sorted((key[1], rows is not None) for key, rows in TABLES.items()))
+        seen.append(sorted(key[1] for key in TABLES))
         return run(program, inputs)
 
     monkeypatch.setattr(dspc.cli, "evaluate_loop_ir", recorded)
     code, out, _ = run_cli(capsys, "bench", "AudioCompression", "--synth", "x=64")
     assert code == 0 and "FAIL" not in out
-    # per route: no key, then both requested, then both built for the four timed runs
-    requested, built = [("cos", False), ("sin", False)], [("cos", True), ("sin", True)]
-    assert seen == 2 * ([[], requested] + 4 * [built])
+    # per route: no table, then both built by the first run for the four timed runs
+    assert seen == 2 * ([[]] + 4 * [["cos", "sin"]])
 
 
 def test_bench_app_with_size_override(capsys):

@@ -293,25 +293,23 @@ def test_twiddle_tables_are_shared_bounded_and_least_recently_used_first_out():
         compiled_source(p), compiled_source(q)
         texts = [r.text for r, *_ in p._compiled.calls]
         assert texts == [r.text for r, *_ in q._compiled.calls]
-        assert sum("_tables[" in t for t in texts) == (2 if p is programs[256][0] else 1)
+        assert sum("_table(" in t for t in texts) == (2 if p is programs[256][0] else 1)
         assert len({id(interp.UNIT_CODE[t]) for t in texts}) == len(set(texts))
     # EnergyOfSignal's 1024-point DFTs and SpectralAnalysis's 509-point ones
     # are over the bound: they call sin and cos
     for p in [_corpus_programs(apps=[corpus.find_app("EnergyOfSignal")])[0],
               *_corpus_programs(apps=[corpus.find_app("SpectralAnalysis")])]:
-        assert "_tables[" not in compiled_source(p) and "_cos(" in compiled_source(p)
-    # a model of the cache: key -> built, least recently used first
-    model, evicted = {}, []
+        assert "_table(" not in compiled_source(p) and "_cos(" in compiled_source(p)
+    # a model of the cache: its keys, least recently used first
+    model, evicted = [], []
 
-    def use(keys):  # a call of a unit reading `keys`: each requested, built from its second
-        seen = all(k in model for k in keys)
-        for k in keys:
-            built = model.pop(k, False)
-            if seen and not built:
-                while sum(a[2] * a[3] for a, b in model.items() if b) + k[2] * k[3] > TABLE_ENTRIES:
-                    oldest = next(iter(model))
-                    evicted.append((oldest, model.pop(oldest)))
-            model[k] = built or seen
+    def use(key):  # a request: touches the key's table, or builds it after evicting
+        if key in model:
+            model.remove(key)
+        else:
+            while sum(a[2] * a[3] for a in model) + key[2] * key[3] > TABLE_ENTRIES:
+                evicted.append(model.pop(0))
+        model.append(key)
 
     TABLES.clear()
     rng = random.Random(11)
@@ -320,20 +318,30 @@ def test_twiddle_tables_are_shared_bounded_and_least_recently_used_first_out():
         key = (n, n)
         for _ in range(rng.randrange(1, 4)):
             evaluate_loop_ir(programs[n][route], {"x": rand(rng, n)})
-            c = 2.0 * math.pi / n
-            for keys in ([(c, "cos", *key)], [(c, "sin", *key)]) if route == 0 else [
-                    [(c, "cos", *key), (c, "sin", *key)]]:
-                use(keys)
-            assert [(k, t is not None) for k, t in TABLES.items()] == list(model.items())
-            assert sum(len(t) * len(t[0]) for t in TABLES.values() if t) <= TABLE_ENTRIES
-    assert sum(built for _, built in evicted) >= 2  # built tables were evicted
+            for trig in ("cos", "sin"):  # both routes request cos, then sin
+                use((2.0 * math.pi / n, trig, *key))
+            assert list(TABLES) == model
+            assert sum(len(t) * len(t[0]) for t in TABLES.values()) <= TABLE_ENTRIES
+    assert len(evicted) >= 2  # tables were evicted
     # a halved DFT's table shares its rows with the full DFT's of the same transform
     TABLES.clear()
     for p in _corpus_programs(lambda app: {"N": 64}, [corpus.find_app("SpectralAnalysis")]):
-        for _ in range(2):
-            evaluate_loop_ir(p, {"x": rand(rng, 64)})
+        evaluate_loop_ir(p, {"x": rand(rng, 64)})
     full, half = (TABLES[2.0 * math.pi / 127, "cos", rows, 127] for rows in (127, 64))
     assert len(half) == 64 and all(a is b for a, b in zip(half, full))
+
+
+def test_corpus_programs_render_each_op_shape_once_from_cold_caches(monkeypatch):
+    # a unit whose trig nest reads twiddle tables has one render too: the table form
+    from dspc import interp, lowering
+    lowering.op_unit.cache_clear()
+    interp.SHAPE_RENDERS.clear()
+    rendered = _count_renders(monkeypatch)
+    programs = _corpus_programs()
+    for p in programs:
+        compiled_source(p)
+    shapes = {unit.shape for p in programs for _, unit, _ in p.calls}
+    assert None not in shapes and len(rendered) == len(shapes)
 
 
 def test_calls_of_one_unit_run_one_function():
