@@ -21,8 +21,8 @@ from .errors import UsageError
 from .frontend import FrontendError, ast_to_text, parse_source, tokenize
 from .graph import (DspGraph, GraphBuildError, ShapeMismatch, VerificationFailed,
                     graph_to_text)
-from .interp import (TABLES, LoopRuntimeError, NonFinite, Tensor, compiled_source,
-                     counters_report, evaluate_loop_ir, report_table, tensor)
+from .interp import (TABLES, LoopRuntimeError, NonFinite, Tensor, check_budget,
+                     compiled_source, counters_report, evaluate_loop_ir, report_table, tensor)
 from .loop_ir import LoopIrError
 from .lowering import LoweringUnsupported, lower_graph
 from .rewriter import PatternId, RewriteError, RewriteStats, apply_dsp_patterns
@@ -85,8 +85,8 @@ def _build_parser() -> _ArgumentParser:
 
 def _read_source(path: str) -> str:
     try:
-        return Path(path).read_text()
-    except OSError as exc:
+        return Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise UsageError(f"cannot read {path}: {exc}") from None
 
 
@@ -134,16 +134,15 @@ def _parse_synth(item: str) -> tuple[str, int, int]:
 def _parse_bindings(input_items: Sequence[str], synth_items: Sequence[str]
                     ) -> tuple[dict[str, Tensor], dict[str, tuple[int, int]]]:
     """The tensors of the `--input` files and the (size, seed) of each
-    `--synth` input; `_draw` makes the samples once the program compiles."""
+    `--synth` input; `_draw` makes the samples once the program compiles and
+    its buffers fit (`interp.check_budget`)."""
     bindings: dict[str, Tensor] = {}
     for item in input_items:
         name, eq, path = item.partition("=")
         if not eq or not name:
             raise UsageError(f"bad --input {item!r}, expected NAME=FILE.json")
         try:
-            values = json.loads(Path(path).read_text())
-        except OSError as exc:
-            raise UsageError(f"cannot read {path}: {exc}") from None
+            values = json.loads(_read_source(path))
         except json.JSONDecodeError as exc:
             raise UsageError(f"{path}: not valid JSON ({exc})") from None
         if (not isinstance(values, list) or not values
@@ -254,6 +253,7 @@ def cmd_run(args) -> int:
     if args.opt == "dsp":
         graph, _stats = apply_dsp_patterns(graph, enabled)
     program = lower_graph(graph)
+    check_budget(program)
     outputs, counters = evaluate_loop_ir(program, _draw(bindings, synth))
     _require_finite(program, outputs)
     for vid, _buf in program.outputs:
@@ -325,6 +325,8 @@ def cmd_bench(args) -> int:
 
     prog_none = lower_graph(graph_none)
     prog_dsp = lower_graph(graph_dsp)
+    check_budget(prog_none)
+    check_budget(prog_dsp)
     bindings = _draw({}, synth)
     outs_none, before, steady_none = _bench_runs(prog_none, bindings)
     outs_dsp, after, steady_dsp = _bench_runs(prog_dsp, bindings)

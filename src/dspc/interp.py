@@ -35,10 +35,11 @@ multiply it stands for.  Loop bounds are static ints, so the cost of one
 run of any block is known at codegen time.  The generated code counts only
 how often each branch body (a boundary guard or a data-dependent comparison)
 ran, with one `+=` per run; the totals are the static cost plus each branch
-body's runs times its cost, kept per program as integer vectors, so a run
-only adds integers.  A program's first run that ends without raising keeps
-the buffers of its input-free calls and folds their branch runs into the
-static cost: later runs bind those buffers, skip those calls, count the same.
+body's runs times its cost, keyed per program as `ExecCounters` reports
+them, so a run only adds integers.  A program's first run that ends without
+raising keeps the buffers of its input-free calls and folds their branch runs
+into the static cost: later runs bind those buffers, skip those calls, count
+the same.
 """
 
 from __future__ import annotations
@@ -126,28 +127,25 @@ _COST_OF_ARITH = {"add": "adds", "sub": "adds", "mul": "mults",
 CMP_SYMBOLS = {"eq": "==", "ne": "!=", "lt": "<", "le": "<=", "gt": ">", "ge": ">="}
 
 
-# Twiddle tables, least recently used first: key (c, trig, rows, cols) holds rows of
-# trig(c * (i*j)) for j < cols, as the trig nest computes them.  A unit reads tables of
-# at most a quarter of TABLE_ENTRIES, the entries all tables hold at most (2 MB; a row
-# two tables share counts twice).
+# Twiddle tables, least recently used first: key (c, trig, cols) holds the rows of
+# trig(c * (i*j)) for j < cols requested so far, as the trig nest computes them.  A
+# unit reads tables of at most a quarter of TABLE_ENTRIES, the entries all tables
+# hold at most (2 MB).
 TABLES: dict[tuple, list[array]] = {}
 TABLE_ENTRIES = 2 ** 18
 
 
 def _table(c: float, trig: str, rows: int, cols: int) -> list[array]:
-    """The table of key (c, trig, rows, cols), now the most recently used, built if
-    missing from the rows of a table of c, trig and cols and evicting the least
-    recently used past TABLE_ENTRIES."""
-    key = (c, trig, rows, cols)
-    table = TABLES.pop(key, None)
-    if table is None:
-        have = max([t for k, t in TABLES.items() if k[:2] == key[:2] and k[3] == cols],
-                   key=len, default=[])
-        while sum(k[2] * k[3] for k in TABLES) + rows * cols > TABLE_ENTRIES:
+    """The table of key (c, trig, cols), now the most recently used, its missing rows
+    below `rows` built in place after evicting the least recently used past TABLE_ENTRIES."""
+    key = (c, trig, cols)
+    table = TABLES.pop(key, [])
+    if len(table) < rows:
+        while sum(len(t) * k[2] for k, t in TABLES.items()) + rows * cols > TABLE_ENTRIES:
             del TABLES[next(iter(TABLES))]
         fn = getattr(math, trig)
-        table = have[:rows] + [array("d", [fn(c * (i * j)) for j in range(cols)])
-                               for i in range(len(have), rows)]
+        table += [array("d", [fn(c * (i * j)) for j in range(cols)])
+                  for i in range(len(table), rows)]
     TABLES[key] = table
     return table
 
@@ -741,20 +739,15 @@ def _rendered(unit: Unit) -> _Rendered:
 MAX_ELEMENTS = 2 ** 24
 
 
-# The counters every program reports, at the head of its counter vector.
-_FIELDS = ("stores", "mults", "adds", "trig_calls")
-
-
 class _Linked(NamedTuple):
-    """A program's calls, costs and buffer slots, split once into integer vectors."""
+    """A program's calls and buffer slots, its costs keyed as `ExecCounters` reports them:
+    a field name, ("tag", t) or ("load", buffer)."""
 
     # per call, in order: (rendered unit, buffer slots, label)
     calls: list[tuple[_Rendered, tuple[int, ...], str]]
-    static: list[int]  # cost of one run per counter: _FIELDS, then tags and loads
-    branches: list[tuple[tuple[int, int], ...]]  # (counter, cost) per run counter
+    static: dict  # cost of one run per key
+    branches: list[list[tuple]]  # (key, cost) per run counter
     starts: list[int]  # the first run counter of each call's branches, then their count
-    tags: list[tuple[str, int]]  # (loop tag, counter)
-    loads: list[tuple[str, int]]  # (buffer, counter)
     too_large: Optional[BufferDecl]  # the buffer that passes MAX_ELEMENTS in all, if any
     inputs: list[tuple[str, int, int]]  # (input name, buffer slot, capacity)
     outputs: list[tuple[int, int]]  # (value printed or returned, buffer slot)
@@ -763,37 +756,27 @@ class _Linked(NamedTuple):
 
 def _link(program: LoopProgram) -> _Linked:
     """Bind each call's unit to the program's buffers: the program slot of
-    each parameter of its one function, its costs under program keys, and
-    the slot of each input and each printed or returned value."""
+    each parameter of its one function, its costs with each load keyed by the
+    call's buffer, and the slot of each input and each printed or returned value."""
     slot = {b.name: k for k, b in enumerate(program.buffers)}
-    counter = {key: k for k, key in enumerate(_FIELDS)}
-    static = [0] * len(_FIELDS)
-
-    def at(key, names: tuple[str, ...]) -> int:
-        if isinstance(key, tuple) and key[0] == "load":
-            key = ("load", names[key[1]])
-        k = counter.get(key)
-        if k is None:
-            k = counter[key] = len(static)
-            static.append(0)
-        return k
-
     bound = [(_rendered(unit), names) for _, unit, names in program.calls]
     calls = [(r, tuple([slot[names[j]] for j in r.params]), label)
              for (r, names), (label, *_) in zip(bound, program.calls)]
-    for r, names in bound:  # static keys first, as they sum in this order
+    static: dict = {}
+    branches: list[list[tuple]] = []
+    for r, names in bound:  # a load's unit slot j becomes the call's buffer names[j]
         for key, v in r.static:
-            static[at(key, names)] += v
-    branches = [tuple([(at(key, names), v) for key, v in cost])
-                for r, names in bound for cost in r.branches]
+            if key[0] == "load":  # never a field name's first letter
+                key = "load", names[key[1]]
+            static[key] = static.get(key, 0) + v
+        branches += [[(("load", names[key[1]]) if key[0] == "load" else key, v)
+                      for key, v in cost] for cost in r.branches]
     starts = [*accumulate([len(r.branches) for r, _ in bound], initial=0)]
-    tags, loads = ([(key[1], k) for key, k in counter.items()
-                    if isinstance(key, tuple) and key[0] == kind] for kind in ("tag", "load"))
     too_large = next((b for b, total in zip(program.buffers, accumulate(
         b.capacity for b in program.buffers)) if total > MAX_ELEMENTS), None)
     inputs = [(name, slot[b], program.buffers[slot[b]].capacity) for name, b in program.inputs]
     outputs = [(vid, slot[b]) for vid, b in program.outputs + program.returns]
-    return _Linked(calls, static, branches, starts, tags, loads, too_large, inputs, outputs)
+    return _Linked(calls, static, branches, starts, too_large, inputs, outputs)
 
 
 def _fold(linked: _Linked, input_free: frozenset[int], bufs: list, runs: list[int]) -> _Linked:
@@ -805,8 +788,8 @@ def _fold(linked: _Linked, input_free: frozenset[int], bufs: list, runs: list[in
     for c in sorted(input_free, reverse=True):  # a later call first: the earlier stay put
         span = slice(linked.starts[c], linked.starts[c + 1])
         for n, cost in zip(runs[span], linked.branches[span]):
-            for k, v in cost:
-                static[k] += v * n
+            for key, v in cost:
+                static[key] = static.get(key, 0) + v * n
         del calls[c], branches[span]
     return linked._replace(
         calls=calls, static=static, branches=branches, starts=[],
@@ -824,33 +807,40 @@ def compiled_source(program: LoopProgram) -> str:
     """The text form of a program, compiled if need be; buffer comments show
     capacity, `dyn`, bound input and up to 8 initial values, and the k-th
     distinct unit is named `_run<k>`."""
-    source = getattr(program, "_source", None)
-    if source is None:
-        calls = _ensure_compiled(program).calls
-        bound = {buf: name for name, buf in program.inputs}
-        lines = []
-        for b in program.buffers:
-            decl = f"# buffer {b.name}[{b.capacity}]" + " dyn" * b.dynamic
-            if b.name in bound:
-                decl += f" input {bound[b.name]}"
-            if b.init is not None:
-                preview = ", ".join(repr(v) for v in b.init[:8])
-                decl += f" = [{preview}{', ...' if len(b.init) > 8 else ''}]"
-            lines.append(decl)
-        lines += [f"# print %{vid} ({buf})" for vid, buf in program.outputs]
-        lines += [f"# return %{vid} ({buf})" for vid, buf in program.returns]
-        names: dict[str, str] = {}
-        for r, *_ in calls:
-            if r.text not in names:
-                names[r.text] = f"_run{len(names)}"
-                lines.append(f"def {names[r.text]}{r.text.removeprefix('def _run')}")
-        for c, (r, slots, label) in enumerate(calls):
-            args = (", ".join([program.buffers[k].name for k in slots])
-                    + r.literals).removeprefix(", ")
-            lines.append(f"{names[r.text]}({args})" + (f"  # {label}" if label else "")
-                         + " (input-free: runs once)" * (c in program.input_free))
-        source = program._source = "\n".join(lines)
-    return source
+    calls = _ensure_compiled(program).calls
+    bound = {buf: name for name, buf in program.inputs}
+    lines = []
+    for b in program.buffers:
+        decl = f"# buffer {b.name}[{b.capacity}]" + " dyn" * b.dynamic
+        if b.name in bound:
+            decl += f" input {bound[b.name]}"
+        if b.init is not None:
+            preview = ", ".join(repr(v) for v in b.init[:8])
+            decl += f" = [{preview}{', ...' if len(b.init) > 8 else ''}]"
+        lines.append(decl)
+    lines += [f"# print %{vid} ({buf})" for vid, buf in program.outputs]
+    lines += [f"# return %{vid} ({buf})" for vid, buf in program.returns]
+    names: dict[str, str] = {}
+    for r, *_ in calls:
+        if r.text not in names:
+            names[r.text] = f"_run{len(names)}"
+            lines.append(f"def {names[r.text]}{r.text.removeprefix('def _run')}")
+    for c, (r, slots, label) in enumerate(calls):
+        args = (", ".join([program.buffers[k].name for k in slots])
+                + r.literals).removeprefix(", ")
+        lines.append(f"{names[r.text]}({args})" + (f"  # {label}" if label else "")
+                     + " (input-free: runs once)" * (c in program.input_free))
+    return "\n".join(lines)
+
+
+def check_budget(program: LoopProgram) -> _Linked:
+    """`program` linked, once its buffers are checked against MAX_ELEMENTS: a run, and
+    a caller before it draws inputs, fails before allocating."""
+    linked = _ensure_compiled(program)
+    if b := linked.too_large:
+        raise BufferTooLarge(f"buffer {b.name} of capacity {b.capacity} cannot be allocated: "
+                             f"a program's buffers hold at most {MAX_ELEMENTS} elements")
+    return linked
 
 
 def evaluate_loop_ir(program: LoopProgram,
@@ -858,10 +848,8 @@ def evaluate_loop_ir(program: LoopProgram,
                      ) -> tuple[dict[int, Tensor], ExecCounters]:
     """Run a loop program; returns printed/returned tensors and counters."""
     inputs = inputs or {}
-    linked = getattr(program, "_folded", None) or _ensure_compiled(program)
-    if b := linked.too_large:  # checked before anything is allocated
-        raise BufferTooLarge(f"buffer {b.name} of capacity {b.capacity} cannot be allocated: "
-                             f"a program's buffers hold at most {MAX_ELEMENTS} elements")
+    # a program that has a folded record passed `check_budget` on its first run
+    linked = getattr(program, "_folded", None) or check_budget(program)
     filled = dict(linked.kept)  # the buffers a run binds, not allocates
     for name, k, cap in linked.inputs:
         if name not in inputs:
@@ -890,15 +878,17 @@ def evaluate_loop_ir(program: LoopProgram,
     total = linked.static.copy()
     for n, cost in zip(runs, linked.branches):
         if n:
-            for k, v in cost:
-                total[k] += v * n
-    by_tag = {tag: total[k] for tag, k in linked.tags if total[k]}
-    by_load = {buf: total[k] for buf, k in linked.loads if total[k]}
-    stores, mults, adds, trig_calls = total[:len(_FIELDS)]
+            for key, v in cost:
+                total[key] = total.get(key, 0) + v * n
+    fields, tags, loads = {}, {}, {}
+    for key, v in total.items():
+        if type(key) is str:
+            fields[key] = v
+        elif v:
+            (tags if key[0] == "tag" else loads)[key[1]] = v
     counters = ExecCounters(
-        loop_iterations=sum(by_tag.values()), loads=sum(by_load.values()),
-        stores=stores, mults=mults, adds=adds, trig_calls=trig_calls,
-        wall_time_ns=wall, loop_iters_by_tag=by_tag, loads_by_buffer=by_load)
+        loop_iterations=sum(tags.values()), loads=sum(loads.values()), wall_time_ns=wall,
+        loop_iters_by_tag=tags, loads_by_buffer=loads, **fields)
 
     return {vid: Tensor(tuple(bufs[k])) for vid, k in linked.outputs}, counters
 

@@ -189,6 +189,22 @@ def test_run_rejects_non_finite_json_input(capsys, tmp_path, number):
     assert out == ""
 
 
+@pytest.mark.parametrize("command", ["build", "run", "bench"])
+def test_a_source_that_is_not_utf8_is_a_usage_error(capsys, command):
+    fixture = FIXTURES / "not_utf8.dsp"
+    code, out, err = run_cli(capsys, command, str(fixture))
+    assert (code, out) == (1, "")
+    assert err.startswith(f"usage error: cannot read {fixture}: 'utf-8' codec can't decode")
+
+
+def test_an_input_file_that_is_not_utf8_is_a_usage_error(capsys, tmp_path):
+    data = tmp_path / "x.json"
+    data.write_bytes(b"[1.0, \xff]")
+    code, out, err = run_cli(capsys, "run", ENERGY, "--input", f"x={data}")
+    assert (code, out) == (1, "")
+    assert err.startswith(f"usage error: cannot read {data}: 'utf-8' codec can't decode")
+
+
 @pytest.mark.parametrize("args, message", [
     (("--opt=dsp", "--patterns", ","), "--patterns given but empty\n"),
     (("--synth", "x"), "bad --synth 'x', expected NAME=N[,SEED]\n"),
@@ -591,3 +607,22 @@ def test_inputs_are_synthesized_after_the_bindings_are_checked(capsys, noise_cal
     assert code == 0 and noise_calls == []  # build needs only the lengths
     code, _, _ = run_cli(capsys, "run", ENERGY, "--synth", "x=8,1")
     assert code == 0 and noise_calls == [(8, 1)]
+
+
+@pytest.mark.parametrize("command", ["run", "bench"])
+def test_inputs_are_synthesized_only_for_buffers_within_the_budget(capsys, tmp_path,
+                                                                  monkeypatch, command):
+    # drawing 2^24 + 1 samples takes seconds: the budget is checked before any is drawn
+    import dspc.cli
+    from dspc.interp import MAX_ELEMENTS
+
+    def refused(n, seed):
+        raise AssertionError(f"drew {n} samples")
+
+    monkeypatch.setattr(dspc.cli, "noise", refused)
+    src = tmp_path / "p.dsp"
+    src.write_text("def main(x) { print(x); }\n")
+    code, out, err = run_cli(capsys, command, str(src), "--synth", f"x={MAX_ELEMENTS + 1}")
+    assert (code, out) == (4, "")
+    assert err == (f"runtime error: buffer v0 of capacity {MAX_ELEMENTS + 1} cannot be "
+                   f"allocated: a program's buffers hold at most {MAX_ELEMENTS} elements\n")

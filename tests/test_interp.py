@@ -103,8 +103,9 @@ def test_rle_append_respects_capacity():
 def test_compiled_source_is_cached_and_readable():
     p = program_for("def main(x) { print(gain(x, 2.0)); }", {"x": 4})
     src1 = compiled_source(p)
+    linked = p._compiled
     src2 = compiled_source(p)
-    assert src1 is src2  # cached on the program object
+    assert src1 == src2 and p._compiled is linked  # linked once, kept on the program
     assert "def _run" in src1
     evaluate_loop_ir(p, {"x": tensor([1, 2, 3, 4])})  # reuses the cache
 
@@ -300,35 +301,41 @@ def test_twiddle_tables_are_shared_bounded_and_least_recently_used_first_out():
     for p in [_corpus_programs(apps=[corpus.find_app("EnergyOfSignal")])[0],
               *_corpus_programs(apps=[corpus.find_app("SpectralAnalysis")])]:
         assert "_table(" not in compiled_source(p) and "_cos(" in compiled_source(p)
-    # a model of the cache: its keys, least recently used first
-    model, evicted = [], []
+    # a model of the cache: the rows of each key, least recently used first
+    model, evicted = {}, []
 
-    def use(key):  # a request: touches the key's table, or builds it after evicting
-        if key in model:
-            model.remove(key)
-        else:
-            while sum(a[2] * a[3] for a in model) + key[2] * key[3] > TABLE_ENTRIES:
-                evicted.append(model.pop(0))
-        model.append(key)
+    def use(key, rows):  # a request: touches the key's table, first building missing rows
+        have = model.pop(key, 0)
+        if have < rows:
+            while sum(k[2] * n for k, n in model.items()) + key[2] * rows > TABLE_ENTRIES:
+                evicted.append(next(iter(model)))
+                del model[evicted[-1]]
+        model[key] = max(have, rows)
 
     TABLES.clear()
     rng = random.Random(11)
     for _ in range(16):
         n, route = rng.choice(list(programs)), rng.randrange(2)
-        key = (n, n)
         for _ in range(rng.randrange(1, 4)):
             evaluate_loop_ir(programs[n][route], {"x": rand(rng, n)})
-            for trig in ("cos", "sin"):  # both routes request cos, then sin
-                use((2.0 * math.pi / n, trig, *key))
-            assert list(TABLES) == model
+            for trig in ("cos", "sin"):  # both routes request cos, then sin, n rows
+                use((2.0 * math.pi / n, trig, n), n)
+            assert [(k, len(t)) for k, t in TABLES.items()] == list(model.items())
             assert sum(len(t) * len(t[0]) for t in TABLES.values()) <= TABLE_ENTRIES
     assert len(evicted) >= 2  # tables were evicted
-    # a halved DFT's table shares its rows with the full DFT's of the same transform
-    TABLES.clear()
-    for p in _corpus_programs(lambda app: {"N": 64}, [corpus.find_app("SpectralAnalysis")]):
-        evaluate_loop_ir(p, {"x": rand(rng, 64)})
-    full, half = (TABLES[2.0 * math.pi / 127, "cos", rows, 127] for rows in (127, 64))
-    assert len(half) == 64 and all(a is b for a, b in zip(half, full))
+    # a halved DFT reads rows of the full DFT's table of the same transform, in
+    # either order built and counted once
+    spectral = _corpus_programs(lambda app: {"N": 64}, [corpus.find_app("SpectralAnalysis")])
+    for order in (spectral, spectral[::-1]):
+        TABLES.clear()
+        rows = []
+        for p in order:
+            evaluate_loop_ir(p, {"x": rand(rng, 64)})
+            rows.append(list(TABLES[2.0 * math.pi / 127, "cos", 127]))
+        assert {k: len(t) for k, t in TABLES.items()} == {
+            (2.0 * math.pi / 127, trig, 127): 127 for trig in ("cos", "sin")}
+        assert [len(r) for r in rows] == ([127, 127] if order is spectral else [64, 127])
+        assert all(a is b for a, b in zip(*rows))
 
 
 def test_corpus_programs_render_each_op_shape_once_from_cold_caches(monkeypatch):
