@@ -128,6 +128,20 @@ def _check_tap_loads(ctx: BenchContext) -> CheckResult:
             f"total tap loads {got_b}->{got_a} over {N} outputs")
 
 
+def _check_fir_merge(ctx: BenchContext) -> CheckResult:
+    # F products per FIR.  Before: three FIRs, three output gains, the window (2L),
+    # three ideal responses (3L, less 3 at an odd L's centre tap) and three
+    # products (L each); after: one FIR, two tap gains and three designs (3L each).
+    N, L = ctx.sizes["N"], ctx.sizes["L"]
+    fir = sum(min(i + 1, L) for i in range(N))
+    want = (3 * fir + 3 * N + 14 * L - 9 * (L % 2), fir + 11 * L)
+    firs = [op.opcode.value for op in ctx.graph_dsp.ops
+            if op.opcode in (OpCode.FIR_FILTER_RESPONSE, OpCode.FILTER_RES_SYMM_OPT)]
+    ok = firs == ["fir_filter_response"] and (ctx.before.mults, ctx.after.mults) == want
+    return (f"bands merge into one FIR, mults {want[0]} -> {want[1]} (exact)", ok,
+            f"FIR ops {firs}, mults {ctx.before.mults}->{ctx.after.mults}")
+
+
 def _check_parseval_counts(ctx: BenchContext) -> CheckResult:
     ratio = ctx.after.mults / ctx.before.mults
     ok = ratio <= 0.001 and ctx.after.trig_calls == 0
@@ -253,7 +267,7 @@ APPS: tuple[CorpusApp, ...] = (
               checks=_COMMON, base_seed=1600),
     _packaged("app7", "AudioEqualizer", "audio_equalizer.dsp",
               sizes=(("N", 1024), ("L", 101)), inputs=(InputPlan("x", "N"),),
-              checks=_COMMON, base_seed=1700),
+              checks=_COMMON + (_check_fir_merge,), base_seed=1700),
 )
 
 

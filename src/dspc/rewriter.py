@@ -32,6 +32,7 @@ from .ops import OP_DEFS, OpCode, TensorShape
 
 class PatternId(Enum):
     SYMMETRIC_FILTER = "1"
+    FIR_MERGE = "8"  # before 2, which would pair one band before the bands merge
     SYMMETRIC_FILTER_RESPONSE = "2"
     FILTER_Y_SYMM = "3"
     DFT_CONJ_SYMM = "4"
@@ -235,6 +236,49 @@ def pat_symmetric_filter(ctx: _Ctx, site: OpNode) -> Optional[_Rewrite]:
     return replace_site(site, new.id, new)
 
 
+def pat_fir_merge(ctx: _Ctx, site: OpNode) -> Optional[_Rewrite]:
+    """A tree of single-use adds over J >= 2 leaves, each a single-use fir(x,
+    h_j) under at most one single-use gain(., g_j), one x and one static tap
+    length L -> fir(x, taps), taps the left-to-right add chain of gain(h_j, g_j)
+    (h_j where g_j == 1.0), in one application at the tree's top add.
+    Contract (rounding): each output moves by at most 2*gamma(L+J)*m_i, with
+    m_i = sum_k |x[i-k]|*sum_j |g_j*h_j[k]|, gamma(n) = n*u/(1-n*u), u = 2**-53,
+    while no tap sum or product overflows."""
+    v, top = site.id, None
+    if ctx.single_use(v) and (up := ctx.users(v)[0]).opcode is OpCode.GAIN:
+        v = up.id
+    while ctx.single_use(v) and (up := ctx.users(v)[0]).opcode is OpCode.ADD:
+        v, top = up.id, up
+    bands = top and _fir_bands(ctx, top, site.operands[0])
+    if not bands:
+        return None
+    new = [ctx.new(OpCode.GAIN, (h,), (g,)) for h, g in bands if g != 1.0]
+    scaled = iter(new)
+    taps, *rest = [h if g == 1.0 else next(scaled).id for h, g in bands]
+    for h in rest:
+        new.append(ctx.new(OpCode.ADD, (taps, h)))
+        taps = new[-1].id
+    new.append(ctx.new(OpCode.FIR_FILTER_RESPONSE, (site.operands[0], taps)))
+    return _Rewrite(at=top, new_ops=tuple(new), subst={top.id: new[-1].id})
+
+
+def _fir_bands(ctx: _Ctx, top: OpNode, x: ValueId) -> Optional[list[tuple[ValueId, float]]]:
+    """The (taps, gain) of each leaf under `top`, left to right, if the tree qualifies."""
+    bands, stack = [], [*reversed(top.operands)]
+    while stack:
+        v = stack.pop()
+        if (add := ctx.made_by(v, OpCode.ADD, single=True)) is not None:
+            stack += reversed(add.operands)
+            continue
+        gain = ctx.made_by(v, OpCode.GAIN, single=True)
+        fir = ctx.made_by(gain.operands[0] if gain else v, OpCode.FIR_FILTER_RESPONSE, single=True)
+        if fir is None or fir.operands[0] != x:
+            return None
+        bands.append((fir.operands[1], gain.attributes[0] if gain else 1.0))
+    shapes = {ctx.shape(h) for h, _ in bands}
+    return bands if len(shapes) == 1 and None not in shapes else None
+
+
 def pat_symmetric_filter_response(ctx: _Ctx, site: OpNode) -> Optional[_Rewrite]:
     """FirFilterResponse with coefficients known symmetric -> paired-tap form."""
     if ctx.made_by(site.operands[1], OpCode.FILTER_HAMM_OPT) is None:
@@ -345,6 +389,7 @@ def pat_identity_up_down(ctx: _Ctx, site: OpNode) -> Optional[_Rewrite]:
 
 _MATCHERS = {
     PatternId.SYMMETRIC_FILTER: (pat_symmetric_filter, {OpCode.MUL}),
+    PatternId.FIR_MERGE: (pat_fir_merge, {OpCode.FIR_FILTER_RESPONSE}),
     PatternId.SYMMETRIC_FILTER_RESPONSE: (pat_symmetric_filter_response,
                                           {OpCode.FIR_FILTER_RESPONSE}),
     PatternId.FILTER_Y_SYMM: (pat_filter_y_symm, {OpCode.CONV1D_FULL}),

@@ -295,6 +295,143 @@ def main(x, d) {
     assert OpCode.LMS_FILTER_GAIN_OPT not in opcodes(g2)
 
 
+# Pattern 8 and its rounding contract: |dsp - none| <= 2*gamma(L+J)*m_i per
+# output, m_i = sum_k |x[i-k]| * sum_j |g_j|*|h_j[k]| (see `pat_fir_merge`).
+
+U = 2.0 ** -53
+
+
+def gamma(n):
+    return n * U / (1 - n * U)
+
+
+def fir_merge_violations(x, bands, none, dsp):
+    """The outputs i where none and dsp differ by more than pattern 8's bound,
+    for a signal `x` and the (taps, gain) of each of the J bands."""
+    L, J = len(bands[0][0]), len(bands)
+    w = [sum(abs(g * h[k]) for h, g in bands) for k in range(L)]
+    bad = []
+    for i, (a, b) in enumerate(zip(none, dsp)):
+        m = sum(abs(x[i - k]) * w[k] for k in range(min(L, i + 1)))
+        if abs(a - b) > 2 * gamma(L + J) * m:
+            bad.append(i)
+    return bad
+
+
+def test_pattern8_meets_its_contract_on_audio_equalizer():
+    from test_acceptance import REL_TOL
+    app = corpus.find_app("AudioEqualizer")
+    sizes = app.default_sizes()
+    g = corpus.compile_source(app.source(sizes), app.input_lengths(sizes))
+    dsp, stats = apply_dsp_patterns(g)
+    assert stats.applications[PatternId.FIR_MERGE] == 1
+    values = K.eval_graph(g, app.synth_inputs(sizes, 0))  # the taps read no input
+    readers = {v: op for op in g.ops for v in op.operands}
+    bands = [(values[op.operands[1]].values,
+              readers[op.id].attr("g") if readers[op.id].opcode is OpCode.GAIN else 1.0)
+             for op in g.ops if op.opcode is OpCode.FIR_FILTER_RESPONSE]
+    assert len(bands) == 3 and {len(h) for h, _ in bands} == {sizes["L"]}
+    routes = [lower_graph(g), lower_graph(dsp)]
+    for seed in range(5):
+        inputs = app.synth_inputs(sizes, seed)
+        (none, _), (opt, _) = (evaluate_loop_ir(p, inputs) for p in routes)
+        a, b = (out[p.outputs[0][0]] for out, p in zip((none, opt), routes))
+        assert fir_merge_violations(inputs["x"].values, bands, a.values, b.values) == []
+        assert corpus.max_relative_deviation([a], [b]) <= REL_TOL
+
+
+def fir_merge_sweep(N, L, J):
+    """Pattern 8's region, J bands of L taps over x of N samples with gains
+    1.0 (a bare leaf for J = 2), 0.5 and -2.0, the three right-nested, run
+    on both routes for every unit impulse of x; the impulses whose outputs
+    break the bound."""
+    gains = (1.0, 0.5, -2.0)[:J]
+    leaves = [f"gain(firFilterResponse(x, h{j}), {g})".replace("-", "0 - ")  # no unary minus
+              for j, g in enumerate(gains)]
+    if J == 2:
+        leaves[0] = "firFilterResponse(x, h0)"
+    expr = " + ".join(leaves) if J == 2 else f"{leaves[0]} + ({leaves[1]} + {leaves[2]})"
+    names = [f"h{j}" for j in range(J)]
+    source = f"def main(x, {', '.join(names)}) {{ print({expr}); }}"
+    g = compile_graph(source, {"x": N, **dict.fromkeys(names, L)})
+    dsp, stats = apply_dsp_patterns(g, {PatternId.FIR_MERGE})
+    assert stats.applications[PatternId.FIR_MERGE] == 1
+    rng = random.Random(f"{N}/{L}/{J}")
+    taps = {name: rand(rng, L) for name in names}
+    routes = [lower_graph(g), lower_graph(dsp)]
+    bad = []
+    for k in range(N):
+        x = [float(i == k) for i in range(N)]
+        a, b = ([*evaluate_loop_ir(p, {"x": tensor(x), **taps})[0][p.outputs[0][0]].values]
+                for p in routes)
+        if fir_merge_violations(x, [(taps[n].values, g) for n, g in zip(names, gains)], a, b):
+            bad.append(k)
+    return bad
+
+
+SWEEP = [(N, L, J) for N in (1, 2, 3, 8, 17) for L in (1, 2, 5, 9) for J in (2, 3)]
+
+
+def test_pattern8_meets_its_contract_on_every_impulse():
+    assert [case for case in SWEEP if fir_merge_sweep(*case)] == []
+
+
+def test_pattern8_impulse_sweep_catches_a_dropped_gain(monkeypatch):
+    bands = rewriter._fir_bands
+
+    def drop_last_gain(*args):
+        found = bands(*args)
+        return found and [*found[:-1], (found[-1][0], 1.0)]
+
+    monkeypatch.setattr(rewriter, "_fir_bands", drop_last_gain)
+    assert [case for case in SWEEP if not fir_merge_sweep(*case)] == []
+
+
+def test_pattern8_merges_the_equalizer_bands_in_one_application():
+    app = corpus.find_app("AudioEqualizer")
+    sizes = app.default_sizes()
+    g2, stats = rewrite(app.source(sizes), app.input_lengths(sizes))
+    assert {pid.value: n for pid, n in stats.applications.items() if n} == {"1": 3, "8": 1}
+    assert opcodes(g2).count(OpCode.FIR_FILTER_RESPONSE) == 1
+    assert OpCode.FILTER_RES_SYMM_OPT not in opcodes(g2)
+    # the gain of 1.0 is dropped: two gains of the taps, and two adds chain them
+    assert opcodes(g2).count(OpCode.GAIN) == 2 and opcodes(g2).count(OpCode.ADD) == 2
+    assert [op.attr("g") for op in g2.ops if op.opcode is OpCode.GAIN] == [0.5, 2.0]
+    # with pattern 8 off, pattern 2 pairs the one band whose taps it trusts
+    _, stats = rewrite(app.source(sizes), app.input_lengths(sizes),
+                       {PatternId.SYMMETRIC_FILTER, PatternId.SYMMETRIC_FILTER_RESPONSE})
+    assert {pid.value: n for pid, n in stats.applications.items() if n} == {"1": 3, "2": 1}
+
+
+FIR_MERGE_MISSES = {
+    "different signals": ("print(firFilterResponse(x, [0.5, 0.25]) + "
+                          "firFilterResponse(z, [1.0, 2.0]));"),
+    "unequal tap lengths": ("print(firFilterResponse(x, [0.5, 0.25]) + "
+                            "firFilterResponse(x, [1.0, 2.0, 3.0]));"),
+    "fir read twice": ("var a = firFilterResponse(x, [0.5, 0.25]);\n"
+                       "  print(a + firFilterResponse(x, [1.0, 2.0]));\n  print(a);"),
+    "gain read twice": ("var a = gain(firFilterResponse(x, [0.5, 0.25]), 2.0);\n"
+                        "  print(a + firFilterResponse(x, [1.0, 2.0]));\n  return a;"),
+    "non-fir leaf": "print(x + firFilterResponse(x, [0.5, 0.25]));",
+    "non-fir leaf among firs": ("print(x + firFilterResponse(x, [0.5, 0.25]) + "
+                                "firFilterResponse(x, [1.0, 2.0]));"),
+    # the whole tree merges or nothing does: (fir + fir) + x keeps its firs
+    "firs under a non-fir leaf": ("print(firFilterResponse(x, [0.5, 0.25]) + "
+                                  "firFilterResponse(x, [1.0, 2.0]) + x);"),
+    "two gains": ("print(gain(gain(firFilterResponse(x, [0.5, 0.25]), 2.0), 3.0) + "
+                  "firFilterResponse(x, [1.0, 2.0]));"),
+    "sub of firs": ("print(firFilterResponse(x, [0.5, 0.25]) - "
+                    "firFilterResponse(x, [1.0, 2.0]));"),
+    "sum of conv1d": "print(conv1d(x, [0.5, 0.25]) + conv1d(x, [1.0, 2.0]));",
+}
+
+
+@pytest.mark.parametrize("case", sorted(FIR_MERGE_MISSES))
+def test_pattern8_rejects(case):
+    g2, stats = rewrite(f"def main(x, z) {{\n  {FIR_MERGE_MISSES[case]}\n}}\n", {"x": 8, "z": 8})
+    assert stats.applications[PatternId.FIR_MERGE] == 0
+
+
 def test_rewrite_rewires_a_returned_value():
     g2, stats = rewrite("def main(x) { return downsample(upsample(x, 2), 2); }", {"x": 8})
     assert stats.fired == {PatternId.IDENTITY_UP_DOWN}
@@ -748,6 +885,10 @@ STAGES = {
     "up_down": ("var c{i} = downsample(upsample({s}, 2), 2);\n"
                 "  print(conv1d({s}, reverse(c{i})));",
                 "print(downsample(upsample({s}, 2), 3));"),
+    "fir_bands": ("var b{i} = firFilterResponse({s}, [0.5, 0.{i}]);\n"
+                  "  print(gain(b{i}, 2.0) + firFilterResponse({s}, [1.0, 0.25]));",
+                  "var b{i} = firFilterResponse({s}, [0.5, 0.{i}]);\n"
+                  "  print(gain(b{i}, 2.0) + firFilterResponse({s}, [1.0, 0.25, 0.5]));"),
 }
 
 
