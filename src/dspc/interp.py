@@ -11,9 +11,9 @@ temporaries into their readers and, if its index only picks loads at +-1, runs
 over slices: `for s0, s1 in zip(b0[c0:c1], reversed(b1[i0 + c2:i0 + c3])):`.
 A shorter one nested in another loop is straight-line code: a comment with
 its tag, then its folded body once per trip, the index a literal in each.
-A sin or cos of c * (i*j) in a loop over j nested in one over i reads row i
-of a twiddle table (`TABLES`) instead, which the unit's head requests and the
-first request of its key builds.
+A twiddle (`loop_ir.Trig`) whose row and column run from 0 over at most a
+quarter of `TABLE_ENTRIES` reads a table (`TABLES`), which the unit's head
+requests and the first request of its key builds; a stream reads a table row.
 A unit is shared by every program with an equal op (`lowering.op_unit`), and
 units of ops that differ only in float attributes have one op shape
 (`Unit.shape`): the walk runs once per op shape held in `SHAPE_RENDERS`, and
@@ -30,8 +30,8 @@ printed or returned value, each distinct unit once, with loop tags as comments
 on its `for` lines, and one call line per op.  Operation counters follow the
 cost model the backend was lowered against: loads/stores per buffer access,
 multiplies (including divides), adds (including subtracts), trig calls, and
-loop iterations split by tag; a table read counts as the trig call and angle
-multiply it stands for.  Loop bounds are static ints, so the cost of one
+loop iterations split by tag; a twiddle counts one trig call and its `mults`,
+read from a table or called.  Loop bounds are static ints, so the cost of one
 run of any block is known at codegen time.  The generated code counts only
 how often each branch body (a boundary guard or a data-dependent comparison)
 ran, with one `+=` per run; the totals are the static cost plus each branch
@@ -57,9 +57,9 @@ from typing import Hashable, Iterable, NamedTuple, Optional
 
 from .errors import DspcError
 from .loop_ir import (LEAVES, AffineExpr, Arith, Assign, BufferDecl, Call, CheckFinite, Cond,
-                      ConstF, DynAppend, Expr, For, IfCmp, IndexF, IndexProdF,
-                      Load, LoopIrError, LoopProgram, OutOfBounds, SelectGuard,
-                      Stmt, Store, TempRef, UNIT_MEMO_SIZE, Unit)
+                      ConstF, DynAppend, Expr, For, IfCmp, IndexF, Load, LoopIrError,
+                      LoopProgram, OutOfBounds, SelectGuard, Stmt, Store, TempRef, Trig,
+                      UNIT_MEMO_SIZE, Unit)
 
 
 @dataclass(frozen=True)
@@ -264,14 +264,6 @@ def _guarded(guard: SelectGuard, known: Optional[dict]) -> Optional[dict]:
     return {**known, expr: (lo, hi)}
 
 
-@dataclass(frozen=True, slots=True)
-class _Twiddle(Load):
-    """`buffer[row][index]` of a table, for a trig call and `mults` multiplies."""
-
-    row: str
-    mults: int
-
-
 def _checked(e) -> bool:
     """Whether `e` divides by a non-constant: its divisor is checked at run time."""
     return isinstance(e, Arith) and e.op == "div" and not isinstance(e.rhs, ConstF)
@@ -281,7 +273,8 @@ def _checked(e) -> bool:
 # order, its slots that may hold a ConstF.
 _CONST_SLOTS = {Arith: ("lhs", "rhs"), Call: ("arg",), Cond: ("lhs", "rhs", "if_true", "if_false"),
                 For: ("body",), Assign: ("value",), Store: ("source",), DynAppend: ("value",),
-                SelectGuard: ("body", "orelse"), IfCmp: ("lhs", "rhs", "body", "orelse")}
+                SelectGuard: ("body", "orelse"), IfCmp: ("lhs", "rhs", "body", "orelse"),
+                Trig: ("c",)}
 
 
 def _nodes(node, leaf: bool = False):
@@ -347,7 +340,8 @@ class _Compiler:
     A shorter one nested in another loop, with no checked divisor (its error
     names the index), renders its folded body once, which proves its accesses
     and costs one trip, and repeats that text once per trip, the index a literal.
-    A trig nest reads tables instead (`_twiddled`).
+    A twiddle reads a table where `_table_of` finds one; a called one that a later
+    one of its block reads (`mults` 0) names its angle: `_cos(a0 := c5 * (i0*i1))`.
 
     A block's cost per run is static: a Counter keyed by the `ExecCounters`
     fields `stores`, `mults`, `adds` and `trig_calls`, plus ("tag", t) per
@@ -369,12 +363,13 @@ class _Compiler:
         self.unit = unit
         self.tables: dict[tuple, tuple[str, tuple]] = {}  # (local, key) of each table found
         self.index = {b.name: j for j, b in enumerate(unit.buffers)}
-        self.names: dict[str, dict[str, str]] = {"b": {}, "t": {}, "i": {}}
+        self.names: dict[str, dict] = {"b": {}, "t": {}, "i": {}, "a": {}}
         # literal values (a ConstF for a slot, see `render`), run counter names
         self.lits: list = []
         self.runs: list[str] = []
         self.branch_costs: list[Counter] = []
-        self.streams: dict[Load, str] = {}  # of the loop being rendered
+        self.streams: dict = {}  # of the loop being rendered (`_stream`)
+        self.angles: dict = {}  # the block's shared angles (`_block`): None, or their name
         self.refs: Counter = Counter()  # `_refs` of the unit, made in `_fold`
 
     def _name(self, kind: str, name: str) -> str:
@@ -436,12 +431,19 @@ class _Compiler:
             return self._lit(e)  # a slot, see `render`
         if isinstance(e, IndexF):
             return f"({self._affine(e.expr, known)})"
-        if isinstance(e, IndexProdF):
-            return f"({self._index(e.a, known)}*{self._index(e.b, known)})"
-        if isinstance(e, _Twiddle):  # in bounds by construction
+        if isinstance(e, Trig):
             cost.update(trig_calls=1, mults=e.mults)
-            row = f"{e.buffer}[{self._index(e.row, known)}]"
-            return self.streams.get(e) or f"{row}[{self._affine(e.index, known)}]"
+            row, col = self._index(e.row, known), self._index(e.col, known)
+            if w := self._table_of(e, known):  # in bounds by construction
+                return self.streams.get((w, e.row)) or f"{w}[{row}][{col}]"
+            key = id(e.c), e.row, e.col
+            if not e.mults and self.angles.get(key):
+                return f"_{e.fn}({self.angles[key]})"
+            angle = f"{self._lit(e.c)} * ({row}*{col})"
+            if e.mults and key in self.angles:  # a later Trig reads it
+                self.angles[key] = a = self._name("a", key)
+                angle = f"{a} := {angle}"
+            return f"_{e.fn}({angle})"
         if isinstance(e, Load):
             b, j = self._access(e.buffer, e.index, known)
             cost["load", j] += 1
@@ -492,6 +494,8 @@ class _Compiler:
         cost: Counter = Counter()
         divisors: list[str] = []
         at = f" at element {{{loop_stack[-1]}}}" if loop_stack else ""
+        outer, self.angles = self.angles, {(id(n.c), n.row, n.col): None for n, _ in _nodes([
+            s for s in stmts if type(s) in (Assign, Store)]) if type(n) is Trig and not n.mults}
 
         def ex(e: Expr, prec: int = 0) -> str:
             return self._expr(e, cost, divisors, known, prec)
@@ -540,7 +544,6 @@ class _Compiler:
                 lines.append(f"{pad}    if not _isfinite(_v):")
                 lines.append(f"{pad}        raise _NonFinite({buf})")
             elif isinstance(stmt, For):
-                stmt = self._twiddled(stmt)
                 i = self._name("i", stmt.index)
                 for lower, upper in (_pieces(stmt) if depth == 1
                                      else [(stmt.lower, stmt.upper)]):
@@ -568,6 +571,7 @@ class _Compiler:
                     cost.update({k: v * trip for k, v in body_cost.items()})
             else:
                 raise LoopIrError(f"unknown statement {stmt!r}")
+        self.angles = outer
         return lines, cost
 
     def _fold(self, loop: For, known: dict) -> Optional[list[Stmt]]:
@@ -603,67 +607,37 @@ class _Compiler:
                 out.append(s)
         return out
 
-    def _twiddled(self, loop: For) -> For:
-        """`loop` in the table form: sin or cos of c * (i*j) in an Assign or Store
-        of a loop over j from 0 in its body, i its index from 0, reads row i of
-        a table (`TABLES`) of at most TABLE_ENTRIES / 4, for a call of the angle
-        or of a temporary assigned it that only later such calls read, whose
-        Assign goes, its multiply charged to its first reader."""
-        body = [replace(s, body=self._rows(loop, s)) if isinstance(s, For) and loop.lower == s.lower
-                == 0 < 4 * loop.upper * s.upper <= TABLE_ENTRIES and s.index != loop.index and any(
-                    isinstance(n, Call) and n.fn in ("sin", "cos") for n, _ in _nodes(s.body))
-                else s for s in loop.body]
-        return replace(loop, body=body) if body != loop.body else loop
-
-    def _rows(self, loop: For, inner: For) -> list[Stmt]:
-        prod, angles, charged, out = IndexProdF(loop.index, inner.index), {}, set(), []
-        self.refs = self.refs or _refs(self.unit.body)
-
-        def angle(e) -> bool:
-            return isinstance(e, Arith) and e.op == "mul" and type(e.lhs) is ConstF and e.rhs == prod
-
-        def swap(e: Expr) -> Expr:
-            arg = angles.get(e.arg, e.arg) if isinstance(e, Call) and e.fn in ("sin", "cos") else 0
-            if angle(arg):
-                w = self.tables.setdefault((id(arg.lhs), e.fn, loop.upper, inner.upper), (
-                    f"w{len(self.tables)}", (arg.lhs, e.fn, loop.upper, inner.upper)))[0]
-                mults, _ = e.arg is arg or e.arg not in charged, charged.add(e.arg)
-                return _Twiddle(w, AffineExpr.of(inner.index), loop.index, int(mults))
-            return replace(e, **{k: swap(getattr(e, k)) for k in _CONST_SLOTS[type(e)]}
-                           ) if type(e) in (Arith, Call, Cond) else e
-
-        for k, t in enumerate(inner.body):
-            if isinstance(t, Assign) and angle(t.value) and self.refs[t.target.name] == 1 + sum(
-                    n == Call("sin", t.target) or n == Call("cos", t.target)
-                    for u in inner.body[k + 1:] if isinstance(u, (Assign, Store))
-                    for n, _ in _nodes(u)):
-                angles[t.target] = t.value
-            else:
-                tree = "value" if isinstance(t, Assign) else "source"
-                out.append(replace(t, **{tree: swap(getattr(t, tree))})
-                           if isinstance(t, (Assign, Store)) else t)
-        return out
+    def _table_of(self, e: Trig, known: Optional[dict]) -> Optional[str]:
+        """The local name of the table (`TABLES`) twiddle `e` reads where `known`
+        holds, if its row and column run from 0, in R rows and C columns with
+        4*R*C <= TABLE_ENTRIES; else None."""
+        if known is None or known[e.row][0] or known[e.col][0]:
+            return None
+        rows, cols = known[e.row][1] + 1, known[e.col][1] + 1
+        return None if 4 * rows * cols > TABLE_ENTRIES else self.tables.setdefault(
+            (id(e.c), e.fn, rows, cols), (f"w{len(self.tables)}", (e.c, e.fn, rows, cols)))[0]
 
     def _stream(self, index: str, body: list[Stmt], lower: int, upper: int,
                 known: dict) -> Optional[str]:
         """The `for` header running `body` for `index` in [lower, upper) over a
         slice per distinct load of coefficient +-1 on `index`, proved with the
-        load (`self.streams` names them); None unless `body` is Assigns, reads
-        `index` no other way, and checks no divisor (its error names `index`)."""
-        streams: dict[Load, str] = {}
+        load, and a row per table a twiddle of column `index` reads (`self.streams`
+        names them); None unless `body` is Assigns, reads `index` no other way,
+        and checks no divisor (its error names `index`)."""
+        streams: dict = {}  # a Load, or a table's (local name, row index)
         for n, _ in _nodes(body):  # a Store, the first node of its statement, ends it
             terms = dict(n.index.terms if isinstance(n, Load) else
-                         n.expr.terms if isinstance(n, IndexF) else ())
-            if isinstance(n, Load) and terms.get(index) in (1, -1):
-                streams.setdefault(n, f"s{len(streams)}")
-            elif (isinstance(n, Store) or index in terms
-                  or isinstance(n, IndexProdF) and index in (n.a, n.b)
-                  or _checked(n)):
+                         n.expr.terms if isinstance(n, IndexF) else
+                         ((n.row, 0), (n.col, 0)) if isinstance(n, Trig) else ())
+            w = isinstance(n, Trig) and n.col == index != n.row and self._table_of(n, known)
+            if w or isinstance(n, Load) and terms.get(index) in (1, -1):
+                streams.setdefault((w, n.row) if w else n, f"s{len(streams)}")
+            elif isinstance(n, Store) or index in terms or _checked(n):
                 return None
         slices = []
         for load in streams:  # load.index less c * index, shifted to each bound
-            if isinstance(load, _Twiddle):  # the whole row
-                slices.append(f"{load.buffer}[{self._index(load.row, known)}]")
+            if type(load) is tuple:  # a table's whole row
+                slices.append(f"{load[0]}[{self._index(load[1], known)}]")
                 continue
             b, c = self._access(load.buffer, load.index, known)[0], dict(load.index.terms)[index]
             lo, hi = (self._affine(load.index.plus(AffineExpr.of(index, -c, k)), known)
@@ -751,7 +725,7 @@ class _Linked(NamedTuple):
     too_large: Optional[BufferDecl]  # the buffer that passes MAX_ELEMENTS in all, if any
     inputs: list[tuple[str, int, int]]  # (input name, buffer slot, capacity)
     outputs: list[tuple[int, int]]  # (value printed or returned, buffer slot)
-    kept: tuple[tuple[int, list], ...] = ()  # (slot, buffer a run binds), see `_fold`
+    kept: tuple[tuple[int, list], ...] = ()  # (slot, buffer a run binds), see `_skip_input_free`
 
 
 def _link(program: LoopProgram) -> _Linked:
@@ -779,7 +753,8 @@ def _link(program: LoopProgram) -> _Linked:
     return _Linked(calls, static, branches, starts, too_large, inputs, outputs)
 
 
-def _fold(linked: _Linked, input_free: frozenset[int], bufs: list, runs: list[int]) -> _Linked:
+def _skip_input_free(linked: _Linked, input_free: frozenset[int], bufs: list,
+                     runs: list[int]) -> _Linked:
     """`linked` less its input-free calls (`input_free`), after a run of it that
     ended without raising: each buffer they touched is kept from the run's
     `bufs`, and their branch runs (in `runs`) fold into the static cost.  It keeps
@@ -873,7 +848,7 @@ def evaluate_loop_ir(program: LoopProgram,
         raise type(exc)(_MESSAGES[type(exc)].format(name, *cap)) from None
     wall = time.perf_counter_ns() - t0
     if program.input_free and not linked.kept:
-        program._folded = _fold(linked, program.input_free, bufs, runs)
+        program._folded = _skip_input_free(linked, program.input_free, bufs, runs)
 
     total = linked.static.copy()
     for n, cost in zip(runs, linked.branches):

@@ -5,17 +5,18 @@ at build time.  Index arithmetic is exact integer arithmetic over loop
 variables and is not metered; the float data path (loads, stores,
 multiplies, adds, trig calls) is what the execution counters measure.
 
-A float operand is an expression tree (`Expr`): temporaries, constants and
-index values at the leaves, buffer loads, binary arithmetic and intrinsic
-calls and conditionals above them.  A statement evaluates its trees in the
-association they are built with; `Assign` keeps a tree's value in a
-temporary, and `Store`, `IfCmp` and `DynAppend` read trees directly.  Every
-static access, loads inside trees included, is proved in bounds by the walk
-that renders its unit (`interp`), before the unit is first compiled; a
-negative or overflowing index is only legal inside a SelectGuard that
-establishes its range.  The same walk decides where each guard holds, so the
-IR keeps every guard as emitted: it splits guard-free interiors off a nest
-and drops each guard it proves true only in the text it renders.
+A float operand is an expression tree (`Expr`): temporaries, constants,
+index values and transform twiddles (`Trig`) at the leaves, buffer loads,
+binary arithmetic and intrinsic calls and conditionals above them.  A
+statement evaluates its trees in the association they are built with;
+`Assign` keeps a tree's value in a temporary, and `Store`, `IfCmp` and
+`DynAppend` read trees directly.  Every static access, loads inside trees
+included, is proved in bounds by the walk that renders its unit (`interp`),
+before the unit is first compiled; a negative or overflowing index is only
+legal inside a SelectGuard that establishes its range.  The same walk decides
+where each guard holds, so the IR keeps every guard as emitted: it splits
+guard-free interiors off a nest and drops each guard it proves true only in
+the text it renders.
 
 A program is its buffers and one call per op, `(label, unit, buffer names)`.
 A `Unit` is an op's statements over its own buffers, named as the op's
@@ -88,8 +89,8 @@ class AffineExpr:
 
 
 # Expressions ----------------------------------------------------------------
-# A float-valued operand is an expression tree: temporaries, constants and
-# index values at the leaves; buffer loads, binary arithmetic, intrinsic
+# A float-valued operand is an expression tree: temporaries, constants, index
+# values and twiddles at the leaves; buffer loads, binary arithmetic, intrinsic
 # calls and conditionals inside.  `a + b`, `a - b`, `a * b` and `a / b` on
 # nodes build an `Arith` tree with the association of the Python expression;
 # a plain number on either side becomes a `ConstF`.
@@ -129,15 +130,18 @@ class IndexF(_ArithOps):
 
 
 @dataclass(frozen=True, slots=True)
-class IndexProdF(_ArithOps):
-    """Product of two loop indices as float data (exact below 2**53).
+class Trig(_ArithOps):
+    """``fn(c * (row*col))`` of two loop indices, a transform's twiddle: one
+    trig call and `mults` multiplies, 0 where an earlier Trig of the same
+    angle (the same `c` object and indices) in its statements paid for it.
+    The index product is exact below 2**53 and not metered; `interp` reads
+    the value from a table where both indices run from 0 over a small range."""
 
-    Transform lowerings need k*n for the phase angle; the product itself is
-    index arithmetic and is not metered.
-    """
-
-    a: str
-    b: str
+    fn: str  # sin | cos
+    c: ConstF
+    row: str
+    col: str
+    mults: int = 1
 
 
 @dataclass(frozen=True, slots=True)
@@ -171,8 +175,8 @@ class Cond(_ArithOps):
     if_false: "Expr"
 
 
-LEAVES = (TempRef, ConstF, IndexF, IndexProdF)
-Expr = Union[TempRef, ConstF, IndexF, IndexProdF, Load, Arith, Call, Cond]
+LEAVES = (TempRef, ConstF, IndexF)  # free to read again
+Expr = Union[TempRef, ConstF, IndexF, Trig, Load, Arith, Call, Cond]
 
 
 # Statements -----------------------------------------------------------------

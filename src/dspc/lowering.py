@@ -29,8 +29,10 @@ then ``v<op>[i]`` stored from ``acc``.  Cost-model conventions baked in here:
   the guarded nest: the walk that renders it (`interp`) cuts off the outer
   range where every guard holds and renders that interior guard-free, so its
   guarded work is static cost,
-* transform phase angles are ``c * (k*n)`` with ``c = 2*pi/N`` folded at
-  lowering time, so one multiply per inner iteration buys the angle,
+* a transform's twiddles are `Trig` leaves, ``trig(c * (k*n))`` with
+  ``c = 2*pi/N`` folded at lowering time: one multiply per inner iteration
+  buys the angle, paid by the first part of a two-part nest (its second
+  part's Trig has ``mults=0``),
 * mirrored producers (symmetric taps, conjugate-symmetric spectra) compute
   the first half and store each value twice, skipping the middle duplicate,
 * index arithmetic, comparisons, ``abs`` and ``floor`` are free.
@@ -59,8 +61,8 @@ from .errors import DspcError
 from .graph import DspGraph, OpNode
 from .loop_ir import (AffineExpr, Arith, Assign, BufferDecl, Call, CheckFinite,
                       Cond, ConstF, DynAppend, Expr, For, IfCmp, IndexF,
-                      IndexProdF, Load, LoopProgram, SelectGuard, Stmt, Store,
-                      TempRef, UNIT_MEMO_SIZE, Unit, UnitCall)
+                      Load, LoopProgram, SelectGuard, Stmt, Store, TempRef, Trig,
+                      UNIT_MEMO_SIZE, Unit, UnitCall)
 from .ops import OP_DEFS, OpCode, TensorShape
 
 
@@ -142,16 +144,16 @@ def _e_dft(op: OpNode, lengths: list[int], *, real: bool = True,
     part only) bins k <= N/2 are computed and mirrored by conjugate symmetry.
     """
     n = lengths[op.operands[0]]
+    c = ConstF(2.0 * math.pi / n)
     parts = [(TempRef(name), trig, sign) for on, name, trig, sign in
              ((real, "re", "cos", "add"), (imag, "im", "sin", "sub")) if on]
     xn: Expr = _x(op, _af("j"))
-    ang: Expr = 2.0 * math.pi / n * IndexProdF("i", "j")
     inner: list[Stmt] = []
-    if len(parts) > 1:  # both parts read the sample and the angle
-        inner += [Assign(TempRef("x"), xn), Assign(TempRef("ang"), ang)]
-        xn, ang = TempRef("x"), TempRef("ang")
-    inner += [Assign(acc, Arith(sign, acc, xn * Call(trig, ang)))
-              for acc, trig, sign in parts]
+    if len(parts) > 1:  # both parts read the sample; the first pays for the angle
+        inner.append(Assign(TempRef("x"), xn))
+        xn = TempRef("x")
+    inner += [Assign(acc, Arith(sign, acc, xn * Trig(trig, c, "i", "j", int(not k))))
+              for k, (acc, trig, sign) in enumerate(parts)]
     body: list[Stmt] = [Assign(acc, ConstF(0.0)) for acc, _, _ in parts]
     body.append(_loop(op, n, inner, "inner", "j"))
     body += [Store(f"v{rid}", _af("i"), acc)
@@ -167,10 +169,9 @@ def _e_dft(op: OpNode, lengths: list[int], *, real: bool = True,
 def _e_idft(op: OpNode, lengths: list[int]) -> list[Stmt]:
     n = lengths[op.id]
     xr, xi = (Load(f"v{v}", _af("j")) for v in op.operands)
-    ang = TempRef("ang")
-    return _reduce(op, n, n, [Assign(ang, 2.0 * math.pi / n * IndexProdF("i", "j")),
-                              Assign(_ACC, _ACC + xr * Call("cos", ang) - xi * Call("sin", ang))],
-                   _ACC / float(n))
+    c = ConstF(2.0 * math.pi / n)
+    return _reduce(op, n, n, [Assign(_ACC, _ACC + xr * Trig("cos", c, "i", "j")
+                                     - xi * Trig("sin", c, "i", "j", 0))], _ACC / float(n))
 
 
 def _lowpass_tap(L: int, wc: float) -> list[Stmt]:

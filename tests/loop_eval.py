@@ -5,11 +5,12 @@ index-set splitting, folding, streams, straight-line code or twiddle tables,
 every guard tested and every trig call made.  It counts each metered
 operation as it runs it, under the cost model of `dspc.interp`: a load per
 buffer read, keyed by the program buffer; a store per Store or DynAppend; a
-multiply per `*` or `/`; an add per `+` or `-`; a trig call per sin or cos,
-and a trig call and a multiply per sinc_eval; an iteration per loop trip,
-keyed by tag.  abs, floor, comparisons and index arithmetic are free.  It
-raises the error types the generated code raises, so its outputs, counters
-and errors must equal `evaluate_loop_ir`'s on every run of a program.
+multiply per `*` or `/`; an add per `+` or `-`; a trig call per sin or cos; a
+trig call and a multiply per sinc_eval; a trig call and `mults` multiplies per
+twiddle (`Trig`), which it computes as ``fn(c * (row*col))``; an iteration per
+loop trip, keyed by tag.  abs, floor, comparisons and index arithmetic are
+free.  It raises the error types the generated code raises, so its outputs,
+counters and errors must equal `evaluate_loop_ir`'s on every run of a program.
 
 `python tests/loop_eval.py` holds the 14 corpus routes at default sizes to
 `evaluate_loop_ir` on their first three runs, as a CI step does.
@@ -26,10 +27,11 @@ from dspc.interp import (MAX_ELEMENTS, BufferTooLarge, CapacityExceeded, ExecCou
                          InputMismatch, LoopDivisionByZero, NonFinite, Tensor, TABLES,
                          evaluate_loop_ir)
 from dspc.loop_ir import (Arith, Assign, CheckFinite, Cond, ConstF, DynAppend, For, IfCmp,
-                          IndexF, IndexProdF, Load, OutOfBounds, SelectGuard, Store, TempRef)
+                          IndexF, Load, OutOfBounds, SelectGuard, Store, TempRef, Trig)
 
 ARITH = {"add": operator.add, "sub": operator.sub, "mul": operator.mul, "div": operator.truediv}
 COST = {"add": "adds", "sub": "adds", "mul": "mults", "div": "mults"}
+TRIG = {"sin": math.sin, "cos": math.cos}
 CMP = {"eq": operator.eq, "ne": operator.ne, "lt": operator.lt, "le": operator.le,
        "gt": operator.gt, "ge": operator.ge}
 
@@ -88,8 +90,9 @@ class _Call:
             return ARITH[e.op](lhs, rhs)
         if kind is IndexF:
             return self.at(e.expr)
-        if kind is IndexProdF:
-            return self.index[e.a] * self.index[e.b]
+        if kind is Trig:
+            self.count.update(trig_calls=1, mults=e.mults)
+            return TRIG[e.fn](e.c.value * (self.index[e.row] * self.index[e.col]))
         if kind is Cond:
             taken = CMP[e.cmp](self.ev(e.lhs), self.ev(e.rhs))
             return self.ev(e.if_true if taken else e.if_false)
@@ -99,7 +102,7 @@ class _Call:
         if e.fn == "sinc_eval":
             self.count["mults"] += 1
             return math.sin(a) / a if a != 0.0 else 1.0
-        return {"sin": math.sin, "cos": math.cos, "abs": abs, "floor": math.floor}[e.fn](a)
+        return {**TRIG, "abs": abs, "floor": math.floor}[e.fn](a)
 
     def block(self, stmts) -> None:
         for s in stmts:

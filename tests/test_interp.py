@@ -17,8 +17,8 @@ from dspc.interp import (STREAM_MIN_TRIPS, BufferTooLarge, CapacityExceeded, Inp
                          LoopDivisionByZero, LoopRuntimeError, NonFinite, compiled_source,
                          counters_report, evaluate_loop_ir, report_table, tensor)
 from dspc.loop_ir import (AffineExpr, Assign, BufferDecl, Call, CheckFinite, Cond, ConstF,
-                          DynAppend, For, IfCmp, IndexF, IndexProdF, Load, LoopIrError,
-                          LoopProgram, OutOfBounds, SelectGuard, Store, TempRef, Unit)
+                          DynAppend, For, IfCmp, IndexF, Load, LoopIrError, LoopProgram,
+                          OutOfBounds, SelectGuard, Store, TempRef, Trig, Unit)
 from dspc.lowering import lower_graph
 from dspc.ops import OP_DEFS, OpCode, TensorShape
 from dspc.rewriter import PatternId, apply_dsp_patterns
@@ -204,7 +204,7 @@ _STORE_0 = Store("y", _NOPE, ConstF(1.0))
     SelectGuard(AffineExpr.of("k"), 0, 4, [_STORE_0]),
     SelectGuard(AffineExpr.of("k", 2), 0, 4, [_STORE_0]),
     For("i", 0, 1, [Store("y", AffineExpr.of("i"), IndexF(AffineExpr.of("k")))], "f"),
-    For("i", 0, 1, [Store("y", AffineExpr.of("i"), IndexProdF("i", "k"))], "f"),
+    For("i", 0, 1, [Store("y", AffineExpr.of("i"), Trig("cos", ConstF(1.0), "i", "k"))], "f"),
 ], ids=["guard_bare", "guard_expr", "index_value", "index_product"])
 def test_index_without_a_loop_is_rejected_before_it_runs(stmt):
     # `k` has no enclosing loop; the generated code would raise NameError

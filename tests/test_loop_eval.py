@@ -12,10 +12,10 @@ from pathlib import Path
 import pytest
 
 import loop_eval
-from dspc import corpus
+from dspc import corpus, interp
 from dspc.interp import TABLES, compiled_source, evaluate_loop_ir, tensor
-from dspc.loop_ir import (AffineExpr, Assign, BufferDecl, Call, ConstF, For, IndexProdF, Load,
-                          LoopProgram, OutOfBounds, SelectGuard, Store, TempRef, Unit)
+from dspc.loop_ir import (AffineExpr, Assign, BufferDecl, ConstF, For, Load, LoopProgram,
+                          OutOfBounds, SelectGuard, Store, TempRef, Trig, Unit)
 from dspc.lowering import lower_graph
 from dspc.rewriter import apply_dsp_patterns
 from dspc.synth import noise
@@ -81,51 +81,66 @@ def test_compile_workload_programs_count_as_emitted(monkeypatch, workload):
                 assert loop_eval.differences(p, inputs) == [], prog.source
 
 
-def _nest(n, head, inner, tail):
-    """y[i] = acc for i < n, acc summed by `inner` over j < n between `head`
-    and `tail`; x holds n samples."""
+def _nest(n, inner, first=0):
+    """y[i] = acc for first <= i < n, acc summed by `inner` over j < n; x holds n samples."""
     acc = TempRef("acc")
-    body = [*head, Assign(acc, ConstF(0.0)), For("j", 0, n, inner, "inner"), *tail,
+    body = [Assign(acc, ConstF(0.0)), For("j", 0, n, inner, "inner"),
             Store("y", AffineExpr.of("i"), acc)]
-    buffers = [BufferDecl("x", n), BufferDecl("y", n), BufferDecl("z", n)]
-    return LoopProgram(buffers, [("x", "x")], [(0, "y"), (1, "z")],
-                       calls=[("", Unit(tuple(buffers), [For("i", 0, n, body, "outer")]),
-                               ("x", "y", "z"))])
+    buffers = [BufferDecl("x", n), BufferDecl("y", n)]
+    return LoopProgram(buffers, [("x", "x")], [(0, "y")],
+                       calls=[("", Unit(tuple(buffers), [For("i", first, n, body, "outer")]),
+                               ("x", "y"))])
 
 
-def _angle(n):
-    return 2.0 * math.pi / n * IndexProdF("i", "j")
+_ACC, _X = TempRef("acc"), Load("x", AffineExpr.of("j"))
 
 
-_ACC, _ANG, _X = TempRef("acc"), TempRef("ang"), Load("x", AffineExpr.of("j"))
-_CASES = {  # case: (head, inner body, tail), whether tables are read and the angle kept
-    # a direct call, and an angle that two calls read
-    "direct": lambda n: (((), [Assign(_ACC, _ACC + _X * Call("cos", _angle(n)))], ()),
-                         True, False),
-    "shared": lambda n: (((), [Assign(_ANG, _angle(n)),
-                               Assign(_ACC, _ACC + _X * Call("cos", _ANG) - Call("sin", _ANG))],
-                          ()), True, False),
-    # the angle is read after the loop too, or a call before its Assign reads
-    # the last trip's: no table
-    "read after": lambda n: (((), [Assign(_ANG, _angle(n)), Assign(_ACC, _ACC + Call("sin", _ANG))],
-                              [Store("z", AffineExpr.of("i"), _ANG)]), False, True),
-    "loop-carried": lambda n: (([Assign(_ANG, ConstF(0.0))],
-                                [Assign(_ACC, _ACC + Call("cos", _ANG)), Assign(_ANG, _angle(n))],
-                                ()), False, True),
+def _direct(c):
+    return [Assign(_ACC, _ACC + _X * Trig("cos", c, "i", "j"))]
+
+
+def _shared(c):  # the cosine pays for the angle the sine reads too
+    return [Assign(_ACC, _ACC + _X * Trig("cos", c, "i", "j") - Trig("sin", c, "i", "j", 0))]
+
+
+_CASES = {  # case: (inner body of c, first row, whether tables are read, over their bound)
+    "direct": (_direct, 0, True, False),
+    "shared": (_shared, 0, True, False),
+    "over the bound": (_shared, 0, False, True),
+    "row from 1": (_direct, 1, False, False),
     # a divisor checked at run time keeps a short loop indexed
-    "checked divisor": lambda n: (((), [Assign(TempRef("d"), _X), Assign(
-        _ACC, _ACC + Call("cos", _angle(n)) / TempRef("d"))], ()), True, False),
+    "checked divisor": (lambda c: [Assign(TempRef("d"), _X), Assign(
+        _ACC, _ACC + Trig("cos", c, "i", "j") / TempRef("d"))], 0, True, False),
 }
 
 
 @pytest.mark.parametrize("n", [47, 48])  # either side of STREAM_MIN_TRIPS
 @pytest.mark.parametrize("case", list(_CASES))
-def test_hand_built_trig_nests_count_as_emitted(case, n):
-    parts, tabled, kept = _CASES[case](n)
-    p = _nest(n, *parts)
+def test_hand_built_trig_nests_count_as_emitted(monkeypatch, case, n):
+    inner, first, tabled, over = _CASES[case]
+    if over:
+        monkeypatch.setattr(interp, "TABLE_ENTRIES", 4 * n * n - 1)
+    p = _nest(n, inner(ConstF(2.0 * math.pi / n)), first)
     text = compiled_source(p)
-    assert ("_table(" in text, bool(re.search(r"= c\d+ \* \(i0\*", text))) == (tabled, kept), text
+    assert ("_table(" in text) == tabled, text
+    # a call computes its angle once per trip, however many twiddles read it
+    copies = n if "straight-line" in text else 1
+    assert len(re.findall(r"\* \(i0\*", text)) == (0 if tabled else copies), text
     assert loop_eval.differences(p, {"x": noise(n, 4)}) == []
+
+
+@pytest.mark.parametrize("source, opcode, names", [
+    ("def main(x) { print(dft1dreal(x)); print(dft1dimg(x)); }", "dft1d_fused", "x"),
+    ("def main(x, y) { print(idft1d(x, y)); }", "idft1d", "xy")], ids=["fused", "inverse"])
+def test_two_part_nests_over_the_table_bound_compute_each_angle_once(source, opcode, names):
+    # at 257 points the tables are over their bound: each trip calls cos and
+    # sin of one angle, which the cosine's call names for the sine's
+    inputs = {name: noise(257, k) for k, name in enumerate(names)}
+    p = _routes(source, dict.fromkeys(inputs, 257))[1]
+    text = compiled_source(p)
+    assert f"# {opcode}.inner" in text and "_table(" not in text, text
+    assert len(re.findall(r"\* \(i0\*i1\)", text)) == 1, text
+    assert loop_eval.differences(p, inputs) == []
 
 
 @pytest.mark.parametrize("taps, pieces", [(9, 2), (10, 1)])  # either side of the half-loop cut
