@@ -1,15 +1,14 @@
 """Lexer, recursive-descent parser, and AST for the DSP source language.
 
-A program is a list of function definitions; ``main`` is the entry point and
-its parameters name the signal inputs that get bound at run time.  Statements
-are semicolon-terminated; the only expression forms are number literals,
+A program is one function, ``main``, whose parameters name the signal inputs
+that get bound at run time; nothing may follow it.  Statements are
+semicolon-terminated; the only expression forms are number literals,
 one-dimensional tensor literals, variable references, the four arithmetic
 operators, and builtin calls.
 
 The grammar:
 
-    module  := funcdef+
-    funcdef := "def" IDENT "(" [IDENT {"," IDENT}] ")" "{" stmt* "}"
+    module  := "def" "main" "(" [IDENT {"," IDENT}] ")" "{" stmt* "}" EOF
     stmt    := "var" IDENT "=" expr ";"
              | "print" "(" expr ")" ";"
              | "return" [expr] ";"
@@ -59,16 +58,6 @@ _OP_CHARS = "+-*/"
 _TOKEN_RE = re.compile(r"[^\W\d]\w*|\d+(?:\.\d+)?|#.*|[^ \t\r]")
 
 
-def _same_type_eq(a, b) -> bool:
-    """Equality of light records: equal fields and the same record type, as
-    for a frozen dataclass (a plain tuple is no span)."""
-    return type(a) is type(b) and tuple.__eq__(a, b)
-
-
-def _same_type_ne(a, b) -> bool:
-    return not _same_type_eq(a, b)
-
-
 class SourceSpan(NamedTuple):
     """1-based line/column position plus length in source characters."""
 
@@ -78,8 +67,6 @@ class SourceSpan(NamedTuple):
 
     def __str__(self) -> str:
         return f"{self.line}:{self.column}"
-
-    __eq__, __ne__, __hash__ = _same_type_eq, _same_type_ne, tuple.__hash__
 
 
 class TokenKind(Enum):
@@ -105,8 +92,6 @@ class Token(NamedTuple):
     def __repr__(self) -> str:  # compact, useful in pytest diffs
         return f"Token({self.kind.value} {self.text!r} @{self.span})"
 
-    __eq__, __ne__, __hash__ = _same_type_eq, _same_type_ne, tuple.__hash__
-
 
 class FrontendError(DspcError):
     """Lex or parse failure, carrying the offending span."""
@@ -123,11 +108,6 @@ class LexError(FrontendError):
 class ParseError(FrontendError):
     def __init__(self, span: SourceSpan, expected: str, found: str):
         super().__init__(span, f"expected {expected}, found {found}")
-
-
-class DuplicateMain(ParseError):
-    def __init__(self, span: SourceSpan):
-        super().__init__(span, "a single main function", "a second definition of main")
 
 
 def tokenize(source: str) -> list[Token]:
@@ -227,7 +207,8 @@ AstStatement = Union[VarDecl, PrintStmt, ReturnStmt, ExprStmt]
 
 @dataclass(slots=True, unsafe_hash=True)
 class AstFunction:
-    name: str
+    """``main``, the one function of a module."""
+
     params: tuple[str, ...]
     body: tuple[AstStatement, ...]
     span: SourceSpan = field(compare=False, default=SourceSpan(1, 1))
@@ -235,11 +216,7 @@ class AstFunction:
 
 @dataclass(slots=True, unsafe_hash=True)
 class AstModule:
-    functions: tuple[AstFunction, ...]
-
-    @property
-    def main(self) -> AstFunction:
-        return next(f for f in self.functions if f.name == "main")
+    main: AstFunction
 
 
 # --------------------------------------------------------------------------
@@ -309,30 +286,10 @@ class _Parser:
             raise ParseError(span, f"an expression at most {MAX_EXPR_DEPTH} levels deep",
                              "a deeper one")
 
-    # module := funcdef+
+    # module := "def" "main" "(" [IDENT {"," IDENT}] ")" "{" stmt* "}" EOF
     def module(self) -> AstModule:
-        functions: list[AstFunction] = []
-        if self.tokens[self.pos].kind is TokenKind.EOF:
-            raise self.error("a function definition")
-        while self.tokens[self.pos].kind is not TokenKind.EOF:
-            functions.append(self.funcdef())
-        seen: set[str] = set()
-        for fn in functions:
-            if fn.name in seen:
-                if fn.name == "main":
-                    raise DuplicateMain(fn.span)
-                raise ParseError(fn.span, "a unique function name", f"redefinition of {fn.name!r}")
-            seen.add(fn.name)
-        if "main" not in seen:
-            raise ParseError(functions[-1].span, "a main function", "a module without main")
-        return AstModule(tuple(functions))
-
-    def funcdef(self) -> AstFunction:
         start = self.expect("def")
-        name_tok = self.tokens[self.pos]
-        if name_tok.kind is not TokenKind.IDENT and name_tok.text != "main":
-            raise self.error("a function name")
-        self.pos += 1
+        self.expect("main")
         self.expect("(")
         params: list[str] = []
         if not self.accept(")"):
@@ -357,7 +314,9 @@ class _Parser:
                                      f"redeclaration of {stmt.name!r}")
                 declared.add(stmt.name)
             body.append(stmt)
-        return AstFunction(name_tok.text, tuple(params), tuple(body), start.span)
+        if self.tokens[self.pos].kind is not TokenKind.EOF:
+            raise self.error("end of input")
+        return AstModule(AstFunction(tuple(params), tuple(body), start.span))
 
     def statement(self) -> AstStatement:
         tok = self.tokens[self.pos]
@@ -446,7 +405,7 @@ class _Parser:
 
 
 def parse_module(tokens: list[Token]) -> AstModule:
-    """Parse a token list into a module; exactly one ``main`` is required."""
+    """Parse a token list into a module: one ``main`` and nothing after it."""
     return _Parser(tokens).module()
 
 
@@ -517,10 +476,8 @@ def ast_to_text(module: AstModule) -> str:
     The dump re-parses to a structurally equal module, and dumping that
     parse reproduces the same text.
     """
-    lines: list[str] = []
-    for fn in module.functions:
-        lines.append(f"def {fn.name}({', '.join(fn.params)}) {{")
-        for stmt in fn.body:
-            lines.append(f"  {_stmt_text(stmt)}")
-        lines.append("}")
+    fn = module.main
+    lines = [f"def main({', '.join(fn.params)}) {{"]
+    lines += [f"  {_stmt_text(stmt)}" for stmt in fn.body]
+    lines.append("}")
     return "\n".join(lines) + "\n"

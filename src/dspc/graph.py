@@ -77,29 +77,11 @@ class DspGraph:
 
 
 class GraphBuildError(DspcError):
-    def __init__(self, span: Optional[fe.SourceSpan], message: str):
-        where = f"{span}: " if span is not None else ""
-        super().__init__(f"{where}{message}")
+    """A source construct the builder cannot turn into ops, at its AST node's span."""
+
+    def __init__(self, span: fe.SourceSpan, message: str):
+        super().__init__(f"{span}: {message}")
         self.span = span
-
-
-class UnknownBuiltin(GraphBuildError):
-    def __init__(self, span, name: str):
-        super().__init__(span, f"unknown builtin {name!r} (user-defined calls are not supported)")
-
-
-class ArityMismatch(GraphBuildError):
-    def __init__(self, span, op: str, expected: int, got: int):
-        super().__init__(span, f"{op} expects {expected} argument(s), got {got}")
-
-
-class UndefinedVariable(GraphBuildError):
-    def __init__(self, span, name: str):
-        super().__init__(span, f"undefined variable {name!r}")
-
-
-class BadAttribute(GraphBuildError):
-    pass
 
 
 class VerificationFailed(DspcError):
@@ -147,7 +129,7 @@ class _Builder:
     def expression(self, expr: fe.AstExpression) -> ValueId:
         if isinstance(expr, fe.VariableRef):
             if expr.name not in self.env:
-                raise UndefinedVariable(expr.span, expr.name)
+                raise GraphBuildError(expr.span, f"undefined variable {expr.name!r}")
             return self.env[expr.name]
         if isinstance(expr, fe.Call):
             return self.call(expr)
@@ -164,10 +146,12 @@ class _Builder:
     def call(self, expr: fe.Call) -> ValueId:
         sig = OPDEF_BY_BUILTIN.get(expr.callee)
         if sig is None:
-            raise UnknownBuiltin(expr.span, expr.callee)
+            raise GraphBuildError(expr.span, f"unknown builtin {expr.callee!r} "
+                                             "(user-defined calls are not supported)")
         expected = sig.n_operands + len(sig.attrs)
         if len(expr.args) != expected:
-            raise ArityMismatch(expr.span, expr.callee, expected, len(expr.args))
+            raise GraphBuildError(expr.span, f"{expr.callee} expects {expected} argument(s), "
+                                             f"got {len(expr.args)}")
         return self.emit(sig.opcode, tuple(map(self.expression, expr.args[:sig.n_operands])),
                          tuple([self._const_attr(spec, arg, expr.callee) for spec, arg
                                 in zip(sig.attrs, expr.args[sig.n_operands:])]))
@@ -176,17 +160,17 @@ class _Builder:
         what = f"{callee} attribute {spec.name!r}"
         value = arg.value if type(arg) is fe.NumberLiteral else _fold_constant(arg, what)
         if value is None:
-            raise BadAttribute(arg.span, f"{what} must be a constant number")
+            raise GraphBuildError(arg.span, f"{what} must be a constant number")
         if spec.kind == "int":
             if not math.isfinite(value) or value != int(value):
-                raise BadAttribute(arg.span, f"{what} must be an integer, got {value}")
+                raise GraphBuildError(arg.span, f"{what} must be an integer, got {value}")
             return int(value)
         return float(value)
 
 
 def _fold_constant(expr: fe.AstExpression, what: str) -> Optional[float]:
     """Evaluate an attribute-position expression built from number literals;
-    None if it reads anything else.  Raises BadAttribute, naming the attribute
+    None if it reads anything else.  Raises GraphBuildError, naming the attribute
     `what`, at a division by zero."""
     if isinstance(expr, fe.NumberLiteral):
         return expr.value
@@ -202,7 +186,7 @@ def _fold_constant(expr: fe.AstExpression, what: str) -> Optional[float]:
         if expr.op == "*":
             return lhs * rhs
         if rhs == 0.0:
-            raise BadAttribute(expr.span, f"{what} divides by zero")
+            raise GraphBuildError(expr.span, f"{what} divides by zero")
         return lhs / rhs
     return None
 

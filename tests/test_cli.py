@@ -270,13 +270,21 @@ def test_verify_error_exit_3(capsys, tmp_path):
     ("def main(x, y) { print(gain(x, y * 2.0)); }",
      3, "verify error: 1:34: gain attribute 'g' must be a constant number\n"),
     ("def f(x) { return x; }\ndef f(x) { return x; }\ndef main(x) { print(x); }",
-     2, "parse error: 2:1: expected a unique function name, found redefinition of 'f'\n"),
+     2, "parse error: 1:5: expected 'main', found 'f'\n"),
     ("def main(x) { print(x);", 2, "parse error: 1:24: expected '}', found end of input\n"),
 ], ids=["attribute_reads_a_value", "function_redefined", "body_cut_off"])
 def test_frontend_error_exit_code(capsys, tmp_path, source, code, message):
     src = tmp_path / "p.dsp"
     src.write_text(source)
     assert run_cli(capsys, "build", str(src), "--emit=dsp") == (code, "", message)
+
+
+def test_second_function_exit_2(capsys):
+    # the helper reads an undefined name and calls no builtin; it is never built
+    code, out, err = run_cli(capsys, "run", str(FIXTURES / "two_functions.dsp"),
+                             "--synth", "x=8,1")
+    assert (code, out) == (2, "")
+    assert err == "parse error: 1:5: expected 'main', found 'helper'\n"
 
 
 def test_zero_divisor_attribute_exit_3(capsys):

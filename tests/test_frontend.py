@@ -4,7 +4,7 @@ from hypothesis import strategies as st
 
 from dspc.corpus import compile_source
 from dspc.frontend import (MAX_EXPR_DEPTH, AstFunction, AstModule,
-                           BinaryOp, Call, DuplicateMain, ExprStmt,
+                           BinaryOp, Call, ExprStmt,
                            FrontendError, LexError, NumberLiteral, ParseError,
                            PrintStmt, ReturnStmt, SourceSpan, TensorLiteral,
                            Token, TokenKind, VarDecl, VariableRef, ast_to_text,
@@ -147,8 +147,23 @@ def test_missing_main():
 
 def test_duplicate_main():
     src = "def main() { return; }\ndef main() { return; }"
-    with pytest.raises(DuplicateMain):
+    with pytest.raises(ParseError) as exc:
         parse_source(src)
+    assert str(exc.value) == "2:1: expected end of input, found 'def'"
+    assert exc.value.span == SourceSpan(2, 1, 3)
+
+
+def test_text_after_main_is_rejected():
+    with pytest.raises(ParseError) as exc:
+        parse_source("def main(x) { print(x); } x;")
+    assert str(exc.value) == "1:27: expected end of input, found 'x'"
+
+
+def test_empty_source_is_rejected():
+    for src in ("", "  # nothing but a comment\n"):
+        with pytest.raises(ParseError) as exc:
+            parse_source(src)
+        assert "expected 'def', found end of input" in str(exc.value)
 
 
 def test_duplicate_parameter():
@@ -292,7 +307,7 @@ _EXPRESSIONS = st.recursive(
 
 @st.composite
 def _modules(draw):
-    """A module whose main declares fresh names, with an optional helper."""
+    """A module whose main declares fresh names."""
     params = draw(st.lists(_NAMES, max_size=3, unique=True))
     body = []
     for i, kind in enumerate(draw(st.lists(st.sampled_from("vper"), max_size=5))):
@@ -304,9 +319,7 @@ def _modules(draw):
             body.append(ExprStmt(draw(_EXPRESSIONS)))
         else:
             body.append(ReturnStmt(draw(st.none() | _EXPRESSIONS)))
-    main = AstFunction("main", tuple(params), tuple(body))
-    helper = AstFunction("helper", (), (ReturnStmt(None),))
-    return AstModule((helper, main) if draw(st.booleans()) else (main,))
+    return AstModule(AstFunction(tuple(params), tuple(body)))
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)

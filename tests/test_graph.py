@@ -8,8 +8,7 @@ import pytest
 from dspc import corpus
 from dspc.cli import main
 from dspc.frontend import parse_source
-from dspc.graph import (ArityMismatch, BadAttribute, DspGraph, OpNode, ShapeMismatch,
-                        UndefinedVariable, UnknownBuiltin, build_graph,
+from dspc.graph import (DspGraph, GraphBuildError, OpNode, ShapeMismatch, build_graph,
                         graph_to_text, infer_shapes, verify_graph)
 from dspc.interp import evaluate_loop_ir, tensor
 from dspc.loop_ir import LoopIrError
@@ -83,28 +82,33 @@ def test_attr_constant_folding_adds_and_divides():
 
 
 def test_attr_must_be_constant():
-    with pytest.raises(BadAttribute):
+    with pytest.raises(GraphBuildError) as exc:
         compile_graph("def main(x) { print(delay(x, sum(x))); }")
+    assert str(exc.value) == "1:30: delay attribute 'k' must be a constant number"
 
 
 def test_attr_int_rejects_fraction():
-    with pytest.raises(BadAttribute):
+    with pytest.raises(GraphBuildError) as exc:
         compile_graph("def main(x) { print(delay(x, 2.5)); }")
+    assert str(exc.value) == "1:30: delay attribute 'k' must be an integer, got 2.5"
 
 
 def test_unknown_builtin():
-    with pytest.raises(UnknownBuiltin):
+    with pytest.raises(GraphBuildError) as exc:
         compile_graph("def main(x) { print(fizz(x)); }")
+    assert str(exc.value) == "1:21: unknown builtin 'fizz' (user-defined calls are not supported)"
 
 
 def test_arity_mismatch():
-    with pytest.raises(ArityMismatch):
+    with pytest.raises(GraphBuildError) as exc:
         compile_graph("def main(x) { print(gain(x)); }")
+    assert str(exc.value) == "1:21: gain expects 2 argument(s), got 1"
 
 
 def test_undefined_variable():
-    with pytest.raises(UndefinedVariable):
+    with pytest.raises(GraphBuildError) as exc:
         compile_graph("def main(x) { print(z); }")
+    assert str(exc.value) == "1:21: undefined variable 'z'"
 
 
 # --------------------------------------------------------------------------
