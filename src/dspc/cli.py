@@ -1,8 +1,8 @@
 """Command-line driver: build, run, and benchmark DSL programs.
 
-Exit codes: 0 success, 1 usage, 2 lex/parse, 3 graph build/verify,
-4 runtime (divergence, division by zero, non-finite results), 5 failed
-bench assertion.
+Exit codes: 0 success, 1 usage, 2 lex/parse, 4 runtime (divergence,
+division by zero, non-finite results), 5 failed bench assertion, and 3 for
+any other `DspcError` (graph build, verification, rewriting, lowering).
 """
 
 from __future__ import annotations
@@ -12,20 +12,18 @@ import json
 import math
 import sys
 from pathlib import Path
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, Optional, Sequence, Union
 
 from . import corpus
 from .corpus import (BenchContext, CorpusApp, InputPlan, compile_source,
                      max_relative_deviation)
-from .errors import UsageError
+from .errors import DspcError, UsageError
 from .frontend import FrontendError, ast_to_text, parse_source, tokenize
-from .graph import (DspGraph, GraphBuildError, ShapeMismatch, VerificationFailed,
-                    graph_to_text)
+from .graph import DspGraph, graph_to_text
 from .interp import (TABLES, LoopRuntimeError, NonFinite, Tensor, check_budget,
                      compiled_source, counters_report, evaluate_loop_ir, report_table, tensor)
-from .loop_ir import LoopIrError
-from .lowering import LoweringUnsupported, lower_graph
-from .rewriter import PatternId, RewriteError, RewriteStats, apply_dsp_patterns
+from .lowering import lower_graph
+from .rewriter import PatternId, RewriteStats, apply_dsp_patterns
 from .synth import noise
 
 EXIT_OK = 0
@@ -36,6 +34,9 @@ EXIT_RUNTIME = 4
 EXIT_BENCH = 5
 
 _STAGES = ("tokens", "ast", "dsp", "dsp-opt", "loop")
+
+# A bound input's source: its `--input` file's tensor or its `--synth` (size, seed).
+Binding = Union[Tensor, tuple[int, int]]
 
 
 class _ArgumentParser(argparse.ArgumentParser):
@@ -67,7 +68,6 @@ def _build_parser() -> _ArgumentParser:
     r.add_argument("source")
     common(r)
     r.add_argument("--counters", action="store_true")
-    r.add_argument("--print-index", type=int, default=None, metavar="I")
 
     n = sub.add_parser("bench",
                        description="compare --opt=none against --opt=dsp")
@@ -132,11 +132,11 @@ def _parse_synth(item: str) -> tuple[str, int, int]:
 
 
 def _parse_bindings(input_items: Sequence[str], synth_items: Sequence[str]
-                    ) -> tuple[dict[str, Tensor], dict[str, tuple[int, int]]]:
-    """The tensors of the `--input` files and the (size, seed) of each
-    `--synth` input; `_draw` makes the samples once the program compiles and
-    its buffers fit (`interp.check_budget`)."""
-    bindings: dict[str, Tensor] = {}
+                    ) -> dict[str, Binding]:
+    """Each bound input's source, the `--input` files first; `_draw` makes the
+    `--synth` samples once the program compiles and its buffers fit
+    (`interp.check_budget`)."""
+    bindings: dict[str, Binding] = {}
     for item in input_items:
         name, eq, path = item.partition("=")
         if not eq or not name:
@@ -151,29 +151,25 @@ def _parse_bindings(input_items: Sequence[str], synth_items: Sequence[str]
         if name in bindings:
             raise UsageError(f"input {name!r} bound twice")
         try:
-            bindings[name] = tensor(values)
+            t = bindings[name] = tensor(values)
         except OverflowError:
             raise UsageError(f"{path}: an integer is too large for a float") from None
-        if not all(map(math.isfinite, bindings[name].values)):  # NaN, Infinity, 1e400
+        if not all(map(math.isfinite, t.values)):  # NaN, Infinity, 1e400
             raise UsageError(f"{path}: a number is NaN or infinite")
-    synth: dict[str, tuple[int, int]] = {}
     for item in synth_items:
         name, n, seed = _parse_synth(item)
-        if name in bindings or name in synth:
+        if name in bindings:
             raise UsageError(f"input {name!r} bound twice")
-        synth[name] = n, seed
-    return bindings, synth
+        bindings[name] = n, seed
+    return bindings
 
 
-def _lengths(bindings: dict[str, Tensor],
-             synth: dict[str, tuple[int, int]]) -> dict[str, int]:
-    return {**{n: len(t) for n, t in bindings.items()},
-            **{n: size for n, (size, _seed) in synth.items()}}
+def _lengths(bindings: Mapping[str, Binding]) -> dict[str, int]:
+    return {n: len(b) if isinstance(b, Tensor) else b[0] for n, b in bindings.items()}
 
 
-def _draw(bindings: dict[str, Tensor],
-          synth: dict[str, tuple[int, int]]) -> dict[str, Tensor]:
-    return {**bindings, **{n: noise(size, seed) for n, (size, seed) in synth.items()}}
+def _draw(bindings: Mapping[str, Binding]) -> dict[str, Tensor]:
+    return {n: b if isinstance(b, Tensor) else noise(*b) for n, b in bindings.items()}
 
 
 def _compile(source: str, lengths: dict[str, int]) -> DspGraph:
@@ -230,7 +226,7 @@ def cmd_build(args) -> int:
         print(ast_to_text(module), end="")
         return EXIT_OK
 
-    graph = _compile(source, _lengths(*_parse_bindings(args.input, args.synth)))
+    graph = _compile(source, _lengths(_parse_bindings(args.input, args.synth)))
     if args.emit == "dsp":
         print(graph_to_text(graph), end="")
         return EXIT_OK
@@ -246,27 +242,18 @@ def cmd_build(args) -> int:
 def cmd_run(args) -> int:
     source = _read_source(args.source)
     enabled = _route_patterns(args)
-    bindings, synth = _parse_bindings(args.input, args.synth)
-    lengths = _lengths(bindings, synth)
+    bindings = _parse_bindings(args.input, args.synth)
+    lengths = _lengths(bindings)
     graph = _compile(source, lengths)
     _require_bound(graph, lengths)
     if args.opt == "dsp":
         graph, _stats = apply_dsp_patterns(graph, enabled)
     program = lower_graph(graph)
     check_budget(program)
-    outputs, counters = evaluate_loop_ir(program, _draw(bindings, synth))
+    outputs, counters = evaluate_loop_ir(program, _draw(bindings))
     _require_finite(program, outputs)
     for vid, _buf in program.outputs:
-        t = outputs[vid]
-        if args.print_index is not None:
-            i = args.print_index
-            if not 0 <= i < len(t):
-                raise UsageError(
-                    f"--print-index {i} out of range for %{vid} "
-                    f"(length {len(t)})")
-            print(f"%{vid}[{i}] = {t.values[i]!r}")
-        else:
-            print(f"%{vid} = {_format_tensor(t)}")
+        print(f"%{vid} = {_format_tensor(outputs[vid])}")
     if args.counters:
         print(json.dumps(counters.as_dict(), indent=2))
     return EXIT_OK
@@ -281,21 +268,20 @@ def _bench_runs(program, bindings):
                                   for _ in range(4)) // 4
 
 
-def _resolve_bench_target(args) -> tuple[CorpusApp, dict[str, int],
-                                         dict[str, tuple[int, int]]]:
-    """The app, its sizes, and the (size, seed) of each input.  A file target
-    but a packaged app's becomes an app whose every input is its own size;
-    inputs of an app that share a size must be given the same one."""
-    _files, synth = _parse_bindings((), args.synth)
-    app = corpus.find_app(args.target)
+def _resolve_bench_target(target: str, synth: Mapping[str, Binding]
+                          ) -> tuple[CorpusApp, dict[str, int], dict[str, Binding]]:
+    """The app, its sizes, and the (size, seed) of each input, from `--synth`.  A
+    file target but a packaged app's becomes an app whose every input is its own
+    size; inputs of an app that share a size must be given the same one."""
+    app = corpus.find_app(target)
     if app is None:
-        path = Path(args.target)
+        path = Path(target)
         if not path.exists():
             raise UsageError(
-                f"{args.target!r} is neither a corpus app "
+                f"{target!r} is neither a corpus app "
                 f"(app1..app7) nor a readable file")
         app = CorpusApp(
-            name=path.stem, alias="", filename=path.name, text=_read_source(args.target),
+            name=path.stem, alias="", filename=path.name, text=_read_source(target),
             sizes=tuple((name, n) for name, (n, _seed) in synth.items()),
             inputs=tuple(InputPlan(name, name) for name in synth),
             checks=(corpus._check_deviation, corpus._check_never_worse))
@@ -316,20 +302,20 @@ def _resolve_bench_target(args) -> tuple[CorpusApp, dict[str, int],
 
 
 def cmd_bench(args) -> int:
-    app, sizes, synth = _resolve_bench_target(args)
+    app, sizes, bindings = _resolve_bench_target(args.target, _parse_bindings((), args.synth))
     enabled = _parse_patterns(args.patterns)
     source = app.source(sizes)
-    graph_none = _compile(source, _lengths({}, synth))
-    _require_bound(graph_none, synth)
+    graph_none = _compile(source, _lengths(bindings))
+    _require_bound(graph_none, bindings)
     graph_dsp, stats = apply_dsp_patterns(graph_none, enabled)
 
     prog_none = lower_graph(graph_none)
     prog_dsp = lower_graph(graph_dsp)
     check_budget(prog_none)
     check_budget(prog_dsp)
-    bindings = _draw({}, synth)
-    outs_none, before, steady_none = _bench_runs(prog_none, bindings)
-    outs_dsp, after, steady_dsp = _bench_runs(prog_dsp, bindings)
+    inputs = _draw(bindings)
+    outs_none, before, steady_none = _bench_runs(prog_none, inputs)
+    outs_dsp, after, steady_dsp = _bench_runs(prog_dsp, inputs)
     vals_none = [outs_none[vid] for vid, _ in prog_none.outputs]
     vals_dsp = [outs_dsp[vid] for vid, _ in prog_dsp.outputs]
 
@@ -365,7 +351,10 @@ def cmd_bench(args) -> int:
             "checks": [{"name": n, "ok": ok, "detail": d}
                        for n, ok, d in results],
         }
-        Path(args.json).write_text(json.dumps(doc, indent=2) + "\n")
+        try:
+            Path(args.json).write_text(json.dumps(doc, indent=2) + "\n")
+        except OSError as exc:
+            raise UsageError(f"cannot write {args.json}: {exc}") from None
     if failed:
         return EXIT_BENCH
     _require_finite(prog_none, outs_none)
@@ -391,13 +380,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except FrontendError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except (GraphBuildError, ShapeMismatch, VerificationFailed,
-            RewriteError, LoopIrError, LoweringUnsupported) as exc:
-        print(f"verify error: {exc}", file=sys.stderr)
-        return EXIT_VERIFY
     except LoopRuntimeError as exc:
         print(f"runtime error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
+    except DspcError as exc:
+        print(f"verify error: {exc}", file=sys.stderr)
+        return EXIT_VERIFY
 
 
 def entry() -> None:

@@ -143,11 +143,13 @@ def _check_fir_merge(ctx: BenchContext) -> CheckResult:
 
 
 def _check_parseval_counts(ctx: BenchContext) -> CheckResult:
-    ratio = ctx.after.mults / ctx.before.mults
-    ok = ratio <= 0.001 and ctx.after.trig_calls == 0
-    return ("mult ratio <= 0.001 and zero trig calls", ok,
-            f"mults {ctx.before.mults}->{ctx.after.mults} "
-            f"(ratio {ratio:.6f}), trig after {ctx.after.trig_calls}")
+    # Before: two DFTs (2N^2 each: a product and an angle per term), 2N squares
+    # and the division; after: the N squares of sum(square(x)).
+    N = ctx.sizes["N"]
+    want = (4 * N * N + 2 * N + 1, N)
+    ok = (ctx.before.mults, ctx.after.mults) == want and ctx.after.trig_calls == 0
+    return (f"mults {want[0]} -> {want[1]} (exact) and zero trig calls", ok,
+            f"mults {ctx.before.mults}->{ctx.after.mults}, trig after {ctx.after.trig_calls}")
 
 
 def _check_symm_trips(ctx: BenchContext) -> CheckResult:

@@ -59,11 +59,10 @@ _TOKEN_RE = re.compile(r"[^\W\d]\w*|\d+(?:\.\d+)?|#.*|[^ \t\r]")
 
 
 class SourceSpan(NamedTuple):
-    """1-based line/column position plus length in source characters."""
+    """1-based line/column position in the source."""
 
     line: int
     column: int
-    length: int = 0
 
     def __str__(self) -> str:
         return f"{self.line}:{self.column}"
@@ -129,10 +128,10 @@ def tokenize(source: str) -> list[Token]:
                 elif first == "#":
                     continue
                 else:
-                    raise LexError(SourceSpan(line, m.start() + 1, 1),
+                    raise LexError(SourceSpan(line, m.start() + 1),
                                    f"unexpected character {first!r}")
-            append(new(Token, (kind, tok, new(SourceSpan, (line, m.start() + 1, len(tok))))))
-    append(Token(TokenKind.EOF, "", SourceSpan(len(lines), len(lines[-1]) + 1, 0)))
+            append(new(Token, (kind, tok, new(SourceSpan, (line, m.start() + 1)))))
+    append(Token(TokenKind.EOF, "", SourceSpan(len(lines), len(lines[-1]) + 1)))
     return tokens
 
 
@@ -404,13 +403,9 @@ class _Parser:
         return self.number(self.expect_kind(TokenKind.NUMBER, "a number"))
 
 
-def parse_module(tokens: list[Token]) -> AstModule:
-    """Parse a token list into a module: one ``main`` and nothing after it."""
-    return _Parser(tokens).module()
-
-
 def parse_source(source: str) -> AstModule:
-    return parse_module(tokenize(source))
+    """Parse source text into a module: one ``main`` and nothing after it."""
+    return _Parser(tokenize(source)).module()
 
 
 # --------------------------------------------------------------------------

@@ -869,17 +869,16 @@ def evaluate_loop_ir(program: LoopProgram,
 
 
 _REPORT_KEYS = ("loop_iterations", "loads", "stores", "mults", "adds",
-                "trig_calls", "wall_time_ns")
+                "trig_calls", "wall_time_ns", "steady_wall_time_ns")
 
 
 def counters_report(before: ExecCounters, after: ExecCounters,
-                    steady: Optional[tuple[int, int]] = None) -> dict:
-    """Per-counter after/before ratios; JSON-ready with stable key order.  With
-    `steady`, the (before, after) wall time of runs after the first, a row for it."""
+                    steady: tuple[int, int]) -> dict:
+    """Per-counter after/before ratios; JSON-ready with stable key order.
+    `steady` is the (before, after) wall time of runs after the first."""
     report = {"before": before.as_dict(), "after": after.as_dict(), "ratios": {}}
-    if steady:
-        report["before"]["steady_wall_time_ns"], report["after"]["steady_wall_time_ns"] = steady
-    for key in _REPORT_KEYS + ("steady_wall_time_ns",) * bool(steady):
+    report["before"]["steady_wall_time_ns"], report["after"]["steady_wall_time_ns"] = steady
+    for key in _REPORT_KEYS:
         b, a = report["before"][key], report["after"][key]
         report["ratios"][key] = (a / b) if b else (1.0 if a == 0 else float("inf"))
     return report

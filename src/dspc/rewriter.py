@@ -60,16 +60,11 @@ class Applied(NamedTuple):
 @dataclass
 class RewriteStats:
     applications: dict[PatternId, int] = field(default_factory=dict)
-    ops_before: int = 0
-    ops_after: int = 0
     log: list[Applied] = field(default_factory=list)
 
     @property
     def fired(self) -> set[PatternId]:
         return {pid for pid, n in self.applications.items() if n > 0}
-
-    def total_applications(self) -> int:
-        return sum(self.applications.values())
 
 
 class _Rewrite(NamedTuple):
@@ -422,8 +417,7 @@ def apply_dsp_patterns(graph: DspGraph,
     """
     wanted = list(PatternId) if enabled is None else \
         [pid for pid in PatternId if pid in set(enabled)]
-    stats = RewriteStats(applications={pid: 0 for pid in wanted},
-                         ops_before=len(graph.ops))
+    stats = RewriteStats(applications={pid: 0 for pid in wanted})
     ctx = _Ctx(graph, [(pid, *_MATCHERS[pid]) for pid in wanted])
     sweep_limit = len(graph.ops) + 8
     for _ in range(sweep_limit):
@@ -444,5 +438,4 @@ def apply_dsp_patterns(graph: DspGraph,
         if problems:
             fired = ", ".join(pid.value for pid, n in stats.applications.items() if n)
             raise RewriteError(f"patterns {fired} produced an invalid graph: {problems[0]}")
-    stats.ops_after = len(current.ops)
     return current, stats

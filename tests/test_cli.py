@@ -1,12 +1,17 @@
+import importlib
 import json
+import pkgutil
 import time
 from pathlib import Path
 
 import pytest
 
+import dspc
+from dspc import cli
 from dspc.cli import main
 from dspc.corpus import compile_source
-from dspc.interp import compiled_source
+from dspc.frontend import FrontendError
+from dspc.interp import LoopRuntimeError, compiled_source
 from dspc.lowering import lower_graph
 from dspc.rewriter import apply_dsp_patterns
 
@@ -118,18 +123,6 @@ def test_run_counters_json(capsys):
     counters = json.loads(body)
     assert counters["trig_calls"] == 201
     assert counters["stores"] == 303
-
-
-def test_run_print_index(capsys):
-    code, out, _ = run_cli(capsys, "run", FILTER_DESIGN, "--print-index=50")
-    assert code == 0
-    assert out.startswith("%2[50] = ")
-
-
-def test_run_print_index_out_of_range(capsys):
-    code, _, err = run_cli(capsys, "run", FILTER_DESIGN, "--print-index=500")
-    assert code == 1
-    assert "out of range" in err
 
 
 def test_run_json_input(capsys, tmp_path):
@@ -277,6 +270,32 @@ def test_frontend_error_exit_code(capsys, tmp_path, source, code, message):
     src = tmp_path / "p.dsp"
     src.write_text(source)
     assert run_cli(capsys, "build", str(src), "--emit=dsp") == (code, "", message)
+
+
+def _dspc_error_classes():
+    for info in pkgutil.iter_modules(dspc.__path__):
+        importlib.import_module(f"dspc.{info.name}")
+    classes, todo = [], [dspc.DspcError]
+    while todo:
+        cls = todo.pop()
+        classes.append(cls)
+        todo.extend(c for c in cls.__subclasses__() if c.__module__.startswith("dspc."))
+    return sorted(classes, key=lambda c: c.__name__)
+
+
+# The exit code and stderr prefix of each error family, as `dspc.cli` documents them.
+_EXITS = ((dspc.UsageError, 1, "usage"), (FrontendError, 2, "parse"),
+          (LoopRuntimeError, 4, "runtime"), (dspc.DspcError, 3, "verify"))
+
+
+@pytest.mark.parametrize("cls", _dspc_error_classes(), ids=lambda c: c.__name__)
+def test_every_dspc_error_exits_with_its_documented_code(capsys, monkeypatch, cls):
+    def raising(args):
+        raise cls.__new__(cls, "boom")  # skips __init__, whose arguments differ per class
+
+    monkeypatch.setattr(cli, "cmd_run", raising)
+    code, prefix = next((c, p) for base, c, p in _EXITS if issubclass(cls, base))
+    assert run_cli(capsys, "run", "p.dsp") == (code, "", f"{prefix} error: boom\n")
 
 
 def test_second_function_exit_2(capsys):
@@ -510,10 +529,23 @@ def test_bench_ad_hoc_file(capsys):
 
 
 def test_bench_failing_check_exits_5(capsys):
-    # at N=64 the multiply ratio lands near 0.004, over the 0.001 bar
-    code, out, _ = run_cli(capsys, "bench", "app3", "--synth", "x=64,1")
+    # with only pattern 6 enabled the transforms fuse and Parseval never fires
+    code, out, _ = run_cli(capsys, "bench", "app3", "--patterns=6", "--synth", "x=64,1")
     assert code == 5
-    assert "FAIL" in out
+    assert "FAIL  fired patterns" in out
+
+
+def test_bench_parseval_check_holds_below_the_default_size(capsys):
+    code, out, _ = run_cli(capsys, "bench", "app3", "--synth", "x=64,1")
+    assert code == 0
+    assert "PASS  mults 16513 -> 64 (exact) and zero trig calls" in out
+
+
+def test_bench_unwritable_json_path_is_usage_error(capsys, tmp_path):
+    path = tmp_path / "missing" / "r.json"
+    code, _, err = run_cli(capsys, "bench", "app1", "--json", str(path))
+    assert code == 1
+    assert err.startswith(f"usage error: cannot write {path}: ")
 
 
 def test_bench_overflow_disagreement_exits_5(capsys):

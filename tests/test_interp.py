@@ -972,7 +972,7 @@ def test_counters_report_identical_runs():
     x = {"x": rand(rng, 8)}
     _, c1 = evaluate_loop_ir(p, x)
     _, c2 = evaluate_loop_ir(p, x)
-    report = counters_report(c1, c2)
+    report = counters_report(c1, c2, (100, 100))
     ratios = dict(report["ratios"])
     ratios.pop("wall_time_ns")
     assert all(v == 1.0 for v in ratios.values())
@@ -982,7 +982,7 @@ def test_counters_report_zero_over_zero():
     p = program_for("def main() { print([1]); }")
     _, c1 = evaluate_loop_ir(p, {})
     _, c2 = evaluate_loop_ir(p, {})
-    report = counters_report(c1, c2)
+    report = counters_report(c1, c2, (0, 0))
     assert report["ratios"]["trig_calls"] == 1.0  # 0/0 reads as unchanged
 
 
@@ -992,7 +992,7 @@ def test_report_table_renders_rows():
     x = {"x": rand(rng, 8)}
     _, c1 = evaluate_loop_ir(p, x)
     _, c2 = evaluate_loop_ir(p, x)
-    table = report_table(counters_report(c1, c2))
+    table = report_table(counters_report(c1, c2, (c1.wall_time_ns, c2.wall_time_ns)))
     lines = table.splitlines()
     assert lines[0].split() == ["counter", "before", "after", "ratio"]
     assert any(row.startswith("mults") for row in lines)
