@@ -143,7 +143,7 @@ def _parse_bindings(input_items: Sequence[str], synth_items: Sequence[str]
             raise UsageError(f"bad --input {item!r}, expected NAME=FILE.json")
         try:
             values = json.loads(_read_source(path))
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:  # nested past the limit
             raise UsageError(f"{path}: not valid JSON ({exc})") from None
         if (not isinstance(values, list) or not values
                 or not all(type(v) in (int, float) for v in values)):  # not bool

@@ -13,7 +13,8 @@ A shorter one nested in another loop is straight-line code: a comment with
 its tag, then its folded body once per trip, the index a literal in each.
 A twiddle (`loop_ir.Trig`) whose row and column run from 0 over at most a
 quarter of `TABLE_ENTRIES` reads a table (`TABLES`), which the unit's head
-requests and the first request of its key builds; a stream reads a table row.
+requests and the first request of its key builds; a stream reads a table row,
+and straight-line code binds each row it reads once per trip of its outer loop.
 A unit is shared by every program with an equal op (`lowering.op_unit`), and
 units of ops that differ only in float attributes have one op shape
 (`Unit.shape`): the walk runs once per op shape held in `SHAPE_RENDERS`, and
@@ -130,9 +131,9 @@ CMP_SYMBOLS = {"eq": "==", "ne": "!=", "lt": "<", "le": "<=", "gt": ">", "ge": "
 # Twiddle tables, least recently used first: key (c, trig, cols) holds the rows of
 # trig(c * (i*j)) for j < cols requested so far, as the trig nest computes them.  A
 # unit reads tables of at most a quarter of TABLE_ENTRIES, the entries all tables
-# hold at most (2 MB).
+# hold at most (8 MB): every DFT of up to 512 points, 724 halved.
 TABLES: dict[tuple, list[array]] = {}
-TABLE_ENTRIES = 2 ** 18
+TABLE_ENTRIES = 2 ** 20
 
 
 def _table(c: float, trig: str, rows: int, cols: int) -> list[array]:
@@ -426,7 +427,7 @@ class _Compiler:
         its loads where `known` holds, adds `e`'s cost to `cost` and each
         run-time-checked divisor to `divisors`."""
         if isinstance(e, TempRef):
-            return self._name("t", e.name)
+            return self.streams.get(e) or self._name("t", e.name)
         if isinstance(e, ConstF):
             return self._lit(e)  # a slot, see `render`
         if isinstance(e, IndexF):
@@ -509,7 +510,9 @@ class _Compiler:
             lines.append(pad + line)
 
         for stmt in stmts:
-            if isinstance(stmt, Assign):
+            if isinstance(stmt, Assign) and stmt.target in self.streams:
+                ex(stmt.value)  # a sample temporary: its readers read the stream
+            elif isinstance(stmt, Assign):
                 emit(f"{self._name('t', stmt.target.name)} = {ex(stmt.value)}")
             elif isinstance(stmt, Store):
                 b = self._access(stmt.buffer, stmt.index, known)[0]
@@ -554,13 +557,20 @@ class _Compiler:
                         loop_stack or trip >= STREAM_MIN_TRIPS) else None
                     if flat and trip < STREAM_MIN_TRIPS and not any(
                             _checked(n) for n, _ in _nodes(flat)):  # straight-line
+                        rows = dict.fromkeys((w, n.row) for n, _ in _nodes(flat) if type(n) is Trig
+                                             and n.col == stmt.index != n.row
+                                             and (w := self._table_of(n, inside)))
+                        self.streams = {row: f"u{k}[{i}]" for k, row in enumerate(rows)}
                         body_lines, body_cost = self._block(flat, depth, loop_stack, inside)
+                        self.streams = {}
                         parts = re.split(rf"\b{i}\b", "\n".join(body_lines))
                         lines.append(f"{pad}# {stmt.tag}: {trip} trips, straight-line")
+                        lines += [f"{pad}u{k} = {w}[{self._index(row, inside)}]"  # once per trip
+                                  for k, (w, row) in enumerate(rows)]
                         lines += [self._lit(k).join(parts) for k in range(lower, upper)]
                     else:
                         body = flat if flat is not None and trip >= STREAM_MIN_TRIPS else stmt.body
-                        head = body is flat and self._stream(stmt.index, flat, lower, upper, inside)
+                        head = body is flat and self._stream(stmt, flat, lower, upper, inside)
                         head = head or f"{i} in range({self._lit(lower)}, {self._lit(upper)})"
                         body_lines, body_cost = self._block(body, depth + 1, loop_stack + [i],
                                                             inside)
@@ -611,20 +621,20 @@ class _Compiler:
         """The local name of the table (`TABLES`) twiddle `e` reads where `known`
         holds, if its row and column run from 0, in R rows and C columns with
         4*R*C <= TABLE_ENTRIES; else None."""
-        if known is None or known[e.row][0] or known[e.col][0]:
+        if known is None or e.row not in known or known[e.row][0] or known[e.col][0]:
             return None
         rows, cols = known[e.row][1] + 1, known[e.col][1] + 1
         return None if 4 * rows * cols > TABLE_ENTRIES else self.tables.setdefault(
             (id(e.c), e.fn, rows, cols), (f"w{len(self.tables)}", (e.c, e.fn, rows, cols)))[0]
 
-    def _stream(self, index: str, body: list[Stmt], lower: int, upper: int,
+    def _stream(self, loop: For, body: list[Stmt], lower: int, upper: int,
                 known: dict) -> Optional[str]:
-        """The `for` header running `body` for `index` in [lower, upper) over a
-        slice per distinct load of coefficient +-1 on `index`, proved with the
-        load, and a row per table a twiddle of column `index` reads (`self.streams`
-        names them); None unless `body` is Assigns, reads `index` no other way,
-        and checks no divisor (its error names `index`)."""
-        streams: dict = {}  # a Load, or a table's (local name, row index)
+        """The `for` header running `body` for `loop.index` in [lower, upper) over a slice
+        per distinct load of coefficient +-1 on the index, proved with the load, and a row
+        per table a twiddle of column index reads; `self.streams` names them and each
+        temporary only the loop names, assigned once such a load before any read.  None
+        unless `body` is Assigns, reads the index no other way, and checks no divisor."""
+        index, streams = loop.index, {}  # a Load, or a table's (local name, row index)
         for n, _ in _nodes(body):  # a Store, the first node of its statement, ends it
             terms = dict(n.index.terms if isinstance(n, Load) else
                          n.expr.terms if isinstance(n, IndexF) else
@@ -643,7 +653,12 @@ class _Compiler:
             lo, hi = (self._affine(load.index.plus(AffineExpr.of(index, -c, k)), known)
                       for k in ((lower, upper) if c == 1 else (1 - upper, 1 - lower)))
             slices.append(f"{b}[{lo}:{hi}]" if c == 1 else f"reversed({b}[{lo}:{hi}])")
-        self.streams = streams
+        self.streams, self.refs = dict(streams), self.refs or _refs(self.unit.body)
+        for k, s in enumerate(body):  # named only in the loop, from its Assign on
+            t = s.target.name
+            if (s.value in streams and self.refs[t] == _refs(loop.body)[t] == _refs(body[k:])[t]
+                    and sum(r.target == s.target for r in body) == 1):
+                self.streams[s.target] = streams[s.value]
         return f"{', '.join(streams.values())} in " + (  # zip makes 1-tuples
             slices[0] if len(slices) == 1 else f"zip({', '.join(slices)})") if streams else None
 

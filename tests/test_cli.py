@@ -207,13 +207,15 @@ def test_an_input_file_that_is_not_utf8_is_a_usage_error(capsys, tmp_path):
     (("--input", "x"), "bad --input 'x', expected NAME=FILE.json\n"),
     (("--input", "x={tmp}/missing.json"), "cannot read {tmp}/missing.json: "),
     (("--input", "x={tmp}/bad.json"), "{tmp}/bad.json: not valid JSON ("),
+    (("--input", "x={tmp}/deep.json"), "{tmp}/deep.json: not valid JSON (maximum recursion"),
     (("--input", "x={tmp}/x.json", "--input", "x={tmp}/x.json"), "input 'x' bound twice\n"),
 ], ids=["empty_patterns", "synth_no_size", "synth_bad_size", "synth_zero_size",
         "synth_extra_field", "input_no_file", "input_unreadable", "input_bad_json",
-        "input_twice"])
+        "input_too_deep", "input_twice"])
 def test_usage_error_exit_1(capsys, tmp_path, args, message):
     (tmp_path / "x.json").write_text("[1.0, 2.0]")
     (tmp_path / "bad.json").write_text("[1.0,")
+    (tmp_path / "deep.json").write_text("[" * 100000 + "]" * 100000)
     code, out, err = run_cli(capsys, "run", ENERGY, *(a.format(tmp=tmp_path) for a in args))
     assert (code, out) == (1, "")
     assert err.startswith("usage error: " + message.format(tmp=tmp_path))

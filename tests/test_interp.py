@@ -205,7 +205,13 @@ _STORE_0 = Store("y", _NOPE, ConstF(1.0))
     SelectGuard(AffineExpr.of("k", 2), 0, 4, [_STORE_0]),
     For("i", 0, 1, [Store("y", AffineExpr.of("i"), IndexF(AffineExpr.of("k")))], "f"),
     For("i", 0, 1, [Store("y", AffineExpr.of("i"), Trig("cos", ConstF(1.0), "i", "k"))], "f"),
-], ids=["guard_bare", "guard_expr", "index_value", "index_product"])
+    # a short row and a streamed row: a table row is looked up only for a bound row
+    For("j", 0, 1, [For("i", 0, 4, [Store("y", AffineExpr.of("j"),
+                                          Trig("cos", ConstF(1.0), "k", "i"))], "f")], "g"),
+    For("j", 0, 1, [Assign(TempRef("t"), ConstF(0.0)), For("i", 0, 64, [Assign(
+        TempRef("t"), TempRef("t") + Trig("cos", ConstF(1.0), "k", "i"))], "f"),
+        Store("y", AffineExpr.of("j"), TempRef("t"))], "g"),
+], ids=["guard_bare", "guard_expr", "index_value", "index_product", "short_row", "long_row"])
 def test_index_without_a_loop_is_rejected_before_it_runs(stmt):
     # `k` has no enclosing loop; the generated code would raise NameError
     p = one_unit([BufferDecl("y", 1)], [stmt], inputs=[], outputs=[])
@@ -283,9 +289,9 @@ def test_unit_code_is_shared_across_sizes():
         assert all(a is b for a, b in zip(_unit_code(p), _unit_code(q), strict=True))
 
 
-def test_twiddle_tables_are_shared_bounded_and_least_recently_used_first_out():
+def test_twiddle_tables_are_shared_bounded_and_least_recently_used_first_out(monkeypatch):
     from dspc import interp
-    from dspc.interp import TABLE_ENTRIES, TABLES
+    from dspc.interp import TABLES
     app = corpus.find_app("AudioCompression")
     programs = {n: _corpus_programs(lambda app: {"N": n}, [app]) for n in (64, 128, 160, 200, 256)}
     # AudioCompression's DFTs at 128 and 256 points read tables through one
@@ -296,18 +302,21 @@ def test_twiddle_tables_are_shared_bounded_and_least_recently_used_first_out():
         assert texts == [r.text for r, *_ in q._compiled.calls]
         assert sum("_table(" in t for t in texts) == (2 if p is programs[256][0] else 1)
         assert len({id(interp.UNIT_CODE[t]) for t in texts}) == len(set(texts))
-    # EnergyOfSignal's 1024-point DFTs and SpectralAnalysis's 509-point ones
-    # are over the bound: they call sin and cos
-    for p in [_corpus_programs(apps=[corpus.find_app("EnergyOfSignal")])[0],
-              *_corpus_programs(apps=[corpus.find_app("SpectralAnalysis")])]:
-        assert "_table(" not in compiled_source(p) and "_cos(" in compiled_source(p)
-    # a model of the cache: the rows of each key, least recently used first
+    # EnergyOfSignal's 1024-point DFTs are over the bound: they call sin and cos;
+    # SpectralAnalysis's 509-point ones, whole or halved, read tables
+    energy = _corpus_programs(apps=[corpus.find_app("EnergyOfSignal")])[0]
+    assert "_table(" not in compiled_source(energy) and "_cos(" in compiled_source(energy)
+    for p in _corpus_programs(apps=[corpus.find_app("SpectralAnalysis")]):
+        assert "_table(" in compiled_source(p) and "_cos(" not in compiled_source(p)
+    # a model of the cache: the rows of each key, least recently used first, under
+    # a bound these five sizes' tables pass (2 * 151,616 entries)
     model, evicted = {}, []
+    monkeypatch.setattr(interp, "TABLE_ENTRIES", 2 ** 18)
 
     def use(key, rows):  # a request: touches the key's table, first building missing rows
         have = model.pop(key, 0)
         if have < rows:
-            while sum(k[2] * n for k, n in model.items()) + key[2] * rows > TABLE_ENTRIES:
+            while sum(k[2] * n for k, n in model.items()) + key[2] * rows > interp.TABLE_ENTRIES:
                 evicted.append(next(iter(model)))
                 del model[evicted[-1]]
         model[key] = max(have, rows)
@@ -321,7 +330,7 @@ def test_twiddle_tables_are_shared_bounded_and_least_recently_used_first_out():
             for trig in ("cos", "sin"):  # both routes request cos, then sin, n rows
                 use((2.0 * math.pi / n, trig, n), n)
             assert [(k, len(t)) for k, t in TABLES.items()] == list(model.items())
-            assert sum(len(t) * len(t[0]) for t in TABLES.values()) <= TABLE_ENTRIES
+            assert sum(len(t) * len(t[0]) for t in TABLES.values()) <= interp.TABLE_ENTRIES
     assert len(evicted) >= 2  # tables were evicted
     # a halved DFT reads rows of the full DFT's table of the same transform, in
     # either order built and counted once
@@ -336,6 +345,39 @@ def test_twiddle_tables_are_shared_bounded_and_least_recently_used_first_out():
             (2.0 * math.pi / 127, trig, 127): 127 for trig in ("cos", "sin")}
         assert [len(r) for r in rows] == ([127, 127] if order is spectral else [64, 127])
         assert all(a is b for a, b in zip(*rows))
+
+
+def test_tables_match_calls_bit_for_bit_at_509_points(monkeypatch):
+    # SpectralAnalysis's 509-point DFTs, whole (`none`) and halved (`dsp`), print
+    # the same bits and count the same read from tables as calling sin and cos
+    from dspc import interp, lowering
+    app = corpus.find_app("SpectralAnalysis")
+    x = app.synth_inputs(app.default_sizes(), 1)
+
+    def runs():  # from cold caches: a unit keeps the render it was given first
+        lowering.op_unit.cache_clear()
+        interp.SHAPE_RENDERS.clear()
+        out = []
+        for p in _corpus_programs(apps=[app]):
+            got, c = evaluate_loop_ir(p, x)
+            out.append(({vid: [v.hex() for v in t.values] for vid, t in got.items()},
+                        {**c.as_dict(), "wall_time_ns": 0}, compiled_source(p)))
+        return out
+
+    try:
+        tabled = runs()
+        monkeypatch.setattr(interp, "TABLE_ENTRIES", 0)
+        called = runs()
+    finally:
+        monkeypatch.undo()
+        lowering.op_unit.cache_clear()
+        interp.SHAPE_RENDERS.clear()
+    assert [r[:2] for r in tabled] == [r[:2] for r in called]
+    assert all("_table(" in t and "_cos(" not in t for *_, t in tabled)
+    assert all("_table(" not in t and "_cos(" in t for *_, t in called)
+    # the fused DFT's streamed row reads its sample's stream: no copy into a temporary
+    text = compiled_source(_corpus_programs(apps=[corpus.find_app("AudioCompression")])[1])
+    assert "for s0, s1, s2 in zip(" in text and not re.search(r"\bt\d+ = s\d+$", text, re.M)
 
 
 def test_corpus_programs_render_each_op_shape_once_from_cold_caches(monkeypatch):
@@ -948,13 +990,16 @@ _STREAM_FOR = re.compile(r"^ *for (s\d+(, s\d+)*) in (.+):  # (\S+)$")
 
 def test_long_guard_free_reductions_stream():
     # the FIR interiors (101 taps, 50 symmetric pairs), EnergyOfSignal's
-    # 1024-trip sum and AudioCompression's 256-point DFT rows, which read
-    # twiddle tables, stream; HearingAid's 16-trip loops stay indexed
+    # 1024-trip sum, and AudioCompression's 256-point and SpectralAnalysis's
+    # 509-point DFT rows, which read twiddle tables, stream; HearingAid's
+    # 16-trip loops stay indexed
     want = {"LowPassFiltering": ({"fir_filter_response.inner"},
                                  {"filter_res_symm_opt.inner"}),
             "EnergyOfSignal": ({"sum"}, {"sum"}),
             "AudioCompression": ({"dft1d_real.inner", "dft1d_imag.inner"},
                                  {"dft1d_fused.inner"}),
+            "SpectralAnalysis": ({"dft1d_real.inner", "dft1d_imag.inner"},
+                                 {"dft1d_real_symm.inner", "dft1d_imag_symm.inner"}),
             "AudioEqualizer": ({"fir_filter_response.inner"}, {"fir_filter_response.inner"})}
     for app in corpus.APPS:
         for route, p in zip(want.get(app.name, (set(), set())),
